@@ -409,7 +409,7 @@ struct BatchRun {
 BatchRun runShared(std::size_t tenants, std::size_t jobsPerTenant,
                    std::size_t n) {
   bench::setupSystem(4);
-  skelcl::detail::Runtime::instance().clearProgramMemo();
+  skelcl::detail::Runtime::instance().clearPrograms();
   BatchRun out;
   skelcl::detail::StatsScope stats;
   {
@@ -460,7 +460,7 @@ BatchRun runIsolated(std::size_t tenants, std::size_t jobsPerTenant,
   BatchRun out;
   for (std::size_t t = 0; t < tenants; ++t) {
     bench::setupSystem(4);
-    skelcl::detail::Runtime::instance().clearProgramMemo();
+    skelcl::detail::Runtime::instance().clearPrograms();
     skelcl::detail::StatsScope stats;
     {
       svc::ServiceConfig config;

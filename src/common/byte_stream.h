@@ -74,6 +74,9 @@ public:
     if (size > remaining()) {
       throw DeserializeError("byte stream truncated");
     }
+    if (size == 0) {
+      return; // memcpy needs non-null pointers even for 0 bytes
+    }
     std::memcpy(out, data_ + pos_, size);
     pos_ += size;
   }

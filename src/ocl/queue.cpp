@@ -442,17 +442,17 @@ Event CommandQueue::enqueueNDRange(Kernel& kernel, const clc::NDRange& range,
     }
   }
 
-  lastStats_ = clc::executeKernel(kernel.program(), kernel.name(), range,
-                                  args, segments,
-                                  &common::ThreadPool::global());
-  cumulativeKernelCycles_ += lastStats_.totalCycles;
+  const clc::LaunchStats stats =
+      clc::executeKernel(kernel.program(), kernel.name(), range, args,
+                         segments, &common::ThreadPool::global());
+  cumulativeKernelCycles_ += stats.totalCycles;
   cumulativeKernelLaunches_ += 1;
   return retire(Engine::Compute,
                 commandStartNs(Engine::Compute, deps) + dispatchJitterNs(),
-                model_.kernelDurationNs(lastStats_),
+                model_.kernelDurationNs(stats),
                 trace::CommandKind::Kernel, kernel.name(),
-                lastStats_.globalBytesRead + lastStats_.globalBytesWritten,
-                lastStats_.totalCycles, deps);
+                stats.globalBytesRead + stats.globalBytesWritten,
+                stats.totalCycles, deps);
 }
 
 Event CommandQueue::enqueueNDRange(Kernel& kernel, NDRange1D range,

@@ -116,11 +116,6 @@ public:
   /// (the max over all three engine timelines).
   void finish();
 
-  /// Profile of the last kernel launch (for tests and benchmarks).
-  const clc::LaunchStats& lastLaunchStats() const noexcept {
-    return lastStats_;
-  }
-
   /// Total simulated kernel cycles enqueued through this queue since
   /// construction. Scheduling-invariance checks compare this across
   /// serialized and overlapped runs of the same workload.
@@ -159,7 +154,6 @@ private:
   SchedulePolicy policy_;
   common::Xoshiro256 scheduleRng_;
   TimingModel model_{DeviceSpec{}, Backend::OpenCL};
-  clc::LaunchStats lastStats_;
   Event last_; // previous command, for in-order chaining
   std::uint64_t lastSubmittedEndNs_ = 0;
   std::uint64_t cumulativeKernelCycles_ = 0;

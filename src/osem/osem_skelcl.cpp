@@ -52,20 +52,8 @@ OsemResult reconstructSkelCl(const Dataset& dataset) {
   skelcl::Vector<int> index = skelcl::indexVector(std::size_t(numWorkers));
   index.setDistribution(skelcl::Distribution::Block);
 
-  const bool debugPhases = std::getenv("SKELCL_OSEM_DEBUG") != nullptr;
-  std::uint64_t phaseMark = ocl::hostTimeNs();
-  const auto tick = [&](const char* label) {
-    if (debugPhases) {
-      const auto now = ocl::hostTimeNs();
-      std::fprintf(stderr, "  [osem-skelcl] %-22s %8.1f us\n", label,
-                   double(now - phaseMark) * 1e-3);
-      phaseMark = now;
-    }
-  };
-
   for (std::int32_t iter = 0; iter < dataset.numIterations; ++iter) {
     for (std::int32_t l = 0; l < dataset.numSubsets; ++l) {
-      phaseMark = ocl::hostTimeNs();
       // "read events from file"
       skelcl::Vector<Event> events(
           dataset.events.data() + dataset.subsetBegin(l),
@@ -76,7 +64,6 @@ OsemResult reconstructSkelCl(const Dataset& dataset) {
       f.setDistribution(skelcl::Distribution::Copy);
       c.fill(0.0f);
       c.setDistribution(skelcl::Distribution::Copy);
-      tick("distribute");
       // prepare arguments of the error-image computation
       skelcl::Arguments arguments;
       arguments.push(events);
@@ -87,29 +74,15 @@ OsemResult reconstructSkelCl(const Dataset& dataset) {
       arguments.push(dataset.vol);
       // compute error image (map skeleton)
       computeC(index, arguments);
-      tick("map compute_c (enqueue)");
-      if (debugPhases) {
-        const auto& st =
-            skelcl::detail::Runtime::instance().queue(0).lastLaunchStats();
-        std::fprintf(stderr,
-                     "  [osem-skelcl] map stats: instr=%llu cycles=%llu "
-                     "groups=%zu atomics=%llu\n",
-                     (unsigned long long)st.instructions,
-                     (unsigned long long)st.totalCycles, st.groups.size(),
-                     (unsigned long long)st.atomicOps);
-      }
       // signal modification of the error image
       c.dataOnDevicesModified();
       // reduce (element-wise add) all copies of the error image;
       // re-distribute across the devices after the reduction
       c.setDistribution(skelcl::Distribution::Block, addSource);
-      tick("combine c");
       // distribute the reconstruction image across all devices
       f.setDistribution(skelcl::Distribution::Block);
-      tick("redistribute f");
       // update reconstruction image (zip skeleton)
       update(f, c, f);
-      tick("update");
     }
   }
 

@@ -126,8 +126,12 @@ std::string elementwiseKernelName(const FusionPlan& plan) {
   return plan.leaves.size() == 1 ? "skelcl_map" : "skelcl_zip";
 }
 
-std::string elementwiseSource(const FusionPlan& plan,
-                              const std::string& outType) {
+/// A void result (Map<T, void>) has no output vector: the kernel takes
+/// no skelcl_out and the root call is a statement run for its effects.
+bool voidResult(const ExprNode& node) { return node.outType == "void"; }
+
+std::string elementwiseSource(const FusionPlan& plan, const ExprNode& node) {
+  const bool isVoid = voidResult(node);
   std::string src =
       registeredTypeDefinitions() + plan.functionsSource +
       "\n__kernel void " + elementwiseKernelName(plan) + "(";
@@ -135,12 +139,14 @@ std::string elementwiseSource(const FusionPlan& plan,
     src += "__global const " + plan.leafTypes[i] + "* skelcl_in" +
            std::to_string(i) + ", ";
   }
-  src += "__global " + outType + "* skelcl_out, uint skelcl_n" +
-         plan.argDecls +
+  if (!isVoid) {
+    src += "__global " + node.outType + "* skelcl_out, ";
+  }
+  src += "uint skelcl_n" + plan.argDecls +
          ") {\n"
          "  size_t skelcl_i = get_global_id(0);\n"
          "  if (skelcl_i < skelcl_n) {\n"
-         "    skelcl_out[skelcl_i] = " +
+         "    " + std::string(isVoid ? "" : "skelcl_out[skelcl_i] = ") +
          substituteIndex(plan.loadExpr, "skelcl_i") +
          ";\n"
          "  }\n"
@@ -157,6 +163,7 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
 
   VectorStateBase& leaf0 = *plan.leaves.front();
   const std::vector<VectorStateBase*> distinct = distinctLeaves(plan);
+  const bool isVoid = voidResult(*node);
   bool aliased = false;
   for (VectorStateBase* leaf : distinct) {
     if (leaf == out.get()) {
@@ -164,12 +171,12 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
       break;
     }
   }
-  if (!aliased) {
+  if (!isVoid && !aliased) {
     out->allocateLikeBase(leaf0);
   }
 
   ocl::Program& program =
-      runtime.programFor(elementwiseSource(plan, node->outType), salt);
+      runtime.programFor(elementwiseSource(plan, *node), salt);
   const std::string kernelName = elementwiseKernelName(plan);
 
   // Per-device chunks are disjoint, so any visit order is legal (the
@@ -188,19 +195,24 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
         kernel.setArg(arg++,
                       leaf->chunkForDevice(chunk.deviceIndex).buffer);
       }
-      kernel.setArg(arg++,
-                    out->chunkForDevice(chunk.deviceIndex).buffer);
+      if (!isVoid) {
+        kernel.setArg(arg++,
+                      out->chunkForDevice(chunk.deviceIndex).buffer);
+      }
       kernel.setArg(arg++, std::uint32_t(chunk.count));
       bindStageArguments(plan, kernel, arg, chunk.deviceIndex);
 
       // The launch depends on every distinct operand's upload — piecewise
       // where split, so sub-launches pipeline against whichever transfer
-      // streams last — plus any stage argument vectors.
+      // streams last — plus any stage argument vectors. A void map may
+      // scatter to arbitrary indices of its argument vectors, so it is
+      // never split: one launch waits for the whole upload.
       std::vector<UploadPieces> pieces;
       pieces.reserve(distinct.size());
       std::vector<ocl::Event> deps;
       for (VectorStateBase* leaf : distinct) {
-        pieces.push_back(leaf->takeUploadPieces(chunk.deviceIndex));
+        pieces.push_back(isVoid ? UploadPieces{}
+                                : leaf->takeUploadPieces(chunk.deviceIndex));
         if (pieces.back().empty()) {
           appendEvent(deps, leaf->readyEventOn(chunk.deviceIndex));
         }
@@ -217,7 +229,9 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
       ocl::Event done =
           launchPipelined(runtime.queue(chunk.deviceIndex), kernel,
                           chunk.count, wg, deps, pieceLists);
-      out->recordEventOn(chunk.deviceIndex, done);
+      if (!isVoid) {
+        out->recordEventOn(chunk.deviceIndex, done);
+      }
       recordStageEvents(plan, done, chunk.deviceIndex);
     } catch (ocl::ClError& e) {
       e.prependContext(plan.label + " skeleton on device " +
@@ -225,7 +239,9 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
       throw;
     }
   }
-  out->markDevicesModified();
+  if (!isVoid) {
+    out->markDevicesModified();
+  }
 }
 
 // --- Reduce plans --------------------------------------------------------
@@ -858,11 +874,15 @@ void evaluateNode(const std::shared_ptr<ExprNode>& node,
     // Poison the node so later consumer flushes skip it, and detach it
     // from the output so reads do not force it again.
     node->evaluated = true;
-    out->clearPending();
+    if (out != nullptr) {
+      out->clearPending();
+    }
     throw;
   }
   node->evaluated = true;
-  out->clearPending();
+  if (out != nullptr) {
+    out->clearPending();
+  }
 }
 
 } // namespace
@@ -872,7 +892,7 @@ void forceExprNode(const std::shared_ptr<ExprNode>& node) {
     return;
   }
   // `node` may alias the output state's own pending_ member, which an
-  // evaluation clears (adoptDeviceBuffer does so mid-flight, and a
+  // evaluation clears (adoptDeviceBufferBase does so mid-flight, and a
   // scheduler drain clears it from underneath us) — pin the node first
   // so it outlives that reset.
   std::shared_ptr<ExprNode> keep = node;
@@ -1008,7 +1028,7 @@ void deferNode(const std::shared_ptr<ExprNode>& node,
 
 void evaluateNodeInto(const std::shared_ptr<ExprNode>& node,
                       const std::shared_ptr<VectorStateBase>& out) {
-  {
+  if (out != nullptr) {
     // `out` may alias an input, in whose consumer list this very node
     // already sits; the guard keeps it from forcing itself while the
     // *old* value's deferred readers are snapshotted.
@@ -1037,7 +1057,7 @@ void collectNodePrograms(const std::shared_ptr<ExprNode>& node,
   switch (node->op) {
     case ExprNode::Op::Map:
     case ExprNode::Op::Zip:
-      out.push_back({elementwiseSource(plan, node->outType), salt});
+      out.push_back({elementwiseSource(plan, *node), salt});
       break;
     case ExprNode::Op::Reduce:
       out.push_back({plainReduceSource(node), salt});

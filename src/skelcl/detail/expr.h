@@ -10,15 +10,15 @@
 //
 //   map f . map g        ->  map (f . g)
 //   zip f . map g        ->  zip with the g-load spliced in
-//   reduce f . map g     ->  mapReduce (the hand-written MapReduce
-//                             skeleton is the special case this
-//                             generalizes)
+//   reduce f . map g     ->  mapReduce (skelcl::MapReduce is a facade
+//                             that builds exactly this chain)
 //   scan f . map g       ->  scan with a fused first level
 //
 // Eager-evaluation rule: a call whose Arguments reference Vectors is
 // evaluated immediately at the call site (its semantics depend on — and
 // may mutate — external state the host is free to change afterwards), as
-// are explicit-output forms. Laziness and fusion apply to pure chains.
+// are explicit-output forms, Map<T, void> and MapReduce. Laziness applies
+// to pure chains; fusion applies to every evaluation.
 #pragma once
 
 #include <memory>
@@ -76,7 +76,8 @@ public:
   std::size_t workGroupSize = 0; // user override; 0 = SkelCL default
   std::vector<Input> inputs;
 
-  std::string outType;          // result element type name
+  std::string outType;          // result element type name; "void" for
+                                // a Map run for its side effects only
   std::size_t outElemSize = 0;  // sizeof(result element)
   std::size_t outCount = 0;     // result element count
   std::size_t fanout = 0;       // deferred parents reading this node
@@ -113,8 +114,9 @@ void deferNode(const std::shared_ptr<ExprNode>& node,
                const std::shared_ptr<VectorStateBase>& out);
 
 /// Evaluates `node` into `out` immediately (eager call sites: explicit
-/// outputs, vector-argument calls). `out`'s old value is snapshotted for
-/// any deferred readers first.
+/// outputs, vector-argument calls, MapReduce). `out`'s old value is
+/// snapshotted for any deferred readers first. `out` is null exactly
+/// when the node's result is "void" (Map<T, void>).
 void evaluateNodeInto(const std::shared_ptr<ExprNode>& node,
                       const std::shared_ptr<VectorStateBase>& out);
 

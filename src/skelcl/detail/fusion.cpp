@@ -82,6 +82,9 @@ public:
   void finish(const std::shared_ptr<ExprNode>& root) {
     if (plan_.stages.size() == 1) {
       plan_.label = opName(root->op);
+      if (root->outType == "void") {
+        plan_.label += "<void>";
+      }
     } else {
       plan_.label = "Fused(";
       for (std::size_t i = 0; i < names_.size(); ++i) {

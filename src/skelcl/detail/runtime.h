@@ -170,7 +170,7 @@ public:
   /// Drops the per-init program memo (the disk cache underneath stays).
   /// The job service's "per-tenant isolation" baseline uses this to make
   /// each tenant pay its own program load, as separate processes would.
-  void clearProgramMemo() {
+  void clearPrograms() {
     std::lock_guard lock(programMutex_);
     programMemo_.clear();
   }

@@ -1,38 +1,15 @@
-// Shared machinery for the skeleton implementations: generated-program
-// memoization on top of the on-disk kernel cache, launch geometry, and
-// the event plumbing that lets skeleton launches pipeline against split
-// uploads instead of serializing behind a finish().
+// Shared machinery for the DAG evaluators (detail/expr.cpp,
+// detail/irregular.cpp): launch geometry and the event plumbing that lets
+// skeleton launches pipeline against split uploads instead of serializing
+// behind a finish(). Generated programs come from Runtime::programFor.
 #pragma once
 
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "skelcl/detail/runtime.h"
-#include "skelcl/detail/source_utils.h"
 
 namespace skelcl::detail {
-
-/// Per-skeleton-instance memo: the same generated source is built once
-/// per process (the disk cache then makes *cross-process* reuse cheap,
-/// which is the effect the paper measures).
-class ProgramMemo {
-public:
-  ocl::Program& get(const std::string& source) {
-    auto it = programs_.find(source);
-    if (it == programs_.end()) {
-      auto& runtime = Runtime::instance();
-      ocl::Program program = runtime.kernelCache().getOrBuild(
-          runtime.context(), source, kDefaultBuildOptions);
-      it = programs_.emplace(source, std::move(program)).first;
-    }
-    return it->second;
-  }
-
-private:
-  std::unordered_map<std::string, ocl::Program> programs_;
-};
 
 inline std::size_t roundUp(std::size_t n, std::size_t multiple) {
   return (n + multiple - 1) / multiple * multiple;

@@ -18,7 +18,6 @@
 
 #include "skelcl/arguments.h"
 #include "skelcl/detail/expr.h"
-#include "skelcl/detail/skeleton_common.h"
 #include "skelcl/vector.h"
 #include "trace/recorder.h"
 
@@ -81,6 +80,7 @@ private:
 /// Map without an output vector: the user function returns void and works
 /// through side effects on Arguments vectors (paper Sec. IV-B). Always
 /// eager — there is no result vector whose read could force it later.
+/// The node runs as one whole-chunk launch per device chunk.
 template <typename Tin>
 class Map<Tin, void> {
 public:
@@ -93,72 +93,18 @@ public:
   void operator()(const Vector<Tin>& input, const Arguments& args) {
     trace::ScopedHostSpan span(trace::HostKind::Skeleton, "Map<void>",
                                trace::kNoDevice, input.size());
-    auto& runtime = detail::Runtime::instance();
-    runtime.requireInit();
-
-    input.state().ensureOnDevices();
-    args.prepare();
-
-    ocl::Program& program = program_(args);
-    const auto& chunks = input.state().chunks();
-    for (std::size_t idx : runtime.chunkVisitOrder(chunks.size())) {
-      const detail::Chunk& chunk = chunks[idx];
-      if (chunk.count == 0) {
-        continue;
-      }
-      try {
-        const auto& device = runtime.devices()[chunk.deviceIndex];
-        ocl::Kernel kernel = program.createKernel("skelcl_map");
-        std::size_t arg = 0;
-        kernel.setArg(arg++, chunk.buffer);
-        kernel.setArg(arg++, std::uint32_t(chunk.count));
-        args.apply(kernel, arg, chunk.deviceIndex);
-
-        // No sub-launch splitting here: a side-effect map may scatter to
-        // arbitrary indices of its argument vectors, so the whole launch
-        // waits for the whole input upload and every argument's writer.
-        std::vector<ocl::Event> deps;
-        detail::appendEvent(deps, chunk.ready);
-        args.collectDeps(deps, chunk.deviceIndex);
-
-        const std::size_t wg =
-            detail::effectiveWorkGroupSize(workGroupSize_, device);
-        ocl::Event done =
-            runtime.queue(chunk.deviceIndex)
-                .enqueueNDRange(
-                    kernel,
-                    ocl::NDRange1D{detail::roundUp(chunk.count, wg), wg},
-                    deps);
-        args.recordEvent(done, chunk.deviceIndex);
-      } catch (ocl::ClError& e) {
-        e.prependContext("Map<void> skeleton on device " +
-                         std::to_string(chunk.deviceIndex));
-        throw;
-      }
-    }
+    detail::Runtime::instance().requireInit();
+    auto node = detail::makeExprNode(
+        detail::ExprNode::Op::Map, source_, funcName_, args,
+        workGroupSize_, {input.stateHandle()}, "void",
+        /*outElemSize=*/0, input.size());
+    detail::evaluateNodeInto(node, nullptr);
   }
 
 private:
-  ocl::Program& program_(const Arguments& args) {
-    const std::string source =
-        detail::registeredTypeDefinitions() + source_ +
-        "\n__kernel void skelcl_map(__global const " + typeName<Tin>() +
-        "* skelcl_in, uint skelcl_n" + args.declSuffix() +
-        ") {\n"
-        "  size_t skelcl_i = get_global_id(0);\n"
-        "  if (skelcl_i < skelcl_n) {\n"
-        "    " +
-        funcName_ + "(skelcl_in[skelcl_i]" + args.callSuffix() +
-        ");\n"
-        "  }\n"
-        "}\n";
-    return memo_.get(source);
-  }
-
   std::string source_;
   std::string funcName_;
   std::size_t workGroupSize_ = 0;
-  detail::ProgramMemo memo_;
 };
 
 } // namespace skelcl

@@ -1,17 +1,19 @@
-// MapReduce — a fused skeleton (extension beyond the IPDPS 2011 paper;
+// MapReduce — a composed skeleton (extension beyond the IPDPS 2011 paper;
 // later SkelCL work added composed skeletons along these lines).
 //
 //   mapreduce f (+) [x0 .. xn-1]  =  f(x0) + f(x1) + ... + f(xn-1)
 //
-// Fusing the map into the reduction's accumulation loop removes the
-// intermediate vector entirely: no extra buffer, no extra kernel launch,
-// and one global-memory pass instead of two. bench_skeletons shows the
-// effect; tests/skelcl/map_reduce_test.cpp checks the semantics.
+// A facade over the expression DAG (detail/expr.h): a call builds
+// reduce (+) . map f and evaluates it at the call site. The fusion pass
+// rewrites that chain into one skelcl_mapreduce kernel — the map runs
+// inside the reduction's accumulation loop, with no intermediate vector
+// and no extra launch; with fusion off the chain runs as Map then Reduce.
+// tests/skelcl/map_reduce_test.cpp checks the semantics.
 #pragma once
 
 #include <string>
 
-#include "skelcl/detail/skeleton_common.h"
+#include "skelcl/detail/expr.h"
 #include "skelcl/scalar.h"
 #include "skelcl/vector.h"
 #include "trace/recorder.h"
@@ -33,192 +35,40 @@ public:
         mapName_(detail::userFunctionName(mapSource_)),
         reduceName_(detail::userFunctionName(reduceSource_)) {}
 
+  /// Eager, like the other explicit evaluations: the launches are
+  /// enqueued before the call returns; the Scalar read waits for them.
   Scalar<Tout> operator()(const Vector<Tin>& input) {
     trace::ScopedHostSpan span(trace::HostKind::Skeleton, "MapReduce",
                                trace::kNoDevice, input.size());
-    auto& runtime = detail::Runtime::instance();
-    runtime.requireInit();
+    detail::Runtime::instance().requireInit();
     if (input.size() == 0) {
       return Scalar<Tout>(identity_);
     }
-
-    input.state().ensureOnDevices();
-    ocl::Program& fused = memo_.get(fusedSource());
-    ocl::Program& combine = memo_.get(combineSource());
-
-    struct Partial {
-      ocl::Buffer buffer;
-      ocl::Event ready;
-      std::size_t deviceIndex;
-    };
-    std::vector<Partial> partials;
-    const bool copyDist =
-        input.state().distribution() == Distribution::Copy;
-    for (const detail::Chunk& chunk : input.state().chunks()) {
-      if (chunk.count == 0) {
-        continue;
-      }
-      // First pass applies f and reduces to per-group partials; it
-      // starts as soon as this device's upload lands (chunk ready
-      // event) and runs concurrently with the other devices' passes.
-      const auto& device = runtime.devices()[chunk.deviceIndex];
-      auto& queue = runtime.queue(chunk.deviceIndex);
-      const std::size_t groups =
-          std::min<std::size_t>(kMaxGroups, (chunk.count + kWg - 1) / kWg);
-      ocl::Buffer stage =
-          runtime.context().createBuffer(device, groups * sizeof(Tout));
-      ocl::Kernel kernel = fused.createKernel("skelcl_mapreduce");
-      kernel.setArg(0, chunk.buffer);
-      kernel.setArg(1, stage);
-      kernel.setArg(2, std::uint32_t(chunk.count));
-      ocl::Event last =
-          queue.enqueueNDRange(kernel, ocl::NDRange1D{groups * kWg, kWg},
-                               detail::VectorState<Tin>::depsOf(chunk));
-      // ...then plain reduction passes finish the device.
-      std::size_t count = groups;
-      ocl::Buffer buffer = stage;
-      while (count > 1) {
-        const std::size_t g =
-            std::min<std::size_t>(kMaxGroups, (count + kWg - 1) / kWg);
-        ocl::Buffer next =
-            runtime.context().createBuffer(device, g * sizeof(Tout));
-        ocl::Kernel reduce = combine.createKernel("skelcl_reduce_only");
-        reduce.setArg(0, buffer);
-        reduce.setArg(1, next);
-        reduce.setArg(2, std::uint32_t(count));
-        last = queue.enqueueNDRange(reduce, ocl::NDRange1D{g * kWg, kWg},
-                                    {last});
-        buffer = std::move(next);
-        count = g;
-      }
-      partials.push_back(
-          Partial{std::move(buffer), std::move(last), chunk.deviceIndex});
-      if (copyDist) {
-        break;
-      }
-    }
-    COMMON_CHECK(!partials.empty());
-
-    if (partials.size() == 1) {
-      Vector<Tout> holder;
-      holder.state().adoptDeviceBuffer(partials[0].buffer, 1,
-                                       partials[0].deviceIndex,
-                                       partials[0].ready);
-      return Scalar<Tout>(std::move(holder));
-    }
-    // Cross-device combine on device 0 (device order = element order).
-    // Non-blocking downloads overlap on the devices' D2H links; the
-    // staging upload and final kernel chain on them through events.
-    std::vector<Tout> values(partials.size());
-    std::vector<ocl::Event> reads;
-    for (std::size_t i = 0; i < partials.size(); ++i) {
-      reads.push_back(
-          runtime.queue(partials[i].deviceIndex)
-              .enqueueReadBuffer(partials[i].buffer, 0, sizeof(Tout),
-                                 &values[i], /*blocking=*/false,
-                                 {partials[i].ready}));
-    }
-    ocl::Buffer staging = runtime.context().createBuffer(
-        runtime.devices()[0], values.size() * sizeof(Tout));
-    ocl::Event staged = runtime.queue(0).enqueueWriteBuffer(
-        staging, 0, values.size() * sizeof(Tout), values.data(), reads);
-    ocl::Kernel reduce = combine.createKernel("skelcl_reduce_only");
-    ocl::Buffer result =
-        runtime.context().createBuffer(runtime.devices()[0], sizeof(Tout));
-    reduce.setArg(0, staging);
-    reduce.setArg(1, result);
-    reduce.setArg(2, std::uint32_t(values.size()));
-    ocl::Event done = runtime.queue(0).enqueueNDRange(
-        reduce, ocl::NDRange1D{kWg, kWg}, {staged});
+    // The map's result is pending on `mapped` only for the reduce node
+    // to read; it is not handed to the async scheduler as a job of its
+    // own, since the reduce evaluates right here.
+    Vector<Tout> mapped;
+    auto map = detail::makeExprNode(
+        detail::ExprNode::Op::Map, mapSource_, mapName_, Arguments{},
+        /*workGroupSize=*/0, {input.stateHandle()}, typeName<Tout>(),
+        sizeof(Tout), input.size());
+    map->output = mapped.stateHandle();
+    mapped.stateHandle()->installPending(map, input.size());
+    auto reduce = detail::makeExprNode(
+        detail::ExprNode::Op::Reduce, reduceSource_, reduceName_,
+        Arguments{}, /*workGroupSize=*/0, {mapped.stateHandle()},
+        typeName<Tout>(), sizeof(Tout), /*outCount=*/1);
     Vector<Tout> holder;
-    holder.state().adoptDeviceBuffer(std::move(result), 1, 0,
-                                     std::move(done));
+    detail::evaluateNodeInto(reduce, holder.stateHandle());
     return Scalar<Tout>(std::move(holder));
   }
 
 private:
-  static constexpr std::size_t kWg = 256;
-  static constexpr std::size_t kMaxGroups = 64;
-
-  /// Shared body: group-span partition + adjacent-pair flag tree. The
-  /// `loadExpr` hook is where the fused map is applied.
-  std::string reduceBody(const std::string& loadExpr) const {
-    const std::string t = typeName<Tout>();
-    const std::string wg = std::to_string(kWg);
-    return
-        "  __local " + t + " skelcl_scratch[" + wg + "];\n"
-        "  __local int skelcl_flags[" + wg + "];\n"
-        "  uint skelcl_lid = (uint)get_local_id(0);\n"
-        "  size_t skelcl_groups = get_num_groups(0);\n"
-        "  size_t skelcl_span = (skelcl_n + skelcl_groups - 1) /"
-        " skelcl_groups;\n"
-        "  size_t skelcl_gstart = get_group_id(0) * skelcl_span;\n"
-        "  size_t skelcl_gend = min(skelcl_gstart + skelcl_span,"
-        " (size_t)skelcl_n);\n"
-        "  size_t skelcl_chunk = (skelcl_span + " + wg + " - 1) / " + wg +
-        ";\n"
-        "  size_t skelcl_start = skelcl_gstart + skelcl_lid *"
-        " skelcl_chunk;\n"
-        "  size_t skelcl_end = min(skelcl_start + skelcl_chunk,"
-        " skelcl_gend);\n"
-        "  int skelcl_have = 0;\n"
-        "  " + t + " skelcl_acc;\n"
-        "  for (size_t i = skelcl_start; i < skelcl_end; ++i) {\n"
-        "    " + t + " skelcl_v = " + loadExpr + ";\n"
-        "    if (skelcl_have) {\n"
-        "      skelcl_acc = " + reduceName_ + "(skelcl_acc, skelcl_v);\n"
-        "    } else {\n"
-        "      skelcl_acc = skelcl_v;\n"
-        "      skelcl_have = 1;\n"
-        "    }\n"
-        "  }\n"
-        "  skelcl_flags[skelcl_lid] = skelcl_have;\n"
-        "  if (skelcl_have) skelcl_scratch[skelcl_lid] = skelcl_acc;\n"
-        "  barrier(CLK_LOCAL_MEM_FENCE);\n"
-        "  for (uint s = 1; s < " + wg + "; s <<= 1) {\n"
-        "    if (skelcl_lid % (2 * s) == 0 && skelcl_lid + s < " + wg +
-        ") {\n"
-        "      if (skelcl_flags[skelcl_lid + s]) {\n"
-        "        if (skelcl_flags[skelcl_lid]) {\n"
-        "          skelcl_scratch[skelcl_lid] = " + reduceName_ +
-        "(skelcl_scratch[skelcl_lid], skelcl_scratch[skelcl_lid + s]);\n"
-        "        } else {\n"
-        "          skelcl_scratch[skelcl_lid] ="
-        " skelcl_scratch[skelcl_lid + s];\n"
-        "          skelcl_flags[skelcl_lid] = 1;\n"
-        "        }\n"
-        "      }\n"
-        "    }\n"
-        "    barrier(CLK_LOCAL_MEM_FENCE);\n"
-        "  }\n"
-        "  if (skelcl_lid == 0) {\n"
-        "    skelcl_out[get_group_id(0)] = skelcl_scratch[0];\n"
-        "  }\n";
-  }
-
-  std::string fusedSource() const {
-    return detail::registeredTypeDefinitions() + mapSource_ + "\n" +
-           reduceSource_ +
-           "\n__kernel void skelcl_mapreduce(__global const " +
-           typeName<Tin>() + "* skelcl_in, __global " + typeName<Tout>() +
-           "* skelcl_out, uint skelcl_n) {\n" +
-           reduceBody(mapName_ + "(skelcl_in[i])") + "}\n";
-  }
-
-  std::string combineSource() const {
-    return detail::registeredTypeDefinitions() + reduceSource_ +
-           "\n__kernel void skelcl_reduce_only(__global const " +
-           typeName<Tout>() + "* skelcl_in, __global " + typeName<Tout>() +
-           "* skelcl_out, uint skelcl_n) {\n" +
-           reduceBody("skelcl_in[i]") + "}\n";
-  }
-
   std::string mapSource_;
   std::string reduceSource_;
   Tout identity_{};
   std::string mapName_;
   std::string reduceName_;
-  detail::ProgramMemo memo_;
 };
 
 } // namespace skelcl

@@ -17,14 +17,13 @@
 // Invocation is lazy: the call builds an expression-DAG node and the
 // reduction runs when the Scalar is read. A deferred element-wise
 // producer feeding the reduce is absorbed into the first reduction pass
-// (reduce f . map g -> mapReduce — the rewrite the hand-written
-// MapReduce skeleton is the special case of).
+// (reduce f . map g -> mapReduce — the rewrite the MapReduce skeleton
+// is a facade for).
 #pragma once
 
 #include <string>
 
 #include "skelcl/detail/expr.h"
-#include "skelcl/detail/skeleton_common.h"
 #include "skelcl/scalar.h"
 #include "skelcl/vector.h"
 #include "trace/recorder.h"

@@ -23,7 +23,6 @@
 #include <type_traits>
 
 #include "skelcl/detail/expr.h"
-#include "skelcl/detail/skeleton_common.h"
 #include "skelcl/vector.h"
 #include "trace/recorder.h"
 

@@ -28,7 +28,6 @@
 
 #include "skelcl/arguments.h"
 #include "skelcl/detail/expr.h"
-#include "skelcl/detail/skeleton_common.h"
 #include "skelcl/vector.h"
 #include "trace/recorder.h"
 

@@ -474,9 +474,9 @@ public:
   /// a round-trip through the host). `ready` is the event of the command
   /// that produced the buffer contents; the eventual download depends on
   /// it instead of the producer having to finish() first.
-  void adoptDeviceBuffer(ocl::Buffer buffer, std::size_t count,
-                         std::size_t deviceIndex,
-                         ocl::Event ready = ocl::Event()) {
+  void adoptDeviceBufferBase(ocl::Buffer buffer, std::size_t count,
+                             std::size_t deviceIndex,
+                             ocl::Event ready) override {
     host_.assign(count, T{});
     clearPending();
     Chunk chunk;
@@ -490,13 +490,6 @@ public:
     singleDevice_ = deviceIndex;
     hostDirty_ = false;
     devicesDirty_ = true;
-  }
-
-  void adoptDeviceBufferBase(ocl::Buffer buffer, std::size_t count,
-                             std::size_t deviceIndex,
-                             ocl::Event ready) override {
-    adoptDeviceBuffer(std::move(buffer), count, deviceIndex,
-                      std::move(ready));
   }
 
   /// Allocates device chunks for an *output* vector mirroring the chunk
@@ -513,11 +506,6 @@ public:
     host_.resize(input.size());
     allocateLayout(input.chunks());
     hostDirty_ = false;
-  }
-
-  template <typename U>
-  void allocateLike(const VectorState<U>& input) {
-    allocateLikeBase(input);
   }
 
   void allocateBlockLayoutBase(const std::vector<Chunk>& layout) override {

@@ -372,7 +372,7 @@ TEST_F(ServiceTest, StatsScopeIsolatesFusionAndCacheDeltas) {
 
   // A cleared program memo forces one cache resolution, visible only
   // inside the scope that did it.
-  runtime.clearProgramMemo();
+  runtime.clearPrograms();
   skelcl::detail::StatsScope reloadScope;
   directChain(2, kN, 0);
   const auto cache = reloadScope.cacheDelta();

@@ -104,4 +104,48 @@ INSTANTIATE_TEST_SUITE_P(DeviceCounts, MapReduceMultiDevice,
                            return std::to_string(info.param) + "gpu";
                          });
 
+TEST(MapReduceReinit, SkeletonInstancesSurviveTerminateAndInit) {
+  // Skeleton instances outlive a terminate()/init() cycle. Their programs
+  // belong to the runtime they were built for, so the second cycle (on a
+  // different machine) must request them again instead of reusing the
+  // dead runtime's.
+  skelcl_test::useTempCacheDir();
+  MapReduce<int> sumSq("int sq(int x) { return x * x; }",
+                       "int add(int a, int b) { return a + b; }");
+  skelcl::Map<int, void> bump(
+      "void b(int idx, __global int* data) { data[idx] += idx; }");
+  const std::vector<int> data = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+
+  for (const std::uint32_t gpus : {4u, 1u}) {
+    ocl::configureSystem(ocl::SystemConfig::teslaS1070(gpus));
+    skelcl::init(skelcl::DeviceSelection::nGPUs(gpus));
+    const auto& cache = skelcl::detail::Runtime::instance().kernelCache();
+
+    Vector<int> input(data);
+    input.setDistribution(skelcl::Distribution::Block);
+    Vector<int> indices = skelcl::indexVector(16);
+    indices.setDistribution(skelcl::Distribution::Block);
+    Vector<int> bumped(16, 0);
+    bumped.setDistribution(skelcl::Distribution::Copy);
+    skelcl::Arguments args;
+    args.push(bumped);
+
+    const auto before = cache.stats();
+    const int sum = sumSq(input).getValue();
+    bump(indices, args);
+    const auto requested = cache.stats() - before;
+    EXPECT_GT(requested.hits + requested.misses, 0u)
+        << gpus << " gpu(s): no program was requested from the cache";
+
+    EXPECT_EQ(sum, 385) << gpus << " gpu(s)";
+    bumped.dataOnDevicesModified();
+    bumped.setDistribution(skelcl::Distribution::Block,
+                           "int add(int a, int b) { return a + b; }");
+    for (std::size_t i = 0; i < 16; ++i) {
+      ASSERT_EQ(bumped[i], int(i)) << gpus << " gpu(s)";
+    }
+    skelcl::terminate();
+  }
+}
+
 } // namespace

@@ -67,15 +67,17 @@ TEST_F(MiscTest, ScanNonCommutativeMonoidAcrossBlockBoundaries) {
   Vector<int> input(data);
   Vector<int> out = scan(input);
 
-  const auto comp = [](int f, int g) {
-    const int fa = (f >> 16) & 0xffff, fb = f & 0xffff;
-    const int ga = (g >> 16) & 0xffff, gb = g & 0xffff;
+  // The oracle composes in uint32_t: the products overflow a signed int,
+  // and the expected values are the same bits reinterpreted.
+  const auto comp = [](std::uint32_t f, std::uint32_t g) {
+    const std::uint32_t fa = (f >> 16) & 0xffff, fb = f & 0xffff;
+    const std::uint32_t ga = (g >> 16) & 0xffff, gb = g & 0xffff;
     return (((fa * ga) & 0xffff) << 16) | ((fa * gb + fb) & 0xffff);
   };
-  int acc = 0x10000;
+  std::uint32_t acc = 0x10000;
   for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(out[i], acc) << i;
-    acc = comp(acc, data[i]);
+    ASSERT_EQ(std::uint32_t(out[i]), acc) << i;
+    acc = comp(acc, std::uint32_t(data[i]));
   }
 }
 

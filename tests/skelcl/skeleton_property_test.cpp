@@ -11,8 +11,11 @@ namespace {
 using skelcl::Distribution;
 using skelcl::Vector;
 
+// Both fields are 64-bit so the struct has no padding: gtest prints the
+// parameter's raw bytes into the test listing, and padding bytes would
+// make those names differ from one run to the next.
 struct Config {
-  std::uint32_t gpus;
+  std::size_t gpus;
   std::size_t size;
 };
 
