@@ -98,7 +98,7 @@ public:
 
 private:
   friend class JobServer;
-  std::vector<std::shared_ptr<detail::VectorStateBase>> roots_;
+  std::vector<std::shared_ptr<detail::VectorState>> roots_;
 };
 
 /// One unit of tenant work. work() makes the skeleton calls (they stay
@@ -254,7 +254,7 @@ private:
     std::uint64_t seq = 0;
     std::uint64_t readyNs = 0;
     Tenant* owner = nullptr; // stable: tenants are heap-allocated
-    std::vector<std::shared_ptr<detail::VectorStateBase>> roots;
+    std::vector<std::shared_ptr<detail::VectorState>> roots;
     std::exception_ptr error;
     bool failed = false;
   };

@@ -184,7 +184,7 @@ private:
     ScalarTag scalarTag = ScalarTag::I32;
     std::string typeName;
     std::vector<std::uint8_t> bytes;
-    std::shared_ptr<detail::VectorStateBase> vector;
+    std::shared_ptr<detail::VectorState> vector;
   };
 
   static std::string argName(std::size_t i, const std::string& prefix = "") {

@@ -14,7 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <memory>
 #include <vector>
 
 #include "ocl/buffer.h"
@@ -40,23 +40,41 @@ struct CsrChunk {
   ocl::Event ready;
 };
 
-/// Type-erased interface the expression-DAG evaluator works against
-/// (detail/irregular.cpp); the typed CsrState<T> lives in
-/// skelcl/sparse.h.
-class CsrStateBase {
+/// The matrix itself, untyped like VectorState: the values are held as
+/// bytes (valueSize_ per value) aliasing the moved-in std::vector<T>, so
+/// the evaluator (detail/irregular.cpp) and ExprNode hold this class.
+class CsrState {
 public:
-  virtual ~CsrStateBase() = default;
-  virtual std::size_t rows() const = 0;
-  virtual std::size_t cols() const = 0;
-  virtual std::size_t nnz() const = 0;
-  virtual std::string valueTypeName() const = 0;
-  virtual std::size_t valueSize() const = 0;
+  template <typename T>
+  CsrState(std::size_t rows, std::size_t cols,
+           std::vector<std::uint32_t> rowPtr,
+           std::vector<std::uint32_t> colIdx, std::vector<T> values)
+      : rows_(rows), cols_(cols), rowPtr_(std::move(rowPtr)),
+        colIdx_(std::move(colIdx)), valueSize_(sizeof(T)) {
+    auto owner = std::make_shared<const std::vector<T>>(std::move(values));
+    values_ = std::shared_ptr<const std::byte>(
+        owner, reinterpret_cast<const std::byte*>(owner->data()));
+  }
+
+  std::size_t rows() const { return rows_; }
+  std::size_t cols() const { return cols_; }
+  std::size_t nnz() const { return colIdx_.size(); }
+  const std::vector<CsrChunk>& chunks() const { return chunks_; }
+
   /// Partitions the rows with the runtime's current block weights and
   /// uploads each device's slices. Idempotent: the first call fixes the
   /// geometry (like a Vector, the matrix keeps the partition it was
   /// uploaded with even if measured weights move later).
-  virtual void ensureOnDevices() = 0;
-  virtual const std::vector<CsrChunk>& chunks() const = 0;
+  void ensureOnDevices();
+
+private:
+  std::size_t rows_;
+  std::size_t cols_;
+  std::vector<std::uint32_t> rowPtr_;
+  std::vector<std::uint32_t> colIdx_;
+  std::size_t valueSize_;
+  std::shared_ptr<const std::byte> values_;
+  std::vector<CsrChunk> chunks_;
 };
 
 } // namespace skelcl::detail

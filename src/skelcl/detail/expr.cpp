@@ -46,7 +46,7 @@ struct DepthGuard {
 };
 
 void evaluateNode(const std::shared_ptr<ExprNode>& node,
-                  const std::shared_ptr<VectorStateBase>& out);
+                  const std::shared_ptr<VectorState>& out);
 
 std::string saltFor(const FusionPlan& plan, bool fusionEnabled) {
   return std::string("fusion=") + (fusionEnabled ? "1" : "0") + ";" +
@@ -57,11 +57,11 @@ std::string saltFor(const FusionPlan& plan, bool fusionEnabled) {
 /// occurrence; upload-piece consumption and dependency collection happen
 /// once per distinct state (zip(a, a) must not double-consume a's
 /// pieces — exactly the eager Zip's sameState special case).
-std::vector<VectorStateBase*> distinctLeaves(const FusionPlan& plan) {
-  std::vector<VectorStateBase*> distinct;
+std::vector<VectorState*> distinctLeaves(const FusionPlan& plan) {
+  std::vector<VectorState*> distinct;
   for (const auto& leaf : plan.leaves) {
     bool seen = false;
-    for (VectorStateBase* d : distinct) {
+    for (VectorState* d : distinct) {
       if (d == leaf.get()) {
         seen = true;
         break;
@@ -76,9 +76,9 @@ std::vector<VectorStateBase*> distinctLeaves(const FusionPlan& plan) {
 
 /// Stages every leaf on the devices, aligned to leaf 0's layout.
 void alignLeaves(const FusionPlan& plan) {
-  VectorStateBase& leaf0 = *plan.leaves.front();
+  VectorState& leaf0 = *plan.leaves.front();
   leaf0.ensureOnDevices();
-  for (VectorStateBase* leaf : distinctLeaves(plan)) {
+  for (VectorState* leaf : distinctLeaves(plan)) {
     if (leaf != &leaf0) {
       leaf->matchLayout(leaf0.distribution(), leaf0.singleDeviceIndex(),
                         leaf0.chunks());
@@ -155,24 +155,25 @@ std::string elementwiseSource(const FusionPlan& plan, const ExprNode& node) {
 }
 
 void runElementwise(const std::shared_ptr<ExprNode>& node,
-                    const std::shared_ptr<VectorStateBase>& out,
+                    const std::shared_ptr<VectorState>& out,
                     const FusionPlan& plan, Runtime& runtime,
                     const std::string& salt) {
   alignLeaves(plan);
   prepareStageArguments(plan);
 
-  VectorStateBase& leaf0 = *plan.leaves.front();
-  const std::vector<VectorStateBase*> distinct = distinctLeaves(plan);
+  VectorState& leaf0 = *plan.leaves.front();
+  const std::vector<VectorState*> distinct = distinctLeaves(plan);
   const bool isVoid = voidResult(*node);
   bool aliased = false;
-  for (VectorStateBase* leaf : distinct) {
+  for (VectorState* leaf : distinct) {
     if (leaf == out.get()) {
       aliased = true;
       break;
     }
   }
   if (!isVoid && !aliased) {
-    out->allocateLikeBase(leaf0);
+    out->allocateOutput(leaf0.distribution(), leaf0.singleDeviceIndex(),
+                        leaf0.chunks());
   }
 
   ocl::Program& program =
@@ -210,7 +211,7 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
       std::vector<UploadPieces> pieces;
       pieces.reserve(distinct.size());
       std::vector<ocl::Event> deps;
-      for (VectorStateBase* leaf : distinct) {
+      for (VectorState* leaf : distinct) {
         pieces.push_back(isVoid ? UploadPieces{}
                                 : leaf->takeUploadPieces(chunk.deviceIndex));
         if (pieces.back().empty()) {
@@ -437,14 +438,14 @@ ocl::Event launchReduceFirstPass(
 }
 
 void runReduce(const std::shared_ptr<ExprNode>& node,
-               const std::shared_ptr<VectorStateBase>& out,
+               const std::shared_ptr<VectorState>& out,
                const FusionPlan& plan, Runtime& runtime,
                const std::string& salt) {
   alignLeaves(plan);
   prepareStageArguments(plan);
 
-  VectorStateBase& leaf0 = *plan.leaves.front();
-  const std::vector<VectorStateBase*> distinct = distinctLeaves(plan);
+  VectorState& leaf0 = *plan.leaves.front();
+  const std::vector<VectorState*> distinct = distinctLeaves(plan);
   const std::size_t elem = node->outElemSize;
   const bool fused = plan.fusedStages > 0;
 
@@ -483,7 +484,7 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
         collectStageDeps(plan, deps, chunk.deviceIndex);
         std::vector<UploadPieces> pieces;
         pieces.reserve(distinct.size());
-        for (VectorStateBase* leaf : distinct) {
+        for (VectorState* leaf : distinct) {
           pieces.push_back(leaf->takeUploadPieces(chunk.deviceIndex));
           if (pieces.back().empty()) {
             appendEvent(deps, leaf->readyEventOn(chunk.deviceIndex));
@@ -517,7 +518,7 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
         count = groups;
       } else {
         appendEvent(deps, chunk.ready);
-        for (VectorStateBase* leaf : distinct) {
+        for (VectorState* leaf : distinct) {
           if (leaf != &leaf0) {
             appendEvent(deps, leaf->readyEventOn(chunk.deviceIndex));
           }
@@ -542,9 +543,9 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
   COMMON_CHECK(!partials.empty());
 
   if (partials.size() == 1) {
-    out->adoptDeviceBufferBase(std::move(partials[0].buffer), 1,
-                               partials[0].deviceIndex,
-                               std::move(partials[0].ready));
+    out->adoptDeviceBuffer(std::move(partials[0].buffer), 1,
+                           partials[0].deviceIndex,
+                           std::move(partials[0].ready));
     return;
   }
 
@@ -569,8 +570,8 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
     auto finalReduce =
         reducePlain(runtime, plainProgram, std::move(staging),
                     partials.size(), elem, 0, {staged});
-    out->adoptDeviceBufferBase(std::move(finalReduce.first), 1, 0,
-                               std::move(finalReduce.second));
+    out->adoptDeviceBuffer(std::move(finalReduce.first), 1, 0,
+                           std::move(finalReduce.second));
   } catch (ocl::ClError& e) {
     e.prependContext(plan.label + " skeleton on device 0");
     throw;
@@ -713,16 +714,16 @@ ocl::Event scanPlain(Runtime& runtime, ocl::Program& program,
 }
 
 void runScan(const std::shared_ptr<ExprNode>& node,
-             const std::shared_ptr<VectorStateBase>& out,
+             const std::shared_ptr<VectorState>& out,
              const FusionPlan& plan, Runtime& runtime,
              const std::string& salt) {
   // Single-device skeleton: gather the primary operand, align the rest.
-  VectorStateBase& leaf0 = *plan.leaves.front();
+  VectorState& leaf0 = *plan.leaves.front();
   if (leaf0.distribution() != Distribution::Single) {
     leaf0.setDistribution(Distribution::Single, 0);
   }
   leaf0.ensureOnDevices();
-  for (VectorStateBase* leaf : distinctLeaves(plan)) {
+  for (VectorState* leaf : distinctLeaves(plan)) {
     if (leaf != &leaf0) {
       leaf->matchLayout(Distribution::Single, leaf0.singleDeviceIndex(),
                         leaf0.chunks());
@@ -752,7 +753,7 @@ void runScan(const std::shared_ptr<ExprNode>& node,
 
     std::vector<ocl::Event> deps;
     appendEvent(deps, chunk.ready);
-    for (VectorStateBase* leaf : distinctLeaves(plan)) {
+    for (VectorState* leaf : distinctLeaves(plan)) {
       if (leaf != &leaf0) {
         appendEvent(deps, leaf->readyEventOn(deviceIndex));
       }
@@ -806,8 +807,8 @@ void runScan(const std::shared_ptr<ExprNode>& node,
                      add, ocl::NDRange1D{groups * kTreeWg, kTreeWg},
                      {blocked, sumsDone});
     }
-    out->adoptDeviceBufferBase(std::move(outBuf), n, deviceIndex,
-                               std::move(done));
+    out->adoptDeviceBuffer(std::move(outBuf), n, deviceIndex,
+                           std::move(done));
   } catch (ocl::ClError& e) {
     e.prependContext(plan.label + " skeleton on device " +
                      std::to_string(deviceIndex));
@@ -816,7 +817,7 @@ void runScan(const std::shared_ptr<ExprNode>& node,
 }
 
 void evaluateNode(const std::shared_ptr<ExprNode>& node,
-                  const std::shared_ptr<VectorStateBase>& out) {
+                  const std::shared_ptr<VectorState>& out) {
   EvalGuard guard(node->evaluating);
   DepthGuard depth;
   auto& runtime = Runtime::instance();
@@ -892,7 +893,7 @@ void forceExprNode(const std::shared_ptr<ExprNode>& node) {
     return;
   }
   // `node` may alias the output state's own pending_ member, which an
-  // evaluation clears (adoptDeviceBufferBase does so mid-flight, and a
+  // evaluation clears (adoptDeviceBuffer does so mid-flight, and a
   // scheduler drain clears it from underneath us) — pin the node first
   // so it outlives that reset.
   std::shared_ptr<ExprNode> keep = node;
@@ -911,7 +912,7 @@ void forceExprNode(const std::shared_ptr<ExprNode>& node) {
       }
     }
   }
-  std::shared_ptr<VectorStateBase> out = keep->output.lock();
+  std::shared_ptr<VectorState> out = keep->output.lock();
   if (out == nullptr) {
     // The result vector died unread; the computation is dead code.
     keep->evaluated = true;
@@ -925,7 +926,7 @@ bool deferrable(const Arguments& args) { return !args.hasVectorEntries(); }
 std::shared_ptr<ExprNode> makeExprNode(
     ExprNode::Op op, std::string source, std::string funcName,
     const Arguments& args, std::size_t workGroupSize,
-    std::vector<std::shared_ptr<VectorStateBase>> inputs,
+    std::vector<std::shared_ptr<VectorState>> inputs,
     std::string outType, std::size_t outElemSize, std::size_t outCount,
     std::string identityExpr) {
   auto node = std::make_shared<ExprNode>();
@@ -1017,7 +1018,7 @@ std::shared_ptr<ExprNode> makeExprNode(
 }
 
 void deferNode(const std::shared_ptr<ExprNode>& node,
-               const std::shared_ptr<VectorStateBase>& out) {
+               const std::shared_ptr<VectorState>& out) {
   node->output = out;
   out->installPending(node, node->outCount);
   // Register the job with the async scheduler: the next top-of-stack
@@ -1027,7 +1028,7 @@ void deferNode(const std::shared_ptr<ExprNode>& node,
 }
 
 void evaluateNodeInto(const std::shared_ptr<ExprNode>& node,
-                      const std::shared_ptr<VectorStateBase>& out) {
+                      const std::shared_ptr<VectorState>& out) {
   if (out != nullptr) {
     // `out` may alias an input, in whose consumer list this very node
     // already sits; the guard keeps it from forcing itself while the

@@ -29,7 +29,7 @@
 
 namespace skelcl::detail {
 
-class CsrStateBase;
+class CsrState;
 
 /// Stencil root descriptor (see skelcl/stencil.h). Irregular roots are
 /// opaque to the fusion rewriter; the evaluator in detail/irregular.cpp
@@ -48,7 +48,7 @@ struct StencilParams {
 /// its per-device rowPtr slices overlap at the cut rows) plus the name
 /// of the combine function inside ExprNode::source.
 struct SparseParams {
-  std::shared_ptr<CsrStateBase> csr;
+  std::shared_ptr<CsrState> csr;
   std::string combineName;
 };
 
@@ -63,7 +63,7 @@ public:
   /// link is what the fusion pass follows; the state is the fallback
   /// leaf when the child is not absorbed (or was forced meanwhile).
   struct Input {
-    std::shared_ptr<VectorStateBase> state;
+    std::shared_ptr<VectorState> state;
     std::shared_ptr<ExprNode> node;
   };
 
@@ -89,8 +89,13 @@ public:
 
   bool evaluated = false;
   bool evaluating = false; // re-entrancy guard during evaluation
-  std::weak_ptr<VectorStateBase> output;
+  std::weak_ptr<VectorState> output;
 };
+
+/// Materializes a deferred skeleton computation. No-op when the node has
+/// already been evaluated or is being evaluated further up the call
+/// stack.
+void forceExprNode(const std::shared_ptr<ExprNode>& node);
 
 /// True when `args` allows deferring the call: vector (and vector-size)
 /// arguments pin a call to eager evaluation.
@@ -104,21 +109,21 @@ bool deferrable(const Arguments& args);
 std::shared_ptr<ExprNode> makeExprNode(
     ExprNode::Op op, std::string source, std::string funcName,
     const Arguments& args, std::size_t workGroupSize,
-    std::vector<std::shared_ptr<VectorStateBase>> inputs,
+    std::vector<std::shared_ptr<VectorState>> inputs,
     std::string outType, std::size_t outElemSize, std::size_t outCount,
     std::string identityExpr = "");
 
 /// Defers `node`: installs it as `out`'s pending producer. The node
 /// materializes when `out` (or a mutation of its inputs) forces it.
 void deferNode(const std::shared_ptr<ExprNode>& node,
-               const std::shared_ptr<VectorStateBase>& out);
+               const std::shared_ptr<VectorState>& out);
 
 /// Evaluates `node` into `out` immediately (eager call sites: explicit
 /// outputs, vector-argument calls, MapReduce). `out`'s old value is
 /// snapshotted for any deferred readers first. `out` is null exactly
 /// when the node's result is "void" (Map<T, void>).
 void evaluateNodeInto(const std::shared_ptr<ExprNode>& node,
-                      const std::shared_ptr<VectorStateBase>& out);
+                      const std::shared_ptr<VectorState>& out);
 
 /// One generated kernel program an evaluation will request, as the
 /// (source, salt) pair Runtime::programFor is keyed on. The async

@@ -36,7 +36,7 @@ struct FusionPlan {
   /// Concrete input vectors, one entry per *occurrence* in the fused
   /// expression, in load order: occurrence i is kernel parameter
   /// skelcl_in<i>.
-  std::vector<std::shared_ptr<VectorStateBase>> leaves;
+  std::vector<std::shared_ptr<VectorState>> leaves;
   std::vector<std::string> leafTypes;
 
   /// Still-deferred children that were NOT absorbed (extra readers, or

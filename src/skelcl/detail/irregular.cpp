@@ -307,7 +307,7 @@ std::string sparseProgramSource(const std::shared_ptr<ExprNode>& node,
 }
 
 void runStencil(const std::shared_ptr<ExprNode>& node,
-                const std::shared_ptr<VectorStateBase>& out,
+                const std::shared_ptr<VectorState>& out,
                 const FusionPlan& plan, Runtime& runtime,
                 const std::string& salt) {
   const StencilParams& P = *node->stencil;
@@ -316,7 +316,7 @@ void runStencil(const std::shared_ptr<ExprNode>& node,
   const std::size_t W = is2D ? P.width : 1;
   const std::size_t elem = node->outElemSize;
   const bool wrap = P.boundary == kWrap;
-  VectorStateBase& in = *plan.leaves.front();
+  VectorState& in = *plan.leaves.front();
 
   const std::size_t n = in.size();
   COMMON_CHECK(n % W == 0); // validated at the call site
@@ -360,7 +360,7 @@ void runStencil(const std::shared_ptr<ExprNode>& node,
     in.ensureOnDevices();
   }
   prepareStageArguments(plan);
-  out->allocateLikeBase(in);
+  out->allocateOutput(in.distribution(), in.singleDeviceIndex(), in.chunks());
 
   ocl::Program& program =
       runtime.programFor(stencilProgramSource(node, plan), salt);
@@ -496,12 +496,66 @@ void runStencil(const std::shared_ptr<ExprNode>& node,
   out->markDevicesModified();
 }
 
+void CsrState::ensureOnDevices() {
+  if (!chunks_.empty()) {
+    return;
+  }
+  auto& runtime = Runtime::instance();
+  runtime.requireInit();
+  const std::vector<std::size_t> share = runtime.blockPartition(rows_);
+  try {
+    std::size_t row = 0;
+    for (std::size_t d = 0; d < share.size(); ++d) {
+      CsrChunk chunk;
+      chunk.deviceIndex = d;
+      chunk.rowBegin = row;
+      chunk.rowCount = share[d];
+      chunk.nnzBegin = rowPtr_[row];
+      chunk.nnzCount = rowPtr_[row + share[d]] - chunk.nnzBegin;
+      row += share[d];
+
+      const auto& device = runtime.devices()[d];
+      auto& queue = runtime.queue(d);
+      const std::size_t ptrBytes =
+          (chunk.rowCount + 1) * sizeof(std::uint32_t);
+      const std::size_t valueBytes = chunk.nnzCount * valueSize_;
+      chunk.rowPtr = runtime.context().createBuffer(device, ptrBytes);
+      chunk.colIdx = runtime.context().createBuffer(
+          device,
+          std::max<std::size_t>(1, chunk.nnzCount * sizeof(std::uint32_t)));
+      chunk.values = runtime.context().createBuffer(
+          device, std::max<std::size_t>(1, valueBytes));
+      // The three uploads chain on the H2D engine; the last event is the
+      // chunk's single ready event.
+      ocl::Event w = queue.enqueueWriteBuffer(
+          chunk.rowPtr, 0, ptrBytes, rowPtr_.data() + chunk.rowBegin);
+      if (chunk.nnzCount > 0) {
+        w = queue.enqueueWriteBuffer(
+            chunk.colIdx, 0, chunk.nnzCount * sizeof(std::uint32_t),
+            colIdx_.data() + chunk.nnzBegin, {w});
+        w = queue.enqueueWriteBuffer(
+            chunk.values, 0, valueBytes,
+            values_.get() + chunk.nnzBegin * valueSize_, {w});
+      }
+      chunk.ready = std::move(w);
+      chunks_.push_back(std::move(chunk));
+    }
+  } catch (ocl::ClError& e) {
+    // Failure atomicity: drop every chunk so a later retry re-uploads
+    // from the intact host arrays.
+    chunks_.clear();
+    e.prependContext("CSR upload of " + std::to_string(nnz()) +
+                     " nonzero(s)");
+    throw;
+  }
+}
+
 void runSparseGather(const std::shared_ptr<ExprNode>& node,
-                     const std::shared_ptr<VectorStateBase>& out,
+                     const std::shared_ptr<VectorState>& out,
                      const FusionPlan& plan, Runtime& runtime,
                      const std::string& salt) {
-  CsrStateBase& csr = *node->sparse->csr;
-  VectorStateBase& x = *plan.leaves.front();
+  CsrState& csr = *node->sparse->csr;
+  VectorState& x = *plan.leaves.front();
 
   // The gather may touch any column on any device: replicate the dense
   // operand. The matrix's row partition (fixed at its first upload)
@@ -523,7 +577,7 @@ void runSparseGather(const std::shared_ptr<ExprNode>& node,
     c.count = cc.rowCount;
     layout.push_back(std::move(c));
   }
-  out->allocateBlockLayoutBase(layout);
+  out->allocateOutput(Distribution::Block, 0, layout);
 
   ocl::Program& program =
       runtime.programFor(sparseProgramSource(node, plan), salt);

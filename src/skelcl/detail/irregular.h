@@ -28,12 +28,12 @@ std::string sparseProgramSource(const std::shared_ptr<ExprNode>& node,
                                 const FusionPlan& plan);
 
 void runStencil(const std::shared_ptr<ExprNode>& node,
-                const std::shared_ptr<VectorStateBase>& out,
+                const std::shared_ptr<VectorState>& out,
                 const FusionPlan& plan, Runtime& runtime,
                 const std::string& salt);
 
 void runSparseGather(const std::shared_ptr<ExprNode>& node,
-                     const std::shared_ptr<VectorStateBase>& out,
+                     const std::shared_ptr<VectorState>& out,
                      const FusionPlan& plan, Runtime& runtime,
                      const std::string& salt);
 

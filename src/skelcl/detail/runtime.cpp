@@ -112,8 +112,6 @@ void Runtime::init(const DeviceSelection& selection) {
   const long long schedThreads = envInt("SKELCL_SCHED_THREADS", 0);
   schedulerThreads_ = schedThreads < 0 ? 0 : std::size_t(schedThreads);
   Scheduler::instance().configure(asyncEnabled_, schedulerThreads_);
-  const long long pieces = envInt("SKELCL_TRANSFER_CHUNKS", 4);
-  transferPieces_ = pieces < 1 ? 1 : std::size_t(pieces);
   // SKELCL_SCHEDULE=shuffle explores an alternative legal schedule per
   // SKELCL_SCHEDULE_SEED (see Runtime::schedulePolicy); the default is
   // the single deterministic FIFO tie-break order.

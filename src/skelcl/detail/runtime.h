@@ -19,9 +19,9 @@
 namespace skelcl {
 
 namespace detail {
-// The runtime's environment knobs (SKELCL_SERIALIZE, SKELCL_TRANSFER_
-// CHUNKS, SKELCL_TRACE, SKELCL_CACHE_DIR, ...) all parse through these
-// helpers so 0/1/true/false handling is consistent everywhere.
+// The runtime's environment knobs (SKELCL_SERIALIZE, SKELCL_TRACE,
+// SKELCL_CACHE_DIR, ...) all parse through these helpers so 0/1/true/
+// false handling is consistent everywhere.
 using common::envDouble;
 using common::envFlag;
 using common::envInt;
@@ -68,12 +68,6 @@ public:
   /// the previous one instead of scheduling from the event DAG. Escape
   /// hatch and the baseline for the transfer/compute-overlap ablation.
   bool serializedQueues() const noexcept { return serializedQueues_; }
-
-  /// Number of pieces large host->device uploads are split into so the
-  /// compute engine can start on early pieces while later ones stream in
-  /// (double buffering). SKELCL_TRANSFER_CHUNKS overrides; values <= 1
-  /// disable splitting.
-  std::size_t transferPieces() const noexcept { return transferPieces_; }
 
   /// Ready-queue tie-breaking of the out-of-order scheduler, set at
   /// init() from SKELCL_SCHEDULE=fifo|shuffle and SKELCL_SCHEDULE_SEED.
@@ -236,7 +230,6 @@ private:
   std::unordered_map<std::string, std::shared_ptr<ProgramEntry>>
       programMemo_;
   WeightMode weightMode_ = WeightMode::Even;
-  std::size_t transferPieces_ = 4;
   ocl::SchedulePolicy schedulePolicy_;
   common::Xoshiro256 orderRng_;
   std::string tracePath_;

@@ -18,7 +18,7 @@ namespace skelcl::detail {
 /// (still-alive) output state, and when the skeleton call deferred it.
 struct Scheduler::LiveJob {
   std::shared_ptr<ExprNode> node;
-  std::shared_ptr<VectorStateBase> out;
+  std::shared_ptr<VectorState> out;
   std::uint64_t registeredNs = 0;
 };
 
@@ -215,7 +215,7 @@ void Scheduler::drain(const std::shared_ptr<ExprNode>& requested) {
         continue;
       }
     }
-    std::shared_ptr<VectorStateBase> out = node->output.lock();
+    std::shared_ptr<VectorState> out = node->output.lock();
     if (out == nullptr) {
       // The result died unread; the computation is dead code (the same
       // elimination the synchronous force applies).

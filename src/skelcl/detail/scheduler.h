@@ -26,7 +26,7 @@
 //    (trace::Recorder::replay).
 //
 // Failure isolation: a job that throws during dispatch poisons its own
-// output state (VectorStateBase::poisonPending); the error resurfaces as
+// output state (VectorState::poisonPending); the error resurfaces as
 // the original typed exception at that job's consumption point while
 // every other job's result stays intact.
 //

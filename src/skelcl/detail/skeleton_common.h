@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "skelcl/detail/runtime.h"
+#include "skelcl/vector.h"
 
 namespace skelcl::detail {
 
@@ -25,9 +26,6 @@ inline std::size_t effectiveWorkGroupSize(std::size_t userChoice,
       userChoice != 0 ? userChoice : runtime.defaultWorkGroupSize();
   return std::min<std::size_t>(wanted, device.maxWorkGroupSize());
 }
-
-/// (end element, event) list of a split upload, ascending by end.
-using UploadPieces = std::vector<std::pair<std::size_t, ocl::Event>>;
 
 inline void appendEvent(std::vector<ocl::Event>& deps,
                         const ocl::Event& event) {

@@ -18,6 +18,7 @@
 
 #include "skelcl/arguments.h"
 #include "skelcl/detail/expr.h"
+#include "skelcl/detail/source_utils.h"
 #include "skelcl/vector.h"
 #include "trace/recorder.h"
 

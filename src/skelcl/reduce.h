@@ -24,6 +24,7 @@
 #include <string>
 
 #include "skelcl/detail/expr.h"
+#include "skelcl/detail/source_utils.h"
 #include "skelcl/scalar.h"
 #include "skelcl/vector.h"
 #include "trace/recorder.h"

@@ -23,6 +23,7 @@
 #include <type_traits>
 
 #include "skelcl/detail/expr.h"
+#include "skelcl/detail/source_utils.h"
 #include "skelcl/vector.h"
 #include "trace/recorder.h"
 

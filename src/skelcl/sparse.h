@@ -33,97 +33,11 @@
 #include "skelcl/arguments.h"
 #include "skelcl/detail/csr_state.h"
 #include "skelcl/detail/expr.h"
+#include "skelcl/detail/source_utils.h"
 #include "skelcl/vector.h"
 #include "trace/recorder.h"
 
 namespace skelcl {
-
-/// Typed device-side CSR state (see detail/csr_state.h for the chunk
-/// geometry contract).
-template <typename T>
-class CsrState : public detail::CsrStateBase {
-public:
-  CsrState(std::size_t rows, std::size_t cols,
-           std::vector<std::uint32_t> rowPtr,
-           std::vector<std::uint32_t> colIdx, std::vector<T> values)
-      : rows_(rows), cols_(cols), rowPtr_(std::move(rowPtr)),
-        colIdx_(std::move(colIdx)), values_(std::move(values)) {}
-
-  std::size_t rows() const override { return rows_; }
-  std::size_t cols() const override { return cols_; }
-  std::size_t nnz() const override { return colIdx_.size(); }
-  std::string valueTypeName() const override { return typeName<T>(); }
-  std::size_t valueSize() const override { return sizeof(T); }
-  const std::vector<detail::CsrChunk>& chunks() const override {
-    return chunks_;
-  }
-
-  void ensureOnDevices() override {
-    if (!chunks_.empty()) {
-      return;
-    }
-    auto& runtime = detail::Runtime::instance();
-    runtime.requireInit();
-    const std::vector<std::size_t> share = runtime.blockPartition(rows_);
-    try {
-      std::size_t row = 0;
-      for (std::size_t d = 0; d < share.size(); ++d) {
-        detail::CsrChunk chunk;
-        chunk.deviceIndex = d;
-        chunk.rowBegin = row;
-        chunk.rowCount = share[d];
-        chunk.nnzBegin = rowPtr_[row];
-        chunk.nnzCount = rowPtr_[row + share[d]] - chunk.nnzBegin;
-        row += share[d];
-
-        const auto& device = runtime.devices()[d];
-        auto& queue = runtime.queue(d);
-        const std::size_t ptrBytes =
-            (chunk.rowCount + 1) * sizeof(std::uint32_t);
-        chunk.rowPtr = runtime.context().createBuffer(device, ptrBytes);
-        chunk.colIdx = runtime.context().createBuffer(
-            device, std::max<std::size_t>(
-                        1, chunk.nnzCount * sizeof(std::uint32_t)));
-        chunk.values = runtime.context().createBuffer(
-            device,
-            std::max<std::size_t>(1, chunk.nnzCount * sizeof(T)));
-        // The three uploads chain on the H2D engine; the last event is
-        // the chunk's single ready event.
-        ocl::Event w = queue.enqueueWriteBuffer(
-            chunk.rowPtr, 0, ptrBytes, rowPtr_.data() + chunk.rowBegin);
-        if (chunk.nnzCount > 0) {
-          w = queue.enqueueWriteBuffer(
-              chunk.colIdx, 0, chunk.nnzCount * sizeof(std::uint32_t),
-              colIdx_.data() + chunk.nnzBegin, {w});
-          w = queue.enqueueWriteBuffer(
-              chunk.values, 0, chunk.nnzCount * sizeof(T),
-              values_.data() + chunk.nnzBegin, {w});
-        }
-        chunk.ready = std::move(w);
-        chunks_.push_back(std::move(chunk));
-      }
-    } catch (ocl::ClError& e) {
-      // Failure atomicity: drop every chunk so a later retry re-uploads
-      // from the intact host arrays.
-      chunks_.clear();
-      e.prependContext("CSR upload of " + std::to_string(nnz()) +
-                       " nonzero(s)");
-      throw;
-    }
-  }
-
-  const std::vector<std::uint32_t>& rowPtr() const { return rowPtr_; }
-  const std::vector<std::uint32_t>& colIdx() const { return colIdx_; }
-  const std::vector<T>& values() const { return values_; }
-
-private:
-  std::size_t rows_;
-  std::size_t cols_;
-  std::vector<std::uint32_t> rowPtr_;
-  std::vector<std::uint32_t> colIdx_;
-  std::vector<T> values_;
-  std::vector<detail::CsrChunk> chunks_;
-};
 
 /// Immutable CSR matrix handle (cheap to copy — shared state). The
 /// constructor validates the structure up front so device code can index
@@ -166,20 +80,21 @@ public:
     if (rows > 0xFFFFFFFFull || cols > 0xFFFFFFFFull) {
       throw common::InvalidArgument("CsrMatrix dimensions exceed 2^32");
     }
-    state_ = std::make_shared<CsrState<T>>(rows, cols, std::move(rowPtr),
-                                           std::move(colIdx),
-                                           std::move(values));
+    state_ = std::make_shared<detail::CsrState>(
+        rows, cols, std::move(rowPtr), std::move(colIdx), std::move(values));
   }
 
   std::size_t rows() const { return state_->rows(); }
   std::size_t cols() const { return state_->cols(); }
   std::size_t nnz() const { return state_->nnz(); }
 
-  CsrState<T>& state() const { return *state_; }
-  const std::shared_ptr<CsrState<T>>& stateHandle() const { return state_; }
+  detail::CsrState& state() const { return *state_; }
+  const std::shared_ptr<detail::CsrState>& stateHandle() const {
+    return state_;
+  }
 
 private:
-  std::shared_ptr<CsrState<T>> state_;
+  std::shared_ptr<detail::CsrState> state_;
 };
 
 template <typename T>

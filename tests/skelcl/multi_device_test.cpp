@@ -1,5 +1,6 @@
 // Multi-GPU behaviour: skeletons over block/copy-distributed vectors,
 // implicit synchronization, redistribution, and virtual-time scaling.
+#include <cstdint>
 #include <numeric>
 
 #include "common/prng.h"
@@ -158,6 +159,91 @@ TEST_P(MultiDeviceTest, DotProductDistributed) {
   Vector<float> A(a), B(b);
   A.setDistribution(Distribution::Block);
   EXPECT_FLOAT_EQ(sum(mult(A, B)).getValue(), expected);
+}
+
+// Element sizes other than 4 bytes: the device side is byte-level
+// (chunk offsets, split-upload pieces, combine copies are all scaled by
+// the element size), so 8- and 1-byte types must land exactly where the
+// 4-byte ones do. Host oracles; values chosen to be exact in double.
+
+TEST_P(MultiDeviceTest, DoubleZipOverSplitBlockUpload) {
+  Zip<double> axpy("double axpy(double x, double y) { return 0.5 * x + y; }");
+  // 1 Mi doubles: >= 2 MiB per chunk on up to 4 devices, so every
+  // block upload is split into pieces the launch pipelines against.
+  const std::size_t n = std::size_t(1) << 20;
+  std::vector<double> a(n), b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = double(i);
+    b[i] = double(n - i) * 0.25;
+  }
+  Vector<double> va(a), vb(b);
+  va.setDistribution(Distribution::Block);
+  va.state().ensureOnDevices();
+  for (const auto& chunk : va.state().chunks()) {
+    ASSERT_GE(chunk.pieces.size(), 2u) << "device " << chunk.deviceIndex;
+  }
+  Vector<double> out = axpy(va, vb);
+  const std::vector<double>& host = out.hostData();
+  ASSERT_EQ(host.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(host[i], 0.5 * a[i] + b[i]) << i;
+  }
+}
+
+TEST_P(MultiDeviceTest, DoubleReduceOverBlockDistribution) {
+  Reduce<double> sum("double sum(double a, double b) { return a + b; }");
+  const std::size_t n = 100003;
+  std::vector<double> data(n);
+  double expected = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    data[i] = double(i % 1000) * 0.5;
+    expected += data[i];
+  }
+  Vector<double> input(data);
+  input.setDistribution(Distribution::Block);
+  // Every partial sum is a multiple of 0.5 below 2^52: exact in any
+  // association order.
+  EXPECT_EQ(sum(input).getValue(), expected);
+}
+
+TEST_P(MultiDeviceTest, ByteMapOverThreeMebibytes) {
+  Map<std::uint8_t> scramble(
+      "uchar scramble(uchar x) { return (uchar)(x * 7 + 3); }");
+  const std::size_t n = std::size_t(3) << 20;
+  std::vector<std::uint8_t> data(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    data[i] = std::uint8_t(i * 31 + (i >> 8));
+  }
+  Vector<std::uint8_t> input(data);
+  input.setDistribution(Distribution::Block);
+  Vector<std::uint8_t> output = scramble(input);
+  const std::vector<std::uint8_t>& host = output.hostData();
+  ASSERT_EQ(host.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(host[i], std::uint8_t(data[i] * 7 + 3)) << i;
+  }
+}
+
+TEST_P(MultiDeviceTest, DoubleCombineRedistributionSumsCopies) {
+  Map<int, void> bump(
+      "void b(int idx, __global double* data) { data[idx] += idx * 0.5; }");
+  const std::size_t n = 1001; // uneven blocks on 2, 3 and 4 devices
+  Vector<int> indices = skelcl::indexVector(n);
+  indices.setDistribution(Distribution::Block);
+  Vector<double> data(n, 1.0);
+  data.setDistribution(Distribution::Copy);
+  Arguments args;
+  args.push(data);
+  bump(indices, args);
+  data.dataOnDevicesModified();
+  data.setDistribution(Distribution::Block,
+                       "double add(double a, double b) { return a + b; }");
+  // Each copy starts at 1.0 and only one device bumps a given index, so
+  // the sum over D copies is D + idx / 2.
+  const double copies = double(skelcl::deviceCount());
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(data[i], copies + double(i) * 0.5) << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(DeviceCounts, MultiDeviceTest,

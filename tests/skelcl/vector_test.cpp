@@ -197,4 +197,28 @@ TEST_F(VectorTest, TypeRegistrationRequiredForStructs) {
   EXPECT_EQ(skelcl::typeName<Registered>(), "RegisteredT");
 }
 
+TEST_F(VectorTest, StructVectorBuiltBeforeRegistration) {
+  // The untyped device state resolves the element type name lazily: a
+  // struct vector may be built, distributed and uploaded before its
+  // registerType call, which only kernels generated later need.
+  struct Late {
+    int a;
+    int b;
+  };
+  std::vector<Late> data(100);
+  for (int i = 0; i < 100; ++i) {
+    data[std::size_t(i)] = Late{i, 2 * i};
+  }
+  Vector<Late> v(data);
+  v.setDistribution(Distribution::Block);
+  v.state().ensureOnDevices();
+  skelcl::registerType<Late>("LateT",
+                             "typedef struct { int a; int b; } LateT;");
+  skelcl::Map<Late, int> total("int total(LateT x) { return x.a + x.b; }");
+  Vector<int> out = total(v);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(out[std::size_t(i)], 3 * i) << i;
+  }
+}
+
 } // namespace
