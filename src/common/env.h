@@ -1,9 +1,8 @@
 // Uniform environment-variable parsing for the runtime's configuration
-// knobs. There are 18: SKELCL_DEVICES, SKELCL_WEIGHTS, SKELCL_FUSION,
-// SKELCL_ASYNC, SKELCL_SERIALIZE, SKELCL_SCHEDULE, SKELCL_SCHEDULE_SEED,
-// SKELCL_SCHED_THREADS, SKELCL_CACHE_DIR, SKELCL_TRACE, SKELCL_LOG,
-// SKELCL_FAULT_PLAN, SKELCL_FAULT_SEED and the job service's
-// SKELCL_SERVICE_{POLICY,QUEUE_CAP,BATCH,BATCH_LIMIT,THREADS}.
+// knobs. There are 11: SKELCL_DEVICES, SKELCL_WEIGHTS, SKELCL_FUSION,
+// SKELCL_ASYNC, SKELCL_SERIALIZE, SKELCL_SCHEDULE_SEED, SKELCL_CACHE_DIR,
+// SKELCL_TRACE, SKELCL_LOG, SKELCL_FAULT_PLAN and SKELCL_FAULT_SEED
+// (tests/common/env_test.cpp pins this list).
 //
 // Flag semantics are normalized across every knob: an unset variable
 // yields the fallback; "", "0", "false", "off" and "no" (case-

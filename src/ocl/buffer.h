@@ -17,9 +17,17 @@ namespace ocl {
 
 class BufferState {
 public:
-  BufferState(Device device, std::size_t bytes)
-      : device_(std::move(device)), storage_(bytes) {
+  /// Accounts first, so a request over the device's capacity throws a
+  /// typed AllocFailure before any host memory is touched; a failing
+  /// host allocation gives the accounted bytes back.
+  BufferState(Device device, std::size_t bytes) : device_(std::move(device)) {
     device_.state().allocate(bytes);
+    try {
+      storage_.resize(bytes);
+    } catch (...) {
+      device_.state().release(bytes);
+      throw;
+    }
   }
 
   ~BufferState() { device_.state().release(storage_.size()); }

@@ -391,7 +391,7 @@ void DeviceState::allocate(std::uint64_t bytes) {
                                      std::to_string(index_));
     }
   }
-  if (allocated_ + bytes > spec_.globalMemBytes) {
+  if (bytes > spec_.globalMemBytes - allocated_) { // no wrap-around
     throw AllocFailure(
         index_,
         "device '" + spec_.name + "' out of memory: allocated " +

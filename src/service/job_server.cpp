@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "common/env.h"
 #include "ocl/ocl.h"
 #include "skelcl/detail/scheduler.h"
 #include "trace/load_monitor.h"
@@ -38,24 +37,6 @@ const char* policyName(Policy policy) noexcept {
     case Policy::Priority: return "priority";
   }
   return "?";
-}
-
-ServiceConfig ServiceConfig::fromEnv() {
-  ServiceConfig config;
-  config.policy =
-      policyFromString(common::envStr("SKELCL_SERVICE_POLICY", "fifo"));
-  const long long cap = common::envInt("SKELCL_SERVICE_QUEUE_CAP", 64);
-  COMMON_EXPECTS(cap >= 1, "SKELCL_SERVICE_QUEUE_CAP must be >= 1");
-  config.queueCap = std::size_t(cap);
-  config.batching = common::envFlag("SKELCL_SERVICE_BATCH", true);
-  const long long limit =
-      common::envInt("SKELCL_SERVICE_BATCH_LIMIT", 8);
-  COMMON_EXPECTS(limit >= 1, "SKELCL_SERVICE_BATCH_LIMIT must be >= 1");
-  config.batchLimit = std::size_t(limit);
-  const long long threads = common::envInt("SKELCL_SERVICE_THREADS", 0);
-  COMMON_EXPECTS(threads >= 0, "SKELCL_SERVICE_THREADS must be >= 0");
-  config.threads = std::size_t(threads);
-  return config;
 }
 
 ServiceOverload::ServiceOverload(const std::string& tenant,

@@ -63,12 +63,6 @@ struct ServiceConfig {
   std::size_t queueCap = 64;  // pending jobs per tenant before overload
   bool batching = true;       // coalesce same-programKey jobs
   std::size_t batchLimit = 8; // jobs per coalesced batch
-  std::size_t threads = 0;    // client threads (skelserve); 0 = #tenants
-
-  /// SKELCL_SERVICE_POLICY / SKELCL_SERVICE_QUEUE_CAP /
-  /// SKELCL_SERVICE_BATCH / SKELCL_SERVICE_BATCH_LIMIT /
-  /// SKELCL_SERVICE_THREADS, with the defaults above.
-  static ServiceConfig fromEnv();
 };
 
 /// Admission-control rejection: the tenant's queue is full. Typed so
@@ -195,7 +189,7 @@ private:
 
 class JobServer {
 public:
-  explicit JobServer(ServiceConfig config = ServiceConfig::fromEnv());
+  explicit JobServer(ServiceConfig config = ServiceConfig{});
   ~JobServer();
   JobServer(const JobServer&) = delete;
   JobServer& operator=(const JobServer&) = delete;

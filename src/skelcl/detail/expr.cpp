@@ -86,37 +86,6 @@ void alignLeaves(const FusionPlan& plan) {
   }
 }
 
-void prepareStageArguments(const FusionPlan& plan) {
-  for (const FusionStage& stage : plan.stages) {
-    stage.node->args.prepare();
-  }
-}
-
-std::size_t bindStageArguments(const FusionPlan& plan, ocl::Kernel& kernel,
-                               std::size_t firstIndex,
-                               std::size_t deviceIndex) {
-  std::size_t at = firstIndex;
-  for (const FusionStage& stage : plan.stages) {
-    stage.node->args.apply(kernel, at, deviceIndex);
-    at += stage.node->args.count();
-  }
-  return at;
-}
-
-void collectStageDeps(const FusionPlan& plan, std::vector<ocl::Event>& deps,
-                      std::size_t deviceIndex) {
-  for (const FusionStage& stage : plan.stages) {
-    stage.node->args.collectDeps(deps, deviceIndex);
-  }
-}
-
-void recordStageEvents(const FusionPlan& plan, const ocl::Event& event,
-                       std::size_t deviceIndex) {
-  for (const FusionStage& stage : plan.stages) {
-    stage.node->args.recordEvent(event, deviceIndex);
-  }
-}
-
 // --- element-wise plans (Map/Zip roots) ---------------------------------
 
 std::string elementwiseKernelName(const FusionPlan& plan) {
@@ -1039,46 +1008,6 @@ void evaluateNodeInto(const std::shared_ptr<ExprNode>& node,
   }
   node->output = out;
   evaluateNode(node, out);
-}
-
-void collectNodePrograms(const std::shared_ptr<ExprNode>& node,
-                         std::vector<PreparedProgram>& out) {
-  if (node == nullptr || node->evaluated || node->evaluating) {
-    return;
-  }
-  auto& runtime = Runtime::instance();
-  FusionPlan plan = buildFusionPlan(node, runtime.fusionEnabled());
-  for (const auto& child : plan.materializeFirst) {
-    if (child->evaluated || child->output.expired()) {
-      continue; // evaluated, or dead code the force will eliminate
-    }
-    collectNodePrograms(child, out);
-  }
-  const std::string salt = saltFor(plan, runtime.fusionEnabled());
-  switch (node->op) {
-    case ExprNode::Op::Map:
-    case ExprNode::Op::Zip:
-      out.push_back({elementwiseSource(plan, *node), salt});
-      break;
-    case ExprNode::Op::Reduce:
-      out.push_back({plainReduceSource(node), salt});
-      if (plan.fusedStages > 0) {
-        out.push_back({fusedReduceSource(node, plan), salt});
-      }
-      break;
-    case ExprNode::Op::Scan:
-      out.push_back({plainScanSource(node), salt});
-      if (plan.fusedStages > 0) {
-        out.push_back({fusedScanSource(node, plan), salt});
-      }
-      break;
-    case ExprNode::Op::Stencil:
-      out.push_back({stencilProgramSource(node, plan), salt});
-      break;
-    case ExprNode::Op::SparseGather:
-      out.push_back({sparseProgramSource(node, plan), salt});
-      break;
-  }
 }
 
 } // namespace skelcl::detail

@@ -125,19 +125,4 @@ void deferNode(const std::shared_ptr<ExprNode>& node,
 void evaluateNodeInto(const std::shared_ptr<ExprNode>& node,
                       const std::shared_ptr<VectorState>& out);
 
-/// One generated kernel program an evaluation will request, as the
-/// (source, salt) pair Runtime::programFor is keyed on. The async
-/// scheduler warms these in parallel before dispatching a drain.
-struct PreparedProgram {
-  std::string source;
-  std::string salt;
-};
-
-/// Appends the programs forcing `node` would request — unabsorbed
-/// children first, then the root's own kernels — in exactly the order
-/// the evaluator requests them. Pure: builds the same fusion plan the
-/// later evaluation will, without running anything.
-void collectNodePrograms(const std::shared_ptr<ExprNode>& node,
-                         std::vector<PreparedProgram>& out);
-
 } // namespace skelcl::detail

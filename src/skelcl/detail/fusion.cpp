@@ -182,4 +182,35 @@ std::string substituteIndex(const std::string& expr,
   return out;
 }
 
+void prepareStageArguments(const FusionPlan& plan) {
+  for (const FusionStage& stage : plan.stages) {
+    stage.node->args.prepare();
+  }
+}
+
+std::size_t bindStageArguments(const FusionPlan& plan, ocl::Kernel& kernel,
+                               std::size_t firstIndex,
+                               std::size_t deviceIndex) {
+  std::size_t at = firstIndex;
+  for (const FusionStage& stage : plan.stages) {
+    stage.node->args.apply(kernel, at, deviceIndex);
+    at += stage.node->args.count();
+  }
+  return at;
+}
+
+void collectStageDeps(const FusionPlan& plan, std::vector<ocl::Event>& deps,
+                      std::size_t deviceIndex) {
+  for (const FusionStage& stage : plan.stages) {
+    stage.node->args.collectDeps(deps, deviceIndex);
+  }
+}
+
+void recordStageEvents(const FusionPlan& plan, const ocl::Event& event,
+                       std::size_t deviceIndex) {
+  for (const FusionStage& stage : plan.stages) {
+    stage.node->args.recordEvent(event, deviceIndex);
+  }
+}
+
 } // namespace skelcl::detail

@@ -67,6 +67,28 @@ struct FusionPlan {
 FusionPlan buildFusionPlan(const std::shared_ptr<ExprNode>& root,
                            bool fusionEnabled);
 
+// Stage-argument plumbing shared by every evaluator (dense and
+// irregular): each walks plan.stages in order, root first.
+
+/// Uploads every stage's vector arguments before launch.
+void prepareStageArguments(const FusionPlan& plan);
+
+/// Binds every stage's Arguments for `deviceIndex`, starting at kernel
+/// parameter `firstIndex`; returns the next free parameter index.
+std::size_t bindStageArguments(const FusionPlan& plan, ocl::Kernel& kernel,
+                               std::size_t firstIndex,
+                               std::size_t deviceIndex);
+
+/// Appends the events the stages' Arguments must wait for on
+/// `deviceIndex`.
+void collectStageDeps(const FusionPlan& plan, std::vector<ocl::Event>& deps,
+                      std::size_t deviceIndex);
+
+/// Records `event` as the last writer of the stages' vector arguments on
+/// `deviceIndex`.
+void recordStageEvents(const FusionPlan& plan, const ocl::Event& event,
+                       std::size_t deviceIndex);
+
 /// Replaces every %IDX% in `expr` with `idx`.
 std::string substituteIndex(const std::string& expr, const std::string& idx);
 

@@ -49,40 +49,6 @@ void noteHaloBytes(std::uint64_t bytes) {
   }
 }
 
-// Stage-argument plumbing; these mirror expr.cpp's file-local helpers
-// (an irregular plan holds exactly one stage — the opaque root).
-
-void prepareStageArguments(const FusionPlan& plan) {
-  for (const FusionStage& stage : plan.stages) {
-    stage.node->args.prepare();
-  }
-}
-
-std::size_t bindStageArguments(const FusionPlan& plan, ocl::Kernel& kernel,
-                               std::size_t firstIndex,
-                               std::size_t deviceIndex) {
-  std::size_t at = firstIndex;
-  for (const FusionStage& stage : plan.stages) {
-    stage.node->args.apply(kernel, at, deviceIndex);
-    at += stage.node->args.count();
-  }
-  return at;
-}
-
-void collectStageDeps(const FusionPlan& plan, std::vector<ocl::Event>& deps,
-                      std::size_t deviceIndex) {
-  for (const FusionStage& stage : plan.stages) {
-    stage.node->args.collectDeps(deps, deviceIndex);
-  }
-}
-
-void recordStageEvents(const FusionPlan& plan, const ocl::Event& event,
-                       std::size_t deviceIndex) {
-  for (const FusionStage& stage : plan.stages) {
-    stage.node->args.recordEvent(event, deviceIndex);
-  }
-}
-
 // --- stencil codegen -----------------------------------------------------
 
 /// Statements resolving `skelcl_g` (a signed row — or 1D element — index
@@ -261,8 +227,6 @@ const Chunk* chunkContainingRow(const std::vector<Chunk>& chunks,
   return nullptr;
 }
 
-} // namespace
-
 std::string stencilProgramSource(const std::shared_ptr<ExprNode>& node,
                                  const FusionPlan& plan) {
   const StencilParams& P = *node->stencil;
@@ -305,6 +269,8 @@ std::string sparseProgramSource(const std::shared_ptr<ExprNode>& node,
          "  }\n"
          "}\n";
 }
+
+} // namespace
 
 void runStencil(const std::shared_ptr<ExprNode>& node,
                 const std::shared_ptr<VectorState>& out,

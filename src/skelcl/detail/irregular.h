@@ -16,17 +16,6 @@ namespace skelcl::detail {
 
 class Runtime;
 
-/// Generated program for a stencil node: a halo/boundary *pack* kernel
-/// plus the windowed compute kernel, in one source so one programFor
-/// covers both. Pure (usable from the scheduler's prepare phase).
-std::string stencilProgramSource(const std::shared_ptr<ExprNode>& node,
-                                 const FusionPlan& plan);
-
-/// Generated program for a sparse-gather node: the one-row-per-work-item
-/// gather/combine loop. Pure.
-std::string sparseProgramSource(const std::shared_ptr<ExprNode>& node,
-                                const FusionPlan& plan);
-
 void runStencil(const std::shared_ptr<ExprNode>& node,
                 const std::shared_ptr<VectorState>& out,
                 const FusionPlan& plan, Runtime& runtime,

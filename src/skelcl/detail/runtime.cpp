@@ -1,5 +1,7 @@
 #include "skelcl/detail/runtime.h"
 
+#include <cstdlib>
+
 #include "common/env.h"
 #include "common/logging.h"
 #include "skelcl/detail/partition.h"
@@ -107,24 +109,24 @@ void Runtime::init(const DeviceSelection& selection) {
   // SKELCL_ASYNC=0 turns the task-graph scheduler off: every deferred
   // job evaluates at its own consumption point, exactly the pre-async
   // behavior — the differential baseline the async suite compares
-  // against. SKELCL_SCHED_THREADS sizes the scheduler's prepare pool.
+  // against.
   asyncEnabled_ = envFlag("SKELCL_ASYNC", true);
-  const long long schedThreads = envInt("SKELCL_SCHED_THREADS", 0);
-  schedulerThreads_ = schedThreads < 0 ? 0 : std::size_t(schedThreads);
-  Scheduler::instance().configure(asyncEnabled_, schedulerThreads_);
-  // SKELCL_SCHEDULE=shuffle explores an alternative legal schedule per
-  // SKELCL_SCHEDULE_SEED (see Runtime::schedulePolicy); the default is
-  // the single deterministic FIFO tie-break order.
-  const std::string schedule = envStr("SKELCL_SCHEDULE", "fifo");
-  if (schedule == "shuffle") {
-    schedulePolicy_ = ocl::SchedulePolicy::seededShuffle(
-        std::uint64_t(envInt("SKELCL_SCHEDULE_SEED", 1)));
-  } else {
-    if (schedule != "fifo" && !schedule.empty()) {
-      LOG_WARN("unknown SKELCL_SCHEDULE '" << schedule
-                                           << "'; using fifo");
+  Scheduler::instance().configure(asyncEnabled_);
+  // SKELCL_SCHEDULE_SEED=N explores an alternative legal schedule, the
+  // seeded shuffle N (see Runtime::schedulePolicy); unset, the single
+  // deterministic FIFO tie-break order runs. An unparsable value takes
+  // each envInt fallback, so two different fallbacks disagree exactly
+  // when the value did not parse.
+  schedulePolicy_ = ocl::SchedulePolicy::fifo();
+  if (std::getenv("SKELCL_SCHEDULE_SEED") != nullptr) {
+    const long long seed = envInt("SKELCL_SCHEDULE_SEED", 0);
+    if (seed == envInt("SKELCL_SCHEDULE_SEED", 1)) {
+      schedulePolicy_ =
+          ocl::SchedulePolicy::seededShuffle(std::uint64_t(seed));
+    } else {
+      LOG_WARN("unparsable SKELCL_SCHEDULE_SEED '"
+               << envStr("SKELCL_SCHEDULE_SEED") << "'; using fifo");
     }
-    schedulePolicy_ = ocl::SchedulePolicy::fifo();
   }
   orderRng_ = common::Xoshiro256(schedulePolicy_.seed ^
                                  0xd1b54a32d192ed03ULL);
@@ -196,11 +198,11 @@ ocl::Program& Runtime::programFor(const std::string& source,
     }
     entry = slot;
   }
-  // Build outside the map lock so distinct keys compile in parallel
-  // (the scheduler's prepare workers); call_once makes concurrent
-  // requests for the same key share one build. A throwing build leaves
-  // the flag unset, so the next request retries — the same "failed
-  // builds are not memoized" semantics the synchronous path had.
+  // Build outside the map lock so distinct keys requested from several
+  // threads compile in parallel; call_once makes concurrent requests
+  // for the same key share one build. A throwing build leaves the flag
+  // unset, so the next request retries — the same "failed builds are
+  // not memoized" semantics the synchronous path had.
   std::call_once(entry->once, [&] {
     entry->program.emplace(kernelCache().getOrBuild(
         *context_, source, kDefaultBuildOptions, salt));

@@ -70,7 +70,7 @@ public:
   bool serializedQueues() const noexcept { return serializedQueues_; }
 
   /// Ready-queue tie-breaking of the out-of-order scheduler, set at
-  /// init() from SKELCL_SCHEDULE=fifo|shuffle and SKELCL_SCHEDULE_SEED.
+  /// init() from SKELCL_SCHEDULE_SEED (unset: FIFO; N: seeded shuffle N).
   /// Under SeededShuffle the queues add seeded dispatch jitter and the
   /// skeletons visit per-device chunks in a seeded order — together they
   /// explore alternative legal schedules of the same command DAG. The
@@ -106,10 +106,6 @@ public:
   /// consumption point, nothing else changes.
   bool asyncEnabled() const noexcept { return asyncEnabled_; }
 
-  /// Worker threads for the scheduler's parallel prepare phase
-  /// (SKELCL_SCHED_THREADS; 0 = one per hardware thread).
-  std::size_t schedulerThreads() const noexcept { return schedulerThreads_; }
-
   /// What the rewrite pass achieved this init()..terminate() cycle.
   struct FusionStats {
     std::uint64_t fusedStages = 0;        // stages absorbed into parents
@@ -130,9 +126,8 @@ public:
       return delta;
     }
   };
-  /// Snapshot of the counters. Internally atomic: the async scheduler's
-  /// prepare workers run concurrently with accounting on the dispatch
-  /// thread, so plain fields would race under TSan.
+  /// Snapshot of the counters. Internally atomic, so a snapshot taken
+  /// on one thread never races accounting on another under TSan.
   FusionStats fusionStats() const noexcept {
     FusionStats out;
     out.fusedStages = fusionStats_.fusedStages.load();
@@ -172,11 +167,11 @@ public:
   /// Process-wide memo for generated skeleton programs: one build per
   /// (source, salt) pair per init() cycle, the disk cache underneath
   /// making cross-process reuse cheap. The salt carries the fusion
-  /// configuration into the cache key. Thread-safe: the async
-  /// scheduler's prepare workers warm programs concurrently — distinct
-  /// keys build in parallel, concurrent requests for the same key block
-  /// on one build (a failed build is not memoized; the next request
-  /// retries, preserving the synchronous retry semantics).
+  /// configuration into the cache key. Thread-safe: any thread may
+  /// request a program — distinct keys build in parallel, concurrent
+  /// requests for the same key block on one build (a failed build is
+  /// not memoized; the next request retries, preserving the synchronous
+  /// retry semantics).
   ocl::Program& programFor(const std::string& source,
                            const std::string& salt);
 
@@ -224,7 +219,6 @@ private:
   bool serializedQueues_ = false;
   bool fusionEnabled_ = true;
   bool asyncEnabled_ = true;
-  std::size_t schedulerThreads_ = 0;
   AtomicFusionStats fusionStats_;
   std::mutex programMutex_;
   std::unordered_map<std::string, std::shared_ptr<ProgramEntry>>

@@ -5,10 +5,8 @@
 #include <utility>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "ocl/ocl.h"
 #include "skelcl/detail/expr.h"
-#include "skelcl/detail/runtime.h"
 #include "skelcl/vector.h"
 #include "trace/recorder.h"
 
@@ -52,17 +50,13 @@ Scheduler& Scheduler::instance() {
   return scheduler;
 }
 
-void Scheduler::configure(bool asyncEnabled, std::size_t threads) {
+void Scheduler::configure(bool asyncEnabled) {
   std::lock_guard lock(registryMutex_);
   asyncEnabled_ = asyncEnabled;
   jobs_.clear();
   hasJobs_.store(false, std::memory_order_relaxed);
   stats_ = Stats{};
   owner_ = std::this_thread::get_id();
-  if (threads != threads_) {
-    pool_.reset();
-    threads_ = threads;
-  }
 }
 
 void Scheduler::reset() {
@@ -124,55 +118,6 @@ Scheduler::ExternalDispatchScope::ExternalDispatchScope() {
 
 Scheduler::ExternalDispatchScope::~ExternalDispatchScope() {
   Scheduler::instance().draining_ = false;
-}
-
-common::ThreadPool& Scheduler::pool() {
-  if (threads_ == 0) {
-    return common::ThreadPool::global();
-  }
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<common::ThreadPool>(threads_);
-  }
-  return *pool_;
-}
-
-void Scheduler::prepare(const std::vector<LiveJob>& live) {
-  // Serial collection in registration order makes the set of distinct
-  // programs — and their first-needed order — a deterministic function
-  // of the program, independent of worker timing.
-  std::vector<PreparedProgram> requested;
-  for (const LiveJob& job : live) {
-    collectNodePrograms(job.node, requested);
-  }
-  std::vector<PreparedProgram> unique;
-  std::unordered_set<std::string> seen;
-  for (PreparedProgram& program : requested) {
-    if (seen.insert(program.salt + "\x1f" + program.source).second) {
-      unique.push_back(std::move(program));
-    }
-  }
-  if (unique.empty()) {
-    return;
-  }
-  // Build in parallel; each worker's trace emissions (Build/CacheHit
-  // spans, cache counters) land in its program's buffer, replayed below
-  // in first-needed order so traces stay byte-identical run to run. A
-  // failing build is ignored here: dispatch retries it inline (failed
-  // builds are not memoized) and the error surfaces on the job that
-  // actually needs the program.
-  auto& runtime = Runtime::instance();
-  std::vector<trace::Recorder::CaptureBuffer> buffers(unique.size());
-  pool().parallelFor(unique.size(), [&](std::size_t i) {
-    trace::Recorder::redirectThreadToBuffer(&buffers[i]);
-    try {
-      runtime.programFor(unique[i].source, unique[i].salt);
-    } catch (...) { // NOLINT(bugprone-empty-catch)
-    }
-    trace::Recorder::redirectThreadToBuffer(nullptr);
-  });
-  for (trace::Recorder::CaptureBuffer& buffer : buffers) {
-    trace::Recorder::instance().replay(buffer);
-  }
 }
 
 void Scheduler::drain(const std::shared_ptr<ExprNode>& requested) {
@@ -251,15 +196,6 @@ void Scheduler::drain(const std::shared_ptr<ExprNode>& requested) {
     trace::Recorder::instance().bumpCounter("sched_concurrent_jobs",
                                             trace::kNoDevice, trace::now(),
                                             concurrentDelta);
-  }
-
-  // With a single live job the drain IS the synchronous force — skip
-  // the prepare phase so even trace timestamps match the sync baseline.
-  // With fault injection armed, prepare could consume a build@N trigger
-  // that the inline retry would then sail past, so builds stay inline
-  // and hit the injector in exactly the synchronous order.
-  if (live.size() > 1 && !ocl::FaultInjector::enabled()) {
-    prepare(live);
   }
 
   for (std::size_t i = 0; i < live.size(); ++i) {

@@ -19,11 +19,9 @@
 //  * a drain of exactly one job degenerates to the synchronous force:
 //    single-job programs keep bit-identical outputs and virtual time
 //    under SKELCL_ASYNC=0 and =1;
-//  * the only wall-clock parallelism is the *prepare* phase, which warms
-//    the generated kernel programs over the shared thread pool — pure
-//    host work that never touches the virtual clock; its trace emissions
-//    are captured per program and replayed in a deterministic order
-//    (trace::Recorder::replay).
+//  * each job builds the programs it needs inline, on the dispatching
+//    thread, through Runtime::programFor (exactly as a synchronous force
+//    does); builds are host work that never touches the virtual clock.
 //
 // Failure isolation: a job that throws during dispatch poisons its own
 // output state (VectorState::poisonPending); the error resurfaces as
@@ -51,10 +49,6 @@
 #include <thread>
 #include <vector>
 
-namespace common {
-class ThreadPool;
-}
-
 namespace skelcl::detail {
 
 class ExprNode;
@@ -63,9 +57,9 @@ class Scheduler {
 public:
   static Scheduler& instance();
 
-  /// Applies one init() cycle's configuration (SKELCL_ASYNC,
-  /// SKELCL_SCHED_THREADS) and clears any leftover registry.
-  void configure(bool asyncEnabled, std::size_t threads);
+  /// Applies one init() cycle's configuration (SKELCL_ASYNC) and clears
+  /// any leftover registry.
+  void configure(bool asyncEnabled);
 
   /// Drops every outstanding job without dispatching it (terminate():
   /// results that can no longer be read are dead code, exactly as under
@@ -113,15 +107,14 @@ public:
   }
 
   /// Dispatches outstanding root jobs in registration order: filters
-  /// dead/absorbed entries, warms the generated programs in parallel,
-  /// then enqueues each job's commands. Failures poison the failing
-  /// job's output and dispatch continues. `requested` is the node the
-  /// consumption point is about to force: a job whose subgraph contains
-  /// it (other than the requested job itself) is a *downstream consumer*
-  /// of the value being read — it stays queued rather than dispatching,
-  /// so reading an intermediate of a dependent chain keeps exactly the
-  /// synchronous schedule instead of speculatively evaluating the rest
-  /// of the chain.
+  /// dead/absorbed entries, then enqueues each job's commands. Failures
+  /// poison the failing job's output and dispatch continues. `requested`
+  /// is the node the consumption point is about to force: a job whose
+  /// subgraph contains it (other than the requested job itself) is a
+  /// *downstream consumer* of the value being read — it stays queued
+  /// rather than dispatching, so reading an intermediate of a dependent
+  /// chain keeps exactly the synchronous schedule instead of
+  /// speculatively evaluating the rest of the chain.
   void drain(const std::shared_ptr<ExprNode>& requested);
 
   /// What the scheduler did this init()..terminate() cycle.
@@ -144,8 +137,6 @@ private:
   };
   struct LiveJob;
 
-  void prepare(const std::vector<LiveJob>& live);
-  common::ThreadPool& pool();
   /// Precondition check under registryMutex_: the caller must own the
   /// registry unless it is empty (which transfers ownership). Throws
   /// common::Error naming `op` on a violation.
@@ -157,13 +148,11 @@ private:
   // mirrors jobs_.empty() for the lock-free shouldDrain() fast path.
   bool asyncEnabled_ = false;
   bool draining_ = false;
-  std::size_t threads_ = 0;
   mutable std::mutex registryMutex_;
   std::thread::id owner_;
   std::atomic<bool> hasJobs_{false};
   std::vector<PendingJob> jobs_;
   Stats stats_;
-  std::unique_ptr<common::ThreadPool> pool_;
 };
 
 } // namespace skelcl::detail

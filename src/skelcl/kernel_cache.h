@@ -75,9 +75,8 @@ public:
       return delta;
     }
   };
-  /// Snapshot: getOrBuild may run concurrently from the async
-  /// scheduler's prepare workers, so counters live under a mutex and
-  /// callers get a copy.
+  /// Snapshot: getOrBuild may run concurrently on several threads, so
+  /// counters live under a mutex and callers get a copy.
   Stats stats() const {
     std::lock_guard lock(statsMutex_);
     return stats_;

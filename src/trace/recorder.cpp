@@ -8,9 +8,6 @@ namespace {
 
 std::uint64_t (*g_timeSource)() noexcept = nullptr;
 
-/// Per-thread capture redirection (see Recorder::redirectThreadToBuffer).
-thread_local Recorder::CaptureBuffer* t_captureBuffer = nullptr;
-
 } // namespace
 
 std::uint64_t now() noexcept {
@@ -161,19 +158,6 @@ void Recorder::recordHostSpan(HostKind kind, std::string_view name,
                               std::uint32_t device, std::uint64_t startNs,
                               std::uint64_t endNs, std::uint64_t value,
                               std::uint32_t lane) {
-  if (t_captureBuffer != nullptr) {
-    CapturedRecord captured;
-    captured.isSpan = true;
-    captured.kind = kind;
-    captured.name = std::string(name);
-    captured.device = device;
-    captured.lane = lane;
-    captured.startNs = startNs;
-    captured.endNs = endNs;
-    captured.value = value;
-    t_captureBuffer->push_back(std::move(captured));
-    return;
-  }
   std::lock_guard lock(mutex_);
   if (!enabled_.load(std::memory_order_relaxed)) {
     return;
@@ -191,47 +175,11 @@ void Recorder::recordHostSpan(HostKind kind, std::string_view name,
 
 void Recorder::bumpCounter(std::string_view name, std::uint32_t device,
                            std::uint64_t timeNs, std::uint64_t delta) {
-  if (t_captureBuffer != nullptr) {
-    CapturedRecord captured;
-    captured.isSpan = false;
-    captured.name = std::string(name);
-    captured.device = device;
-    captured.endNs = timeNs;
-    captured.value = delta;
-    t_captureBuffer->push_back(std::move(captured));
-    return;
-  }
   std::lock_guard lock(mutex_);
   if (!enabled_.load(std::memory_order_relaxed)) {
     return;
   }
   bumpCounterLocked(name, device, timeNs, delta);
-}
-
-void Recorder::redirectThreadToBuffer(CaptureBuffer* buffer) noexcept {
-  t_captureBuffer = buffer;
-}
-
-void Recorder::replay(CaptureBuffer& buffer) {
-  std::lock_guard lock(mutex_);
-  if (enabled_.load(std::memory_order_relaxed)) {
-    for (const CapturedRecord& c : buffer) {
-      if (c.isSpan) {
-        HostSpanRecord record;
-        record.name = internLocked(c.name);
-        record.kind = c.kind;
-        record.device = c.device;
-        record.lane = c.lane;
-        record.startNs = c.startNs;
-        record.endNs = c.endNs;
-        record.value = c.value;
-        trace_.hostSpans.push_back(record);
-      } else {
-        bumpCounterLocked(c.name, c.device, c.endNs, c.value);
-      }
-    }
-  }
-  buffer.clear();
 }
 
 void Recorder::recordCounter(std::string_view name, std::uint32_t device,

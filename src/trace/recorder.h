@@ -86,36 +86,6 @@ public:
   void bumpCounter(std::string_view name, std::uint32_t device,
                    std::uint64_t timeNs, std::uint64_t delta);
 
-  // --- deferred capture (async scheduler prepare phase) -----------------
-  // Host spans and counter bumps emitted from thread-pool workers would
-  // land in the trace in worker-timing order, breaking byte-identical
-  // run-to-run traces. A worker instead redirects its emissions into a
-  // thread-local buffer; the scheduler replays the buffers from the
-  // dispatch thread in a deterministic order. Engine command records
-  // never need this: workers only run pure host-side work (kernel
-  // builds) and never enqueue device commands.
-
-  /// One buffered emission; spans and counter bumps share the struct.
-  struct CapturedRecord {
-    bool isSpan = true;
-    HostKind kind = HostKind::Build;
-    std::string name;
-    std::uint32_t device = kNoDevice;
-    std::uint32_t lane = 0;
-    std::uint64_t startNs = 0;
-    std::uint64_t endNs = 0; // counters: sample time
-    std::uint64_t value = 0; // counters: delta
-  };
-  using CaptureBuffer = std::vector<CapturedRecord>;
-
-  /// Redirects this thread's recordHostSpan/bumpCounter calls into
-  /// `buffer` (nullptr restores direct recording).
-  static void redirectThreadToBuffer(CaptureBuffer* buffer) noexcept;
-
-  /// Emits `buffer`'s records in order, as if recorded now on the
-  /// calling thread, and clears it.
-  void replay(CaptureBuffer& buffer);
-
 private:
   Recorder() = default;
 

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <regex>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "common/env.h"
 
@@ -88,6 +94,37 @@ TEST_F(EnvParsing, FlagNormalization) {
 TEST_F(EnvParsing, EmptyStringValueIsKept) {
   set("");
   EXPECT_EQ(common::envStr(kVar, "dflt"), "");
+}
+
+// The documented knob list (common/env.h, README) is the whole
+// configuration surface: adding a knob means editing this set on purpose.
+TEST(EnvKnobInventory, SourcesReadExactlyTheDocumentedKnobs) {
+  const std::set<std::string> expected = {
+      "SKELCL_DEVICES",    "SKELCL_WEIGHTS",    "SKELCL_FUSION",
+      "SKELCL_ASYNC",      "SKELCL_SERIALIZE",  "SKELCL_SCHEDULE_SEED",
+      "SKELCL_CACHE_DIR",  "SKELCL_TRACE",      "SKELCL_LOG",
+      "SKELCL_FAULT_PLAN", "SKELCL_FAULT_SEED"};
+  const std::regex read(
+      R"re((?:env(?:Flag|Int|Double|Str)|getenv)\(\s*"(SKELCL_[A-Z0-9_]*)")re");
+  std::set<std::string> found;
+  const std::filesystem::path src =
+      std::filesystem::path(SKELCL_REPRO_SOURCE_DIR) / "src";
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(src)) {
+    const std::string ext = entry.path().extension().string();
+    if (ext != ".h" && ext != ".cpp") {
+      continue;
+    }
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    const std::string body = text.str();
+    for (std::sregex_iterator it(body.begin(), body.end(), read), end;
+         it != end; ++it) {
+      found.insert((*it)[1].str());
+    }
+  }
+  EXPECT_EQ(found, expected);
 }
 
 } // namespace

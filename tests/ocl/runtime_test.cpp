@@ -50,6 +50,20 @@ TEST_F(OclRuntime, OutOfMemoryThrows) {
   EXPECT_THROW(ctx.createBuffer(gpus[0], 5ull << 30), common::Error);
 }
 
+TEST_F(OclRuntime, HostUnallocatableRequestThrowsTypedError) {
+  // Far beyond both device capacity and host memory: the capacity check
+  // must reject it before any host allocation is attempted.
+  auto gpus = ocl::getPlatforms()[0].devices(ocl::DeviceType::GPU);
+  ocl::Context ctx({gpus[0]});
+  EXPECT_THROW(ctx.createBuffer(gpus[0], 1ull << 50), common::Error);
+  EXPECT_EQ(gpus[0].state().allocatedBytes(), 0u);
+  // A size that wraps the accounted total past zero is rejected too.
+  ocl::Buffer held = ctx.createBuffer(gpus[0], 1024);
+  EXPECT_THROW(ctx.createBuffer(gpus[0], ~std::size_t(0) - 511),
+               common::Error);
+  EXPECT_EQ(gpus[0].state().allocatedBytes(), 1024u);
+}
+
 TEST_F(OclRuntime, WriteReadRoundTrip) {
   auto gpus = ocl::getPlatforms()[0].devices(ocl::DeviceType::GPU);
   ocl::Context ctx({gpus[0]});

@@ -172,23 +172,12 @@ TEST_F(ServiceTest, OverloadRejectionIsTypedAndCounted) {
   EXPECT_EQ(stats[0].failed, 0u);
 }
 
-TEST(ServiceConfigTest, FromEnvParsesTheDocumentedKnobs) {
-  ::setenv("SKELCL_SERVICE_POLICY", "fair", 1);
-  ::setenv("SKELCL_SERVICE_QUEUE_CAP", "5", 1);
-  ::setenv("SKELCL_SERVICE_BATCH", "0", 1);
-  ::setenv("SKELCL_SERVICE_BATCH_LIMIT", "3", 1);
-  ::setenv("SKELCL_SERVICE_THREADS", "2", 1);
-  const svc::ServiceConfig config = svc::ServiceConfig::fromEnv();
-  EXPECT_EQ(config.policy, svc::Policy::FairShare);
-  EXPECT_EQ(config.queueCap, 5u);
-  EXPECT_FALSE(config.batching);
-  EXPECT_EQ(config.batchLimit, 3u);
-  EXPECT_EQ(config.threads, 2u);
-  ::unsetenv("SKELCL_SERVICE_POLICY");
-  ::unsetenv("SKELCL_SERVICE_QUEUE_CAP");
-  ::unsetenv("SKELCL_SERVICE_BATCH");
-  ::unsetenv("SKELCL_SERVICE_BATCH_LIMIT");
-  ::unsetenv("SKELCL_SERVICE_THREADS");
+TEST(ServiceConfigTest, PolicyFromStringParsesEveryName) {
+  EXPECT_EQ(svc::policyFromString("fifo"), svc::Policy::Fifo);
+  EXPECT_EQ(svc::policyFromString("fair"), svc::Policy::FairShare);
+  EXPECT_EQ(svc::policyFromString("fair-share"), svc::Policy::FairShare);
+  EXPECT_EQ(svc::policyFromString("fairshare"), svc::Policy::FairShare);
+  EXPECT_EQ(svc::policyFromString("priority"), svc::Policy::Priority);
 
   EXPECT_THROW(svc::policyFromString("round-robin"),
                common::InvalidArgument);

@@ -234,8 +234,9 @@ TEST(AsyncScheduler, PoisonedJobThrowsEvenWhenConsumedFirst) {
 
 TEST(AsyncScheduler, FaultSequencesMatchSynchronousRuns) {
   // Same plan, same program, async on vs off: the same calls fail with
-  // the same typed errors (prepare is skipped while a plan is armed, so
-  // the injector sees builds and launches in the synchronous order).
+  // the same typed errors (every job builds its programs inline as it
+  // dispatches, so the injector sees builds and launches in the
+  // synchronous order).
   auto cycle = [](bool async) {
     skelcl_test::useTempCacheDir();
     ::setenv("SKELCL_ASYNC", async ? "1" : "0", 1);
@@ -300,6 +301,29 @@ TEST(AsyncScheduler, TracedRunsAreByteIdenticalAcrossRuns) {
   const trace::Trace b = tracedMultiJobRun();
   EXPECT_EQ(trace::serialize(a), trace::serialize(b));
   EXPECT_EQ(trace::chromeJson(a), trace::chromeJson(b));
+}
+
+TEST(AsyncScheduler, ColdMultiJobDrainTracesAreDeterministic) {
+  // Every program of the 3-job drain builds inline, inside the job that
+  // needs it. The kernel cache binds its directory once per process, so
+  // each run starts from that directory emptied.
+  auto coldRun = [] {
+    skelcl_test::useTempCacheDir();
+    skelcl::detail::Runtime::instance().kernelCache().clear();
+    return tracedMultiJobRun();
+  };
+  const trace::Trace a = coldRun();
+  const trace::Trace b = coldRun();
+  EXPECT_EQ(trace::serialize(a), trace::serialize(b));
+  EXPECT_EQ(trace::chromeJson(a), trace::chromeJson(b));
+
+  ::setenv("SKELCL_ASYNC", "0", 1);
+  const trace::Trace sync = coldRun();
+  ::unsetenv("SKELCL_ASYNC");
+  const trace::Report cold = trace::analyze(a);
+  EXPECT_GT(cold.cacheMisses, 0u);
+  EXPECT_EQ(cold.cacheHits, 0u);
+  EXPECT_EQ(cold.cacheMisses, trace::analyze(sync).cacheMisses);
 }
 
 TEST(AsyncScheduler, TraceCarriesSchedulerSpansAndReportCounts) {

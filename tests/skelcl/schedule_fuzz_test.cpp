@@ -1,7 +1,7 @@
 // Schedule fuzzing: the event DAG underdetermines the schedule, so the
 // runtime must compute the same answer under every legal tie-break. Each
 // scenario here runs once under the Fifo baseline and under >= 8 seeded
-// shuffle schedules (SKELCL_SCHEDULE=shuffle perturbs both the queues'
+// shuffle schedules (SKELCL_SCHEDULE_SEED=N perturbs both the queues'
 // dispatch tie-breaking and the skeletons' chunk visit order), asserting
 //  * bit-identical outputs,
 //  * invariant total kernel cycles (per cumulativeKernelCycles()), and
@@ -55,10 +55,8 @@ Invariants runScenario(
     std::uint64_t seed) {
   skelcl_test::useTempCacheDir();
   if (seed == 0) {
-    ::setenv("SKELCL_SCHEDULE", "fifo", 1);
     ::unsetenv("SKELCL_SCHEDULE_SEED");
   } else {
-    ::setenv("SKELCL_SCHEDULE", "shuffle", 1);
     ::setenv("SKELCL_SCHEDULE_SEED", std::to_string(seed).c_str(), 1);
   }
   ocl::configureSystem(ocl::SystemConfig::teslaS1070(gpus));
@@ -83,7 +81,6 @@ Invariants runScenario(
     }
   }
   skelcl::terminate();
-  ::unsetenv("SKELCL_SCHEDULE");
   ::unsetenv("SKELCL_SCHEDULE_SEED");
   return inv;
 }
@@ -280,9 +277,8 @@ TEST(ScheduleFuzz, ShuffleActuallyPerturbsTheSchedule) {
   auto spanOf = [](std::uint64_t seed) {
     skelcl_test::useTempCacheDir();
     if (seed == 0) {
-      ::setenv("SKELCL_SCHEDULE", "fifo", 1);
+      ::unsetenv("SKELCL_SCHEDULE_SEED");
     } else {
-      ::setenv("SKELCL_SCHEDULE", "shuffle", 1);
       ::setenv("SKELCL_SCHEDULE_SEED", std::to_string(seed).c_str(), 1);
     }
     ocl::configureSystem(ocl::SystemConfig::teslaS1070(2));
@@ -292,7 +288,6 @@ TEST(ScheduleFuzz, ShuffleActuallyPerturbsTheSchedule) {
     mapZipChain(inv);
     const trace::Trace trace = trace::Recorder::instance().stop();
     skelcl::terminate();
-    ::unsetenv("SKELCL_SCHEDULE");
     ::unsetenv("SKELCL_SCHEDULE_SEED");
     std::vector<std::uint64_t> starts;
     for (const auto& cmd : trace.commands) {
@@ -305,6 +300,34 @@ TEST(ScheduleFuzz, ShuffleActuallyPerturbsTheSchedule) {
   const auto shuffled = spanOf(1);
   EXPECT_NE(fifo, shuffled)
       << "SeededShuffle produced the exact FIFO schedule";
+}
+
+TEST(ScheduleFuzz, SeedKnobSelectsThePolicy) {
+  // Unset: FIFO. A number N: the seeded shuffle N. Anything else warns
+  // and falls back to FIFO.
+  auto policyFor = [](const char* value) {
+    skelcl_test::useTempCacheDir();
+    if (value == nullptr) {
+      ::unsetenv("SKELCL_SCHEDULE_SEED");
+    } else {
+      ::setenv("SKELCL_SCHEDULE_SEED", value, 1);
+    }
+    ocl::configureSystem(ocl::SystemConfig::teslaS1070(1));
+    skelcl::init(skelcl::DeviceSelection::nGPUs(1));
+    const ocl::SchedulePolicy policy =
+        skelcl::detail::Runtime::instance().schedulePolicy();
+    skelcl::terminate();
+    ::unsetenv("SKELCL_SCHEDULE_SEED");
+    return policy;
+  };
+  using Kind = ocl::SchedulePolicy::Kind;
+  EXPECT_EQ(policyFor(nullptr).kind, Kind::Fifo);
+  const ocl::SchedulePolicy seeded = policyFor("7");
+  EXPECT_EQ(seeded.kind, Kind::SeededShuffle);
+  EXPECT_EQ(seeded.seed, 7u);
+  EXPECT_EQ(policyFor("0").kind, Kind::SeededShuffle);
+  EXPECT_EQ(policyFor("shuffle").kind, Kind::Fifo);
+  EXPECT_EQ(policyFor("").kind, Kind::Fifo);
 }
 
 TEST(ScheduleFuzz, SerializedControlHasZeroOverlap) {

@@ -411,10 +411,8 @@ TEST(SparseBitIdentity, InvariantAcrossDevicesScheduleAndEngines) {
   expectSame(runSpmvConfig(0, "t10*2, t10@0.5x"), "hetero 3-device");
 
   for (unsigned seed : {2u, 99u}) {
-    ::setenv("SKELCL_SCHEDULE", "shuffle", 1);
     ::setenv("SKELCL_SCHEDULE_SEED", std::to_string(seed).c_str(), 1);
     expectSame(runSpmvConfig(4, nullptr), "shuffled schedule");
-    ::unsetenv("SKELCL_SCHEDULE");
     ::unsetenv("SKELCL_SCHEDULE_SEED");
   }
   ::setenv("SKELCL_ASYNC", "0", 1);

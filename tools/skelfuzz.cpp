@@ -3,7 +3,7 @@
 //
 //   skelfuzz [--seeds N] [--gpus G] [--scenario NAME]
 //       Run each scenario once under the FIFO baseline and under N
-//       seeded shuffle schedules (SKELCL_SCHEDULE=shuffle). Any
+//       seeded shuffle schedules (SKELCL_SCHEDULE_SEED=N). Any
 //       difference in outputs, total kernel cycles, transferred bytes,
 //       or per-engine busy time is an invariant violation.
 //
@@ -211,10 +211,8 @@ const Scenario kScenarios[] = {
 Observation runOnce(const Scenario& scenario, std::uint32_t gpus,
                     std::uint64_t seed) {
   if (seed == 0) {
-    ::setenv("SKELCL_SCHEDULE", "fifo", 1);
     ::unsetenv("SKELCL_SCHEDULE_SEED");
   } else {
-    ::setenv("SKELCL_SCHEDULE", "shuffle", 1);
     ::setenv("SKELCL_SCHEDULE_SEED", std::to_string(seed).c_str(), 1);
   }
   ocl::configureSystem(ocl::SystemConfig::teslaS1070(gpus));
@@ -238,7 +236,6 @@ Observation runOnce(const Scenario& scenario, std::uint32_t gpus,
     }
   }
   skelcl::terminate();
-  ::unsetenv("SKELCL_SCHEDULE");
   ::unsetenv("SKELCL_SCHEDULE_SEED");
   return obs;
 }
@@ -374,10 +371,8 @@ runTenantCycle(std::size_t tenants, std::size_t jobsPerTenant,
                std::uint32_t gpus, std::uint64_t scheduleSeed,
                srv::Policy policy, std::size_t soloTenant) {
   if (scheduleSeed == 0) {
-    ::setenv("SKELCL_SCHEDULE", "fifo", 1);
     ::unsetenv("SKELCL_SCHEDULE_SEED");
   } else {
-    ::setenv("SKELCL_SCHEDULE", "shuffle", 1);
     ::setenv("SKELCL_SCHEDULE_SEED", std::to_string(scheduleSeed).c_str(),
              1);
   }
@@ -411,7 +406,6 @@ runTenantCycle(std::size_t tenants, std::size_t jobsPerTenant,
     server.pump();
   }
   skelcl::terminate();
-  ::unsetenv("SKELCL_SCHEDULE");
   ::unsetenv("SKELCL_SCHEDULE_SEED");
   return outputs;
 }

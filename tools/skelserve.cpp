@@ -11,9 +11,8 @@
 // and prints the per-tenant accounting table (jobs, device-cycles,
 // bytes moved, queue wait, latency) plus the dispatcher's batching
 // stats. --trace records the run for `skeltrace report`, whose tenant
-// section is fed by the same accounting. Environment knobs
-// (SKELCL_SERVICE_POLICY, SKELCL_SERVICE_QUEUE_CAP, ...) provide the
-// defaults; flags override.
+// section is fed by the same accounting. The service starts from
+// ServiceConfig's defaults; the flags override them.
 //
 // Exit status: 0 when every job completed with the expected checksum,
 // 1 on any failed job or checksum mismatch, 2 on usage errors.
@@ -104,7 +103,7 @@ int main(int argc, char** argv) {
   std::size_t n = std::size_t(1) << 14;
   bool pumpMode = false;
   std::string tracePath;
-  service::ServiceConfig config = service::ServiceConfig::fromEnv();
+  service::ServiceConfig config;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
