@@ -4,23 +4,6 @@
 
 namespace clc {
 
-std::size_t typeTagSize(TypeTag tag) noexcept {
-  switch (tag) {
-    case TypeTag::I8:
-    case TypeTag::U8: return 1;
-    case TypeTag::I16:
-    case TypeTag::U16: return 2;
-    case TypeTag::I32:
-    case TypeTag::U32:
-    case TypeTag::F32: return 4;
-    case TypeTag::I64:
-    case TypeTag::U64:
-    case TypeTag::F64:
-    case TypeTag::Ptr: return 8;
-  }
-  return 8;
-}
-
 const char* typeTagName(TypeTag tag) noexcept {
   switch (tag) {
     case TypeTag::I8: return "i8";

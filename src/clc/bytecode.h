@@ -28,7 +28,22 @@ enum class TypeTag : std::uint8_t {
   Ptr, // alias of U64 with pointer semantics; kept for disassembly clarity
 };
 
-std::size_t typeTagSize(TypeTag tag) noexcept;
+constexpr TypeTag kMaxTypeTag = TypeTag::Ptr;
+
+/// Byte width of a value of `tag` in memory (its slot holds it widened).
+constexpr std::size_t typeTagSize(TypeTag tag) noexcept {
+  switch (tag) {
+    case TypeTag::I8:
+    case TypeTag::U8: return 1;
+    case TypeTag::I16:
+    case TypeTag::U16: return 2;
+    case TypeTag::I32:
+    case TypeTag::U32:
+    case TypeTag::F32: return 4;
+    default: return 8;
+  }
+}
+
 const char* typeTagName(TypeTag tag) noexcept;
 
 enum class Op : std::uint8_t {
@@ -187,11 +202,23 @@ struct FunctionInfo {
   bool isKernel = false;
 };
 
+/// Execution bounds of one kernel, proven by clc::verify (verify.h) over
+/// the kernel's whole call graph. They are not serialized: loading a
+/// program re-verifies it and recomputes them. The VM sizes each
+/// work-item's state to exactly these bounds and runs without checks.
+struct KernelBounds {
+  std::uint32_t operands = 0;   // deepest operand stack, in slots
+  std::uint32_t arenaBytes = 0; // largest private arena (all live frames)
+  std::uint32_t callDepth = 0;  // most live frames; 0 = not verified
+  bool hasBarrier = false;      // some reachable code executes a barrier
+};
+
 struct KernelInfo {
   std::string name;
   std::uint32_t functionIndex = 0;
   /// Bytes of statically declared __local variables.
   std::uint32_t staticLocalSize = 0;
+  KernelBounds bounds;
 };
 
 /// A fully compiled translation unit.

@@ -6,6 +6,7 @@
 #include "clc/builtins.h"
 #include "clc/parser.h"
 #include "clc/sema.h"
+#include "clc/verify.h"
 #include "common/hash.h"
 
 namespace clc {
@@ -886,6 +887,11 @@ Program compile(const std::string& source) {
   analyze(*unit);
   Program program = generate(*unit);
   program.sourceHash = common::Sha256::hexDigest(source);
+  try {
+    verify(program);
+  } catch (const VerifyError& e) {
+    throw CompileError(e.what(), SourceLoc{});
+  }
   return program;
 }
 

@@ -6,6 +6,7 @@
 
 #include "clc/builtins.h"
 #include "clc/eval.h"
+#include "clc/verify.h"
 #include "clc/vm.h"
 
 namespace clc {
@@ -1218,6 +1219,11 @@ void compact(Program& p, std::vector<std::uint32_t>& costs,
 
 OptStats optimizeWith(Program& p, const OptOptions& opts) {
   OptStats stats;
+  // Rewritten code invalidates the verifier's proof until optimize()
+  // re-verifies it; the VM refuses to run an unverified kernel.
+  for (KernelInfo& k : p.kernels) {
+    k.bounds = {};
+  }
   std::vector<std::uint32_t> costs(p.code.size());
   for (std::size_t i = 0; i < p.code.size(); ++i) {
     costs[i] = instrCycleCost(p.code[i]);
@@ -1288,11 +1294,14 @@ OptStats optimizeWith(Program& p, const OptOptions& opts) {
 
 OptStats optimize(Program& program, OptLevel level) {
   program.optLevel = std::uint8_t(level);
+  OptStats stats;
   if (level == OptLevel::O0) {
     program.cycleCosts.clear();
-    return {};
+  } else {
+    stats = optimizeWith(program, OptOptions::forLevel(level));
   }
-  return optimizeWith(program, OptOptions::forLevel(level));
+  verify(program);
+  return stats;
 }
 
 } // namespace clc

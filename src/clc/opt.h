@@ -85,10 +85,12 @@ struct OptStats {
 
 /// Optimizes `program` in place at `level` and stamps program.optLevel.
 /// O0 leaves the code untouched (and cycleCosts empty). O1/O2 populate
-/// cycleCosts per the timing-invariance contract above.
+/// cycleCosts per the timing-invariance contract above. Every level ends
+/// by re-verifying the program (verify.h), which the VM requires.
 OptStats optimize(Program& program, OptLevel level);
 
-/// Pass-selectable variant for tests. Does not change program.optLevel.
+/// Pass-selectable variant for tests. Does not change program.optLevel and
+/// does not verify: the result cannot run until verify() accepts it.
 OptStats optimizeWith(Program& program, const OptOptions& opts);
 
 } // namespace clc

@@ -1,5 +1,6 @@
 #include "clc/serialize.h"
 
+#include "clc/verify.h"
 #include "common/byte_stream.h"
 
 namespace clc {
@@ -115,99 +116,13 @@ Program deserializeProgram(const std::vector<std::uint8_t>& bytes) {
   program.optLevel = r.read<std::uint8_t>();
   program.cycleCosts = r.readVector<std::uint32_t>();
 
-  // Structural validation so a corrupted cache entry cannot crash the VM.
-  const auto codeSize = static_cast<std::uint32_t>(program.code.size());
-  for (const FunctionInfo& f : program.functions) {
-    if (f.codeStart > f.codeEnd || f.codeEnd > codeSize) {
-      throw common::DeserializeError("function code range out of bounds");
-    }
-  }
-  for (const KernelInfo& k : program.kernels) {
-    if (k.functionIndex >= program.functions.size()) {
-      throw common::DeserializeError("kernel function index out of bounds");
-    }
-  }
-  if (!program.cycleCosts.empty() &&
-      program.cycleCosts.size() != program.code.size()) {
-    throw common::DeserializeError("cycle-cost table size mismatch");
-  }
-  // Frame-addressed superinstructions skip the VM's runtime bounds checks,
-  // so their offsets must be proven against the owning function's frame
-  // here. Instructions outside every function get limit 0 (always reject).
-  std::vector<std::uint32_t> frameLimit(program.code.size(), 0);
-  for (const FunctionInfo& f : program.functions) {
-    for (std::uint32_t pc = f.codeStart; pc < f.codeEnd; ++pc) {
-      frameLimit[pc] = f.frameSize;
-    }
-  }
-  auto validEmbedded = [](Op op) {
-    return isBinaryArithOp(op) || isCompareOp(op);
-  };
-  for (std::size_t pc = 0; pc < program.code.size(); ++pc) {
-    const Instr& instr = program.code[pc];
-    if (instr.op > kMaxOp) {
-      throw common::DeserializeError("unknown opcode");
-    }
-    if (instr.op == Op::PushConst &&
-        (instr.a < 0 ||
-         std::size_t(instr.a) >= program.constants.size())) {
-      throw common::DeserializeError("constant index out of bounds");
-    }
-    if (instr.op == Op::Call &&
-        (instr.a < 0 || std::size_t(instr.a) >= program.functions.size())) {
-      throw common::DeserializeError("call target out of bounds");
-    }
-    if ((instr.op == Op::Jmp || instr.op == Op::Jz || instr.op == Op::Jnz) &&
-        (instr.a < 0 || std::uint32_t(instr.a) > codeSize)) {
-      throw common::DeserializeError("jump target out of bounds");
-    }
-    switch (instr.op) {
-      case Op::LoadFrame:
-      case Op::StoreFrame:
-        if (instr.a < 0 || std::uint64_t(instr.a) + typeTagSize(instr.tag) >
-                               frameLimit[pc]) {
-          throw common::DeserializeError("frame offset out of bounds");
-        }
-        break;
-      case Op::BinConst:
-        if (instr.a < 0 || !validEmbedded(embeddedOp(instr.a)) ||
-            std::size_t(embeddedOperand(instr.a)) >=
-                program.constants.size()) {
-          throw common::DeserializeError("malformed bin_const");
-        }
-        break;
-      case Op::FrameBin:
-        if (instr.a < 0 || !validEmbedded(embeddedOp(instr.a)) ||
-            std::uint64_t(embeddedOperand(instr.a)) +
-                    typeTagSize(instr.tag) >
-                frameLimit[pc]) {
-          throw common::DeserializeError("malformed frame_bin");
-        }
-        break;
-      case Op::LoadBin:
-        if (instr.a < 0 || !validEmbedded(Op(instr.a))) {
-          throw common::DeserializeError("malformed load_bin");
-        }
-        break;
-      case Op::FrameBin2:
-        if (instr.a < 0 || !validEmbedded(frame2Op(instr.a)) ||
-            std::uint64_t(frame2X(instr.a)) + typeTagSize(instr.tag) >
-                frameLimit[pc] ||
-            std::uint64_t(frame2Y(instr.a)) + typeTagSize(instr.tag) >
-                frameLimit[pc]) {
-          throw common::DeserializeError("malformed frame_bin2");
-        }
-        break;
-      case Op::CmpJz:
-      case Op::CmpJnz:
-        if (instr.a < 0 || !isCompareOp(cmpFromJump(instr.a)) ||
-            std::uint32_t(cmpJumpTarget(instr.a)) > codeSize) {
-          throw common::DeserializeError("malformed compare-jump");
-        }
-        break;
-      default:
-        break;
-    }
+  // Never trust a loaded program: the verifier proves everything the VM's
+  // unchecked fast path relies on.
+  try {
+    verify(program);
+  } catch (const VerifyError& e) {
+    throw common::DeserializeError(std::string("invalid clc program: ") +
+                                   e.what());
   }
   return program;
 }

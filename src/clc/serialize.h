@@ -17,8 +17,8 @@ namespace clc {
 /// mismatched versions (the cache then falls back to a rebuild).
 std::vector<std::uint8_t> serializeProgram(const Program& program);
 
-/// Deserializes; throws common::DeserializeError on malformed or
-/// version-mismatched input.
+/// Deserializes and verifies (verify.h); throws common::DeserializeError on
+/// malformed, version-mismatched or unverifiable input.
 Program deserializeProgram(const std::vector<std::uint8_t>& bytes);
 
 } // namespace clc

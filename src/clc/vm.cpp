@@ -1,5 +1,6 @@
 #include "clc/vm.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -23,35 +24,77 @@ struct LaunchContext {
   const FunctionInfo* kernelFunc = nullptr;
   const KernelInfo* kernel = nullptr;
   const std::vector<KernelArgValue>* args = nullptr;
-  std::vector<std::uint32_t> localArgOffsets; // for LocalPtr args
-  std::uint32_t totalLocalSize = 0;
+  std::vector<std::uint64_t> localArgOffsets; // for LocalPtr args
+  std::uint64_t totalLocalSize = 0;
   NDRange range;
   std::size_t groupCount[3] = {1, 1, 1};
   /// Per-instruction cycle costs (Program::cycleCosts or derived).
   const std::uint32_t* costs = nullptr;
-  /// Barrier-free kernels take the straight-line group runner.
-  bool hasBarrier = true;
 };
 
 struct Frame {
-  std::uint32_t funcIndex = 0;
   std::uint32_t returnPc = 0;
   std::uint32_t frameBase = 0; // base of *this* frame in the private arena
-  std::uint32_t prevBase = 0;
 };
 
 enum class ItemStatus { Running, AtBarrier, Done };
 
-constexpr std::size_t kMaxPrivateArena = 1 << 20;  // 1 MiB per work-item
-constexpr std::size_t kMaxCallDepth = 64;
-constexpr std::size_t kMaxOperands = 4096;
+template <typename T>
+T readAs(const std::uint8_t* p) noexcept {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return v;
+}
 
-/// One work-item's execution state: a resumable interpreter.
+template <typename T>
+void writeAs(std::uint8_t* p, T v) noexcept {
+  std::memcpy(p, &v, sizeof(T));
+}
+
+/// Loads a `tag`-typed value into a canonical slot with one fixed-width
+/// copy (what memcpy of typeTagSize bytes followed by canon() computes).
+inline std::uint64_t loadSlot(const std::uint8_t* p, TypeTag tag) noexcept {
+  switch (tag) {
+    case TypeTag::I8: return std::uint64_t(std::int64_t(readAs<std::int8_t>(p)));
+    case TypeTag::U8: return *p;
+    case TypeTag::I16:
+      return std::uint64_t(std::int64_t(readAs<std::int16_t>(p)));
+    case TypeTag::U16: return readAs<std::uint16_t>(p);
+    case TypeTag::I32:
+      return std::uint64_t(std::int64_t(readAs<std::int32_t>(p)));
+    case TypeTag::U32:
+    case TypeTag::F32: return readAs<std::uint32_t>(p);
+    default: return readAs<std::uint64_t>(p);
+  }
+}
+
+/// Stores the low typeTagSize(tag) bytes of a slot with one fixed-width copy.
+inline void storeSlot(std::uint8_t* p, std::uint64_t v, TypeTag tag) noexcept {
+  switch (typeTagSize(tag)) {
+    case 1: *p = std::uint8_t(v); return;
+    case 2: writeAs(p, std::uint16_t(v)); return;
+    case 4: writeAs(p, std::uint32_t(v)); return;
+    default: writeAs(p, v); return;
+  }
+}
+
+/// Storage one work-item runs on, sized to its kernel's KernelBounds.
+struct ItemStorage {
+  std::uint64_t* operands = nullptr;
+  std::uint8_t* arena = nullptr;
+  Frame* frames = nullptr;
+};
+
+/// One work-item's execution state: a resumable interpreter. It runs on
+/// storage sized to the bounds clc::verify proved for the kernel, so the
+/// operand stack, the frame stack and frame-relative accesses need no
+/// runtime checks; pointers in flight are still bounds-checked.
 class ItemVM {
 public:
-  void init(const LaunchContext& ctx, std::uint8_t* localBase,
-            std::size_t localSize, const std::size_t globalId[3],
-            const std::size_t localId[3], const std::size_t groupId[3]) {
+  void init(const LaunchContext& ctx, const ItemStorage& storage,
+            std::uint8_t* localBase, std::size_t localSize,
+            const std::size_t globalId[3], const std::size_t localId[3],
+            const std::size_t groupId[3]) {
     ctx_ = &ctx;
     localBase_ = localBase;
     localSize_ = localSize;
@@ -60,8 +103,6 @@ public:
       localId_[d] = localId[d];
       groupId_[d] = groupId[d];
     }
-    stack_.clear();
-    frames_.clear();
     cycles_ = 0;
     instructions_ = 0;
     bytesRead_ = 0;
@@ -71,13 +112,13 @@ public:
     status_ = ItemStatus::Running;
 
     const FunctionInfo& f = *ctx.kernelFunc;
-    arena_.assign(f.frameSize, 0);
-    Frame frame;
-    frame.funcIndex = ctx.kernel->functionIndex;
-    frame.returnPc = ~0u;
-    frame.frameBase = 0;
-    frame.prevBase = 0;
-    frames_.push_back(frame);
+    sp_ = operands_ = storage.operands;
+    arena_ = storage.arena;
+    frames_ = storage.frames;
+    std::memset(arena_, 0, f.frameSize);
+    arenaTop_ = f.frameSize;
+    frames_[0] = Frame{~0u, 0};
+    frameCount_ = 1;
     pc_ = f.codeStart;
     fillKernelArgs();
   }
@@ -91,84 +132,104 @@ public:
 
   /// Runs until completion or the next barrier.
   void resume() {
-    COMMON_CHECK(status_ != ItemStatus::Done);
     status_ = ItemStatus::Running;
-    const Instr* const code = ctx_->program->code.data();
+    const Program& program = *ctx_->program;
+    const Instr* const code = program.code.data();
+    const std::uint64_t* const constants = program.constants.data();
     const std::uint32_t* const costs = ctx_->costs;
-    // Instruction/cycle counters are accumulated in locals and flushed at
-    // the (rare) suspension points; resolve()/doBuiltin() still add their
-    // dynamic extras (global latency, builtin costs) to cycles_ directly.
+    // The hot state lives in locals. It is published to the members only
+    // around what reads it there: calls, builtins and suspension. The
+    // instruction/cycle counters are flushed on suspension; resolve() and
+    // doBuiltin() add their dynamic extras to cycles_ directly.
+    std::uint32_t pc = pc_;
+    std::uint64_t* sp = sp_;
+    std::uint8_t* fp = arena_ + frames_[frameCount_ - 1].frameBase;
     std::uint64_t instructions = 0;
     std::uint64_t cycles = 0;
-    const auto flush = [&] {
+    const auto push = [&](std::uint64_t v) { *sp++ = v; };
+    const auto pop = [&] { return *--sp; };
+    const auto publish = [&] {
+      pc_ = pc;
+      sp_ = sp;
+    };
+    const auto reload = [&] {
+      pc = pc_;
+      sp = sp_;
+      fp = arena_ + frames_[frameCount_ - 1].frameBase;
+    };
+    const auto suspend = [&] {
+      publish();
       instructions_ += instructions;
       cycles_ += cycles;
     };
+    // Pops the current frame; true when the kernel itself returned.
+    const auto ret = [&] {
+      if (frameCount_ == 1) {
+        status_ = ItemStatus::Done;
+        return true;
+      }
+      const Frame& done = frames_[--frameCount_];
+      arenaTop_ = done.frameBase;
+      pc = done.returnPc;
+      fp = arena_ + frames_[frameCount_ - 1].frameBase;
+      return false;
+    };
     for (;;) {
-      const Instr instr = code[pc_];
-      cycles += costs[pc_];
-      ++pc_;
+      const Instr instr = code[pc];
+      cycles += costs[pc];
+      ++pc;
       ++instructions;
       switch (instr.op) {
         case Op::Nop:
           break;
         case Op::PushConst:
-          push(ctx_->program->constants[std::size_t(instr.a)]);
+          push(constants[std::size_t(instr.a)]);
           break;
         case Op::PushFrameAddr:
           push(packPointer(MemSpace::Private, 0,
-                           frames_.back().frameBase + std::uint64_t(instr.a)));
+                           std::uint64_t(fp - arena_) +
+                               std::uint64_t(instr.a)));
           break;
         case Op::PushLocalAddr:
           push(packPointer(MemSpace::Local, 0, std::uint64_t(instr.a)));
           break;
         case Op::Dup: {
-          const std::uint64_t v = top();
+          const std::uint64_t v = sp[-1];
           push(v);
           break;
         }
         case Op::Pop:
-          (void)pop();
+          --sp;
           break;
-        case Op::Swap: {
-          const std::uint64_t a = pop();
-          const std::uint64_t b = pop();
-          push(a);
-          push(b);
+        case Op::Swap:
+          std::swap(sp[-1], sp[-2]);
           break;
-        }
         case Op::Rot3: {
-          const std::uint64_t c = pop();
-          const std::uint64_t b = pop();
-          const std::uint64_t a = pop();
-          push(b);
-          push(c);
-          push(a);
+          // [a b c] -> [b c a]
+          const std::uint64_t a = sp[-3];
+          sp[-3] = sp[-2];
+          sp[-2] = sp[-1];
+          sp[-1] = a;
           break;
         }
         case Op::Load: {
           const std::uint64_t ptr = pop();
-          const std::size_t size = typeTagSize(instr.tag);
-          const std::uint8_t* p = resolve(ptr, size, /*write=*/false);
-          std::uint64_t v = 0;
-          std::memcpy(&v, p, size);
-          push(canon(v, instr.tag));
+          push(loadSlot(resolve(ptr, typeTagSize(instr.tag), /*write=*/false),
+                        instr.tag));
           break;
         }
         case Op::Store: {
           const std::uint64_t v = pop();
           const std::uint64_t ptr = pop();
-          const std::size_t size = typeTagSize(instr.tag);
-          std::uint8_t* p = resolve(ptr, size, /*write=*/true);
-          std::memcpy(p, &v, size);
+          storeSlot(resolve(ptr, typeTagSize(instr.tag), /*write=*/true), v,
+                    instr.tag);
           break;
         }
         case Op::StoreKeep: {
           const std::uint64_t v = pop();
           const std::uint64_t ptr = pop();
-          const std::size_t size = typeTagSize(instr.tag);
-          std::uint8_t* p = resolve(ptr, size, /*write=*/true);
-          std::memcpy(p, &v, size);
+          storeSlot(resolve(ptr, typeTagSize(instr.tag), /*write=*/true), v,
+                    instr.tag);
           push(v);
           break;
         }
@@ -192,15 +253,14 @@ public:
         case Op::BitOr:
         case Op::BitXor: {
           const std::uint64_t rhs = pop();
-          const std::uint64_t lhs = pop();
-          push(arith(instr.op, instr.tag, lhs, rhs));
+          sp[-1] = arith(instr.op, instr.tag, sp[-1], rhs);
           break;
         }
         case Op::Neg:
-          push(evalNeg(instr.tag, pop()));
+          sp[-1] = evalNeg(instr.tag, sp[-1]);
           break;
         case Op::BitNot:
-          push(canon(~pop(), instr.tag));
+          sp[-1] = canon(~sp[-1], instr.tag);
           break;
         case Op::CmpEq:
         case Op::CmpNe:
@@ -209,70 +269,68 @@ public:
         case Op::CmpGt:
         case Op::CmpGe: {
           const std::uint64_t rhs = pop();
-          const std::uint64_t lhs = pop();
-          push(compare(instr.op, instr.tag, lhs, rhs) ? 1 : 0);
+          sp[-1] = compare(instr.op, instr.tag, sp[-1], rhs) ? 1 : 0;
           break;
         }
         case Op::LogNot:
-          push(pop() == 0 ? 1 : 0);
+          sp[-1] = sp[-1] == 0 ? 1 : 0;
           break;
         case Op::Conv: {
           const auto from = TypeTag((instr.a >> 8) & 0xff);
           const auto to = TypeTag(instr.a & 0xff);
-          push(convert(pop(), from, to));
+          sp[-1] = convert(sp[-1], from, to);
           break;
         }
         case Op::Jmp:
-          pc_ = std::uint32_t(instr.a);
+          pc = std::uint32_t(instr.a);
           break;
         case Op::Jz:
-          if (pop() == 0) pc_ = std::uint32_t(instr.a);
+          if (pop() == 0) pc = std::uint32_t(instr.a);
           break;
         case Op::Jnz:
-          if (pop() != 0) pc_ = std::uint32_t(instr.a);
+          if (pop() != 0) pc = std::uint32_t(instr.a);
           break;
         case Op::Call:
+          publish();
           doCall(std::uint32_t(instr.a));
+          reload();
           break;
         case Op::CallBuiltin:
+          publish();
           doBuiltin(Builtin(instr.a), instr.tag);
+          reload();
           break;
         case Op::Barrier:
           status_ = ItemStatus::AtBarrier;
-          flush();
+          suspend();
           return;
         case Op::Ret:
-          if (doReturn()) {
-            flush();
+          if (ret()) {
+            suspend();
             return;
           }
           break;
         case Op::RetVal: {
           const std::uint64_t v = pop();
-          const bool done = doReturn();
+          const bool done = ret();
           push(v);
           if (done) {
-            flush();
+            suspend();
             return;
           }
           break;
         }
         case Op::RetStruct: {
+          // Verified: only struct-returning functions, whose frame slot 0
+          // holds the caller's result address.
           const std::uint64_t src = pop();
-          std::uint64_t sret = 0;
-          {
-            const std::uint8_t* p =
-                resolve(packPointer(MemSpace::Private, 0,
-                                    frames_.back().frameBase),
-                        8, /*write=*/false);
-            std::memcpy(&sret, p, 8);
-          }
+          const auto sret = readAs<std::uint64_t>(fp);
           const auto size = std::size_t(instr.a);
           const std::uint8_t* s = resolve(src, size, /*write=*/false);
           std::uint8_t* d = resolve(sret, size, /*write=*/true);
           std::memmove(d, s, size);
-          if (doReturn()) {
-            flush();
+          if (ret()) {
+            suspend();
             return;
           }
           break;
@@ -281,67 +339,33 @@ public:
           trap(instr.a == 1
                    ? "control reached the end of a non-void function"
                    : "kernel trap");
+        // Frame-addressed superinstructions: their offsets are verified
+        // against the owning function's frame, so they access it directly.
+        case Op::LoadFrame:
+          push(loadSlot(fp + std::uint32_t(instr.a), instr.tag));
           break;
-        case Op::LoadFrame: {
-          // Offsets are statically verified (optimizer/serializer), so no
-          // per-access bounds check is needed here.
-          std::uint64_t v = 0;
-          std::memcpy(&v,
-                      arena_.data() + frames_.back().frameBase +
-                          std::uint32_t(instr.a),
-                      typeTagSize(instr.tag));
-          push(canon(v, instr.tag));
+        case Op::StoreFrame:
+          storeSlot(fp + std::uint32_t(instr.a), pop(), instr.tag);
           break;
-        }
-        case Op::StoreFrame: {
-          const std::uint64_t v = pop();
-          std::memcpy(arena_.data() + frames_.back().frameBase +
-                          std::uint32_t(instr.a),
-                      &v, typeTagSize(instr.tag));
-          break;
-        }
         case Op::BinConst: {
           const Op bop = embeddedOp(instr.a);
           const std::uint64_t rhs =
-              ctx_->program->constants[std::size_t(embeddedOperand(instr.a))];
-          const std::uint64_t lhs = pop();
-          if (isCompareOp(bop)) {
-            push(compare(bop, instr.tag, lhs, rhs) ? 1 : 0);
-          } else {
-            push(arith(bop, instr.tag, lhs, rhs));
-          }
+              constants[std::size_t(embeddedOperand(instr.a))];
+          sp[-1] = binop(bop, instr.tag, sp[-1], rhs);
           break;
         }
         case Op::FrameBin: {
-          const Op bop = embeddedOp(instr.a);
-          std::uint64_t rhs = 0;
-          std::memcpy(&rhs,
-                      arena_.data() + frames_.back().frameBase +
-                          std::uint32_t(embeddedOperand(instr.a)),
-                      typeTagSize(instr.tag));
-          rhs = canon(rhs, instr.tag);
-          const std::uint64_t lhs = pop();
-          if (isCompareOp(bop)) {
-            push(compare(bop, instr.tag, lhs, rhs) ? 1 : 0);
-          } else {
-            push(arith(bop, instr.tag, lhs, rhs));
-          }
+          const std::uint64_t rhs =
+              loadSlot(fp + std::uint32_t(embeddedOperand(instr.a)), instr.tag);
+          sp[-1] = binop(embeddedOp(instr.a), instr.tag, sp[-1], rhs);
           break;
         }
         case Op::LoadBin: {
-          const Op bop = Op(instr.a);
           const std::uint64_t ptr = pop();
-          const std::size_t size = typeTagSize(instr.tag);
-          const std::uint8_t* p = resolve(ptr, size, /*write=*/false);
-          std::uint64_t rhs = 0;
-          std::memcpy(&rhs, p, size);
-          rhs = canon(rhs, instr.tag);
-          const std::uint64_t lhs = pop();
-          if (isCompareOp(bop)) {
-            push(compare(bop, instr.tag, lhs, rhs) ? 1 : 0);
-          } else {
-            push(arith(bop, instr.tag, lhs, rhs));
-          }
+          const std::uint64_t rhs = loadSlot(
+              resolve(ptr, typeTagSize(instr.tag), /*write=*/false),
+              instr.tag);
+          sp[-1] = binop(Op(instr.a), instr.tag, sp[-1], rhs);
           break;
         }
         case Op::CmpJz:
@@ -351,7 +375,7 @@ public:
           const bool hit =
               compare(cmpFromJump(instr.a), instr.tag, lhs, rhs);
           if (hit == (instr.op == Op::CmpJnz)) {
-            pc_ = std::uint32_t(cmpJumpTarget(instr.a));
+            pc = std::uint32_t(cmpJumpTarget(instr.a));
           }
           break;
         }
@@ -360,26 +384,16 @@ public:
           // it replaces (deliberately *not* a fused fma).
           const std::uint64_t rhs = pop();
           const std::uint64_t lhs = pop();
-          const std::uint64_t acc = pop();
-          push(arith(Op::Add, instr.tag, acc,
-                     arith(Op::Mul, instr.tag, lhs, rhs)));
+          sp[-1] = arith(Op::Add, instr.tag, sp[-1],
+                         arith(Op::Mul, instr.tag, lhs, rhs));
           break;
         }
         case Op::FrameBin2: {
-          const Op bop = frame2Op(instr.a);
-          const std::uint8_t* frame = arena_.data() + frames_.back().frameBase;
-          const std::size_t size = typeTagSize(instr.tag);
-          std::uint64_t lhs = 0;
-          std::uint64_t rhs = 0;
-          std::memcpy(&lhs, frame + std::uint32_t(frame2X(instr.a)), size);
-          std::memcpy(&rhs, frame + std::uint32_t(frame2Y(instr.a)), size);
-          lhs = canon(lhs, instr.tag);
-          rhs = canon(rhs, instr.tag);
-          if (isCompareOp(bop)) {
-            push(compare(bop, instr.tag, lhs, rhs) ? 1 : 0);
-          } else {
-            push(arith(bop, instr.tag, lhs, rhs));
-          }
+          const std::uint64_t lhs =
+              loadSlot(fp + std::uint32_t(frame2X(instr.a)), instr.tag);
+          const std::uint64_t rhs =
+              loadSlot(fp + std::uint32_t(frame2Y(instr.a)), instr.tag);
+          push(binop(frame2Op(instr.a), instr.tag, lhs, rhs));
           break;
         }
       }
@@ -387,31 +401,28 @@ public:
   }
 
 private:
-  [[noreturn]] void trap(const std::string& message) const {
+  [[noreturn, gnu::cold, gnu::noinline]] void trap(
+      const std::string& message) const {
     throw TrapError("work-item (" + std::to_string(globalId_[0]) + "," +
                     std::to_string(globalId_[1]) + "," +
                     std::to_string(globalId_[2]) + ") in kernel '" +
                     ctx_->kernel->name + "': " + message);
   }
 
-  void push(std::uint64_t v) {
-    if (stack_.size() >= kMaxOperands) {
-      trap("operand stack overflow");
-    }
-    stack_.push_back(v);
+  /// `buffer` names the __global segment; it is empty for other spaces.
+  [[noreturn, gnu::cold, gnu::noinline]] void trapOutOfBounds(
+      const char* space, std::uint64_t offset, std::size_t size,
+      std::uint64_t limit, const std::string& buffer = "") const {
+    trap(std::string(space) + " memory access out of bounds (" +
+         (buffer.empty() ? "" : "buffer " + buffer + ", ") + "offset " +
+         std::to_string(offset) + ", size " + std::to_string(size) +
+         ", limit " + std::to_string(limit) + ")");
   }
 
-  std::uint64_t pop() {
-    COMMON_CHECK_MSG(!stack_.empty(), "operand stack underflow (VM bug)");
-    const std::uint64_t v = stack_.back();
-    stack_.pop_back();
-    return v;
-  }
-
-  std::uint64_t top() const {
-    COMMON_CHECK(!stack_.empty());
-    return stack_.back();
-  }
+  // Operand stack for the out-of-line paths (calls, builtins), which run
+  // on the published stack pointer.
+  void push(std::uint64_t v) noexcept { *sp_++ = v; }
+  std::uint64_t pop() noexcept { return *--sp_; }
 
   /// Resolves a packed pointer to raw host memory, bounds-checking the
   /// access. Also maintains the global traffic counters.
@@ -423,18 +434,15 @@ private:
         trap(ptr == 0 ? "null pointer dereference"
                       : "wild pointer dereference");
       case MemSpace::Private: {
-        if (offset + size > arena_.size()) {
-          trap("private memory access out of bounds (offset " +
-               std::to_string(offset) + ", size " + std::to_string(size) +
-               ", arena " + std::to_string(arena_.size()) + ")");
+        // Only live frames are addressable, as if the arena ended at them.
+        if (offset + size > arenaTop_) {
+          trapOutOfBounds("private", offset, size, arenaTop_);
         }
-        return arena_.data() + offset;
+        return arena_ + offset;
       }
       case MemSpace::Local: {
         if (offset + size > localSize_) {
-          trap("__local memory access out of bounds (offset " +
-               std::to_string(offset) + ", size " + std::to_string(size) +
-               ", local " + std::to_string(localSize_) + ")");
+          trapOutOfBounds("__local", offset, size, localSize_);
         }
         return localBase_ + offset;
       }
@@ -452,10 +460,8 @@ private:
           cachedSize_ = segment.size;
         }
         if (offset + size > cachedSize_) {
-          trap("__global memory access out of bounds (buffer " +
-               std::to_string(seg) + ", offset " + std::to_string(offset) +
-               ", size " + std::to_string(size) + ", buffer size " +
-               std::to_string(cachedSize_) + ")");
+          trapOutOfBounds("__global", offset, size, cachedSize_,
+                          std::to_string(seg));
         }
         if (write) {
           bytesWritten_ += size;
@@ -492,17 +498,24 @@ private:
     return out;
   }
 
+  /// An embedded binop of a superinstruction: arithmetic or a compare.
+  std::uint64_t binop(Op op, TypeTag tag, std::uint64_t lhs,
+                      std::uint64_t rhs) {
+    if (isCompareOp(op)) {
+      return compare(op, tag, lhs, rhs) ? 1 : 0;
+    }
+    return arith(op, tag, lhs, rhs);
+  }
+
   void doCall(std::uint32_t funcIndex) {
-    if (frames_.size() >= kMaxCallDepth) {
-      trap("call stack overflow");
-    }
     const FunctionInfo& f = ctx_->program->functions[funcIndex];
-    const std::uint32_t newBase =
-        std::uint32_t((arena_.size() + 7) / 8 * 8);
-    if (newBase + f.frameSize > kMaxPrivateArena) {
-      trap("private memory exhausted");
-    }
-    arena_.resize(newBase + f.frameSize, 0);
+    // The callee frame starts zeroed at the next 8-byte boundary; the
+    // verifier proved the arena holds every frame of the call graph.
+    const std::uint32_t newBase = (arenaTop_ + 7) / 8 * 8;
+    const std::uint32_t newTop = newBase + f.frameSize;
+    std::memset(arena_ + arenaTop_, 0, newTop - arenaTop_);
+    arenaTop_ = newTop;
+    std::uint8_t* frame = arena_ + newBase;
 
     // Pop arguments in reverse into the callee frame.
     for (std::size_t i = f.params.size(); i-- > 0;) {
@@ -510,37 +523,18 @@ private:
       const std::uint64_t v = pop();
       if (p.kind == ParamKind::Struct) {
         const std::uint8_t* src = resolve(v, p.size, /*write=*/false);
-        std::memcpy(arena_.data() + newBase + p.frameOffset, src, p.size);
+        std::memmove(frame + p.frameOffset, src, p.size);
       } else {
-        std::memcpy(arena_.data() + newBase + p.frameOffset, &v,
+        std::memcpy(frame + p.frameOffset, &v,
                     std::min<std::size_t>(p.size, 8));
       }
     }
     if (f.returnsStruct) {
-      const std::uint64_t sret = pop();
-      std::memcpy(arena_.data() + newBase, &sret, 8); // slot 0 = sret
+      writeAs(frame, pop()); // slot 0 = sret
     }
 
-    Frame frame;
-    frame.funcIndex = funcIndex;
-    frame.returnPc = pc_;
-    frame.frameBase = newBase;
-    frame.prevBase = frames_.back().frameBase;
-    frames_.push_back(frame);
+    frames_[frameCount_++] = Frame{pc_, newBase};
     pc_ = f.codeStart;
-  }
-
-  /// Returns true when the kernel's top-level function returned.
-  bool doReturn() {
-    const Frame frame = frames_.back();
-    frames_.pop_back();
-    if (frames_.empty()) {
-      status_ = ItemStatus::Done;
-      return true;
-    }
-    arena_.resize(frame.frameBase);
-    pc_ = frame.returnPc;
-    return false;
   }
 
   void doBuiltin(Builtin id, TypeTag tag) {
@@ -844,7 +838,7 @@ private:
           break;
         case KernelArgValue::Kind::Struct:
           COMMON_CHECK(arg.bytes.size() == p.size);
-          std::memcpy(arena_.data() + p.frameOffset, arg.bytes.data(),
+          std::memcpy(arena_ + p.frameOffset, arg.bytes.data(),
                       p.size);
           continue;
       }
@@ -853,7 +847,7 @@ private:
         // host-side bug caught earlier by ocl::Kernel::setArg.
         COMMON_CHECK_MSG(false, "local param given non-local arg");
       }
-      std::memcpy(arena_.data() + p.frameOffset, &slot,
+      std::memcpy(arena_ + p.frameOffset, &slot,
                   std::min<std::size_t>(p.size == 0 ? 8 : p.size, 8));
     }
   }
@@ -865,9 +859,12 @@ private:
   std::size_t localId_[3] = {0, 0, 0};
   std::size_t groupId_[3] = {0, 0, 0};
 
-  std::vector<std::uint8_t> arena_;
-  std::vector<std::uint64_t> stack_;
-  std::vector<Frame> frames_;
+  std::uint64_t* operands_ = nullptr; // bottom of the operand stack
+  std::uint64_t* sp_ = nullptr;       // one past its top
+  std::uint8_t* arena_ = nullptr;     // private memory of all frames
+  std::uint32_t arenaTop_ = 0;        // end of the innermost live frame
+  Frame* frames_ = nullptr;
+  std::uint32_t frameCount_ = 0;
   std::uint32_t pc_ = 0;
   ItemStatus status_ = ItemStatus::Running;
 
@@ -893,48 +890,60 @@ struct GroupResult {
   std::uint64_t barrierWaits = 0;
 };
 
+/// A pool thread's work-item state, reused across groups and launches. It
+/// only grows, to the largest group this thread has run; each group then
+/// resets just the kernel frames and its __local memory.
+struct ItemSlab {
+  std::vector<ItemVM> items;
+  std::vector<std::uint64_t> operands;
+  std::vector<std::uint8_t> arenas;
+  std::vector<Frame> frames;
+  std::vector<std::uint8_t> localMem;
+
+  /// Never null, so zero-length memsets on it stay well-defined.
+  template <typename T>
+  static T* atLeast(std::vector<T>& v, std::size_t n) {
+    if (v.size() < std::max<std::size_t>(n, 1)) {
+      v.resize(std::max<std::size_t>(n, 1));
+    }
+    return v.data();
+  }
+};
+
 void runGroup(const LaunchContext& ctx, std::size_t groupLinear,
               GroupResult& result) {
+  thread_local ItemSlab slab;
+
   const std::size_t gx = groupLinear % ctx.groupCount[0];
   const std::size_t gy = (groupLinear / ctx.groupCount[0]) % ctx.groupCount[1];
   const std::size_t gz = groupLinear / (ctx.groupCount[0] * ctx.groupCount[1]);
   const std::size_t groupId[3] = {gx, gy, gz};
 
-  std::vector<std::uint8_t> localMem(ctx.totalLocalSize, 0);
-  const std::size_t itemCount = ctx.range.totalLocal();
+  std::uint8_t* localMem =
+      ItemSlab::atLeast(slab.localMem, std::size_t(ctx.totalLocalSize));
+  std::memset(localMem, 0, std::size_t(ctx.totalLocalSize));
 
-  if (!ctx.hasBarrier) {
-    // Fast path: the kernel can never yield, so each work-item runs
-    // straight through on one reusable interpreter. Arena/stack capacity
-    // carries over between items and there is no fiber bookkeeping.
-    ItemVM vm;
-    for (std::size_t lz = 0; lz < ctx.range.localSize[2]; ++lz) {
-      for (std::size_t ly = 0; ly < ctx.range.localSize[1]; ++ly) {
-        for (std::size_t lx = 0; lx < ctx.range.localSize[0]; ++lx) {
-          const std::size_t localId[3] = {lx, ly, lz};
-          const std::size_t globalId[3] = {
-              ctx.range.globalOffset[0] + gx * ctx.range.localSize[0] + lx,
-              ctx.range.globalOffset[1] + gy * ctx.range.localSize[1] + ly,
-              ctx.range.globalOffset[2] + gz * ctx.range.localSize[2] + lz,
-          };
-          vm.init(ctx, localMem.data(), localMem.size(), globalId, localId,
-                  groupId);
-          vm.resume();
-          COMMON_CHECK_MSG(vm.status() == ItemStatus::Done,
-                           "barrier in a kernel classified barrier-free");
-          result.cost.sumCycles += vm.cycles();
-          result.cost.maxCycles = std::max(result.cost.maxCycles, vm.cycles());
-          result.instructions += vm.instructions();
-          result.bytesRead += vm.bytesRead();
-          result.bytesWritten += vm.bytesWritten();
-          result.atomics += vm.atomics();
-        }
-      }
-    }
-    return;
-  }
+  // Barrier-free kernels never yield, so each work-item runs straight
+  // through on one interpreter and one storage slice; with barriers every
+  // item of the group keeps its own slice between resumptions.
+  const KernelBounds& bounds = ctx.kernel->bounds;
+  const std::size_t itemCount =
+      bounds.hasBarrier ? ctx.range.totalLocal() : 1;
+  const std::size_t arenaStride = (std::size_t(bounds.arenaBytes) + 15) / 16 * 16;
+  ItemVM* items = ItemSlab::atLeast(slab.items, itemCount);
+  std::uint64_t* operands =
+      ItemSlab::atLeast(slab.operands, itemCount * bounds.operands);
+  std::uint8_t* arenas = ItemSlab::atLeast(slab.arenas, itemCount * arenaStride);
+  Frame* frames = ItemSlab::atLeast(slab.frames, itemCount * bounds.callDepth);
 
-  std::vector<ItemVM> items(itemCount);
+  const auto accumulate = [&](const ItemVM& item) {
+    result.cost.sumCycles += item.cycles();
+    result.cost.maxCycles = std::max(result.cost.maxCycles, item.cycles());
+    result.instructions += item.instructions();
+    result.bytesRead += item.bytesRead();
+    result.bytesWritten += item.bytesWritten();
+    result.atomics += item.atomics();
+  };
 
   std::size_t idx = 0;
   for (std::size_t lz = 0; lz < ctx.range.localSize[2]; ++lz) {
@@ -946,17 +955,30 @@ void runGroup(const LaunchContext& ctx, std::size_t groupLinear,
             ctx.range.globalOffset[1] + gy * ctx.range.localSize[1] + ly,
             ctx.range.globalOffset[2] + gz * ctx.range.localSize[2] + lz,
         };
-        items[idx++].init(ctx, localMem.data(), localMem.size(), globalId,
-                          localId, groupId);
+        const std::size_t slot = bounds.hasBarrier ? idx++ : 0;
+        const ItemStorage storage{operands + slot * bounds.operands,
+                                  arenas + slot * arenaStride,
+                                  frames + slot * bounds.callDepth};
+        ItemVM& item = items[slot];
+        item.init(ctx, storage, localMem, std::size_t(ctx.totalLocalSize),
+                  globalId, localId, groupId);
+        if (!bounds.hasBarrier) {
+          item.resume();
+          accumulate(item);
+        }
       }
     }
+  }
+  if (!bounds.hasBarrier) {
+    return;
   }
 
   // Round-robin between barriers.
   for (;;) {
     std::size_t done = 0;
     std::size_t atBarrier = 0;
-    for (ItemVM& item : items) {
+    for (std::size_t i = 0; i < itemCount; ++i) {
+      ItemVM& item = items[i];
       if (item.status() == ItemStatus::Done) {
         ++done;
         continue;
@@ -980,13 +1002,8 @@ void runGroup(const LaunchContext& ctx, std::size_t groupLinear,
     ++result.barrierWaits;
   }
 
-  for (const ItemVM& item : items) {
-    result.cost.sumCycles += item.cycles();
-    result.cost.maxCycles = std::max(result.cost.maxCycles, item.cycles());
-    result.instructions += item.instructions();
-    result.bytesRead += item.bytesRead();
-    result.bytesWritten += item.bytesWritten();
-    result.atomics += item.atomics();
+  for (std::size_t i = 0; i < itemCount; ++i) {
+    accumulate(items[i]);
   }
 }
 
@@ -1084,36 +1101,6 @@ std::uint32_t instrCycleCost(const Instr& instr) noexcept {
   }
 }
 
-bool kernelHasBarrier(const Program& program, const KernelInfo& kernel) {
-  if (kernel.functionIndex >= program.functions.size()) {
-    return true; // malformed; take the conservative path
-  }
-  std::vector<bool> seen(program.functions.size(), false);
-  std::vector<std::uint32_t> worklist = {kernel.functionIndex};
-  seen[kernel.functionIndex] = true;
-  while (!worklist.empty()) {
-    const FunctionInfo& f = program.functions[worklist.back()];
-    worklist.pop_back();
-    const std::uint32_t end =
-        std::min<std::uint32_t>(f.codeEnd,
-                                std::uint32_t(program.code.size()));
-    for (std::uint32_t pc = f.codeStart; pc < end; ++pc) {
-      const Instr& instr = program.code[pc];
-      if (instr.op == Op::Barrier) {
-        return true;
-      }
-      if (instr.op == Op::Call) {
-        const auto callee = std::uint32_t(instr.a);
-        if (callee < seen.size() && !seen[callee]) {
-          seen[callee] = true;
-          worklist.push_back(callee);
-        }
-      }
-    }
-  }
-  return false;
-}
-
 LaunchStats executeKernel(const Program& program,
                           const std::string& kernelName, const NDRange& range,
                           const std::vector<KernelArgValue>& args,
@@ -1123,6 +1110,10 @@ LaunchStats executeKernel(const Program& program,
   if (kernel == nullptr) {
     throw common::InvalidArgument("no kernel named '" + kernelName + "'");
   }
+  if (kernel->bounds.callDepth == 0) {
+    throw common::InvalidArgument("kernel '" + kernelName +
+                                  "' has not been verified (clc::verify)");
+  }
 
   LaunchContext ctx;
   ctx.program = &program;
@@ -1131,7 +1122,6 @@ LaunchStats executeKernel(const Program& program,
   ctx.kernelFunc = &program.functions[kernel->functionIndex];
   ctx.args = &args;
   ctx.range = range;
-  ctx.hasBarrier = kernelHasBarrier(program, *kernel);
 
   // Per-instruction cycle costs: the optimizer's table when present
   // (timing-invariance contract), otherwise derived from the opcode.
@@ -1170,7 +1160,7 @@ LaunchStats executeKernel(const Program& program,
 
   // Layout of one work-group's local memory: static __local declarations
   // first, then each __local pointer argument's region.
-  std::uint32_t localTop = kernel->staticLocalSize;
+  std::uint64_t localTop = kernel->staticLocalSize;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (ctx.kernelFunc->params[i].kind == ParamKind::LocalPtr) {
       if (args[i].kind != KernelArgValue::Kind::Local) {

@@ -21,7 +21,7 @@
 namespace clc {
 
 /// Raised when a kernel traps: out-of-bounds access, misaligned atomic,
-/// division fault, barrier divergence, stack overflow...
+/// division fault, barrier divergence...
 class TrapError : public common::Error {
 public:
   explicit TrapError(const std::string& what) : common::Error(what) {}
@@ -40,7 +40,7 @@ struct KernelArgValue {
   std::uint32_t segmentIndex = 0;     // Buffer: index into the segment table
   std::uint64_t scalar = 0;           // Scalar: canonical 64-bit slot
   std::vector<std::uint8_t> bytes;    // Struct: by-value contents
-  std::uint32_t localSize = 0;        // Local: per-group byte count
+  std::uint64_t localSize = 0;        // Local: per-group byte count
 };
 
 struct NDRange {
@@ -85,8 +85,10 @@ struct LaunchStats {
 /// * `pool` runs work-groups in parallel when non-null.
 ///
 /// OpenCL 1.1 rules are enforced: the global size must be divisible by the
-/// work-group size in every dimension. Throws TrapError on kernel faults
-/// and common::InvalidArgument on launch-configuration errors.
+/// work-group size in every dimension. The program must have passed
+/// clc::verify (compile, optimize and deserializeProgram all run it).
+/// Throws TrapError on kernel faults and common::InvalidArgument on
+/// launch-configuration errors or an unverified program.
 LaunchStats executeKernel(const Program& program,
                           const std::string& kernelName, const NDRange& range,
                           const std::vector<KernelArgValue>& args,
@@ -104,10 +106,5 @@ std::uint32_t opCycleCost(Op op) noexcept;
 /// what the VM charges when Program::cycleCosts is empty, and what the
 /// optimizer seeds its cost table from.
 std::uint32_t instrCycleCost(const Instr& instr) noexcept;
-
-/// True when the kernel (or any function it transitively calls) contains
-/// a barrier. Barrier-free kernels take the VM's straight-line fast path:
-/// one reusable interpreter per work-group instead of round-robin fibers.
-bool kernelHasBarrier(const Program& program, const KernelInfo& kernel);
 
 } // namespace clc

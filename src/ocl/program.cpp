@@ -298,7 +298,7 @@ void Kernel::setArgBytes(std::size_t index, const void* data,
   args_[index] = std::move(arg);
 }
 
-void Kernel::setArgLocal(std::size_t index, std::size_t bytes) {
+void Kernel::setArgLocal(std::size_t index, std::uint64_t bytes) {
   const clc::ParamInfo& p = param(index);
   if (p.kind != clc::ParamKind::LocalPtr) {
     throw common::InvalidArgument(
@@ -308,7 +308,7 @@ void Kernel::setArgLocal(std::size_t index, std::size_t bytes) {
   StagedArg arg;
   arg.set = true;
   arg.value.kind = clc::KernelArgValue::Kind::Local;
-  arg.value.localSize = std::uint32_t(bytes);
+  arg.value.localSize = bytes;
   args_[index] = std::move(arg);
 }
 

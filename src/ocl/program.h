@@ -102,8 +102,9 @@ public:
   /// By-value struct argument: raw bytes, must match the declared size.
   void setArgBytes(std::size_t index, const void* data, std::size_t size);
 
-  /// __local pointer argument: the per-work-group byte count.
-  void setArgLocal(std::size_t index, std::size_t bytes);
+  /// __local pointer argument: the per-work-group byte count. It is checked
+  /// against the device's local memory at enqueue.
+  void setArgLocal(std::size_t index, std::uint64_t bytes);
 
   /// Launch-time introspection used by the command queue.
   struct StagedArg {
@@ -114,6 +115,7 @@ public:
   const std::vector<StagedArg>& stagedArgs() const noexcept { return args_; }
   const clc::Program& program() const { return *program_; }
   const clc::FunctionInfo& functionInfo() const { return *func_; }
+  const clc::KernelInfo& kernelInfo() const { return *kernel_; }
 
 private:
   void setScalar(std::size_t index, std::uint64_t canonical,

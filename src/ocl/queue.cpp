@@ -1,5 +1,6 @@
 #include "ocl/queue.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/thread_pool.h"
@@ -422,6 +423,25 @@ Event CommandQueue::enqueueNDRange(Kernel& kernel, const clc::NDRange& range,
         "work-group size " + std::to_string(range.totalLocal()) +
         " exceeds the device maximum of " +
         std::to_string(device_.spec().maxWorkGroupSize));
+  }
+
+  // Static __local declarations plus every __local argument must fit the
+  // device's local memory (CL_OUT_OF_RESOURCES), checked before anything
+  // is allocated. Clamping each size keeps the 64-bit sum from wrapping.
+  const std::uint64_t localLimit = device_.spec().localMemBytes;
+  std::uint64_t localBytes = kernel.kernelInfo().staticLocalSize;
+  for (const clc::KernelArgValue& arg : args) {
+    if (arg.kind == clc::KernelArgValue::Kind::Local) {
+      localBytes += std::min(arg.localSize, localLimit + 1);
+    }
+  }
+  if (localBytes > localLimit) {
+    throw LaunchFailure(
+        device_.state().index(),
+        std::string(statusName(Status::OutOfResources)) + ": kernel '" +
+            kernel.name() + "' needs more __local memory than the " +
+            std::to_string(localLimit) + " bytes of device " +
+            std::to_string(device_.state().index()));
   }
 
   if (FaultInjector::enabled()) {

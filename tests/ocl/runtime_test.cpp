@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "clc/serialize.h"
 #include "ocl/ocl.h"
 
 namespace {
@@ -187,6 +188,73 @@ TEST_F(OclRuntime, KernelArgValidation) {
   ocl::CommandQueue queue(gpus[0]);
   EXPECT_THROW(queue.enqueueNDRange(incomplete, ocl::NDRange1D{4, 4}),
                common::InvalidArgument);
+}
+
+// --- __local memory is bounded by DeviceSpec::localMemBytes ---------------
+
+TEST_F(OclRuntime, OversizedLocalArgIsOutOfResources) {
+  auto gpus = ocl::getPlatforms()[0].devices(ocl::DeviceType::GPU);
+  ASSERT_EQ(gpus[0].spec().localMemBytes, 16u << 10); // the T10's 16 KiB
+  ocl::Context ctx({gpus[0]});
+  ocl::Program program = ctx.createProgram(
+      "__kernel void k(__global int* d, __local int* s) {"
+      "  s[0] = 1; d[0] = s[0]; }");
+  program.build();
+  ocl::Buffer buf = ctx.createBuffer(gpus[0], 16);
+  ocl::CommandQueue queue(gpus[0]);
+  ocl::Kernel kernel = program.createKernel("k");
+  kernel.setArg(0, buf);
+
+  kernel.setArgLocal(1, 16u << 10);
+  EXPECT_NO_THROW(queue.enqueueNDRange(kernel, ocl::NDRange1D{4, 4}));
+  kernel.setArgLocal(1, (16u << 10) + 1);
+  EXPECT_THROW(queue.enqueueNDRange(kernel, ocl::NDRange1D{4, 4}),
+               ocl::LaunchFailure);
+  kernel.setArgLocal(1, 1ull << 30);
+  try {
+    queue.enqueueNDRange(kernel, ocl::NDRange1D{4, 4});
+    FAIL() << "a 1 GiB __local argument must not launch";
+  } catch (const ocl::LaunchFailure& e) {
+    EXPECT_EQ(e.status(), ocl::Status::OutOfResources);
+  }
+  // 4 GiB + 4 bytes would wrap to 4 bytes in 32 bits.
+  kernel.setArgLocal(1, (4ull << 30) + 4);
+  EXPECT_THROW(queue.enqueueNDRange(kernel, ocl::NDRange1D{4, 4}),
+               ocl::LaunchFailure);
+}
+
+TEST_F(OclRuntime, StaticLocalDeclarationsCountAgainstTheLimit) {
+  auto gpus = ocl::getPlatforms()[0].devices(ocl::DeviceType::GPU);
+  ocl::Context ctx({gpus[0]});
+  ocl::Buffer buf = ctx.createBuffer(gpus[0], 16);
+  ocl::CommandQueue queue(gpus[0]);
+
+  // 12 KiB static plus 8 KiB dynamic: each fits, the sum does not.
+  ocl::Program program = ctx.createProgram(
+      "__kernel void k(__global int* d, __local int* s) {"
+      "  __local int t[3072]; t[0] = 1; s[0] = t[0]; d[0] = s[0]; }");
+  program.build();
+  ocl::Kernel kernel = program.createKernel("k");
+  kernel.setArg(0, buf);
+  kernel.setArgLocal(1, 4u << 10);
+  EXPECT_NO_THROW(queue.enqueueNDRange(kernel, ocl::NDRange1D{4, 4}));
+  kernel.setArgLocal(1, 8u << 10);
+  EXPECT_THROW(queue.enqueueNDRange(kernel, ocl::NDRange1D{4, 4}),
+               ocl::LaunchFailure);
+
+  // A loaded binary whose static size was patched past the limit.
+  ocl::Program small = ctx.createProgram(
+      "__kernel void k(__global int* d) { __local int t[4];"
+      "  t[0] = 2; d[0] = t[0]; }");
+  small.build();
+  clc::Program patched = small.compiled();
+  patched.kernels[0].staticLocalSize = 1u << 20;
+  ocl::Program loaded =
+      ctx.createProgramFromBinary(clc::serializeProgram(patched));
+  ocl::Kernel big = loaded.createKernel("k");
+  big.setArg(0, buf);
+  EXPECT_THROW(queue.enqueueNDRange(big, ocl::NDRange1D{4, 4}),
+               ocl::LaunchFailure);
 }
 
 TEST_F(OclRuntime, ScalarArgConversionToParamType) {

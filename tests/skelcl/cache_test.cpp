@@ -1,7 +1,11 @@
 // Kernel-cache behaviour (paper Sec. III-B).
+#include <unistd.h>
+
 #include <filesystem>
 
+#include "clc/serialize.h"
 #include "common/byte_stream.h"
+#include "common/hash.h"
 #include "common/stopwatch.h"
 #include "skelcl_test_util.h"
 
@@ -13,8 +17,10 @@ class CacheTest : public ::testing::Test {
 protected:
   void SetUp() override {
     ocl::configureSystem(ocl::SystemConfig::teslaS1070(1));
+    // The pid keeps concurrent test processes apart: fixture addresses
+    // repeat across processes when the allocator is deterministic (ASan).
     dir_ = (std::filesystem::temp_directory_path() /
-            ("skelcl-cache-test-" +
+            ("skelcl-cache-test-" + std::to_string(::getpid()) + "-" +
              std::to_string(reinterpret_cast<std::uintptr_t>(this))))
                .string();
     std::filesystem::create_directories(dir_);
@@ -109,6 +115,52 @@ TEST_F(CacheTest, CorruptedEntryFallsBackToRebuild) {
   // And the entry was repaired:
   cache.getOrBuild(context_, source_);
   EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST_F(CacheTest, SealedUnverifiableEntryFallsBackToRebuild) {
+  // A payload that is a well-formed serialization of an unverifiable
+  // program (its kernel pops an empty stack), sealed with a valid digest:
+  // the integrity envelope passes, so the verifier must catch it.
+  clc::Program bad;
+  bad.code = {clc::Instr{clc::Op::Pop, clc::TypeTag::I32, 0},
+              clc::Instr{clc::Op::Ret, clc::TypeTag::I32, 0}};
+  clc::FunctionInfo f;
+  f.name = "k";
+  f.codeEnd = 2;
+  f.frameSize = 8;
+  f.isKernel = true;
+  bad.functions.push_back(f);
+  clc::KernelInfo k;
+  k.name = "k";
+  bad.kernels.push_back(k);
+  const std::vector<std::uint8_t> payload = clc::serializeProgram(bad);
+
+  // The on-disk envelope: magic, u64 LE payload length, FNV-1a64 hex.
+  std::vector<std::uint8_t> entry = {'S', 'K', 'C', '1'};
+  for (std::size_t i = 0; i < 8; ++i) {
+    entry.push_back(std::uint8_t(std::uint64_t(payload.size()) >> (8 * i)));
+  }
+  const std::uint64_t h = common::fnv1a64(payload.data(), payload.size());
+  std::uint8_t digest[8];
+  for (std::size_t i = 0; i < 8; ++i) {
+    digest[i] = std::uint8_t(h >> (8 * (7 - i)));
+  }
+  const std::string hex = common::toHex(digest, 8);
+  entry.insert(entry.end(), hex.begin(), hex.end());
+  entry.insert(entry.end(), payload.begin(), payload.end());
+
+  KernelCache cache(dir_);
+  cache.getOrBuild(context_, source_);
+  for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+    if (e.path().extension() == ".clcbin") {
+      common::writeFile(e.path().string(), entry);
+    }
+  }
+  ocl::Program p = cache.getOrBuild(context_, source_);
+  EXPECT_TRUE(p.isBuilt());
+  EXPECT_EQ(cache.stats().misses, 2u) << "unverifiable entry must rebuild";
+  cache.getOrBuild(context_, source_);
+  EXPECT_EQ(cache.stats().hits, 1u) << "the entry was repaired on disk";
 }
 
 TEST_F(CacheTest, TruncatedEntryIsDetectedAndRebuilt) {
@@ -242,22 +294,26 @@ TEST_F(CacheTest, LoadIsAtLeastFiveTimesFasterThanBuild) {
   KernelCache cache(dir_);
   cache.getOrBuild(context_, bigSource); // prime the cache
 
-  cache.resetStats();
-  common::Stopwatch buildTimer;
-  for (int i = 0; i < 20; ++i) {
-    KernelCache fresh(dir_);
-    fresh.setEnabled(false);
-    fresh.getOrBuild(context_, bigSource);
+  // Min-of-N per side, interleaved: the fastest run of each is the one
+  // least disturbed by other processes, so the ratio is stable under load.
+  double buildTime = 1e9;
+  double loadTime = 1e9;
+  for (int trial = 0; trial < 9; ++trial) {
+    {
+      KernelCache fresh(dir_);
+      fresh.setEnabled(false);
+      common::Stopwatch buildTimer;
+      fresh.getOrBuild(context_, bigSource);
+      buildTime = std::min(buildTime, buildTimer.elapsedSeconds());
+    }
+    {
+      KernelCache fresh(dir_);
+      common::Stopwatch loadTimer;
+      fresh.getOrBuild(context_, bigSource);
+      loadTime = std::min(loadTime, loadTimer.elapsedSeconds());
+      EXPECT_EQ(fresh.stats().hits, 1u);
+    }
   }
-  const double buildTime = buildTimer.elapsedSeconds();
-
-  common::Stopwatch loadTimer;
-  for (int i = 0; i < 20; ++i) {
-    KernelCache fresh(dir_);
-    fresh.getOrBuild(context_, bigSource);
-    EXPECT_EQ(fresh.stats().hits, 1u);
-  }
-  const double loadTime = loadTimer.elapsedSeconds();
   EXPECT_LT(loadTime * 5, buildTime)
       << "build=" << buildTime << "s load=" << loadTime << "s";
 }
