@@ -8,9 +8,10 @@
 // chunk boundaries, never results) and 2 nodes must beat 1 by >= 1.3x
 // virtual time (the binary exits non-zero otherwise). Each config also
 // reports joules (idle power over the makespan, busy-idle power over
-// compute time, nJ per DMA byte — live from the load monitor),
-// perf-per-watt, and the $-cost of the run (cloud-style: a fixed rate
-// per node-hour plus metered energy).
+// compute time, nJ per DMA byte — live from the ocl::DeviceState totals,
+// both legs of cross-device copies included), perf-per-watt, and the
+// $-cost of the run (cloud-style: a fixed rate per node-hour plus
+// metered energy).
 //
 // The interconnect comparison runs the same 2-device stencil halo
 // exchange on one node (PCIe peer copies), split across two nodes over
@@ -28,7 +29,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "trace/load_monitor.h"
 
 namespace {
 
@@ -45,11 +45,29 @@ struct EnergyLedger {
   double costUsd = 0.0;
 };
 
+/// One device's ocl::DeviceState totals at an edge of a measured region.
+struct DeviceTotals {
+  std::uint64_t kernelCycles = 0;
+  std::uint64_t kernelBusyNs = 0;
+  std::uint64_t dmaBytes = 0;
+};
+
+std::vector<DeviceTotals> sampleTotals() {
+  std::vector<DeviceTotals> out;
+  for (const ocl::Device& device :
+       skelcl::detail::Runtime::instance().devices()) {
+    const ocl::DeviceState& state = device.state();
+    out.push_back(
+        {state.kernelCycles(), state.kernelBusyNs(), state.dmaBytes()});
+  }
+  return out;
+}
+
 /// Live energy over one measured region: per device, idle watts over the
 /// whole makespan plus (busy - idle) watts over its compute-busy time
-/// plus nJ per DMA byte, from load-monitor deltas (1 W = 1 nJ/ns).
-EnergyLedger ledger(const std::vector<trace::DeviceLoad>& before,
-                    const std::vector<trace::DeviceLoad>& after,
+/// plus nJ per DMA byte, from DeviceState total deltas (1 W = 1 nJ/ns).
+EnergyLedger ledger(const std::vector<DeviceTotals>& before,
+                    const std::vector<DeviceTotals>& after,
                     std::uint64_t makespanNs, std::uint32_t nodes) {
   auto& runtime = skelcl::detail::Runtime::instance();
   double nj = 0.0;
@@ -58,8 +76,8 @@ EnergyLedger ledger(const std::vector<trace::DeviceLoad>& before,
   for (std::size_t d = 0; d < devices.size(); ++d) {
     const ocl::DeviceSpec& spec = devices[d].spec();
     const std::uint64_t busyNs =
-        after[d].computeBusyNs - before[d].computeBusyNs;
-    const std::uint64_t bytes = after[d].bytesMoved - before[d].bytesMoved;
+        after[d].kernelBusyNs - before[d].kernelBusyNs;
+    const std::uint64_t bytes = after[d].dmaBytes - before[d].dmaBytes;
     nj += spec.idlePowerW * double(makespanNs) +
           (spec.busyPowerW - spec.idlePowerW) * double(busyNs) +
           spec.transferNjPerByte * double(bytes);
@@ -123,15 +141,14 @@ ScaleResult runScale(std::uint32_t nodes, const ScaleWorkload& w,
     runRound(heavy, w, /*round=*/w.rounds);
     bench::syncAllDevices();
 
-    const auto loads0 = trace::LoadMonitor::instance().snapshot();
+    const std::vector<DeviceTotals> totals0 = sampleTotals();
     const std::uint64_t t0 = ocl::hostTimeNs();
     for (std::size_t r = 0; r < w.rounds; ++r) {
       out.outputs.push_back(runRound(heavy, w, r));
     }
     bench::syncAllDevices();
     out.virtualNs = ocl::hostTimeNs() - t0;
-    out.energy = ledger(loads0, trace::LoadMonitor::instance().snapshot(),
-                        out.virtualNs, nodes);
+    out.energy = ledger(totals0, sampleTotals(), out.virtualNs, nodes);
   }
   skelcl::terminate();
   return out;

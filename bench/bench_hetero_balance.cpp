@@ -8,11 +8,11 @@
 // weights every device gets n/4 elements and each round waits for the
 // half-speed straggler; `static` splits by DeviceSpec peak throughput
 // (2:2:2:1) up front; `measured` starts from the even fallback and
-// converges to the same split from the load monitor's observed
-// cycles-per-busy-ns.
+// converges to the same split from each device's observed
+// cycles-per-busy-ns (its ocl::DeviceState totals).
 //
 // Every mode gets one untimed calibration round first: it builds the
-// kernel, and under `measured` it gives the monitor one sample per
+// kernel, and under `measured` it gives the totals one sample per
 // device (the convergence the hetero test suite pins). The timed
 // rounds then compare steady-state behaviour. Outputs must be bit-
 // identical across modes — weights move chunk boundaries, never
@@ -90,7 +90,7 @@ ModeResult runMode(WeightMode mode, const Workload& w,
         "}\n");
 
     // Calibration round, untimed: kernel build plus (under measured)
-    // one load-monitor sample per device.
+    // one measured sample per device.
     runRound(heavy, w, /*round=*/w.rounds, nullptr);
     bench::syncAllDevices();
 

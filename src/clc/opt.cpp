@@ -120,60 +120,19 @@ std::vector<bool> computeLeaders(const Program& p,
   return lead;
 }
 
-/// Net operand-stack effect of one instruction when statically known.
-/// Returns false for control transfers, barriers, and anything else a
-/// straight-line region scan must not step over.
-bool stackEffect(const Program& p, const Instr& in, int& pops, int& pushes) {
-  switch (in.op) {
-    case Op::Nop: pops = 0; pushes = 0; return true;
-    case Op::PushConst:
-    case Op::PushFrameAddr:
-    case Op::PushLocalAddr:
-    case Op::LoadFrame:
-    case Op::FrameBin2: pops = 0; pushes = 1; return true;
-    case Op::Dup: pops = 1; pushes = 2; return true;
-    case Op::Pop: pops = 1; pushes = 0; return true;
-    case Op::Swap: pops = 2; pushes = 2; return true;
-    case Op::Rot3: pops = 3; pushes = 3; return true;
-    case Op::Load: pops = 1; pushes = 1; return true;
-    case Op::Store:
-    case Op::MemCopy: pops = 2; pushes = 0; return true;
-    case Op::StoreKeep: pops = 2; pushes = 1; return true;
-    case Op::StoreFrame: pops = 1; pushes = 0; return true;
-    case Op::Neg:
-    case Op::BitNot:
-    case Op::LogNot:
-    case Op::Conv:
-    case Op::BinConst:
-    case Op::FrameBin: pops = 1; pushes = 1; return true;
-    case Op::LoadBin: pops = 2; pushes = 1; return true;
-    case Op::MulAdd: pops = 3; pushes = 1; return true;
-    case Op::Call: {
-      if (std::size_t(in.a) >= p.functions.size()) {
-        return false;
-      }
-      const FunctionInfo& f = p.functions[std::size_t(in.a)];
-      pops = int(f.params.size()) + (f.returnsStruct ? 1 : 0);
-      pushes = f.returnsValue ? 1 : 0;
-      return true;
-    }
-    case Op::CallBuiltin: {
-      const Builtin b = Builtin(in.a);
-      if (b == Builtin::Barrier) {
-        return false;
-      }
-      pops = builtinArity(b);
-      pushes = 1;
-      return true;
-    }
-    default:
-      if (isBinaryArithOp(in.op) || isCompareOp(in.op)) {
-        pops = 2;
-        pushes = 1;
-        return true;
-      }
-      return false;
+/// Steps a straight-line region scan over `in`, tracking the stack `depth`
+/// above the slot the scan follows. False where the scan must stop: a
+/// control transfer or barrier, or an instruction that would pop that slot.
+bool scanStep(const Program& p, const Instr& in, int& depth) {
+  if (endsStraightLine(in)) {
+    return false;
   }
+  const StackEffect e = stackEffect(p, in);
+  if (int(e.pops) > depth) {
+    return false;
+  }
+  depth += int(e.pushes) - int(e.pops);
+  return true;
 }
 
 std::int32_t internConst(Program& p, std::uint64_t v) {
@@ -720,12 +679,9 @@ bool fuseFunction(Program& p, const FunctionInfo& f,
         changed = true;
         return true;
       }
-      int pops = 0;
-      int pushes = 0;
-      if (!stackEffect(p, rj, pops, pushes) || pops > depth) {
+      if (!scanStep(p, rj, depth)) {
         return false;
       }
-      depth += pushes - pops;
     }
     return false;
   };
@@ -765,12 +721,9 @@ bool fuseFunction(Program& p, const FunctionInfo& f,
         changed = true;
         return true;
       }
-      int pops = 0;
-      int pushes = 0;
-      if (!stackEffect(p, rj, pops, pushes) || pops > depth) {
+      if (!scanStep(p, rj, depth)) {
         return false;
       }
-      depth += pushes - pops;
     }
     return false;
   };
@@ -1092,13 +1045,10 @@ bool forwardFunction(Program& p, const FunctionInfo& f,
         ok = false;
         break;
       }
-      int pops = 0;
-      int pushes = 0;
-      if (!stackEffect(p, p.code[j], pops, pushes) || pops > depth) {
+      if (!scanStep(p, p.code[j], depth)) {
         ok = false;
         break;
       }
-      depth += pushes - pops;
     }
     if (!ok || depth != 0) {
       continue;

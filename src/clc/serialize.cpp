@@ -7,6 +7,7 @@ namespace clc {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x434c4342; // "CLCB"
+constexpr std::size_t kInstrBytes = 1 + 1 + 4;  // op, tag, operand
 } // namespace
 
 std::vector<std::uint8_t> serializeProgram(const Program& program) {
@@ -68,9 +69,9 @@ Program deserializeProgram(const std::vector<std::uint8_t>& bytes) {
   Program program;
   program.sourceHash = r.readString();
 
-  const auto codeLen = r.read<std::uint64_t>();
-  program.code.reserve(static_cast<std::size_t>(codeLen));
-  for (std::uint64_t i = 0; i < codeLen; ++i) {
+  const std::size_t codeLen = r.readCount(kInstrBytes);
+  program.code.reserve(codeLen);
+  for (std::size_t i = 0; i < codeLen; ++i) {
     Instr instr;
     instr.op = static_cast<Op>(r.read<std::uint8_t>());
     instr.tag = static_cast<TypeTag>(r.read<std::uint8_t>());

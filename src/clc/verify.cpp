@@ -29,11 +29,6 @@ struct GraphBounds {
   bool hasBarrier = false;
 };
 
-struct StackEffect {
-  std::uint32_t pops = 0;
-  std::uint32_t pushes = 0;
-};
-
 class Verifier {
 public:
   explicit Verifier(Program& program) : program_(program) {}
@@ -126,9 +121,9 @@ private:
            std::uint64_t(offset) + typeTagSize(tag) <= f.frameSize;
   }
 
-  /// Checks one instruction's operands and returns its stack effect. Calls
-  /// are handled by the walk (their effect depends on the callee).
-  StackEffect effect(const FunctionInfo& f, std::uint32_t pc) const {
+  /// Checks one instruction's operands: everything stackEffect() and the
+  /// VM read from them must be in range.
+  void checkOperands(const FunctionInfo& f, std::uint32_t pc) const {
     const Instr& in = program_.code[pc];
     if (in.op > kMaxOp) {
       fail(f, pc, "unknown opcode");
@@ -142,119 +137,68 @@ private:
       }
     };
     switch (in.op) {
-      case Op::Nop:
-      case Op::Jmp:
-      case Op::Barrier:
-      case Op::Ret:
-      case Op::Trap:
-        return {0, 0};
       case Op::PushConst:
         require(in.a >= 0 && std::size_t(in.a) < program_.constants.size(),
                 "constant index out of bounds");
-        return {0, 1};
-      case Op::PushFrameAddr:
-      case Op::PushLocalAddr:
-        return {0, 1};
-      case Op::Dup:
-        return {1, 2};
-      case Op::Pop:
-        return {1, 0};
-      case Op::Swap:
-        return {2, 2};
-      case Op::Rot3:
-        return {3, 3};
-      case Op::Load:
-        return {1, 1};
-      case Op::Store:
-        return {2, 0};
-      case Op::StoreKeep:
-        return {2, 1};
+        break;
       case Op::MemCopy:
         require(in.a >= 0, "negative byte count");
-        return {2, 0};
-      case Op::Add:
-      case Op::Sub:
-      case Op::Mul:
-      case Op::Div:
-      case Op::Rem:
-      case Op::Shl:
-      case Op::Shr:
-      case Op::BitAnd:
-      case Op::BitOr:
-      case Op::BitXor:
-      case Op::CmpEq:
-      case Op::CmpNe:
-      case Op::CmpLt:
-      case Op::CmpLe:
-      case Op::CmpGt:
-      case Op::CmpGe:
-        return {2, 1};
-      case Op::Neg:
-      case Op::BitNot:
-      case Op::LogNot:
-        return {1, 1};
+        break;
       case Op::Conv:
         require(in.a >= 0 && (in.a >> 16) == 0 &&
                     validTag(TypeTag((in.a >> 8) & 0xff)) &&
                     validTag(TypeTag(in.a & 0xff)),
                 "bad type pair");
-        return {1, 1};
-      case Op::Jz:
-      case Op::Jnz:
-        return {1, 0};
+        break;
       case Op::Call:
         require(in.a >= 0 && std::size_t(in.a) < program_.functions.size(),
                 "call target out of bounds");
-        return {0, 0};
-      case Op::CallBuiltin: {
+        break;
+      case Op::CallBuiltin:
         require(in.a >= 0 && in.a <= std::int32_t(Builtin::AtomicAddFloat) &&
                     Builtin(in.a) != Builtin::Barrier,
                 "unknown builtin");
-        return {builtinArity(Builtin(in.a)), 1};
-      }
+        break;
       case Op::RetVal:
         require(f.returnsValue, "function returns no value");
-        return {1, 1};
+        break;
       case Op::RetStruct:
         require(f.returnsStruct, "function returns no struct");
         require(in.a >= 0, "negative byte count");
-        return {1, 0};
+        break;
       case Op::LoadFrame:
-        require(inFrame(f, in.a, in.tag), "frame offset out of bounds");
-        return {0, 1};
       case Op::StoreFrame:
         require(inFrame(f, in.a, in.tag), "frame offset out of bounds");
-        return {1, 0};
+        break;
       case Op::BinConst:
         require(in.a >= 0 && validEmbedded(embeddedOp(in.a)) &&
                     std::size_t(embeddedOperand(in.a)) <
                         program_.constants.size(),
                 "bad embedded op or constant");
-        return {1, 1};
+        break;
       case Op::FrameBin:
         require(in.a >= 0 && validEmbedded(embeddedOp(in.a)) &&
                     inFrame(f, embeddedOperand(in.a), in.tag),
                 "bad embedded op or frame offset");
-        return {1, 1};
+        break;
       case Op::LoadBin:
         require(in.a >= 0 && in.a <= 0xff && validEmbedded(Op(in.a)),
                 "bad embedded op");
-        return {2, 1};
+        break;
       case Op::CmpJz:
       case Op::CmpJnz:
         require(in.a >= 0 && isCompareOp(cmpFromJump(in.a)),
                 "bad embedded compare");
-        return {2, 0};
-      case Op::MulAdd:
-        return {3, 1};
+        break;
       case Op::FrameBin2:
         require(in.a >= 0 && validEmbedded(frame2Op(in.a)) &&
                     inFrame(f, frame2X(in.a), in.tag) &&
                     inFrame(f, frame2Y(in.a), in.tag),
                 "bad embedded op or frame offset");
-        return {0, 1};
+        break;
+      default:
+        break;
     }
-    fail(f, pc, "unknown opcode");
   }
 
   /// Abstract interpretation of the stack depth over `f`'s reachable code.
@@ -285,13 +229,8 @@ private:
       work.pop_back();
       const Instr& in = program_.code[pc];
       const std::int64_t depth = depthAt[pc - start];
-      StackEffect e = effect(f, pc);
-      if (in.op == Op::Call) {
-        const FunctionInfo& callee = program_.functions[std::size_t(in.a)];
-        e.pops = std::uint32_t(callee.params.size()) +
-                 (callee.returnsStruct ? 1 : 0);
-        e.pushes = callee.returnsValue ? 1 : 0;
-      }
+      checkOperands(f, pc);
+      const StackEffect e = stackEffect(program_, in);
       if (depth < e.pops) {
         fail(f, pc, std::string("operand stack underflow in ") +
                         opName(in.op));
@@ -400,5 +339,100 @@ private:
 } // namespace
 
 void verify(Program& program) { Verifier(program).run(); }
+
+StackEffect stackEffect(const Program& program, const Instr& in) {
+  switch (in.op) {
+    case Op::Nop:
+    case Op::Jmp:
+    case Op::Barrier:
+    case Op::Ret:
+    case Op::Trap:
+      return {0, 0};
+    case Op::PushConst:
+    case Op::PushFrameAddr:
+    case Op::PushLocalAddr:
+    case Op::LoadFrame:
+    case Op::FrameBin2:
+      return {0, 1};
+    case Op::Dup:
+      return {1, 2};
+    case Op::Pop:
+    case Op::Jz:
+    case Op::Jnz:
+    case Op::StoreFrame:
+    case Op::RetStruct:
+      return {1, 0};
+    case Op::Swap:
+      return {2, 2};
+    case Op::Rot3:
+      return {3, 3};
+    case Op::Load:
+    case Op::Neg:
+    case Op::BitNot:
+    case Op::LogNot:
+    case Op::Conv:
+    case Op::BinConst:
+    case Op::FrameBin:
+    case Op::RetVal:
+      return {1, 1};
+    case Op::Store:
+    case Op::MemCopy:
+    case Op::CmpJz:
+    case Op::CmpJnz:
+      return {2, 0};
+    case Op::StoreKeep:
+    case Op::LoadBin:
+    case Op::Add:
+    case Op::Sub:
+    case Op::Mul:
+    case Op::Div:
+    case Op::Rem:
+    case Op::Shl:
+    case Op::Shr:
+    case Op::BitAnd:
+    case Op::BitOr:
+    case Op::BitXor:
+    case Op::CmpEq:
+    case Op::CmpNe:
+    case Op::CmpLt:
+    case Op::CmpLe:
+    case Op::CmpGt:
+    case Op::CmpGe:
+      return {2, 1};
+    case Op::MulAdd:
+      return {3, 1};
+    case Op::Call: {
+      COMMON_EXPECTS(in.a >= 0 && std::size_t(in.a) < program.functions.size(),
+                     "stackEffect of a call with an out-of-range target");
+      const FunctionInfo& callee = program.functions[std::size_t(in.a)];
+      return {std::uint32_t(callee.params.size()) +
+                  (callee.returnsStruct ? 1u : 0u),
+              callee.returnsValue ? 1u : 0u};
+    }
+    case Op::CallBuiltin:
+      return {builtinArity(Builtin(in.a)), 1};
+  }
+  return {0, 0}; // an unknown opcode, which the verifier rejects
+}
+
+bool endsStraightLine(const Instr& in) {
+  switch (in.op) {
+    case Op::Jmp:
+    case Op::Jz:
+    case Op::Jnz:
+    case Op::CmpJz:
+    case Op::CmpJnz:
+    case Op::Ret:
+    case Op::RetVal:
+    case Op::RetStruct:
+    case Op::Trap:
+    case Op::Barrier:
+      return true;
+    case Op::CallBuiltin:
+      return Builtin(in.a) == Builtin::Barrier;
+    default:
+      return in.op > kMaxOp;
+  }
+}
 
 } // namespace clc

@@ -46,4 +46,19 @@ inline constexpr std::uint32_t kMaxCallDepth = 64;
 /// KernelInfo::bounds. Throws VerifyError on the first violation.
 void verify(Program& program);
 
+/// How many operand-stack slots one instruction pops and then pushes.
+struct StackEffect {
+  std::uint32_t pops = 0;
+  std::uint32_t pushes = 0;
+};
+
+/// The stack effect of `in`, for every opcode: a call's comes from its
+/// callee's signature, a builtin's from its arity. A call target must
+/// index program.functions (the verifier checks operands first).
+StackEffect stackEffect(const Program& program, const Instr& in);
+
+/// True for the instructions a straight-line scan must stop at: jumps,
+/// returns, traps and work-group barriers.
+bool endsStraightLine(const Instr& in);
+
 } // namespace clc

@@ -89,25 +89,28 @@ public:
     return value;
   }
 
-  std::string readString() {
+  /// Reads a u64 count of records that take at least `minBytes` each in
+  /// the stream, rejecting counts the remaining bytes cannot hold — so a
+  /// caller may reserve() by the count without trusting the input.
+  std::size_t readCount(std::size_t minBytes) {
     const auto n = read<std::uint64_t>();
-    if (n > remaining()) {
-      throw DeserializeError("string length exceeds stream size");
+    if (n > remaining() / minBytes) {
+      throw DeserializeError("element count exceeds stream size");
     }
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<std::size_t>(n));
-    pos_ += static_cast<std::size_t>(n);
+    return static_cast<std::size_t>(n);
+  }
+
+  std::string readString() {
+    const std::size_t n = readCount(1);
+    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
+    pos_ += n;
     return s;
   }
 
   template <typename T>
   std::vector<T> readVector() {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto n = read<std::uint64_t>();
-    if (n * sizeof(T) > remaining()) {
-      throw DeserializeError("vector length exceeds stream size");
-    }
-    std::vector<T> v(static_cast<std::size_t>(n));
+    std::vector<T> v(readCount(sizeof(T)));
     readBytes(v.data(), v.size() * sizeof(T));
     return v;
   }

@@ -8,7 +8,6 @@
 #include <mutex>
 
 #include "ocl/fault.h"
-#include "trace/load_monitor.h"
 #include "trace/recorder.h"
 
 namespace ocl {
@@ -475,7 +474,6 @@ void buildSystem(System& sys, const SystemConfig& config) {
     sys.devices.push_back(std::make_shared<DeviceState>(
         config.devices[i], std::uint32_t(i), node, sys.nodes[node]));
   }
-  trace::LoadMonitor::instance().reset(config.devices.size());
 }
 
 System& system() {

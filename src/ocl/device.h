@@ -127,8 +127,9 @@ private:
   std::uint64_t ingressReadyNs_ = 0;
 };
 
-/// Live per-device simulation state: allocation tracking + one virtual
-/// timeline per engine. Shared by all handles to the same device.
+/// Live per-device simulation state: allocation tracking, one virtual
+/// timeline per engine and the totals of the work retired on it. Shared
+/// by all handles to the same device.
 class DeviceState {
 public:
   explicit DeviceState(DeviceSpec spec, std::uint32_t index,
@@ -164,6 +165,22 @@ public:
     return ready;
   }
 
+  /// Work retired since configureSystem built this device: VM cycles and
+  /// summed durations (virtual ns) of its kernels, its launch count, and
+  /// the payload bytes its DMA engines moved (uploads, downloads and both
+  /// legs of cross-device copies). `measured` block weights, the job
+  /// service's tenant accounting and the energy ledgers read them live.
+  std::uint64_t kernelCycles() const noexcept { return kernelCycles_; }
+  std::uint64_t kernelBusyNs() const noexcept { return kernelBusyNs_; }
+  std::uint64_t launches() const noexcept { return launches_; }
+  std::uint64_t dmaBytes() const noexcept { return dmaBytes_; }
+  void chargeKernel(std::uint64_t cycles, std::uint64_t busyNs) noexcept {
+    kernelCycles_ += cycles;
+    kernelBusyNs_ += busyNs;
+    ++launches_;
+  }
+  void chargeDma(std::uint64_t bytes) noexcept { dmaBytes_ += bytes; }
+
   std::uint64_t allocatedBytes() const noexcept { return allocated_; }
   void allocate(std::uint64_t bytes);
   void release(std::uint64_t bytes) noexcept;
@@ -182,6 +199,10 @@ private:
   std::shared_ptr<NodeState> link_;
   std::uint64_t engineReadyNs_[kEngineCount] = {0, 0, 0};
   std::uint64_t allocated_ = 0;
+  std::uint64_t kernelCycles_ = 0;
+  std::uint64_t kernelBusyNs_ = 0;
+  std::uint64_t launches_ = 0;
+  std::uint64_t dmaBytes_ = 0;
   bool lost_ = false;
 };
 

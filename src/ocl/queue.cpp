@@ -5,7 +5,6 @@
 
 #include "common/thread_pool.h"
 #include "ocl/fault.h"
-#include "trace/load_monitor.h"
 #include "trace/recorder.h"
 
 namespace ocl {
@@ -141,13 +140,9 @@ Event CommandQueue::retire(Engine engine, std::uint64_t startNs,
   lastSubmittedEndNs_ = std::max(lastSubmittedEndNs_, state->endNs);
   advanceHostTimeNs(model_.enqueueOverheadNs());
   if (kind == trace::CommandKind::Kernel) {
-    trace::LoadMonitor::instance().addKernel(device_.state().index(), cycles,
-                                             durationNs);
-  } else if (kind == trace::CommandKind::Write ||
-             kind == trace::CommandKind::Read ||
-             kind == trace::CommandKind::CopyPeer) {
-    trace::LoadMonitor::instance().addTransfer(device_.state().index(),
-                                               bytes);
+    device_.state().chargeKernel(cycles, durationNs);
+  } else if (engine != Engine::Compute) {
+    device_.state().chargeDma(bytes);
   }
   if (trace::Recorder::enabled()) {
     const std::vector<std::uint64_t> ids =
@@ -350,6 +345,8 @@ Event CommandQueue::enqueueCopyBuffer(const Buffer& src,
   }
   lastSubmittedEndNs_ = std::max(lastSubmittedEndNs_, state->endNs);
   advanceHostTimeNs(model_.enqueueOverheadNs());
+  srcState.chargeDma(bytes);
+  dstState.chargeDma(bytes);
   if (trace::Recorder::enabled()) {
     // A cross-device copy occupies two engines on two devices: file one
     // span per leg so both timelines show the occupancy. The event's id

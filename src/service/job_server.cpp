@@ -6,7 +6,6 @@
 
 #include "ocl/ocl.h"
 #include "skelcl/detail/scheduler.h"
-#include "trace/load_monitor.h"
 #include "trace/recorder.h"
 
 namespace skelcl::service {
@@ -110,7 +109,6 @@ Session& JobServer::openSession(const std::string& tenant, double weight,
   COMMON_EXPECTS(weight > 0.0, "session weight must be > 0");
   std::lock_guard lock(lock_);
   auto row = std::make_unique<Tenant>();
-  row->monitorId = trace::LoadMonitor::instance().registerTenant(tenant);
   row->session.reset(
       new Session(this, tenants_.size(), tenant, weight, priority));
   tenants_.push_back(std::move(row));
@@ -246,30 +244,33 @@ void JobServer::finishJob(PendingJob& job, std::exception_ptr error) {
 }
 
 void JobServer::executeBatch(std::vector<PendingJob>& batch) {
-  auto& monitor = trace::LoadMonitor::instance();
-
-  // Runs `fn` with retirements charged to the job's tenant, folding the
-  // tenant-total delta into the job's own stats (batch phases of one
-  // tenant's jobs interleave, so per-job numbers must be deltas).
+  // Runs `fn` and charges the job what the platform's devices retired
+  // meanwhile: every command of the phase is the job's own, and batch
+  // phases of different jobs interleave, so per-job numbers are deltas.
+  const std::vector<ocl::Device> devices =
+      ocl::getPlatforms().front().devices();
+  auto totals = [&] {
+    std::pair<std::uint64_t, std::uint64_t> cyclesAndBytes{0, 0};
+    for (const ocl::Device& device : devices) {
+      cyclesAndBytes.first += device.state().kernelCycles();
+      cyclesAndBytes.second += device.state().dmaBytes();
+    }
+    return cyclesAndBytes;
+  };
   auto charged = [&](PendingJob& job, auto&& fn) {
-    const std::size_t id = job.owner->monitorId;
-    const trace::TenantLoad before = monitor.tenantLoad(id);
-    monitor.beginTenantScope(id);
+    const auto before = totals();
+    const auto settle = [&] {
+      const auto after = totals();
+      job.state->stats.deviceCycles += after.first - before.first;
+      job.state->stats.bytesMoved += after.second - before.second;
+    };
     try {
       fn();
     } catch (...) {
-      monitor.endTenantScope();
-      const trace::TenantLoad after = monitor.tenantLoad(id);
-      job.state->stats.deviceCycles +=
-          after.deviceCycles - before.deviceCycles;
-      job.state->stats.bytesMoved += after.bytesMoved - before.bytesMoved;
+      settle();
       throw;
     }
-    monitor.endTenantScope();
-    const trace::TenantLoad after = monitor.tenantLoad(id);
-    job.state->stats.deviceCycles +=
-        after.deviceCycles - before.deviceCycles;
-    job.state->stats.bytesMoved += after.bytesMoved - before.bytesMoved;
+    settle();
   };
   auto fail = [](PendingJob& job) {
     job.failed = true;
@@ -346,7 +347,6 @@ void JobServer::executeBatch(std::vector<PendingJob>& batch) {
     if (stats.dispatchNs == 0) {
       stats.dispatchNs = stats.completeNs; // batch failed before phase 1
     }
-    monitor.noteTenantJob(job.owner->monitorId, stats.queueWaitNs());
     if (trace::Recorder::enabled()) {
       auto& recorder = trace::Recorder::instance();
       const std::string& name = job.owner->session->tenant();
@@ -375,12 +375,17 @@ void JobServer::executeBatch(std::vector<PendingJob>& batch) {
       serverStats_.coalescedJobs += batch.size();
     }
     for (PendingJob& job : batch) {
-      ++job.owner->completed;
+      const JobStats& stats = job.state->stats;
+      Tenant& tenant = *job.owner;
+      ++tenant.completed;
       if (job.failed) {
-        ++job.owner->failed;
+        ++tenant.failed;
       }
-      job.owner->vruntime += double(job.state->stats.deviceCycles) /
-                             job.owner->session->weight();
+      tenant.deviceCycles += stats.deviceCycles;
+      tenant.bytesMoved += stats.bytesMoved;
+      tenant.queueWaitNs += stats.queueWaitNs();
+      tenant.vruntime +=
+          double(stats.deviceCycles) / tenant.session->weight();
     }
   }
 
@@ -462,7 +467,6 @@ void JobServer::stop() {
 }
 
 std::vector<JobServer::TenantStats> JobServer::tenantStats() const {
-  auto& monitor = trace::LoadMonitor::instance();
   std::lock_guard lock(lock_);
   std::vector<TenantStats> out;
   out.reserve(tenants_.size());
@@ -476,10 +480,9 @@ std::vector<JobServer::TenantStats> JobServer::tenantStats() const {
     row.failed = tenant->failed;
     row.rejected = tenant->rejected;
     row.vruntime = tenant->vruntime;
-    const trace::TenantLoad load = monitor.tenantLoad(tenant->monitorId);
-    row.deviceCycles = load.deviceCycles;
-    row.bytesMoved = load.bytesMoved;
-    row.queueWaitNs = load.queueWaitNs;
+    row.deviceCycles = tenant->deviceCycles;
+    row.bytesMoved = tenant->bytesMoved;
+    row.queueWaitNs = tenant->queueWaitNs;
     out.push_back(std::move(row));
   }
   return out;

@@ -19,10 +19,11 @@
 // deterministic mode tests and benches use). Client threads only
 // enqueue job descriptors; every skeleton call of every tenant runs on
 // the dispatcher, which satisfies the task-graph scheduler's ownership
-// contract (scheduler.h). Each job executes under a LoadMonitor tenant
-// scope, so device-cycles and bytes moved are attributed exactly; the
-// per-tenant totals feed fair-share scheduling, tenantStats(), and the
-// skeltrace tenant report (HostKind::TenantJob spans plus
+// contract (scheduler.h). A job is charged the kernel cycles and DMA
+// bytes the devices retire while its phases run (deltas of the
+// ocl::DeviceState totals), so attribution is exact; the tenant rows sum
+// their jobs' charges and feed fair-share scheduling, tenantStats(), and
+// the skeltrace tenant report (HostKind::TenantJob spans plus
 // "tenant.<name>.cycles/.bytes" counters).
 //
 // Failure isolation: a job that throws — including injected
@@ -255,12 +256,15 @@ private:
   struct Tenant {
     std::unique_ptr<Session> session;
     std::deque<PendingJob> queue;
-    std::size_t monitorId = 0;
     double vruntime = 0;
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
     std::uint64_t rejected = 0;
+    // Sums of the tenant's finished jobs' JobStats.
+    std::uint64_t deviceCycles = 0;
+    std::uint64_t bytesMoved = 0;
+    std::uint64_t queueWaitNs = 0;
   };
 
   JobHandle submit(std::size_t tenantIndex, Job job);

@@ -7,7 +7,6 @@
 #include "skelcl/detail/partition.h"
 #include "skelcl/detail/scheduler.h"
 #include "skelcl/distribution.h"
-#include "trace/load_monitor.h"
 #include "trace/recorder.h"
 #include "trace/serialize.h"
 
@@ -264,21 +263,18 @@ std::vector<double> Runtime::blockWeights() const {
       // every claimed device has a compute sample the measurements say
       // nothing about the unsampled ones, so stay even — the first
       // skeleton call runs even, the next redistribution adapts.
-      const std::vector<trace::DeviceLoad> loads =
-          trace::LoadMonitor::instance().snapshot();
       std::vector<double> measured(devices_.size(), 0.0);
-      bool complete = true;
       for (std::size_t i = 0; i < devices_.size(); ++i) {
-        const std::uint32_t index = devices_[i].index();
-        if (index >= loads.size() || loads[index].launches == 0) {
-          complete = false;
-          break;
+        const ocl::DeviceState& state = devices_[i].state();
+        if (state.launches() == 0) {
+          return weights;
         }
-        measured[i] = loads[index].cyclesPerBusyNs();
+        measured[i] = state.kernelBusyNs() == 0
+                          ? 0.0
+                          : double(state.kernelCycles()) /
+                                double(state.kernelBusyNs());
       }
-      if (complete) {
-        weights = std::move(measured);
-      }
+      weights = std::move(measured);
       break;
     }
   }

@@ -183,9 +183,9 @@ public:
 
   /// Current per-device block weights under weightMode() — one entry per
   /// claimed device, order matching devices(). Even: all ones. Static:
-  /// DeviceSpec::peakCyclesPerNs. Measured: cycles-per-busy-ns from the
-  /// load monitor, falling back to even until every claimed device
-  /// has retired a kernel.
+  /// DeviceSpec::peakCyclesPerNs. Measured: cycles per busy ns from each
+  /// device's DeviceState totals, falling back to even until every
+  /// claimed device has retired a kernel.
   std::vector<double> blockWeights() const;
 
   /// Node index per claimed device, order matching devices(). All zero

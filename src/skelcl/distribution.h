@@ -25,7 +25,7 @@ const char* distributionName(Distribution d) noexcept;
 enum class WeightMode {
   Even,     // equal weights — the paper's even split (default)
   Static,   // DeviceSpec peak compute throughput (CUs x PEs x clock)
-  Measured, // observed cycles-per-busy-ns from the live load monitor,
+  Measured, // observed cycles-per-busy-ns from the live device totals,
             // applied at the next (re)distribution; falls back to Even
             // until every device has executed at least one kernel
 };

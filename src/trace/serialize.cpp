@@ -9,6 +9,15 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'K', 'T', 'R'};
 
+// Fewest bytes one record of each table takes in the stream (its fixed
+// fields plus the u64 length of every string or vector in it): the bound
+// deserialize() checks a table's count against before reserving.
+constexpr std::size_t kStringBytes = 8;
+constexpr std::size_t kDeviceBytes = 4 + 8 + 4 + 3 * 8;
+constexpr std::size_t kCommandBytes = 8 + 4 + 1 + 1 + 4 + 6 * 8 + 8;
+constexpr std::size_t kHostSpanBytes = 4 + 1 + 4 + 4 + 3 * 8;
+constexpr std::size_t kCounterBytes = 4 + 4 + 8 + 8;
+
 bool hasSuffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -83,13 +92,13 @@ Trace deserialize(const std::vector<std::uint8_t>& bytes) {
   }
 
   Trace trace;
-  const auto nStrings = r.read<std::uint64_t>();
-  trace.strings.reserve(std::size_t(nStrings));
-  for (std::uint64_t i = 0; i < nStrings; ++i) {
+  const std::size_t nStrings = r.readCount(kStringBytes);
+  trace.strings.reserve(nStrings);
+  for (std::size_t i = 0; i < nStrings; ++i) {
     trace.strings.push_back(r.readString());
   }
-  const auto nDevices = r.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < nDevices; ++i) {
+  const std::size_t nDevices = r.readCount(kDeviceBytes);
+  for (std::size_t i = 0; i < nDevices; ++i) {
     DeviceInfo d;
     d.index = r.read<std::uint32_t>();
     d.name = r.readString();
@@ -99,9 +108,9 @@ Trace deserialize(const std::vector<std::uint8_t>& bytes) {
     d.transferNjPerByte = r.read<double>();
     trace.devices.push_back(std::move(d));
   }
-  const auto nCommands = r.read<std::uint64_t>();
-  trace.commands.reserve(std::size_t(nCommands));
-  for (std::uint64_t i = 0; i < nCommands; ++i) {
+  const std::size_t nCommands = r.readCount(kCommandBytes);
+  trace.commands.reserve(nCommands);
+  for (std::size_t i = 0; i < nCommands; ++i) {
     CommandRecord c;
     c.id = r.read<std::uint64_t>();
     c.device = r.read<std::uint32_t>();
@@ -117,9 +126,9 @@ Trace deserialize(const std::vector<std::uint8_t>& bytes) {
     c.deps = r.readVector<std::uint64_t>();
     trace.commands.push_back(std::move(c));
   }
-  const auto nHost = r.read<std::uint64_t>();
-  trace.hostSpans.reserve(std::size_t(nHost));
-  for (std::uint64_t i = 0; i < nHost; ++i) {
+  const std::size_t nHost = r.readCount(kHostSpanBytes);
+  trace.hostSpans.reserve(nHost);
+  for (std::size_t i = 0; i < nHost; ++i) {
     HostSpanRecord h;
     h.name = r.read<std::uint32_t>();
     h.kind = HostKind(r.read<std::uint8_t>());
@@ -130,9 +139,9 @@ Trace deserialize(const std::vector<std::uint8_t>& bytes) {
     h.value = r.read<std::uint64_t>();
     trace.hostSpans.push_back(h);
   }
-  const auto nCounters = r.read<std::uint64_t>();
-  trace.counters.reserve(std::size_t(nCounters));
-  for (std::uint64_t i = 0; i < nCounters; ++i) {
+  const std::size_t nCounters = r.readCount(kCounterBytes);
+  trace.counters.reserve(nCounters);
+  for (std::size_t i = 0; i < nCounters; ++i) {
     CounterRecord c;
     c.name = r.read<std::uint32_t>();
     c.device = r.read<std::uint32_t>();

@@ -140,6 +140,16 @@ TEST(Serialize, RejectsTruncatedInput) {
   }
 }
 
+TEST(Serialize, HugeCodeLengthIsATypedError) {
+  // The count would wrap a byte-size check and overflow reserve().
+  common::ByteWriter w;
+  w.write<std::uint32_t>(0x434c4342); // "CLCB"
+  w.write<std::uint32_t>(clc::Program::kSerialVersion);
+  w.writeString("");
+  w.write<std::uint64_t>(1ULL << 62);
+  EXPECT_THROW(clc::deserializeProgram(w.bytes()), common::DeserializeError);
+}
+
 TEST(Serialize, RejectsOutOfRangeIndices) {
   const auto program = clc::compile("__kernel void k() {}");
   auto bytes = clc::serializeProgram(program);

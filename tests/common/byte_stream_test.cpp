@@ -63,6 +63,24 @@ TEST(ByteStream, MalformedVectorLengthThrows) {
   EXPECT_THROW(r.readVector<std::uint64_t>(), common::DeserializeError);
 }
 
+TEST(ByteStream, VectorLengthWhoseByteSizeWrapsThrows) {
+  common::ByteWriter w;
+  w.write<std::uint64_t>(1ULL << 61); // 2^61 * 8 bytes wraps to 0
+  common::ByteReader r(w.bytes());
+  EXPECT_THROW(r.readVector<std::uint64_t>(), common::DeserializeError);
+}
+
+TEST(ByteStream, ReadCountIsBoundedByTheRemainingRecords) {
+  common::ByteWriter w;
+  w.write<std::uint64_t>(2); // two 8-byte records follow
+  w.write<std::uint64_t>(0);
+  w.write<std::uint64_t>(0);
+  common::ByteReader fits(w.bytes());
+  EXPECT_EQ(fits.readCount(8), 2u);
+  common::ByteReader tooMany(w.bytes());
+  EXPECT_THROW(tooMany.readCount(9), common::DeserializeError);
+}
+
 TEST(ByteStreamFile, WriteReadRoundTrip) {
   const auto path =
       (std::filesystem::temp_directory_path() / "bs_test.bin").string();

@@ -16,7 +16,6 @@
 #include "service/service.h"
 #include "skelcl/detail/scheduler.h"
 #include "trace/analysis.h"
-#include "trace/load_monitor.h"
 #include "trace/recorder.h"
 
 namespace {
@@ -325,17 +324,12 @@ TEST_F(ServiceTest, TenantAccountingChargesCyclesAndBytesExactly) {
   EXPECT_EQ(stats[0].bytesMoved, stats[1].bytesMoved);
 
   // Per-job deltas add up to the tenant totals.
-  std::uint64_t jobCyclesA = 0;
-  jobCyclesA += handles[0].stats().deviceCycles;
-  jobCyclesA += handles[2].stats().deviceCycles;
-  EXPECT_EQ(jobCyclesA, stats[0].deviceCycles);
-
-  const auto snapshot = trace::LoadMonitor::instance().tenantSnapshot();
-  ASSERT_GE(snapshot.size(), 2u);
-  const auto& rowA = snapshot[snapshot.size() - 2];
-  EXPECT_EQ(rowA.name, "acct-a");
-  EXPECT_EQ(rowA.jobs, 2u);
-  EXPECT_EQ(rowA.deviceCycles, stats[0].deviceCycles);
+  EXPECT_EQ(stats[0].tenant, "acct-a");
+  EXPECT_EQ(stats[0].completed, 2u);
+  EXPECT_EQ(handles[0].stats().deviceCycles + handles[2].stats().deviceCycles,
+            stats[0].deviceCycles);
+  EXPECT_EQ(handles[0].stats().bytesMoved + handles[2].stats().bytesMoved,
+            stats[0].bytesMoved);
 }
 
 // --- runtime stats scopes (resettable counters) ---------------------------
@@ -457,6 +451,29 @@ TEST_F(ServiceTest, StressThreadedClientsDrainEveryJob) {
   }
   server.start();
 
+  // A monitoring client polls the live tenant rows while the dispatcher
+  // charges them: every total only ever grows.
+  std::atomic<bool> drained{false};
+  std::atomic<std::size_t> shrinks{0};
+  std::atomic<std::size_t> polls{0};
+  std::thread monitor([&] {
+    std::vector<svc::JobServer::TenantStats> last = server.tenantStats();
+    while (!drained.load()) {
+      const auto now = server.tenantStats();
+      for (std::size_t t = 0; t < tenants; ++t) {
+        if (now[t].deviceCycles < last[t].deviceCycles ||
+            now[t].bytesMoved < last[t].bytesMoved ||
+            now[t].queueWaitNs < last[t].queueWaitNs ||
+            now[t].completed < last[t].completed) {
+          ++shrinks;
+        }
+      }
+      last = now;
+      ++polls;
+      std::this_thread::yield();
+    }
+  });
+
   std::vector<std::vector<svc::JobHandle>> handles(tenants);
   std::vector<std::vector<std::shared_ptr<JobSink>>> sinks(tenants);
   std::vector<std::thread> clients;
@@ -487,16 +504,32 @@ TEST_F(ServiceTest, StressThreadedClientsDrainEveryJob) {
       handle.wait();
     }
   }
+  drained = true;
+  monitor.join();
   server.stop();
+  EXPECT_GT(polls.load(), 0u);
+  EXPECT_EQ(shrinks.load(), 0u);
 
+  const auto rows = server.tenantStats();
+  ASSERT_EQ(rows.size(), tenants);
   for (std::size_t t = 0; t < tenants; ++t) {
+    std::uint64_t cycles = 0, bytes = 0, waitNs = 0;
     for (std::size_t j = 0; j < jobsPer; ++j) {
       EXPECT_FALSE(handles[t][j].failed());
+      const svc::JobStats job = handles[t][j].stats();
+      cycles += job.deviceCycles;
+      bytes += job.bytesMoved;
+      waitNs += job.queueWaitNs();
       const auto expected = directChain(t * 100 + j, kN, t % 2);
       ASSERT_EQ(sinks[t][j]->data.size(), expected.size());
       EXPECT_EQ(0, std::memcmp(sinks[t][j]->data.data(), expected.data(),
                                expected.size() * sizeof(float)));
     }
+    EXPECT_EQ(rows[t].completed, jobsPer) << t;
+    EXPECT_GT(rows[t].deviceCycles, 0u) << t;
+    EXPECT_EQ(rows[t].deviceCycles, cycles) << t;
+    EXPECT_EQ(rows[t].bytesMoved, bytes) << t;
+    EXPECT_EQ(rows[t].queueWaitNs, waitNs) << t;
   }
 }
 

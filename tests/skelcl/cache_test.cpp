@@ -117,6 +117,43 @@ TEST_F(CacheTest, CorruptedEntryFallsBackToRebuild) {
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
+/// Wraps `payload` in the on-disk envelope with a valid digest: magic,
+/// u64 LE payload length, FNV-1a64 hex.
+std::vector<std::uint8_t> sealEntry(const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> entry = {'S', 'K', 'C', '1'};
+  for (std::size_t i = 0; i < 8; ++i) {
+    entry.push_back(std::uint8_t(std::uint64_t(payload.size()) >> (8 * i)));
+  }
+  const std::uint64_t h = common::fnv1a64(payload.data(), payload.size());
+  std::uint8_t digest[8];
+  for (std::size_t i = 0; i < 8; ++i) {
+    digest[i] = std::uint8_t(h >> (8 * (7 - i)));
+  }
+  const std::string hex = common::toHex(digest, 8);
+  entry.insert(entry.end(), hex.begin(), hex.end());
+  entry.insert(entry.end(), payload.begin(), payload.end());
+  return entry;
+}
+
+/// Builds source_ into the cache, overwrites its entry with `entry`, and
+/// checks the next lookup rebuilds and repairs the entry on disk.
+void expectRebuildOver(const std::string& dir, ocl::Context& context,
+                       const std::string& source,
+                       const std::vector<std::uint8_t>& entry) {
+  KernelCache cache(dir);
+  cache.getOrBuild(context, source);
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() == ".clcbin") {
+      common::writeFile(e.path().string(), entry);
+    }
+  }
+  ocl::Program p = cache.getOrBuild(context, source);
+  EXPECT_TRUE(p.isBuilt());
+  EXPECT_EQ(cache.stats().misses, 2u) << "unusable entry must rebuild";
+  cache.getOrBuild(context, source);
+  EXPECT_EQ(cache.stats().hits, 1u) << "the entry was repaired on disk";
+}
+
 TEST_F(CacheTest, SealedUnverifiableEntryFallsBackToRebuild) {
   // A payload that is a well-formed serialization of an unverifiable
   // program (its kernel pops an empty stack), sealed with a valid digest:
@@ -133,34 +170,19 @@ TEST_F(CacheTest, SealedUnverifiableEntryFallsBackToRebuild) {
   clc::KernelInfo k;
   k.name = "k";
   bad.kernels.push_back(k);
-  const std::vector<std::uint8_t> payload = clc::serializeProgram(bad);
+  expectRebuildOver(dir_, context_, source_,
+                    sealEntry(clc::serializeProgram(bad)));
+}
 
-  // The on-disk envelope: magic, u64 LE payload length, FNV-1a64 hex.
-  std::vector<std::uint8_t> entry = {'S', 'K', 'C', '1'};
-  for (std::size_t i = 0; i < 8; ++i) {
-    entry.push_back(std::uint8_t(std::uint64_t(payload.size()) >> (8 * i)));
-  }
-  const std::uint64_t h = common::fnv1a64(payload.data(), payload.size());
-  std::uint8_t digest[8];
-  for (std::size_t i = 0; i < 8; ++i) {
-    digest[i] = std::uint8_t(h >> (8 * (7 - i)));
-  }
-  const std::string hex = common::toHex(digest, 8);
-  entry.insert(entry.end(), hex.begin(), hex.end());
-  entry.insert(entry.end(), payload.begin(), payload.end());
-
-  KernelCache cache(dir_);
-  cache.getOrBuild(context_, source_);
-  for (const auto& e : std::filesystem::directory_iterator(dir_)) {
-    if (e.path().extension() == ".clcbin") {
-      common::writeFile(e.path().string(), entry);
-    }
-  }
-  ocl::Program p = cache.getOrBuild(context_, source_);
-  EXPECT_TRUE(p.isBuilt());
-  EXPECT_EQ(cache.stats().misses, 2u) << "unverifiable entry must rebuild";
-  cache.getOrBuild(context_, source_);
-  EXPECT_EQ(cache.stats().hits, 1u) << "the entry was repaired on disk";
+TEST_F(CacheTest, SealedEntryWithHugeCodeLengthFallsBackToRebuild) {
+  // A valid digest over a payload whose instruction count claims 2^62
+  // entries: a typed load error, never an allocation of that size.
+  common::ByteWriter w;
+  w.write<std::uint32_t>(0x434c4342); // "CLCB"
+  w.write<std::uint32_t>(clc::Program::kSerialVersion);
+  w.writeString("");
+  w.write<std::uint64_t>(1ULL << 62);
+  expectRebuildOver(dir_, context_, source_, sealEntry(w.takeBytes()));
 }
 
 TEST_F(CacheTest, TruncatedEntryIsDetectedAndRebuilt) {

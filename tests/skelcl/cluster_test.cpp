@@ -379,6 +379,12 @@ TEST_F(ClusterTest, FaultOnOneNodeLeavesOtherNodesIntact) {
 
 TEST_F(ClusterTest, TraceCarriesNodeTrafficAndReconcilingEnergy) {
   initPlatform("node(t10)*2@ib");
+  const auto& devices = Runtime::instance().devices();
+  std::vector<std::uint64_t> dma0, cycles0;
+  for (const ocl::Device& d : devices) {
+    dma0.push_back(d.state().dmaBytes());
+    cycles0.push_back(d.state().kernelCycles());
+  }
   trace::Recorder::instance().start();
 
   // A stencil across the two single-device nodes ships halo rows over
@@ -438,6 +444,17 @@ TEST_F(ClusterTest, TraceCarriesNodeTrafficAndReconcilingEnergy) {
     EXPECT_NEAR(dev.energyJ, expectedNj * 1e-9, 0.01 * expectedNj * 1e-9)
         << "device " << dev.device;
     EXPECT_GT(dev.perfPerWatt, 0.0) << "device " << dev.device;
+  }
+
+  // The live DeviceState totals saw exactly the traced work: both legs
+  // of every cross-node copy count as DMA bytes on their device.
+  for (const trace::DeviceReport& dev : report.devices) {
+    ASSERT_LT(dev.device, devices.size());
+    const ocl::DeviceState& state = devices[dev.device].state();
+    EXPECT_EQ(state.dmaBytes() - dma0[dev.device], dev.dmaBytes)
+        << "device " << dev.device;
+    EXPECT_EQ(state.kernelCycles() - cycles0[dev.device], dev.kernelCycles)
+        << "device " << dev.device;
   }
 
   // Node rollups: one row per node, energies summing to the total.

@@ -213,7 +213,7 @@ TEST_F(HeteroTest, StaticWeightsFavorFasterDevice) {
 
 TEST_F(HeteroTest, MeasuredFallsBackToEvenUntilSampled) {
   initPlatform("t10,t10@0.5x", WeightMode::Measured);
-  // No kernel has retired yet: the monitor has no samples, so the
+  // No kernel has retired yet: the devices have no samples, so the
   // partition is the even one, not garbage.
   EXPECT_EQ(Runtime::instance().blockPartition(10),
             (std::vector<std::size_t>{5, 5}));
@@ -232,7 +232,7 @@ TEST_F(HeteroTest, MeasuredModeConvergesOnSkewedPlatform) {
   Vector<float> v(n, 1.0f);
   v.setDistribution(Distribution::Block);
   v.state().ensureOnDevices();
-  // Round 1 runs on the even fallback split and feeds the load monitor.
+  // Round 1 runs on the even fallback split and feeds the device totals.
   EXPECT_EQ(chunkCounts(v), (std::vector<std::size_t>{n / 2, n / 2}));
   Vector<float> out = heavy(v);
   (void)out[0]; // force completion + download
@@ -259,6 +259,39 @@ TEST_F(HeteroTest, MeasuredModeConvergesOnSkewedPlatform) {
   for (std::size_t i = 0; i < n; i += 9973) {
     ASSERT_FLOAT_EQ(res[i], expected) << i;
   }
+}
+
+TEST_F(HeteroTest, MeasuredWeightsLiveAsLongAsTheMachine) {
+  // The samples belong to the simulated devices: terminate()/init() over
+  // the same machine keeps them, configureSystem() builds fresh devices
+  // and so starts over from even.
+  initPlatform("t10,t10@0.5x", WeightMode::Measured);
+  {
+    Map<float> heavy(
+        "float heavy(float x) {\n"
+        "  float acc = x;\n"
+        "  for (int i = 0; i < 64; ++i) { acc = acc * 1.0001f + 0.5f; }\n"
+        "  return acc;\n"
+        "}");
+    Vector<float> v(6000, 1.0f);
+    v.setDistribution(Distribution::Block);
+    (void)heavy(v)[0];
+  }
+  const std::vector<double> measured = Runtime::instance().blockWeights();
+  ASSERT_EQ(measured.size(), 2u);
+  EXPECT_GT(measured[0], 1.5 * measured[1]);
+
+  skelcl::terminate();
+  skelcl::init(skelcl::DeviceSelection::allDevices());
+  Runtime::instance().setWeightMode(WeightMode::Measured);
+  EXPECT_EQ(Runtime::instance().blockWeights(), measured);
+  skelcl::terminate();
+
+  initPlatform("t10,t10@0.5x", WeightMode::Measured);
+  EXPECT_EQ(Runtime::instance().blockWeights(),
+            (std::vector<double>{1.0, 1.0}));
+  EXPECT_EQ(Runtime::instance().blockPartition(10),
+            (std::vector<std::size_t>{5, 5}));
 }
 
 TEST_F(HeteroTest, UniformPlatformAllModesMatchSeedSplit) {
@@ -379,8 +412,8 @@ TEST_F(HeteroTest, ZipAutoRedistributesWhenOnlyDistributionDiffers) {
 
 TEST_F(HeteroTest, ZipAlignsGeometryWhenMeasuredWeightsDrift) {
   // Under measured weights two block partitions made at different
-  // times can disagree (the monitor keeps learning between them). Zip
-  // must align the right operand to the left's *actual* chunks, not
+  // times can disagree (the device totals keep growing between them).
+  // Zip must align the right operand to the left's *actual* chunks, not
   // assume both blocks are congruent.
   initPlatform("t10,t10@0.5x", WeightMode::Measured);
   const std::size_t n = 40000;
@@ -397,7 +430,7 @@ TEST_F(HeteroTest, ZipAlignsGeometryWhenMeasuredWeightsDrift) {
       "  for (int i = 0; i < 64; ++i) { acc = acc * 1.0001f + 0.25f; }\n"
       "  return acc;\n"
       "}");
-  (void)heavy(a)[0]; // feed the monitor -> weights now skewed
+  (void)heavy(a)[0]; // feed the device totals -> weights now skewed
 
   Vector<float> b(data);
   b.setDistribution(Distribution::Block);

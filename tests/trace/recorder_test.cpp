@@ -133,6 +133,43 @@ TEST(Recorder, BinaryRoundTripIsLossless) {
   EXPECT_EQ(back.strings, run.trace.strings);
 }
 
+/// A trace header followed by the given table counts, each table empty
+/// except for the count itself (so the last count claims records the
+/// stream does not hold).
+std::vector<std::uint8_t> traceWithCounts(
+    const std::vector<std::uint64_t>& counts) {
+  common::ByteWriter w;
+  w.writeBytes("SKTR", 4);
+  w.write<std::uint32_t>(trace::kBinaryVersion);
+  for (const std::uint64_t n : counts) {
+    w.write<std::uint64_t>(n);
+  }
+  return w.takeBytes();
+}
+
+// Hostile table counts from a file: each is a typed error, never a
+// reserve() of that many records.
+TEST(TraceDeserialize, HugeStringCountIsATypedError) {
+  EXPECT_THROW(trace::deserialize(traceWithCounts({1ULL << 62})),
+               common::DeserializeError);
+}
+
+TEST(TraceDeserialize, HugeCommandCountIsATypedError) {
+  EXPECT_THROW(trace::deserialize(traceWithCounts({0, 0, 1ULL << 40})),
+               common::DeserializeError);
+}
+
+TEST(TraceDeserialize, HugeHostSpanCountIsATypedError) {
+  EXPECT_THROW(trace::deserialize(traceWithCounts({0, 0, 0, 1ULL << 62})),
+               common::DeserializeError);
+}
+
+TEST(TraceDeserialize, HugeCounterCountIsATypedError) {
+  EXPECT_THROW(
+      trace::deserialize(traceWithCounts({0, 0, 0, 0, 1ULL << 62})),
+      common::DeserializeError);
+}
+
 TEST(Recorder, WriteTraceFileDispatchesOnExtension) {
   const auto run =
       trace_test::runWorkload(/*traced=*/true, /*serialized=*/false);
