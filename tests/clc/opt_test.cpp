@@ -120,12 +120,29 @@ void expectTimingInvariant(const clc::LaunchStats& base,
   }
 }
 
+/// Absolute O0 simulated time of one launch. The O0-vs-O2 comparison only
+/// sees relative drift; these pins catch a changed per-instruction or
+/// per-builtin cycle cost, which would move every virtual time.
+struct PinnedO0 {
+  std::uint64_t totalCycles = 0;
+  std::uint64_t instructions = 0;
+  std::uint64_t group0MaxCycles = 0;
+};
+
 /// Compiles `source` at O0 and at every higher level, runs `launch` on
-/// each, and checks bit-identical buffers + invariant simulated time.
-void expectDifferential(const std::string& source, const Launch& launch) {
+/// each, and checks bit-identical buffers + invariant simulated time, and
+/// the O0 stats against `pin` when one is given.
+void expectDifferential(const std::string& source, const Launch& launch,
+                        const PinnedO0* pin = nullptr) {
   clc::Program base = clc::compile(source);
   clc::optimize(base, clc::OptLevel::O0);
   const RunResult o0 = runLaunch(base, launch);
+  if (pin != nullptr) {
+    EXPECT_EQ(o0.stats.totalCycles, pin->totalCycles);
+    EXPECT_EQ(o0.stats.instructions, pin->instructions);
+    ASSERT_FALSE(o0.stats.groups.empty());
+    EXPECT_EQ(o0.stats.groups[0].maxCycles, pin->group0MaxCycles);
+  }
 
   for (const clc::OptLevel level : {clc::OptLevel::O1, clc::OptLevel::O2}) {
     SCOPED_TRACE("O" + std::to_string(int(level)));
@@ -369,7 +386,8 @@ TEST(OptDifferential, MandelbrotKernel) {
   l.addScalar(3.0f / float(width));
   l.addScalar(2.0f / float(height));
   l.addScalar(std::int32_t(64));
-  expectDifferential(source, l);
+  const PinnedO0 pin{274382, 211044, 582};
+  expectDifferential(source, l, &pin);
 
   // The headline claim: the hot loop really got shorter at O2.
   clc::Program o0 = clc::compile(source);
@@ -397,7 +415,8 @@ TEST(OptDifferential, OsemUpdateAndAddImages) {
     l.addBuffer(c);
     l.addScalar(std::uint32_t(16));
     l.addScalar(std::uint32_t(32));
-    expectDifferential(source, l);
+    const PinnedO0 pin{3442, 1912, 119};
+    expectDifferential(source, l, &pin);
   }
   {
     Launch l;
@@ -407,7 +426,8 @@ TEST(OptDifferential, OsemUpdateAndAddImages) {
     l.addScalar(std::uint32_t(8));   // offset
     l.addBuffer(c);                  // src
     l.addScalar(std::uint32_t(24));  // n
-    expectDifferential(source, l);
+    const PinnedO0 pin{2408, 1344, 93};
+    expectDifferential(source, l, &pin);
   }
 }
 
@@ -440,7 +460,8 @@ TEST(OptDifferential, OsemComputeErrorImage) {
   l.addBuffer(f);
   l.addBuffer(c);
   l.addStruct(dims);
-  expectDifferential(source, l);
+  const PinnedO0 pin{44209, 29466, 11236};
+  expectDifferential(source, l, &pin);
 }
 
 // --- per-pass unit tests on hand-written bytecode ---------------------------
@@ -649,6 +670,45 @@ TEST(OptPass, FusesLoadFrame) {
   EXPECT_EQ(p.cycleCosts[0],
             clc::opCycleCost(Op::PushFrameAddr) + clc::opCycleCost(Op::Load));
   EXPECT_EQ(tableCostSum(p), before);
+}
+
+TEST(OptPass, SuperinstructionCostIsTheSumOfItsSequence) {
+  const auto seq = [](std::initializer_list<Op> ops) {
+    std::uint32_t sum = 0;
+    for (const Op op : ops) {
+      sum += clc::instrCycleCost(I(op));
+    }
+    return sum;
+  };
+  const auto cost = [](Op op, std::int32_t a) {
+    return clc::instrCycleCost(I(op, TypeTag::I32, a));
+  };
+  EXPECT_EQ(cost(Op::LoadFrame, 0), seq({Op::PushFrameAddr, Op::Load}));
+  EXPECT_EQ(cost(Op::StoreFrame, 0), seq({Op::PushFrameAddr, Op::Store}));
+  EXPECT_EQ(cost(Op::MulAdd, 0), seq({Op::Mul, Op::Add}));
+  int embedded = 0;
+  for (int i = 0; i <= int(clc::kMaxOp); ++i) {
+    const Op op = Op(i);
+    if (!clc::isBinaryArithOp(op) && !clc::isCompareOp(op)) {
+      continue;
+    }
+    SCOPED_TRACE(clc::opName(op));
+    ++embedded;
+    EXPECT_EQ(cost(Op::BinConst, clc::encodeEmbedOp(op, 0)),
+              seq({Op::PushConst, op}));
+    EXPECT_EQ(cost(Op::FrameBin, clc::encodeEmbedOp(op, 0)),
+              seq({Op::PushFrameAddr, Op::Load, op}));
+    EXPECT_EQ(cost(Op::LoadBin, std::int32_t(op)), seq({Op::Load, op}));
+    EXPECT_EQ(cost(Op::FrameBin2, clc::encodeFrame2(op, 0, 8)),
+              seq({Op::PushFrameAddr, Op::Load, Op::PushFrameAddr, Op::Load,
+                   op}));
+    if (clc::isCompareOp(op)) {
+      EXPECT_EQ(cost(Op::CmpJz, clc::encodeCmpJump(op, 0)), seq({op, Op::Jz}));
+      EXPECT_EQ(cost(Op::CmpJnz, clc::encodeCmpJump(op, 0)),
+                seq({op, Op::Jnz}));
+    }
+  }
+  EXPECT_EQ(embedded, 16); // ten binops, six compares
 }
 
 TEST(OptPass, FusesStoreFrameAcrossRegion) {
