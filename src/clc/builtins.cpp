@@ -1,12 +1,14 @@
 #include "clc/builtins.h"
 
+#include <iterator>
 #include <unordered_map>
+#include <utility>
 
 namespace clc {
 
 namespace {
 
-enum class Family {
+enum class Family : std::uint8_t {
   WorkItem,     // (uint dim) -> size_t
   WorkDim,      // () -> uint
   Barrier,      // (int flags) -> void
@@ -16,100 +18,158 @@ enum class Family {
   MinMax,       // (gentype, gentype) -> gentype  (ints and floats)
   IAbs,         // (genint) -> genint
   Clamp,        // (gentype, gentype, gentype) -> gentype
-  Mix,          // (genfloat, genfloat, genfloat) -> genfloat
   AsType,       // (32-bit scalar) -> fixed 32-bit scalar
   Convert,      // (scalar) -> fixed scalar
   Atomic1,      // (ptr) -> old
   Atomic2,      // (ptr, operand) -> old
   Atomic3,      // (ptr, cmp, val) -> old
-  AtomicF,      // (float ptr, float) -> old
 };
 
-struct Entry {
+/// Operand-stack arguments the VM pops for a builtin of `family`. A
+/// barrier's flags operand is dropped by codegen, which emits Op::Barrier.
+constexpr std::uint8_t familyArity(Family family) {
+  switch (family) {
+    case Family::WorkDim:
+      return 0;
+    case Family::Math2:
+    case Family::MinMax:
+    case Family::Atomic2:
+      return 2;
+    case Family::Math3:
+    case Family::Clamp:
+    case Family::Atomic3:
+      return 3;
+    default:
+      return 1;
+  }
+}
+
+/// Every fact about one builtin. `byName` is false for rows reached only
+/// by overload resolution from another row's name (float clamp from
+/// clamp, float atomicAdd from atomicAdd).
+struct Row {
   Builtin id;
+  const char* name;
   Family family;
+  std::uint8_t cycles;
+  bool byName = true;
 };
 
-const std::unordered_map<std::string, Entry>& table() {
-  static const std::unordered_map<std::string, Entry> t = {
-      {"get_global_id", {Builtin::GetGlobalId, Family::WorkItem}},
-      {"get_local_id", {Builtin::GetLocalId, Family::WorkItem}},
-      {"get_group_id", {Builtin::GetGroupId, Family::WorkItem}},
-      {"get_global_size", {Builtin::GetGlobalSize, Family::WorkItem}},
-      {"get_local_size", {Builtin::GetLocalSize, Family::WorkItem}},
-      {"get_num_groups", {Builtin::GetNumGroups, Family::WorkItem}},
-      {"get_work_dim", {Builtin::GetWorkDim, Family::WorkDim}},
-      {"barrier", {Builtin::Barrier, Family::Barrier}},
-      {"__syncthreads", {Builtin::Barrier, Family::Barrier}},
-      {"mem_fence", {Builtin::Barrier, Family::Barrier}},
+constexpr Row kRows[] = {
+    {Builtin::GetGlobalId, "get_global_id", Family::WorkItem, 2},
+    {Builtin::GetLocalId, "get_local_id", Family::WorkItem, 2},
+    {Builtin::GetGroupId, "get_group_id", Family::WorkItem, 2},
+    {Builtin::GetGlobalSize, "get_global_size", Family::WorkItem, 2},
+    {Builtin::GetLocalSize, "get_local_size", Family::WorkItem, 2},
+    {Builtin::GetNumGroups, "get_num_groups", Family::WorkItem, 2},
+    {Builtin::GetWorkDim, "get_work_dim", Family::WorkDim, 2},
+    {Builtin::Barrier, "barrier", Family::Barrier, 16},
 
-      {"sqrt", {Builtin::Sqrt, Family::Math1}},
-      {"native_sqrt", {Builtin::Sqrt, Family::Math1}},
-      {"rsqrt", {Builtin::Rsqrt, Family::Math1}},
-      {"native_rsqrt", {Builtin::Rsqrt, Family::Math1}},
-      {"sin", {Builtin::Sin, Family::Math1}},
-      {"native_sin", {Builtin::Sin, Family::Math1}},
-      {"cos", {Builtin::Cos, Family::Math1}},
-      {"native_cos", {Builtin::Cos, Family::Math1}},
-      {"tan", {Builtin::Tan, Family::Math1}},
-      {"asin", {Builtin::Asin, Family::Math1}},
-      {"acos", {Builtin::Acos, Family::Math1}},
-      {"atan", {Builtin::Atan, Family::Math1}},
-      {"exp", {Builtin::Exp, Family::Math1}},
-      {"native_exp", {Builtin::Exp, Family::Math1}},
-      {"exp2", {Builtin::Exp2, Family::Math1}},
-      {"log", {Builtin::Log, Family::Math1}},
-      {"native_log", {Builtin::Log, Family::Math1}},
-      {"log2", {Builtin::Log2, Family::Math1}},
-      {"log10", {Builtin::Log10, Family::Math1}},
-      {"fabs", {Builtin::Fabs, Family::Math1}},
-      {"fabsf", {Builtin::Fabs, Family::Math1}},
-      {"floor", {Builtin::Floor, Family::Math1}},
-      {"ceil", {Builtin::Ceil, Family::Math1}},
-      {"round", {Builtin::Round, Family::Math1}},
-      {"trunc", {Builtin::Trunc, Family::Math1}},
+    {Builtin::Sqrt, "sqrt", Family::Math1, 8},
+    {Builtin::Rsqrt, "rsqrt", Family::Math1, 8},
+    {Builtin::Sin, "sin", Family::Math1, 16},
+    {Builtin::Cos, "cos", Family::Math1, 16},
+    {Builtin::Tan, "tan", Family::Math1, 16},
+    {Builtin::Asin, "asin", Family::Math1, 16},
+    {Builtin::Acos, "acos", Family::Math1, 16},
+    {Builtin::Atan, "atan", Family::Math1, 16},
+    {Builtin::Exp, "exp", Family::Math1, 16},
+    {Builtin::Exp2, "exp2", Family::Math1, 16},
+    {Builtin::Log, "log", Family::Math1, 16},
+    {Builtin::Log2, "log2", Family::Math1, 16},
+    {Builtin::Log10, "log10", Family::Math1, 16},
+    {Builtin::Fabs, "fabs", Family::Math1, 1},
+    {Builtin::Floor, "floor", Family::Math1, 1},
+    {Builtin::Ceil, "ceil", Family::Math1, 1},
+    {Builtin::Round, "round", Family::Math1, 1},
+    {Builtin::Trunc, "trunc", Family::Math1, 1},
 
-      {"pow", {Builtin::Pow, Family::Math2}},
-      {"powf", {Builtin::Pow, Family::Math2}},
-      {"atan2", {Builtin::Atan2, Family::Math2}},
-      {"fmod", {Builtin::Fmod, Family::Math2}},
-      {"fmin", {Builtin::Fmin, Family::Math2}},
-      {"fmax", {Builtin::Fmax, Family::Math2}},
-      {"hypot", {Builtin::Hypot, Family::Math2}},
-      {"copysign", {Builtin::Copysign, Family::Math2}},
+    {Builtin::Pow, "pow", Family::Math2, 16},
+    {Builtin::Atan2, "atan2", Family::Math2, 16},
+    {Builtin::Fmod, "fmod", Family::Math2, 8},
+    {Builtin::Fmin, "fmin", Family::Math2, 1},
+    {Builtin::Fmax, "fmax", Family::Math2, 1},
+    {Builtin::Hypot, "hypot", Family::Math2, 16},
+    {Builtin::Copysign, "copysign", Family::Math2, 1},
 
-      {"mad", {Builtin::Mad, Family::Math3}},
-      {"fma", {Builtin::Fma, Family::Math3}},
-      {"mix", {Builtin::Mix, Family::Mix}},
+    {Builtin::Mad, "mad", Family::Math3, 2},
+    {Builtin::Fma, "fma", Family::Math3, 2},
+    {Builtin::Clamp, "clamp", Family::Clamp, 2, false},
+    {Builtin::Mix, "mix", Family::Math3, 2},
 
-      {"min", {Builtin::IMin, Family::MinMax}},
-      {"max", {Builtin::IMax, Family::MinMax}},
-      {"abs", {Builtin::IAbs, Family::IAbs}},
-      {"clamp", {Builtin::IClamp, Family::Clamp}},
+    {Builtin::IMin, "min", Family::MinMax, 1},
+    {Builtin::IMax, "max", Family::MinMax, 1},
+    {Builtin::IAbs, "abs", Family::IAbs, 1},
+    {Builtin::IClamp, "clamp", Family::Clamp, 2},
 
-      {"as_int", {Builtin::AsInt, Family::AsType}},
-      {"as_uint", {Builtin::AsUInt, Family::AsType}},
-      {"as_float", {Builtin::AsFloat, Family::AsType}},
+    {Builtin::AsInt, "as_int", Family::AsType, 1},
+    {Builtin::AsUInt, "as_uint", Family::AsType, 1},
+    {Builtin::AsFloat, "as_float", Family::AsType, 1},
 
-      {"convert_int", {Builtin::ConvertInt, Family::Convert}},
-      {"convert_uint", {Builtin::ConvertUInt, Family::Convert}},
-      {"convert_float", {Builtin::ConvertFloat, Family::Convert}},
+    {Builtin::ConvertInt, "convert_int", Family::Convert, 1},
+    {Builtin::ConvertUInt, "convert_uint", Family::Convert, 1},
+    {Builtin::ConvertFloat, "convert_float", Family::Convert, 1},
 
-      {"atomic_add", {Builtin::AtomicAdd, Family::Atomic2}},
-      {"atom_add", {Builtin::AtomicAdd, Family::Atomic2}},
-      {"atomicAdd", {Builtin::AtomicAdd, Family::Atomic2}}, // CUDA dialect
-      {"atomic_sub", {Builtin::AtomicSub, Family::Atomic2}},
-      {"atomic_xchg", {Builtin::AtomicXchg, Family::Atomic2}},
-      {"atomic_min", {Builtin::AtomicMin, Family::Atomic2}},
-      {"atomic_max", {Builtin::AtomicMax, Family::Atomic2}},
-      {"atomic_and", {Builtin::AtomicAnd, Family::Atomic2}},
-      {"atomic_or", {Builtin::AtomicOr, Family::Atomic2}},
-      {"atomic_xor", {Builtin::AtomicXor, Family::Atomic2}},
-      {"atomic_inc", {Builtin::AtomicInc, Family::Atomic1}},
-      {"atomic_dec", {Builtin::AtomicDec, Family::Atomic1}},
-      {"atomic_cmpxchg", {Builtin::AtomicCmpXchg, Family::Atomic3}},
-      {"atomic_add_float", {Builtin::AtomicAddFloat, Family::AtomicF}},
-  };
+    {Builtin::AtomicAdd, "atomic_add", Family::Atomic2, 32},
+    {Builtin::AtomicSub, "atomic_sub", Family::Atomic2, 32},
+    {Builtin::AtomicXchg, "atomic_xchg", Family::Atomic2, 32},
+    {Builtin::AtomicMin, "atomic_min", Family::Atomic2, 32},
+    {Builtin::AtomicMax, "atomic_max", Family::Atomic2, 32},
+    {Builtin::AtomicAnd, "atomic_and", Family::Atomic2, 32},
+    {Builtin::AtomicOr, "atomic_or", Family::Atomic2, 32},
+    {Builtin::AtomicXor, "atomic_xor", Family::Atomic2, 32},
+    {Builtin::AtomicInc, "atomic_inc", Family::Atomic1, 32},
+    {Builtin::AtomicDec, "atomic_dec", Family::Atomic1, 32},
+    {Builtin::AtomicCmpXchg, "atomic_cmpxchg", Family::Atomic3, 32},
+    {Builtin::AtomicAddFloat, "atomic_add_float", Family::Atomic2, 32, false},
+};
+
+constexpr bool rowsInEnumOrder() {
+  for (std::size_t i = 0; i < std::size(kRows); ++i) {
+    if (kRows[i].id != Builtin(i)) {
+      return false;
+    }
+  }
+  return std::size(kRows) == std::size_t(kMaxBuiltin) + 1;
+}
+static_assert(rowsInEnumOrder(), "one row per Builtin, in enum order");
+
+/// An id outside the enum, which the verifier rejects.
+constexpr Row kUnknown = {Builtin(-1), "?", Family::WorkDim, 1, false};
+
+const Row& row(Builtin b) noexcept {
+  return std::size_t(b) < std::size(kRows) ? kRows[std::size_t(b)]
+                                           : kUnknown;
+}
+
+/// Source names: every row's own name plus the alternative spellings.
+const std::unordered_map<std::string, const Row*>& names() {
+  static const std::unordered_map<std::string, const Row*> t = [] {
+    std::unordered_map<std::string, const Row*> m;
+    for (const Row& r : kRows) {
+      if (r.byName) {
+        m.emplace(r.name, &r);
+      }
+    }
+    const std::pair<const char*, Builtin> aliases[] = {
+        {"__syncthreads", Builtin::Barrier}, // CUDA dialect
+        {"mem_fence", Builtin::Barrier},
+        {"native_sqrt", Builtin::Sqrt},
+        {"native_rsqrt", Builtin::Rsqrt},
+        {"native_sin", Builtin::Sin},
+        {"native_cos", Builtin::Cos},
+        {"native_exp", Builtin::Exp},
+        {"native_log", Builtin::Log},
+        {"fabsf", Builtin::Fabs},
+        {"powf", Builtin::Pow},
+        {"atom_add", Builtin::AtomicAdd},
+        {"atomicAdd", Builtin::AtomicAdd}, // CUDA dialect
+    };
+    for (const auto& [alias, id] : aliases) {
+      m.emplace(alias, &row(id));
+    }
+    return m;
+  }();
   return t;
 }
 
@@ -133,35 +193,33 @@ const Type* promoteToFloat(const Type* t, TypeTable& types) {
 std::optional<BuiltinCall> resolveBuiltin(
     const std::string& name, const std::vector<const Type*>& argTypes,
     TypeTable& types) {
-  const auto it = table().find(name);
-  if (it == table().end()) {
+  const auto it = names().find(name);
+  if (it == names().end()) {
     return std::nullopt;
   }
-  const Entry entry = it->second;
+  const Row& entry = *it->second;
   BuiltinCall call;
   call.id = entry.id;
 
-  const auto arity = [&](std::size_t n) {
-    if (argTypes.size() != n) {
-      mismatch(name);
-    }
-  };
+  // Every family takes exactly its arity; a barrier's flags are optional.
+  const std::size_t n = familyArity(entry.family);
+  if (argTypes.size() != n &&
+      !(entry.family == Family::Barrier && argTypes.empty())) {
+    mismatch(name);
+  }
 
   switch (entry.family) {
     case Family::WorkItem: {
-      arity(1);
       if (!argTypes[0]->isIntegerScalar()) mismatch(name);
       call.paramTypes = {types.scalar(ScalarKind::U32)};
       call.resultType = types.scalar(ScalarKind::U64); // size_t
       return call;
     }
     case Family::WorkDim: {
-      arity(0);
       call.resultType = types.scalar(ScalarKind::U32);
       return call;
     }
     case Family::Barrier: {
-      if (argTypes.size() > 1) mismatch(name);
       if (argTypes.size() == 1 && !argTypes[0]->isIntegerScalar()) {
         mismatch(name);
       }
@@ -170,7 +228,6 @@ std::optional<BuiltinCall> resolveBuiltin(
       return call;
     }
     case Family::Math1: {
-      arity(1);
       const Type* t = promoteToFloat(argTypes[0], types);
       if (t == nullptr) mismatch(name);
       call.paramTypes = {t};
@@ -178,10 +235,7 @@ std::optional<BuiltinCall> resolveBuiltin(
       return call;
     }
     case Family::Math2:
-    case Family::Math3:
-    case Family::Mix: {
-      const std::size_t n = entry.family == Family::Math2 ? 2 : 3;
-      arity(n);
+    case Family::Math3: {
       const Type* t = nullptr;
       for (const Type* arg : argTypes) {
         const Type* f = promoteToFloat(arg, types);
@@ -195,7 +249,6 @@ std::optional<BuiltinCall> resolveBuiltin(
       return call;
     }
     case Family::MinMax: {
-      arity(2);
       if (!argTypes[0]->isArithmetic() || !argTypes[1]->isArithmetic()) {
         mismatch(name);
       }
@@ -230,7 +283,6 @@ std::optional<BuiltinCall> resolveBuiltin(
       return call;
     }
     case Family::IAbs: {
-      arity(1);
       if (argTypes[0]->isFloatingScalar()) {
         call.id = Builtin::Fabs;
         call.paramTypes = {argTypes[0]};
@@ -245,7 +297,6 @@ std::optional<BuiltinCall> resolveBuiltin(
       return call;
     }
     case Family::Clamp: {
-      arity(3);
       bool anyFloat = false;
       bool anyDouble = false;
       for (const Type* arg : argTypes) {
@@ -267,7 +318,6 @@ std::optional<BuiltinCall> resolveBuiltin(
       return call;
     }
     case Family::AsType: {
-      arity(1);
       if (!argTypes[0]->isScalar() || argTypes[0]->size() != 4) {
         mismatch(name);
       }
@@ -280,7 +330,6 @@ std::optional<BuiltinCall> resolveBuiltin(
       return call;
     }
     case Family::Convert: {
-      arity(1);
       if (!argTypes[0]->isArithmetic()) mismatch(name);
       call.paramTypes = {argTypes[0]};
       switch (entry.id) {
@@ -293,13 +342,10 @@ std::optional<BuiltinCall> resolveBuiltin(
     case Family::Atomic1:
     case Family::Atomic2:
     case Family::Atomic3: {
-      const std::size_t n = entry.family == Family::Atomic1 ? 1
-                            : entry.family == Family::Atomic2 ? 2 : 3;
-      arity(n);
       if (!argTypes[0]->isPointer()) mismatch(name);
       const Type* pointee = argTypes[0]->pointee();
       if (!pointee->isIntegerScalar() || pointee->size() != 4) {
-        // CUDA's atomicAdd also covers float*; route it to the extension.
+        // CUDA's atomicAdd also covers float*.
         if (entry.id == Builtin::AtomicAdd && pointee->isFloatingScalar() &&
             pointee->size() == 4 && n == 2) {
           call.id = Builtin::AtomicAddFloat;
@@ -319,227 +365,21 @@ std::optional<BuiltinCall> resolveBuiltin(
       call.resultType = pointee;
       return call;
     }
-    case Family::AtomicF: {
-      arity(2);
-      if (!argTypes[0]->isPointer() ||
-          !argTypes[0]->pointee()->isFloatingScalar() ||
-          argTypes[0]->pointee()->size() != 4) {
-        mismatch(name);
-      }
-      call.paramTypes = {argTypes[0], types.scalar(ScalarKind::F32)};
-      call.resultType = types.scalar(ScalarKind::F32);
-      return call;
-    }
   }
   mismatch(name);
 }
 
-std::uint32_t builtinCycleCost(Builtin b) noexcept {
-  switch (b) {
-    case Builtin::GetGlobalId:
-    case Builtin::GetLocalId:
-    case Builtin::GetGroupId:
-    case Builtin::GetGlobalSize:
-    case Builtin::GetLocalSize:
-    case Builtin::GetNumGroups:
-    case Builtin::GetWorkDim:
-      return 2;
-    case Builtin::Barrier:
-      return 16;
-    case Builtin::Sqrt:
-    case Builtin::Rsqrt:
-      return 8;
-    case Builtin::Sin:
-    case Builtin::Cos:
-    case Builtin::Tan:
-    case Builtin::Asin:
-    case Builtin::Acos:
-    case Builtin::Atan:
-    case Builtin::Atan2:
-    case Builtin::Exp:
-    case Builtin::Exp2:
-    case Builtin::Log:
-    case Builtin::Log2:
-    case Builtin::Log10:
-    case Builtin::Pow:
-    case Builtin::Hypot:
-      return 16;
-    case Builtin::Fmod:
-      return 8;
-    case Builtin::Fabs:
-    case Builtin::Floor:
-    case Builtin::Ceil:
-    case Builtin::Round:
-    case Builtin::Trunc:
-    case Builtin::Fmin:
-    case Builtin::Fmax:
-    case Builtin::Copysign:
-    case Builtin::IMin:
-    case Builtin::IMax:
-    case Builtin::IAbs:
-      return 1;
-    case Builtin::Mad:
-    case Builtin::Fma:
-    case Builtin::Mix:
-    case Builtin::Clamp:
-    case Builtin::IClamp:
-      return 2;
-    case Builtin::AsInt:
-    case Builtin::AsUInt:
-    case Builtin::AsFloat:
-    case Builtin::ConvertInt:
-    case Builtin::ConvertUInt:
-    case Builtin::ConvertFloat:
-      return 1;
-    case Builtin::AtomicAdd:
-    case Builtin::AtomicSub:
-    case Builtin::AtomicXchg:
-    case Builtin::AtomicMin:
-    case Builtin::AtomicMax:
-    case Builtin::AtomicAnd:
-    case Builtin::AtomicOr:
-    case Builtin::AtomicXor:
-    case Builtin::AtomicInc:
-    case Builtin::AtomicDec:
-    case Builtin::AtomicCmpXchg:
-    case Builtin::AtomicAddFloat:
-      return 32;
-  }
-  return 1;
-}
+std::uint32_t builtinCycleCost(Builtin b) noexcept { return row(b).cycles; }
 
 std::uint8_t builtinArity(Builtin b) noexcept {
-  switch (b) {
-    case Builtin::GetWorkDim:
-      return 0;
-    case Builtin::GetGlobalId:
-    case Builtin::GetLocalId:
-    case Builtin::GetGroupId:
-    case Builtin::GetGlobalSize:
-    case Builtin::GetLocalSize:
-    case Builtin::GetNumGroups:
-    case Builtin::Barrier: // flags operand is dropped by codegen
-    case Builtin::Sqrt:
-    case Builtin::Rsqrt:
-    case Builtin::Sin:
-    case Builtin::Cos:
-    case Builtin::Tan:
-    case Builtin::Asin:
-    case Builtin::Acos:
-    case Builtin::Atan:
-    case Builtin::Exp:
-    case Builtin::Exp2:
-    case Builtin::Log:
-    case Builtin::Log2:
-    case Builtin::Log10:
-    case Builtin::Fabs:
-    case Builtin::Floor:
-    case Builtin::Ceil:
-    case Builtin::Round:
-    case Builtin::Trunc:
-    case Builtin::IAbs:
-    case Builtin::AsInt:
-    case Builtin::AsUInt:
-    case Builtin::AsFloat:
-    case Builtin::ConvertInt:
-    case Builtin::ConvertUInt:
-    case Builtin::ConvertFloat:
-    case Builtin::AtomicInc:
-    case Builtin::AtomicDec:
-      return 1;
-    case Builtin::Pow:
-    case Builtin::Atan2:
-    case Builtin::Fmod:
-    case Builtin::Fmin:
-    case Builtin::Fmax:
-    case Builtin::Hypot:
-    case Builtin::Copysign:
-    case Builtin::IMin:
-    case Builtin::IMax:
-    case Builtin::AtomicAdd:
-    case Builtin::AtomicSub:
-    case Builtin::AtomicXchg:
-    case Builtin::AtomicMin:
-    case Builtin::AtomicMax:
-    case Builtin::AtomicAnd:
-    case Builtin::AtomicOr:
-    case Builtin::AtomicXor:
-    case Builtin::AtomicAddFloat:
-      return 2;
-    case Builtin::Mad:
-    case Builtin::Fma:
-    case Builtin::Clamp:
-    case Builtin::IClamp:
-    case Builtin::Mix:
-    case Builtin::AtomicCmpXchg:
-      return 3;
-  }
-  return 0;
+  return familyArity(row(b).family);
 }
 
-const char* builtinName(Builtin b) noexcept {
-  switch (b) {
-    case Builtin::GetGlobalId: return "get_global_id";
-    case Builtin::GetLocalId: return "get_local_id";
-    case Builtin::GetGroupId: return "get_group_id";
-    case Builtin::GetGlobalSize: return "get_global_size";
-    case Builtin::GetLocalSize: return "get_local_size";
-    case Builtin::GetNumGroups: return "get_num_groups";
-    case Builtin::GetWorkDim: return "get_work_dim";
-    case Builtin::Barrier: return "barrier";
-    case Builtin::Sqrt: return "sqrt";
-    case Builtin::Rsqrt: return "rsqrt";
-    case Builtin::Sin: return "sin";
-    case Builtin::Cos: return "cos";
-    case Builtin::Tan: return "tan";
-    case Builtin::Asin: return "asin";
-    case Builtin::Acos: return "acos";
-    case Builtin::Atan: return "atan";
-    case Builtin::Atan2: return "atan2";
-    case Builtin::Exp: return "exp";
-    case Builtin::Exp2: return "exp2";
-    case Builtin::Log: return "log";
-    case Builtin::Log2: return "log2";
-    case Builtin::Log10: return "log10";
-    case Builtin::Fabs: return "fabs";
-    case Builtin::Floor: return "floor";
-    case Builtin::Ceil: return "ceil";
-    case Builtin::Round: return "round";
-    case Builtin::Trunc: return "trunc";
-    case Builtin::Pow: return "pow";
-    case Builtin::Fmod: return "fmod";
-    case Builtin::Fmin: return "fmin";
-    case Builtin::Fmax: return "fmax";
-    case Builtin::Hypot: return "hypot";
-    case Builtin::Copysign: return "copysign";
-    case Builtin::Mad: return "mad";
-    case Builtin::Fma: return "fma";
-    case Builtin::Clamp: return "clamp";
-    case Builtin::Mix: return "mix";
-    case Builtin::IMin: return "min";
-    case Builtin::IMax: return "max";
-    case Builtin::IAbs: return "abs";
-    case Builtin::IClamp: return "clamp";
-    case Builtin::AsInt: return "as_int";
-    case Builtin::AsUInt: return "as_uint";
-    case Builtin::AsFloat: return "as_float";
-    case Builtin::ConvertInt: return "convert_int";
-    case Builtin::ConvertUInt: return "convert_uint";
-    case Builtin::ConvertFloat: return "convert_float";
-    case Builtin::AtomicAdd: return "atomic_add";
-    case Builtin::AtomicSub: return "atomic_sub";
-    case Builtin::AtomicXchg: return "atomic_xchg";
-    case Builtin::AtomicMin: return "atomic_min";
-    case Builtin::AtomicMax: return "atomic_max";
-    case Builtin::AtomicAnd: return "atomic_and";
-    case Builtin::AtomicOr: return "atomic_or";
-    case Builtin::AtomicXor: return "atomic_xor";
-    case Builtin::AtomicInc: return "atomic_inc";
-    case Builtin::AtomicDec: return "atomic_dec";
-    case Builtin::AtomicCmpXchg: return "atomic_cmpxchg";
-    case Builtin::AtomicAddFloat: return "atomic_add_float";
-  }
-  return "?";
+const char* builtinName(Builtin b) noexcept { return row(b).name; }
+
+bool isAtomic(Builtin b) noexcept {
+  const Family family = row(b).family;
+  return family >= Family::Atomic1 && family <= Family::Atomic3;
 }
 
 } // namespace clc

@@ -47,11 +47,12 @@ enum class Builtin : std::int16_t {
   AtomicAdd, AtomicSub, AtomicXchg, AtomicMin, AtomicMax,
   AtomicAnd, AtomicOr, AtomicXor, AtomicInc, AtomicDec, AtomicCmpXchg,
 
-  // Extension: float atomic add (implemented by real SkelCL apps through a
-  // compare-exchange loop; provided natively here as well for the
-  // ablation benchmark).
+  // CUDA's atomicAdd on a float pointer (OpenCL 1.1 code uses a
+  // compare-exchange loop instead).
   AtomicAddFloat,
 };
+
+constexpr Builtin kMaxBuiltin = Builtin::AtomicAddFloat;
 
 /// Result of resolving a builtin call against argument types.
 struct BuiltinCall {
@@ -72,6 +73,9 @@ std::optional<BuiltinCall> resolveBuiltin(const std::string& name,
 /// True when the builtin id is a barrier (needs VM yield handling).
 inline bool isBarrier(Builtin b) noexcept { return b == Builtin::Barrier; }
 
+// Row lookups into the builtin table (builtins.cpp): one row per Builtin
+// with its canonical name, family (which fixes the arity) and cost.
+
 /// Cycle cost charged by the timing model for one execution.
 std::uint32_t builtinCycleCost(Builtin b) noexcept;
 
@@ -79,5 +83,8 @@ std::uint32_t builtinCycleCost(Builtin b) noexcept;
 std::uint8_t builtinArity(Builtin b) noexcept;
 
 const char* builtinName(Builtin b) noexcept;
+
+/// True for the read-modify-write atomics.
+bool isAtomic(Builtin b) noexcept;
 
 } // namespace clc

@@ -164,14 +164,77 @@ constexpr std::int32_t frame2Y(std::int32_t a) noexcept {
   return a & kFrame2OffsetMask;
 }
 
-const char* opName(Op op) noexcept;
-
 struct Instr {
   Op op = Op::Nop;
   TypeTag tag = TypeTag::I32;
   std::int32_t a = 0;
 };
 static_assert(sizeof(Instr) == 8);
+
+// --- the opcode table ---------------------------------------------------------
+
+/// Where control goes after an instruction.
+enum class Flow : std::uint8_t {
+  Next,   // pc + 1
+  Yield,  // pc + 1 once the work-group meets; ends a straight-line region
+  Branch, // branchTarget() or pc + 1
+  Jump,   // branchTarget() only
+  Exit,   // leaves the function (return) or the work-item (trap)
+};
+
+/// Every fact about an opcode that does not depend on its operand. One row
+/// per Op (bytecode.cpp); an opcode outside the enum reads as a "?" row
+/// that ends every region, which the verifier rejects.
+struct OpInfo {
+  Op op;
+  const char* name;
+  /// Device cycles per execution. A superinstruction's is the sum of the
+  /// rows it replaces, minus the embedded binop or compare that
+  /// instrCycleCost() adds from its own row.
+  std::uint8_t cycles;
+  /// Operand-stack slots popped, then pushed; Call and CallBuiltin take
+  /// theirs from the callee (stackEffect, verify.h).
+  std::uint8_t pops;
+  std::uint8_t pushes;
+  Flow flow;
+};
+
+const OpInfo& opInfo(Op op) noexcept;
+
+inline const char* opName(Op op) noexcept { return opInfo(op).name; }
+
+/// The row's base cost, without any embedded op (see instrCycleCost).
+inline std::uint32_t opCycleCost(Op op) noexcept { return opInfo(op).cycles; }
+
+/// Cost of one concrete instruction: its row plus the row of an embedded
+/// binop (BinConst, FrameBin, LoadBin, FrameBin2), so a superinstruction
+/// costs exactly the sequence it replaces. The verifier fills
+/// Program::cycleCosts from this; the optimizer maintains it from there.
+std::uint32_t instrCycleCost(const Instr& instr) noexcept;
+
+/// True when `op` carries a branch target: Flow::Branch or Flow::Jump.
+inline bool hasBranchTarget(Op op) noexcept {
+  const Flow flow = opInfo(op).flow;
+  return flow == Flow::Branch || flow == Flow::Jump;
+}
+
+/// True when control can continue at pc + 1.
+inline bool fallsThrough(Op op) noexcept {
+  const Flow flow = opInfo(op).flow;
+  return flow == Flow::Next || flow == Flow::Yield || flow == Flow::Branch;
+}
+
+/// The target pc of an instruction with hasBranchTarget(in.op).
+constexpr std::int32_t branchTarget(const Instr& in) noexcept {
+  return in.op == Op::CmpJz || in.op == Op::CmpJnz ? cmpJumpTarget(in.a)
+                                                   : in.a;
+}
+
+constexpr void setBranchTarget(Instr& in, std::int32_t target) noexcept {
+  in.a = in.op == Op::CmpJz || in.op == Op::CmpJnz
+             ? encodeCmpJump(cmpFromJump(in.a), target)
+             : target;
+}
 
 /// How a kernel argument must be supplied by the host.
 enum class ParamKind : std::uint8_t {
@@ -230,10 +293,10 @@ struct Program {
   std::vector<FunctionInfo> functions;
   std::vector<KernelInfo> kernels;
   std::string sourceHash; // SHA-256 hex of the source text
-  /// Per-instruction cycle cost maintained by the optimizer so that
-  /// optimized code is charged exactly the cycles of the unoptimized
-  /// sequence it replaces (timing-invariance contract, see opt.h).
-  /// Empty = derive each instruction's cost from instrCycleCost().
+  /// Per-instruction cycle cost, what the VM charges per dispatch. The
+  /// verifier fills an empty table from instrCycleCost(); the optimizer
+  /// maintains it so optimized code is charged exactly the cycles of the
+  /// unoptimized sequence it replaces (timing-invariance contract, opt.h).
   std::vector<std::uint32_t> cycleCosts;
   /// Optimization level the code was produced at (0 = raw codegen output).
   std::uint8_t optLevel = 0;

@@ -7,7 +7,6 @@
 #include "clc/builtins.h"
 #include "clc/eval.h"
 #include "clc/verify.h"
-#include "clc/vm.h"
 
 namespace clc {
 namespace {
@@ -50,28 +49,11 @@ std::vector<bool> computeReachable(const Program& p) {
       const std::uint32_t pc = work.back();
       work.pop_back();
       const Instr& in = p.code[pc];
-      switch (in.op) {
-        case Op::Jmp:
-          visit(in.a);
-          break;
-        case Op::Jz:
-        case Op::Jnz:
-          visit(in.a);
-          visit(pc + 1);
-          break;
-        case Op::CmpJz:
-        case Op::CmpJnz:
-          visit(cmpJumpTarget(in.a));
-          visit(pc + 1);
-          break;
-        case Op::Ret:
-        case Op::RetVal:
-        case Op::RetStruct:
-        case Op::Trap:
-          break;
-        default:
-          visit(pc + 1);
-          break;
+      if (hasBranchTarget(in.op)) {
+        visit(branchTarget(in));
+      }
+      if (fallsThrough(in.op)) {
+        visit(pc + 1);
       }
     }
   }
@@ -99,20 +81,7 @@ std::vector<bool> computeLeaders(const Program& p,
       continue;
     }
     const Instr& in = p.code[i];
-    std::int64_t t = -1;
-    switch (in.op) {
-      case Op::Jmp:
-      case Op::Jz:
-      case Op::Jnz:
-        t = in.a;
-        break;
-      case Op::CmpJz:
-      case Op::CmpJnz:
-        t = cmpJumpTarget(in.a);
-        break;
-      default:
-        break;
-    }
+    const std::int64_t t = hasBranchTarget(in.op) ? branchTarget(in) : -1;
     if (t >= 0 && std::size_t(t) < n) {
       lead[std::size_t(t)] = true;
     }
@@ -514,7 +483,7 @@ void simFunction(Program& p, const FunctionInfo& f, const OptOptions& opts,
           pop1();
         }
         pushU();
-        if (b >= Builtin::AtomicAdd && b <= Builtin::AtomicAddFloat) {
+        if (isAtomic(b)) {
           fc.clear(); // atomics can target the frame via escaped pointers
         }
         break;
@@ -1129,25 +1098,11 @@ void compact(Program& p, std::vector<std::uint32_t>& costs,
       continue;
     }
     Instr in = p.code[i];
-    switch (in.op) {
-      case Op::Jmp:
-      case Op::Jz:
-      case Op::Jnz:
-        if (in.a >= 0 && std::size_t(in.a) <= n) {
-          in.a = std::int32_t(remap[std::size_t(in.a)]);
-        }
-        break;
-      case Op::CmpJz:
-      case Op::CmpJnz: {
-        const std::int32_t t = cmpJumpTarget(in.a);
-        if (std::size_t(t) <= n) {
-          in.a = encodeCmpJump(cmpFromJump(in.a),
-                               std::int32_t(remap[std::size_t(t)]));
-        }
-        break;
+    if (hasBranchTarget(in.op)) {
+      const std::int32_t t = branchTarget(in);
+      if (t >= 0 && std::size_t(t) <= n) {
+        setBranchTarget(in, std::int32_t(remap[std::size_t(t)]));
       }
-      default:
-        break;
     }
     newCode.push_back(in);
     newCosts.push_back(costs[i]);
@@ -1245,9 +1200,7 @@ OptStats optimizeWith(Program& p, const OptOptions& opts) {
 OptStats optimize(Program& program, OptLevel level) {
   program.optLevel = std::uint8_t(level);
   OptStats stats;
-  if (level == OptLevel::O0) {
-    program.cycleCosts.clear();
-  } else {
+  if (level != OptLevel::O0) {
     stats = optimizeWith(program, OptOptions::forLevel(level));
   }
   verify(program);

@@ -47,7 +47,7 @@
 namespace clc {
 
 enum class OptLevel : std::uint8_t {
-  O0 = 0, // raw codegen output, cycle table left implicit
+  O0 = 0, // raw codegen output
   O1 = 1, // folding + propagation + algebraic + DCE
   O2 = 2, // O1 + superinstruction fusion + dead frame stores
 };
@@ -84,9 +84,9 @@ struct OptStats {
 };
 
 /// Optimizes `program` in place at `level` and stamps program.optLevel.
-/// O0 leaves the code untouched (and cycleCosts empty). O1/O2 populate
-/// cycleCosts per the timing-invariance contract above. Every level ends
-/// by re-verifying the program (verify.h), which the VM requires.
+/// O0 leaves the code untouched. O1/O2 rewrite cycleCosts per the
+/// timing-invariance contract above. Every level ends by re-verifying the
+/// program (verify.h), which the VM requires.
 OptStats optimize(Program& program, OptLevel level);
 
 /// Pass-selectable variant for tests. Does not change program.optLevel and

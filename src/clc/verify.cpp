@@ -35,8 +35,14 @@ public:
 
   void run() {
     const std::size_t codeSize = program_.code.size();
-    if (!program_.cycleCosts.empty() &&
-        program_.cycleCosts.size() != codeSize) {
+    std::vector<std::uint32_t>& costs = program_.cycleCosts;
+    if (costs.empty()) {
+      costs.reserve(codeSize);
+      for (const Instr& in : program_.code) {
+        costs.push_back(instrCycleCost(in));
+      }
+    }
+    if (costs.size() != codeSize) {
       throw VerifyError("cycle-cost table size mismatch");
     }
     proofs_.reserve(program_.functions.size());
@@ -155,7 +161,7 @@ private:
                 "call target out of bounds");
         break;
       case Op::CallBuiltin:
-        require(in.a >= 0 && in.a <= std::int32_t(Builtin::AtomicAddFloat) &&
+        require(in.a >= 0 && in.a <= std::int32_t(kMaxBuiltin) &&
                     Builtin(in.a) != Builtin::Barrier,
                 "unknown builtin");
         break;
@@ -238,22 +244,7 @@ private:
       const std::int64_t after = depth - e.pops + e.pushes;
       proof.operands = std::uint32_t(
           std::max<std::int64_t>({proof.operands, depth, after}));
-      const char* fallOff = "control falls off the end of the function";
       switch (in.op) {
-        case Op::Jmp:
-          reach(pc, in.a, after, "branch target outside the function");
-          break;
-        case Op::Jz:
-        case Op::Jnz:
-          reach(pc, in.a, after, "branch target outside the function");
-          reach(pc, pc + 1, after, fallOff);
-          break;
-        case Op::CmpJz:
-        case Op::CmpJnz:
-          reach(pc, cmpJumpTarget(in.a), after,
-                "branch target outside the function");
-          reach(pc, pc + 1, after, fallOff);
-          break;
         case Op::Ret:
         case Op::RetVal:
         case Op::RetStruct: {
@@ -268,20 +259,22 @@ private:
           }
           break;
         }
-        case Op::Trap:
-          break;
         case Op::Call:
           proof.calls.push_back({std::uint32_t(in.a),
                                  std::uint32_t(depth - e.pops)});
-          reach(pc, pc + 1, after, fallOff);
           break;
         case Op::Barrier:
           proof.hasBarrier = true;
-          reach(pc, pc + 1, after, fallOff);
           break;
         default:
-          reach(pc, pc + 1, after, fallOff);
           break;
+      }
+      if (hasBranchTarget(in.op)) {
+        reach(pc, branchTarget(in), after,
+              "branch target outside the function");
+      }
+      if (fallsThrough(in.op)) {
+        reach(pc, pc + 1, after, "control falls off the end of the function");
       }
     }
     return proof;
@@ -341,98 +334,24 @@ private:
 void verify(Program& program) { Verifier(program).run(); }
 
 StackEffect stackEffect(const Program& program, const Instr& in) {
-  switch (in.op) {
-    case Op::Nop:
-    case Op::Jmp:
-    case Op::Barrier:
-    case Op::Ret:
-    case Op::Trap:
-      return {0, 0};
-    case Op::PushConst:
-    case Op::PushFrameAddr:
-    case Op::PushLocalAddr:
-    case Op::LoadFrame:
-    case Op::FrameBin2:
-      return {0, 1};
-    case Op::Dup:
-      return {1, 2};
-    case Op::Pop:
-    case Op::Jz:
-    case Op::Jnz:
-    case Op::StoreFrame:
-    case Op::RetStruct:
-      return {1, 0};
-    case Op::Swap:
-      return {2, 2};
-    case Op::Rot3:
-      return {3, 3};
-    case Op::Load:
-    case Op::Neg:
-    case Op::BitNot:
-    case Op::LogNot:
-    case Op::Conv:
-    case Op::BinConst:
-    case Op::FrameBin:
-    case Op::RetVal:
-      return {1, 1};
-    case Op::Store:
-    case Op::MemCopy:
-    case Op::CmpJz:
-    case Op::CmpJnz:
-      return {2, 0};
-    case Op::StoreKeep:
-    case Op::LoadBin:
-    case Op::Add:
-    case Op::Sub:
-    case Op::Mul:
-    case Op::Div:
-    case Op::Rem:
-    case Op::Shl:
-    case Op::Shr:
-    case Op::BitAnd:
-    case Op::BitOr:
-    case Op::BitXor:
-    case Op::CmpEq:
-    case Op::CmpNe:
-    case Op::CmpLt:
-    case Op::CmpLe:
-    case Op::CmpGt:
-    case Op::CmpGe:
-      return {2, 1};
-    case Op::MulAdd:
-      return {3, 1};
-    case Op::Call: {
-      COMMON_EXPECTS(in.a >= 0 && std::size_t(in.a) < program.functions.size(),
-                     "stackEffect of a call with an out-of-range target");
-      const FunctionInfo& callee = program.functions[std::size_t(in.a)];
-      return {std::uint32_t(callee.params.size()) +
-                  (callee.returnsStruct ? 1u : 0u),
-              callee.returnsValue ? 1u : 0u};
-    }
-    case Op::CallBuiltin:
-      return {builtinArity(Builtin(in.a)), 1};
+  if (in.op == Op::Call) {
+    COMMON_EXPECTS(in.a >= 0 && std::size_t(in.a) < program.functions.size(),
+                   "stackEffect of a call with an out-of-range target");
+    const FunctionInfo& callee = program.functions[std::size_t(in.a)];
+    return {std::uint32_t(callee.params.size()) +
+                (callee.returnsStruct ? 1u : 0u),
+            callee.returnsValue ? 1u : 0u};
   }
-  return {0, 0}; // an unknown opcode, which the verifier rejects
+  if (in.op == Op::CallBuiltin) {
+    return {builtinArity(Builtin(in.a)), 1};
+  }
+  const OpInfo& row = opInfo(in.op);
+  return {row.pops, row.pushes};
 }
 
 bool endsStraightLine(const Instr& in) {
-  switch (in.op) {
-    case Op::Jmp:
-    case Op::Jz:
-    case Op::Jnz:
-    case Op::CmpJz:
-    case Op::CmpJnz:
-    case Op::Ret:
-    case Op::RetVal:
-    case Op::RetStruct:
-    case Op::Trap:
-    case Op::Barrier:
-      return true;
-    case Op::CallBuiltin:
-      return Builtin(in.a) == Builtin::Barrier;
-    default:
-      return in.op > kMaxOp;
-  }
+  return opInfo(in.op).flow != Flow::Next ||
+         (in.op == Op::CallBuiltin && Builtin(in.a) == Builtin::Barrier);
 }
 
 } // namespace clc

@@ -18,7 +18,9 @@
 //   * the call graph is acyclic and at most kMaxCallDepth frames deep, and
 //     no kernel's live frames exceed kMaxPrivateArena bytes.
 //
-// From this it records each kernel's KernelBounds (bytecode.h).
+// From this it records each kernel's KernelBounds (bytecode.h), and it
+// fills an empty Program::cycleCosts from the opcode table, so every
+// runnable program carries the cycle table the VM charges from.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +44,9 @@ inline constexpr std::uint32_t kMaxPrivateArena = 1u << 20;
 /// Most frames one work-item may have live (the kernel's own included).
 inline constexpr std::uint32_t kMaxCallDepth = 64;
 
-/// Verifies `program` and stores every kernel's proven bounds in
-/// KernelInfo::bounds. Throws VerifyError on the first violation.
+/// Verifies `program`, stores every kernel's proven bounds in
+/// KernelInfo::bounds and fills an empty cycleCosts table. Throws
+/// VerifyError on the first violation, a wrong-length cycleCosts included.
 void verify(Program& program);
 
 /// How many operand-stack slots one instruction pops and then pushes.
@@ -52,13 +55,14 @@ struct StackEffect {
   std::uint32_t pushes = 0;
 };
 
-/// The stack effect of `in`, for every opcode: a call's comes from its
-/// callee's signature, a builtin's from its arity. A call target must
-/// index program.functions (the verifier checks operands first).
+/// The stack effect of `in`: the opcode's row, except that a call's comes
+/// from its callee's signature and a builtin's from its arity. A call
+/// target must index program.functions (the verifier checks operands
+/// first).
 StackEffect stackEffect(const Program& program, const Instr& in);
 
-/// True for the instructions a straight-line scan must stop at: jumps,
-/// returns, traps and work-group barriers.
+/// True for the instructions a straight-line scan must stop at: every row
+/// whose flow is not Flow::Next (jumps, returns, traps, barriers).
 bool endsStraightLine(const Instr& in);
 
 } // namespace clc

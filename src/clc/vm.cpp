@@ -28,7 +28,7 @@ struct LaunchContext {
   std::uint64_t totalLocalSize = 0;
   NDRange range;
   std::size_t groupCount[3] = {1, 1, 1};
-  /// Per-instruction cycle costs (Program::cycleCosts or derived).
+  /// Program::cycleCosts, one entry per instruction (verify.h).
   const std::uint32_t* costs = nullptr;
 };
 
@@ -568,7 +568,7 @@ private:
         break;
     }
 
-    if (id >= Builtin::AtomicAdd && id <= Builtin::AtomicAddFloat) {
+    if (isAtomic(id)) {
       doAtomic(id, tag);
       return;
     }
@@ -1009,98 +1009,6 @@ void runGroup(const LaunchContext& ctx, std::size_t groupLinear,
 
 } // namespace
 
-std::uint32_t opCycleCost(Op op) noexcept {
-  switch (op) {
-    case Op::Nop:
-    case Op::Dup:
-    case Op::Pop:
-    case Op::Swap:
-    case Op::Rot3:
-      return 0; // stack shuffling models register traffic: free
-    case Op::PushConst:
-    case Op::PushFrameAddr:
-    case Op::PushLocalAddr:
-      return 1;
-    case Op::Load:
-    case Op::Store:
-    case Op::StoreKeep:
-      return 2; // private/local latency; global adds +8 in resolve()
-    case Op::MemCopy:
-      return 4;
-    case Op::Div:
-    case Op::Rem:
-      return 8;
-    case Op::Add:
-    case Op::Sub:
-    case Op::Mul:
-    case Op::Neg:
-    case Op::Shl:
-    case Op::Shr:
-    case Op::BitAnd:
-    case Op::BitOr:
-    case Op::BitXor:
-    case Op::BitNot:
-    case Op::CmpEq:
-    case Op::CmpNe:
-    case Op::CmpLt:
-    case Op::CmpLe:
-    case Op::CmpGt:
-    case Op::CmpGe:
-    case Op::LogNot:
-    case Op::Conv:
-      return 1;
-    case Op::Jmp:
-    case Op::Jz:
-    case Op::Jnz:
-      return 1;
-    case Op::Call:
-    case Op::Ret:
-    case Op::RetVal:
-    case Op::RetStruct:
-      return 4;
-    case Op::CallBuiltin:
-      return 0; // builtinCycleCost covers it
-    case Op::Barrier:
-      return 16;
-    case Op::Trap:
-      return 0;
-    // Superinstructions: the cost of the canonical sequence they replace.
-    // Embedded ops are not visible here; instrCycleCost decodes them.
-    case Op::LoadFrame:
-    case Op::StoreFrame:
-      return 3; // PushFrameAddr (1) + Load/Store (2)
-    case Op::BinConst:
-      return 2; // PushConst (1) + binop (1)
-    case Op::FrameBin:
-      return 4; // LoadFrame (3) + binop (1)
-    case Op::LoadBin:
-      return 3; // Load (2) + binop (1)
-    case Op::CmpJz:
-    case Op::CmpJnz:
-      return 2; // compare (1) + conditional jump (1)
-    case Op::MulAdd:
-      return 2; // Mul (1) + Add (1)
-    case Op::FrameBin2:
-      return 7; // LoadFrame (3) + FrameBin without op (3) + binop (1)
-  }
-  return 1;
-}
-
-std::uint32_t instrCycleCost(const Instr& instr) noexcept {
-  switch (instr.op) {
-    case Op::BinConst:
-      return 1 + opCycleCost(embeddedOp(instr.a));
-    case Op::FrameBin:
-      return 3 + opCycleCost(embeddedOp(instr.a));
-    case Op::LoadBin:
-      return 2 + opCycleCost(Op(instr.a));
-    case Op::FrameBin2:
-      return 6 + opCycleCost(frame2Op(instr.a));
-    default:
-      return opCycleCost(instr.op);
-  }
-}
-
 LaunchStats executeKernel(const Program& program,
                           const std::string& kernelName, const NDRange& range,
                           const std::vector<KernelArgValue>& args,
@@ -1123,19 +1031,7 @@ LaunchStats executeKernel(const Program& program,
   ctx.args = &args;
   ctx.range = range;
 
-  // Per-instruction cycle costs: the optimizer's table when present
-  // (timing-invariance contract), otherwise derived from the opcode.
-  std::vector<std::uint32_t> derivedCosts;
-  if (program.cycleCosts.size() == program.code.size() &&
-      !program.code.empty()) {
-    ctx.costs = program.cycleCosts.data();
-  } else {
-    derivedCosts.reserve(program.code.size());
-    for (const Instr& instr : program.code) {
-      derivedCosts.push_back(instrCycleCost(instr));
-    }
-    ctx.costs = derivedCosts.data();
-  }
+  ctx.costs = program.cycleCosts.data();
 
   if (args.size() != ctx.kernelFunc->params.size()) {
     throw common::InvalidArgument(

@@ -95,16 +95,4 @@ LaunchStats executeKernel(const Program& program,
                           const std::vector<Segment>& segments,
                           common::ThreadPool* pool);
 
-/// Per-opcode base cost in device cycles (exposed for tests/docs). For
-/// superinstructions this is the cost of the canonical sequence they
-/// replace, ignoring any embedded op (use instrCycleCost for that).
-std::uint32_t opCycleCost(Op op) noexcept;
-
-/// Base cost of one concrete instruction: like opCycleCost, but decodes
-/// embedded ops (BinConst/FrameBin/LoadBin/CmpJz/CmpJnz) so a fused
-/// instruction costs exactly the sum of the sequence it replaces. This is
-/// what the VM charges when Program::cycleCosts is empty, and what the
-/// optimizer seeds its cost table from.
-std::uint32_t instrCycleCost(const Instr& instr) noexcept;
-
 } // namespace clc

@@ -928,11 +928,12 @@ TEST(OptPass, OptLevelZeroLeavesProgramUntouched) {
   const std::vector<Instr> original = p.code;
   clc::optimize(p, clc::OptLevel::O0);
   EXPECT_EQ(p.optLevel, 0u);
-  EXPECT_TRUE(p.cycleCosts.empty());
   ASSERT_EQ(p.code.size(), original.size());
+  ASSERT_EQ(p.cycleCosts.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(p.code[i].op, original[i].op);
     EXPECT_EQ(p.code[i].a, original[i].a);
+    EXPECT_EQ(p.cycleCosts[i], clc::instrCycleCost(p.code[i]));
   }
 }
 
