@@ -6,10 +6,20 @@
 namespace clc {
 
 const char* typeTagName(TypeTag tag) noexcept {
-  constexpr const char* kNames[] = {"i8",  "u8",  "i16", "u16", "i32", "u32",
-                                    "i64", "u64", "f32", "f64", "ptr"};
-  static_assert(std::size(kNames) == std::size_t(kMaxTypeTag) + 1);
-  return tag <= kMaxTypeTag ? kNames[std::size_t(tag)] : "?";
+  switch (tag) {
+    case TypeTag::I8: return "i8";
+    case TypeTag::U8: return "u8";
+    case TypeTag::I16: return "i16";
+    case TypeTag::U16: return "u16";
+    case TypeTag::I32: return "i32";
+    case TypeTag::U32: return "u32";
+    case TypeTag::I64: return "i64";
+    case TypeTag::U64: return "u64";
+    case TypeTag::F32: return "f32";
+    case TypeTag::F64: return "f64";
+    case TypeTag::Ptr: return "ptr";
+  }
+  return "?";
 }
 
 namespace {

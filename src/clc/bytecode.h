@@ -189,8 +189,8 @@ struct OpInfo {
   Op op;
   const char* name;
   /// Device cycles per execution. A superinstruction's is the sum of the
-  /// rows it replaces, minus the embedded binop or compare that
-  /// instrCycleCost() adds from its own row.
+  /// rows it replaces, minus an embedded binop, which instrCycleCost()
+  /// adds from that binop's own row.
   std::uint8_t cycles;
   /// Operand-stack slots popped, then pushed; Call and CallBuiltin take
   /// theirs from the callee (stackEffect, verify.h).

@@ -455,36 +455,24 @@ void simFunction(Program& p, const FunctionInfo& f, const OptOptions& opts,
         clearAll();
         break;
       }
-      case Op::Call: {
-        if (std::size_t(in.a) < p.functions.size()) {
-          const FunctionInfo& callee = p.functions[std::size_t(in.a)];
-          for (std::size_t k = 0; k < callee.params.size(); ++k) {
-            pop1();
-          }
-          if (callee.returnsStruct) {
-            pop1();
-          }
-          if (callee.returnsValue) {
-            pushU();
-          }
-          fc.clear(); // the callee may write through a passed frame pointer
-        } else {
-          clearAll();
-        }
-        break;
-      }
+      case Op::Call:
       case Op::CallBuiltin: {
-        const Builtin b = Builtin(in.a);
-        if (b == Builtin::Barrier) {
+        if (in.op == Op::Call ? std::size_t(in.a) >= p.functions.size()
+                              : Builtin(in.a) == Builtin::Barrier) {
           clearAll();
           break;
         }
-        for (std::uint8_t k = 0; k < builtinArity(b); ++k) {
+        const StackEffect e = stackEffect(p, in);
+        for (std::uint32_t k = 0; k < e.pops; ++k) {
           pop1();
         }
-        pushU();
-        if (isAtomic(b)) {
-          fc.clear(); // atomics can target the frame via escaped pointers
+        for (std::uint32_t k = 0; k < e.pushes; ++k) {
+          pushU();
+        }
+        // A callee may write through a passed frame pointer, an atomic
+        // through an escaped one.
+        if (in.op == Op::Call || isAtomic(Builtin(in.a))) {
+          fc.clear();
         }
         break;
       }
