@@ -3,16 +3,25 @@
 // The optimizer's contract is "host-side speedup only": per-launch
 // simulated cycles must be identical across levels while the dynamic
 // instruction count (and with it wall-clock time) drops. This bench
-// measures instructions/second for a barrier-free hot kernel (the
-// mandelbrot inner loop, which takes the VM's straight-line fast path)
-// and a barrier-heavy tree reduction (round-robin scheduled), verifies
-// the invariants, and reports the O2 speedup.
+// measures instructions/second for
+//
+//   * a barrier-free hot kernel (the mandelbrot inner loop, which takes
+//     the VM's straight-line fast path),
+//   * a barrier-heavy tree reduction (round-robin scheduled), and
+//   * many small launches of a map kernel, one 256-item work-group each,
+//     the shape of the job service's jobs: per-launch and per-item setup
+//     dominate there, so it also reports launches/second.
+//
+// It verifies the invariants and reports the O2 speedup. Each level's
+// time is the median of kRuns runs, O0 and O2 alternating.
 //
 // Output: human-readable lines plus machine-readable `BENCH {...}` JSON
 // lines, one object per measurement.
 //
-// `--smoke` shrinks the workload to seconds-free sizes; ctest runs that
-// mode under the `perf-smoke` label.
+// `--smoke` shrinks the workload to seconds-free sizes and checks only
+// the invariants (cycles and outputs identical); ctest runs that mode
+// under the `perf-smoke` label.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -61,6 +70,9 @@ __kernel void reduce(__global float* out, __global const float* in,
 }
 )";
 
+/// Runs per level; each level's time is their median.
+constexpr int kRuns = 5;
+
 struct Workload {
   std::string name;
   std::string kernel;
@@ -68,43 +80,56 @@ struct Workload {
   clc::NDRange range;
   std::vector<clc::KernelArgValue> args;
   std::vector<std::vector<std::uint8_t>> buffers; // pristine inputs
-  int repetitions = 1;
+  int launches = 1; // per timed run
 };
 
-struct Measurement {
-  double seconds = 0;
+/// One optimization level of a workload: its program, the stats and
+/// buffers of a first launch, and the duration of each timed run.
+struct Level {
+  clc::Program program;
   clc::LaunchStats stats;                         // of one launch
-  std::vector<std::vector<std::uint8_t>> buffers; // after the last launch
+  std::vector<std::vector<std::uint8_t>> buffers; // after that launch
+  std::vector<double> seconds;
+
+  double medianSeconds() const {
+    std::vector<double> sorted = seconds;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted[sorted.size() / 2];
+  }
 };
 
-Measurement run(const Workload& w, clc::OptLevel level) {
-  clc::Program program = clc::compile(w.source);
-  clc::optimize(program, level);
-
-  Measurement m;
-  // Warm-up launch (also produces the buffers used for the output check).
-  m.buffers = w.buffers;
-  {
-    std::vector<clc::Segment> segments;
-    for (auto& b : m.buffers) {
-      segments.push_back(clc::Segment{b.data(), b.size()});
-    }
-    m.stats = clc::executeKernel(program, w.kernel, w.range, w.args,
-                                 segments, nullptr);
+std::vector<clc::Segment> segmentsOf(
+    std::vector<std::vector<std::uint8_t>>& buffers) {
+  std::vector<clc::Segment> segments;
+  for (auto& b : buffers) {
+    segments.push_back(clc::Segment{b.data(), b.size()});
   }
+  return segments;
+}
 
+Level prepare(const Workload& w, clc::OptLevel level) {
+  Level l;
+  l.program = clc::compile(w.source);
+  clc::optimize(l.program, level);
+  // Warm-up launch; it also produces the buffers for the output check.
+  l.buffers = w.buffers;
+  l.stats = clc::executeKernel(l.program, w.kernel, w.range, w.args,
+                               segmentsOf(l.buffers), nullptr);
+  return l;
+}
+
+/// Times w.launches launches on fresh copies of the inputs. Every
+/// workload's kernel writes its outputs from its inputs alone, so the
+/// launches can share one copy.
+void timeRun(const Workload& w, Level& l) {
+  auto buffers = w.buffers;
+  const std::vector<clc::Segment> segments = segmentsOf(buffers);
   common::Stopwatch timer;
-  for (int rep = 0; rep < w.repetitions; ++rep) {
-    auto buffers = w.buffers;
-    std::vector<clc::Segment> segments;
-    for (auto& b : buffers) {
-      segments.push_back(clc::Segment{b.data(), b.size()});
-    }
-    (void)clc::executeKernel(program, w.kernel, w.range, w.args, segments,
+  for (int i = 0; i < w.launches; ++i) {
+    (void)clc::executeKernel(l.program, w.kernel, w.range, w.args, segments,
                              nullptr);
   }
-  m.seconds = timer.elapsedSeconds();
-  return m;
+  l.seconds.push_back(timer.elapsedSeconds());
 }
 
 clc::KernelArgValue bufferArg(std::uint32_t segmentIndex) {
@@ -150,7 +175,7 @@ Workload mandelbrotWorkload(bool smoke) {
             scalarF32(3.0f / float(width)),
             scalarF32(2.0f / float(height)),
             scalarI32(maxIter)};
-  w.repetitions = smoke ? 1 : 3;
+  w.launches = smoke ? 1 : 3;
   return w;
 }
 
@@ -176,15 +201,46 @@ Workload reduceWorkload(bool smoke) {
   localArg.kind = clc::KernelArgValue::Kind::Local;
   localArg.localSize = std::uint32_t(local * 4);
   w.args = {bufferArg(0), bufferArg(1), localArg};
-  w.repetitions = smoke ? 1 : 3;
+  w.launches = smoke ? 1 : 3;
+  return w;
+}
+
+const char* kMapSource = R"(
+__kernel void scale_shift(__global float* out, __global const float* in,
+                          float a, float b) {
+  size_t i = get_global_id(0);
+  out[i] = a * in[i] + b;
+}
+)";
+
+Workload smallLaunchWorkload(bool smoke) {
+  Workload w;
+  w.name = "small launches (one 256-item group each)";
+  w.kernel = "scale_shift";
+  w.source = kMapSource;
+  const std::size_t n = 256;
+  w.range.dims = 1;
+  w.range.globalSize[0] = n;
+  w.range.localSize[0] = n;
+  std::vector<float> in(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    in[i] = float(i % 31) * 0.25f - 3.0f;
+  }
+  std::vector<std::uint8_t> inBytes(n * 4);
+  std::memcpy(inBytes.data(), in.data(), inBytes.size());
+  w.buffers.emplace_back(n * 4, 0);
+  w.buffers.push_back(std::move(inBytes));
+  w.args = {bufferArg(0), bufferArg(1), scalarF32(1.5f), scalarF32(-0.5f)};
+  w.launches = smoke ? 1 : 4000;
   return w;
 }
 
 /// Runs one workload at O0 and O2, checks the invariants, and prints the
-/// comparison. Returns false on an invariant violation.
-bool compare(const Workload& w) {
-  const Measurement o0 = run(w, clc::OptLevel::O0);
-  const Measurement o2 = run(w, clc::OptLevel::O2);
+/// comparison (timings only outside smoke mode). Returns false on an
+/// invariant violation.
+bool compare(const Workload& w, bool smoke) {
+  Level o0 = prepare(w, clc::OptLevel::O0);
+  Level o2 = prepare(w, clc::OptLevel::O2);
 
   const bool sameOutput = o0.buffers == o2.buffers;
   const bool sameCycles =
@@ -193,40 +249,49 @@ bool compare(const Workload& w) {
       o0.stats.globalBytesWritten == o2.stats.globalBytesWritten &&
       o0.stats.barrierWaits == o2.stats.barrierWaits;
 
-  const double launches = double(w.repetitions);
-  const double ips0 = double(o0.stats.instructions) * launches / o0.seconds;
-  const double ips2 = double(o2.stats.instructions) * launches / o2.seconds;
-  const double speedup = o0.seconds / o2.seconds;
-
   std::printf("\n=== %s ===\n", w.name.c_str());
-  std::printf("  O0: %10llu instr/launch  %8.3f s  %12.0f instr/s\n",
-              (unsigned long long)o0.stats.instructions, o0.seconds, ips0);
-  std::printf("  O2: %10llu instr/launch  %8.3f s  %12.0f instr/s\n",
-              (unsigned long long)o2.stats.instructions, o2.seconds, ips2);
-  std::printf("  wall-clock speedup O2/O0: %.2fx\n", speedup);
+  if (!smoke) {
+    for (int run = 0; run < kRuns; ++run) {
+      timeRun(w, o0);
+      timeRun(w, o2);
+    }
+    const double launches = double(w.launches);
+    for (int level = 0; level <= 2; level += 2) {
+      const Level& l = level == 0 ? o0 : o2;
+      const double seconds = l.medianSeconds();
+      const double ips = double(l.stats.instructions) * launches / seconds;
+      const double lps = launches / seconds;
+      std::printf("  O%d: %10llu instr/launch  %8.3f s  %12.0f instr/s  "
+                  "%10.0f launches/s\n",
+                  level, (unsigned long long)l.stats.instructions, seconds,
+                  ips, lps);
+      bench::BenchJson("vm_dispatch")
+          .field("kernel", w.kernel)
+          .field("opt", level)
+          .field("instructions_per_launch",
+                 std::uint64_t(l.stats.instructions))
+          .field("launches", std::uint64_t(w.launches))
+          .field("seconds", seconds)
+          .field("instr_per_sec", ips)
+          .field("launches_per_sec", lps)
+          .field("total_cycles", std::uint64_t(l.stats.totalCycles))
+          .print();
+    }
+    std::printf("  wall-clock speedup O2/O0: %.2fx (median of %d runs)\n",
+                o0.medianSeconds() / o2.medianSeconds(), kRuns);
+  }
   std::printf("  simulated cycles: %llu (O0) vs %llu (O2) -> %s\n",
               (unsigned long long)o0.stats.totalCycles,
               (unsigned long long)o2.stats.totalCycles,
               sameCycles ? "invariant" : "VIOLATION");
   std::printf("  outputs bit-identical: %s\n", sameOutput ? "yes" : "NO");
 
-  for (int level = 0; level <= 2; level += 2) {
-    const Measurement& m = level == 0 ? o0 : o2;
-    const double ips = level == 0 ? ips0 : ips2;
-    bench::BenchJson("vm_dispatch")
-        .field("kernel", w.kernel)
-        .field("opt", level)
-        .field("instructions_per_launch",
-               std::uint64_t(m.stats.instructions))
-        .field("seconds", m.seconds)
-        .field("instr_per_sec", ips)
-        .field("total_cycles", std::uint64_t(m.stats.totalCycles))
-        .print();
+  bench::BenchJson summary("vm_dispatch");
+  summary.field("kernel", w.kernel);
+  if (!smoke) {
+    summary.field("speedup_o2", o0.medianSeconds() / o2.medianSeconds());
   }
-  bench::BenchJson("vm_dispatch")
-      .field("kernel", w.kernel)
-      .field("speedup_o2", speedup)
-      .field("cycles_invariant", sameCycles)
+  summary.field("cycles_invariant", sameCycles)
       .field("outputs_identical", sameOutput)
       .print();
 
@@ -244,8 +309,9 @@ int main(int argc, char** argv) {
   }
 
   bool ok = true;
-  ok = compare(mandelbrotWorkload(smoke)) && ok;
-  ok = compare(reduceWorkload(smoke)) && ok;
+  ok = compare(mandelbrotWorkload(smoke), smoke) && ok;
+  ok = compare(reduceWorkload(smoke), smoke) && ok;
+  ok = compare(smallLaunchWorkload(smoke), smoke) && ok;
 
   if (!ok) {
     std::fprintf(stderr, "\ninvariant violation: O0 and O2 disagree\n");

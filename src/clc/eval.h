@@ -96,37 +96,53 @@ std::uint64_t floatToInt(From value) noexcept {
   return std::uint64_t(std::int64_t(To(value)));
 }
 
-inline std::uint64_t convert(std::uint64_t v, TypeTag from, TypeTag to) {
+namespace detail {
+
+/// A float source converted to any tag; the cold half of convert().
+[[gnu::noinline]] inline std::uint64_t convertFromFloat(std::uint64_t v,
+                                                        TypeTag from,
+                                                        TypeTag to) noexcept {
+  const double d = from == TypeTag::F32 ? double(slotF32(v)) : slotF64(v);
+  switch (to) {
+    case TypeTag::F32: return f32Slot(float(d));
+    case TypeTag::F64: return f64Slot(d);
+    case TypeTag::I8: return floatToInt<std::int8_t>(d);
+    case TypeTag::U8: return canon(floatToInt<std::int64_t>(d), to);
+    case TypeTag::I16: return floatToInt<std::int16_t>(d);
+    case TypeTag::U16: return canon(floatToInt<std::int64_t>(d), to);
+    case TypeTag::I32: return floatToInt<std::int32_t>(d);
+    case TypeTag::U32: {
+      if (std::isnan(d) || d <= 0) return 0;
+      if (d >= 4294967295.0) return 0xffffffffULL;
+      return std::uint64_t(d);
+    }
+    case TypeTag::I64: return floatToInt<std::int64_t>(d);
+    case TypeTag::U64:
+    case TypeTag::Ptr: {
+      if (std::isnan(d) || d <= 0) return 0;
+      if (d >= 18446744073709551615.0) return ~0ULL;
+      return std::uint64_t(d);
+    }
+  }
+  return v;
+}
+
+} // namespace detail
+
+/// Converts a slot between tags. Integer sources and f32 -> i32 are
+/// inlined; the other float sources take the out-of-line path.
+[[gnu::always_inline]] inline std::uint64_t convert(std::uint64_t v,
+                                                    TypeTag from,
+                                                    TypeTag to) noexcept {
   if (from == to) {
     return v;
   }
-  // Source value as double / i64 / u64 views.
   if (isFloatTag(from)) {
-    const double d = from == TypeTag::F32 ? double(slotF32(v)) : slotF64(v);
-    switch (to) {
-      case TypeTag::F32: return f32Slot(float(d));
-      case TypeTag::F64: return f64Slot(d);
-      case TypeTag::I8: return floatToInt<std::int8_t>(d);
-      case TypeTag::U8: return canon(floatToInt<std::int64_t>(d), to);
-      case TypeTag::I16: return floatToInt<std::int16_t>(d);
-      case TypeTag::U16: return canon(floatToInt<std::int64_t>(d), to);
-      case TypeTag::I32: return floatToInt<std::int32_t>(d);
-      case TypeTag::U32: {
-        if (std::isnan(d) || d <= 0) return 0;
-        if (d >= 4294967295.0) return 0xffffffffULL;
-        return std::uint64_t(d);
-      }
-      case TypeTag::I64: return floatToInt<std::int64_t>(d);
-      case TypeTag::U64:
-      case TypeTag::Ptr: {
-        if (std::isnan(d) || d <= 0) return 0;
-        if (d >= 18446744073709551615.0) return ~0ULL;
-        return std::uint64_t(d);
-      }
+    if (from == TypeTag::F32 && to == TypeTag::I32) {
+      return floatToInt<std::int32_t>(double(slotF32(v)));
     }
-    return v;
+    return detail::convertFromFloat(v, from, to);
   }
-  // Integer source.
   if (to == TypeTag::F32) {
     return isSignedTag(from) ? f32Slot(float(std::int64_t(v)))
                              : f32Slot(float(v));
@@ -139,6 +155,13 @@ inline std::uint64_t convert(std::uint64_t v, TypeTag from, TypeTag to) {
 }
 
 // --- arithmetic / comparison -------------------------------------------------
+//
+// evalArith and evalCompare test the tag first and are force-inlined,
+// so a caller with a constant op (one VM handler per op) compiles to the
+// F32 / I32 / U32 / 64-bit-integer paths with canon() and the shift masks
+// folded. F64 and the 8/16-bit tags share one out-of-line path. Each body
+// below is the single definition of its semantics: the hot tags instantiate
+// it with a constant tag, the cold path with the runtime one.
 
 enum class EvalStatus {
   Ok,
@@ -146,35 +169,31 @@ enum class EvalStatus {
   BadOp,       // op/tag combination the VM would trap on
 };
 
-/// Binary arithmetic with the VM's exact semantics. On EvalStatus::Ok the
-/// result is in `out`; otherwise the VM would trap and the optimizer must
-/// leave the instruction alone.
-inline EvalStatus evalArith(Op op, TypeTag tag, std::uint64_t lhs,
-                            std::uint64_t rhs, std::uint64_t& out) noexcept {
-  if (tag == TypeTag::F32) {
-    const float a = slotF32(lhs);
-    const float b = slotF32(rhs);
-    switch (op) {
-      case Op::Add: out = f32Slot(a + b); return EvalStatus::Ok;
-      case Op::Sub: out = f32Slot(a - b); return EvalStatus::Ok;
-      case Op::Mul: out = f32Slot(a * b); return EvalStatus::Ok;
-      case Op::Div: out = f32Slot(a / b); return EvalStatus::Ok;
-      case Op::Rem: out = f32Slot(std::fmod(a, b)); return EvalStatus::Ok;
-      default: return EvalStatus::BadOp;
-    }
+namespace detail {
+
+template <typename F>
+[[gnu::always_inline]] inline EvalStatus floatArith(
+    Op op, F a, F b, std::uint64_t& out) noexcept {
+  F r{};
+  switch (op) {
+    case Op::Add: r = a + b; break;
+    case Op::Sub: r = a - b; break;
+    case Op::Mul: r = a * b; break;
+    case Op::Div: r = a / b; break;
+    case Op::Rem: r = std::fmod(a, b); break;
+    default: return EvalStatus::BadOp;
   }
-  if (tag == TypeTag::F64) {
-    const double a = slotF64(lhs);
-    const double b = slotF64(rhs);
-    switch (op) {
-      case Op::Add: out = f64Slot(a + b); return EvalStatus::Ok;
-      case Op::Sub: out = f64Slot(a - b); return EvalStatus::Ok;
-      case Op::Mul: out = f64Slot(a * b); return EvalStatus::Ok;
-      case Op::Div: out = f64Slot(a / b); return EvalStatus::Ok;
-      case Op::Rem: out = f64Slot(std::fmod(a, b)); return EvalStatus::Ok;
-      default: return EvalStatus::BadOp;
-    }
+  if constexpr (sizeof(F) == 4) {
+    out = f32Slot(r);
+  } else {
+    out = f64Slot(r);
   }
+  return EvalStatus::Ok;
+}
+
+[[gnu::always_inline]] inline EvalStatus intArith(
+    Op op, TypeTag tag, std::uint64_t lhs, std::uint64_t rhs,
+    std::uint64_t& out) noexcept {
   const unsigned bits = tagBits(tag);
   switch (op) {
     case Op::Add: out = canon(lhs + rhs, tag); return EvalStatus::Ok;
@@ -231,44 +250,103 @@ inline EvalStatus evalArith(Op op, TypeTag tag, std::uint64_t lhs,
   }
 }
 
-/// Comparison with the VM's exact semantics.
-inline EvalStatus evalCompare(Op op, TypeTag tag, std::uint64_t lhs,
-                              std::uint64_t rhs, bool& out) noexcept {
-  if (tag == TypeTag::F32 || tag == TypeTag::F64) {
-    const double a = tag == TypeTag::F32 ? double(slotF32(lhs)) : slotF64(lhs);
-    const double b = tag == TypeTag::F32 ? double(slotF32(rhs)) : slotF64(rhs);
-    switch (op) {
-      case Op::CmpEq: out = a == b; return EvalStatus::Ok;
-      case Op::CmpNe: out = a != b; return EvalStatus::Ok;
-      case Op::CmpLt: out = a < b; return EvalStatus::Ok;
-      case Op::CmpLe: out = a <= b; return EvalStatus::Ok;
-      case Op::CmpGt: out = a > b; return EvalStatus::Ok;
-      case Op::CmpGe: out = a >= b; return EvalStatus::Ok;
-      default: return EvalStatus::BadOp;
-    }
-  }
-  if (isSignedTag(tag)) {
-    const auto a = std::int64_t(lhs);
-    const auto b = std::int64_t(rhs);
-    switch (op) {
-      case Op::CmpEq: out = a == b; return EvalStatus::Ok;
-      case Op::CmpNe: out = a != b; return EvalStatus::Ok;
-      case Op::CmpLt: out = a < b; return EvalStatus::Ok;
-      case Op::CmpLe: out = a <= b; return EvalStatus::Ok;
-      case Op::CmpGt: out = a > b; return EvalStatus::Ok;
-      case Op::CmpGe: out = a >= b; return EvalStatus::Ok;
-      default: return EvalStatus::BadOp;
-    }
-  }
+/// What the out-of-line paths return by value, so that a caller's result
+/// can stay in a register.
+template <typename T>
+struct Evaluated {
+  EvalStatus status;
+  T value;
+};
+
+/// F64 and the 8/16-bit integer tags.
+[[gnu::noinline]] inline Evaluated<std::uint64_t> coldArith(
+    Op op, TypeTag tag, std::uint64_t lhs, std::uint64_t rhs) noexcept {
+  Evaluated<std::uint64_t> r{EvalStatus::Ok, 0};
+  r.status = tag == TypeTag::F64
+                 ? floatArith(op, slotF64(lhs), slotF64(rhs), r.value)
+                 : intArith(op, tag, lhs, rhs, r.value);
+  return r;
+}
+
+template <typename T>
+[[gnu::always_inline]] inline EvalStatus ordered(Op op, T a, T b,
+                                                 bool& out) noexcept {
   switch (op) {
-    case Op::CmpEq: out = lhs == rhs; return EvalStatus::Ok;
-    case Op::CmpNe: out = lhs != rhs; return EvalStatus::Ok;
-    case Op::CmpLt: out = lhs < rhs; return EvalStatus::Ok;
-    case Op::CmpLe: out = lhs <= rhs; return EvalStatus::Ok;
-    case Op::CmpGt: out = lhs > rhs; return EvalStatus::Ok;
-    case Op::CmpGe: out = lhs >= rhs; return EvalStatus::Ok;
+    case Op::CmpEq: out = a == b; return EvalStatus::Ok;
+    case Op::CmpNe: out = a != b; return EvalStatus::Ok;
+    case Op::CmpLt: out = a < b; return EvalStatus::Ok;
+    case Op::CmpLe: out = a <= b; return EvalStatus::Ok;
+    case Op::CmpGt: out = a > b; return EvalStatus::Ok;
+    case Op::CmpGe: out = a >= b; return EvalStatus::Ok;
     default: return EvalStatus::BadOp;
   }
+}
+
+/// F64 and the 8/16-bit integer tags.
+[[gnu::noinline]] inline Evaluated<bool> coldCompare(
+    Op op, TypeTag tag, std::uint64_t lhs, std::uint64_t rhs) noexcept {
+  Evaluated<bool> r{EvalStatus::Ok, false};
+  if (tag == TypeTag::F64) {
+    r.status = ordered(op, slotF64(lhs), slotF64(rhs), r.value);
+  } else if (isSignedTag(tag)) {
+    r.status = ordered(op, std::int64_t(lhs), std::int64_t(rhs), r.value);
+  } else {
+    r.status = ordered(op, lhs, rhs, r.value);
+  }
+  return r;
+}
+
+/// Stores a cold path's value where the inline paths store theirs.
+template <typename T>
+[[gnu::always_inline]] inline EvalStatus unpack(Evaluated<T> r,
+                                                T& out) noexcept {
+  if (r.status == EvalStatus::Ok) {
+    out = r.value;
+  }
+  return r.status;
+}
+
+} // namespace detail
+
+/// Binary arithmetic with the VM's exact semantics. On EvalStatus::Ok the
+/// result is in `out`; otherwise the VM would trap and the optimizer must
+/// leave the instruction alone.
+[[gnu::always_inline]] inline EvalStatus evalArith(
+    Op op, TypeTag tag, std::uint64_t lhs, std::uint64_t rhs,
+    std::uint64_t& out) noexcept {
+  if (tag == TypeTag::F32) {
+    return detail::floatArith(op, slotF32(lhs), slotF32(rhs), out);
+  }
+  if (tag == TypeTag::I32) {
+    return detail::intArith(op, TypeTag::I32, lhs, rhs, out);
+  }
+  if (tag == TypeTag::U32) {
+    return detail::intArith(op, TypeTag::U32, lhs, rhs, out);
+  }
+  if (tag == TypeTag::I64) {
+    return detail::intArith(op, TypeTag::I64, lhs, rhs, out);
+  }
+  if (tag == TypeTag::U64 || tag == TypeTag::Ptr) {
+    return detail::intArith(op, TypeTag::U64, lhs, rhs, out);
+  }
+  return detail::unpack(detail::coldArith(op, tag, lhs, rhs), out);
+}
+
+/// Comparison with the VM's exact semantics: floats compare as values
+/// (NaN unordered), signed tags as int64, the rest as uint64.
+[[gnu::always_inline]] inline EvalStatus evalCompare(
+    Op op, TypeTag tag, std::uint64_t lhs, std::uint64_t rhs,
+    bool& out) noexcept {
+  if (tag == TypeTag::F32) {
+    return detail::ordered(op, slotF32(lhs), slotF32(rhs), out);
+  }
+  if (tag == TypeTag::I32 || tag == TypeTag::I64) {
+    return detail::ordered(op, std::int64_t(lhs), std::int64_t(rhs), out);
+  }
+  if (tag == TypeTag::U32 || tag == TypeTag::U64 || tag == TypeTag::Ptr) {
+    return detail::ordered(op, lhs, rhs, out);
+  }
+  return detail::unpack(detail::coldCompare(op, tag, lhs, rhs), out);
 }
 
 /// Unary negation with the VM's exact semantics.

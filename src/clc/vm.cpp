@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
+#include <iterator>
 
 #include "clc/builtins.h"
 #include "clc/eval.h"
@@ -23,8 +26,9 @@ struct LaunchContext {
   const std::vector<Segment>* segments = nullptr;
   const FunctionInfo* kernelFunc = nullptr;
   const KernelInfo* kernel = nullptr;
-  const std::vector<KernelArgValue>* args = nullptr;
-  std::vector<std::uint64_t> localArgOffsets; // for LocalPtr args
+  /// The kernel's frame with every argument in place, built once per
+  /// launch; each work-item starts from a copy (frameSize bytes).
+  std::vector<std::uint8_t> argFrame;
   std::uint64_t totalLocalSize = 0;
   NDRange range;
   std::size_t groupCount[3] = {1, 1, 1};
@@ -53,30 +57,69 @@ void writeAs(std::uint8_t* p, T v) noexcept {
 
 /// Loads a `tag`-typed value into a canonical slot with one fixed-width
 /// copy (what memcpy of typeTagSize bytes followed by canon() computes).
+/// The 32- and 64-bit tags are tested first, as branches rather than a
+/// jump table.
 inline std::uint64_t loadSlot(const std::uint8_t* p, TypeTag tag) noexcept {
+  if (tag == TypeTag::F32 || tag == TypeTag::U32) {
+    return readAs<std::uint32_t>(p);
+  }
+  if (tag == TypeTag::I32) {
+    return std::uint64_t(std::int64_t(readAs<std::int32_t>(p)));
+  }
   switch (tag) {
     case TypeTag::I8: return std::uint64_t(std::int64_t(readAs<std::int8_t>(p)));
     case TypeTag::U8: return *p;
     case TypeTag::I16:
       return std::uint64_t(std::int64_t(readAs<std::int16_t>(p)));
     case TypeTag::U16: return readAs<std::uint16_t>(p);
-    case TypeTag::I32:
-      return std::uint64_t(std::int64_t(readAs<std::int32_t>(p)));
-    case TypeTag::U32:
-    case TypeTag::F32: return readAs<std::uint32_t>(p);
     default: return readAs<std::uint64_t>(p);
   }
 }
 
 /// Stores the low typeTagSize(tag) bytes of a slot with one fixed-width copy.
 inline void storeSlot(std::uint8_t* p, std::uint64_t v, TypeTag tag) noexcept {
-  switch (typeTagSize(tag)) {
-    case 1: *p = std::uint8_t(v); return;
-    case 2: writeAs(p, std::uint16_t(v)); return;
-    case 4: writeAs(p, std::uint32_t(v)); return;
-    default: writeAs(p, v); return;
+  const std::size_t size = typeTagSize(tag);
+  if (size == 4) {
+    writeAs(p, std::uint32_t(v));
+  } else if (size == 8) {
+    writeAs(p, v);
+  } else if (size == 2) {
+    writeAs(p, std::uint16_t(v));
+  } else {
+    *p = std::uint8_t(v);
   }
 }
+
+// Every opcode's handler label in ItemVM::resume, in Op order.
+#define CLC_VM_OPS(X)                                                     \
+  X(Nop) X(PushConst) X(PushFrameAddr) X(PushLocalAddr) X(Dup) X(Pop)     \
+  X(Swap) X(Rot3) X(Load) X(Store) X(StoreKeep) X(MemCopy) X(Add) X(Sub)  \
+  X(Mul) X(Div) X(Rem) X(Neg) X(Shl) X(Shr) X(BitAnd) X(BitOr) X(BitXor)  \
+  X(BitNot) X(CmpEq) X(CmpNe) X(CmpLt) X(CmpLe) X(CmpGt) X(CmpGe)         \
+  X(LogNot) X(Conv) X(Jmp) X(Jz) X(Jnz) X(Call) X(CallBuiltin) X(Barrier) \
+  X(Ret) X(RetVal) X(RetStruct) X(Trap) X(LoadFrame) X(StoreFrame)       \
+  X(BinConst) X(FrameBin) X(LoadBin) X(CmpJz) X(CmpJnz) X(MulAdd)        \
+  X(FrameBin2)
+
+#define CLC_VM_OP(name) Op::name,
+constexpr Op kHandlerOps[] = {CLC_VM_OPS(CLC_VM_OP)};
+#undef CLC_VM_OP
+
+constexpr bool handlersInOpOrder() {
+  for (std::size_t i = 0; i < std::size(kHandlerOps); ++i) {
+    if (kHandlerOps[i] != Op(i)) {
+      return false;
+    }
+  }
+  return std::size(kHandlerOps) == std::size_t(kMaxOp) + 1;
+}
+static_assert(handlersInOpOrder(),
+              "CLC_VM_OPS must list every Op once, in enum order");
+
+// ItemVM::resume reads each Instr as one little-endian 8-byte word.
+static_assert(std::endian::native == std::endian::little &&
+              offsetof(Instr, op) == 0 && offsetof(Instr, tag) == 1 &&
+              offsetof(Instr, a) == 4 && sizeof(Instr) == 8);
 
 /// Storage one work-item runs on, sized to its kernel's KernelBounds.
 struct ItemStorage {
@@ -115,12 +158,11 @@ public:
     sp_ = operands_ = storage.operands;
     arena_ = storage.arena;
     frames_ = storage.frames;
-    std::memset(arena_, 0, f.frameSize);
+    std::memcpy(arena_, ctx.argFrame.data(), f.frameSize);
     arenaTop_ = f.frameSize;
     frames_[0] = Frame{~0u, 0};
     frameCount_ = 1;
     pc_ = f.codeStart;
-    fillKernelArgs();
   }
 
   ItemStatus status() const noexcept { return status_; }
@@ -131,7 +173,13 @@ public:
   std::uint64_t atomics() const noexcept { return atomics_; }
 
   /// Runs until completion or the next barrier.
-  void resume() {
+  ///
+  /// Direct-threaded: every handler ends by fetching the next instruction
+  /// and jumping through kDispatch itself, so each opcode gets its own
+  /// indirect branch. The verifier proved every opcode <= kMaxOp, so the
+  /// table lookup needs no range check. The function is aligned so that
+  /// unrelated code moving around it cannot shift the hot loop.
+  [[gnu::noinline, gnu::aligned(64)]] void resume() {
     status_ = ItemStatus::Running;
     const Program& program = *ctx_->program;
     const Instr* const code = program.code.data();
@@ -146,24 +194,32 @@ public:
     std::uint8_t* fp = arena_ + frames_[frameCount_ - 1].frameBase;
     std::uint64_t instructions = 0;
     std::uint64_t cycles = 0;
-    const auto push = [&](std::uint64_t v) { *sp++ = v; };
-    const auto pop = [&] { return *--sp; };
-    const auto publish = [&] {
+    // The current instruction as one 8-byte word (layout asserted at
+    // namespace scope): the opcode selects the handler, which decodes the
+    // tag and immediate it needs.
+    std::uint64_t word = 0;
+    // Each helper captures only locals and is force-inlined, so the hot
+    // state stays in registers.
+#define CLC_VM_INLINE __attribute__((always_inline))
+    const auto push = [&](std::uint64_t v) CLC_VM_INLINE { *sp++ = v; };
+    const auto pop = [&]() CLC_VM_INLINE { return *--sp; };
+    const auto publish = [&]() CLC_VM_INLINE {
       pc_ = pc;
       sp_ = sp;
     };
-    const auto reload = [&] {
+    const auto reload = [&]() CLC_VM_INLINE {
       pc = pc_;
       sp = sp_;
       fp = arena_ + frames_[frameCount_ - 1].frameBase;
     };
-    const auto suspend = [&] {
-      publish();
+    const auto suspend = [&]() CLC_VM_INLINE {
+      pc_ = pc;
+      sp_ = sp;
       instructions_ += instructions;
       cycles_ += cycles;
     };
     // Pops the current frame; true when the kernel itself returned.
-    const auto ret = [&] {
+    const auto ret = [&]() CLC_VM_INLINE {
       if (frameCount_ == 1) {
         status_ = ItemStatus::Done;
         return true;
@@ -174,230 +230,250 @@ public:
       fp = arena_ + frames_[frameCount_ - 1].frameBase;
       return false;
     };
-    for (;;) {
-      const Instr instr = code[pc];
-      cycles += costs[pc];
-      ++pc;
-      ++instructions;
-      switch (instr.op) {
-        case Op::Nop:
-          break;
-        case Op::PushConst:
-          push(constants[std::size_t(instr.a)]);
-          break;
-        case Op::PushFrameAddr:
-          push(packPointer(MemSpace::Private, 0,
-                           std::uint64_t(fp - arena_) +
-                               std::uint64_t(instr.a)));
-          break;
-        case Op::PushLocalAddr:
-          push(packPointer(MemSpace::Local, 0, std::uint64_t(instr.a)));
-          break;
-        case Op::Dup: {
-          const std::uint64_t v = sp[-1];
-          push(v);
-          break;
-        }
-        case Op::Pop:
-          --sp;
-          break;
-        case Op::Swap:
-          std::swap(sp[-1], sp[-2]);
-          break;
-        case Op::Rot3: {
-          // [a b c] -> [b c a]
-          const std::uint64_t a = sp[-3];
-          sp[-3] = sp[-2];
-          sp[-2] = sp[-1];
-          sp[-1] = a;
-          break;
-        }
-        case Op::Load: {
-          const std::uint64_t ptr = pop();
-          push(loadSlot(resolve(ptr, typeTagSize(instr.tag), /*write=*/false),
-                        instr.tag));
-          break;
-        }
-        case Op::Store: {
-          const std::uint64_t v = pop();
-          const std::uint64_t ptr = pop();
-          storeSlot(resolve(ptr, typeTagSize(instr.tag), /*write=*/true), v,
-                    instr.tag);
-          break;
-        }
-        case Op::StoreKeep: {
-          const std::uint64_t v = pop();
-          const std::uint64_t ptr = pop();
-          storeSlot(resolve(ptr, typeTagSize(instr.tag), /*write=*/true), v,
-                    instr.tag);
-          push(v);
-          break;
-        }
-        case Op::MemCopy: {
-          const std::uint64_t src = pop();
-          const std::uint64_t dst = pop();
-          const auto size = std::size_t(instr.a);
-          const std::uint8_t* s = resolve(src, size, /*write=*/false);
-          std::uint8_t* d = resolve(dst, size, /*write=*/true);
-          std::memmove(d, s, size);
-          break;
-        }
-        case Op::Add:
-        case Op::Sub:
-        case Op::Mul:
-        case Op::Div:
-        case Op::Rem:
-        case Op::Shl:
-        case Op::Shr:
-        case Op::BitAnd:
-        case Op::BitOr:
-        case Op::BitXor: {
-          const std::uint64_t rhs = pop();
-          sp[-1] = arith(instr.op, instr.tag, sp[-1], rhs);
-          break;
-        }
-        case Op::Neg:
-          sp[-1] = evalNeg(instr.tag, sp[-1]);
-          break;
-        case Op::BitNot:
-          sp[-1] = canon(~sp[-1], instr.tag);
-          break;
-        case Op::CmpEq:
-        case Op::CmpNe:
-        case Op::CmpLt:
-        case Op::CmpLe:
-        case Op::CmpGt:
-        case Op::CmpGe: {
-          const std::uint64_t rhs = pop();
-          sp[-1] = compare(instr.op, instr.tag, sp[-1], rhs) ? 1 : 0;
-          break;
-        }
-        case Op::LogNot:
-          sp[-1] = sp[-1] == 0 ? 1 : 0;
-          break;
-        case Op::Conv: {
-          const auto from = TypeTag((instr.a >> 8) & 0xff);
-          const auto to = TypeTag(instr.a & 0xff);
-          sp[-1] = convert(sp[-1], from, to);
-          break;
-        }
-        case Op::Jmp:
-          pc = std::uint32_t(instr.a);
-          break;
-        case Op::Jz:
-          if (pop() == 0) pc = std::uint32_t(instr.a);
-          break;
-        case Op::Jnz:
-          if (pop() != 0) pc = std::uint32_t(instr.a);
-          break;
-        case Op::Call:
-          publish();
-          doCall(std::uint32_t(instr.a));
-          reload();
-          break;
-        case Op::CallBuiltin:
-          publish();
-          doBuiltin(Builtin(instr.a), instr.tag);
-          reload();
-          break;
-        case Op::Barrier:
-          status_ = ItemStatus::AtBarrier;
-          suspend();
-          return;
-        case Op::Ret:
-          if (ret()) {
-            suspend();
-            return;
-          }
-          break;
-        case Op::RetVal: {
-          const std::uint64_t v = pop();
-          const bool done = ret();
-          push(v);
-          if (done) {
-            suspend();
-            return;
-          }
-          break;
-        }
-        case Op::RetStruct: {
-          // Verified: only struct-returning functions, whose frame slot 0
-          // holds the caller's result address.
-          const std::uint64_t src = pop();
-          const auto sret = readAs<std::uint64_t>(fp);
-          const auto size = std::size_t(instr.a);
-          const std::uint8_t* s = resolve(src, size, /*write=*/false);
-          std::uint8_t* d = resolve(sret, size, /*write=*/true);
-          std::memmove(d, s, size);
-          if (ret()) {
-            suspend();
-            return;
-          }
-          break;
-        }
-        case Op::Trap:
-          trap(instr.a == 1
-                   ? "control reached the end of a non-void function"
-                   : "kernel trap");
-        // Frame-addressed superinstructions: their offsets are verified
-        // against the owning function's frame, so they access it directly.
-        case Op::LoadFrame:
-          push(loadSlot(fp + std::uint32_t(instr.a), instr.tag));
-          break;
-        case Op::StoreFrame:
-          storeSlot(fp + std::uint32_t(instr.a), pop(), instr.tag);
-          break;
-        case Op::BinConst: {
-          const Op bop = embeddedOp(instr.a);
-          const std::uint64_t rhs =
-              constants[std::size_t(embeddedOperand(instr.a))];
-          sp[-1] = binop(bop, instr.tag, sp[-1], rhs);
-          break;
-        }
-        case Op::FrameBin: {
-          const std::uint64_t rhs =
-              loadSlot(fp + std::uint32_t(embeddedOperand(instr.a)), instr.tag);
-          sp[-1] = binop(embeddedOp(instr.a), instr.tag, sp[-1], rhs);
-          break;
-        }
-        case Op::LoadBin: {
-          const std::uint64_t ptr = pop();
-          const std::uint64_t rhs = loadSlot(
-              resolve(ptr, typeTagSize(instr.tag), /*write=*/false),
-              instr.tag);
-          sp[-1] = binop(Op(instr.a), instr.tag, sp[-1], rhs);
-          break;
-        }
-        case Op::CmpJz:
-        case Op::CmpJnz: {
-          const std::uint64_t rhs = pop();
-          const std::uint64_t lhs = pop();
-          const bool hit =
-              compare(cmpFromJump(instr.a), instr.tag, lhs, rhs);
-          if (hit == (instr.op == Op::CmpJnz)) {
-            pc = std::uint32_t(cmpJumpTarget(instr.a));
-          }
-          break;
-        }
-        case Op::MulAdd: {
-          // Two-step multiply-then-add: bit-identical to the Mul+Add pair
-          // it replaces (deliberately *not* a fused fma).
-          const std::uint64_t rhs = pop();
-          const std::uint64_t lhs = pop();
-          sp[-1] = arith(Op::Add, instr.tag, sp[-1],
-                         arith(Op::Mul, instr.tag, lhs, rhs));
-          break;
-        }
-        case Op::FrameBin2: {
-          const std::uint64_t lhs =
-              loadSlot(fp + std::uint32_t(frame2X(instr.a)), instr.tag);
-          const std::uint64_t rhs =
-              loadSlot(fp + std::uint32_t(frame2Y(instr.a)), instr.tag);
-          push(binop(frame2Op(instr.a), instr.tag, lhs, rhs));
-          break;
-        }
-      }
+    const auto tag = [&]() CLC_VM_INLINE {
+      return TypeTag(std::uint8_t(word >> 8));
+    };
+    const auto imm = [&]() CLC_VM_INLINE { return std::int32_t(word >> 32); };
+#undef CLC_VM_INLINE
+
+#define CLC_VM_LABEL(name) &&op_##name,
+    static const void* const kDispatch[] = {CLC_VM_OPS(CLC_VM_LABEL)};
+#undef CLC_VM_LABEL
+    static_assert(std::size(kDispatch) == std::size_t(kMaxOp) + 1);
+
+#define CLC_VM_NEXT()                   \
+  do {                                  \
+    std::memcpy(&word, code + pc, 8);   \
+    cycles += costs[pc];                \
+    ++pc;                               \
+    ++instructions;                     \
+    goto* kDispatch[word & 0xff];       \
+  } while (false)
+// One handler per binary arithmetic op and per compare, so the op is a
+// constant and evalArith/evalCompare inline to the tag's path.
+#define CLC_VM_ARITH(name)                        \
+  op_##name : {                                   \
+    const std::uint64_t rhs = pop();              \
+    sp[-1] = arith(Op::name, tag(), sp[-1], rhs); \
+    CLC_VM_NEXT();                                \
+  }
+#define CLC_VM_COMPARE(name)                                \
+  op_##name : {                                             \
+    const std::uint64_t rhs = pop();                        \
+    sp[-1] = compare(Op::name, tag(), sp[-1], rhs) ? 1 : 0; \
+    CLC_VM_NEXT();                                          \
+  }
+
+    CLC_VM_NEXT();
+
+  op_Nop:
+    CLC_VM_NEXT();
+  op_PushConst:
+    push(constants[std::size_t(imm())]);
+    CLC_VM_NEXT();
+  op_PushFrameAddr:
+    push(packPointer(MemSpace::Private, 0,
+                     std::uint64_t(fp - arena_) + std::uint64_t(imm())));
+    CLC_VM_NEXT();
+  op_PushLocalAddr:
+    push(packPointer(MemSpace::Local, 0, std::uint64_t(imm())));
+    CLC_VM_NEXT();
+  op_Dup: {
+    const std::uint64_t v = sp[-1];
+    push(v);
+    CLC_VM_NEXT();
+  }
+  op_Pop:
+    --sp;
+    CLC_VM_NEXT();
+  op_Swap:
+    std::swap(sp[-1], sp[-2]);
+    CLC_VM_NEXT();
+  op_Rot3: {
+    // [a b c] -> [b c a]
+    const std::uint64_t a = sp[-3];
+    sp[-3] = sp[-2];
+    sp[-2] = sp[-1];
+    sp[-1] = a;
+    CLC_VM_NEXT();
+  }
+  op_Load: {
+    const std::uint64_t ptr = pop();
+    push(loadSlot(resolve(ptr, typeTagSize(tag()), /*write=*/false),
+                  tag()));
+    CLC_VM_NEXT();
+  }
+  op_Store: {
+    const std::uint64_t v = pop();
+    const std::uint64_t ptr = pop();
+    storeSlot(resolve(ptr, typeTagSize(tag()), /*write=*/true), v,
+              tag());
+    CLC_VM_NEXT();
+  }
+  op_StoreKeep: {
+    const std::uint64_t v = pop();
+    const std::uint64_t ptr = pop();
+    storeSlot(resolve(ptr, typeTagSize(tag()), /*write=*/true), v,
+              tag());
+    push(v);
+    CLC_VM_NEXT();
+  }
+  op_MemCopy: {
+    const std::uint64_t src = pop();
+    const std::uint64_t dst = pop();
+    const auto size = std::size_t(imm());
+    const std::uint8_t* s = resolve(src, size, /*write=*/false);
+    std::uint8_t* d = resolve(dst, size, /*write=*/true);
+    std::memmove(d, s, size);
+    CLC_VM_NEXT();
+  }
+  CLC_VM_ARITH(Add)
+  CLC_VM_ARITH(Sub)
+  CLC_VM_ARITH(Mul)
+  CLC_VM_ARITH(Div)
+  CLC_VM_ARITH(Rem)
+  CLC_VM_ARITH(Shl)
+  CLC_VM_ARITH(Shr)
+  CLC_VM_ARITH(BitAnd)
+  CLC_VM_ARITH(BitOr)
+  CLC_VM_ARITH(BitXor)
+  op_Neg:
+    sp[-1] = evalNeg(tag(), sp[-1]);
+    CLC_VM_NEXT();
+  op_BitNot:
+    sp[-1] = canon(~sp[-1], tag());
+    CLC_VM_NEXT();
+  CLC_VM_COMPARE(CmpEq)
+  CLC_VM_COMPARE(CmpNe)
+  CLC_VM_COMPARE(CmpLt)
+  CLC_VM_COMPARE(CmpLe)
+  CLC_VM_COMPARE(CmpGt)
+  CLC_VM_COMPARE(CmpGe)
+  op_LogNot:
+    sp[-1] = sp[-1] == 0 ? 1 : 0;
+    CLC_VM_NEXT();
+  op_Conv:
+    sp[-1] = convert(sp[-1], TypeTag((imm() >> 8) & 0xff),
+                     TypeTag(imm() & 0xff));
+    CLC_VM_NEXT();
+  op_Jmp:
+    pc = std::uint32_t(imm());
+    CLC_VM_NEXT();
+  op_Jz:
+    if (pop() == 0) pc = std::uint32_t(imm());
+    CLC_VM_NEXT();
+  op_Jnz:
+    if (pop() != 0) pc = std::uint32_t(imm());
+    CLC_VM_NEXT();
+  op_Call:
+    publish();
+    doCall(std::uint32_t(imm()));
+    reload();
+    CLC_VM_NEXT();
+  op_CallBuiltin:
+    publish();
+    doBuiltin(Builtin(imm()), tag());
+    reload();
+    CLC_VM_NEXT();
+  op_Barrier:
+    status_ = ItemStatus::AtBarrier;
+    suspend();
+    return;
+  op_Ret:
+    if (ret()) {
+      suspend();
+      return;
     }
+    CLC_VM_NEXT();
+  op_RetVal: {
+    const std::uint64_t v = pop();
+    const bool done = ret();
+    push(v);
+    if (done) {
+      suspend();
+      return;
+    }
+    CLC_VM_NEXT();
+  }
+  op_RetStruct: {
+    // Verified: only struct-returning functions, whose frame slot 0 holds
+    // the caller's result address.
+    const std::uint64_t src = pop();
+    const auto sret = readAs<std::uint64_t>(fp);
+    const auto size = std::size_t(imm());
+    const std::uint8_t* s = resolve(src, size, /*write=*/false);
+    std::uint8_t* d = resolve(sret, size, /*write=*/true);
+    std::memmove(d, s, size);
+    if (ret()) {
+      suspend();
+      return;
+    }
+    CLC_VM_NEXT();
+  }
+  op_Trap:
+    trap(imm() == 1 ? "control reached the end of a non-void function"
+                      : "kernel trap");
+  // Frame-addressed superinstructions: their offsets are verified against
+  // the owning function's frame, so they access it directly.
+  op_LoadFrame:
+    push(loadSlot(fp + std::uint32_t(imm()), tag()));
+    CLC_VM_NEXT();
+  op_StoreFrame:
+    storeSlot(fp + std::uint32_t(imm()), pop(), tag());
+    CLC_VM_NEXT();
+  op_BinConst:
+    sp[-1] = binop(embeddedOp(imm()), tag(), sp[-1],
+                   constants[std::size_t(embeddedOperand(imm()))]);
+    CLC_VM_NEXT();
+  op_FrameBin: {
+    const std::uint64_t rhs =
+        loadSlot(fp + std::uint32_t(embeddedOperand(imm())), tag());
+    sp[-1] = binop(embeddedOp(imm()), tag(), sp[-1], rhs);
+    CLC_VM_NEXT();
+  }
+  op_LoadBin: {
+    const std::uint64_t ptr = pop();
+    const std::uint64_t rhs = loadSlot(
+        resolve(ptr, typeTagSize(tag()), /*write=*/false), tag());
+    sp[-1] = binop(Op(imm()), tag(), sp[-1], rhs);
+    CLC_VM_NEXT();
+  }
+  op_CmpJz: {
+    const std::uint64_t rhs = pop();
+    const std::uint64_t lhs = pop();
+    if (!compare(cmpFromJump(imm()), tag(), lhs, rhs)) {
+      pc = std::uint32_t(cmpJumpTarget(imm()));
+    }
+    CLC_VM_NEXT();
+  }
+  op_CmpJnz: {
+    const std::uint64_t rhs = pop();
+    const std::uint64_t lhs = pop();
+    if (compare(cmpFromJump(imm()), tag(), lhs, rhs)) {
+      pc = std::uint32_t(cmpJumpTarget(imm()));
+    }
+    CLC_VM_NEXT();
+  }
+  op_MulAdd: {
+    // Two-step multiply-then-add: bit-identical to the Mul+Add pair it
+    // replaces (deliberately *not* a fused fma).
+    const std::uint64_t rhs = pop();
+    const std::uint64_t lhs = pop();
+    sp[-1] = arith(Op::Add, tag(), sp[-1],
+                   arith(Op::Mul, tag(), lhs, rhs));
+    CLC_VM_NEXT();
+  }
+  op_FrameBin2: {
+    const std::uint64_t lhs =
+        loadSlot(fp + std::uint32_t(frame2X(imm())), tag());
+    const std::uint64_t rhs =
+        loadSlot(fp + std::uint32_t(frame2Y(imm())), tag());
+    push(binop(frame2Op(imm()), tag(), lhs, rhs));
+    CLC_VM_NEXT();
+  }
+#undef CLC_VM_COMPARE
+#undef CLC_VM_ARITH
+#undef CLC_VM_NEXT
   }
 
 private:
@@ -425,89 +501,121 @@ private:
   std::uint64_t pop() noexcept { return *--sp_; }
 
   /// Resolves a packed pointer to raw host memory, bounds-checking the
-  /// access. Also maintains the global traffic counters.
-  std::uint8_t* resolve(std::uint64_t ptr, std::size_t size, bool write) {
-    const MemSpace space = pointerSpace(ptr);
+  /// access. Also maintains the global traffic counters. The in-bounds
+  /// private, __local and cached-segment __global cases are inline; a
+  /// segment change and every trap take resolveSlow(). Kernels
+  /// overwhelmingly stream through a single buffer, so one cached segment
+  /// keeps the table lookup out of the common case.
+  [[gnu::always_inline]] std::uint8_t* resolve(std::uint64_t ptr,
+                                               std::size_t size, bool write) {
     const std::uint64_t offset = pointerOffset(ptr);
-    switch (space) {
+    switch (pointerSpace(ptr)) {
+      case MemSpace::Global:
+        if (std::uint32_t(pointerSegment(ptr)) == cachedSeg_ &&
+            offset + size <= cachedSize_) {
+          return chargeGlobal(cachedBase_ + offset, size, write);
+        }
+        break;
+      case MemSpace::Private:
+        if (offset + size <= arenaTop_) {
+          return arena_ + offset;
+        }
+        break;
+      case MemSpace::Local:
+        if (offset + size <= localSize_) {
+          return localBase_ + offset;
+        }
+        break;
+      case MemSpace::Invalid:
+        break;
+    }
+    return resolveSlow(ptr, size, write);
+  }
+
+  [[gnu::always_inline]] std::uint8_t* chargeGlobal(std::uint8_t* p,
+                                                    std::size_t size,
+                                                    bool write) noexcept {
+    if (write) {
+      bytesWritten_ += size;
+    } else {
+      bytesRead_ += size;
+    }
+    cycles_ += 8; // global memory latency beyond the base op cost
+    return p;
+  }
+
+  /// resolve()'s out-of-line half: an out-of-bounds access traps, and a
+  /// __global pointer into another segment refills the one-entry cache.
+  [[gnu::noinline]] std::uint8_t* resolveSlow(std::uint64_t ptr,
+                                              std::size_t size, bool write) {
+    const std::uint64_t offset = pointerOffset(ptr);
+    switch (pointerSpace(ptr)) {
       case MemSpace::Invalid:
         trap(ptr == 0 ? "null pointer dereference"
                       : "wild pointer dereference");
-      case MemSpace::Private: {
+      case MemSpace::Private:
         // Only live frames are addressable, as if the arena ended at them.
-        if (offset + size > arenaTop_) {
-          trapOutOfBounds("private", offset, size, arenaTop_);
-        }
-        return arena_ + offset;
-      }
-      case MemSpace::Local: {
-        if (offset + size > localSize_) {
-          trapOutOfBounds("__local", offset, size, localSize_);
-        }
-        return localBase_ + offset;
-      }
-      case MemSpace::Global: {
-        const std::uint64_t seg = pointerSegment(ptr);
-        // One-entry segment cache: kernels overwhelmingly stream through a
-        // single buffer, so hoist the table lookup out of the common case.
-        if (std::uint32_t(seg) != cachedSeg_) {
-          if (seg >= ctx_->segments->size()) {
-            trap("invalid __global pointer (null or stale?)");
-          }
-          const Segment& segment = (*ctx_->segments)[seg];
-          cachedSeg_ = std::uint32_t(seg);
-          cachedBase_ = segment.base;
-          cachedSize_ = segment.size;
-        }
-        if (offset + size > cachedSize_) {
-          trapOutOfBounds("__global", offset, size, cachedSize_,
-                          std::to_string(seg));
-        }
-        if (write) {
-          bytesWritten_ += size;
-        } else {
-          bytesRead_ += size;
-        }
-        cycles_ += 8; // global memory latency beyond the base op cost
-        return cachedBase_ + offset;
-      }
+        trapOutOfBounds("private", offset, size, arenaTop_);
+      case MemSpace::Local:
+        trapOutOfBounds("__local", offset, size, localSize_);
+      case MemSpace::Global:
+        break;
     }
-    trap("wild pointer");
+    const std::uint64_t seg = pointerSegment(ptr);
+    if (seg >= ctx_->segments->size()) {
+      trap("invalid __global pointer (null or stale?)");
+    }
+    const Segment& segment = (*ctx_->segments)[seg];
+    cachedSeg_ = std::uint32_t(seg);
+    cachedBase_ = segment.base;
+    cachedSize_ = segment.size;
+    if (offset + size > cachedSize_) {
+      trapOutOfBounds("__global", offset, size, cachedSize_,
+                      std::to_string(seg));
+    }
+    return chargeGlobal(cachedBase_ + offset, size, write);
   }
 
-  std::uint64_t arith(Op op, TypeTag tag, std::uint64_t lhs,
-                      std::uint64_t rhs) {
-    std::uint64_t out = 0;
-    switch (evalArith(op, tag, lhs, rhs, out)) {
-      case EvalStatus::Ok:
-        return out;
-      case EvalStatus::DivByZero:
-        trap(op == Op::Rem ? "integer remainder by zero"
-                           : "integer division by zero");
-      case EvalStatus::BadOp:
-        break;
+  [[noreturn, gnu::cold, gnu::noinline]] void trapArith(
+      Op op, TypeTag tag, EvalStatus status) const {
+    if (status == EvalStatus::DivByZero) {
+      trap(op == Op::Rem ? "integer remainder by zero"
+                         : "integer division by zero");
     }
     trap(isFloatTag(tag) ? "float bitwise op" : "bad arithmetic op");
   }
 
-  bool compare(Op op, TypeTag tag, std::uint64_t lhs, std::uint64_t rhs) {
+  [[gnu::always_inline]] std::uint64_t arith(Op op, TypeTag tag,
+                                             std::uint64_t lhs,
+                                             std::uint64_t rhs) {
+    std::uint64_t out = 0;
+    const EvalStatus status = evalArith(op, tag, lhs, rhs, out);
+    if (status != EvalStatus::Ok) [[unlikely]] {
+      trapArith(op, tag, status);
+    }
+    return out;
+  }
+
+  [[gnu::always_inline]] bool compare(Op op, TypeTag tag, std::uint64_t lhs,
+                                      std::uint64_t rhs) {
     bool out = false;
-    if (evalCompare(op, tag, lhs, rhs, out) != EvalStatus::Ok) {
+    if (evalCompare(op, tag, lhs, rhs, out) != EvalStatus::Ok) [[unlikely]] {
       trap("bad compare op");
     }
     return out;
   }
 
   /// An embedded binop of a superinstruction: arithmetic or a compare.
-  std::uint64_t binop(Op op, TypeTag tag, std::uint64_t lhs,
-                      std::uint64_t rhs) {
+  [[gnu::always_inline]] std::uint64_t binop(Op op, TypeTag tag,
+                                             std::uint64_t lhs,
+                                             std::uint64_t rhs) {
     if (isCompareOp(op)) {
       return compare(op, tag, lhs, rhs) ? 1 : 0;
     }
     return arith(op, tag, lhs, rhs);
   }
 
-  void doCall(std::uint32_t funcIndex) {
+  [[gnu::noinline]] void doCall(std::uint32_t funcIndex) {
     const FunctionInfo& f = ctx_->program->functions[funcIndex];
     // The callee frame starts zeroed at the next 8-byte boundary; the
     // verifier proved the arena holds every frame of the call graph.
@@ -537,7 +645,7 @@ private:
     pc_ = f.codeStart;
   }
 
-  void doBuiltin(Builtin id, TypeTag tag) {
+  [[gnu::noinline]] void doBuiltin(Builtin id, TypeTag tag) {
     cycles_ += builtinCycleCost(id);
     switch (id) {
       case Builtin::GetGlobalId: push(idQuery(globalId_)); return;
@@ -678,8 +786,10 @@ private:
         return;
       }
       case Builtin::IAbs: {
-        const auto v = std::int64_t(a[0]);
-        push(canon(std::uint64_t(v < 0 ? -v : v), tag));
+        // The magnitude in unsigned arithmetic: abs(LONG_MIN) keeps its
+        // bits instead of overflowing a signed negation.
+        const std::uint64_t v = a[0];
+        push(canon(std::int64_t(v) < 0 ? 0 - v : v, tag));
         return;
       }
       case Builtin::AsInt:
@@ -814,42 +924,6 @@ private:
   std::uint64_t idQuery(const std::size_t ids[3]) {
     const std::uint64_t d = pop();
     return d < 3 ? ids[d] : 0;
-  }
-
-  void fillKernelArgs() {
-    const FunctionInfo& f = *ctx_->kernelFunc;
-    const auto& args = *ctx_->args;
-    COMMON_CHECK(args.size() == f.params.size());
-    std::size_t localArgIdx = 0;
-    for (std::size_t i = 0; i < f.params.size(); ++i) {
-      const ParamInfo& p = f.params[i];
-      const KernelArgValue& arg = args[i];
-      std::uint64_t slot = 0;
-      switch (arg.kind) {
-        case KernelArgValue::Kind::Buffer:
-          slot = packPointer(MemSpace::Global, arg.segmentIndex, 0);
-          break;
-        case KernelArgValue::Kind::Local:
-          slot = packPointer(MemSpace::Local, 0,
-                             ctx_->localArgOffsets[localArgIdx++]);
-          break;
-        case KernelArgValue::Kind::Scalar:
-          slot = arg.scalar;
-          break;
-        case KernelArgValue::Kind::Struct:
-          COMMON_CHECK(arg.bytes.size() == p.size);
-          std::memcpy(arena_ + p.frameOffset, arg.bytes.data(),
-                      p.size);
-          continue;
-      }
-      if (p.kind == ParamKind::LocalPtr && arg.kind != KernelArgValue::Kind::Local) {
-        // Counting of local args must stay in sync; reaching here is a
-        // host-side bug caught earlier by ocl::Kernel::setArg.
-        COMMON_CHECK_MSG(false, "local param given non-local arg");
-      }
-      std::memcpy(arena_ + p.frameOffset, &slot,
-                  std::min<std::size_t>(p.size == 0 ? 8 : p.size, 8));
-    }
   }
 
   const LaunchContext* ctx_ = nullptr;
@@ -1028,7 +1102,6 @@ LaunchStats executeKernel(const Program& program,
   ctx.segments = &segments;
   ctx.kernel = kernel;
   ctx.kernelFunc = &program.functions[kernel->functionIndex];
-  ctx.args = &args;
   ctx.range = range;
 
   ctx.costs = program.cycleCosts.data();
@@ -1054,20 +1127,47 @@ LaunchStats executeKernel(const Program& program,
     ctx.groupCount[d] = range.globalSize[d] / range.localSize[d];
   }
 
-  // Layout of one work-group's local memory: static __local declarations
-  // first, then each __local pointer argument's region.
+  // One work-group's local memory holds the static __local declarations
+  // first, then each __local pointer argument's region. The argument frame
+  // image gets every argument's slot (or struct bytes) at its offset.
+  const FunctionInfo& f = *ctx.kernelFunc;
+  // Never empty, so the per-item copy never reads through a null pointer.
+  ctx.argFrame.assign(std::max<std::uint32_t>(f.frameSize, 1), 0);
   std::uint64_t localTop = kernel->staticLocalSize;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (ctx.kernelFunc->params[i].kind == ParamKind::LocalPtr) {
-      if (args[i].kind != KernelArgValue::Kind::Local) {
+    const ParamInfo& p = f.params[i];
+    const KernelArgValue& arg = args[i];
+    if (p.kind == ParamKind::LocalPtr) {
+      if (arg.kind != KernelArgValue::Kind::Local) {
         throw common::InvalidArgument(
             "kernel argument " + std::to_string(i) +
             " is a __local pointer; the host must supply a size");
       }
       localTop = (localTop + 7) / 8 * 8;
-      ctx.localArgOffsets.push_back(localTop);
-      localTop += args[i].localSize;
     }
+    std::uint64_t slot = 0;
+    switch (arg.kind) {
+      case KernelArgValue::Kind::Buffer:
+        slot = packPointer(MemSpace::Global, arg.segmentIndex, 0);
+        break;
+      case KernelArgValue::Kind::Local:
+        // ocl::Kernel::setArgLocal only accepts __local pointer params.
+        COMMON_CHECK_MSG(p.kind == ParamKind::LocalPtr,
+                         "non-local param given a local arg");
+        slot = packPointer(MemSpace::Local, 0, localTop);
+        localTop += arg.localSize;
+        break;
+      case KernelArgValue::Kind::Scalar:
+        slot = arg.scalar;
+        break;
+      case KernelArgValue::Kind::Struct:
+        COMMON_CHECK(arg.bytes.size() == p.size);
+        std::memcpy(ctx.argFrame.data() + p.frameOffset, arg.bytes.data(),
+                    p.size);
+        continue;
+    }
+    std::memcpy(ctx.argFrame.data() + p.frameOffset, &slot,
+                std::min<std::size_t>(p.size == 0 ? 8 : p.size, 8));
   }
   ctx.totalLocalSize = localTop;
 

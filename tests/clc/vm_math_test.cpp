@@ -73,6 +73,33 @@ TEST(VmMath, MinMaxAbsIntegers) {
   EXPECT_EQ(evalI("clamp(x, 0, 10)", -42), 0);
 }
 
+/// Runs a one-item kernel that writes abs(x) for a long x to out[0].
+std::int64_t absL(std::int64_t x) {
+  const auto program = clc::compile(
+      "__kernel void k(__global long* out, long x) { out[0] = abs(x); }");
+  std::vector<std::int64_t> out(1, -12345);
+  Buffers bufs;
+  auto a = bufs.add(out);
+  run1D(program, "k", 1, 1, {a, scalarArg(x)}, bufs);
+  return out[0];
+}
+
+TEST(VmMath, AbsOfMostNegativeKeepsItsBits) {
+  // abs(LONG_MIN) and abs(INT_MIN) have no positive value; the result is
+  // the operand's own bits, as in two's-complement hardware.
+  constexpr auto kLongMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kIntMin = std::numeric_limits<std::int32_t>::min();
+  EXPECT_EQ(absL(kLongMin), kLongMin);
+  EXPECT_EQ(evalI("abs(x)", kIntMin), kIntMin);
+  EXPECT_EQ(absL(kLongMin + 1), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(absL(-5000000000LL), 5000000000LL);
+  EXPECT_EQ(absL(42), 42);
+  EXPECT_EQ(absL(0), 0);
+  EXPECT_EQ(evalI("abs(x)", kIntMin + 1), std::numeric_limits<int>::max());
+  EXPECT_EQ(evalI("abs(x)", 0), 0);
+  EXPECT_EQ(evalI("abs(x)", 9), 9);
+}
+
 TEST(VmMath, MinIsUnsignedWhenOperandsAre) {
   // (uint)-1 is huge, so unsigned min picks 5.
   EXPECT_EQ(evalI("(int)min((uint)x, (uint)y)", -1, 5), 5);
