@@ -733,21 +733,34 @@ const char* kPrelude = R"(
 #define CLC_SIMULATOR 1
 )";
 
+/// The prelude's tokens, lexed once per process and copied into every
+/// preprocessor run (which may #undef them for its own source only).
+const std::vector<Token>& preludeTokens() {
+  static const std::vector<Token> prelude = [] {
+    std::vector<Token> tokens = Lexer(std::string(kPrelude)).run();
+    tokens.pop_back(); // drop the prelude's Eof
+    // Directive parsing groups tokens by line number; negate prelude lines
+    // so they stay distinct from each other but can never collide with
+    // (or show up in diagnostics for) user source lines.
+    for (Token& t : tokens) {
+      t.loc.line = -t.loc.line;
+    }
+    return tokens;
+  }();
+  return prelude;
+}
+
 } // namespace
 
 std::vector<Token> preprocess(std::vector<Token> tokens) {
   COMMON_CHECK(!tokens.empty() && tokens.back().kind == TokKind::Eof);
-  std::vector<Token> prelude = Lexer(std::string(kPrelude)).run();
-  prelude.pop_back(); // drop the prelude's Eof
-  // Directive parsing groups tokens by line number; negate prelude lines so
-  // they stay distinct from each other but can never collide with (or show
-  // up in diagnostics for) user source lines.
-  for (Token& t : prelude) {
-    t.loc.line = -t.loc.line;
-  }
-  prelude.insert(prelude.end(), std::make_move_iterator(tokens.begin()),
-                 std::make_move_iterator(tokens.end()));
-  return Preprocessor(std::move(prelude)).run();
+  const std::vector<Token>& prelude = preludeTokens();
+  std::vector<Token> all;
+  all.reserve(prelude.size() + tokens.size());
+  all.insert(all.end(), prelude.begin(), prelude.end());
+  all.insert(all.end(), std::make_move_iterator(tokens.begin()),
+             std::make_move_iterator(tokens.end()));
+  return Preprocessor(std::move(all)).run();
 }
 
 std::vector<Token> lexAndPreprocess(const std::string& source) {

@@ -294,10 +294,10 @@ std::string reduceKernelSource(const std::string& kernelName,
 
 std::string plainReduceSource(const std::shared_ptr<ExprNode>& node) {
   const std::string& t = node->outType;
-  return registeredTypeDefinitions() + node->source +
+  return registeredTypeDefinitions() + node->function->source() +
          reduceKernelSource("skelcl_reduce",
                             "__global const " + t + "* skelcl_in, ", "", t,
-                            node->funcName, "skelcl_in[%IDX%]",
+                            node->function->name(), "skelcl_in[%IDX%]",
                             /*pipelined=*/false);
 }
 
@@ -486,13 +486,8 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
         in = std::move(mapped);
         count = groups;
       } else {
+        // Unfused: one leaf and no stage arguments (Reduce takes none).
         appendEvent(deps, chunk.ready);
-        for (VectorState* leaf : distinct) {
-          if (leaf != &leaf0) {
-            appendEvent(deps, leaf->readyEventOn(chunk.deviceIndex));
-          }
-        }
-        collectStageDeps(plan, deps, chunk.deviceIndex);
       }
       auto reduced = reducePlain(runtime, plainProgram, std::move(in),
                                  count, elem, chunk.deviceIndex,
@@ -624,11 +619,11 @@ std::string scanAddKernelSource(const std::string& t,
 
 std::string plainScanSource(const std::shared_ptr<ExprNode>& node) {
   const std::string& t = node->outType;
-  return registeredTypeDefinitions() + node->source +
+  return registeredTypeDefinitions() + node->function->source() +
          scanBlockKernelSource("__global const " + t + "* skelcl_in, ", "",
-                               t, node->funcName, node->identityExpr,
+                               t, node->function->name(), node->identityExpr,
                                "skelcl_in[%IDX%]") +
-         scanAddKernelSource(t, node->funcName);
+         scanAddKernelSource(t, node->function->name());
 }
 
 std::string fusedScanSource(const std::shared_ptr<ExprNode>& node,
@@ -709,9 +704,12 @@ void runScan(const std::shared_ptr<ExprNode>& node,
 
   ocl::Program& plainProgram =
       runtime.programFor(plainScanSource(node), salt);
-  ocl::Program* fusedProgram =
-      fused ? &runtime.programFor(fusedScanSource(node, plan), salt)
-            : nullptr;
+  // Level 0: a fused plan evaluates the absorbed chain while loading the
+  // Blelloch tree; the recursion over block sums and the uniform add
+  // pass read plain buffers either way.
+  ocl::Program& blockProgram =
+      fused ? runtime.programFor(fusedScanSource(node, plan), salt)
+            : plainProgram;
 
   try {
     ocl::Buffer outBuf =
@@ -729,36 +727,20 @@ void runScan(const std::shared_ptr<ExprNode>& node,
     }
     collectStageDeps(plan, deps, deviceIndex);
 
-    // Level 0: fused plans evaluate the absorbed chain while loading
-    // the Blelloch tree; the recursion over block sums and the uniform
-    // add pass read plain buffers either way.
-    ocl::Event blocked;
-    if (fused) {
-      ocl::Kernel block = fusedProgram->createKernel("skelcl_scan_block");
-      std::size_t arg = 0;
-      for (const auto& leaf : plan.leaves) {
-        block.setArg(arg++, leaf->chunkForDevice(deviceIndex).buffer);
-      }
-      block.setArg(arg++, outBuf);
-      block.setArg(arg++, sums);
-      block.setArg(arg++, std::uint32_t(n));
-      bindStageArguments(plan, block, arg, deviceIndex);
-      blocked = runtime.queue(deviceIndex)
-                    .enqueueNDRange(
-                        block, ocl::NDRange1D{groups * kTreeWg, kTreeWg},
-                        deps);
-      recordStageEvents(plan, blocked, deviceIndex);
-    } else {
-      ocl::Kernel block = plainProgram.createKernel("skelcl_scan_block");
-      block.setArg(0, chunk.buffer);
-      block.setArg(1, outBuf);
-      block.setArg(2, sums);
-      block.setArg(3, std::uint32_t(n));
-      blocked = runtime.queue(deviceIndex)
-                    .enqueueNDRange(
-                        block, ocl::NDRange1D{groups * kTreeWg, kTreeWg},
-                        deps);
+    ocl::Kernel block = blockProgram.createKernel("skelcl_scan_block");
+    std::size_t arg = 0;
+    for (const auto& leaf : plan.leaves) {
+      block.setArg(arg++, leaf->chunkForDevice(deviceIndex).buffer);
     }
+    block.setArg(arg++, outBuf);
+    block.setArg(arg++, sums);
+    block.setArg(arg++, std::uint32_t(n));
+    bindStageArguments(plan, block, arg, deviceIndex);
+    ocl::Event blocked =
+        runtime.queue(deviceIndex)
+            .enqueueNDRange(block,
+                            ocl::NDRange1D{groups * kTreeWg, kTreeWg}, deps);
+    recordStageEvents(plan, blocked, deviceIndex);
 
     ocl::Event done = blocked;
     if (groups > 1) {
@@ -893,15 +875,14 @@ void forceExprNode(const std::shared_ptr<ExprNode>& node) {
 bool deferrable(const Arguments& args) { return !args.hasVectorEntries(); }
 
 std::shared_ptr<ExprNode> makeExprNode(
-    ExprNode::Op op, std::string source, std::string funcName,
+    ExprNode::Op op, std::shared_ptr<const UserFunction> function,
     const Arguments& args, std::size_t workGroupSize,
     std::vector<std::shared_ptr<VectorState>> inputs,
     std::string outType, std::size_t outElemSize, std::size_t outCount,
     std::string identityExpr) {
   auto node = std::make_shared<ExprNode>();
   node->op = op;
-  node->source = std::move(source);
-  node->funcName = std::move(funcName);
+  node->function = std::move(function);
   node->identityExpr = std::move(identityExpr);
   node->args = args;
   node->workGroupSize = workGroupSize;

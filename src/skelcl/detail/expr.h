@@ -30,6 +30,7 @@
 namespace skelcl::detail {
 
 class CsrState;
+class UserFunction;
 
 /// Stencil root descriptor (see skelcl/stencil.h). Irregular roots are
 /// opaque to the fusion rewriter; the evaluator in detail/irregular.cpp
@@ -45,11 +46,11 @@ struct StencilParams {
 };
 
 /// SparseGather root descriptor: the CSR operand (not a VectorState —
-/// its per-device rowPtr slices overlap at the cut rows) plus the name
-/// of the combine function inside ExprNode::source.
+/// its per-device rowPtr slices overlap at the cut rows) plus the fold's
+/// combine function; ExprNode::function is the gather function.
 struct SparseParams {
   std::shared_ptr<CsrState> csr;
-  std::string combineName;
+  std::shared_ptr<const UserFunction> combine;
 };
 
 /// One deferred skeleton invocation. Nodes are immutable once built;
@@ -68,9 +69,10 @@ public:
   };
 
   Op op = Op::Map;
-  std::string source;       // user customizing function(s), verbatim
-  std::string funcName;     // name of the customizing function
-  std::string identityExpr; // Scan only: identity element expression
+  /// The customizing function, parsed once when the skeleton was built
+  /// and shared by every node that skeleton creates.
+  std::shared_ptr<const UserFunction> function;
+  std::string identityExpr; // Scan/SparseGather: identity expression
   Arguments args;           // additional arguments (scalars/structs only
                             // when the node is deferred)
   std::size_t workGroupSize = 0; // user override; 0 = SkelCL default
@@ -107,7 +109,7 @@ bool deferrable(const Arguments& args);
 /// inputs on the devices — upload faults and Zip geometry alignment stay
 /// observable at the call site, exactly as under eager execution.
 std::shared_ptr<ExprNode> makeExprNode(
-    ExprNode::Op op, std::string source, std::string funcName,
+    ExprNode::Op op, std::shared_ptr<const UserFunction> function,
     const Arguments& args, std::size_t workGroupSize,
     std::vector<std::shared_ptr<VectorState>> inputs,
     std::string outType, std::size_t outElemSize, std::size_t outCount,

@@ -1,5 +1,7 @@
 #include "skelcl/detail/fusion.h"
 
+#include <algorithm>
+
 #include "skelcl/detail/source_utils.h"
 
 namespace skelcl::detail {
@@ -31,6 +33,24 @@ bool fusableRoot(ExprNode::Op op) {
          op == ExprNode::Op::Reduce || op == ExprNode::Op::Scan;
 }
 
+bool deferred(const std::shared_ptr<ExprNode>& node) {
+  return node != nullptr && !node->evaluated && !node->evaluating;
+}
+
+/// The absorption rule: `input`'s producer is spliced into the kernel of
+/// a `parentOp` parent when rewriting is enabled, the parent can
+/// evaluate a chain inline, the producer is a still-deferred element-
+/// wise stage read by this parent only, and the plan holds fewer than
+/// kMaxStages stages.
+bool absorbable(const ExprNode::Input& input, ExprNode::Op parentOp,
+                bool fusionEnabled, std::size_t stageCount) {
+  const std::shared_ptr<ExprNode>& child = input.node;
+  return fusionEnabled && fusableRoot(parentOp) && deferred(child) &&
+         (child->op == ExprNode::Op::Map ||
+          child->op == ExprNode::Op::Zip) &&
+         child->fanout == 1 && stageCount < kMaxStages;
+}
+
 class Emitter {
 public:
   Emitter(FusionPlan& plan, bool fusionEnabled, bool rename)
@@ -48,12 +68,11 @@ public:
     FusionStage stage;
     stage.node = node;
     stage.argPrefix = rename_ ? "f" + std::to_string(k) + "_" : "";
-    stage.funcName = fnPrefix + node->funcName;
+    const std::string funcName = fnPrefix + node->function->name();
     plan_.stages.push_back(stage);
     plan_.functionsSource +=
-        renameUserFunctions(node->source, fnPrefix) + "\n";
+        renameUserFunctions(*node->function, fnPrefix) + "\n";
     plan_.argDecls += node->args.declSuffix(stage.argPrefix);
-    names_.push_back(node->funcName);
 
     std::vector<std::string> loads;
     loads.reserve(node->inputs.size());
@@ -63,16 +82,16 @@ public:
 
     switch (node->op) {
       case ExprNode::Op::Map:
-        return stage.funcName + "(" + loads[0] +
+        return funcName + "(" + loads[0] +
                node->args.callSuffix(stage.argPrefix) + ")";
       case ExprNode::Op::Zip:
-        return stage.funcName + "(" + loads[0] + ", " + loads[1] +
+        return funcName + "(" + loads[0] + ", " + loads[1] +
                node->args.callSuffix(stage.argPrefix) + ")";
       case ExprNode::Op::Reduce:
       case ExprNode::Op::Scan:
       case ExprNode::Op::Stencil:
       case ExprNode::Op::SparseGather:
-        plan_.rootFuncName = stage.funcName;
+        plan_.rootFuncName = funcName;
         plan_.loadExpr = loads[0];
         return "";
     }
@@ -87,11 +106,11 @@ public:
       }
     } else {
       plan_.label = "Fused(";
-      for (std::size_t i = 0; i < names_.size(); ++i) {
+      for (std::size_t i = 0; i < plan_.stages.size(); ++i) {
         if (i != 0) {
           plan_.label += "∘"; // ∘ — root first: f∘g applies g first
         }
-        plan_.label += names_[i];
+        plan_.label += plan_.stages[i].node->function->name();
       }
       plan_.label += ")";
     }
@@ -99,7 +118,7 @@ public:
     for (const FusionStage& stage : plan_.stages) {
       plan_.compositionKey += ";" +
                               std::string(opName(stage.node->op)) + ":" +
-                              stage.node->funcName;
+                              stage.node->function->name();
     }
     plan_.compositionKey +=
         ";leaves=" + std::to_string(plan_.leaves.size());
@@ -108,18 +127,11 @@ public:
 private:
   std::string emitLoad(const ExprNode::Input& input, ExprNode::Op parentOp) {
     const std::shared_ptr<ExprNode>& child = input.node;
-    const bool deferredChild =
-        child != nullptr && !child->evaluated && !child->evaluating;
-    const bool absorbable =
-        fusionEnabled_ && fusableRoot(parentOp) && deferredChild &&
-        (child->op == ExprNode::Op::Map ||
-         child->op == ExprNode::Op::Zip) &&
-        child->fanout == 1 && plan_.stages.size() < kMaxStages;
-    if (absorbable) {
+    if (absorbable(input, parentOp, fusionEnabled_, plan_.stages.size())) {
       ++plan_.fusedStages;
       return emitStage(child);
     }
-    if (deferredChild) {
+    if (deferred(child)) {
       // The child stays a separate launch (rewrites off, non-element-
       // wise, or other readers need its vector anyway).
       plan_.materializeFirst.push_back(child);
@@ -133,11 +145,23 @@ private:
   FusionPlan& plan_;
   bool fusionEnabled_;
   bool rename_;
-  std::vector<std::string> names_;
 };
 
-FusionPlan emitPlan(const std::shared_ptr<ExprNode>& root,
-                    bool fusionEnabled, bool rename) {
+} // namespace
+
+FusionPlan buildFusionPlan(const std::shared_ptr<ExprNode>& root,
+                           bool fusionEnabled) {
+  // Capture-safe renaming is needed exactly when some stage is absorbed,
+  // i.e. when a direct input of the root is absorbable while the plan
+  // holds the root alone. Otherwise the user's names stay untouched, so
+  // "fusion found nothing" and "fusion disabled" emit the same source
+  // (and cache key).
+  const bool rename =
+      std::any_of(root->inputs.begin(), root->inputs.end(),
+                  [&](const ExprNode::Input& input) {
+                    return absorbable(input, root->op, fusionEnabled,
+                                      /*stageCount=*/1);
+                  });
   FusionPlan plan;
   Emitter emitter(plan, fusionEnabled, rename);
   const std::string rootExpr = emitter.emitStage(root);
@@ -145,21 +169,6 @@ FusionPlan emitPlan(const std::shared_ptr<ExprNode>& root,
     plan.loadExpr = rootExpr;
   }
   emitter.finish(root);
-  return plan;
-}
-
-} // namespace
-
-FusionPlan buildFusionPlan(const std::shared_ptr<ExprNode>& root,
-                           bool fusionEnabled) {
-  // Two-pass: emit with capture-safe renaming first; when nothing was
-  // absorbed the renaming is pure noise (and would perturb cache keys
-  // between "fusion found nothing" and "fusion disabled"), so re-emit
-  // the single stage with the names untouched.
-  FusionPlan plan = emitPlan(root, fusionEnabled, /*rename=*/true);
-  if (plan.fusedStages == 0) {
-    plan = emitPlan(root, fusionEnabled, /*rename=*/false);
-  }
   return plan;
 }
 

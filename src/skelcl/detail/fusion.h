@@ -24,10 +24,9 @@
 namespace skelcl::detail {
 
 /// One stage of a (possibly fused) kernel: the node it came from plus
-/// the capture-safe names its functions and arguments got.
+/// the capture-safe prefix its arguments got.
 struct FusionStage {
   std::shared_ptr<ExprNode> node;
-  std::string funcName;  // possibly prefix-renamed customizing function
   std::string argPrefix; // prefix its Arguments use in the kernel
 };
 

@@ -242,7 +242,9 @@ std::string sparseProgramSource(const std::shared_ptr<ExprNode>& node,
                                 const FusionPlan& plan) {
   const std::string& t = node->outType;
   const FusionStage& stage = plan.stages.front();
+  const UserFunction& combine = *node->sparse->combine;
   return registeredTypeDefinitions() + plan.functionsSource +
+         combine.source() + "\n" +
          "\n__kernel void skelcl_spgather(__global const uint* "
          "skelcl_rowptr, __global const uint* skelcl_colidx, "
          "__global const " + t + "* skelcl_vals, __global const " + t +
@@ -259,7 +261,7 @@ std::string sparseProgramSource(const std::shared_ptr<ExprNode>& node,
          "skelcl_nnzbase;\n"
          "    for (uint skelcl_k = skelcl_b; skelcl_k < skelcl_e; "
          "++skelcl_k) {\n"
-         "      skelcl_acc = " + node->sparse->combineName +
+         "      skelcl_acc = " + combine.name() +
          "(skelcl_acc, " + plan.rootFuncName +
          "(skelcl_vals[skelcl_k], skelcl_x[skelcl_colidx[skelcl_k]]" +
          node->args.callSuffix(stage.argPrefix) +

@@ -8,18 +8,21 @@ namespace skelcl::detail {
 
 namespace {
 
-/// Names of every function defined at the top level of `source`, in
-/// definition order. The shared walk behind userFunctionName() and
-/// collectTopLevelFunctionNames().
-std::vector<std::string> topLevelFunctionNames(const std::string& source) {
+bool isIdentChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_';
+}
+
+} // namespace
+
+UserFunction::UserFunction(std::string source) : source_(std::move(source)) {
   std::vector<clc::Token> tokens;
   try {
-    tokens = clc::lexAndPreprocess(source);
+    tokens = clc::lexAndPreprocess(source_);
   } catch (const clc::CompileError& e) {
     throw common::InvalidArgument(
         std::string("cannot parse user function: ") + e.what());
   }
-  std::vector<std::string> names;
   int depth = 0;
   for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
     const clc::Token& tok = tokens[i];
@@ -38,44 +41,23 @@ std::vector<std::string> topLevelFunctionNames(const std::string& source) {
       }
       if (j + 1 < tokens.size() &&
           tokens[j + 1].kind == clc::TokKind::LBrace) {
-        names.push_back(tok.text);
+        names_.push_back(tok.text);
       }
     }
   }
-  return names;
-}
-
-bool isIdentChar(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '_';
-}
-
-} // namespace
-
-std::string userFunctionName(const std::string& source) {
-  // The customizing function is the *last* function defined at the top
-  // level; earlier definitions are helpers it may call.
-  const std::vector<std::string> names = topLevelFunctionNames(source);
-  if (names.empty()) {
+  if (names_.empty()) {
     throw common::InvalidArgument(
-        "no function definition found in user source: " + source);
+        "no function definition found in user source: " + source_);
   }
-  return names.back();
 }
 
-std::vector<std::string> collectTopLevelFunctionNames(
-    const std::string& source) {
-  return topLevelFunctionNames(source);
-}
-
-std::string renameUserFunctions(const std::string& source,
+std::string renameUserFunctions(const UserFunction& fn,
                                 const std::string& prefix) {
   if (prefix.empty()) {
-    return source;
+    return fn.source();
   }
-  const std::vector<std::string> names = topLevelFunctionNames(source);
-  std::string out = source;
-  for (const std::string& name : names) {
+  std::string out = fn.source();
+  for (const std::string& name : fn.names()) {
     std::string replaced;
     replaced.reserve(out.size());
     std::size_t pos = 0;
@@ -113,7 +95,8 @@ std::string registeredTypeDefinitions() {
 
 ocl::Program buildCombineProgram(const std::string& elementType,
                                  const std::string& combineSource) {
-  const std::string name = userFunctionName(combineSource);
+  // A combine source arrives per redistribution, not via a skeleton.
+  const std::string name = UserFunction(combineSource).name();
   std::string source = registeredTypeDefinitions();
   source += combineSource;
   source += "\n__kernel void skelcl_combine(__global " + elementType +
@@ -124,9 +107,7 @@ ocl::Program buildCombineProgram(const std::string& elementType,
             name +
             "(dst[i], src[i]);\n"
             "}\n";
-  auto& runtime = Runtime::instance();
-  return runtime.kernelCache().getOrBuild(runtime.context(), source,
-                                          kDefaultBuildOptions);
+  return Runtime::instance().programFor(source, /*salt=*/"");
 }
 
 } // namespace skelcl::detail

@@ -1,6 +1,7 @@
 // Helpers for handling user-supplied OpenCL-C function strings.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -8,29 +9,43 @@
 
 namespace skelcl::detail {
 
-/// Extracts the name of the (first) function defined in `source` — the
-/// identifier directly before the first top-level '('. SkelCL users pass
-/// customizing functions as plain strings (paper Listing 1); the code
-/// generator needs the name to call it from the skeleton kernel.
-/// Throws common::InvalidArgument when no function definition is found.
-std::string userFunctionName(const std::string& source);
+/// One customizing function as SkelCL users pass it: plain OpenCL-C
+/// source (paper Listing 1), parsed once at skeleton construction into
+/// the names of the functions it defines at the top level, in definition
+/// order. The last definition is the customizing function the skeleton
+/// kernel calls; earlier ones are helpers it carries along. Expression
+/// nodes share the parsed value, so nothing re-lexes the string later.
+class UserFunction {
+public:
+  /// Lexes `source` once. Throws common::InvalidArgument when it does
+  /// not lex or defines no function.
+  explicit UserFunction(std::string source);
 
-/// Every function *defined* at the top level of `source`, in definition
-/// order (the customizing function plus any helpers it carries along).
-/// Throws common::InvalidArgument when the source does not lex.
-std::vector<std::string> collectTopLevelFunctionNames(
-    const std::string& source);
+  /// The shared, immutable form the skeletons and expression nodes hold.
+  static std::shared_ptr<const UserFunction> parse(std::string source) {
+    return std::make_shared<const UserFunction>(std::move(source));
+  }
 
-/// Returns `source` with every top-level-defined function (and every
+  const std::string& source() const { return source_; }
+  const std::vector<std::string>& names() const { return names_; }
+  /// The customizing function: the last top-level definition.
+  const std::string& name() const { return names_.back(); }
+
+private:
+  std::string source_;
+  std::vector<std::string> names_;
+};
+
+/// Returns `fn`'s source with every top-level-defined function (and every
 /// call to it) renamed to `prefix` + its original name. Used by kernel
 /// fusion to splice several customizing functions into one translation
 /// unit without name capture: two stages may both define "func" or share
 /// helper names. Whole-word textual replacement; member accesses
 /// (`x.name`, `p->name`) are left alone.
-std::string renameUserFunctions(const std::string& source,
+std::string renameUserFunctions(const UserFunction& fn,
                                 const std::string& prefix);
 
-/// Builds (with kernel-cache support) the element-wise combine program
+/// Builds (through Runtime::programFor) the element-wise combine program
 ///   __kernel void skelcl_combine(__global T* dst, __global const T* src,
 ///                                uint n) { dst[i] = f(dst[i], src[i]); }
 /// used when collapsing a copy-distribution into a block-distribution

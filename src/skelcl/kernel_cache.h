@@ -5,10 +5,12 @@
 //    They can be loaded later if the same kernel is used again."
 //
 // Entries are keyed by the SHA-256 of the kernel source, the bytecode
-// format version, and the build options (optimization level): bumping the
-// format or changing the options makes old entries unfindable, and a
-// version check in the deserializer rejects stale or hand-patched files
-// that are found anyway, falling back to a rebuild. On-disk blobs are
+// format version, the key-schema version, and a digest of the build
+// options (optimization level) together with the caller's salt (fusion
+// flag and composition): bumping either version or changing the options
+// or salt makes old entries unfindable, and a version check in the
+// deserializer rejects stale or hand-patched files that are found
+// anyway, falling back to a rebuild. On-disk blobs are
 // additionally wrapped in an integrity envelope (magic, payload length,
 // FNV-1a64 digest), so a truncated or bit-flipped entry is detected up
 // front and silently rebuilt instead of reaching the deserializer.

@@ -30,8 +30,7 @@ public:
   /// `source` is the customizing function, e.g.
   ///   Map<float> dbl("float f(float x) { return 2.0f * x; }");
   explicit Map(std::string source)
-      : source_(std::move(source)),
-        funcName_(detail::userFunctionName(source_)) {}
+      : function_(detail::UserFunction::parse(std::move(source))) {}
 
   /// Optional tuning knob; the paper notes the work-group size "can have
   /// a considerable impact on performance". 0 = SkelCL default (256).
@@ -63,7 +62,7 @@ private:
     auto& runtime = detail::Runtime::instance();
     runtime.requireInit();
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Map, source_, funcName_, args,
+        detail::ExprNode::Op::Map, function_, args,
         workGroupSize_, {input.stateHandle()}, typeName<Tout>(),
         sizeof(Tout), input.size());
     if (!explicitOutput && detail::deferrable(args)) {
@@ -73,8 +72,7 @@ private:
     }
   }
 
-  std::string source_;
-  std::string funcName_;
+  std::shared_ptr<const detail::UserFunction> function_;
   std::size_t workGroupSize_ = 0;
 };
 
@@ -86,8 +84,7 @@ template <typename Tin>
 class Map<Tin, void> {
 public:
   explicit Map(std::string source)
-      : source_(std::move(source)),
-        funcName_(detail::userFunctionName(source_)) {}
+      : function_(detail::UserFunction::parse(std::move(source))) {}
 
   void setWorkGroupSize(std::size_t size) { workGroupSize_ = size; }
 
@@ -96,15 +93,14 @@ public:
                                trace::kNoDevice, input.size());
     detail::Runtime::instance().requireInit();
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Map, source_, funcName_, args,
+        detail::ExprNode::Op::Map, function_, args,
         workGroupSize_, {input.stateHandle()}, "void",
         /*outElemSize=*/0, input.size());
     detail::evaluateNodeInto(node, nullptr);
   }
 
 private:
-  std::string source_;
-  std::string funcName_;
+  std::shared_ptr<const detail::UserFunction> function_;
   std::size_t workGroupSize_ = 0;
 };
 

@@ -30,11 +30,9 @@ public:
   /// launch happens then).
   MapReduce(std::string mapSource, std::string reduceSource,
             Tout identity = Tout{})
-      : mapSource_(std::move(mapSource)),
-        reduceSource_(std::move(reduceSource)),
-        identity_(identity),
-        mapName_(detail::userFunctionName(mapSource_)),
-        reduceName_(detail::userFunctionName(reduceSource_)) {}
+      : map_(detail::UserFunction::parse(std::move(mapSource))),
+        reduce_(detail::UserFunction::parse(std::move(reduceSource))),
+        identity_(identity) {}
 
   /// Eager, like the other explicit evaluations: the launches are
   /// enqueued before the call returns; the Scalar read waits for them.
@@ -50,26 +48,24 @@ public:
     // own, since the reduce evaluates right here.
     Vector<Tout> mapped;
     auto map = detail::makeExprNode(
-        detail::ExprNode::Op::Map, mapSource_, mapName_, Arguments{},
+        detail::ExprNode::Op::Map, map_, Arguments{},
         /*workGroupSize=*/0, {input.stateHandle()}, typeName<Tout>(),
         sizeof(Tout), input.size());
     map->output = mapped.stateHandle();
     mapped.stateHandle()->installPending(map, input.size());
     auto reduce = detail::makeExprNode(
-        detail::ExprNode::Op::Reduce, reduceSource_, reduceName_,
-        Arguments{}, /*workGroupSize=*/0, {mapped.stateHandle()},
-        typeName<Tout>(), sizeof(Tout), /*outCount=*/1);
+        detail::ExprNode::Op::Reduce, reduce_, Arguments{},
+        /*workGroupSize=*/0, {mapped.stateHandle()}, typeName<Tout>(),
+        sizeof(Tout), /*outCount=*/1);
     Vector<Tout> holder;
     detail::evaluateNodeInto(reduce, holder.stateHandle());
     return Scalar<Tout>(std::move(holder));
   }
 
 private:
-  std::string mapSource_;
-  std::string reduceSource_;
+  std::shared_ptr<const detail::UserFunction> map_;
+  std::shared_ptr<const detail::UserFunction> reduce_;
   Tout identity_{};
-  std::string mapName_;
-  std::string reduceName_;
 };
 
 } // namespace skelcl

@@ -38,9 +38,8 @@ public:
   /// input is empty (e.g. 0 for +, 1 for *). Reducing an empty vector
   /// launches nothing.
   explicit Reduce(std::string source, T identity = T{})
-      : source_(std::move(source)),
-        identity_(identity),
-        funcName_(detail::userFunctionName(source_)) {}
+      : function_(detail::UserFunction::parse(std::move(source))),
+        identity_(identity) {}
 
   Scalar<T> operator()(const Vector<T>& input) {
     trace::ScopedHostSpan span(trace::HostKind::Skeleton, "Reduce",
@@ -51,7 +50,7 @@ public:
       return Scalar<T>(identity_);
     }
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Reduce, source_, funcName_, Arguments{},
+        detail::ExprNode::Op::Reduce, function_, Arguments{},
         /*workGroupSize=*/0, {input.stateHandle()}, typeName<T>(),
         sizeof(T), /*outCount=*/1);
     Vector<T> holder;
@@ -60,9 +59,8 @@ public:
   }
 
 private:
-  std::string source_;
+  std::shared_ptr<const detail::UserFunction> function_;
   T identity_{};
-  std::string funcName_;
 };
 
 } // namespace skelcl

@@ -35,9 +35,8 @@ public:
   /// `identity` is the OpenCL-C expression for the identity element of
   /// the operator (e.g. "0" for +, "1" for *, "-INFINITY" for max).
   explicit Scan(std::string source, std::string identity = "0")
-      : source_(std::move(source)),
-        identity_(std::move(identity)),
-        funcName_(detail::userFunctionName(source_)) {}
+      : function_(detail::UserFunction::parse(std::move(source))),
+        identity_(std::move(identity)) {}
 
   Vector<T> operator()(const Vector<T>& input) {
     static_assert(std::is_arithmetic_v<T>,
@@ -52,7 +51,7 @@ public:
       return Vector<T>();
     }
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Scan, source_, funcName_, Arguments{},
+        detail::ExprNode::Op::Scan, function_, Arguments{},
         /*workGroupSize=*/0, {input.stateHandle()}, typeName<T>(),
         sizeof(T), input.size(), identity_);
     Vector<T> output;
@@ -61,9 +60,8 @@ public:
   }
 
 private:
-  std::string source_;
+  std::shared_ptr<const detail::UserFunction> function_;
   std::string identity_;
-  std::string funcName_;
 };
 
 } // namespace skelcl

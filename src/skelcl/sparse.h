@@ -105,9 +105,8 @@ public:
   /// OpenCL-C expression for the fold's start value.
   SparseGather(std::string gatherSource, std::string combineSource,
                std::string identityExpr)
-      : gatherName_(detail::userFunctionName(gatherSource)),
-        combineName_(detail::userFunctionName(combineSource)),
-        source_(std::move(gatherSource) + "\n" + std::move(combineSource)),
+      : gather_(detail::UserFunction::parse(std::move(gatherSource))),
+        combine_(detail::UserFunction::parse(std::move(combineSource))),
         identity_(std::move(identityExpr)) {}
 
   void setWorkGroupSize(std::size_t size) { workGroupSize_ = size; }
@@ -129,12 +128,12 @@ public:
     matrix.state().ensureOnDevices();
 
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::SparseGather, source_, gatherName_, args,
+        detail::ExprNode::Op::SparseGather, gather_, args,
         workGroupSize_, {x.stateHandle()}, typeName<T>(), sizeof(T),
         matrix.rows(), identity_);
     auto params = std::make_shared<detail::SparseParams>();
     params->csr = matrix.stateHandle();
-    params->combineName = combineName_;
+    params->combine = combine_;
     node->sparse = std::move(params);
 
     Vector<T> output;
@@ -147,9 +146,8 @@ public:
   }
 
 private:
-  std::string gatherName_;
-  std::string combineName_;
-  std::string source_;
+  std::shared_ptr<const detail::UserFunction> gather_;
+  std::shared_ptr<const detail::UserFunction> combine_;
   std::string identity_;
   std::size_t workGroupSize_ = 0;
 };

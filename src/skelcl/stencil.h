@@ -51,8 +51,7 @@ template <typename T>
 class Stencil {
 public:
   Stencil(std::string source, StencilShape shape, T constantValue = T{})
-      : source_(std::move(source)),
-        funcName_(detail::userFunctionName(source_)),
+      : function_(detail::UserFunction::parse(std::move(source))),
         shape_(shape) {
     if (shape_.radius == 0) {
       throw common::InvalidArgument("Stencil radius must be at least 1");
@@ -81,7 +80,7 @@ public:
     validate(input.size());
 
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Stencil, source_, funcName_, args,
+        detail::ExprNode::Op::Stencil, function_, args,
         workGroupSize_, {input.stateHandle()}, typeName<T>(), sizeof(T),
         input.size());
     auto params = std::make_shared<detail::StencilParams>();
@@ -122,8 +121,7 @@ private:
     }
   }
 
-  std::string source_;
-  std::string funcName_;
+  std::shared_ptr<const detail::UserFunction> function_;
   StencilShape shape_;
   Arguments constArg_;
   std::size_t workGroupSize_ = 0;

@@ -26,8 +26,7 @@ template <typename Tin, typename Tout = Tin>
 class Zip {
 public:
   explicit Zip(std::string source)
-      : source_(std::move(source)),
-        funcName_(detail::userFunctionName(source_)) {}
+      : function_(detail::UserFunction::parse(std::move(source))) {}
 
   void setWorkGroupSize(std::size_t size) { workGroupSize_ = size; }
 
@@ -73,7 +72,7 @@ private:
                             right.state().distribution());
     }
     auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Zip, source_, funcName_, args,
+        detail::ExprNode::Op::Zip, function_, args,
         workGroupSize_, {left.stateHandle(), right.stateHandle()},
         typeName<Tout>(), sizeof(Tout), left.size());
     if (!explicitOutput && detail::deferrable(args)) {
@@ -83,8 +82,7 @@ private:
     }
   }
 
-  std::string source_;
-  std::string funcName_;
+  std::shared_ptr<const detail::UserFunction> function_;
   std::size_t workGroupSize_ = 0;
 };
 

@@ -109,6 +109,21 @@ TEST(Preprocessor, PredefinedOpenClMacros) {
   EXPECT_NEAR(pi[3].floatValue, 3.14159274, 1e-6);
 }
 
+TEST(Preprocessor, PreludeIsFreshForEverySource) {
+  // The prelude is lexed once and shared: every source sees it whole,
+  // and an #undef in one source does not reach the next.
+  for (int round = 0; round < 2; ++round) {
+    const auto pi = lexAndPreprocess("float p = M_PI_F;");
+    ASSERT_EQ(pi[3].kind, TokKind::FloatLiteral) << round;
+    EXPECT_NEAR(pi[3].floatValue, 3.14159274, 1e-6);
+  }
+  const auto undone = lexAndPreprocess("#undef M_PI_F\nfloat p = M_PI_F;");
+  EXPECT_EQ(undone[3].kind, TokKind::Identifier);
+  EXPECT_EQ(undone[3].text, "M_PI_F");
+  const auto next = lexAndPreprocess("float p = M_PI_F;");
+  EXPECT_EQ(next[3].kind, TokKind::FloatLiteral);
+}
+
 TEST(Preprocessor, ErrorsOnUnterminatedIf) {
   EXPECT_THROW(lexAndPreprocess("#ifdef A\nint x;"), clc::CompileError);
 }

@@ -152,6 +152,46 @@ TEST(FusionTest, ScanAbsorbsMapChain) {
   });
 }
 
+TEST(FusionTest, StagesSharingFunctionNamesStayApart) {
+  // Both stages define `func` and a helper `h`; the first also has a
+  // local `hh`. Fusion renames each stage's definitions whole-word
+  // (skelcl_f0_h, skelcl_f1_h), so neither stage calls the other's
+  // helper and `hh` keeps its name.
+  auto scenario = [](RunResult& out) {
+    Map<float> first(
+        "float h(float x) { return x * 0.5f; }\n"
+        "float func(float x) { float hh = h(x); return hh + 1.0f; }");
+    Map<float> second(
+        "float h(float x) { return x - 2.0f; }\n"
+        "float func(float x) { return h(x) * 3.0f; }");
+    Vector<float> input(testData(2048));
+    out.floats = second(first(input)).hostData();
+  };
+  const RunResult fused = runScenario(scenario, 1, /*fused=*/true);
+  const RunResult unfused = runScenario(scenario, 1, /*fused=*/false);
+  EXPECT_TRUE(bitIdentical(fused.floats, unfused.floats));
+  EXPECT_EQ(fused.kernelLaunches, 1u);
+  EXPECT_EQ(unfused.kernelLaunches, 2u);
+  const std::vector<float> data = testData(2048);
+  ASSERT_EQ(fused.floats.size(), data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(fused.floats[i], (data[i] * 0.5f + 1.0f - 2.0f) * 3.0f) << i;
+  }
+}
+
+TEST(FusionTest, ReduceOfMapWithHelperSharingNames) {
+  // The reduce operator and the absorbed map are both called `func`;
+  // the map carries a helper along into the fused first pass.
+  expectFusionWins([](RunResult& out) {
+    Map<float> square(
+        "float h(float x) { return x * x; }\n"
+        "float func(float x) { return h(x) + 1.0f; }");
+    Reduce<float> sum("float func(float a, float b) { return a + b; }");
+    Vector<float> input(testData(10000));
+    out.floats.push_back(sum(square(input)).getValue());
+  });
+}
+
 TEST(FusionTest, DeepChainSplitsAtMaxDepthAndStaysExact) {
   // 24 stacked maps exceed the rewrite pass's max fusion depth, so the
   // plan must split: still bit-exact, still far fewer launches.

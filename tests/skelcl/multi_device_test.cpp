@@ -144,6 +144,41 @@ TEST_P(MultiDeviceTest, CombineRedistributionSumsCopies) {
   }
 }
 
+TEST_P(MultiDeviceTest, RepeatedCombineReusesItsProgram) {
+  // Each combine redistribution builds its program through the runtime's
+  // per-init() program memo: a second combine with the same source
+  // resolves nothing from the kernel cache (OSEM combines once per
+  // subset).
+  Map<int, void> bump(
+      "void b(int idx, __global int* data) { data[idx] += 1; }");
+  Vector<int> indices = skelcl::indexVector(64);
+  indices.setDistribution(Distribution::Block);
+  const auto combineOnce = [&](Vector<int>& data) {
+    data.setDistribution(Distribution::Copy);
+    Arguments args;
+    args.push(data);
+    bump(indices, args);
+    data.dataOnDevicesModified();
+    data.setDistribution(Distribution::Block,
+                         "int add(int a, int b) { return a + b; }");
+  };
+  Vector<int> first(64, 0);
+  combineOnce(first);
+  Vector<int> second(64, 5);
+  skelcl::detail::StatsScope scope;
+  combineOnce(second);
+  const auto cache = scope.cacheDelta();
+  EXPECT_EQ(cache.hits + cache.misses, 0u)
+      << "devices=" << skelcl::deviceCount();
+  // Every index was bumped on exactly one device; the other copies keep
+  // their initial value.
+  const int copies = int(skelcl::deviceCount());
+  for (std::size_t i = 0; i < 64; ++i) {
+    ASSERT_EQ(first[i], 1) << i;
+    ASSERT_EQ(second[i], 5 * copies + 1) << i;
+  }
+}
+
 TEST_P(MultiDeviceTest, DotProductDistributed) {
   Reduce<float> sum("float sum(float x, float y) { return x + y; }");
   Zip<float> mult("float mult(float x, float y) { return x * y; }");

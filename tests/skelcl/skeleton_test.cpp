@@ -304,13 +304,18 @@ TEST_F(SkeletonTest, InvalidUserFunctionFailsAtFirstUse) {
 }
 
 TEST_F(SkeletonTest, UserFunctionNameExtraction) {
-  EXPECT_EQ(skelcl::detail::userFunctionName(
-                "float sum (float x,float y){return x+y;}"),
+  using skelcl::detail::UserFunction;
+  EXPECT_EQ(UserFunction("float sum (float x,float y){return x+y;}").name(),
             "sum");
-  EXPECT_EQ(skelcl::detail::userFunctionName(
-                "int f(int a) { return g(a); }"),
-            "f");
-  EXPECT_THROW(skelcl::detail::userFunctionName("int x = 3;"),
+  EXPECT_EQ(UserFunction("int f(int a) { return g(a); }").name(), "f");
+  // Helpers come first; the customizing function is the last definition.
+  const UserFunction withHelper(
+      "int g(int a); int h(int a) { return a; } "
+      "int f(int a) { return h(a); }");
+  EXPECT_EQ(withHelper.names(), (std::vector<std::string>{"h", "f"}));
+  EXPECT_EQ(withHelper.name(), "f");
+  EXPECT_THROW(UserFunction("int x = 3;"), common::InvalidArgument);
+  EXPECT_THROW(UserFunction("int f(int a) { return a; } \"unterminated"),
                common::InvalidArgument);
 }
 
