@@ -256,11 +256,12 @@ int main(int argc, char** argv) {
         .print();
   }
 
-  // Shallow grid on purpose: the out-of-order compute engine backfills
-  // halo-independent work while a copy is in flight, so the tier only
-  // shows once the halo delay exceeds the whole per-iteration backlog.
-  // At 8 rows that backlog is ~launch overheads, which 10GbE's 50 us
-  // latency clears and InfiniBand's 2 us does not.
+  // Shallow grid on purpose: the out-of-order compute engine runs the
+  // halo-independent interior launch while a copy is in flight, so the
+  // tier only shows once the halo copy outlasts that launch. At 8 rows
+  // the interior launch takes ~31 us: the InfiniBand copy (~18 us)
+  // lands before it ends, the 10GbE copy (~84 us, 50 us of it latency)
+  // does not.
   HaloWorkload hw;
   hw.rows = std::size_t(double(smoke ? 8 : 16) * bench::scale());
   hw.width = 8192;

@@ -10,6 +10,10 @@
 // across device counts, and 4 GPUs must beat 1 by >= 1.3x virtual time
 // (the binary exits non-zero otherwise).
 //
+// A service-sized stencil (the 16×64 int grid, 3×3 box of the perfbench
+// service_mix stencil job) shows the launch-bound regime: it reports the
+// virtual time and the kernel launches per call, upload to read-back.
+//
 // SpMV and PageRank run the SparseGather skeleton over a random CSR
 // matrix and report nonzeros processed per virtual second.
 //
@@ -82,6 +86,64 @@ HeatResult runHeat(std::uint32_t gpus, const HeatWorkload& w,
     out.output = v.hostData();
     bench::syncAllDevices();
     out.virtualNs = ocl::hostTimeNs() - t0;
+  }
+  skelcl::terminate();
+  return out;
+}
+
+/// A service-sized stencil: a job uploads a small grid, runs one 3×3
+/// box stencil, and reads the result back. At this size the per-launch
+/// overhead, not the kernels, sets the virtual time per call.
+struct BoxResult {
+  double virtualUsPerCall = 0.0;
+  double launchesPerCall = 0.0;
+};
+
+BoxResult runServiceBox(std::uint32_t gpus, std::size_t rows,
+                        std::size_t width, std::size_t calls) {
+  bench::setupSystem(gpus);
+  BoxResult out;
+  {
+    skelcl::Stencil<int> box(
+        "int bbox(__global const int* w, uint st) {\n"
+        "  int s = 0;\n"
+        "  for (int r = 0; r < 3; ++r) {\n"
+        "    for (int c = 0; c < 3; ++c) {\n"
+        "      s = s + w[r * (int)st + c];\n"
+        "    }\n"
+        "  }\n"
+        "  return s;\n"
+        "}\n",
+        skelcl::StencilShape{1, skelcl::Boundary::Clamp, width});
+    std::vector<int> grid(rows * width);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      grid[i] = int((i * 2654435761u) % 199) - 99;
+    }
+    auto call = [&] {
+      skelcl::Vector<int> v(grid);
+      v.setDistribution(skelcl::Distribution::Block);
+      (void)box(v).hostData();
+    };
+    call(); // calibration, untimed: builds the kernels
+    bench::syncAllDevices();
+
+    auto& runtime = skelcl::detail::Runtime::instance();
+    auto launches = [&] {
+      std::uint64_t total = 0;
+      for (std::size_t d = 0; d < runtime.deviceCount(); ++d) {
+        total += runtime.queue(d).cumulativeKernelLaunches();
+      }
+      return total;
+    };
+    const std::uint64_t l0 = launches();
+    const std::uint64_t t0 = ocl::hostTimeNs();
+    for (std::size_t i = 0; i < calls; ++i) {
+      call();
+    }
+    bench::syncAllDevices();
+    out.virtualUsPerCall =
+        double(ocl::hostTimeNs() - t0) * 1e-3 / double(calls);
+    out.launchesPerCall = double(launches() - l0) / double(calls);
   }
   skelcl::terminate();
   return out;
@@ -276,6 +338,20 @@ int main(int argc, char** argv) {
         .field("overlap_ratio", report.overlapRatio)
         .print();
   }
+
+  bench::heading("Service-sized stencil: 16x64 int grid, 3x3 box, clamp, "
+                 "4 GPUs");
+  const BoxResult box = runServiceBox(4, 16, 64, smoke ? 8 : 64);
+  std::printf("virtual per call = %.3f us   kernel launches per call = "
+              "%.1f\n",
+              box.virtualUsPerCall, box.launchesPerCall);
+  bench::BenchJson("irregular_service_box")
+      .field("gpus", 4)
+      .field("rows", std::uint64_t(16))
+      .field("width", std::uint64_t(64))
+      .field("virtual_us_per_call", box.virtualUsPerCall)
+      .field("launches_per_call", box.launchesPerCall)
+      .print();
 
   bench::heading("Sparse gather: SpMV and PageRank throughput (4 GPUs)");
   const std::size_t n = std::size_t(double(smoke ? 16384 : 65536) *

@@ -4,12 +4,16 @@
 // caller's poison-on-throw) but own their launch geometry:
 //
 // Stencil — block-distributes the input on *row-aligned* chunk
-// boundaries, copies each chunk's halo rows from its neighbors with
-// cross-device buffer copies (D2H+H2D engines), packs a per-chunk
-// padded buffer resolving the boundary policy device-side, and runs the
-// windowed compute kernel in three slices: the interior slice depends
-// only on the chunk's own data, so it overlaps the halo transfers; the
-// two R-row border slices wait for their halo. Degenerate geometry
+// boundaries and gives each chunk a halo-padded buffer, in two passes.
+// Pass 1 packs every chunk's padded buffer from its own data in one
+// launch: its rows with their column padding, plus the policy-resolved
+// rows beyond a grid edge it owns. Pass 2 copies each halo — R packed
+// rows of the neighbor's padded buffer — pad-to-pad with one
+// cross-device buffer copy (D2H+H2D engines) dependent on the
+// neighbor's pack, and computes in two launches: the interior rows
+// depend only on the chunk's own pack, so they overlap the halo copies;
+// one border launch covers both R-row borders once the halos land.
+// A chunk without a halo computes in one launch. Degenerate geometry
 // (fewer rows than the radius on any device, a single device, an empty
 // vector) falls back to the Single distribution — the same gather rule
 // Scan uses — where no halo exists at all.
@@ -79,29 +83,24 @@ std::string resolveEdge(int boundary, const std::string& load,
 }
 
 /// The pack kernel fills padded element range [p0, p0+pn) of the chunk's
-/// halo-padded buffer. Each padded cell is either a halo row shipped
-/// from a neighbor chunk (`skelcl_top`/`skelcl_bot`, present when the
-/// matching `hastop`/`hasbot` flag is set), a plain local element, or a
-/// boundary-policy resolve against the chunk's own data (single-device
-/// wrap, the clamp/constant edges). It branches on the *padded* row, so
-/// halo buffer row k always holds exactly the value padded row k needs —
-/// under every policy, including wrap pulling the last rows of the grid
-/// into device 0's top halo.
+/// halo-padded buffer from the chunk's own data: padded row p holds grid
+/// row base + p - R, its columns padded and any out-of-grid coordinate
+/// resolved per the boundary policy (single-device wrap, the clamp and
+/// constant edges). A padded row is thus a pure function of its grid row
+/// and the policy, whichever chunk packs it — which is what lets a
+/// neighbor's packed rows be copied verbatim into this chunk's halo.
 std::string packKernelSource(const StencilParams& P, const std::string& t) {
   const std::size_t W = P.width == 0 ? 1 : P.width;
   const bool is2D = P.width > 0;
   const std::string R = std::to_string(P.radius);
-  const std::string Ru = R + "u";
   const std::string Wu = std::to_string(W) + "u";
   const std::string PWu = std::to_string(is2D ? W + 2 * P.radius : 1) + "u";
 
   std::string src =
       "\n__kernel void skelcl_stencil_pack(__global const " + t +
-      "* skelcl_in, __global const " + t +
-      "* skelcl_top, __global const " + t + "* skelcl_bot, __global " + t +
-      "* skelcl_pad, uint skelcl_p0, uint skelcl_pn, uint skelcl_lrows, "
-      "uint skelcl_base, uint skelcl_total, uint skelcl_hastop, "
-      "uint skelcl_hasbot" +
+      "* skelcl_in, __global " + t +
+      "* skelcl_pad, uint skelcl_p0, uint skelcl_pn, uint skelcl_base, "
+      "uint skelcl_total" +
       P.constArg.declSuffix("cv_") +
       ") {\n"
       "  size_t skelcl_gid = get_global_id(0);\n"
@@ -110,37 +109,17 @@ std::string packKernelSource(const StencilParams& P, const std::string& t) {
       "    " + t + " skelcl_v;\n";
 
   if (!is2D) {
-    const std::string load = "skelcl_in[(uint)skelcl_g - skelcl_base]";
-    src +=
-        "    uint skelcl_p = skelcl_idx;\n"
-        "    if (skelcl_p < " + Ru + " && skelcl_hastop != 0u) {\n"
-        "      skelcl_v = skelcl_top[skelcl_p];\n"
-        "    } else if (skelcl_p >= skelcl_lrows + " + Ru +
-        " && skelcl_hasbot != 0u) {\n"
-        "      skelcl_v = skelcl_bot[skelcl_p - skelcl_lrows - " + Ru +
-        "];\n"
-        "    } else {\n"
-        "      int skelcl_g = (int)(skelcl_base + skelcl_p) - " + R +
-        ";\n" +
-        resolveEdge(P.boundary, load, "      ") +
-        "    }\n";
+    src += "    int skelcl_g = (int)(skelcl_base + skelcl_idx) - " + R +
+           ";\n" +
+           resolveEdge(P.boundary, "skelcl_in[(uint)skelcl_g - skelcl_base]",
+                       "    ");
   } else {
-    const std::string load =
-        "skelcl_in[((uint)skelcl_g - skelcl_base) * " + Wu +
-        " + (uint)skelcl_c]";
     const std::string rowPart =
-        "    if (skelcl_p < " + Ru + " && skelcl_hastop != 0u) {\n"
-        "      skelcl_v = skelcl_top[skelcl_p * " + Wu +
-        " + (uint)skelcl_c];\n"
-        "    } else if (skelcl_p >= skelcl_lrows + " + Ru +
-        " && skelcl_hasbot != 0u) {\n"
-        "      skelcl_v = skelcl_bot[(skelcl_p - skelcl_lrows - " + Ru +
-        ") * " + Wu + " + (uint)skelcl_c];\n"
-        "    } else {\n"
-        "      int skelcl_g = (int)(skelcl_base + skelcl_p) - " + R +
-        ";\n" +
-        resolveEdge(P.boundary, load, "      ") +
-        "    }\n";
+        "      int skelcl_g = (int)(skelcl_base + skelcl_p) - " + R + ";\n" +
+        resolveEdge(P.boundary,
+                    "skelcl_in[((uint)skelcl_g - skelcl_base) * " + Wu +
+                        " + (uint)skelcl_c]",
+                    "      ");
     src +=
         "    uint skelcl_p = skelcl_idx / " + PWu + ";\n"
         "    uint skelcl_q = skelcl_idx - skelcl_p * " + PWu + ";\n"
@@ -177,26 +156,31 @@ std::string packKernelSource(const StencilParams& P, const std::string& t) {
   return src;
 }
 
-/// The compute kernel applies the user function to local output rows
-/// [r0, r0 + rn): it receives a pointer to the window's top-left corner
-/// in the padded buffer (plus the padded row stride in 2D), so the
-/// function indexes the window relative to its own position — the
-/// classic out-of-place stencil contract, center at offset R (1D) or
-/// (R, R) (2D).
+/// The compute kernel applies the user function to `en` output cells
+/// starting at local row r0, jumping `skip` rows once it reaches row R —
+/// so one launch covers both R-row borders of a chunk, [0, R) and
+/// [rows - R, rows), with skip = rows - 2R. It receives a pointer to the
+/// window's top-left corner in the padded buffer (plus the padded row
+/// stride in 2D), so the function indexes the window relative to its own
+/// position — the classic out-of-place stencil contract, center at
+/// offset R (1D) or (R, R) (2D).
 std::string computeKernelSource(const StencilParams& P, const std::string& t,
                                 const std::string& funcName,
                                 const std::string& argDecls,
                                 const std::string& callSuffix) {
   const bool is2D = P.width > 0;
+  const std::string Ru = std::to_string(P.radius) + "u";
   std::string src = "\n__kernel void skelcl_stencil(__global const " + t +
                     "* skelcl_pad, __global " + t +
-                    "* skelcl_out, uint skelcl_r0, uint skelcl_en" +
+                    "* skelcl_out, uint skelcl_r0, uint skelcl_en, "
+                    "uint skelcl_skip" +
                     argDecls +
                     ") {\n"
                     "  size_t skelcl_gid = get_global_id(0);\n"
                     "  if (skelcl_gid < skelcl_en) {\n";
   if (!is2D) {
-    src += "    size_t skelcl_i = (size_t)skelcl_r0 + skelcl_gid;\n"
+    src += "    uint skelcl_i = skelcl_r0 + (uint)skelcl_gid;\n"
+           "    if (skelcl_i >= " + Ru + ") skelcl_i += skelcl_skip;\n"
            "    skelcl_out[skelcl_i] = " + funcName +
            "(skelcl_pad + skelcl_i" + callSuffix + ");\n";
   } else {
@@ -204,6 +188,7 @@ std::string computeKernelSource(const StencilParams& P, const std::string& t,
     const std::string PWu = std::to_string(P.width + 2 * P.radius) + "u";
     src += "    uint skelcl_j = skelcl_r0 + (uint)skelcl_gid / " + Wu +
            ";\n"
+           "    if (skelcl_j >= " + Ru + ") skelcl_j += skelcl_skip;\n"
            "    uint skelcl_c = (uint)skelcl_gid % " + Wu +
            ";\n"
            "    skelcl_out[(size_t)skelcl_j * " + Wu +
@@ -215,16 +200,15 @@ std::string computeKernelSource(const StencilParams& P, const std::string& t,
   return src;
 }
 
-/// The chunk whose rows cover `row` (chunks are ascending and disjoint).
-const Chunk* chunkContainingRow(const std::vector<Chunk>& chunks,
-                                std::size_t row, std::size_t W) {
-  for (const Chunk& c : chunks) {
-    const std::size_t r0 = c.offset / W;
-    if (row >= r0 && row < r0 + c.count / W) {
-      return &c;
-    }
+/// Index of the chunk whose rows cover `row` (chunks are ascending and
+/// contiguous, and `row` lies in the grid).
+std::size_t chunkContainingRow(const std::vector<Chunk>& chunks,
+                               std::size_t row, std::size_t W) {
+  std::size_t i = 0;
+  while (row >= (chunks[i].offset + chunks[i].count) / W) {
+    ++i;
   }
-  return nullptr;
+  return i;
 }
 
 std::string stencilProgramSource(const std::shared_ptr<ExprNode>& node,
@@ -334,132 +318,127 @@ void runStencil(const std::shared_ptr<ExprNode>& node,
       runtime.programFor(stencilProgramSource(node, plan), salt);
   const auto& chunks = in.chunks();
   const std::size_t pw = is2D ? W + 2 * R : 1; // padded row length
-  const std::size_t haloBytes = R * W * elem;
+  const std::size_t haloBytes = R * pw * elem;
+  const std::vector<std::size_t> order = runtime.chunkVisitOrder(chunks.size());
+  std::vector<ocl::Buffer> pads(chunks.size());
+  std::vector<ocl::Event> packed(chunks.size());
+  // A chunk's rows, first grid row, and which halos it receives.
+  struct Geometry {
+    std::size_t rows, rowBase;
+    bool hasTop, hasBot;
+  };
+  auto geometry = [&](const Chunk& c) {
+    const std::size_t rows = c.count / W;
+    const std::size_t rowBase = c.offset / W;
+    return Geometry{rows, rowBase, multi && (rowBase > 0 || wrap),
+                    multi && (rowBase + rows < totalRows || wrap)};
+  };
 
-  for (std::size_t idx : runtime.chunkVisitOrder(chunks.size())) {
-    const Chunk& chunk = chunks[idx];
-    if (chunk.count == 0) {
-      continue;
+  std::size_t d = 0; // device of the command being enqueued, for errors
+  try {
+    // Pass 1: each chunk packs, in one launch dependent only on its own
+    // upload, every padded row its own data determines — its rows, and
+    // the policy-resolved rows beyond a grid edge it owns. Rows that
+    // come from a neighbor (a halo) are left for pass 2.
+    for (std::size_t idx : order) {
+      const Chunk& chunk = chunks[idx];
+      if (chunk.count == 0) {
+        continue;
+      }
+      d = chunk.deviceIndex;
+      const auto& device = runtime.devices()[d];
+      const auto [rows, rowBase, hasTop, hasBot] = geometry(chunk);
+      pads[idx] =
+          runtime.context().createBuffer(device, (rows + 2 * R) * pw * elem);
+      const std::size_t p0 = hasTop ? R * pw : 0;
+      const std::size_t pn = (rows + 2 * R) * pw - p0 - (hasBot ? R * pw : 0);
+
+      ocl::Kernel kernel = program.createKernel("skelcl_stencil_pack");
+      std::size_t arg = 0;
+      kernel.setArg(arg++, chunk.buffer);
+      kernel.setArg(arg++, pads[idx]);
+      kernel.setArg(arg++, std::uint32_t(p0));
+      kernel.setArg(arg++, std::uint32_t(pn));
+      kernel.setArg(arg++, std::uint32_t(rowBase));
+      kernel.setArg(arg++, std::uint32_t(totalRows));
+      if (!P.constArg.empty()) {
+        P.constArg.apply(kernel, arg, d);
+      }
+      std::vector<ocl::Event> deps;
+      appendEvent(deps, chunk.ready);
+      const std::size_t wg = effectiveWorkGroupSize(node->workGroupSize,
+                                                    device);
+      packed[idx] = runtime.queue(d).enqueueNDRange(
+          kernel, ocl::NDRange1D{roundUp(pn, wg), wg}, deps);
     }
-    try {
-      const std::size_t d = chunk.deviceIndex;
+
+    // Pass 2: halos and compute. Each halo is one copy of R padded rows
+    // from the neighbor's packed buffer straight into this chunk's halo
+    // rows, dependent on the neighbor's pack; it is enqueued on the
+    // *destination* queue, so it occupies the source's D2H and this
+    // device's H2D engine and leaves the compute engine to the interior
+    // launch, which needs only this chunk's own pack. One border launch
+    // then covers rows [0, R) and [rows - R, rows) once both halos land.
+    for (std::size_t idx : order) {
+      const Chunk& chunk = chunks[idx];
+      if (chunk.count == 0) {
+        continue;
+      }
+      d = chunk.deviceIndex;
       const auto& device = runtime.devices()[d];
       auto& queue = runtime.queue(d);
-      const std::size_t rows = chunk.count / W;
-      const std::size_t rowBase = chunk.offset / W;
-      ocl::Buffer pad =
-          runtime.context().createBuffer(device, (rows + 2 * R) * pw * elem);
+      const auto [rows, rowBase, hasTop, hasBot] = geometry(chunk);
 
-      // Halo transfers, enqueued on the *destination* queue: the copy
-      // occupies the source's D2H and this device's H2D engine, leaving
-      // the compute engine free for the interior slice below.
-      const bool hasTop = multi && (rowBase > 0 || wrap);
-      const bool hasBot = multi && (rowBase + rows < totalRows || wrap);
-      ocl::Buffer top;
-      ocl::Buffer bot;
-      ocl::Event topReady;
-      ocl::Event botReady;
-      if (hasTop) {
-        const std::size_t srcRow =
-            rowBase > 0 ? rowBase - R : totalRows - R;
-        const Chunk& src = *chunkContainingRow(chunks, srcRow, W);
-        top = runtime.context().createBuffer(device, haloBytes);
-        std::vector<ocl::Event> deps;
-        appendEvent(deps, src.ready);
-        topReady = queue.enqueueCopyBuffer(
-            src.buffer, (srcRow - src.offset / W) * W * elem, top, 0,
-            haloBytes, deps);
+      std::vector<ocl::Event> borderDeps{packed[idx]};
+      auto copyHalo = [&](std::size_t srcRow, std::size_t dstPadRow) {
+        const std::size_t s = chunkContainingRow(chunks, srcRow, W);
+        const std::size_t srcPadRow = srcRow - chunks[s].offset / W + R;
+        borderDeps.push_back(queue.enqueueCopyBuffer(
+            pads[s], srcPadRow * pw * elem, pads[idx], dstPadRow * pw * elem,
+            haloBytes, {packed[s]}));
         noteHaloBytes(haloBytes);
+      };
+      if (hasTop) {
+        copyHalo(rowBase > 0 ? rowBase - R : totalRows - R, 0);
       }
       if (hasBot) {
         const std::size_t next = rowBase + rows;
-        const std::size_t srcRow = next < totalRows ? next : 0;
-        const Chunk& src = *chunkContainingRow(chunks, srcRow, W);
-        bot = runtime.context().createBuffer(device, haloBytes);
-        std::vector<ocl::Event> deps;
-        appendEvent(deps, src.ready);
-        botReady = queue.enqueueCopyBuffer(
-            src.buffer, (srcRow - src.offset / W) * W * elem, bot, 0,
-            haloBytes, deps);
-        noteHaloBytes(haloBytes);
+        copyHalo(next < totalRows ? next : 0, rows + R);
       }
 
       const std::size_t wg = effectiveWorkGroupSize(node->workGroupSize,
                                                     device);
-      auto pack = [&](std::size_t pBegin, std::size_t pCount,
-                      std::vector<ocl::Event> deps) {
-        ocl::Kernel kernel = program.createKernel("skelcl_stencil_pack");
-        std::size_t arg = 0;
-        kernel.setArg(arg++, chunk.buffer);
-        kernel.setArg(arg++, hasTop ? top : chunk.buffer);
-        kernel.setArg(arg++, hasBot ? bot : chunk.buffer);
-        kernel.setArg(arg++, pad);
-        kernel.setArg(arg++, std::uint32_t(pBegin));
-        kernel.setArg(arg++, std::uint32_t(pCount));
-        kernel.setArg(arg++, std::uint32_t(rows));
-        kernel.setArg(arg++, std::uint32_t(rowBase));
-        kernel.setArg(arg++, std::uint32_t(totalRows));
-        kernel.setArg(arg++, std::uint32_t(hasTop ? 1 : 0));
-        kernel.setArg(arg++, std::uint32_t(hasBot ? 1 : 0));
-        if (!P.constArg.empty()) {
-          P.constArg.apply(kernel, arg, d);
-        }
-        return queue.enqueueNDRange(
-            kernel, ocl::NDRange1D{roundUp(pCount, wg), wg}, deps);
-      };
-      auto compute = [&](std::size_t r0, std::size_t rn,
+      auto compute = [&](std::size_t r0, std::size_t rn, std::size_t skip,
                          std::vector<ocl::Event> deps) {
         ocl::Kernel kernel = program.createKernel("skelcl_stencil");
         std::size_t arg = 0;
-        kernel.setArg(arg++, pad);
+        kernel.setArg(arg++, pads[idx]);
         kernel.setArg(arg++, out->chunkForDevice(d).buffer);
         kernel.setArg(arg++, std::uint32_t(r0));
         kernel.setArg(arg++, std::uint32_t(rn * W));
+        kernel.setArg(arg++, std::uint32_t(skip));
         bindStageArguments(plan, kernel, arg, d);
         collectStageDeps(plan, deps, d);
         return queue.enqueueNDRange(
             kernel, ocl::NDRange1D{roundUp(rn * W, wg), wg}, deps);
       };
 
-      // The interior pack needs only the chunk's own upload; the border
-      // packs additionally wait for their halo copy (and still read the
-      // chunk for the policy-resolved cells).
-      std::vector<ocl::Event> own;
-      appendEvent(own, chunk.ready);
-      ocl::Event interiorPacked = pack(R * pw, rows * pw, own);
-      std::vector<ocl::Event> topDeps = own;
-      appendEvent(topDeps, topReady);
-      ocl::Event topPacked = pack(0, R * pw, topDeps);
-      std::vector<ocl::Event> botDeps = own;
-      appendEvent(botDeps, botReady);
-      ocl::Event botPacked = pack((rows + R) * pw, R * pw, botDeps);
-
-      // Compute in three slices chained into one final event: the
-      // interior rows [R, rows-R) depend only on the interior pack, so
-      // they overlap the halo exchanges still in flight; the two R-row
-      // borders wait for their halo pack.
-      ocl::Event done;
-      if (rows >= 2 * R) {
-        ocl::Event mid;
-        if (rows > 2 * R) {
-          mid = compute(R, rows - 2 * R, {interiorPacked});
-        }
-        std::vector<ocl::Event> tDeps{topPacked, interiorPacked};
-        appendEvent(tDeps, mid);
-        ocl::Event topDone = compute(0, R, tDeps);
-        done = compute(rows - R, R, {botPacked, interiorPacked, topDone});
-      } else {
-        // Chunk narrower than two radii (single-device fallback only):
-        // every output row touches both edges; one slice.
-        done = compute(0, rows, {topPacked, interiorPacked, botPacked});
+      // The interior rows [R, rows - R) overlap the halo copies still in
+      // flight; the border launch chains after them into the chunk's one
+      // final event. A chunk of at most 2R rows is all border, and one
+      // without a halo computes all its rows in the single launch.
+      const std::size_t border =
+          hasTop || hasBot ? std::min(rows, 2 * R) : rows;
+      if (rows > border) {
+        borderDeps.push_back(compute(R, rows - border, 0, {packed[idx]}));
       }
+      const ocl::Event done = compute(0, border, rows - border, borderDeps);
       out->recordEventOn(d, done);
       recordStageEvents(plan, done, d);
-    } catch (ocl::ClError& e) {
-      e.prependContext(plan.label + " skeleton on device " +
-                       std::to_string(chunk.deviceIndex));
-      throw;
     }
+  } catch (ocl::ClError& e) {
+    e.prependContext(plan.label + " skeleton on device " + std::to_string(d));
+    throw;
   }
   out->markDevicesModified();
 }

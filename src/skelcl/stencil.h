@@ -12,11 +12,12 @@
 //   1D:  float f(__global const float* w)            // center w[R]
 //   2D:  float f(__global const float* w, uint s)    // center w[R*s+R]
 //
-// Under the block distribution each device computes its rows after
-// exchanging `radius` halo rows with its neighbors via peer buffer
-// copies; the interior rows never wait for a halo, so the exchange
-// overlaps interior compute (detail/irregular.cpp documents the event
-// DAG). Invocation is lazy like every other skeleton, but the root is
+// Under the block distribution each device packs its padded rows from
+// its own data, receives `radius` already-padded halo rows from each
+// neighbor's packed buffer via peer buffer copies, and computes in an
+// interior launch that never waits for a halo — so the exchange
+// overlaps interior compute — plus one launch for both borders
+// (detail/irregular.cpp documents the event DAG). Invocation is lazy like every other skeleton, but the root is
 // opaque to fusion — producers feeding a stencil materialize first.
 //
 // There is deliberately no explicit-output (in-place) form: a stencil

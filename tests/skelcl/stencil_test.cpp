@@ -2,11 +2,12 @@
 // every radius (1..3) × boundary policy (clamp/wrap/constant) × shape
 // (1D, row-major 2D) combination, on 1, 2, and 4 devices; bit-identity
 // of an iterated float stencil across device counts, heterogeneous
-// SKELCL_DEVICES specs, shuffled schedules, async-off, fusion-off, and
-// measured weights; the degenerate-geometry regressions (chunks smaller
-// than the halo radius, one-row chunks whose halos wrap, empty input,
-// sizes not divisible by the device count); and typed-error recovery
-// with a fault aimed at the halo-exchange copy itself.
+// SKELCL_DEVICES specs, shuffled schedules, async-off, fusion-off,
+// serialized queues, and measured weights; the degenerate-geometry
+// regressions (chunks smaller than the halo radius, one-row chunks whose
+// halos wrap, empty input, sizes not divisible by the device count); the
+// launch count per call; and typed-error recovery with a fault aimed at
+// the halo-exchange copy itself.
 #include <cstdint>
 #include <cstdlib>
 #include <random>
@@ -188,6 +189,43 @@ TEST_F(StencilTwoDevices, MatchesOracleEveryRadiusAndPolicy) {
 TEST_F(StencilFourDevices, MatchesOracleEveryRadiusAndPolicy) {
   expectOracle1D(1003, 31);
   expectOracle2D(37, 10, 32);
+  // 4 rows per device: radius 1 leaves an interior launch, radius 2
+  // makes every chunk pure border (rows == 2R), and radius 3 gives
+  // chunks with R <= rows < 2R whose two border ranges overlap.
+  expectOracle2D(16, 5, 33);
+}
+
+// --- launch structure ------------------------------------------------------
+
+/// Kernel launches across all devices while evaluating one stencil call.
+std::uint64_t launchesForOneCall(std::size_t rows, std::size_t width,
+                                 Boundary b) {
+  auto& runtime = skelcl::detail::Runtime::instance();
+  auto launches = [&] {
+    std::uint64_t total = 0;
+    for (std::size_t d = 0; d < skelcl::deviceCount(); ++d) {
+      total += runtime.queue(d).cumulativeKernelLaunches();
+    }
+    return total;
+  };
+  Vector<int> in(randomInts(rows * width, 81));
+  Stencil<int> st(sum2DSource(1), StencilShape{1, b, width}, 5);
+  const std::uint64_t before = launches();
+  Vector<int> out = st(in);
+  (void)out[0];
+  return launches() - before;
+}
+
+// Each device packs once and computes in an interior plus a border
+// launch; a chunk without a halo packs and computes in one launch each.
+TEST_F(StencilFourDevices, ThreeLaunchesPerDeviceWithHalo) {
+  EXPECT_EQ(launchesForOneCall(32, 8, Boundary::Clamp), 12u);
+  EXPECT_EQ(launchesForOneCall(32, 8, Boundary::Wrap), 12u);
+}
+
+TEST_F(StencilOneDevice, TwoLaunchesWithoutHalo) {
+  EXPECT_EQ(launchesForOneCall(32, 8, Boundary::Clamp), 2u);
+  EXPECT_EQ(launchesForOneCall(32, 8, Boundary::Constant), 2u);
 }
 
 // Iterated stencils chain through the expression DAG (each step's input
@@ -398,6 +436,12 @@ TEST(StencilBitIdentity, InvariantAcrossDevicesScheduleAndEngines) {
   ::setenv("SKELCL_FUSION", "0", 1);
   expectSame(runHeat(4, nullptr), "fusion off");
   ::unsetenv("SKELCL_FUSION");
+
+  // In-order queues: each halo copy waits on another device's pack
+  // under the single-timeline model too.
+  ::setenv("SKELCL_SERIALIZE", "1", 1);
+  expectSame(runHeat(4, nullptr), "serialized");
+  ::unsetenv("SKELCL_SERIALIZE");
 
   // Measured weights re-partition after calibration; halo-aware chunk
   // geometry must follow the moved cut lines.
