@@ -6,6 +6,12 @@
 // failure atomicity the eager skeletons had. A single-stage plan is the
 // old eager execution; a fused plan runs one kernel where the chain ran
 // several, with no intermediate vectors.
+//
+// Every evaluation resolves exactly one program, generated from its plan:
+// a Reduce or Scan program carries the plain tree kernels its later
+// passes run and, when the plan absorbed a chain, the fused first pass
+// beside them. Every launch that may split against upload pieces goes
+// through launchPipelined (skeleton_common.h).
 #include "skelcl/detail/expr.h"
 
 #include <cstdint>
@@ -28,6 +34,11 @@ namespace {
 /// therefore round floating point — identically).
 constexpr std::size_t kTreeWg = 256;
 constexpr std::size_t kReduceMaxGroups = 64;
+
+/// An element-wise launch splits against upload pieces only when every
+/// slice keeps this many waves of work-groups per compute unit (see
+/// launchPipelined).
+constexpr std::size_t kMinWavesPerSlice = 4;
 
 struct EvalGuard {
   explicit EvalGuard(bool& flag) : flag_(flag) { flag_ = true; }
@@ -86,6 +97,35 @@ void alignLeaves(const FusionPlan& plan) {
   }
 }
 
+/// Kernel parameters for the plan's leaves, one per occurrence:
+/// occurrence i is skelcl_in<i>.
+std::string leafParams(const FusionPlan& plan) {
+  std::string params;
+  for (std::size_t i = 0; i < plan.leaves.size(); ++i) {
+    params += "__global const " + plan.leafTypes[i] + "* skelcl_in" +
+              std::to_string(i) + ", ";
+  }
+  return params;
+}
+
+/// Harvests each distinct leaf's split upload pieces on `deviceIndex`,
+/// one list per leaf, for launchPipelined. A leaf without pieces (whole-
+/// chunk upload, or data already resident) contributes its ready event
+/// to `deps` instead.
+std::vector<UploadPieces> takeUploadPieces(
+    const std::vector<VectorState*>& leaves, std::size_t deviceIndex,
+    std::vector<ocl::Event>& deps) {
+  std::vector<UploadPieces> pieces;
+  pieces.reserve(leaves.size());
+  for (VectorState* leaf : leaves) {
+    pieces.push_back(leaf->takeUploadPieces(deviceIndex));
+    if (pieces.back().empty()) {
+      appendEvent(deps, leaf->readyEventOn(deviceIndex));
+    }
+  }
+  return pieces;
+}
+
 // --- element-wise plans (Map/Zip roots) ---------------------------------
 
 std::string elementwiseKernelName(const FusionPlan& plan) {
@@ -101,13 +141,9 @@ bool voidResult(const ExprNode& node) { return node.outType == "void"; }
 
 std::string elementwiseSource(const FusionPlan& plan, const ExprNode& node) {
   const bool isVoid = voidResult(node);
-  std::string src =
-      registeredTypeDefinitions() + plan.functionsSource +
-      "\n__kernel void " + elementwiseKernelName(plan) + "(";
-  for (std::size_t i = 0; i < plan.leaves.size(); ++i) {
-    src += "__global const " + plan.leafTypes[i] + "* skelcl_in" +
-           std::to_string(i) + ", ";
-  }
+  std::string src = registeredTypeDefinitions() + plan.functionsSource +
+                    "\n__kernel void " + elementwiseKernelName(plan) + "(" +
+                    leafParams(plan);
   if (!isVoid) {
     src += "__global " + node.outType + "* skelcl_out, ";
   }
@@ -177,28 +213,25 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
       // streams last — plus any stage argument vectors. A void map may
       // scatter to arbitrary indices of its argument vectors, so it is
       // never split: one launch waits for the whole upload.
-      std::vector<UploadPieces> pieces;
-      pieces.reserve(distinct.size());
       std::vector<ocl::Event> deps;
-      for (VectorState* leaf : distinct) {
-        pieces.push_back(isVoid ? UploadPieces{}
-                                : leaf->takeUploadPieces(chunk.deviceIndex));
-        if (pieces.back().empty()) {
+      std::vector<UploadPieces> pieces;
+      if (isVoid) {
+        for (VectorState* leaf : distinct) {
           appendEvent(deps, leaf->readyEventOn(chunk.deviceIndex));
         }
+      } else {
+        pieces = takeUploadPieces(distinct, chunk.deviceIndex, deps);
       }
       collectStageDeps(plan, deps, chunk.deviceIndex);
 
-      std::vector<const UploadPieces*> pieceLists;
-      pieceLists.reserve(pieces.size());
-      for (const UploadPieces& list : pieces) {
-        pieceLists.push_back(&list);
-      }
       const std::size_t wg =
           effectiveWorkGroupSize(node->workGroupSize, device);
-      ocl::Event done =
-          launchPipelined(runtime.queue(chunk.deviceIndex), kernel,
-                          chunk.count, wg, deps, pieceLists);
+      const std::size_t cus =
+          std::max<std::size_t>(1, device.spec().computeUnits);
+      ocl::Event done = launchPipelined(
+          runtime.queue(chunk.deviceIndex), kernel,
+          (chunk.count + wg - 1) / wg, wg, /*span=*/wg, chunk.count,
+          kMinWavesPerSlice * cus, deps, pieces);
       if (!isVoid) {
         out->recordEventOn(chunk.deviceIndex, done);
       }
@@ -218,7 +251,7 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
 
 /// The associativity-only tree reduction kernel (see reduce.h for the
 /// algorithm notes). `loadExpr` is the element expression at %IDX%; the
-/// plain variant loads skelcl_in[i], the fused first pass evaluates the
+/// tree kernel loads skelcl_in[i], the fused first pass evaluates the
 /// absorbed chain inline.
 ///
 /// `pipelined` emits the variant used for piecewise-pipelined first
@@ -292,32 +325,29 @@ std::string reduceKernelSource(const std::string& kernelName,
          "}\n";
 }
 
-std::string plainReduceSource(const std::shared_ptr<ExprNode>& node) {
-  const std::string& t = node->outType;
-  return registeredTypeDefinitions() + node->function->source() +
-         reduceKernelSource("skelcl_reduce",
-                            "__global const " + t + "* skelcl_in, ", "", t,
-                            node->function->name(), "skelcl_in[%IDX%]",
-                            /*pipelined=*/false);
-}
-
-std::string fusedReduceSource(const std::shared_ptr<ExprNode>& node,
-                              const FusionPlan& plan) {
-  std::string leafParams;
-  for (std::size_t i = 0; i < plan.leaves.size(); ++i) {
-    leafParams += "__global const " + plan.leafTypes[i] + "* skelcl_in" +
-                  std::to_string(i) + ", ";
+/// One program per Reduce plan: the plan's functions, then — when the
+/// plan absorbed a chain — the pipelined first pass skelcl_mapreduce
+/// evaluating it inline, then the tree kernel skelcl_reduce over a plain
+/// buffer, which runs every later pass and the cross-device combine.
+std::string reduceProgramSource(const ExprNode& node, const FusionPlan& plan,
+                                bool fused) {
+  const std::string& t = node.outType;
+  std::string src = registeredTypeDefinitions() + plan.functionsSource;
+  if (fused) {
+    src += reduceKernelSource("skelcl_mapreduce", leafParams(plan),
+                              plan.argDecls, t, plan.rootFuncName,
+                              plan.loadExpr, /*pipelined=*/true);
   }
-  return registeredTypeDefinitions() + plan.functionsSource +
-         reduceKernelSource("skelcl_mapreduce", leafParams, plan.argDecls,
-                            node->outType, plan.rootFuncName,
-                            plan.loadExpr, /*pipelined=*/true);
+  return src + reduceKernelSource("skelcl_reduce",
+                                  "__global const " + t + "* skelcl_in, ",
+                                  "", t, plan.rootFuncName,
+                                  "skelcl_in[%IDX%]", /*pipelined=*/false);
 }
 
 /// Tree-reduces `count` elements of `in` (element size `elem`) down to
-/// one with the plain kernel; the first pass waits on `deps`. Mirrors
-/// the eager Reduce::reduceOnDevice, including the count==1 passthrough.
-std::pair<ocl::Buffer, ocl::Event> reducePlain(
+/// one with skelcl_reduce; the first pass waits on `deps`. Mirrors the
+/// eager Reduce::reduceOnDevice, including the count==1 passthrough.
+std::pair<ocl::Buffer, ocl::Event> reduceTree(
     Runtime& runtime, ocl::Program& program, ocl::Buffer in,
     std::size_t count, std::size_t elem, std::size_t deviceIndex,
     std::vector<ocl::Event> deps) {
@@ -345,67 +375,6 @@ std::pair<ocl::Buffer, ocl::Event> reducePlain(
   return {std::move(in), std::move(last)};
 }
 
-/// Enqueues the fused first pass, pipelined against split upload pieces
-/// at group granularity. Tree group g reads the contiguous element span
-/// [g*span, (g+1)*span), so a sub-launch covering groups [g0, g1) only
-/// needs the pieces covering its last element: early groups reduce
-/// while later pieces still stream over PCIe — the same double
-/// buffering launchPipelined gives element-wise kernels. The pipelined
-/// kernel derives its group index from the global id, so offset
-/// sub-ranges compute bit-identical partials to one full launch.
-ocl::Event launchReduceFirstPass(
-    ocl::CommandQueue& queue, ocl::Kernel& kernel, std::size_t groups,
-    std::size_t count, const std::vector<ocl::Event>& baseDeps,
-    const std::vector<const UploadPieces*>& pieceLists) {
-  const UploadPieces* driver = nullptr;
-  for (const UploadPieces* list : pieceLists) {
-    if (list->size() > 1 &&
-        (driver == nullptr || list->size() > driver->size())) {
-      driver = list;
-    }
-  }
-  // Pipelining pays only when each piece unlocks whole groups; with
-  // fewer than ~2 groups per piece, run the classic single launch.
-  if (driver == nullptr || groups < 2 * driver->size()) {
-    std::vector<ocl::Event> deps = baseDeps;
-    for (const UploadPieces* list : pieceLists) {
-      if (!list->empty()) {
-        appendEvent(deps, list->back().second);
-      }
-    }
-    return queue.enqueueNDRange(
-        kernel, ocl::NDRange1D{groups * kTreeWg, kTreeWg}, deps);
-  }
-  const std::size_t span = (count + groups - 1) / groups;
-  ocl::Event last;
-  std::size_t gBegin = 0;
-  for (std::size_t p = 0; p < driver->size() && gBegin < groups; ++p) {
-    // Groups fully covered by pieces [0, p]; the final piece flushes
-    // the remainder.
-    const std::size_t gEnd =
-        (p + 1 == driver->size())
-            ? groups
-            : std::min(groups, (*driver)[p].first / span);
-    if (gEnd <= gBegin) {
-      continue;
-    }
-    std::vector<ocl::Event> deps = baseDeps;
-    const std::size_t elemEnd = std::min(gEnd * span, count);
-    for (const UploadPieces* list : pieceLists) {
-      if (!list->empty()) {
-        appendEvent(deps, pieceCovering(*list, elemEnd));
-      }
-    }
-    last = queue.enqueueNDRange(
-        kernel,
-        ocl::NDRange1D{(gEnd - gBegin) * kTreeWg, kTreeWg,
-                       gBegin * kTreeWg},
-        deps);
-    gBegin = gEnd;
-  }
-  return last;
-}
-
 void runReduce(const std::shared_ptr<ExprNode>& node,
                const std::shared_ptr<VectorState>& out,
                const FusionPlan& plan, Runtime& runtime,
@@ -418,11 +387,8 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
   const std::size_t elem = node->outElemSize;
   const bool fused = plan.fusedStages > 0;
 
-  ocl::Program& plainProgram =
-      runtime.programFor(plainReduceSource(node), salt);
-  ocl::Program* fusedProgram =
-      fused ? &runtime.programFor(fusedReduceSource(node, plan), salt)
-            : nullptr;
+  ocl::Program& program =
+      runtime.programFor(reduceProgramSource(*node, plan, fused), salt);
 
   // Per-device partial reduction; under the copy distribution one copy
   // suffices. Partials stay in canonical chunk order (device order =
@@ -447,29 +413,17 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
         // Fused first pass: the absorbed chain evaluates inline while
         // the tree reduces — the reduce.map rewrite. Harvest any split
         // upload pieces so the tree groups can start on the prefix of
-        // the input while its tail still streams.
-        auto& queue = runtime.queue(chunk.deviceIndex);
+        // the input while its tail still streams; a sub-launch is worth
+        // it once each piece unlocks whole groups.
         const auto& device = runtime.devices()[chunk.deviceIndex];
         collectStageDeps(plan, deps, chunk.deviceIndex);
-        std::vector<UploadPieces> pieces;
-        pieces.reserve(distinct.size());
-        for (VectorState* leaf : distinct) {
-          pieces.push_back(leaf->takeUploadPieces(chunk.deviceIndex));
-          if (pieces.back().empty()) {
-            appendEvent(deps, leaf->readyEventOn(chunk.deviceIndex));
-          }
-        }
-        std::vector<const UploadPieces*> pieceLists;
-        pieceLists.reserve(pieces.size());
-        for (const UploadPieces& list : pieces) {
-          pieceLists.push_back(&list);
-        }
+        const std::vector<UploadPieces> pieces =
+            takeUploadPieces(distinct, chunk.deviceIndex, deps);
         const std::size_t groups =
             std::min(kReduceMaxGroups, (count + kTreeWg - 1) / kTreeWg);
         ocl::Buffer mapped =
             runtime.context().createBuffer(device, groups * elem);
-        ocl::Kernel kernel =
-            fusedProgram->createKernel("skelcl_mapreduce");
+        ocl::Kernel kernel = program.createKernel("skelcl_mapreduce");
         std::size_t arg = 0;
         for (const auto& leaf : plan.leaves) {
           kernel.setArg(arg++,
@@ -479,8 +433,10 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
         kernel.setArg(arg++, std::uint32_t(count));
         kernel.setArg(arg++, std::uint32_t(groups));
         bindStageArguments(plan, kernel, arg, chunk.deviceIndex);
-        ocl::Event first = launchReduceFirstPass(queue, kernel, groups,
-                                                 count, deps, pieceLists);
+        ocl::Event first = launchPipelined(
+            runtime.queue(chunk.deviceIndex), kernel, groups, kTreeWg,
+            /*span=*/(count + groups - 1) / groups, count,
+            /*minGroupsPerSlice=*/2, deps, pieces);
         recordStageEvents(plan, first, chunk.deviceIndex);
         deps = {first};
         in = std::move(mapped);
@@ -489,9 +445,8 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
         // Unfused: one leaf and no stage arguments (Reduce takes none).
         appendEvent(deps, chunk.ready);
       }
-      auto reduced = reducePlain(runtime, plainProgram, std::move(in),
-                                 count, elem, chunk.deviceIndex,
-                                 std::move(deps));
+      auto reduced = reduceTree(runtime, program, std::move(in), count,
+                                elem, chunk.deviceIndex, std::move(deps));
       partials.push_back(Partial{std::move(reduced.first),
                                  std::move(reduced.second),
                                  chunk.deviceIndex});
@@ -531,9 +486,8 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
         runtime.context().createBuffer(device0, values.size());
     ocl::Event staged = runtime.queue(0).enqueueWriteBuffer(
         staging, 0, values.size(), values.data(), reads);
-    auto finalReduce =
-        reducePlain(runtime, plainProgram, std::move(staging),
-                    partials.size(), elem, 0, {staged});
+    auto finalReduce = reduceTree(runtime, program, std::move(staging),
+                                  partials.size(), elem, 0, {staged});
     out->adoptDeviceBuffer(std::move(finalReduce.first), 1, 0,
                            std::move(finalReduce.second));
   } catch (ocl::ClError& e) {
@@ -544,10 +498,11 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
 
 // --- Scan plans ----------------------------------------------------------
 
-/// The per-work-group Blelloch block kernel plus the uniform add pass
-/// (see scan.h for the algorithm notes). `loadExpr` is the element
-/// expression at %IDX% feeding the up-sweep.
-std::string scanBlockKernelSource(const std::string& leafParams,
+/// The per-work-group Blelloch block kernel (see scan.h for the
+/// algorithm notes). `loadExpr` is the element expression at %IDX%
+/// feeding the up-sweep.
+std::string scanBlockKernelSource(const std::string& kernelName,
+                                  const std::string& leafParams,
                                   const std::string& argDecls,
                                   const std::string& t,
                                   const std::string& combineName,
@@ -556,7 +511,7 @@ std::string scanBlockKernelSource(const std::string& leafParams,
   const std::string wg = std::to_string(kTreeWg);
   const std::string half = std::to_string(kTreeWg / 2);
   const std::string last = std::to_string(kTreeWg - 1);
-  return "\n__kernel void skelcl_scan_block(" + leafParams + "__global " +
+  return "\n__kernel void " + kernelName + "(" + leafParams + "__global " +
          t + "* skelcl_out, __global " + t +
          "* skelcl_sums, uint skelcl_n" + argDecls + ") {\n"
          "  __local " + t + " skelcl_tmp[" + wg + "];\n"
@@ -617,64 +572,78 @@ std::string scanAddKernelSource(const std::string& t,
          "}\n";
 }
 
-std::string plainScanSource(const std::shared_ptr<ExprNode>& node) {
-  const std::string& t = node->outType;
-  return registeredTypeDefinitions() + node->function->source() +
-         scanBlockKernelSource("__global const " + t + "* skelcl_in, ", "",
-                               t, node->function->name(), node->identityExpr,
-                               "skelcl_in[%IDX%]") +
-         scanAddKernelSource(t, node->function->name());
-}
-
-std::string fusedScanSource(const std::shared_ptr<ExprNode>& node,
-                            const FusionPlan& plan) {
-  std::string leafParams;
-  for (std::size_t i = 0; i < plan.leaves.size(); ++i) {
-    leafParams += "__global const " + plan.leafTypes[i] + "* skelcl_in" +
-                  std::to_string(i) + ", ";
+/// One program per Scan plan: the plan's functions, then — when the
+/// plan absorbed a chain — skelcl_mapscan, the first level's block
+/// kernel evaluating it inline, then the block kernel skelcl_scan_block
+/// over a plain buffer (every block-sum level) and the uniform add pass.
+std::string scanProgramSource(const ExprNode& node, const FusionPlan& plan,
+                              bool fused) {
+  const std::string& t = node.outType;
+  std::string src = registeredTypeDefinitions() + plan.functionsSource;
+  if (fused) {
+    src += scanBlockKernelSource("skelcl_mapscan", leafParams(plan),
+                                 plan.argDecls, t, plan.rootFuncName,
+                                 node.identityExpr, plan.loadExpr);
   }
-  return registeredTypeDefinitions() + plan.functionsSource +
-         scanBlockKernelSource(leafParams, plan.argDecls, node->outType,
-                               plan.rootFuncName, node->identityExpr,
-                               plan.loadExpr);
+  return src +
+         scanBlockKernelSource("skelcl_scan_block",
+                               "__global const " + t + "* skelcl_in, ", "",
+                               t, plan.rootFuncName, node.identityExpr,
+                               "skelcl_in[%IDX%]") +
+         scanAddKernelSource(t, plan.rootFuncName);
 }
 
-/// Recursive plain scan over a device buffer — the eager
-/// Scan::scanBuffer, parameterized on element size.
-ocl::Event scanPlain(Runtime& runtime, ocl::Program& program,
-                     const ocl::Buffer& in, const ocl::Buffer& out,
-                     std::size_t n, std::size_t elem,
-                     std::size_t deviceIndex,
-                     const std::vector<ocl::Event>& deps) {
+/// Scans `n` elements into `out` with the block kernel `blockKernel`,
+/// recursing over the per-group sums and adding them back uniformly —
+/// the eager Scan::scanBuffer, parameterized on element size. Level 0
+/// passes the plan: its block kernel reads the plan's leaves and stage
+/// arguments. Every block-sum level passes no plan and reads `in`.
+ocl::Event scanInto(Runtime& runtime, ocl::Program& program,
+                    const char* blockKernel, const FusionPlan* plan,
+                    const ocl::Buffer& in, const ocl::Buffer& out,
+                    std::size_t n, std::size_t elem, std::size_t deviceIndex,
+                    const std::vector<ocl::Event>& deps) {
   auto& queue = runtime.queue(deviceIndex);
   const auto& device = runtime.devices()[deviceIndex];
   const std::size_t groups = (n + kTreeWg - 1) / kTreeWg;
   ocl::Buffer sums =
       runtime.context().createBuffer(device, groups * elem);
 
-  ocl::Kernel block = program.createKernel("skelcl_scan_block");
-  block.setArg(0, in);
-  block.setArg(1, out);
-  block.setArg(2, sums);
-  block.setArg(3, std::uint32_t(n));
+  ocl::Kernel block = program.createKernel(blockKernel);
+  std::size_t arg = 0;
+  if (plan != nullptr) {
+    for (const auto& leaf : plan->leaves) {
+      block.setArg(arg++, leaf->chunkForDevice(deviceIndex).buffer);
+    }
+  } else {
+    block.setArg(arg++, in);
+  }
+  block.setArg(arg++, out);
+  block.setArg(arg++, sums);
+  block.setArg(arg++, std::uint32_t(n));
+  if (plan != nullptr) {
+    bindStageArguments(*plan, block, arg, deviceIndex);
+  }
   ocl::Event blocked = queue.enqueueNDRange(
       block, ocl::NDRange1D{groups * kTreeWg, kTreeWg}, deps);
-
-  if (groups > 1) {
-    ocl::Buffer sumsScanned =
-        runtime.context().createBuffer(device, groups * elem);
-    ocl::Event sumsDone = scanPlain(runtime, program, sums, sumsScanned,
-                                    groups, elem, deviceIndex, {blocked});
-
-    ocl::Kernel add = program.createKernel("skelcl_scan_add");
-    add.setArg(0, out);
-    add.setArg(1, sumsScanned);
-    add.setArg(2, std::uint32_t(n));
-    return queue.enqueueNDRange(
-        add, ocl::NDRange1D{groups * kTreeWg, kTreeWg},
-        {blocked, sumsDone});
+  if (plan != nullptr) {
+    recordStageEvents(*plan, blocked, deviceIndex);
   }
-  return blocked;
+  if (groups <= 1) {
+    return blocked;
+  }
+
+  ocl::Buffer sumsScanned =
+      runtime.context().createBuffer(device, groups * elem);
+  ocl::Event sumsDone =
+      scanInto(runtime, program, "skelcl_scan_block", nullptr, sums,
+               sumsScanned, groups, elem, deviceIndex, {blocked});
+  ocl::Kernel add = program.createKernel("skelcl_scan_add");
+  add.setArg(0, out);
+  add.setArg(1, sumsScanned);
+  add.setArg(2, std::uint32_t(n));
+  return queue.enqueueNDRange(
+      add, ocl::NDRange1D{groups * kTreeWg, kTreeWg}, {blocked, sumsDone});
 }
 
 void runScan(const std::shared_ptr<ExprNode>& node,
@@ -686,78 +655,27 @@ void runScan(const std::shared_ptr<ExprNode>& node,
   if (leaf0.distribution() != Distribution::Single) {
     leaf0.setDistribution(Distribution::Single, 0);
   }
-  leaf0.ensureOnDevices();
-  for (VectorState* leaf : distinctLeaves(plan)) {
-    if (leaf != &leaf0) {
-      leaf->matchLayout(Distribution::Single, leaf0.singleDeviceIndex(),
-                        leaf0.chunks());
-    }
-  }
+  alignLeaves(plan);
   prepareStageArguments(plan);
 
   const std::size_t n = node->outCount;
-  const std::size_t elem = node->outElemSize;
-  const Chunk& chunk = leaf0.chunks().front();
-  const std::size_t deviceIndex = chunk.deviceIndex;
-  const auto& device = runtime.devices()[deviceIndex];
+  const std::size_t deviceIndex = leaf0.chunks().front().deviceIndex;
   const bool fused = plan.fusedStages > 0;
-
-  ocl::Program& plainProgram =
-      runtime.programFor(plainScanSource(node), salt);
-  // Level 0: a fused plan evaluates the absorbed chain while loading the
-  // Blelloch tree; the recursion over block sums and the uniform add
-  // pass read plain buffers either way.
-  ocl::Program& blockProgram =
-      fused ? runtime.programFor(fusedScanSource(node, plan), salt)
-            : plainProgram;
+  ocl::Program& program =
+      runtime.programFor(scanProgramSource(*node, plan, fused), salt);
 
   try {
-    ocl::Buffer outBuf =
-        runtime.context().createBuffer(device, n * elem);
-    const std::size_t groups = (n + kTreeWg - 1) / kTreeWg;
-    ocl::Buffer sums =
-        runtime.context().createBuffer(device, groups * elem);
-
+    ocl::Buffer outBuf = runtime.context().createBuffer(
+        runtime.devices()[deviceIndex], n * node->outElemSize);
     std::vector<ocl::Event> deps;
-    appendEvent(deps, chunk.ready);
     for (VectorState* leaf : distinctLeaves(plan)) {
-      if (leaf != &leaf0) {
-        appendEvent(deps, leaf->readyEventOn(deviceIndex));
-      }
+      appendEvent(deps, leaf->readyEventOn(deviceIndex));
     }
     collectStageDeps(plan, deps, deviceIndex);
-
-    ocl::Kernel block = blockProgram.createKernel("skelcl_scan_block");
-    std::size_t arg = 0;
-    for (const auto& leaf : plan.leaves) {
-      block.setArg(arg++, leaf->chunkForDevice(deviceIndex).buffer);
-    }
-    block.setArg(arg++, outBuf);
-    block.setArg(arg++, sums);
-    block.setArg(arg++, std::uint32_t(n));
-    bindStageArguments(plan, block, arg, deviceIndex);
-    ocl::Event blocked =
-        runtime.queue(deviceIndex)
-            .enqueueNDRange(block,
-                            ocl::NDRange1D{groups * kTreeWg, kTreeWg}, deps);
-    recordStageEvents(plan, blocked, deviceIndex);
-
-    ocl::Event done = blocked;
-    if (groups > 1) {
-      ocl::Buffer sumsScanned =
-          runtime.context().createBuffer(device, groups * elem);
-      ocl::Event sumsDone =
-          scanPlain(runtime, plainProgram, sums, sumsScanned, groups,
-                    elem, deviceIndex, {blocked});
-      ocl::Kernel add = plainProgram.createKernel("skelcl_scan_add");
-      add.setArg(0, outBuf);
-      add.setArg(1, sumsScanned);
-      add.setArg(2, std::uint32_t(n));
-      done = runtime.queue(deviceIndex)
-                 .enqueueNDRange(
-                     add, ocl::NDRange1D{groups * kTreeWg, kTreeWg},
-                     {blocked, sumsDone});
-    }
+    ocl::Event done = scanInto(
+        runtime, program, fused ? "skelcl_mapscan" : "skelcl_scan_block",
+        &plan, ocl::Buffer(), outBuf, n, node->outElemSize, deviceIndex,
+        deps);
     out->adoptDeviceBuffer(std::move(outBuf), n, deviceIndex,
                            std::move(done));
   } catch (ocl::ClError& e) {

@@ -47,75 +47,73 @@ inline ocl::Event pieceCovering(const UploadPieces& pieces,
   return pieces.empty() ? ocl::Event() : pieces.back().second;
 }
 
-/// Enqueues one logical data-parallel launch of `count` elements with
-/// work-group size `wg`, split into wg-aligned sub-launches pipelined
-/// against split upload pieces: slice i starts as soon as the pieces
-/// covering its elements have landed, while later pieces still stream
-/// over PCIe (double buffering). Slice boundaries are piece ends rounded
-/// *down* to `wg` (last slice absorbs the rest), so the slices partition
-/// the unsplit ND-range exactly — every work item runs once with the
-/// same global id, keeping total kernel cycles invariant; no slice reads
-/// elements its dependency pieces have not delivered. With no multi-
-/// piece list this degenerates to the plain single launch.
+/// Enqueues one logical launch of `groups` work-groups of size `wg`, in
+/// which group g reads elements [g*span, (g+1)*span) of `count`, split
+/// into group-range sub-launches pipelined against split upload pieces:
+/// slice i starts as soon as the pieces covering its elements have
+/// landed, while later pieces still stream over PCIe (double buffering).
+/// Slice boundaries are the groups a piece end fully covers (the last
+/// slice absorbs the rest), so the slices partition the unsplit ND-range
+/// exactly — every work item runs once with the same global id, keeping
+/// total kernel cycles invariant; no slice reads elements its dependency
+/// pieces have not delivered. A kernel that derives its group index from
+/// the global id (the fused reduce's first pass) computes bit-identical
+/// per-group results either way. With no multi-piece list this
+/// degenerates to the plain single launch.
 ///
 /// `baseDeps` must NOT contain the ready events of chunks whose piece
 /// lists are passed here (that event is the *last* piece — depending on
 /// it from every slice would serialize the pipeline).
 ///
-/// Splitting is skipped when a slice would hold fewer than a few waves
+/// Splitting is skipped when a slice would hold fewer than
+/// `minGroupsPerSlice` groups. Element-wise launches ask for a few waves
 /// of work-groups per compute unit: small launches suffer wave
 /// quantization (the tail effect — a launch of ~1 group per CU runs as
 /// long as its slowest CU with nothing to backfill), which costs a
 /// compute-bound kernel far more than transfer overlap can win back.
 /// Memory-bound launches — where overlap pays — have their duration set
-/// by bytes moved, which splits exactly linearly.
-inline ocl::Event launchPipelined(
-    ocl::CommandQueue& queue, ocl::Kernel& kernel, std::size_t count,
-    std::size_t wg, const std::vector<ocl::Event>& baseDeps,
-    const std::vector<const UploadPieces*>& pieceLists) {
-  constexpr std::size_t kMinWavesPerSlice = 4;
-  const std::size_t total = roundUp(count, wg);
+/// by bytes moved, which splits exactly linearly. A tree reduction's
+/// first pass, whose few groups each stream a long span, asks only that
+/// each piece unlock whole groups.
+inline ocl::Event launchPipelined(ocl::CommandQueue& queue,
+                                  ocl::Kernel& kernel, std::size_t groups,
+                                  std::size_t wg, std::size_t span,
+                                  std::size_t count,
+                                  std::size_t minGroupsPerSlice,
+                                  const std::vector<ocl::Event>& baseDeps,
+                                  const std::vector<UploadPieces>& pieces) {
   const UploadPieces* driver = nullptr;
-  for (const UploadPieces* list : pieceLists) {
-    if (list != nullptr && list->size() > 1 &&
-        (driver == nullptr || list->size() > driver->size())) {
-      driver = list;
+  for (const UploadPieces& list : pieces) {
+    if (list.size() > 1 &&
+        (driver == nullptr || list.size() > driver->size())) {
+      driver = &list;
     }
   }
-  if (driver != nullptr) {
-    const std::size_t cus = std::max<std::size_t>(
-        1, queue.device().spec().computeUnits);
-    const std::size_t minGroupsPerSlice = kMinWavesPerSlice * cus;
-    if (total / wg < driver->size() * minGroupsPerSlice) {
-      driver = nullptr;
-    }
-  }
-  if (driver == nullptr || total <= wg) {
+  if (driver == nullptr || groups < driver->size() * minGroupsPerSlice) {
     std::vector<ocl::Event> deps = baseDeps;
-    for (const UploadPieces* list : pieceLists) {
-      if (list != nullptr && !list->empty()) {
-        appendEvent(deps, list->back().second);
+    for (const UploadPieces& list : pieces) {
+      if (!list.empty()) {
+        appendEvent(deps, list.back().second);
       }
     }
-    return queue.enqueueNDRange(kernel, ocl::NDRange1D{total, wg}, deps);
+    return queue.enqueueNDRange(kernel, ocl::NDRange1D{groups * wg, wg},
+                                deps);
   }
   ocl::Event last;
   std::size_t begin = 0;
   for (std::size_t i = 0; i < driver->size(); ++i) {
-    const bool isLast = i + 1 == driver->size();
-    const std::size_t end =
-        isLast ? total : std::min((*driver)[i].first / wg * wg, total);
+    const std::size_t end = i + 1 == driver->size()
+                                ? groups
+                                : std::min(groups, (*driver)[i].first / span);
     if (end <= begin) {
-      continue; // piece smaller than a work-group: next slice absorbs it
+      continue; // piece smaller than a group: the next slice absorbs it
     }
     std::vector<ocl::Event> deps = baseDeps;
-    for (const UploadPieces* list : pieceLists) {
-      if (list != nullptr) {
-        appendEvent(deps, pieceCovering(*list, std::min(end, count)));
-      }
+    for (const UploadPieces& list : pieces) {
+      appendEvent(deps, pieceCovering(list, std::min(end * span, count)));
     }
-    last = queue.enqueueNDRange(kernel,
-                                ocl::NDRange1D{end - begin, wg, begin}, deps);
+    last = queue.enqueueNDRange(
+        kernel, ocl::NDRange1D{(end - begin) * wg, wg, begin * wg}, deps);
     begin = end;
   }
   return last;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <string_view>
 
 #include "clc/bytecode.h"
@@ -39,9 +40,9 @@ std::string payloadDigest(const std::uint8_t* data, std::size_t size) {
 }
 
 std::vector<std::uint8_t> sealEntry(const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> entry;
+  std::vector<std::uint8_t> entry(std::begin(kEntryMagic),
+                                  std::end(kEntryMagic));
   entry.reserve(kEntryHeaderLen + payload.size());
-  entry.insert(entry.end(), kEntryMagic, kEntryMagic + sizeof(kEntryMagic));
   const std::uint64_t length = payload.size();
   for (std::size_t i = 0; i < 8; ++i) {
     entry.push_back(std::uint8_t(length >> (8 * i)));

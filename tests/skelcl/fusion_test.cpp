@@ -27,6 +27,7 @@ struct RunResult {
   std::vector<float> floats;
   std::vector<int> ints;
   std::uint64_t kernelLaunches = 0; // sum over all device queues
+  std::uint64_t programResolutions = 0; // kernel-cache hits + misses
   skelcl::detail::Runtime::FusionStats stats;
 };
 
@@ -40,7 +41,12 @@ RunResult runScenario(const std::function<void(RunResult&)>& scenario,
   skelcl::init(skelcl::DeviceSelection::nGPUs(gpus));
 
   RunResult result;
-  scenario(result);
+  {
+    skelcl::detail::StatsScope scope;
+    scenario(result);
+    const auto cache = scope.cacheDelta();
+    result.programResolutions = cache.hits + cache.misses;
+  }
 
   auto& runtime = skelcl::detail::Runtime::instance();
   for (std::size_t d = 0; d < skelcl::deviceCount(); ++d) {
@@ -139,6 +145,36 @@ TEST(FusionTest, DotProductChainFusesToTwoLaunches) {
   EXPECT_EQ(fused.kernelLaunches + 1, unfused.kernelLaunches);
   EXPECT_EQ(fused.stats.intermediateBytes, 0u);
   EXPECT_EQ(unfused.stats.intermediateBytes, 8192 * sizeof(float));
+}
+
+// A fused Reduce or Scan carries its tree kernels beside the fused first
+// pass, so the whole call resolves one program, as the unfused one does.
+TEST(FusionTest, FusedReduceAndScanResolveOneProgramEach) {
+  const RunResult dot = runScenario(
+      [](RunResult& out) {
+        Zip<float> mul("float fu_mul(float x, float y) { return x * y; }");
+        Reduce<float> sum(
+            "float fu_sum(float a, float b) { return a + b; }");
+        Vector<float> a(testData(8192));
+        Vector<float> b(testData(8192));
+        out.floats.push_back(sum(mul(a, b)).getValue());
+      },
+      1, /*fused=*/true);
+  EXPECT_GT(dot.stats.fusedStages, 0u);
+  EXPECT_EQ(dot.programResolutions, 1u);
+
+  const RunResult scan = runScenario(
+      [](RunResult& out) {
+        Map<int> offset("int fu_off(int x) { return x - 7; }");
+        Scan<int> prefix("int fu_add(int a, int b) { return a + b; }", "0");
+        std::vector<int> data(3000);
+        std::iota(data.begin(), data.end(), 1);
+        Vector<int> input(data);
+        out.ints = prefix(offset(input)).hostData();
+      },
+      1, /*fused=*/true);
+  EXPECT_GT(scan.stats.fusedStages, 0u);
+  EXPECT_EQ(scan.programResolutions, 1u);
 }
 
 TEST(FusionTest, ScanAbsorbsMapChain) {

@@ -121,6 +121,72 @@ TEST(OverlapRegression, CopyToBlockMergeMatchesSerializedMode) {
   EXPECT_LE(overlapped.virtualNs, serialized.virtualNs);
 }
 
+// --- slicing of split launches --------------------------------------------
+
+std::uint64_t sumQueueLaunches() {
+  auto& runtime = skelcl::detail::Runtime::instance();
+  std::uint64_t total = 0;
+  for (std::size_t d = 0; d < runtime.deviceCount(); ++d) {
+    total += runtime.queue(d).cumulativeKernelLaunches();
+  }
+  return total;
+}
+
+// A 2^20-float operand uploads in 4 pieces. An element-wise launch splits
+// per piece when every slice keeps 4 waves of work-groups per compute
+// unit (4096 groups against 4 x 30 per slice); the fused dot product's
+// first pass splits once each piece unlocks whole groups (64 tree
+// groups), and one tree pass folds its partials.
+TEST(OverlapRegression, SplitLaunchesFollowEachCallersThreshold) {
+  initRuntime(/*serialized=*/false, 1);
+  {
+    Zip<float> mul("float mul(float x, float y) { return x * y; }");
+    Reduce<float> sum("float sum(float x, float y) { return x + y; }");
+    const std::size_t n = std::size_t(1) << 20;
+    std::vector<float> data(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      data[i] = float(i % 4);
+    }
+
+    Vector<float> a(data), b(data);
+    std::uint64_t before = sumQueueLaunches();
+    Vector<float> product = mul(a, b);
+    EXPECT_EQ(product[n - 1], 9.0f);
+    EXPECT_EQ(sumQueueLaunches() - before, 4u);
+
+    Vector<float> x(data), y(data);
+    before = sumQueueLaunches();
+    EXPECT_EQ(sum(mul(x, y)).getValue(), float(n / 4 * 14));
+    EXPECT_EQ(sumQueueLaunches() - before, 5u);
+  }
+  skelcl::terminate();
+}
+
+// A 4 MiB Map over 64-byte elements uploads in 4 pieces too, but its 256
+// work-groups fall short of 4 waves per slice: it stays one launch.
+TEST(OverlapRegression, ElementwiseLaunchBelowFourWavesPerSliceStaysWhole) {
+  struct Wide64 {
+    float values[16];
+  };
+  skelcl::registerType<Wide64>(
+      "Wide64", "typedef struct { float values[16]; } Wide64;");
+  initRuntime(/*serialized=*/false, 1);
+  {
+    skelcl::Map<Wide64, float> first("float first(Wide64 w) {"
+                                     " return w.values[0]; }");
+    std::vector<Wide64> data(std::size_t(1) << 16);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i].values[0] = float(i);
+    }
+    Vector<Wide64> input(data);
+    const std::uint64_t before = sumQueueLaunches();
+    Vector<float> out = first(input);
+    EXPECT_EQ(out[data.size() - 1], float(data.size() - 1));
+    EXPECT_EQ(sumQueueLaunches() - before, 1u);
+  }
+  skelcl::terminate();
+}
+
 TEST(OverlapRegression, SerializeEnvSelectsInOrderQueues) {
   initRuntime(/*serialized=*/true, 1);
   EXPECT_TRUE(skelcl::detail::Runtime::instance().serializedQueues());
