@@ -14,8 +14,8 @@
 // through launchPipelined (skeleton_common.h).
 #include "skelcl/detail/expr.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 
 #include "skelcl/detail/fusion.h"
 #include "skelcl/detail/irregular.h"
@@ -71,14 +71,8 @@ std::string saltFor(const FusionPlan& plan, bool fusionEnabled) {
 std::vector<VectorState*> distinctLeaves(const FusionPlan& plan) {
   std::vector<VectorState*> distinct;
   for (const auto& leaf : plan.leaves) {
-    bool seen = false;
-    for (VectorState* d : distinct) {
-      if (d == leaf.get()) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
+    if (std::find(distinct.begin(), distinct.end(), leaf.get()) ==
+        distinct.end()) {
       distinct.push_back(leaf.get());
     }
   }
@@ -169,13 +163,9 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
   VectorState& leaf0 = *plan.leaves.front();
   const std::vector<VectorState*> distinct = distinctLeaves(plan);
   const bool isVoid = voidResult(*node);
-  bool aliased = false;
-  for (VectorState* leaf : distinct) {
-    if (leaf == out.get()) {
-      aliased = true;
-      break;
-    }
-  }
+  const bool aliased =
+      std::find(distinct.begin(), distinct.end(), out.get()) !=
+      distinct.end();
   if (!isVoid && !aliased) {
     out->allocateOutput(leaf0.distribution(), leaf0.singleDeviceIndex(),
                         leaf0.chunks());
@@ -859,16 +849,12 @@ std::shared_ptr<ExprNode> makeExprNode(
       }
       break;
     }
-    case ExprNode::Op::Stencil: {
-      // Layout (row-aligned block vs. single-device fallback) is picked
-      // at evaluation time; staging here would only guess. Upload faults
-      // still surface at the call site for concrete inputs.
-      const auto& in0 = node->inputs.front().state;
-      if (!in0->hasPending()) {
-        in0->ensureOnDevices();
-      }
+    case ExprNode::Op::Stencil:
+      // Its layout (row-aligned blocks or the single-device fallback)
+      // depends on the StencilParams the skeleton attaches after this
+      // call, so the skeleton stages it (layOutStencilInput); staging
+      // here would upload the grid in a layout the evaluation discards.
       break;
-    }
     case ExprNode::Op::SparseGather: {
       // The gather reads arbitrary columns: the dense operand is
       // replicated on every device, like a vector argument would be.

@@ -107,7 +107,9 @@ bool deferrable(const Arguments& args);
 /// the child edge, registers the node as a consumer on every input state
 /// (so host mutations snapshot it first), and eagerly stages concrete
 /// inputs on the devices — upload faults and Zip geometry alignment stay
-/// observable at the call site, exactly as under eager execution.
+/// observable at the call site, exactly as under eager execution. A
+/// Stencil input is the exception: its layout depends on the
+/// StencilParams, so the skeleton stages it (layOutStencilInput).
 std::shared_ptr<ExprNode> makeExprNode(
     ExprNode::Op op, std::shared_ptr<const UserFunction> function,
     const Arguments& args, std::size_t workGroupSize,

@@ -258,18 +258,9 @@ std::string sparseProgramSource(const std::shared_ptr<ExprNode>& node,
 
 } // namespace
 
-void runStencil(const std::shared_ptr<ExprNode>& node,
-                const std::shared_ptr<VectorState>& out,
-                const FusionPlan& plan, Runtime& runtime,
-                const std::string& salt) {
-  const StencilParams& P = *node->stencil;
-  const std::size_t R = P.radius;
-  const bool is2D = P.width > 0;
-  const std::size_t W = is2D ? P.width : 1;
-  const std::size_t elem = node->outElemSize;
-  const bool wrap = P.boundary == kWrap;
-  VectorState& in = *plan.leaves.front();
-
+bool layOutStencilInput(VectorState& in, const StencilParams& P) {
+  auto& runtime = Runtime::instance();
+  const std::size_t W = P.width > 0 ? P.width : 1;
   const std::size_t n = in.size();
   COMMON_CHECK(n % W == 0); // validated at the call site
   const std::size_t totalRows = n / W;
@@ -283,34 +274,51 @@ void runStencil(const std::shared_ptr<ExprNode>& node,
   if (multi) {
     rowCounts = runtime.blockPartition(totalRows);
     for (std::size_t rows : rowCounts) {
-      if (rows < R) {
+      if (rows < P.radius) {
         multi = false;
         break;
       }
     }
   }
-  if (multi) {
-    // Row-aligned block layout (blockPartition splits elements; a 2D
-    // stencil must not cut a grid row across devices). An iterated
-    // stencil hits matchLayout's same-layout fast path after the first
-    // step and stays resident.
-    std::vector<Chunk> layout;
-    std::size_t row = 0;
-    for (std::size_t d = 0; d < devices; ++d) {
-      Chunk c;
-      c.deviceIndex = d;
-      c.offset = row * W;
-      c.count = rowCounts[d] * W;
-      row += rowCounts[d];
-      layout.push_back(std::move(c));
-    }
-    in.matchLayout(Distribution::Block, 0, layout);
-  } else {
+  if (!multi) {
     if (in.distribution() != Distribution::Single) {
       in.setDistribution(Distribution::Single, 0);
     }
     in.ensureOnDevices();
+    return false;
   }
+  // Row-aligned block layout (blockPartition splits elements; a 2D
+  // stencil must not cut a grid row across devices). An iterated stencil
+  // hits matchLayout's same-layout fast path after the first step and
+  // stays resident.
+  std::vector<Chunk> layout;
+  std::size_t row = 0;
+  for (std::size_t d = 0; d < devices; ++d) {
+    Chunk c;
+    c.deviceIndex = d;
+    c.offset = row * W;
+    c.count = rowCounts[d] * W;
+    row += rowCounts[d];
+    layout.push_back(std::move(c));
+  }
+  in.matchLayout(Distribution::Block, 0, layout);
+  return true;
+}
+
+void runStencil(const std::shared_ptr<ExprNode>& node,
+                const std::shared_ptr<VectorState>& out,
+                const FusionPlan& plan, Runtime& runtime,
+                const std::string& salt) {
+  const StencilParams& P = *node->stencil;
+  const std::size_t R = P.radius;
+  const bool is2D = P.width > 0;
+  const std::size_t W = is2D ? P.width : 1;
+  const std::size_t elem = node->outElemSize;
+  const bool wrap = P.boundary == kWrap;
+  VectorState& in = *plan.leaves.front();
+
+  const bool multi = layOutStencilInput(in, P);
+  const std::size_t totalRows = in.size() / W;
   prepareStageArguments(plan);
   out->allocateOutput(in.distribution(), in.singleDeviceIndex(), in.chunks());
 

@@ -17,8 +17,11 @@
 // neighbor's packed buffer via peer buffer copies, and computes in an
 // interior launch that never waits for a halo — so the exchange
 // overlaps interior compute — plus one launch for both borders
-// (detail/irregular.cpp documents the event DAG). Invocation is lazy like every other skeleton, but the root is
-// opaque to fusion — producers feeding a stencil materialize first.
+// (detail/irregular.cpp documents the event DAG). Invocation is lazy
+// like every other skeleton, but the root is opaque to fusion —
+// producers feeding a stencil materialize first. A concrete input is
+// staged at the call, already in the row-aligned layout the evaluation
+// reads, so the grid crosses PCIe once.
 //
 // There is deliberately no explicit-output (in-place) form: a stencil
 // reads each input cell from several work-items, so writing the result
@@ -29,6 +32,7 @@
 
 #include "skelcl/arguments.h"
 #include "skelcl/detail/expr.h"
+#include "skelcl/detail/irregular.h"
 #include "skelcl/detail/source_utils.h"
 #include "skelcl/vector.h"
 #include "trace/recorder.h"
@@ -90,6 +94,12 @@ public:
     params->width = shape_.width;
     params->constArg = constArg_;
     node->stencil = std::move(params);
+    // A concrete input is staged now, in the layout the evaluation
+    // reads, so upload faults surface at the call site.
+    const auto& in = node->inputs.front().state;
+    if (!in->hasPending()) {
+      detail::layOutStencilInput(*in, *node->stencil);
+    }
 
     Vector<T> output;
     if (detail::deferrable(args)) {

@@ -228,6 +228,45 @@ TEST_F(StencilOneDevice, TwoLaunchesWithoutHalo) {
   EXPECT_EQ(launchesForOneCall(32, 8, Boundary::Constant), 2u);
 }
 
+// --- staging ---------------------------------------------------------------
+
+/// DMA bytes all devices moved while one clamp stencil call over `in`
+/// staged its grid, exchanged halos, and downloaded its result.
+std::uint64_t dmaBytesForOneCall(Vector<int>& in, std::size_t width) {
+  auto& runtime = skelcl::detail::Runtime::instance();
+  auto dma = [&] {
+    std::uint64_t total = 0;
+    for (const ocl::Device& d : runtime.devices()) {
+      total += d.state().dmaBytes();
+    }
+    return total;
+  };
+  Stencil<int> st(sum2DSource(1), StencilShape{1, Boundary::Clamp, width});
+  const std::uint64_t before = dma();
+  Vector<int> out = st(in);
+  (void)out[0]; // downloads the whole result
+  return dma() - before;
+}
+
+// The grid crosses PCIe once, already in the row-aligned layout the
+// evaluation reads: one upload and one download of the grid, plus both
+// legs (source D2H, destination H2D) of the two halos at each of the
+// three device boundaries. 13 rows do not split on element boundaries
+// into whole rows, and a fresh vector defaults to a single device.
+TEST_F(StencilFourDevices, InputIsStagedOnceInItsRowAlignedLayout) {
+  const std::size_t width = 64;
+  const std::uint64_t haloLegs = 3 * 2 * 2 * (width + 2) * sizeof(int);
+
+  Vector<int> uneven(randomInts(13 * width, 91));
+  uneven.setDistribution(skelcl::Distribution::Block);
+  EXPECT_EQ(dmaBytesForOneCall(uneven, width),
+            2 * 13 * width * sizeof(int) + haloLegs);
+
+  Vector<int> fresh(randomInts(16 * width, 92));
+  EXPECT_EQ(dmaBytesForOneCall(fresh, width),
+            2 * 16 * width * sizeof(int) + haloLegs);
+}
+
 // Iterated stencils chain through the expression DAG (each step's input
 // is the previous deferred result); the chunks stay resident on-device
 // between steps.
