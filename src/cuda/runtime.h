@@ -111,14 +111,8 @@ void setLaunchArg(ocl::Kernel& kernel, std::size_t index,
                   const DeviceMemory& mem);
 template <typename T>
 void setLaunchArg(ocl::Kernel& kernel, std::size_t index, const T& value) {
-  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double> ||
-                std::is_same_v<T, std::int32_t> ||
-                std::is_same_v<T, std::uint32_t> ||
-                std::is_same_v<T, std::int64_t> ||
-                std::is_same_v<T, std::uint64_t>) {
+  if constexpr (ocl::HostScalar<T>) {
     kernel.setArg(index, value);
-  } else if constexpr (std::is_integral_v<T>) {
-    kernel.setArg(index, static_cast<std::int32_t>(value));
   } else {
     static_assert(std::is_trivially_copyable_v<T>,
                   "kernel arguments must be trivially copyable");

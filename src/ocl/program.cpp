@@ -175,8 +175,8 @@ void Kernel::setArg(std::size_t index, const Buffer& buffer) {
   args_[index] = std::move(arg);
 }
 
-void Kernel::setScalar(std::size_t index, std::uint64_t canonical,
-                       clc::TypeTag sourceTag) {
+void Kernel::setScalar(std::size_t index, std::uint64_t slot,
+                       clc::TypeTag tag) {
   const clc::ParamInfo& p = param(index);
   if (p.kind != clc::ParamKind::Scalar) {
     throw common::InvalidArgument(
@@ -186,94 +186,8 @@ void Kernel::setScalar(std::size_t index, std::uint64_t canonical,
   StagedArg arg;
   arg.set = true;
   arg.value.kind = clc::KernelArgValue::Kind::Scalar;
-  // Convert the host value to the parameter's declared type, so e.g.
-  // setArg(i, 2) on a float parameter passes 2.0f.
-  arg.value.scalar = [&] {
-    // Reuse the VM's conversion table via a tiny local re-implementation:
-    // integers <-> floats of matching width.
-    if (sourceTag == p.scalarTag) {
-      return canonical;
-    }
-    // Route through double for numeric correctness.
-    double v = 0;
-    switch (sourceTag) {
-      case clc::TypeTag::F32: {
-        float f;
-        const auto bits = std::uint32_t(canonical);
-        std::memcpy(&f, &bits, 4);
-        v = f;
-        break;
-      }
-      case clc::TypeTag::F64: {
-        double d;
-        std::memcpy(&d, &canonical, 8);
-        v = d;
-        break;
-      }
-      case clc::TypeTag::U32:
-      case clc::TypeTag::U64:
-        v = double(canonical);
-        break;
-      default:
-        v = double(std::int64_t(canonical));
-        break;
-    }
-    switch (p.scalarTag) {
-      case clc::TypeTag::F32: {
-        const float f = float(v);
-        std::uint32_t bits;
-        std::memcpy(&bits, &f, 4);
-        return std::uint64_t(bits);
-      }
-      case clc::TypeTag::F64: {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, 8);
-        return bits;
-      }
-      case clc::TypeTag::U8: return std::uint64_t(std::uint8_t(v));
-      case clc::TypeTag::I8:
-        return std::uint64_t(std::int64_t(std::int8_t(v)));
-      case clc::TypeTag::U16: return std::uint64_t(std::uint16_t(v));
-      case clc::TypeTag::I16:
-        return std::uint64_t(std::int64_t(std::int16_t(v)));
-      case clc::TypeTag::U32: return std::uint64_t(std::uint32_t(v));
-      case clc::TypeTag::I32:
-        return std::uint64_t(std::int64_t(std::int32_t(v)));
-      default:
-        return sourceTag == clc::TypeTag::U64 || sourceTag == clc::TypeTag::I64
-                   ? canonical
-                   : std::uint64_t(std::int64_t(v));
-    }
-  }();
+  arg.value.scalar = clc::eval::convert(slot, tag, p.scalarTag);
   args_[index] = std::move(arg);
-}
-
-void Kernel::setArg(std::size_t index, float value) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &value, 4);
-  setScalar(index, bits, clc::TypeTag::F32);
-}
-
-void Kernel::setArg(std::size_t index, double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, 8);
-  setScalar(index, bits, clc::TypeTag::F64);
-}
-
-void Kernel::setArg(std::size_t index, std::int32_t value) {
-  setScalar(index, std::uint64_t(std::int64_t(value)), clc::TypeTag::I32);
-}
-
-void Kernel::setArg(std::size_t index, std::uint32_t value) {
-  setScalar(index, value, clc::TypeTag::U32);
-}
-
-void Kernel::setArg(std::size_t index, std::int64_t value) {
-  setScalar(index, std::uint64_t(value), clc::TypeTag::I64);
-}
-
-void Kernel::setArg(std::size_t index, std::uint64_t value) {
-  setScalar(index, value, clc::TypeTag::U64);
 }
 
 void Kernel::setArgBytes(std::size_t index, const void* data,

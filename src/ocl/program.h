@@ -8,9 +8,11 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "clc/bytecode.h"
+#include "clc/eval.h"
 #include "clc/vm.h"
 #include "ocl/buffer.h"
 
@@ -30,6 +32,42 @@ private:
 };
 
 class Kernel;
+
+/// A host arithmetic type a kernel scalar argument can be given as.
+template <typename T>
+concept HostScalar = std::is_arithmetic_v<T> && sizeof(T) <= 8;
+
+/// The clc type tag of a host scalar type.
+template <HostScalar T>
+constexpr clc::TypeTag scalarTag() noexcept {
+  constexpr bool s = std::is_signed_v<T>;
+  if constexpr (std::is_floating_point_v<T>) {
+    return sizeof(T) == 4 ? clc::TypeTag::F32 : clc::TypeTag::F64;
+  } else if constexpr (sizeof(T) == 1) {
+    return s ? clc::TypeTag::I8 : clc::TypeTag::U8;
+  } else if constexpr (sizeof(T) == 2) {
+    return s ? clc::TypeTag::I16 : clc::TypeTag::U16;
+  } else if constexpr (sizeof(T) == 4) {
+    return s ? clc::TypeTag::I32 : clc::TypeTag::U32;
+  } else {
+    return s ? clc::TypeTag::I64 : clc::TypeTag::U64;
+  }
+}
+
+/// `value` as the canonical clc slot of scalarTag<T>(): float bits,
+/// sign-extended signed integers, zero-extended unsigned ones.
+template <HostScalar T>
+std::uint64_t scalarSlot(T value) noexcept {
+  if constexpr (std::is_same_v<T, float>) {
+    return clc::eval::f32Slot(value);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return clc::eval::f64Slot(value);
+  } else if constexpr (std::is_signed_v<T>) {
+    return std::uint64_t(std::int64_t(value));
+  } else {
+    return std::uint64_t(value);
+  }
+}
 
 class Program {
 public:
@@ -90,14 +128,18 @@ public:
   /// Buffer argument (__global pointer parameter).
   void setArg(std::size_t index, const Buffer& buffer);
 
-  /// Scalar argument. The value is converted to the parameter's declared
-  /// type, so setArg(i, 5) on a float parameter does the right thing.
-  void setArg(std::size_t index, float value);
-  void setArg(std::size_t index, double value);
-  void setArg(std::size_t index, std::int32_t value);
-  void setArg(std::size_t index, std::uint32_t value);
-  void setArg(std::size_t index, std::int64_t value);
-  void setArg(std::size_t index, std::uint64_t value);
+  /// Scalar argument of any host arithmetic type. The value is converted
+  /// to the parameter's declared type exactly as the kernel's own cast
+  /// converts it, so setArg(i, 5) on a float parameter passes 5.0f and
+  /// setArg(i, 1e20f) on an int parameter saturates to INT_MAX.
+  template <HostScalar T>
+  void setArg(std::size_t index, T value) {
+    setScalar(index, scalarSlot(value), scalarTag<T>());
+  }
+
+  /// Scalar argument given as a canonical clc slot of type `tag`; stores
+  /// clc::eval::convert(slot, tag, <parameter type>), the VM's own cast.
+  void setScalar(std::size_t index, std::uint64_t slot, clc::TypeTag tag);
 
   /// By-value struct argument: raw bytes, must match the declared size.
   void setArgBytes(std::size_t index, const void* data, std::size_t size);
@@ -118,8 +160,6 @@ public:
   const clc::KernelInfo& kernelInfo() const { return *kernel_; }
 
 private:
-  void setScalar(std::size_t index, std::uint64_t canonical,
-                 clc::TypeTag sourceTag);
   const clc::ParamInfo& param(std::size_t index) const;
 
   std::shared_ptr<const clc::Program> program_;

@@ -20,35 +20,38 @@ namespace {
                        during);
 }
 
-/// Raises the typed exception for a fault fired at a transfer site.
-/// Models a *truncated* transfer: half of the requested bytes land in the
-/// destination before the failure; queue and timeline state stay
-/// untouched (the command never retires, no event is produced, no engine
-/// time is occupied), so the caller may keep enqueueing.
-[[noreturn]] void raiseTransferFault(const Fault& fault, DeviceState& device,
-                                     std::size_t bytes, std::uint8_t* dst,
-                                     const std::uint8_t* src) {
-  if (fault.deviceLost) {
-    device.markLost();
-    throwDeviceLost(device, faultSiteName(fault.site));
+/// Fires the fault hook for a transfer at `site`, then copies `bytes`
+/// from `src` to `dst`. A fault models a *truncated* transfer: half of the
+/// requested bytes land in the destination before the typed exception;
+/// queue and timeline state stay untouched (the command never retires, no
+/// event is produced, no engine time is occupied), so the caller may keep
+/// enqueueing.
+void moveBytes(FaultSite site, const char* label, DeviceState& device,
+               std::uint8_t* dst, const std::uint8_t* src,
+               std::size_t bytes) {
+  if (FaultInjector::enabled()) {
+    if (const auto fault =
+            FaultInjector::instance().check(site, label, device.index())) {
+      if (fault->deviceLost) {
+        device.markLost();
+        throwDeviceLost(device, faultSiteName(fault->site));
+      }
+      const std::size_t transferred = bytes / 2;
+      if (dst != nullptr && src != nullptr) {
+        std::memcpy(dst, src, transferred);
+      }
+      throw TransferFailure(
+          device.index(), bytes, transferred,
+          std::string("injected transfer failure (") +
+              statusName(Status::OutOfResources) + ") at site '" +
+              faultSiteName(fault->site) + "' on device " +
+              std::to_string(device.index()) + ": " +
+              std::to_string(transferred) + " of " + std::to_string(bytes) +
+              " bytes transferred");
+    }
   }
-  const std::size_t transferred = bytes / 2;
-  if (dst != nullptr && src != nullptr) {
-    std::memcpy(dst, src, transferred);
-  }
-  throw TransferFailure(
-      device.index(), bytes, transferred,
-      std::string("injected transfer failure (") +
-          statusName(Status::OutOfResources) + ") at site '" +
-          faultSiteName(fault.site) + "' on device " +
-          std::to_string(device.index()) + ": " +
-          std::to_string(transferred) + " of " + std::to_string(bytes) +
-          " bytes transferred");
+  std::memcpy(dst, src, bytes);
 }
-
-} // namespace
-
-namespace {
 
 /// Ids of the events a command's start actually waited on, plus the
 /// in-order queue's implicit previous-command edge when present.
@@ -98,19 +101,24 @@ std::uint64_t CommandQueue::dispatchJitterNs() {
   return scheduleRng_.nextBelow(8 * model_.enqueueOverheadNs() + 1);
 }
 
-std::uint64_t CommandQueue::commandStartNs(
-    Engine engine, const std::vector<Event>& deps) const {
-  // An in-order queue serializes against the *whole device* (the max
-  // over all engines), not just the engine the command occupies — this
-  // matches the classic single-timeline device model, and it is what
-  // the CUDA veneer's default-stream semantics rely on even across
-  // separate queue objects. Out-of-order queues wait only for their own
-  // engine plus explicit dependencies.
-  std::uint64_t start = std::max(
-      hostTimeNs(), order_ == QueueOrder::InOrder
-                        ? device_.state().readyTimeNs()
-                        : device_.state().readyTimeNs(engine));
-  if (order_ == QueueOrder::InOrder && last_.valid()) {
+Event CommandQueue::submit(std::initializer_list<Leg> legs,
+                           std::uint64_t durationNs, trace::CommandKind kind,
+                           std::uint64_t bytes, std::uint64_t cycles,
+                           const std::vector<Event>& deps,
+                           std::uint64_t notBeforeNs) {
+  // An in-order queue serializes against each leg's *whole device* (the
+  // max over all engines), not just the engine the leg occupies — this
+  // matches the classic single-timeline device model, and it is what the
+  // CUDA veneer's default-stream semantics rely on even across separate
+  // queue objects. Out-of-order queues wait only for the legs' own
+  // engines plus explicit dependencies.
+  const bool inOrder = order_ == QueueOrder::InOrder;
+  std::uint64_t start = std::max(hostTimeNs(), notBeforeNs);
+  for (const Leg& leg : legs) {
+    start = std::max(start, inOrder ? leg.device.readyTimeNs()
+                                    : leg.device.readyTimeNs(leg.engine));
+  }
+  if (inOrder && last_.valid()) {
     start = std::max(start, last_.endNs());
   }
   for (const Event& e : deps) {
@@ -118,41 +126,37 @@ std::uint64_t CommandQueue::commandStartNs(
       start = std::max(start, e.endNs());
     }
   }
-  return start;
-}
+  start += dispatchJitterNs();
 
-Event CommandQueue::retire(Engine engine, std::uint64_t startNs,
-                           std::uint64_t durationNs, trace::CommandKind kind,
-                           std::string_view label, std::uint64_t bytes,
-                           std::uint64_t cycles,
-                           const std::vector<Event>& deps) {
+  const Leg& named = *(legs.end() - 1);
   auto state = std::make_shared<EventState>();
   state->id = nextCommandId();
   state->queuedNs = hostTimeNs();
-  state->startNs = startNs;
-  state->endNs = startNs + durationNs;
+  state->startNs = start;
+  state->endNs = start + durationNs;
   // Submission = queued + driver overhead, clamped so that
   // queued <= submit <= start holds even when the engine was idle.
   state->submitNs =
-      std::min(startNs, state->queuedNs + model_.enqueueOverheadNs());
-  state->engine = engine;
-  device_.state().setReadyTimeNs(engine, state->endNs);
+      std::min(start, state->queuedNs + model_.enqueueOverheadNs());
+  state->engine = named.engine;
+  for (const Leg& leg : legs) {
+    leg.device.setReadyTimeNs(leg.engine, state->endNs);
+    if (kind == trace::CommandKind::Kernel) {
+      leg.device.chargeKernel(cycles, durationNs);
+    } else if (leg.engine != Engine::Compute) {
+      leg.device.chargeDma(bytes);
+    }
+  }
   lastSubmittedEndNs_ = std::max(lastSubmittedEndNs_, state->endNs);
   advanceHostTimeNs(model_.enqueueOverheadNs());
-  if (kind == trace::CommandKind::Kernel) {
-    device_.state().chargeKernel(cycles, durationNs);
-  } else if (engine != Engine::Compute) {
-    device_.state().chargeDma(bytes);
-  }
   if (trace::Recorder::enabled()) {
+    // One span per leg, so every occupied timeline shows the command. The
+    // event's id names the last leg (what dependents wait on); each
+    // earlier leg gets an id of its own.
     const std::vector<std::uint64_t> ids =
-        depIds(deps, order_ == QueueOrder::InOrder ? last_ : Event());
+        depIds(deps, inOrder ? last_ : Event());
     trace::Recorder::CommandInit init;
-    init.id = state->id;
-    init.device = device_.state().index();
-    init.engine = std::uint8_t(engine);
     init.kind = kind;
-    init.label = label;
     init.queuedNs = state->queuedNs;
     init.submitNs = state->submitNs;
     init.startNs = state->startNs;
@@ -160,67 +164,62 @@ Event CommandQueue::retire(Engine engine, std::uint64_t startNs,
     init.bytes = bytes;
     init.cycles = cycles;
     init.deps = &ids;
-    trace::Recorder::instance().recordCommand(init);
+    for (const Leg& leg : legs) {
+      init.id = &leg == &named ? state->id : nextCommandId();
+      init.device = leg.device.index();
+      init.engine = std::uint8_t(leg.engine);
+      init.label = leg.label;
+      trace::Recorder::instance().recordCommand(init);
+    }
   }
   Event event(std::move(state));
   last_ = event;
   return event;
 }
 
+Event CommandQueue::transfer(bool upload, const Buffer& buffer,
+                             std::size_t offset, std::size_t bytes,
+                             std::uint8_t* hostDst,
+                             const std::uint8_t* hostSrc,
+                             const std::vector<Event>& deps) {
+  COMMON_EXPECTS(buffer.valid(), upload ? "write to invalid buffer"
+                                        : "read from invalid buffer");
+  COMMON_EXPECTS(buffer.device() == device_,
+                 "buffer belongs to a different device than the queue");
+  COMMON_EXPECTS(offset + bytes <= buffer.size(),
+                 upload ? "write exceeds buffer size"
+                        : "read exceeds buffer size");
+  requireDeviceAlive();
+  const char* label = upload ? "write_buffer" : "read_buffer";
+  std::uint8_t* onDevice = buffer.state().data() + offset;
+  // A truncated read leaves a partially-written destination — the SkelCL
+  // Vector stages downloads and commits only on success, so its host
+  // data stays valid anyway.
+  moveBytes(upload ? FaultSite::Write : FaultSite::Read, label,
+            device_.state(), upload ? onDevice : hostDst,
+            upload ? hostSrc : onDevice, bytes);
+  return submit({{device_.state(),
+                  upload ? Engine::HostToDevice : Engine::DeviceToHost,
+                  label}},
+                model_.transferDurationNs(bytes),
+                upload ? trace::CommandKind::Write : trace::CommandKind::Read,
+                bytes, 0, deps);
+}
+
 Event CommandQueue::enqueueWriteBuffer(const Buffer& buffer,
                                        std::size_t offset, std::size_t bytes,
                                        const void* src,
                                        const std::vector<Event>& deps) {
-  COMMON_EXPECTS(buffer.valid(), "write to invalid buffer");
-  COMMON_EXPECTS(buffer.device() == device_,
-                 "buffer belongs to a different device than the queue");
-  COMMON_EXPECTS(offset + bytes <= buffer.size(),
-                 "write exceeds buffer size");
-  requireDeviceAlive();
-  if (FaultInjector::enabled()) {
-    if (const auto fault = FaultInjector::instance().check(
-            FaultSite::Write, "write_buffer", device_.state().index())) {
-      raiseTransferFault(*fault, device_.state(), bytes,
-                         buffer.state().data() + offset,
-                         static_cast<const std::uint8_t*>(src));
-    }
-  }
-  std::memcpy(buffer.state().data() + offset, src, bytes);
-  return retire(Engine::HostToDevice,
-                commandStartNs(Engine::HostToDevice, deps) +
-                    dispatchJitterNs(),
-                model_.transferDurationNs(bytes), trace::CommandKind::Write,
-                "write_buffer", bytes, 0, deps);
+  return transfer(/*upload=*/true, buffer, offset, bytes, nullptr,
+                  static_cast<const std::uint8_t*>(src), deps);
 }
 
 Event CommandQueue::enqueueReadBuffer(const Buffer& buffer,
                                       std::size_t offset, std::size_t bytes,
                                       void* dst, bool blocking,
                                       const std::vector<Event>& deps) {
-  COMMON_EXPECTS(buffer.valid(), "read from invalid buffer");
-  COMMON_EXPECTS(buffer.device() == device_,
-                 "buffer belongs to a different device than the queue");
-  COMMON_EXPECTS(offset + bytes <= buffer.size(),
-                 "read exceeds buffer size");
-  requireDeviceAlive();
-  if (FaultInjector::enabled()) {
-    if (const auto fault = FaultInjector::instance().check(
-            FaultSite::Read, "read_buffer", device_.state().index())) {
-      // A truncated read leaves a partially-written destination — the
-      // SkelCL Vector stages downloads and commits only on success, so
-      // its host data stays valid anyway.
-      raiseTransferFault(*fault, device_.state(), bytes,
-                         static_cast<std::uint8_t*>(dst),
-                         buffer.state().data() + offset);
-    }
-  }
-  std::memcpy(dst, buffer.state().data() + offset, bytes);
-  Event event = retire(Engine::DeviceToHost,
-                       commandStartNs(Engine::DeviceToHost, deps) +
-                           dispatchJitterNs(),
-                       model_.transferDurationNs(bytes),
-                       trace::CommandKind::Read, "read_buffer", bytes, 0,
-                       deps);
+  Event event = transfer(/*upload=*/false, buffer, offset, bytes,
+                         static_cast<std::uint8_t*>(dst), nullptr, deps);
   if (blocking) {
     event.wait();
   }
@@ -248,38 +247,30 @@ Event CommandQueue::enqueueCopyBuffer(const Buffer& src,
                    "buffer belongs to a different device than the queue");
   }
   requireDeviceAlive();
-  if (src.device().state().lost()) {
-    throwDeviceLost(src.device().state(), "copy");
+  DeviceState& srcState = src.device().state();
+  DeviceState& dstState = dst.device().state();
+  if (srcState.lost()) {
+    throwDeviceLost(srcState, "copy");
   }
-  if (dst.device().state().lost()) {
-    throwDeviceLost(dst.device().state(), "copy");
+  if (dstState.lost()) {
+    throwDeviceLost(dstState, "copy");
   }
-  if (FaultInjector::enabled()) {
-    if (const auto fault = FaultInjector::instance().check(
-            FaultSite::Copy, "copy_buffer", dst.device().state().index())) {
-      raiseTransferFault(*fault, dst.device().state(), bytes,
-                         dst.state().data() + dstOffset,
-                         src.state().data() + srcOffset);
-    }
-  }
-  std::memcpy(dst.state().data() + dstOffset,
-              src.state().data() + srcOffset, bytes);
+  moveBytes(FaultSite::Copy, "copy_buffer", dstState,
+            dst.state().data() + dstOffset, src.state().data() + srcOffset,
+            bytes);
 
   if (sameDevice) {
     // The copy occupies the compute engine (it saturates the memory
     // system the compute engine feeds from).
-    return retire(Engine::Compute,
-                  commandStartNs(Engine::Compute, deps) + dispatchJitterNs(),
+    return submit({{dstState, Engine::Compute, "copy_buffer"}},
                   model_.deviceCopyDurationNs(bytes),
-                  trace::CommandKind::CopyOnDevice, "copy_buffer", bytes, 0,
-                  deps);
+                  trace::CommandKind::CopyOnDevice, bytes, 0, deps);
   }
 
   // Cross-device: staged over PCIe (down from src, up to dst). The
   // source's D2H engine and the destination's H2D engine are both
   // occupied for the whole transfer; the compute engines of both devices
-  // stay free to overlap kernels with the copy. In-order queues wait on
-  // the full timelines of both devices instead (single-timeline model).
+  // stay free to overlap kernels with the copy.
   //
   // The staged legs *pipeline*: after the first piece lands in host
   // memory the upload streams concurrently with the rest of the
@@ -289,32 +280,12 @@ Event CommandQueue::enqueueCopyBuffer(const Buffer& src,
   // interconnect, adding its (usually dominant) wire time to the
   // pipeline bottleneck and its latency on top, and occupying the
   // source node's egress and the destination node's ingress link.
-  const bool inOrder = order_ == QueueOrder::InOrder;
   const TimingModel srcModel(src.device().spec(), backend_);
   const TimingModel dstModel(dst.device().spec(), backend_);
-  DeviceState& srcState = src.device().state();
-  DeviceState& dstState = dst.device().state();
   const bool crossNode = srcState.node() != dstState.node();
   NodeState* srcLink = crossNode ? srcState.link().get() : nullptr;
   NodeState* dstLink = crossNode ? dstState.link().get() : nullptr;
-  std::uint64_t start = std::max(hostTimeNs(), std::max(
-      inOrder ? srcState.readyTimeNs()
-              : srcState.readyTimeNs(Engine::DeviceToHost),
-      inOrder ? dstState.readyTimeNs()
-              : dstState.readyTimeNs(Engine::HostToDevice)));
-  if (srcLink != nullptr && dstLink != nullptr) {
-    start = std::max(start, std::max(srcLink->egressReadyNs(),
-                                     dstLink->ingressReadyNs()));
-  }
-  if (inOrder && last_.valid()) {
-    start = std::max(start, last_.endNs());
-  }
-  for (const Event& e : deps) {
-    if (e.valid()) {
-      start = std::max(start, e.endNs());
-    }
-  }
-  start += dispatchJitterNs();
+  const bool linked = srcLink != nullptr && dstLink != nullptr;
   double wireNs = std::max(srcModel.transferWireNs(bytes),
                            dstModel.transferWireNs(bytes));
   double latencyNs = std::max(srcModel.transferLatencyNs(),
@@ -327,63 +298,27 @@ Event CommandQueue::enqueueCopyBuffer(const Buffer& src,
     }
     latencyNs += ic.latencyUs * 1e3;
   }
-  const auto duration = std::uint64_t(wireNs + latencyNs);
-  srcState.setReadyTimeNs(Engine::DeviceToHost, start + duration);
-
-  auto state = std::make_shared<EventState>();
-  state->id = nextCommandId();
-  state->queuedNs = hostTimeNs();
-  state->startNs = start;
-  state->endNs = start + duration;
-  state->submitNs =
-      std::min(start, state->queuedNs + model_.enqueueOverheadNs());
-  state->engine = Engine::HostToDevice;
-  dstState.setReadyTimeNs(Engine::HostToDevice, state->endNs);
-  if (srcLink != nullptr && dstLink != nullptr) {
-    srcLink->setEgressReadyNs(state->endNs);
-    dstLink->setIngressReadyNs(state->endNs);
+  Event event = submit(
+      {{srcState, Engine::DeviceToHost,
+        crossNode ? "copy_node_out" : "copy_peer_out"},
+       {dstState, Engine::HostToDevice,
+        crossNode ? "copy_node_in" : "copy_peer_in"}},
+      std::uint64_t(wireNs + latencyNs), trace::CommandKind::CopyPeer, bytes,
+      0, deps,
+      linked ? std::max(srcLink->egressReadyNs(), dstLink->ingressReadyNs())
+             : 0);
+  if (linked) {
+    srcLink->setEgressReadyNs(event.endNs());
+    dstLink->setIngressReadyNs(event.endNs());
   }
-  lastSubmittedEndNs_ = std::max(lastSubmittedEndNs_, state->endNs);
-  advanceHostTimeNs(model_.enqueueOverheadNs());
-  srcState.chargeDma(bytes);
-  dstState.chargeDma(bytes);
-  if (trace::Recorder::enabled()) {
-    // A cross-device copy occupies two engines on two devices: file one
-    // span per leg so both timelines show the occupancy. The event's id
-    // names the destination leg (what dependents wait on); the source
-    // leg gets its own id. Cross-node copies carry distinct labels (and
-    // bump the internode_bytes counter) so skeltrace can attribute
-    // interconnect traffic separately from same-node PCIe staging.
-    const std::vector<std::uint64_t> ids =
-        depIds(deps, order_ == QueueOrder::InOrder ? last_ : Event());
-    trace::Recorder::CommandInit init;
-    init.kind = trace::CommandKind::CopyPeer;
-    init.queuedNs = state->queuedNs;
-    init.submitNs = state->submitNs;
-    init.startNs = state->startNs;
-    init.endNs = state->endNs;
-    init.bytes = bytes;
-    init.deps = &ids;
-
-    init.id = nextCommandId();
-    init.device = srcState.index();
-    init.engine = std::uint8_t(Engine::DeviceToHost);
-    init.label = crossNode ? "copy_node_out" : "copy_peer_out";
-    trace::Recorder::instance().recordCommand(init);
-
-    init.id = state->id;
-    init.device = dstState.index();
-    init.engine = std::uint8_t(Engine::HostToDevice);
-    init.label = crossNode ? "copy_node_in" : "copy_peer_in";
-    trace::Recorder::instance().recordCommand(init);
-
-    if (crossNode) {
-      trace::Recorder::instance().bumpCounter(
-          "internode_bytes", dstState.index(), state->endNs, bytes);
-    }
+  // Cross-node copies carry distinct labels and bump the internode_bytes
+  // counter, so skeltrace attributes interconnect traffic separately from
+  // same-node PCIe staging.
+  if (crossNode && trace::Recorder::enabled()) {
+    trace::Recorder::instance().bumpCounter("internode_bytes",
+                                            dstState.index(), event.endNs(),
+                                            bytes);
   }
-  Event event(std::move(state));
-  last_ = event;
   return event;
 }
 
@@ -464,10 +399,8 @@ Event CommandQueue::enqueueNDRange(Kernel& kernel, const clc::NDRange& range,
                          segments, &common::ThreadPool::global());
   cumulativeKernelCycles_ += stats.totalCycles;
   cumulativeKernelLaunches_ += 1;
-  return retire(Engine::Compute,
-                commandStartNs(Engine::Compute, deps) + dispatchJitterNs(),
-                model_.kernelDurationNs(stats),
-                trace::CommandKind::Kernel, kernel.name(),
+  return submit({{device_.state(), Engine::Compute, kernel.name()}},
+                model_.kernelDurationNs(stats), trace::CommandKind::Kernel,
                 stats.globalBytesRead + stats.globalBytesWritten,
                 stats.totalCycles, deps);
 }

@@ -1,26 +1,29 @@
 // Command queue: the only way work reaches a device.
 //
 // Each enqueue executes the command's real effect immediately (memcpy,
-// kernel interpretation) and schedules it onto the *engine* it occupies
-// on the device's virtual timelines — kernel launches and on-device
-// copies on the compute engine, uploads on the H2D DMA engine, downloads
-// on the D2H DMA engine (cross-device copies occupy the source's D2H and
-// the destination's H2D engines):
-//   start = max(engine ready, host now, dependencies' end)
+// kernel interpretation) and then hands the command to submit(), the one
+// place every command is scheduled, retired, charged and traced. A
+// command occupies one or more *legs*, each an engine of some device —
+// kernel launches and on-device copies the compute engine, uploads the
+// H2D DMA engine, downloads the D2H DMA engine, and a cross-device copy
+// two legs: the source's D2H engine, then the destination's H2D engine:
+//   start = max(every leg's engine ready, host now, dependencies' end)
 //   end   = start + modeled duration
 // Commands on one engine execute FIFO; commands on different engines
 // overlap unless an event dependency orders them. An *in-order* queue
 // (the default, matching clCreateCommandQueue without
-// CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE) additionally chains every
-// command after the previous one, serializing across engines exactly like
-// a real in-order queue. Out-of-order queues schedule purely from the
-// event dependency DAG — SkelCL's runtime uses them to overlap transfers
-// with compute.
+// CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE) additionally waits for each
+// leg's whole device and chains every command after the previous one,
+// serializing across engines exactly like a real in-order queue; it
+// serves SKELCL_SERIALIZE=1, the OpenCL baselines and the CUDA veneer.
+// Out-of-order queues schedule purely from the event dependency DAG —
+// SkelCL's runtime uses them to overlap transfers with compute.
 // Blocking variants advance the host clock to the command's end, exactly
 // like clFinish / blocking clEnqueueReadBuffer would stall a real host.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string_view>
 #include <vector>
 
@@ -131,22 +134,36 @@ public:
   }
 
 private:
+  /// One engine a command occupies, and the label of its trace span.
+  struct Leg {
+    DeviceState& device;
+    Engine engine;
+    std::string_view label;
+  };
+
   /// Throws DeviceLost when the queue's device has been marked lost.
   /// Every enqueue checks this first, before any effect.
   void requireDeviceAlive() const;
   /// Bounded pseudo-random dispatch latency under SeededShuffle on an
   /// out-of-order queue; 0 under Fifo or on in-order queues.
   std::uint64_t dispatchJitterNs();
-  std::uint64_t commandStartNs(Engine engine,
-                               const std::vector<Event>& deps) const;
-  /// Closes out one command: assigns its id, stamps the profiling
-  /// timestamps, occupies the engine timeline, and — when tracing is on —
-  /// files an engine span with the tracer (kind/label/bytes/cycles plus
-  /// the dependency edges that constrained the start time).
-  Event retire(Engine engine, std::uint64_t startNs, std::uint64_t durationNs,
-               trace::CommandKind kind, std::string_view label,
-               std::uint64_t bytes, std::uint64_t cycles,
-               const std::vector<Event>& deps);
+  /// Schedules and closes out one command occupying `legs` for
+  /// `durationNs`: it starts no earlier than `notBeforeNs`, host now,
+  /// every leg's engine (its whole device on an in-order queue), the
+  /// in-order previous command and `deps`. Stamps one event named by the
+  /// last leg, occupies every leg's engine, charges each leg's device,
+  /// and — when tracing is on — files one span per leg (kind/label/
+  /// bytes/cycles plus the dependency edges that constrained the start).
+  Event submit(std::initializer_list<Leg> legs, std::uint64_t durationNs,
+               trace::CommandKind kind, std::uint64_t bytes,
+               std::uint64_t cycles, const std::vector<Event>& deps,
+               std::uint64_t notBeforeNs = 0);
+  /// Shared body of enqueueWriteBuffer (`upload`: `hostSrc` -> buffer on
+  /// the H2D engine) and enqueueReadBuffer (buffer -> `hostDst` on the
+  /// D2H engine).
+  Event transfer(bool upload, const Buffer& buffer, std::size_t offset,
+                 std::size_t bytes, std::uint8_t* hostDst,
+                 const std::uint8_t* hostSrc, const std::vector<Event>& deps);
 
   Device device_;
   Backend backend_ = Backend::OpenCL;

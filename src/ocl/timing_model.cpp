@@ -69,15 +69,6 @@ double TimingModel::transferWireNs(std::uint64_t bytes) const noexcept {
   return double(bytes) / (spec_.pcieBandwidthGBs * 1e9) * 1e9;
 }
 
-double TimingModel::activeEnergyNj(std::uint64_t busyNs) const noexcept {
-  // 1 W = 1 nJ/ns, so watts x ns is nanojoules directly.
-  return (spec_.busyPowerW - spec_.idlePowerW) * double(busyNs);
-}
-
-double TimingModel::transferEnergyNj(std::uint64_t bytes) const noexcept {
-  return spec_.transferNjPerByte * double(bytes);
-}
-
 std::uint64_t TimingModel::deviceCopyDurationNs(std::uint64_t bytes) const {
   const double bw = spec_.memBandwidthGBs * 1e9;
   return std::uint64_t(double(2 * bytes) / bw * 1e9);

@@ -18,7 +18,8 @@
 //              interconnect's wire time to the max and its latency on
 //              top — see CommandQueue::enqueueCopyBuffer)
 //   energy   = idle_power x wall + (busy-idle) x compute busy
-//              + nj_per_byte x bytes moved        (1 W = 1 nJ/ns)
+//              + nj_per_byte x bytes moved        (1 W = 1 nJ/ns;
+//              computed by trace/analysis.cpp from the device totals)
 //
 // Durations are placed on per-engine device timelines (device.h): kernels
 // occupy the compute engine, uploads/downloads the H2D/D2H DMA engines,
@@ -70,13 +71,6 @@ public:
   /// paying the full latency+wire sum once per leg.
   double transferLatencyNs() const noexcept;
   double transferWireNs(std::uint64_t bytes) const noexcept;
-
-  /// Energy (nanojoules) the device draws above idle while its compute
-  /// engine is busy for `busyNs` (1 W = 1 nJ/ns).
-  double activeEnergyNj(std::uint64_t busyNs) const noexcept;
-
-  /// Energy (nanojoules) of moving `bytes` across the DMA path.
-  double transferEnergyNj(std::uint64_t bytes) const noexcept;
 
   /// Duration of an on-device buffer-to-buffer copy of `bytes`: runs at
   /// global-memory bandwidth and pays for a read plus a write.

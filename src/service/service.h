@@ -285,7 +285,6 @@ private:
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::uint64_t nextSeq_ = 0;
   std::size_t totalPending_ = 0;
-  bool accepting_ = true;
   bool stopRequested_ = false;
   bool running_ = false;
   ServerStats serverStats_;

@@ -31,11 +31,10 @@ public:
     static_assert(std::is_trivially_copyable_v<T>);
     Entry entry;
     entry.typeName = typeName<T>();
-    if constexpr (std::is_arithmetic_v<T>) {
+    if constexpr (ocl::HostScalar<T>) {
       entry.kind = Kind::Scalar;
-      entry.scalarTag = scalarTagFor<T>();
-      entry.bytes.resize(sizeof(T));
-      std::memcpy(entry.bytes.data(), &value, sizeof(T));
+      entry.scalarTag = ocl::scalarTag<T>();
+      entry.slot = ocl::scalarSlot(value);
     } else {
       entry.kind = Kind::Struct;
       entry.bytes.resize(sizeof(T));
@@ -159,13 +158,13 @@ public:
       const std::size_t at = firstIndex + i;
       switch (e.kind) {
         case Kind::Scalar:
-          applyScalar(kernel, at, e);
+          kernel.setScalar(at, e.slot, e.scalarTag);
           break;
         case Kind::Struct:
           kernel.setArgBytes(at, e.bytes.data(), e.bytes.size());
           break;
         case Kind::VectorArg:
-          kernel.setArg(at, bufferCast(e, deviceIndex));
+          kernel.setArg(at, e.vector->chunkForDevice(deviceIndex).buffer);
           break;
         case Kind::VectorSize:
           kernel.setArg(
@@ -177,80 +176,18 @@ public:
 
 private:
   enum class Kind { Scalar, Struct, VectorArg, VectorSize };
-  enum class ScalarTag { F32, F64, I32, U32, I64, U64 };
 
   struct Entry {
     Kind kind = Kind::Scalar;
-    ScalarTag scalarTag = ScalarTag::I32;
+    clc::TypeTag scalarTag = clc::TypeTag::I32; // Scalar: slot's clc type
+    std::uint64_t slot = 0;                     // Scalar: canonical value
     std::string typeName;
-    std::vector<std::uint8_t> bytes;
+    std::vector<std::uint8_t> bytes; // Struct: the raw host bytes
     std::shared_ptr<detail::VectorState> vector;
   };
 
   static std::string argName(std::size_t i, const std::string& prefix = "") {
     return "skelcl_" + prefix + "arg" + std::to_string(i);
-  }
-
-  template <typename T>
-  static ScalarTag scalarTagFor() {
-    if constexpr (std::is_same_v<T, float>) return ScalarTag::F32;
-    else if constexpr (std::is_same_v<T, double>) return ScalarTag::F64;
-    else if constexpr (std::is_signed_v<T> && sizeof(T) <= 4) return ScalarTag::I32;
-    else if constexpr (!std::is_signed_v<T> && sizeof(T) <= 4) return ScalarTag::U32;
-    else if constexpr (std::is_signed_v<T>) return ScalarTag::I64;
-    else return ScalarTag::U64;
-  }
-
-  static ocl::Buffer bufferCast(const Entry& e, std::size_t deviceIndex) {
-    return e.vector->chunkForDevice(deviceIndex).buffer;
-  }
-
-  static void applyScalar(ocl::Kernel& kernel, std::size_t at,
-                          const Entry& e) {
-    switch (e.scalarTag) {
-      case ScalarTag::F32: {
-        float v;
-        std::memcpy(&v, e.bytes.data(), 4);
-        kernel.setArg(at, v);
-        break;
-      }
-      case ScalarTag::F64: {
-        double v;
-        std::memcpy(&v, e.bytes.data(), 8);
-        kernel.setArg(at, v);
-        break;
-      }
-      case ScalarTag::I32: {
-        std::int32_t v = 0;
-        std::memcpy(&v, e.bytes.data(), std::min<std::size_t>(4, e.bytes.size()));
-        if (e.bytes.size() == 1) v = std::int8_t(e.bytes[0]);
-        if (e.bytes.size() == 2) {
-          std::int16_t s;
-          std::memcpy(&s, e.bytes.data(), 2);
-          v = s;
-        }
-        kernel.setArg(at, v);
-        break;
-      }
-      case ScalarTag::U32: {
-        std::uint32_t v = 0;
-        std::memcpy(&v, e.bytes.data(), std::min<std::size_t>(4, e.bytes.size()));
-        kernel.setArg(at, v);
-        break;
-      }
-      case ScalarTag::I64: {
-        std::int64_t v;
-        std::memcpy(&v, e.bytes.data(), 8);
-        kernel.setArg(at, v);
-        break;
-      }
-      case ScalarTag::U64: {
-        std::uint64_t v;
-        std::memcpy(&v, e.bytes.data(), 8);
-        kernel.setArg(at, v);
-        break;
-      }
-    }
   }
 
   std::vector<Entry> entries_;

@@ -274,6 +274,58 @@ TEST_F(OclRuntime, ScalarArgConversionToParamType) {
   EXPECT_FLOAT_EQ(out, 3.0f);
 }
 
+/// Runs `out[0] = <expr>` with `v` declared `paramType` and bound by
+/// setArg(1, value); returns out[0] read back as R (`resultType`).
+template <typename R, typename T>
+R storeScalar(const std::string& resultType, const std::string& paramType,
+              const std::string& expr, T value) {
+  auto gpus = ocl::getPlatforms()[0].devices(ocl::DeviceType::GPU);
+  ocl::Context ctx({gpus[0]});
+  ocl::CommandQueue queue(gpus[0]);
+  ocl::Program program = ctx.createProgram(
+      "__kernel void k(__global " + resultType + "* out, " + paramType +
+      " v) { out[0] = " + expr + "; }");
+  program.build();
+  ocl::Buffer buf = ctx.createBuffer(gpus[0], sizeof(R));
+  ocl::Kernel kernel = program.createKernel("k");
+  kernel.setArg(0, buf);
+  kernel.setArg(1, value);
+  queue.enqueueNDRange(kernel, ocl::NDRange1D{1, 1});
+  R out{};
+  queue.enqueueReadBuffer(buf, 0, sizeof(R), &out);
+  return out;
+}
+
+TEST_F(OclRuntime, HostScalarConversionMatchesTheKernelsCast) {
+  // setArg converts a host value to the parameter's type exactly like the
+  // kernel's own cast of that value: out-of-range floats saturate, NaN-
+  // free negatives clamp to 0 for unsigned targets, and wide integers
+  // truncate to their low bits.
+  const auto both = [](const std::string& type, const std::string& source,
+                       auto value) {
+    using R = std::int64_t;
+    const R bound = storeScalar<R>("long", type, "v", value);
+    const R cast =
+        storeScalar<R>("long", source, "(" + type + ")v", value);
+    EXPECT_EQ(bound, cast) << type << " <- " << source;
+    return bound;
+  };
+  EXPECT_EQ(both("int", "float", 1e20f), INT32_MAX);
+  EXPECT_EQ(both("int", "float", -1e20f), INT32_MIN);
+  EXPECT_EQ(both("uint", "float", -1.0f), 0);
+  EXPECT_EQ(both("int", "long", std::int64_t(1) << 40), 0);
+  EXPECT_EQ(both("int", "long", (std::int64_t(1) << 40) + 5), 5);
+  EXPECT_EQ(both("uint", "int", -1), 4294967295);
+  EXPECT_EQ(both("long", "double", 1e30), INT64_MAX);
+  EXPECT_EQ(both("int", "double", 3.9), 3);
+  EXPECT_EQ(both("int", "double", -3.9), -3);
+  EXPECT_EQ(both("long", "uint", 4000000000u), 4000000000);
+
+  // An int bound to a float parameter arrives as the exact float.
+  EXPECT_EQ(storeScalar<float>("float", "float", "v", 16777216), 16777216.0f);
+  EXPECT_EQ(storeScalar<float>("float", "float", "v", -7), -7.0f);
+}
+
 TEST_F(OclRuntime, UnknownKernelNameThrows) {
   auto gpus = ocl::getPlatforms()[0].devices(ocl::DeviceType::GPU);
   ocl::Context ctx({gpus[0]});

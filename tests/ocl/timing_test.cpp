@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ocl/ocl.h"
+#include "trace/recorder.h"
 
 namespace {
 
@@ -334,6 +335,64 @@ TEST_F(OclTiming, PeerCopyLegsOverlapInsteadOfSumming) {
   // to the destination cannot start before the copy ends.
   ocl::Event next = q1.enqueueWriteBuffer(dst, 0, bytes, data.data());
   EXPECT_GE(next.startNs(), copy.endNs());
+}
+
+TEST_F(OclTiming, PeerCopyIsOneCommandOnTwoLegs) {
+  // A cross-device copy is one command occupying two legs: the source's
+  // D2H engine, then the destination's H2D engine.
+  ocl::Context ctx({gpus_[0], gpus_[1]});
+  ocl::CommandQueue q0(gpus_[0]);
+  ocl::CommandQueue q1(gpus_[1]);
+  const std::size_t bytes = 1 << 20;
+  std::vector<char> data(4 * bytes, 1);
+  ocl::Buffer src = ctx.createBuffer(gpus_[0], 4 * bytes);
+  ocl::Buffer dst = ctx.createBuffer(gpus_[1], bytes);
+  // Neither command occupies an engine the copy needs, so only an
+  // in-order queue waits for them: an upload to the source and a
+  // download from the destination.
+  ocl::Event up = q0.enqueueWriteBuffer(src, 0, 4 * bytes, data.data());
+  ocl::Event down =
+      q1.enqueueReadBuffer(dst, 0, bytes, data.data(), /*blocking=*/false);
+  const std::uint64_t srcReady = gpus_[0].state().readyTimeNs();
+  const std::uint64_t dstReady = gpus_[1].state().readyTimeNs();
+  EXPECT_EQ(srcReady, up.endNs());
+  EXPECT_EQ(dstReady, down.endNs());
+  ASSERT_NE(srcReady, dstReady);
+  const std::uint64_t srcDma = gpus_[0].state().dmaBytes();
+  const std::uint64_t dstDma = gpus_[1].state().dmaBytes();
+
+  trace::Recorder::instance().start();
+  ocl::CommandQueue inOrder(gpus_[1]);
+  ocl::Event copy = inOrder.enqueueCopyBuffer(src, 0, dst, 0, bytes, {down});
+  const trace::Trace t = trace::Recorder::instance().stop();
+
+  EXPECT_EQ(copy.startNs(), std::max(srcReady, dstReady));
+  EXPECT_EQ(copy.engine(), ocl::Engine::HostToDevice);
+  EXPECT_EQ(gpus_[0].state().dmaBytes(), srcDma + bytes);
+  EXPECT_EQ(gpus_[1].state().dmaBytes(), dstDma + bytes);
+  EXPECT_EQ(gpus_[0].state().readyTimeNs(ocl::Engine::DeviceToHost),
+            copy.endNs());
+  EXPECT_EQ(gpus_[1].state().readyTimeNs(ocl::Engine::HostToDevice),
+            copy.endNs());
+
+  ASSERT_EQ(t.commands.size(), 2u);
+  const trace::CommandRecord& out = t.commands[0];
+  const trace::CommandRecord& in = t.commands[1];
+  EXPECT_EQ(t.strings[out.name], "copy_peer_out");
+  EXPECT_EQ(out.device, 0u);
+  EXPECT_EQ(out.engine, std::uint8_t(ocl::Engine::DeviceToHost));
+  EXPECT_EQ(out.id, copy.commandId() + 1);
+  EXPECT_EQ(t.strings[in.name], "copy_peer_in");
+  EXPECT_EQ(in.device, 1u);
+  EXPECT_EQ(in.engine, std::uint8_t(ocl::Engine::HostToDevice));
+  EXPECT_EQ(in.id, copy.commandId());
+  for (const trace::CommandRecord* leg : {&out, &in}) {
+    EXPECT_EQ(leg->kind, trace::CommandKind::CopyPeer);
+    EXPECT_EQ(leg->bytes, bytes);
+    EXPECT_EQ(leg->startNs, copy.startNs());
+    EXPECT_EQ(leg->endNs, copy.endNs());
+    EXPECT_EQ(leg->deps, std::vector<std::uint64_t>{down.commandId()});
+  }
 }
 
 TEST_F(OclTiming, MoreComputeUnitsRunFaster) {

@@ -2,6 +2,7 @@
 // levels, Scalar conversions, and skeleton interactions with the virtual
 // clock.
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 #include "common/prng.h"
@@ -110,6 +111,51 @@ TEST_F(MiscTest, MultipleVectorArgumentsInOnePush) {
   EXPECT_EQ(out[0], 11);
   EXPECT_EQ(out[1], 22);
   EXPECT_EQ(out[2], 33);
+}
+
+TEST_F(MiscTest, ArgumentsCarryEveryBuiltinScalarType) {
+  // One Arguments object with a value of each builtin scalar type, bound
+  // on both GPUs; element i returns argument i, floats as exact bits (the
+  // double scaled by 2^51, which leaves pi's 53-bit mantissa an integer).
+  skelcl::Map<int, long> pick(
+      "long pick(int i, char a, uchar b, short c, ushort d, int e, uint f,"
+      " long g, ulong h, float x, double y) {"
+      " if (i == 0) return a; if (i == 1) return b;"
+      " if (i == 2) return c; if (i == 3) return d;"
+      " if (i == 4) return e; if (i == 5) return f;"
+      " if (i == 6) return g; if (i == 7) return (long)h;"
+      " if (i == 8) return as_uint(x);"
+      " return (long)(y * 2251799813685248.0); }");
+  const std::int64_t minusTwo53Minus1 = -(std::int64_t(1) << 53) - 1;
+  const std::uint64_t two63Plus1 = (std::uint64_t(1) << 63) + 1;
+  const double pi = 3.14159265358979323846;
+  Arguments args;
+  args.push(std::int8_t(-3));
+  args.push(std::uint8_t(250));
+  args.push(std::int16_t(-300));
+  args.push(std::uint16_t(65000));
+  args.push(std::int32_t(-70000));
+  args.push(std::uint32_t(4000000000u));
+  args.push(minusTwo53Minus1);
+  args.push(two63Plus1);
+  args.push(-1.25f);
+  args.push(pi);
+  std::vector<int> idx(20);
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    idx[i] = int(i % 10);
+  }
+  Vector<int> input(idx);
+  input.setDistribution(skelcl::Distribution::Block);
+  Vector<long> out = pick(input, args);
+  std::uint32_t floatBits;
+  const float minusOneQuarter = -1.25f;
+  std::memcpy(&floatBits, &minusOneQuarter, 4);
+  const std::vector<long> expected = {
+      -3, 250, -300, 65000, -70000, 4000000000L, minusTwo53Minus1,
+      long(two63Plus1), long(floatBits), long(pi * 2251799813685248.0)};
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    EXPECT_EQ(out[i], expected[i % 10]) << "element " << i;
+  }
 }
 
 TEST_F(MiscTest, ScalarImplicitConversion) {
