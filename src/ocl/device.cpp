@@ -149,53 +149,75 @@ std::string trimmedLower(const std::string& s) {
                                 "': " + why);
 }
 
-/// One spec entry `name['@'SCALE'x']['*'COUNT]`, suffixes in any order.
-void parseEntry(const std::string& raw, SystemConfig& config) {
-  const std::string entry = trimmedLower(raw);
-  if (entry.empty()) {
-    badSpec(raw, "empty entry");
-  }
-  std::string name = entry;
+/// The `@SCALEx` / `*COUNT` (and, for node entries, `@ib` / `@eth`)
+/// suffixes of one entry.
+struct Suffixes {
   double scale = 1.0;
   unsigned long count = 1;
-  // Peel `@...x` / `*...` suffixes off the tail until only the name is
-  // left; each may appear at most once.
+  std::string tier; // empty: none named
+};
+
+/// Peels suffixes off the tail of `text`, each at most once and in any
+/// order, until no `@` or `*` is left past its first character; `text`
+/// keeps what remains. `raw` is the entry as written, for errors.
+Suffixes peelSuffixes(const std::string& raw, std::string& text,
+                      bool allowTier) {
+  Suffixes out;
   bool sawScale = false, sawCount = false;
   for (;;) {
-    const std::size_t at = name.rfind('@');
-    const std::size_t star = name.rfind('*');
-    const std::size_t cut = std::max(at == std::string::npos ? 0 : at,
-                                     star == std::string::npos ? 0 : star);
-    if (cut == 0) {
-      break;
+    const std::size_t cut = text.find_last_of("@*");
+    if (cut == std::string::npos || cut == 0) {
+      return out;
     }
-    const std::string suffix = name.substr(cut + 1);
-    if (name[cut] == '@') {
-      if (sawScale) {
-        badSpec(raw, "duplicate @scale suffix");
-      }
-      if (suffix.size() < 2 || suffix.back() != 'x') {
-        badSpec(raw, "scale must look like @0.5x");
-      }
-      char* rest = nullptr;
-      scale = std::strtod(suffix.c_str(), &rest);
-      if (rest != suffix.c_str() + suffix.size() - 1 || !(scale > 0.0)) {
-        badSpec(raw, "scale must be a positive number followed by 'x'");
-      }
-      sawScale = true;
-    } else {
+    const std::string suffix = text.substr(cut + 1);
+    const char marker = text[cut];
+    text.erase(cut);
+    if (marker == '*') {
       if (sawCount) {
         badSpec(raw, "duplicate *count suffix");
       }
       char* rest = nullptr;
-      count = std::strtoul(suffix.c_str(), &rest, 10);
-      if (rest != suffix.c_str() + suffix.size() || count == 0) {
+      out.count = std::strtoul(suffix.c_str(), &rest, 10);
+      if (rest != suffix.c_str() + suffix.size() || out.count == 0) {
         badSpec(raw, "count must be a positive integer");
       }
       sawCount = true;
+      continue;
     }
-    name = name.substr(0, cut);
+    const bool scaleShaped = suffix.size() >= 2 && suffix.back() == 'x';
+    if (allowTier && !scaleShaped) {
+      if (suffix != "ib" && suffix != "eth") {
+        badSpec(raw, "unknown node suffix '@" + suffix +
+                         "' (expected @ib, @eth, or @0.5x)");
+      }
+      if (!out.tier.empty()) {
+        badSpec(raw, "duplicate @tier suffix");
+      }
+      out.tier = suffix;
+      continue;
+    }
+    if (sawScale) {
+      badSpec(raw, "duplicate @scale suffix");
+    }
+    if (!scaleShaped) {
+      badSpec(raw, "scale must look like @0.5x");
+    }
+    char* rest = nullptr;
+    out.scale = std::strtod(suffix.c_str(), &rest);
+    if (rest != suffix.c_str() + suffix.size() - 1 || !(out.scale > 0.0)) {
+      badSpec(raw, "scale must be a positive number followed by 'x'");
+    }
+    sawScale = true;
   }
+}
+
+/// One spec entry `name['@'SCALE'x']['*'COUNT]`, suffixes in any order.
+void parseEntry(const std::string& raw, SystemConfig& config) {
+  std::string name = trimmedLower(raw);
+  if (name.empty()) {
+    badSpec(raw, "empty entry");
+  }
+  const Suffixes suffixes = peelSuffixes(raw, name, /*allowTier=*/false);
   DeviceSpec base;
   if (name == "t10" || name == "tesla" || name == "gpu") {
     base = DeviceSpec::teslaT10();
@@ -205,8 +227,8 @@ void parseEntry(const std::string& raw, SystemConfig& config) {
     badSpec(raw, "unknown device name '" + name +
                      "' (expected t10/tesla/gpu or cpu/xeon)");
   }
-  const DeviceSpec spec = base.scaled(scale);
-  for (unsigned long i = 0; i < count; ++i) {
+  const DeviceSpec spec = base.scaled(suffixes.scale);
+  for (unsigned long i = 0; i < suffixes.count; ++i) {
     config.devices.push_back(spec);
   }
 }
@@ -261,54 +283,11 @@ std::string parseNodeEntry(const std::string& raw, SystemConfig& config) {
   if (inner.find("node") != std::string::npos) {
     badSpec(raw, "nodes do not nest");
   }
-  // Peel `*COUNT` / `@TIER` / `@SCALEx` suffixes off the tail, each at
-  // most once — same discipline as the device-entry suffixes.
-  std::string tail = entry.substr(close + 1);
-  unsigned long count = 1;
-  double scale = 1.0;
-  std::string tier;
-  bool sawScale = false, sawCount = false;
-  while (!tail.empty()) {
-    const std::size_t at = tail.rfind('@');
-    const std::size_t star = tail.rfind('*');
-    const std::size_t cut = std::max(at == std::string::npos ? 0 : at,
-                                     star == std::string::npos ? 0 : star);
-    if (tail[cut] != '@' && tail[cut] != '*') {
-      badSpec(raw, "junk after node(...): '" + tail + "'");
-    }
-    const std::string suffix = tail.substr(cut + 1);
-    if (tail[cut] == '@') {
-      if (suffix.size() >= 2 && suffix.back() == 'x') {
-        if (sawScale) {
-          badSpec(raw, "duplicate @scale suffix");
-        }
-        char* rest = nullptr;
-        scale = std::strtod(suffix.c_str(), &rest);
-        if (rest != suffix.c_str() + suffix.size() - 1 || !(scale > 0.0)) {
-          badSpec(raw, "scale must be a positive number followed by 'x'");
-        }
-        sawScale = true;
-      } else if (suffix == "ib" || suffix == "eth") {
-        if (!tier.empty()) {
-          badSpec(raw, "duplicate @tier suffix");
-        }
-        tier = suffix;
-      } else {
-        badSpec(raw, "unknown node suffix '@" + suffix +
-                         "' (expected @ib, @eth, or @0.5x)");
-      }
-    } else {
-      if (sawCount) {
-        badSpec(raw, "duplicate *count suffix");
-      }
-      char* rest = nullptr;
-      count = std::strtoul(suffix.c_str(), &rest, 10);
-      if (rest != suffix.c_str() + suffix.size() || count == 0) {
-        badSpec(raw, "count must be a positive integer");
-      }
-      sawCount = true;
-    }
-    tail = tail.substr(0, cut);
+  // The suffixes follow the closing parenthesis, which stays behind.
+  std::string tail = entry.substr(close);
+  const Suffixes suffixes = peelSuffixes(raw, tail, /*allowTier=*/true);
+  if (tail != ")") {
+    badSpec(raw, "junk after node(...): '" + tail.substr(1) + "'");
   }
   // The inner list is an ordinary single-node spec; scale applies to
   // every device of the node.
@@ -316,16 +295,16 @@ std::string parseNodeEntry(const std::string& raw, SystemConfig& config) {
   for (const std::string& deviceEntry : splitTopLevel(inner)) {
     parseEntry(deviceEntry, innerConfig);
   }
-  for (unsigned long i = 0; i < count; ++i) {
+  for (unsigned long i = 0; i < suffixes.count; ++i) {
     const auto node = std::uint32_t(config.nodeOf.empty()
                                         ? 0
                                         : config.nodeOf.back() + 1);
     for (const DeviceSpec& device : innerConfig.devices) {
-      config.devices.push_back(device.scaled(scale));
+      config.devices.push_back(device.scaled(suffixes.scale));
       config.nodeOf.push_back(node);
     }
   }
-  return tier;
+  return suffixes.tier;
 }
 
 } // namespace

@@ -298,6 +298,9 @@ Event CommandQueue::enqueueCopyBuffer(const Buffer& src,
     }
     latencyNs += ic.latencyUs * 1e3;
   }
+  // Cross-node copies carry distinct labels: skeltrace sums the
+  // copy_node_in legs as interconnect traffic, apart from same-node PCIe
+  // staging.
   Event event = submit(
       {{srcState, Engine::DeviceToHost,
         crossNode ? "copy_node_out" : "copy_peer_out"},
@@ -310,14 +313,6 @@ Event CommandQueue::enqueueCopyBuffer(const Buffer& src,
   if (linked) {
     srcLink->setEgressReadyNs(event.endNs());
     dstLink->setIngressReadyNs(event.endNs());
-  }
-  // Cross-node copies carry distinct labels and bump the internode_bytes
-  // counter, so skeltrace attributes interconnect traffic separately from
-  // same-node PCIe staging.
-  if (crossNode && trace::Recorder::enabled()) {
-    trace::Recorder::instance().bumpCounter("internode_bytes",
-                                            dstState.index(), event.endNs(),
-                                            bytes);
   }
   return event;
 }

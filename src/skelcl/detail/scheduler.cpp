@@ -1,5 +1,6 @@
 #include "skelcl/detail/scheduler.h"
 
+#include <algorithm>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -181,21 +182,11 @@ void Scheduler::drain(const std::shared_ptr<ExprNode>& requested) {
     return;
   }
 
-  std::uint64_t concurrentDelta = 0;
   {
     std::lock_guard lock(registryMutex_);
     ++stats_.drains;
-    if (live.size() > stats_.maxConcurrent) {
-      concurrentDelta = live.size() - stats_.maxConcurrent;
-      stats_.maxConcurrent = live.size();
-    }
-  }
-  if (concurrentDelta > 0 && trace::Recorder::enabled()) {
-    // Cumulative counter whose final value is the max: bump by the
-    // increase only.
-    trace::Recorder::instance().bumpCounter("sched_concurrent_jobs",
-                                            trace::kNoDevice, trace::now(),
-                                            concurrentDelta);
+    stats_.maxConcurrent = std::max<std::uint64_t>(stats_.maxConcurrent,
+                                                   live.size());
   }
 
   for (std::size_t i = 0; i < live.size(); ++i) {
@@ -213,15 +204,12 @@ void Scheduler::drain(const std::shared_ptr<ExprNode>& requested) {
       std::lock_guard lock(registryMutex_);
       ++stats_.jobsDispatched;
     }
-    const std::uint64_t queueWaitNs = dispatchNs - job.registeredNs;
     if (trace::Recorder::enabled()) {
-      auto& recorder = trace::Recorder::instance();
-      recorder.recordHostSpan(trace::HostKind::Scheduler, "sched.job",
-                              trace::kNoDevice, job.registeredNs,
-                              ocl::hostTimeNs(), queueWaitNs,
-                              std::uint32_t(1 + i));
-      recorder.bumpCounter("sched_queue_wait_ns", trace::kNoDevice,
-                           trace::now(), queueWaitNs);
+      // Lane 1 + i: the highest lane of a trace is its largest drain.
+      trace::Recorder::instance().recordHostSpan(
+          trace::HostKind::Scheduler, "sched.job", trace::kNoDevice,
+          job.registeredNs, ocl::hostTimeNs(), dispatchNs - job.registeredNs,
+          std::uint32_t(1 + i));
     }
   }
 }

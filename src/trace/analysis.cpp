@@ -91,11 +91,21 @@ Report analyze(const Trace& trace) {
     const std::uint8_t e = c.engine < kEngineCount ? c.engine : 0;
     acc.engines[e].emplace_back(c.startNs, c.endNs);
     ++acc.commands[e];
+    if (e == 1) {
+      report.h2dBytes += c.bytes;
+    } else if (e == 2) {
+      report.d2hBytes += c.bytes;
+    }
     if (e != 0) {
       acc.dmaBytes += c.bytes;
     }
     if (c.kind == CommandKind::Kernel) {
       acc.kernelCycles += c.cycles;
+    }
+    // The inbound leg of a cross-node copy is its interconnect traffic.
+    if (c.kind == CommandKind::CopyPeer &&
+        trace.str(c.name) == "copy_node_in") {
+      report.internodeBytes += c.bytes;
     }
     acc.minStart = std::min(acc.minStart, c.startNs);
     acc.maxEnd = std::max(acc.maxEnd, c.endNs);
@@ -178,14 +188,12 @@ Report analyze(const Trace& trace) {
                              ? double(node.kernelCycles) / node.energyJ
                              : 0.0;
       report.totalEnergyJ += node.energyJ;
+      report.kernelCycles += node.kernelCycles;
       report.nodes.push_back(node);
     }
-    std::uint64_t cyclesTotal = 0;
-    for (const NodeReport& node : report.nodes) {
-      cyclesTotal += node.kernelCycles;
-    }
     report.perfPerWatt = report.totalEnergyJ > 0.0
-                             ? double(cyclesTotal) / report.totalEnergyJ
+                             ? double(report.kernelCycles) /
+                                   report.totalEnergyJ
                              : 0.0;
   }
 
@@ -261,7 +269,8 @@ Report analyze(const Trace& trace) {
 
   // --- counters & host spans --------------------------------------------
   // Counters are cumulative; the final sample per (name, device) is the
-  // total. Totals are summed across devices.
+  // total. Totals are summed across devices. Counters named after a
+  // derived total (h2d_bytes, ...) in older traces fall through unread.
   std::map<std::pair<std::string, std::uint32_t>, std::uint64_t> finals;
   for (const CounterRecord& c : trace.counters) {
     finals[{trace.str(c.name), c.device}] = c.value;
@@ -284,13 +293,7 @@ Report analyze(const Trace& trace) {
       }
       continue;
     }
-    if (key.first == "h2d_bytes") {
-      report.h2dBytes += value;
-    } else if (key.first == "d2h_bytes") {
-      report.d2hBytes += value;
-    } else if (key.first == "kernel_cycles") {
-      report.kernelCycles += value;
-    } else if (key.first == "cache_hits") {
+    if (key.first == "cache_hits") {
       report.cacheHits += value;
     } else if (key.first == "cache_misses") {
       report.cacheMisses += value;
@@ -298,11 +301,6 @@ Report analyze(const Trace& trace) {
       report.intermediateBytes += value;
     } else if (key.first == "halo_bytes") {
       report.haloBytes += value;
-    } else if (key.first == "sched_concurrent_jobs") {
-      report.maxConcurrentJobs =
-          std::max(report.maxConcurrentJobs, value);
-    } else if (key.first == "internode_bytes") {
-      report.internodeBytes += value;
     }
   }
   for (const HostSpanRecord& h : trace.hostSpans) {
@@ -311,6 +309,8 @@ Report analyze(const Trace& trace) {
     } else if (h.kind == HostKind::Scheduler) {
       ++report.schedulerJobs;
       report.schedQueueWaitNs += h.value;
+      report.maxConcurrentJobs =
+          std::max<std::uint64_t>(report.maxConcurrentJobs, h.lane);
     } else if (h.kind == HostKind::TenantJob) {
       TenantReport& tenant = tenants[trace.str(h.name)];
       ++tenant.jobs;

@@ -101,6 +101,8 @@ struct Report {
   /// balanced; 1 = the busiest device worked twice the average. The
   /// number weighted block distributions exist to drive toward 0.
   double computeImbalance = 0.0;
+  /// Summed from the commands: payload bytes of every H2D / D2H engine
+  /// command, and cycles of every kernel command.
   std::uint64_t h2dBytes = 0;
   std::uint64_t d2hBytes = 0;
   std::uint64_t kernelCycles = 0;
@@ -116,18 +118,18 @@ struct Report {
   /// "halo_bytes" counter). Scales with the cut surface, not the
   /// volume — the quantity multi-device stencils try to overlap away.
   std::uint64_t haloBytes = 0;
-  /// Async task-graph scheduler activity: jobs dispatched by drains
-  /// (HostKind::Scheduler spans), the summed virtual time jobs spent
-  /// registered-but-undispatched (each span's value), and the largest
-  /// number of jobs outstanding at any drain (the
-  /// "sched_concurrent_jobs" counter's final — monotone — sample). All
-  /// zero for synchronous (SKELCL_ASYNC=0) runs.
+  /// Async task-graph scheduler activity, all from HostKind::Scheduler
+  /// spans: jobs dispatched by drains (one span each), the summed
+  /// virtual time jobs spent registered-but-undispatched (each span's
+  /// value), and the largest number of jobs outstanding at any traced
+  /// drain (the highest span lane; a drain puts its job i on lane
+  /// 1 + i). All zero for synchronous (SKELCL_ASYNC=0) runs.
   std::uint64_t schedulerJobs = 0;
   std::uint64_t schedQueueWaitNs = 0;
   std::uint64_t maxConcurrentJobs = 0;
-  /// Bytes shipped across the simulated interconnect (cross-node peer
-  /// copies; from the "internode_bytes" counter). Zero on single-node
-  /// machines.
+  /// Bytes shipped across the simulated interconnect: the summed bytes
+  /// of the "copy_node_in" commands (the inbound leg of each cross-node
+  /// copy). Zero on single-node machines.
   std::uint64_t internodeBytes = 0;
   /// Whole-machine energy over the makespan (sum of device energyJ).
   double totalEnergyJ = 0.0;

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <map>
 
 namespace trace {
 
@@ -50,6 +51,28 @@ void appendMeta(std::string& out, const char* name, std::uint32_t pid,
   out += ",\"args\":{\"name\":\"" + escaped(value) + "\"}},\n";
 }
 
+void appendCounter(std::string& out, const std::string& name,
+                   std::uint32_t device, std::uint64_t timeNs,
+                   std::uint64_t value) {
+  out += "{\"ph\":\"C\",\"pid\":" +
+         std::to_string(device == kNoDevice ? 0 : device + 1) +
+         ",\"ts\":" + micros(timeNs) + ",\"name\":\"" + escaped(name) +
+         "\",\"args\":{\"value\":" + std::to_string(value) + "}},\n";
+}
+
+/// The per-device counter track a command advances: H2D and D2H engine
+/// commands add their bytes, kernels their cycles (the totals analyze()
+/// sums). Null for commands that advance none.
+const char* commandTrack(const CommandRecord& c) {
+  if (c.engine == 1) {
+    return "h2d_bytes";
+  }
+  if (c.engine == 2) {
+    return "d2h_bytes";
+  }
+  return c.kind == CommandKind::Kernel ? "kernel_cycles" : nullptr;
+}
+
 } // namespace
 
 std::string chromeJson(const Trace& trace) {
@@ -82,6 +105,7 @@ std::string chromeJson(const Trace& trace) {
     }
   }
 
+  std::map<std::pair<std::string, std::uint32_t>, std::uint64_t> tracks;
   for (const CommandRecord& c : trace.commands) {
     out += "{\"ph\":\"X\",\"pid\":" + std::to_string(c.device + 1) +
            ",\"tid\":" + std::to_string(c.engine) + ",\"ts\":" +
@@ -100,6 +124,11 @@ std::string chromeJson(const Trace& trace) {
       out += std::to_string(c.deps[i]);
     }
     out += "]}},\n";
+    if (const char* track = commandTrack(c)) {
+      std::uint64_t& total = tracks[{track, c.device}];
+      total += c.engine == 1 || c.engine == 2 ? c.bytes : c.cycles;
+      appendCounter(out, track, c.device, c.endNs, total);
+    }
   }
 
   for (const HostSpanRecord& h : trace.hostSpans) {
@@ -114,11 +143,13 @@ std::string chromeJson(const Trace& trace) {
   }
 
   for (const CounterRecord& c : trace.counters) {
-    out += "{\"ph\":\"C\",\"pid\":" +
-           std::to_string(c.device == kNoDevice ? 0 : c.device + 1) +
-           ",\"ts\":" + micros(c.timeNs) + ",\"name\":\"" +
-           escaped(trace.str(c.name)) + "\",\"args\":{\"value\":" +
-           std::to_string(c.value) + "}},\n";
+    // Older traces also hold the command tracks as counters; they are
+    // drawn from the commands above.
+    const std::string& name = trace.str(c.name);
+    if (name != "h2d_bytes" && name != "d2h_bytes" &&
+        name != "kernel_cycles") {
+      appendCounter(out, name, c.device, c.timeNs, c.value);
+    }
   }
 
   // Trailing comma removal keeps the emitters above uniform.

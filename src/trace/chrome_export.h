@@ -6,7 +6,8 @@
 // directly visible as horizontally overlapping slices in
 // chrome://tracing or Perfetto. Host-side runtime spans (skeletons,
 // builds, transfers) live in pid 0 ("SkelCL host"). Counters render as
-// Chrome "C" counter tracks per device.
+// Chrome "C" counter tracks per device, beside the h2d_bytes /
+// d2h_bytes / kernel_cycles tracks drawn from the commands themselves.
 #pragma once
 
 #include <string>

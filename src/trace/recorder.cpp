@@ -103,18 +103,6 @@ std::uint32_t Recorder::internLocked(std::string_view s) {
   return index;
 }
 
-void Recorder::bumpCounterLocked(std::string_view name, std::uint32_t device,
-                                 std::uint64_t timeNs, std::uint64_t delta) {
-  const std::string key = std::string(name) + "#" + std::to_string(device);
-  const std::uint64_t total = (counterTotals_[key] += delta);
-  CounterRecord record;
-  record.name = internLocked(name);
-  record.device = device;
-  record.timeNs = timeNs;
-  record.value = total;
-  trace_.counters.push_back(record);
-}
-
 void Recorder::recordCommand(const CommandInit& init) {
   std::lock_guard lock(mutex_);
   if (!enabled_.load(std::memory_order_relaxed)) {
@@ -136,22 +124,6 @@ void Recorder::recordCommand(const CommandInit& init) {
     record.deps = *init.deps;
   }
   trace_.commands.push_back(std::move(record));
-
-  // Direction counters implied by the engine the command occupied.
-  switch (init.engine) {
-    case 1: // H2D DMA
-      bumpCounterLocked("h2d_bytes", init.device, init.endNs, init.bytes);
-      break;
-    case 2: // D2H DMA
-      bumpCounterLocked("d2h_bytes", init.device, init.endNs, init.bytes);
-      break;
-    default:
-      if (init.kind == CommandKind::Kernel) {
-        bumpCounterLocked("kernel_cycles", init.device, init.endNs,
-                          init.cycles);
-      }
-      break;
-  }
 }
 
 void Recorder::recordHostSpan(HostKind kind, std::string_view name,
@@ -179,20 +151,12 @@ void Recorder::bumpCounter(std::string_view name, std::uint32_t device,
   if (!enabled_.load(std::memory_order_relaxed)) {
     return;
   }
-  bumpCounterLocked(name, device, timeNs, delta);
-}
-
-void Recorder::recordCounter(std::string_view name, std::uint32_t device,
-                             std::uint64_t timeNs, std::uint64_t value) {
-  std::lock_guard lock(mutex_);
-  if (!enabled_.load(std::memory_order_relaxed)) {
-    return;
-  }
+  const std::string key = std::string(name) + "#" + std::to_string(device);
   CounterRecord record;
   record.name = internLocked(name);
   record.device = device;
   record.timeNs = timeNs;
-  record.value = value;
+  record.value = (counterTotals_[key] += delta);
   trace_.counters.push_back(record);
 }
 

@@ -67,8 +67,9 @@ public:
     const std::vector<std::uint64_t>* deps = nullptr;
   };
 
-  /// Files an engine span and advances the per-device direction
-  /// counters it implies (h2d_bytes / d2h_bytes / kernel_cycles).
+  /// Files an engine span. It is the only record of its bytes and
+  /// cycles: analyze() and chromeJson() derive the per-device H2D/D2H
+  /// byte and kernel-cycle totals from the commands themselves.
   void recordCommand(const CommandInit& init);
 
   void recordHostSpan(HostKind kind, std::string_view name,
@@ -76,13 +77,11 @@ public:
                       std::uint64_t endNs, std::uint64_t value = 0,
                       std::uint32_t lane = 0);
 
-  /// Files a cumulative counter sample (value is the new total).
-  void recordCounter(std::string_view name, std::uint32_t device,
-                     std::uint64_t timeNs, std::uint64_t value);
-
   /// Advances a counter by `delta` and files the new per-trace total.
   /// Totals reset at start(), so traces never leak process-lifetime
   /// statistics (which would break run-to-run trace determinism).
+  /// Counters carry only facts no command or host span records: halo
+  /// and intermediate bytes, cache hits/misses, tenant accounting.
   void bumpCounter(std::string_view name, std::uint32_t device,
                    std::uint64_t timeNs, std::uint64_t delta);
 
@@ -90,8 +89,6 @@ private:
   Recorder() = default;
 
   std::uint32_t internLocked(std::string_view s);
-  void bumpCounterLocked(std::string_view name, std::uint32_t device,
-                         std::uint64_t timeNs, std::uint64_t delta);
 
   std::atomic<bool> enabled_{false};
   std::mutex mutex_;

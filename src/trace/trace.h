@@ -5,8 +5,9 @@
 // on its device's compute/H2D/D2H timeline, in virtual nanoseconds, plus
 // the dependency edges that constrained it), *host spans* (what the
 // runtime was doing: which skeleton, kernel build vs cache hit, lazy
-// transfer, redistribution), and monotone *counters* (bytes moved per
-// DMA direction, kernel cycles, kernel-cache hits/misses).
+// transfer, redistribution), and monotone *counters* for the facts
+// neither of those holds (halo and intermediate bytes, kernel-cache
+// hits/misses, tenant accounting).
 //
 // The model is deliberately plain data: the Recorder (recorder.h)
 // produces it, serialize.h round-trips it through a compact binary
@@ -91,8 +92,10 @@ struct HostSpanRecord {
   std::uint64_t value = 0;
 };
 
-/// A cumulative counter sample ("h2d_bytes" on device 2 reached V at
-/// time T). Values are monotone within one trace.
+/// A cumulative counter sample ("halo_bytes" on device 2 reached V at
+/// time T). Values are monotone within one trace. Counters hold only
+/// facts no other record carries; byte, cycle, inter-node and
+/// concurrency totals are derived from the commands and host spans.
 struct CounterRecord {
   std::uint32_t name = 0; // string-table index
   std::uint32_t device = kNoDevice;

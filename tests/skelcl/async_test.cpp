@@ -270,26 +270,34 @@ TEST(AsyncScheduler, FaultSequencesMatchSynchronousRuns) {
 
 // --- trace integration ---------------------------------------------------
 
-/// Traced multi-job run (two independent chains + a dot product).
-trace::Trace tracedMultiJobRun() {
+/// One 3-job drain (two independent chains + a dot product) inside the
+/// caller's init()..terminate() cycle.
+void multiJobDrain() {
+  Map<float> inc("float ast_inc(float x) { return x + 1.0f; }");
+  Map<float> dbl("float ast_dbl(float x) { return 2.0f * x; }");
+  Zip<float> mult("float ast_mult(float x, float y) { return x * y; }");
+  Reduce<float> sum("float ast_sum(float a, float b) { return a + b; }");
+  Vector<float> u = inc(Vector<float>(testData(8192, 1)));
+  Vector<float> v = dbl(Vector<float>(testData(8192, 2)));
+  skelcl::Scalar<float> s =
+      sum(mult(Vector<float>(testData(8192, 3)),
+               Vector<float>(testData(8192, 4))));
+  (void)u.hostData();
+  (void)v.hostData();
+  (void)s.getValue();
+}
+
+void initOneGpu() {
   skelcl_test::useTempCacheDir();
   ocl::configureSystem(ocl::SystemConfig::teslaS1070(1));
   skelcl::init(skelcl::DeviceSelection::nGPUs(1));
+}
+
+/// Traced multi-job run: one init() cycle, recorded around its drain.
+trace::Trace tracedMultiJobRun() {
+  initOneGpu();
   trace::Recorder::instance().start();
-  {
-    Map<float> inc("float ast_inc(float x) { return x + 1.0f; }");
-    Map<float> dbl("float ast_dbl(float x) { return 2.0f * x; }");
-    Zip<float> mult("float ast_mult(float x, float y) { return x * y; }");
-    Reduce<float> sum("float ast_sum(float a, float b) { return a + b; }");
-    Vector<float> u = inc(Vector<float>(testData(8192, 1)));
-    Vector<float> v = dbl(Vector<float>(testData(8192, 2)));
-    skelcl::Scalar<float> s =
-        sum(mult(Vector<float>(testData(8192, 3)),
-                 Vector<float>(testData(8192, 4))));
-    (void)u.hostData();
-    (void)v.hostData();
-    (void)s.getValue();
-  }
+  multiJobDrain();
   trace::Trace trace = trace::Recorder::instance().stop();
   skelcl::terminate();
   return trace;
@@ -341,6 +349,33 @@ TEST(AsyncScheduler, TraceCarriesSchedulerSpansAndReportCounts) {
   const std::string json = trace::chromeJson(trace);
   EXPECT_NE(json.find("async job slot"), std::string::npos);
   EXPECT_NE(json.find("sched.job"), std::string::npos);
+}
+
+// The largest drain is read from the scheduler spans of the recording
+// itself, whatever the scheduler saw outside it.
+TEST(AsyncScheduler, MaxConcurrentJobsSpansInitCycles) {
+  trace::Recorder::instance().start();
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    initOneGpu();
+    multiJobDrain();
+    skelcl::terminate();
+  }
+  const trace::Report report =
+      trace::analyze(trace::Recorder::instance().stop());
+  EXPECT_EQ(report.schedulerJobs, 6u);
+  EXPECT_EQ(report.maxConcurrentJobs, 3u);
+}
+
+TEST(AsyncScheduler, MaxConcurrentJobsIgnoresUntracedDrains) {
+  initOneGpu();
+  multiJobDrain();
+  trace::Recorder::instance().start();
+  multiJobDrain();
+  const trace::Report report =
+      trace::analyze(trace::Recorder::instance().stop());
+  skelcl::terminate();
+  EXPECT_EQ(report.schedulerJobs, 3u);
+  EXPECT_EQ(report.maxConcurrentJobs, 3u);
 }
 
 TEST(AsyncScheduler, SyncRunsCarryNoSchedulerSpans) {

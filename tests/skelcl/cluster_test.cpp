@@ -422,16 +422,16 @@ TEST_F(ClusterTest, TraceCarriesNodeTrafficAndReconcilingEnergy) {
 
   const trace::Report report = trace::analyze(t);
 
-  // Cross-node traffic flowed, and the counter agrees with the
-  // copy_node_in commands it summarizes.
+  // Cross-node traffic flowed (summed from the copy_node_in legs), and
+  // every byte that left a node over a copy_node_out leg arrived.
   EXPECT_GT(report.internodeBytes, 0u);
-  std::uint64_t nodeInBytes = 0;
+  std::uint64_t nodeOutBytes = 0;
   for (const trace::CommandRecord& c : t.commands) {
-    if (t.str(c.name) == "copy_node_in") {
-      nodeInBytes += c.bytes;
+    if (t.str(c.name) == "copy_node_out") {
+      nodeOutBytes += c.bytes;
     }
   }
-  EXPECT_EQ(report.internodeBytes, nodeInBytes);
+  EXPECT_EQ(report.internodeBytes, nodeOutBytes);
 
   // Per-device energy follows the documented formula to within 1%.
   ASSERT_EQ(report.devices.size(), 2u);

@@ -122,6 +122,51 @@ TEST(Analysis, BalancedDevicesHaveZeroImbalance) {
   EXPECT_DOUBLE_EQ(r.devices[1].loadShare, 0.5);
 }
 
+// Byte, cycle, inter-node and concurrency totals come from the commands
+// and scheduler spans; a trace without a single counter has them all.
+TEST(Analysis, DerivesTotalsFromRecordsWithoutCounters) {
+  CommandRecord write = command(1, /*engine=*/1, 0, 10);
+  write.bytes = 100;
+  CommandRecord kernel = command(2, /*engine=*/0, 10, 20, {1});
+  kernel.cycles = 7000;
+  CommandRecord read = command(3, /*engine=*/2, 20, 30, {2});
+  read.kind = CommandKind::Read;
+  read.bytes = 40;
+  // A cross-node copy: the out leg drains device 0, the in leg fills
+  // device 1; only the in leg counts as interconnect traffic.
+  CommandRecord out = command(4, /*engine=*/2, 30, 50, {3});
+  out.kind = CommandKind::CopyPeer;
+  out.bytes = 64;
+  CommandRecord in = command(5, /*engine=*/1, 30, 50, {3});
+  in.kind = CommandKind::CopyPeer;
+  in.device = 1;
+  in.bytes = 64;
+  CommandRecord remote = command(6, /*engine=*/0, 50, 60, {5});
+  remote.device = 1;
+  remote.cycles = 500;
+  Trace t = syntheticTrace({write, kernel, read, out, in, remote});
+  t.devices.push_back({1, "dev1"});
+  t.strings.push_back("copy_node_out");
+  t.strings.push_back("copy_node_in");
+  t.commands[3].name = 2;
+  t.commands[4].name = 3;
+  // Two drains of 2 and 3 jobs: lanes 1..2 and 1..3.
+  for (std::uint32_t lane : {1u, 2u, 1u, 2u, 3u}) {
+    t.hostSpans.push_back({0, trace::HostKind::Scheduler, trace::kNoDevice,
+                           lane, 0, 10, 5});
+  }
+  ASSERT_TRUE(t.counters.empty());
+
+  const Report r = trace::analyze(t);
+  EXPECT_EQ(r.h2dBytes, 100u + 64u);
+  EXPECT_EQ(r.d2hBytes, 40u + 64u);
+  EXPECT_EQ(r.kernelCycles, 7500u);
+  EXPECT_EQ(r.internodeBytes, 64u);
+  EXPECT_EQ(r.schedulerJobs, 5u);
+  EXPECT_EQ(r.schedQueueWaitNs, 25u);
+  EXPECT_EQ(r.maxConcurrentJobs, 3u);
+}
+
 TEST(Analysis, SerializedQueuesHaveZeroOverlap) {
   const auto run =
       trace_test::runWorkload(/*traced=*/true, /*serialized=*/true);

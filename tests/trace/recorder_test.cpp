@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <sstream>
 
 #include "common/byte_stream.h"
 #include "trace/chrome_export.h"
@@ -31,7 +33,7 @@ TEST(Recorder, DisabledCollectsNothing) {
   {
     trace::ScopedHostSpan span(HostKind::Skeleton, "ignored");
   }
-  Recorder::instance().recordCounter("ignored", trace::kNoDevice, 0, 1);
+  Recorder::instance().bumpCounter("ignored", trace::kNoDevice, 0, 1);
   const Trace t = Recorder::instance().stop();
   EXPECT_TRUE(t.empty());
   EXPECT_TRUE(t.commands.empty());
@@ -104,18 +106,84 @@ TEST(Recorder, WorkloadRecordsOrderedCommands) {
   for (const trace::HostSpanRecord& s : t.hostSpans) {
     EXPECT_LE(s.startNs, s.endNs);
   }
+}
 
-  // The engine-implied byte counters fired, cumulatively.
-  std::uint64_t lastH2d = 0;
-  bool sawH2d = false;
+// Bytes, cycles and inter-node traffic are recorded once, on the
+// commands: no counter restates them.
+TEST(Recorder, CommandsCarryNoCounters) {
+  const auto run =
+      trace_test::runWorkload(/*traced=*/true, /*serialized=*/false);
+  const Trace& t = run.trace;
+  ASSERT_FALSE(t.commands.empty());
+  EXPECT_LT(t.counters.size(), t.commands.size());
   for (const trace::CounterRecord& c : t.counters) {
-    if (t.str(c.name) == "h2d_bytes") {
-      EXPECT_GE(c.value, lastH2d);
-      lastH2d = c.value;
-      sawH2d = true;
+    for (const char* derived :
+         {"h2d_bytes", "d2h_bytes", "kernel_cycles", "internode_bytes",
+          "sched_concurrent_jobs", "sched_queue_wait_ns"}) {
+      EXPECT_NE(t.str(c.name), derived);
     }
   }
-  EXPECT_TRUE(sawH2d);
+}
+
+/// (ts, value) of one Chrome "C" event line.
+using Sample = std::pair<std::string, std::uint64_t>;
+
+/// Parses the "C" events chromeJson() wrote, keyed by (name, pid).
+std::map<std::pair<std::string, int>, std::vector<Sample>> chromeCounters(
+    const std::string& json) {
+  std::map<std::pair<std::string, int>, std::vector<Sample>> tracks;
+  std::istringstream lines(json);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("{\"ph\":\"C\",", 0) != 0) {
+      continue;
+    }
+    auto field = [&](const std::string& key) {
+      const std::string tag = "\"" + key + "\":";
+      const std::size_t at = line.find(tag) + tag.size();
+      return line.substr(at, line.find_first_of(",}", at) - at);
+    };
+    const std::string name = field("name");
+    tracks[{name.substr(1, name.size() - 2), std::stoi(field("pid"))}]
+        .emplace_back(field("ts"), std::stoull(field("value")));
+  }
+  return tracks;
+}
+
+// The Chrome export draws each device's h2d_bytes / d2h_bytes /
+// kernel_cycles track from the commands: one sample at every command's
+// end, carrying the running total of its direction on its device.
+TEST(Recorder, ChromeExportDrawsCommandTracks) {
+  const auto run =
+      trace_test::runWorkload(/*traced=*/true, /*serialized=*/false);
+  const Trace& t = run.trace;
+  std::map<std::pair<std::string, int>, std::vector<Sample>> expected;
+  std::map<std::pair<std::string, int>, std::uint64_t> totals;
+  for (const CommandRecord& c : t.commands) {
+    const char* name = c.engine == 1   ? "h2d_bytes"
+                       : c.engine == 2 ? "d2h_bytes"
+                       : c.kind == CommandKind::Kernel ? "kernel_cycles"
+                                                       : nullptr;
+    if (name == nullptr) {
+      continue;
+    }
+    const std::pair<std::string, int> key{name, int(c.device) + 1};
+    std::uint64_t& total = totals[key];
+    total += c.engine == 0 ? c.cycles : c.bytes;
+    char ts[32];
+    std::snprintf(ts, sizeof(ts), "%llu.%03u",
+                  (unsigned long long)(c.endNs / 1000),
+                  unsigned(c.endNs % 1000));
+    expected[key].emplace_back(ts, total);
+  }
+  for (const char* name : {"h2d_bytes", "d2h_bytes", "kernel_cycles"}) {
+    ASSERT_TRUE(expected.count({name, 1})) << name;
+  }
+
+  auto drawn = chromeCounters(trace::chromeJson(t));
+  for (const auto& [key, samples] : expected) {
+    EXPECT_EQ(drawn[key], samples) << key.first << " pid " << key.second;
+  }
 }
 
 TEST(Recorder, BinaryRoundTripIsLossless) {
