@@ -5,10 +5,13 @@
 // Compares a chain of skeleton calls with SkelCL's lazy vectors against
 // the same chain with forced host round-trips between stages (what a
 // naive implementation without device-residency tracking would do).
+// Fusion is off in both arms: with it, the lazy arm would also fuse its
+// maps into the zip, and that gain is bench_fusion's row.
 #include "bench_util.h"
 
 int main() {
   bench::setupCacheDir("lazycopy");
+  ::setenv("SKELCL_FUSION", "0", 1);
   bench::setupSystem(1);
 
   const auto n = std::size_t(double(1 << 18) * bench::scale());

@@ -1,15 +1,31 @@
 // Supports the paper's cross-cutting claim (Sec. IV): "SkelCL introduces
 // a tolerable overhead of less than 5% as compared to OpenCL."
 //
-// For each skeleton, times the SkelCL call against a hand-written
+// For Map, Zip and Reduce, times the SkelCL call against a hand-written
 // OpenCL-host-API implementation of the same operation across a size
-// sweep, and prints the overhead.
+// sweep, and prints the overhead. Scan has no baseline (the paper makes
+// no Scan overhead claim); its row is SkelCL virtual time per call.
+// Every call uploads fresh input, so each row is a fixed, deterministic
+// schedule of commands.
 #include "bench_util.h"
 
 namespace {
 
-/// Hand-written map: out[i] = in[i] * 2 + 1.
-double rawMapMs(const std::vector<float>& in, std::size_t repetitions) {
+/// Virtual ms per `call()`, averaged over `repetitions` calls.
+template <typename Call>
+double perCallMs(std::size_t repetitions, Call&& call) {
+  const auto start = ocl::hostTimeNs();
+  for (std::size_t r = 0; r < repetitions; ++r) {
+    call();
+  }
+  return double(ocl::hostTimeNs() - start) * 1e-6 / double(repetitions);
+}
+
+/// Hand-written element-wise kernel over one input (map: out[i] =
+/// in[i] * 2 + 1) or two (zip: out[i] = a[i] * b[i]), each input
+/// uploaded from `in` on every repetition.
+double rawElementwiseMs(const std::vector<float>& in, std::size_t inputs,
+                        std::size_t repetitions) {
   const auto gpus = ocl::getPlatforms()[0].devices(ocl::DeviceType::GPU);
   ocl::Context ctx({gpus[0]});
   ocl::CommandQueue queue(gpus[0]);
@@ -17,38 +33,35 @@ double rawMapMs(const std::vector<float>& in, std::size_t repetitions) {
     __kernel void m(__global const float* in, __global float* out, uint n) {
       size_t i = get_global_id(0);
       if (i < n) out[i] = in[i] * 2.0f + 1.0f;
+    }
+    __kernel void z(__global const float* a, __global const float* b,
+                    __global float* out, uint n) {
+      size_t i = get_global_id(0);
+      if (i < n) out[i] = a[i] * b[i];
     })");
   program.build();
   const std::size_t bytes = in.size() * sizeof(float);
-  ocl::Buffer bufIn = ctx.createBuffer(gpus[0], bytes);
+  std::vector<ocl::Buffer> bufIns;
+  for (std::size_t k = 0; k < inputs; ++k) {
+    bufIns.push_back(ctx.createBuffer(gpus[0], bytes));
+  }
   ocl::Buffer bufOut = ctx.createBuffer(gpus[0], bytes);
   std::vector<float> out(in.size());
 
-  const auto start = ocl::hostTimeNs();
-  for (std::size_t r = 0; r < repetitions; ++r) {
-    queue.enqueueWriteBuffer(bufIn, 0, bytes, in.data());
-    ocl::Kernel kernel = program.createKernel("m");
-    kernel.setArg(0, bufIn);
-    kernel.setArg(1, bufOut);
-    kernel.setArg(2, std::uint32_t(in.size()));
+  return perCallMs(repetitions, [&] {
+    ocl::Kernel kernel = program.createKernel(inputs == 1 ? "m" : "z");
+    for (std::size_t k = 0; k < inputs; ++k) {
+      queue.enqueueWriteBuffer(bufIns[k], 0, bytes, in.data());
+      kernel.setArg(k, bufIns[k]);
+    }
+    kernel.setArg(inputs, bufOut);
+    kernel.setArg(inputs + 1, std::uint32_t(in.size()));
     const std::size_t wg = 256;
     queue.enqueueNDRange(
         kernel, ocl::NDRange1D{(in.size() + wg - 1) / wg * wg, wg});
     queue.enqueueReadBuffer(bufOut, 0, bytes, out.data(),
                             /*blocking=*/true);
-  }
-  return double(ocl::hostTimeNs() - start) * 1e-6 / double(repetitions);
-}
-
-double skelclMapMs(const std::vector<float>& in, std::size_t repetitions) {
-  skelcl::Map<float> map("float m(float x) { return x * 2.0f + 1.0f; }");
-  const auto start = ocl::hostTimeNs();
-  for (std::size_t r = 0; r < repetitions; ++r) {
-    skelcl::Vector<float> input(in.data(), in.size()); // fresh upload
-    skelcl::Vector<float> output = map(input);
-    (void)output.hostData();
-  }
-  return double(ocl::hostTimeNs() - start) * 1e-6 / double(repetitions);
+  });
 }
 
 /// Hand-written reduce (sum): same two-stage local-memory scheme the
@@ -87,8 +100,7 @@ double rawReduceMs(const std::vector<float>& in,
   ocl::Buffer bufPart = ctx.createBuffer(gpus[0], 64 * sizeof(float));
   ocl::Buffer bufOut = ctx.createBuffer(gpus[0], sizeof(float));
 
-  const auto start = ocl::hostTimeNs();
-  for (std::size_t r = 0; r < repetitions; ++r) {
+  return perCallMs(repetitions, [&] {
     queue.enqueueWriteBuffer(bufIn, 0, bytes, in.data());
     std::size_t count = in.size();
     ocl::Buffer src = bufIn;
@@ -107,19 +119,7 @@ double rawReduceMs(const std::vector<float>& in,
     float result = 0;
     queue.enqueueReadBuffer(src, 0, sizeof(float), &result,
                             /*blocking=*/true);
-  }
-  return double(ocl::hostTimeNs() - start) * 1e-6 / double(repetitions);
-}
-
-double skelclReduceMs(const std::vector<float>& in,
-                      std::size_t repetitions) {
-  skelcl::Reduce<float> sum("float s(float x, float y) { return x + y; }");
-  const auto start = ocl::hostTimeNs();
-  for (std::size_t r = 0; r < repetitions; ++r) {
-    skelcl::Vector<float> input(in.data(), in.size());
-    (void)sum(input).getValue();
-  }
-  return double(ocl::hostTimeNs() - start) * 1e-6 / double(repetitions);
+  });
 }
 
 } // namespace
@@ -132,6 +132,17 @@ int main() {
   std::printf("%-10s %10s %14s %14s %10s\n", "skeleton", "n",
               "OpenCL[ms]", "SkelCL[ms]", "overhead");
 
+  skelcl::Map<float> map("float m(float x) { return x * 2.0f + 1.0f; }");
+  skelcl::Zip<float> zip("float z(float x, float y) { return x * y; }");
+  skelcl::Reduce<float> sum("float s(float x, float y) { return x + y; }");
+  skelcl::Scan<float> scan("float s(float x, float y) { return x + y; }",
+                           "0.0f");
+  const auto row = [](const char* skeleton, std::size_t n, double raw,
+                      double skel) {
+    std::printf("%-10s %10zu %14.3f %14.3f %+9.1f%%\n", skeleton, n, raw,
+                skel, (skel / raw - 1.0) * 100.0);
+  };
+
   bool withinBounds = true;
   const std::size_t repetitions = 3;
   for (const std::size_t n :
@@ -140,14 +151,31 @@ int main() {
     for (std::size_t i = 0; i < n; ++i) {
       data[i] = float(i % 100) * 0.01f;
     }
-    const double rawMap = rawMapMs(data, repetitions);
-    const double skelMap = skelclMapMs(data, repetitions);
-    std::printf("%-10s %10zu %14.3f %14.3f %+9.1f%%\n", "map", n, rawMap,
-                skelMap, (skelMap / rawMap - 1.0) * 100.0);
+    const double rawMap = rawElementwiseMs(data, 1, repetitions);
+    const double skelMap = perCallMs(repetitions, [&] {
+      skelcl::Vector<float> input(data.data(), n);
+      (void)map(input).hostData();
+    });
+    row("map", n, rawMap, skelMap);
+    const double rawZip = rawElementwiseMs(data, 2, repetitions);
+    const double skelZip = perCallMs(repetitions, [&] {
+      skelcl::Vector<float> a(data.data(), n);
+      skelcl::Vector<float> b(data.data(), n);
+      (void)zip(a, b).hostData();
+    });
+    row("zip", n, rawZip, skelZip);
     const double rawRed = rawReduceMs(data, repetitions);
-    const double skelRed = skelclReduceMs(data, repetitions);
-    std::printf("%-10s %10zu %14.3f %14.3f %+9.1f%%\n", "reduce", n,
-                rawRed, skelRed, (skelRed / rawRed - 1.0) * 100.0);
+    const double skelRed = perCallMs(repetitions, [&] {
+      skelcl::Vector<float> input(data.data(), n);
+      (void)sum(input).getValue();
+    });
+    row("reduce", n, rawRed, skelRed);
+    const double skelScan = perCallMs(repetitions, [&] {
+      skelcl::Vector<float> input(data.data(), n);
+      (void)scan(input).hostData();
+    });
+    std::printf("%-10s %10zu %14s %14.3f %10s\n", "scan", n, "-", skelScan,
+                "-");
     if (n >= (std::size_t(1) << 16)) {
       withinBounds &= skelMap / rawMap < 1.05;
       // The generic Reduce pays for working without an identity element

@@ -70,9 +70,6 @@ std::optional<BuiltinCall> resolveBuiltin(const std::string& name,
                                           const std::vector<const Type*>& argTypes,
                                           TypeTable& types);
 
-/// True when the builtin id is a barrier (needs VM yield handling).
-inline bool isBarrier(Builtin b) noexcept { return b == Builtin::Barrier; }
-
 // Row lookups into the builtin table (builtins.cpp): one row per Builtin
 // with its canonical name, family (which fixes the arity) and cost.
 

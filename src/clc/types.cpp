@@ -178,7 +178,6 @@ const Type* TypeTable::forwardDeclareStruct(const std::string& name) {
   t->kind_ = Type::Kind::Struct;
   t->name_ = name;
   structs_[name] = t;
-  structOrder_.push_back(t);
   return t;
 }
 

@@ -70,9 +70,6 @@ public:
   bool isVoid() const noexcept {
     return isScalar() && scalar_ == ScalarKind::Void;
   }
-  bool isBool() const noexcept {
-    return isScalar() && scalar_ == ScalarKind::Bool;
-  }
   bool isIntegerScalar() const noexcept {
     return isScalar() && isInteger(scalar_);
   }
@@ -180,11 +177,6 @@ public:
   /// Looks up a struct by name; nullptr when unknown.
   const Type* findStruct(const std::string& name) const noexcept;
 
-  /// All struct types in declaration order (used by the serializer).
-  const std::vector<const Type*>& structsInOrder() const noexcept {
-    return structOrder_;
-  }
-
 private:
   Type* allocate();
 
@@ -193,7 +185,6 @@ private:
   std::unordered_map<const Type*,
                      std::array<const Type*, 4>> pointerCache_;
   std::unordered_map<std::string, const Type*> structs_;
-  std::vector<const Type*> structOrder_;
   std::vector<std::pair<std::pair<const Type*, std::uint64_t>, const Type*>>
       arrayCache_;
 };

@@ -53,9 +53,6 @@ struct NDRange {
   // against split transfers without touching kernel source.
   std::size_t globalOffset[3] = {0, 0, 0};
 
-  std::size_t totalGlobal() const noexcept {
-    return globalSize[0] * globalSize[1] * globalSize[2];
-  }
   std::size_t totalLocal() const noexcept {
     return localSize[0] * localSize[1] * localSize[2];
   }

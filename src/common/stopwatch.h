@@ -10,14 +10,9 @@ class Stopwatch {
 public:
   Stopwatch() noexcept : start_(Clock::now()) {}
 
-  void restart() noexcept { start_ = Clock::now(); }
-
   double elapsedSeconds() const noexcept {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  double elapsedMillis() const noexcept { return elapsedSeconds() * 1e3; }
-  double elapsedMicros() const noexcept { return elapsedSeconds() * 1e6; }
 
 private:
   using Clock = std::chrono::steady_clock;

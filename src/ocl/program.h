@@ -156,7 +156,6 @@ public:
   };
   const std::vector<StagedArg>& stagedArgs() const noexcept { return args_; }
   const clc::Program& program() const { return *program_; }
-  const clc::FunctionInfo& functionInfo() const { return *func_; }
   const clc::KernelInfo& kernelInfo() const { return *kernel_; }
 
 private:

@@ -146,15 +146,6 @@ public:
     fusionStats_.intermediateBuffers.fetch_add(1);
     fusionStats_.intermediateBytes.fetch_add(bytes);
   }
-  /// Zeroes the fusion counters. Together with KernelCache::resetStats
-  /// this gives back-to-back bench scenarios (and per-tenant scopes) a
-  /// clean slate without an init() cycle.
-  void resetFusionStats() noexcept {
-    fusionStats_.fusedStages.store(0);
-    fusionStats_.fusedLaunches.store(0);
-    fusionStats_.intermediateBuffers.store(0);
-    fusionStats_.intermediateBytes.store(0);
-  }
 
   /// Drops the per-init program memo (the disk cache underneath stays).
   /// The job service's "per-tenant isolation" baseline uses this to make

@@ -83,10 +83,6 @@ public:
     std::lock_guard lock(statsMutex_);
     return stats_;
   }
-  void resetStats() {
-    std::lock_guard lock(statsMutex_);
-    stats_ = Stats{};
-  }
 
 private:
   std::string entryPath(const std::string& source,

@@ -115,8 +115,6 @@ public:
   ScopedHostSpan(const ScopedHostSpan&) = delete;
   ScopedHostSpan& operator=(const ScopedHostSpan&) = delete;
 
-  void setValue(std::uint64_t value) noexcept { value_ = value; }
-
   ~ScopedHostSpan() {
     if (active_) {
       Recorder::instance().recordHostSpan(kind_, name_, device_, startNs_,

@@ -138,8 +138,7 @@ TEST_F(EdgeCases, LargeStructElements) {
 
 TEST_F(EdgeCases, ManySmallSkeletonCallsReuseCompiledProgram) {
   skelcl::Map<int> inc("int f(int x) { return x + 1; }");
-  auto& cache = skelcl::detail::Runtime::instance().kernelCache();
-  cache.resetStats();
+  skelcl::detail::StatsScope scope;
   Vector<int> v(std::vector<int>{1});
   for (int i = 0; i < 50; ++i) {
     v = inc(v);
@@ -148,7 +147,8 @@ TEST_F(EdgeCases, ManySmallSkeletonCallsReuseCompiledProgram) {
   // Fusion chops the 50-deep chain into max-depth fused programs plus
   // one shorter remainder, so at most two distinct programs get built;
   // the program memo serves every repeat without touching the cache.
-  EXPECT_LE(cache.stats().hits + cache.stats().misses, 2u);
+  const auto cache = scope.cacheDelta();
+  EXPECT_LE(cache.hits + cache.misses, 2u);
 }
 
 TEST_F(EdgeCases, ScanOfEmptyVectorIsEmpty) {
