@@ -26,23 +26,31 @@ BackendProfile BackendProfile::forBackend(Backend backend) noexcept {
   return BackendProfile{1.0, 5'000, 1'000};
 }
 
-std::uint64_t TimingModel::kernelDurationNs(
+std::vector<double> TimingModel::computeUnitCycles(
     const clc::LaunchStats& stats) const {
-  // Schedule work-groups round-robin onto compute units. Per-CU cycle
-  // sums accumulate in double: truncating sumCycles/pes to an integer
-  // per work-group systematically under-billed kernels with many groups
+  // Dispatch work-groups as a GPU's block scheduler does: in group-index
+  // order, each to the compute unit that frees up first, i.e. the one
+  // with the fewest accumulated cycles (lowest index on ties). With at
+  // most one group per CU this is group g on CU g. Per-CU cycle sums
+  // accumulate in double: truncating sumCycles/pes to an integer per
+  // work-group systematically under-billed kernels with many groups
   // smaller than one CU's PE width (every group lost up to 1 cycle, and
   // a group with sumCycles < pes and maxCycles == 1 lost its fraction
   // entirely whenever the division rounded to the max anyway).
-  const std::size_t cus = std::max<std::size_t>(1, spec_.computeUnits);
-  std::vector<double> cuCycles(cus, 0.0);
+  std::vector<double> cuCycles(
+      std::max<std::size_t>(1, spec_.computeUnits), 0.0);
   const double pes = double(std::max<std::uint32_t>(1, spec_.pesPerUnit));
-  for (std::size_t g = 0; g < stats.groups.size(); ++g) {
-    const clc::GroupCost& group = stats.groups[g];
+  for (const clc::GroupCost& group : stats.groups) {
     const double throughputCycles = double(group.sumCycles) / pes;
-    cuCycles[g % cus] +=
+    *std::min_element(cuCycles.begin(), cuCycles.end()) +=
         std::max(throughputCycles, double(group.maxCycles));
   }
+  return cuCycles;
+}
+
+std::uint64_t TimingModel::kernelDurationNs(
+    const clc::LaunchStats& stats) const {
+  const std::vector<double> cuCycles = computeUnitCycles(stats);
   const double critical =
       *std::max_element(cuCycles.begin(), cuCycles.end());
 

@@ -10,6 +10,7 @@
 //            + max(compute, memory)                       (roofline)
 //   compute  = max over CUs of (sum of its groups' cycles)
 //              / (clock * backend_efficiency)
+//              (groups go, in index order, to the least-loaded CU)
 //   group    = max(sum_item_cycles / PEs_per_CU, slowest_item)
 //   memory   = global bytes moved / device bandwidth
 //   transfer = pcie_latency + bytes / pcie_bandwidth
@@ -35,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "clc/vm.h"
 #include "ocl/device.h"
@@ -57,6 +59,11 @@ class TimingModel {
 public:
   TimingModel(const DeviceSpec& spec, Backend backend) noexcept
       : spec_(spec), profile_(BackendProfile::forBackend(backend)) {}
+
+  /// Cycles each compute unit spends on the launch's work-groups, which
+  /// are dispatched in index order to the least-loaded CU (lowest index
+  /// on ties). kernelDurationNs bills the largest entry.
+  std::vector<double> computeUnitCycles(const clc::LaunchStats& stats) const;
 
   /// Duration of a kernel launch with the given execution profile.
   std::uint64_t kernelDurationNs(const clc::LaunchStats& stats) const;

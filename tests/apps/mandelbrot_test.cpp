@@ -63,22 +63,39 @@ TEST_F(MandelbrotTest, SkelClMatchesReference) {
 }
 
 TEST_F(MandelbrotTest, RuntimeOrderMatchesPaper) {
-  // Fig. 1 shape: CUDA fastest, OpenCL next, SkelCL adds < ~5% overhead
-  // on top of OpenCL.
-  mandelbrot::FractalParams p = params_;
-  p.width = 256;
-  p.height = 192;
-  const auto cuda = mandelbrot::computeCuda(p);
-  const auto opencl = mandelbrot::computeOpenCl(p);
-  const auto skelcl = mandelbrot::computeSkelCl(p);
+  // Fig. 1 shape at its default size (384x288, 256 iterations): CUDA
+  // fastest, SkelCL within the paper's < 5 % of OpenCL and no large win
+  // either (it measures -3.4 %; EXPERIMENTS.md note 1 explains why).
+  const mandelbrot::FractalParams fig1 =
+      mandelbrot::FractalParams::benchSize();
+  const auto cuda = mandelbrot::computeCuda(fig1);
+  const auto opencl = mandelbrot::computeOpenCl(fig1);
+  const auto skelcl = mandelbrot::computeSkelCl(fig1);
   EXPECT_LT(cuda.virtualSeconds, opencl.virtualSeconds);
-  // The paper reports SkelCL ~4% over OpenCL; our measurement lands at
-  // parity (the position upload is offset by better load balance of the
-  // 1-D default geometry — see EXPERIMENTS.md). Assert the paper's
-  // qualitative claim: overhead below 5%, and no large win either.
   EXPECT_LT(skelcl.virtualSeconds / opencl.virtualSeconds, 1.05)
       << "SkelCL overhead should be small";
   EXPECT_GT(skelcl.virtualSeconds / opencl.virtualSeconds, 0.90);
+
+  // At 256x192 with 32 iterations compute no longer hides SkelCL's
+  // extra work, and the paper's explanation (Sec. IV-A) shows directly:
+  // the baselines derive each pixel's coordinates from its thread id,
+  // SkelCL's Map uploads them (two floats per pixel). SkelCL is slower
+  // than OpenCL by at most that upload's modelled duration.
+  mandelbrot::FractalParams small = params_;
+  small.width = 256;
+  small.height = 192;
+  const auto smallCuda = mandelbrot::computeCuda(small);
+  const auto smallOpenCl = mandelbrot::computeOpenCl(small);
+  const auto smallSkelCl = mandelbrot::computeSkelCl(small);
+  EXPECT_LT(smallCuda.virtualSeconds, smallOpenCl.virtualSeconds);
+  const double gapNs =
+      (smallSkelCl.virtualSeconds - smallOpenCl.virtualSeconds) * 1e9;
+  const ocl::TimingModel model(ocl::DeviceSpec::teslaT10(),
+                               ocl::Backend::OpenCL);
+  const double uploadNs =
+      double(model.transferDurationNs(small.pixels() * 2 * sizeof(float)));
+  EXPECT_GT(gapNs, 0.0);
+  EXPECT_LE(gapNs, uploadNs) << "SkelCL's extra time is the upload";
 }
 
 TEST_F(MandelbrotTest, CustomWorkGroupSize) {

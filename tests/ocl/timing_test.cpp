@@ -311,6 +311,106 @@ TEST_F(OclTiming, KernelDurationAccumulatesFractionalGroupCycles) {
   EXPECT_EQ(model.kernelDurationNs(stats), overhead + 50u);
 }
 
+// A synthetic device on which a group of GroupCost{c, c} costs exactly c
+// cycles and one cycle is one nanosecond (1 PE per CU, 1 GHz, CUDA
+// efficiency 1.0, memory never the roofline).
+ocl::TimingModel dispatchModel(std::uint32_t computeUnits) {
+  ocl::DeviceSpec spec = ocl::DeviceSpec::teslaT10();
+  spec.computeUnits = computeUnits;
+  spec.pesPerUnit = 1;
+  spec.clockGHz = 1.0;
+  spec.memBandwidthGBs = 1e9;
+  return ocl::TimingModel(spec, ocl::Backend::Cuda);
+}
+
+clc::LaunchStats groupsOfCycles(const std::vector<std::uint64_t>& cycles) {
+  clc::LaunchStats stats;
+  for (const std::uint64_t c : cycles) stats.groups.push_back({c, c});
+  return stats;
+}
+
+const std::uint64_t kCudaLaunchNs =
+    ocl::BackendProfile::forBackend(ocl::Backend::Cuda).launchOverheadNs;
+
+TEST_F(OclTiming, FewerGroupsThanComputeUnitsKeepGroupPerUnit) {
+  // With at most one group per CU, first-free dispatch puts group g on
+  // CU g, exactly as the round-robin rule it replaced: launches of up
+  // to 30 groups on a T10 bill the same duration under both.
+  const ocl::TimingModel model = dispatchModel(30);
+  const std::vector<std::uint64_t> cycles = {7, 5, 12, 3, 12, 40, 1};
+  const clc::LaunchStats few = groupsOfCycles(cycles);
+  std::vector<double> roundRobin(30, 0.0);
+  for (std::size_t g = 0; g < cycles.size(); ++g)
+    roundRobin[g % 30] += double(cycles[g]);
+  EXPECT_EQ(model.computeUnitCycles(few), roundRobin);
+  EXPECT_EQ(model.kernelDurationNs(few), kCudaLaunchNs + 40u);
+
+  std::vector<std::uint64_t> full(30);
+  for (std::size_t g = 0; g < full.size(); ++g) full[g] = 1 + (g * 17) % 23;
+  const std::vector<double> perCu =
+      model.computeUnitCycles(groupsOfCycles(full));
+  for (std::size_t g = 0; g < full.size(); ++g)
+    EXPECT_EQ(perCu[g], double(full[g])) << "group " << g;
+  EXPECT_EQ(model.kernelDurationNs(groupsOfCycles(full)),
+            kCudaLaunchNs + 23u);
+
+  // A zero-cost group leaves its CU idle, so the next group shares it
+  // and the later ones shift down a CU; every group still starts on an
+  // idle CU, and the duration is round-robin's max group, 12.
+  const clc::LaunchStats withEmpty = groupsOfCycles({7, 0, 12, 3});
+  EXPECT_EQ(model.computeUnitCycles(withEmpty)[1], 12.0);
+  EXPECT_EQ(model.kernelDurationNs(withEmpty), kCudaLaunchNs + 12u);
+}
+
+TEST_F(OclTiming, NextGroupGoesToFirstFreeComputeUnit) {
+  // A heavy group 0 keeps CU 0 busy while CUs 1-3 finish one light group
+  // each, so the last light group starts on CU 1 (first free, lowest
+  // index among the three), not on CU 0 as round-robin g % 4 put it.
+  const ocl::TimingModel model = dispatchModel(4);
+  const clc::LaunchStats stats = groupsOfCycles({10, 4, 4, 4, 4});
+  EXPECT_EQ(model.computeUnitCycles(stats),
+            (std::vector<double>{10, 8, 4, 4}));
+  EXPECT_EQ(model.kernelDurationNs(stats), kCudaLaunchNs + 10u); // g%4: 14
+}
+
+TEST_F(OclTiming, EqualComputeUnitLoadsTieToLowestIndex) {
+  // After three equal groups on three CUs every CU is equally loaded;
+  // group 3 then goes to CU 0 and group 4 to CU 1.
+  const ocl::TimingModel model = dispatchModel(3);
+  EXPECT_EQ(model.computeUnitCycles(groupsOfCycles({2, 2, 2, 5, 1})),
+            (std::vector<double>{7, 3, 2}));
+  // The same from a tie among a subset: CUs 1 and 2 both hold 1 cycle.
+  EXPECT_EQ(model.computeUnitCycles(groupsOfCycles({6, 1, 1, 4})),
+            (std::vector<double>{6, 5, 1}));
+}
+
+TEST_F(OclTiming, HotColumnsSharingAFactorWithComputeUnitsSpreadOut) {
+  // An image whose rows span 2 work-groups, hot on the left (9 cycles)
+  // and cold on the right (1 cycle), on 4 CUs. Round-robin g % 4 put
+  // every hot group on CUs 0 and 2 (18 cycles each, CUs 1 and 3 idle at
+  // 2); first-free dispatch moves the later hot groups onto the CUs the
+  // cold groups freed, and the kernel's critical path drops from 18 to
+  // 11 cycles.
+  const ocl::TimingModel model = dispatchModel(4);
+  const clc::LaunchStats stats = groupsOfCycles({9, 1, 9, 1, 9, 1, 9, 1});
+  EXPECT_EQ(model.computeUnitCycles(stats),
+            (std::vector<double>{10, 10, 9, 11}));
+  EXPECT_EQ(model.kernelDurationNs(stats), kCudaLaunchNs + 11u); // g%4: 18
+
+  // The same pattern on a T10's 30 CUs with rows of 6 groups (6 shares
+  // the factor 6 with 30) and 10 rows: round-robin stacked the 10 hot
+  // groups of column 0 on CUs 0, 6, 12, 18 and 24, two each, for
+  // 2 x 9 = 18 cycles; first-free dispatch puts them on 10 different
+  // CUs, and the busiest holds one hot and one cold group, 10 cycles.
+  const ocl::TimingModel t10 = dispatchModel(30);
+  std::vector<std::uint64_t> image;
+  for (int row = 0; row < 10; ++row)
+    for (int column = 0; column < 6; ++column)
+      image.push_back(column == 0 ? 9 : 1);
+  EXPECT_EQ(t10.kernelDurationNs(groupsOfCycles(image)),
+            kCudaLaunchNs + 10u); // g%30: 18
+}
+
 TEST_F(OclTiming, PeerCopyLegsOverlapInsteadOfSumming) {
   // Regression: the staged cross-device copy charged src-D2H plus
   // dst-H2D as a strict sum — the full PCIe latency and wire time
