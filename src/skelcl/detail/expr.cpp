@@ -59,11 +59,6 @@ struct DepthGuard {
 void evaluateNode(const std::shared_ptr<ExprNode>& node,
                   const std::shared_ptr<VectorState>& out);
 
-std::string saltFor(const FusionPlan& plan, bool fusionEnabled) {
-  return std::string("fusion=") + (fusionEnabled ? "1" : "0") + ";" +
-         plan.compositionKey;
-}
-
 /// Distinct leaf states in first-occurrence order. Binding happens per
 /// occurrence; upload-piece consumption and dependency collection happen
 /// once per distinct state (zip(a, a) must not double-consume a's
@@ -155,8 +150,7 @@ std::string elementwiseSource(const FusionPlan& plan, const ExprNode& node) {
 
 void runElementwise(const std::shared_ptr<ExprNode>& node,
                     const std::shared_ptr<VectorState>& out,
-                    const FusionPlan& plan, Runtime& runtime,
-                    const std::string& salt) {
+                    const FusionPlan& plan, Runtime& runtime) {
   alignLeaves(plan);
   prepareStageArguments(plan);
 
@@ -171,8 +165,7 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
                         leaf0.chunks());
   }
 
-  ocl::Program& program =
-      runtime.programFor(elementwiseSource(plan, *node), salt);
+  ocl::Program& program = runtime.programFor(elementwiseSource(plan, *node));
   const std::string kernelName = elementwiseKernelName(plan);
 
   // Per-device chunks are disjoint, so any visit order is legal (the
@@ -367,8 +360,7 @@ std::pair<ocl::Buffer, ocl::Event> reduceTree(
 
 void runReduce(const std::shared_ptr<ExprNode>& node,
                const std::shared_ptr<VectorState>& out,
-               const FusionPlan& plan, Runtime& runtime,
-               const std::string& salt) {
+               const FusionPlan& plan, Runtime& runtime) {
   alignLeaves(plan);
   prepareStageArguments(plan);
 
@@ -378,7 +370,7 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
   const bool fused = plan.fusedStages > 0;
 
   ocl::Program& program =
-      runtime.programFor(reduceProgramSource(*node, plan, fused), salt);
+      runtime.programFor(reduceProgramSource(*node, plan, fused));
 
   // Per-device partial reduction; under the copy distribution one copy
   // suffices. Partials stay in canonical chunk order (device order =
@@ -638,8 +630,7 @@ ocl::Event scanInto(Runtime& runtime, ocl::Program& program,
 
 void runScan(const std::shared_ptr<ExprNode>& node,
              const std::shared_ptr<VectorState>& out,
-             const FusionPlan& plan, Runtime& runtime,
-             const std::string& salt) {
+             const FusionPlan& plan, Runtime& runtime) {
   // Single-device skeleton: gather the primary operand, align the rest.
   VectorState& leaf0 = *plan.leaves.front();
   if (leaf0.distribution() != Distribution::Single) {
@@ -652,7 +643,7 @@ void runScan(const std::shared_ptr<ExprNode>& node,
   const std::size_t deviceIndex = leaf0.chunks().front().deviceIndex;
   const bool fused = plan.fusedStages > 0;
   ocl::Program& program =
-      runtime.programFor(scanProgramSource(*node, plan, fused), salt);
+      runtime.programFor(scanProgramSource(*node, plan, fused));
 
   try {
     ocl::Buffer outBuf = runtime.context().createBuffer(
@@ -708,24 +699,23 @@ void evaluateNode(const std::shared_ptr<ExprNode>& node,
       node->inputs.empty() ? 0 : node->inputs.front().state->size();
   trace::ScopedHostSpan span(trace::HostKind::Skeleton, plan.label.c_str(),
                              trace::kNoDevice, spanSize);
-  const std::string salt = saltFor(plan, runtime.fusionEnabled());
   try {
     switch (node->op) {
       case ExprNode::Op::Map:
       case ExprNode::Op::Zip:
-        runElementwise(node, out, plan, runtime, salt);
+        runElementwise(node, out, plan, runtime);
         break;
       case ExprNode::Op::Reduce:
-        runReduce(node, out, plan, runtime, salt);
+        runReduce(node, out, plan, runtime);
         break;
       case ExprNode::Op::Scan:
-        runScan(node, out, plan, runtime, salt);
+        runScan(node, out, plan, runtime);
         break;
       case ExprNode::Op::Stencil:
-        runStencil(node, out, plan, runtime, salt);
+        runStencil(node, out, plan, runtime);
         break;
       case ExprNode::Op::SparseGather:
-        runSparseGather(node, out, plan, runtime, salt);
+        runSparseGather(node, out, plan, runtime);
         break;
     }
   } catch (...) {

@@ -114,14 +114,6 @@ public:
       }
       plan_.label += ")";
     }
-    plan_.compositionKey = opName(root->op);
-    for (const FusionStage& stage : plan_.stages) {
-      plan_.compositionKey += ";" +
-                              std::string(opName(stage.node->op)) + ":" +
-                              stage.node->function->name();
-    }
-    plan_.compositionKey +=
-        ";leaves=" + std::to_string(plan_.leaves.size());
   }
 
 private:

@@ -57,7 +57,6 @@ struct FusionPlan {
 
   std::size_t fusedStages = 0; // children absorbed (0 = single stage)
   std::string label;           // trace/error label, e.g. "Fused(f∘g)"
-  std::string compositionKey;  // cache-key component naming the shape
 };
 
 /// Builds the plan for `root`. With `fusionEnabled` false no child is

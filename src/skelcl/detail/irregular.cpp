@@ -307,8 +307,7 @@ bool layOutStencilInput(VectorState& in, const StencilParams& P) {
 
 void runStencil(const std::shared_ptr<ExprNode>& node,
                 const std::shared_ptr<VectorState>& out,
-                const FusionPlan& plan, Runtime& runtime,
-                const std::string& salt) {
+                const FusionPlan& plan, Runtime& runtime) {
   const StencilParams& P = *node->stencil;
   const std::size_t R = P.radius;
   const bool is2D = P.width > 0;
@@ -322,8 +321,7 @@ void runStencil(const std::shared_ptr<ExprNode>& node,
   prepareStageArguments(plan);
   out->allocateOutput(in.distribution(), in.singleDeviceIndex(), in.chunks());
 
-  ocl::Program& program =
-      runtime.programFor(stencilProgramSource(node, plan), salt);
+  ocl::Program& program = runtime.programFor(stencilProgramSource(node, plan));
   const auto& chunks = in.chunks();
   const std::size_t pw = is2D ? W + 2 * R : 1; // padded row length
   const std::size_t haloBytes = R * pw * elem;
@@ -507,8 +505,7 @@ void CsrState::ensureOnDevices() {
 
 void runSparseGather(const std::shared_ptr<ExprNode>& node,
                      const std::shared_ptr<VectorState>& out,
-                     const FusionPlan& plan, Runtime& runtime,
-                     const std::string& salt) {
+                     const FusionPlan& plan, Runtime& runtime) {
   CsrState& csr = *node->sparse->csr;
   VectorState& x = *plan.leaves.front();
 
@@ -534,8 +531,7 @@ void runSparseGather(const std::shared_ptr<ExprNode>& node,
   }
   out->allocateOutput(Distribution::Block, 0, layout);
 
-  ocl::Program& program =
-      runtime.programFor(sparseProgramSource(node, plan), salt);
+  ocl::Program& program = runtime.programFor(sparseProgramSource(node, plan));
   for (std::size_t idx : runtime.chunkVisitOrder(cchunks.size())) {
     const CsrChunk& cc = cchunks[idx];
     if (cc.rowCount == 0) {

@@ -26,12 +26,10 @@ bool layOutStencilInput(VectorState& in, const StencilParams& P);
 
 void runStencil(const std::shared_ptr<ExprNode>& node,
                 const std::shared_ptr<VectorState>& out,
-                const FusionPlan& plan, Runtime& runtime,
-                const std::string& salt);
+                const FusionPlan& plan, Runtime& runtime);
 
 void runSparseGather(const std::shared_ptr<ExprNode>& node,
                      const std::shared_ptr<VectorState>& out,
-                     const FusionPlan& plan, Runtime& runtime,
-                     const std::string& salt);
+                     const FusionPlan& plan, Runtime& runtime);
 
 } // namespace skelcl::detail

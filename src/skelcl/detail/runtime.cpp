@@ -184,27 +184,24 @@ void Runtime::terminate() {
   initialized_ = false;
 }
 
-ocl::Program& Runtime::programFor(const std::string& source,
-                                  const std::string& salt) {
+ocl::Program& Runtime::programFor(const std::string& source) {
   requireInit();
-  const std::string key = salt + "\x1f" + source;
   std::shared_ptr<ProgramEntry> entry;
   {
     std::lock_guard lock(programMutex_);
-    std::shared_ptr<ProgramEntry>& slot = programMemo_[key];
+    std::shared_ptr<ProgramEntry>& slot = programMemo_[source];
     if (slot == nullptr) {
       slot = std::make_shared<ProgramEntry>();
     }
     entry = slot;
   }
-  // Build outside the map lock so distinct keys requested from several
-  // threads compile in parallel; call_once makes concurrent requests
-  // for the same key share one build. A throwing build leaves the flag
-  // unset, so the next request retries — the same "failed builds are
-  // not memoized" semantics the synchronous path had.
+  // Build outside the map lock so distinct sources requested from
+  // several threads compile in parallel; call_once makes concurrent
+  // requests for the same source share one build. A throwing build
+  // leaves the flag unset, so the next request retries — the same
+  // "failed builds are not memoized" semantics the synchronous path had.
   std::call_once(entry->once, [&] {
-    entry->program.emplace(kernelCache().getOrBuild(
-        *context_, source, kDefaultBuildOptions, salt));
+    entry->program.emplace(kernelCache().getOrBuild(*context_, source));
   });
   return *entry->program;
 }

@@ -156,15 +156,14 @@ public:
   }
 
   /// Process-wide memo for generated skeleton programs: one build per
-  /// (source, salt) pair per init() cycle, the disk cache underneath
-  /// making cross-process reuse cheap. The salt carries the fusion
-  /// configuration into the cache key. Thread-safe: any thread may
-  /// request a program — distinct keys build in parallel, concurrent
-  /// requests for the same key block on one build (a failed build is
-  /// not memoized; the next request retries, preserving the synchronous
-  /// retry semantics).
-  ocl::Program& programFor(const std::string& source,
-                           const std::string& salt);
+  /// source per init() cycle, the disk cache underneath making
+  /// cross-process reuse cheap. A program is identified by its source
+  /// alone: the build is a pure function of it. Thread-safe: any thread
+  /// may request a program — distinct sources build in parallel,
+  /// concurrent requests for the same source block on one build (a
+  /// failed build is not memoized; the next request retries, preserving
+  /// the synchronous retry semantics).
+  ocl::Program& programFor(const std::string& source);
 
   /// Where block-distribution weights come from. Set at init() from
   /// SKELCL_WEIGHTS=even|static|measured; tests may override at runtime

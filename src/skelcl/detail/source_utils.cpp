@@ -107,7 +107,7 @@ ocl::Program buildCombineProgram(const std::string& elementType,
             name +
             "(dst[i], src[i]);\n"
             "}\n";
-  return Runtime::instance().programFor(source, /*salt=*/"");
+  return Runtime::instance().programFor(source);
 }
 
 } // namespace skelcl::detail

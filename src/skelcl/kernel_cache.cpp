@@ -79,6 +79,17 @@ std::vector<std::uint8_t> openEntry(const std::vector<std::uint8_t>& entry) {
   return {entry.begin() + kEntryHeaderLen, entry.end()};
 }
 
+/// Files the span of a load or build that succeeded: the trace counts
+/// one CacheHit span per hit and one Build span per miss, so an unusable
+/// entry or a failed build never shows up in it.
+void recordSpan(trace::HostKind kind, const char* name,
+                std::uint64_t startNs, std::size_t sourceBytes) {
+  if (trace::Recorder::enabled()) {
+    trace::Recorder::instance().recordHostSpan(
+        kind, name, trace::kNoDevice, startNs, trace::now(), sourceBytes);
+  }
+}
+
 std::string defaultDirectory() {
   const std::string dir = common::envStr("SKELCL_CACHE_DIR");
   if (!dir.empty()) {
@@ -97,30 +108,23 @@ KernelCache::KernelCache(std::string directory)
     : directory_(directory.empty() ? defaultDirectory()
                                    : std::move(directory)) {}
 
-std::string KernelCache::entryPath(const std::string& source,
-                                   const std::string& options,
-                                   const std::string& salt) const {
+std::string KernelCache::entryPath(const std::string& source) const {
   // Key = source digest + bytecode format version + key-schema version +
-  // (options, salt) digest, so a format bump, a different optimization
-  // level, or a different fusion configuration can never resolve to a
-  // stale entry.
+  // build-options digest, so a format bump or a change of the build
+  // options can never resolve to a stale entry.
   return directory_ + "/" + common::Sha256::hexDigest(source) + "-v" +
          std::to_string(clc::Program::kSerialVersion) + "-k" +
          std::to_string(kKeySchemaVersion) + "-" +
-         common::Sha256::hexDigest(options + "|" + salt).substr(0, 8) +
+         common::Sha256::hexDigest(kDefaultBuildOptions).substr(0, 8) +
          ".clcbin";
 }
 
 ocl::Program KernelCache::getOrBuild(const ocl::Context& context,
-                                     const std::string& source,
-                                     const std::string& options,
-                                     const std::string& salt) {
-  const std::string path = entryPath(source, options, salt);
-  if (enabled_ && common::fileExists(path)) {
+                                     const std::string& source) {
+  const std::string path = entryPath(source);
+  if (common::fileExists(path)) {
     try {
-      trace::ScopedHostSpan span(trace::HostKind::CacheHit,
-                                 "kernel_cache.hit", trace::kNoDevice,
-                                 source.size());
+      const std::uint64_t startNs = trace::now();
       common::Stopwatch timer;
       ocl::Program program =
           context.createProgramFromBinary(openEntry(common::readFile(path)));
@@ -129,10 +133,8 @@ ocl::Program KernelCache::getOrBuild(const ocl::Context& context,
         stats_.loadSeconds += timer.elapsedSeconds();
         ++stats_.hits;
       }
-      if (trace::Recorder::enabled()) {
-        trace::Recorder::instance().bumpCounter(
-            "cache_hits", trace::kNoDevice, trace::now(), 1);
-      }
+      recordSpan(trace::HostKind::CacheHit, "kernel_cache.hit", startNs,
+                 source.size());
       return program;
     } catch (const common::Error& e) {
       // Corrupted or version-mismatched entry: rebuild below.
@@ -141,27 +143,22 @@ ocl::Program KernelCache::getOrBuild(const ocl::Context& context,
     }
   }
 
-  trace::ScopedHostSpan span(trace::HostKind::Build, "kernel_cache.build",
-                             trace::kNoDevice, source.size());
+  const std::uint64_t startNs = trace::now();
   common::Stopwatch timer;
   ocl::Program program = context.createProgram(source);
-  program.build(options);
+  program.build(kDefaultBuildOptions);
   {
     std::lock_guard lock(statsMutex_);
     stats_.buildSeconds += timer.elapsedSeconds();
     ++stats_.misses;
   }
-  if (trace::Recorder::enabled()) {
-    trace::Recorder::instance().bumpCounter(
-        "cache_misses", trace::kNoDevice, trace::now(), 1);
-  }
+  recordSpan(trace::HostKind::Build, "kernel_cache.build", startNs,
+             source.size());
 
-  if (enabled_) {
-    try {
-      common::writeFile(path, sealEntry(program.binary()));
-    } catch (const common::IoError& e) {
-      LOG_WARN("cannot store kernel cache entry: " << e.what());
-    }
+  try {
+    common::writeFile(path, sealEntry(program.binary()));
+  } catch (const common::IoError& e) {
+    LOG_WARN("cannot store kernel cache entry: " << e.what());
   }
   return program;
 }

@@ -4,16 +4,17 @@
 //    task [...] Therefore, SkelCL saves already compiled kernels on disk.
 //    They can be loaded later if the same kernel is used again."
 //
-// Entries are keyed by the SHA-256 of the kernel source, the bytecode
-// format version, the key-schema version, and a digest of the build
-// options (optimization level) together with the caller's salt (fusion
-// flag and composition): bumping either version or changing the options
-// or salt makes old entries unfindable, and a version check in the
-// deserializer rejects stale or hand-patched files that are found
-// anyway, falling back to a rebuild. On-disk blobs are
-// additionally wrapped in an integrity envelope (magic, payload length,
-// FNV-1a64 digest), so a truncated or bit-flipped entry is detected up
-// front and silently rebuilt instead of reaching the deserializer.
+// A kernel is the same when its source is the same: every program is
+// built with kDefaultBuildOptions, so the build is a pure function of the
+// source. Entries are keyed by the SHA-256 of the source, the bytecode
+// format version, the key-schema version, and a digest of
+// kDefaultBuildOptions: bumping either version or changing the options
+// makes old entries unfindable, and a version check in the deserializer
+// rejects stale or hand-patched files that are found anyway, falling
+// back to a rebuild. On-disk blobs are additionally wrapped in an
+// integrity envelope (magic, payload length, FNV-1a64 digest), so a
+// truncated or bit-flipped entry is detected up front and silently
+// rebuilt instead of reaching the deserializer.
 #pragma once
 
 #include <cstdint>
@@ -24,36 +25,31 @@
 
 namespace skelcl {
 
-/// Build options every skeleton passes by default: full bytecode
-/// optimization (see clc/opt.h).
+/// Build options of every cached program: full bytecode optimization
+/// (see clc/opt.h).
 inline constexpr const char* kDefaultBuildOptions = "-cl-opt-level=2";
 
 class KernelCache {
 public:
   /// Version of the cache *keying scheme* (the entry filename layout),
   /// distinct from the bytecode serialization version inside the entry.
-  /// v2: keys additionally fold in a caller salt — the fusion flag and
-  /// the fused-function composition — so a fused kernel can never
-  /// resolve to an entry built for a different composition (or by a
-  /// pre-fusion library version).
-  static constexpr unsigned kKeySchemaVersion = 2;
+  /// v2: keys additionally folded in the fusion flag and the
+  /// fused-function composition.
+  /// v3: both are gone, since the generated source already names the
+  /// composition: a program is keyed by its source alone, and "fusion
+  /// found nothing" and "fusion disabled" share one entry.
+  static constexpr unsigned kKeySchemaVersion = 3;
 
   /// `directory`: cache location; empty selects $SKELCL_CACHE_DIR or
   /// $HOME/.skelcl/cache (created on first store).
   explicit KernelCache(std::string directory = "");
 
   /// Returns a *built* program for `source`: loaded from disk when a
-  /// valid entry exists, compiled with `options` (and stored) otherwise.
-  /// `salt` joins the key without joining the compile: callers use it to
-  /// separate entries whose sources could collide across configurations
-  /// (fusion on/off, fused composition).
+  /// valid entry exists, compiled with kDefaultBuildOptions (and stored)
+  /// otherwise.
   ocl::Program getOrBuild(const ocl::Context& context,
-                          const std::string& source,
-                          const std::string& options = kDefaultBuildOptions,
-                          const std::string& salt = "");
+                          const std::string& source);
 
-  void setEnabled(bool enabled) noexcept { enabled_ = enabled; }
-  bool enabled() const noexcept { return enabled_; }
   const std::string& directory() const noexcept { return directory_; }
 
   /// Removes every cache entry in the directory.
@@ -85,12 +81,9 @@ public:
   }
 
 private:
-  std::string entryPath(const std::string& source,
-                        const std::string& options,
-                        const std::string& salt) const;
+  std::string entryPath(const std::string& source) const;
 
   std::string directory_;
-  bool enabled_ = true;
   mutable std::mutex statsMutex_;
   Stats stats_;
 };

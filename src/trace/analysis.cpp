@@ -269,8 +269,7 @@ Report analyze(const Trace& trace) {
 
   // --- counters & host spans --------------------------------------------
   // Counters are cumulative; the final sample per (name, device) is the
-  // total. Totals are summed across devices. Counters named after a
-  // derived total (h2d_bytes, ...) in older traces fall through unread.
+  // total. Totals are summed across devices.
   std::map<std::pair<std::string, std::uint32_t>, std::uint64_t> finals;
   for (const CounterRecord& c : trace.counters) {
     finals[{trace.str(c.name), c.device}] = c.value;
@@ -293,11 +292,7 @@ Report analyze(const Trace& trace) {
       }
       continue;
     }
-    if (key.first == "cache_hits") {
-      report.cacheHits += value;
-    } else if (key.first == "cache_misses") {
-      report.cacheMisses += value;
-    } else if (key.first == "intermediate_bytes") {
+    if (key.first == "intermediate_bytes") {
       report.intermediateBytes += value;
     } else if (key.first == "halo_bytes") {
       report.haloBytes += value;
@@ -306,6 +301,10 @@ Report analyze(const Trace& trace) {
   for (const HostSpanRecord& h : trace.hostSpans) {
     if (h.kind == HostKind::Skeleton) {
       ++report.skeletonSpans;
+    } else if (h.kind == HostKind::CacheHit) {
+      ++report.cacheHits;
+    } else if (h.kind == HostKind::Build) {
+      ++report.cacheMisses;
     } else if (h.kind == HostKind::Scheduler) {
       ++report.schedulerJobs;
       report.schedQueueWaitNs += h.value;

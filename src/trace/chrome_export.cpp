@@ -143,13 +143,7 @@ std::string chromeJson(const Trace& trace) {
   }
 
   for (const CounterRecord& c : trace.counters) {
-    // Older traces also hold the command tracks as counters; they are
-    // drawn from the commands above.
-    const std::string& name = trace.str(c.name);
-    if (name != "h2d_bytes" && name != "d2h_bytes" &&
-        name != "kernel_cycles") {
-      appendCounter(out, name, c.device, c.timeNs, c.value);
-    }
+    appendCounter(out, trace.str(c.name), c.device, c.timeNs, c.value);
   }
 
   // Trailing comma removal keeps the emitters above uniform.

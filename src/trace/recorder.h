@@ -81,7 +81,7 @@ public:
   /// Totals reset at start(), so traces never leak process-lifetime
   /// statistics (which would break run-to-run trace determinism).
   /// Counters carry only facts no command or host span records: halo
-  /// and intermediate bytes, cache hits/misses, tenant accounting.
+  /// and intermediate bytes, tenant accounting.
   void bumpCounter(std::string_view name, std::uint32_t device,
                    std::uint64_t timeNs, std::uint64_t delta);
 

@@ -18,7 +18,10 @@ namespace trace {
 /// v2: HostSpanRecord gained `lane` (host row for scheduler spans).
 /// v3: DeviceInfo gained `node` and the power envelope (idle/busy watts,
 ///     transfer nJ/byte) behind the cluster energy analysis.
-inline constexpr std::uint32_t kBinaryVersion = 3;
+/// v4: counters hold only halo and intermediate bytes and tenant
+///     accounting; byte and cycle totals come from the commands, cache
+///     hits and misses from the CacheHit and Build host spans.
+inline constexpr std::uint32_t kBinaryVersion = 4;
 
 std::vector<std::uint8_t> serialize(const Trace& trace);
 

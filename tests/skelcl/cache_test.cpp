@@ -79,27 +79,6 @@ TEST_F(CacheTest, DifferentSourcesGetDifferentEntries) {
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
-TEST_F(CacheTest, DifferentSaltsGetDifferentEntries) {
-  // The key schema (v2) folds the caller salt — the fusion flag and
-  // fused composition — into the entry name, so identical sources built
-  // under different fusion configurations never share an entry.
-  KernelCache cache(dir_);
-  cache.getOrBuild(context_, source_, skelcl::kDefaultBuildOptions,
-                   "fusion=1;Fused(f\xE2\x88\x98g);leaves=1");
-  cache.getOrBuild(context_, source_, skelcl::kDefaultBuildOptions,
-                   "fusion=0;Map:f;leaves=1");
-  EXPECT_EQ(cache.stats().misses, 2u);
-  std::size_t entries = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir_)) {
-    if (e.path().extension() == ".clcbin") ++entries;
-  }
-  EXPECT_EQ(entries, 2u);
-  // Each salted key still hits on reuse.
-  cache.getOrBuild(context_, source_, skelcl::kDefaultBuildOptions,
-                   "fusion=0;Map:f;leaves=1");
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
 TEST_F(CacheTest, CorruptedEntryFallsBackToRebuild) {
   KernelCache cache(dir_);
   cache.getOrBuild(context_, source_);
@@ -247,33 +226,6 @@ TEST_F(CacheTest, StaleFormatVersionIsRejectedAndRebuilt) {
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
-TEST_F(CacheTest, DifferentOptLevelsGetDifferentEntries) {
-  KernelCache cache(dir_);
-  ocl::Program fast = cache.getOrBuild(context_, source_); // default: O2
-  ocl::Program slow = cache.getOrBuild(context_, source_, "-cl-opt-level=0");
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(fast.compiled().optLevel, 2u);
-  EXPECT_EQ(slow.compiled().optLevel, 0u);
-  std::size_t entries = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir_)) {
-    if (e.path().extension() == ".clcbin") ++entries;
-  }
-  EXPECT_EQ(entries, 2u) << "each opt level keys its own entry";
-  // Both entries hit independently afterwards.
-  cache.getOrBuild(context_, source_);
-  cache.getOrBuild(context_, source_, "-cl-opt-level=0");
-  EXPECT_EQ(cache.stats().hits, 2u);
-}
-
-TEST_F(CacheTest, DisabledCacheAlwaysBuilds) {
-  KernelCache cache(dir_);
-  cache.setEnabled(false);
-  cache.getOrBuild(context_, source_);
-  cache.getOrBuild(context_, source_);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-}
-
 TEST_F(CacheTest, ClearRemovesEntries) {
   KernelCache cache(dir_);
   cache.getOrBuild(context_, source_);
@@ -306,7 +258,8 @@ TEST_F(CacheTest, LoadedProgramExecutesCorrectly) {
 TEST_F(CacheTest, LoadIsAtLeastFiveTimesFasterThanBuild) {
   // The paper's claim: "loading kernels from disk is at least five times
   // faster than building them from source." Use a realistically sized
-  // generated kernel and amortize over repetitions.
+  // generated kernel and amortize over repetitions. The build side is
+  // the compile a miss runs, without the store that follows it.
   std::string bigSource = source_;
   for (int i = 0; i < 30; ++i) {
     bigSource += "\nfloat helper" + std::to_string(i) +
@@ -322,10 +275,9 @@ TEST_F(CacheTest, LoadIsAtLeastFiveTimesFasterThanBuild) {
   double loadTime = 1e9;
   for (int trial = 0; trial < 9; ++trial) {
     {
-      KernelCache fresh(dir_);
-      fresh.setEnabled(false);
       common::Stopwatch buildTimer;
-      fresh.getOrBuild(context_, bigSource);
+      ocl::Program built = context_.createProgram(bigSource);
+      built.build(skelcl::kDefaultBuildOptions);
       buildTime = std::min(buildTime, buildTimer.elapsedSeconds());
     }
     {

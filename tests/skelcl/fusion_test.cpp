@@ -28,6 +28,7 @@ struct RunResult {
   std::vector<int> ints;
   std::uint64_t kernelLaunches = 0; // sum over all device queues
   std::uint64_t programResolutions = 0; // kernel-cache hits + misses
+  std::uint64_t programBuilds = 0;      // kernel-cache misses
   skelcl::detail::Runtime::FusionStats stats;
 };
 
@@ -46,6 +47,7 @@ RunResult runScenario(const std::function<void(RunResult&)>& scenario,
     scenario(result);
     const auto cache = scope.cacheDelta();
     result.programResolutions = cache.hits + cache.misses;
+    result.programBuilds = cache.misses;
   }
 
   auto& runtime = skelcl::detail::Runtime::instance();
@@ -175,6 +177,24 @@ TEST(FusionTest, FusedReduceAndScanResolveOneProgramEach) {
       1, /*fused=*/true);
   EXPECT_GT(scan.stats.fusedStages, 0u);
   EXPECT_EQ(scan.programResolutions, 1u);
+}
+
+// A program is identified by its source. A plan that absorbs nothing
+// keeps the user's names, so "fusion found nothing" and "fusion disabled"
+// emit one source: the second mode loads the first mode's cache entry.
+TEST(FusionTest, UnabsorbedMapSharesItsCacheEntryAcrossFusionModes) {
+  auto scenario = [](RunResult& out) {
+    Map<float> alone("float fu_alone(float x) { return x * 0.5f; }");
+    Vector<float> input(testData(1024));
+    out.floats = alone(input).hostData();
+  };
+  const RunResult on = runScenario(scenario, 1, /*fused=*/true);
+  const RunResult off = runScenario(scenario, 1, /*fused=*/false);
+  EXPECT_EQ(on.stats.fusedStages, 0u);
+  EXPECT_EQ(on.programResolutions, 1u);
+  EXPECT_EQ(off.programResolutions, 1u);
+  EXPECT_EQ(off.programBuilds, 0u) << "fusion off rebuilt an identical source";
+  EXPECT_TRUE(bitIdentical(on.floats, off.floats));
 }
 
 TEST(FusionTest, ScanAbsorbsMapChain) {

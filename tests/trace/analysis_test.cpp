@@ -167,6 +167,24 @@ TEST(Analysis, DerivesTotalsFromRecordsWithoutCounters) {
   EXPECT_EQ(r.maxConcurrentJobs, 3u);
 }
 
+// Cache hits and misses are the CacheHit and Build host spans; no
+// counter restates them.
+TEST(Analysis, CountsCacheHitsAndMissesFromHostSpans) {
+  Trace t = syntheticTrace({command(1, /*engine=*/0, 0, 10)});
+  for (trace::HostKind kind :
+       {trace::HostKind::Build, trace::HostKind::CacheHit,
+        trace::HostKind::CacheHit, trace::HostKind::Skeleton,
+        trace::HostKind::Build, trace::HostKind::CacheHit}) {
+    t.hostSpans.push_back({0, kind, trace::kNoDevice, 0, 5, 5, 64});
+  }
+  ASSERT_TRUE(t.counters.empty());
+
+  const Report r = trace::analyze(t);
+  EXPECT_EQ(r.cacheHits, 3u);
+  EXPECT_EQ(r.cacheMisses, 2u);
+  EXPECT_EQ(r.skeletonSpans, 1u);
+}
+
 TEST(Analysis, SerializedQueuesHaveZeroOverlap) {
   const auto run =
       trace_test::runWorkload(/*traced=*/true, /*serialized=*/true);

@@ -109,7 +109,8 @@ TEST(Recorder, WorkloadRecordsOrderedCommands) {
 }
 
 // Bytes, cycles and inter-node traffic are recorded once, on the
-// commands: no counter restates them.
+// commands, and cache hits and misses on host spans: no counter restates
+// them.
 TEST(Recorder, CommandsCarryNoCounters) {
   const auto run =
       trace_test::runWorkload(/*traced=*/true, /*serialized=*/false);
@@ -119,7 +120,8 @@ TEST(Recorder, CommandsCarryNoCounters) {
   for (const trace::CounterRecord& c : t.counters) {
     for (const char* derived :
          {"h2d_bytes", "d2h_bytes", "kernel_cycles", "internode_bytes",
-          "sched_concurrent_jobs", "sched_queue_wait_ns"}) {
+          "sched_concurrent_jobs", "sched_queue_wait_ns", "cache_hits",
+          "cache_misses"}) {
       EXPECT_NE(t.str(c.name), derived);
     }
   }
@@ -213,6 +215,15 @@ std::vector<std::uint8_t> traceWithCounts(
     w.write<std::uint64_t>(n);
   }
   return w.takeBytes();
+}
+
+// A v3 trace may carry cache and byte counters that v4 derives from
+// spans and commands: it is rejected, never half-read.
+TEST(TraceDeserialize, OlderVersionIsATypedError) {
+  std::vector<std::uint8_t> bytes = traceWithCounts({0, 0, 0, 0, 0});
+  ASSERT_NO_THROW(trace::deserialize(bytes));
+  bytes[4] = std::uint8_t(trace::kBinaryVersion - 1);
+  EXPECT_THROW(trace::deserialize(bytes), common::DeserializeError);
 }
 
 // Hostile table counts from a file: each is a typed error, never a
