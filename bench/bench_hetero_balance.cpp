@@ -1,51 +1,51 @@
-// Heterogeneous load balancing: even vs static vs measured block
-// weights on a skewed machine (DESIGN.md §6e).
+// Heterogeneous load balancing: a skewed machine against a uniform one
+// of the same size (DESIGN.md §6e).
 //
-// The platform is `t10*3,t10@0.5x` — three full-speed Tesla T10s plus
-// one running at half clock and half memory bandwidth. The workload is
-// R rounds of: upload a fresh block-distributed vector, run a compute-
-// heavy Map k times in place, download the result. Under `even`
-// weights every device gets n/4 elements and each round waits for the
-// half-speed straggler; `static` splits by DeviceSpec peak throughput
-// (2:2:2:1) up front; `measured` starts from the even fallback and
-// converges to the same split from each device's observed
-// cycles-per-busy-ns (its ocl::DeviceState totals).
+// The skewed platform is `t10*3,t10@0.5x` — three full-speed Tesla T10s
+// plus one running at half clock and half memory bandwidth; the
+// baseline is the uniform `t10*4`. The workload is R rounds of: upload a
+// fresh block-distributed vector, run a compute-heavy Map k times in
+// place, download the result. Block weights are each device's peak
+// throughput, so the skewed machine splits 2:2:2:1 and the half-speed
+// device does not hold every round up; its 3.5 devices' worth of
+// compute should take at most 1.2x the uniform machine's time (4/3.5 =
+// 1.14x is the ideal).
 //
-// Every mode gets one untimed calibration round first: it builds the
-// kernel, and under `measured` it gives the totals one sample per
-// device (the convergence the hetero test suite pins). The timed
-// rounds then compare steady-state behaviour. Outputs must be bit-
-// identical across modes — weights move chunk boundaries, never
-// results.
+// Each machine gets one untimed warm-up round first, which builds the
+// kernel. Outputs must be bit-identical across the machines — weights
+// move chunk boundaries, never results. Each machine's whole run is
+// traced, and its compute load imbalance is the one `skeltrace`
+// reports for that trace.
 //
 // Output: human-readable table plus `BENCH {...}` JSON lines. ctest
 // runs `--smoke` under the `perf-smoke` label; the binary exits
-// non-zero if measured fails to beat even by the 1.3x acceptance
-// floor, or outputs differ across modes.
+// non-zero if the outputs differ or the skewed machine takes more than
+// 1.2x the uniform machine's virtual time.
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "trace/analysis.h"
 
 namespace {
 
-using skelcl::WeightMode;
+constexpr const char* kUniformSpec = "t10*4";
+constexpr const char* kSkewedSpec = "t10*3,t10@0.5x";
+constexpr double kMaxSkewedRatio = 1.2;
 
-constexpr const char* kPlatformSpec = "t10*3,t10@0.5x";
-constexpr double kMinMeasuredSpeedup = 1.3;
-
-struct ModeResult {
+struct MachineResult {
   std::uint64_t virtualNs = 0;
-  std::vector<std::vector<float>> outputs;   // one per timed round
-  std::vector<std::size_t> steadyPartition;  // chunk sizes, last round
+  double imbalance = 0.0; // compute load imbalance of the run's trace
+  std::vector<std::vector<float>> outputs;  // one per timed round
+  std::vector<std::size_t> steadyPartition; // chunk sizes, last round
 };
 
 struct Workload {
   std::size_t n = 0;
   std::size_t launches = 0; // in-place Map launches per round
-  std::size_t rounds = 0;   // timed rounds (one calibration round extra)
+  std::size_t rounds = 0;   // timed rounds (one warm-up round extra)
 };
 
 /// One round: fresh host data (deterministic per round index), block
@@ -71,14 +71,13 @@ std::vector<float> runRound(skelcl::Map<float>& heavy, const Workload& w,
   return v.hostData();
 }
 
-ModeResult runMode(WeightMode mode, const Workload& w,
-                   const std::string& traceTag) {
-  bench::ScopedTrace trace(traceTag);
-  ocl::configureSystem(ocl::SystemConfig::parse(kPlatformSpec));
+MachineResult runMachine(const char* spec, const Workload& w,
+                         const std::string& traceTag) {
+  trace::Recorder::instance().start();
+  ocl::configureSystem(ocl::SystemConfig::parse(spec));
   skelcl::init(skelcl::DeviceSelection::allDevices());
-  skelcl::detail::Runtime::instance().setWeightMode(mode);
 
-  ModeResult out;
+  MachineResult out;
   {
     skelcl::Map<float> heavy(
         "float heavy(float x) {\n"
@@ -89,8 +88,7 @@ ModeResult runMode(WeightMode mode, const Workload& w,
         "  return acc;\n"
         "}\n");
 
-    // Calibration round, untimed: kernel build plus (under measured)
-    // one measured sample per device.
+    // Warm-up round, untimed: builds the kernel.
     runRound(heavy, w, /*round=*/w.rounds, nullptr);
     bench::syncAllDevices();
 
@@ -103,6 +101,14 @@ ModeResult runMode(WeightMode mode, const Workload& w,
     out.virtualNs = ocl::hostTimeNs() - t0;
   }
   skelcl::terminate();
+
+  const trace::Trace collected = trace::Recorder::instance().stop();
+  out.imbalance = trace::analyze(collected).computeImbalance;
+  if (!bench::traceSpec().empty()) {
+    const std::string path = bench::traceSpec() + "." + traceTag + ".sktrace";
+    trace::writeTraceFile(path, collected);
+    std::printf("trace: %s\n", path.c_str());
+  }
   return out;
 }
 
@@ -137,71 +143,54 @@ int main(int argc, char** argv) {
   w.launches = smoke ? 1 : 4;
   w.rounds = smoke ? 2 : 4;
 
-  bench::heading("Heterogeneous balance: block weight modes on " +
-                 std::string(kPlatformSpec));
+  bench::heading(std::string("Heterogeneous balance: ") + kSkewedSpec +
+                 " vs " + kUniformSpec);
 
-  struct Mode {
-    WeightMode mode;
-    const char* name;
+  struct Machine {
+    const char* spec;
+    const char* tag;
   };
-  const Mode modes[] = {
-      {WeightMode::Even, "even"},
-      {WeightMode::Static, "static"},
-      {WeightMode::Measured, "measured"},
-  };
+  const Machine machines[] = {{kUniformSpec, "uniform"},
+                              {kSkewedSpec, "skewed"}};
 
-  std::printf("%-10s %14s %9s   %s\n", "mode", "virtual", "vs even",
-              "steady partition");
-  ModeResult results[3];
-  for (std::size_t m = 0; m < 3; ++m) {
-    results[m] = runMode(modes[m].mode, w, modes[m].name);
-    const double speedup =
-        double(results[0].virtualNs) / double(results[m].virtualNs);
-    std::printf("%-10s %11.3f ms %8.3fx   %s\n", modes[m].name,
-                double(results[m].virtualNs) * 1e-6, speedup,
+  std::printf("%-16s %14s %11s %10s   %s\n", "machine", "virtual",
+              "vs uniform", "imbalance", "steady partition");
+  MachineResult results[2];
+  for (std::size_t m = 0; m < 2; ++m) {
+    results[m] = runMachine(machines[m].spec, w, machines[m].tag);
+    const double ratio =
+        double(results[m].virtualNs) / double(results[0].virtualNs);
+    std::printf("%-16s %11.3f ms %10.3fx %10.3f   %s\n", machines[m].spec,
+                double(results[m].virtualNs) * 1e-6, ratio,
+                results[m].imbalance,
                 partitionString(results[m].steadyPartition).c_str());
     bench::BenchJson("hetero_balance")
-        .field("mode", modes[m].name)
+        .field("machine", machines[m].spec)
         .field("virtual_ms", double(results[m].virtualNs) * 1e-6)
-        .field("speedup_vs_even", speedup)
+        .field("ratio_vs_uniform", ratio)
+        .field("compute_imbalance", results[m].imbalance)
         .field("partition", partitionString(results[m].steadyPartition))
         .print();
   }
 
-  const bool identical = results[0].outputs == results[1].outputs &&
-                         results[0].outputs == results[2].outputs;
-  const double staticSpeedup =
-      double(results[0].virtualNs) / double(results[1].virtualNs);
-  const double measuredSpeedup =
-      double(results[0].virtualNs) / double(results[2].virtualNs);
-  // Measured must converge to (roughly) the static split: the fastest
-  // device's steady chunk strictly larger than the slow device's.
-  const auto& mp = results[2].steadyPartition;
-  const bool converged = mp.size() == 4 && mp.front() > mp.back();
-
+  const bool identical = results[0].outputs == results[1].outputs;
+  const double skewedRatio =
+      double(results[1].virtualNs) / double(results[0].virtualNs);
   bench::BenchJson("hetero_balance")
-      .field("mode", "summary")
-      .field("speedup_static", staticSpeedup)
-      .field("speedup_measured", measuredSpeedup)
+      .field("machine", "summary")
+      .field("skewed_vs_uniform", skewedRatio)
       .field("outputs_identical", identical)
-      .field("measured_converged", converged)
       .print();
 
   bool ok = true;
   if (!identical) {
-    std::fprintf(stderr, "\nFAIL: outputs differ across weight modes\n");
+    std::fprintf(stderr, "\nFAIL: outputs differ across machines\n");
     ok = false;
   }
-  if (!converged) {
-    std::fprintf(stderr, "\nFAIL: measured weights did not converge "
-                         "(partition %s)\n",
-                 partitionString(mp).c_str());
-    ok = false;
-  }
-  if (measuredSpeedup < kMinMeasuredSpeedup) {
+  if (skewedRatio > kMaxSkewedRatio) {
     std::fprintf(stderr,
-                 "\nFAIL: measured speedup %.3fx below the %.1fx floor\n",
-                 measuredSpeedup, kMinMeasuredSpeedup);
+                 "\nFAIL: %s takes %.3fx the uniform time, above %.1fx\n",
+                 kSkewedSpec, skewedRatio, kMaxSkewedRatio);
     ok = false;
   }
   return ok ? 0 : 1;

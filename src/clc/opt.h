@@ -48,8 +48,7 @@ namespace clc {
 
 enum class OptLevel : std::uint8_t {
   O0 = 0, // raw codegen output
-  O1 = 1, // folding + propagation + algebraic + DCE
-  O2 = 2, // O1 + superinstruction fusion + dead frame stores
+  O2 = 2, // folding, propagation, algebraic, DCE, superinstruction fusion
 };
 
 /// Per-pass switches; used directly by tests, derived from OptLevel in
@@ -64,8 +63,6 @@ struct OptOptions {
     OptOptions o;
     if (level == OptLevel::O0) {
       o.constantFolding = o.algebraic = o.deadCode = o.fuse = false;
-    } else if (level == OptLevel::O1) {
-      o.fuse = false;
     }
     return o;
   }
@@ -84,7 +81,7 @@ struct OptStats {
 };
 
 /// Optimizes `program` in place at `level` and stamps program.optLevel.
-/// O0 leaves the code untouched. O1/O2 rewrite cycleCosts per the
+/// O0 leaves the code untouched. O2 rewrites cycleCosts per the
 /// timing-invariance contract above. Every level ends by re-verifying the
 /// program (verify.h), which the VM requires.
 OptStats optimize(Program& program, OptLevel level);

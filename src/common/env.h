@@ -1,7 +1,7 @@
 // Uniform environment-variable parsing for the runtime's configuration
-// knobs. There are 11: SKELCL_DEVICES, SKELCL_WEIGHTS, SKELCL_FUSION,
-// SKELCL_ASYNC, SKELCL_SERIALIZE, SKELCL_SCHEDULE_SEED, SKELCL_CACHE_DIR,
-// SKELCL_TRACE, SKELCL_LOG, SKELCL_FAULT_PLAN and SKELCL_FAULT_SEED
+// knobs. There are 10: SKELCL_DEVICES, SKELCL_FUSION, SKELCL_ASYNC,
+// SKELCL_SERIALIZE, SKELCL_SCHEDULE_SEED, SKELCL_CACHE_DIR, SKELCL_TRACE,
+// SKELCL_LOG, SKELCL_FAULT_PLAN and SKELCL_FAULT_SEED
 // (tests/common/env_test.cpp pins this list).
 //
 // Flag semantics are normalized across every knob: an unset variable

@@ -70,8 +70,8 @@ struct DeviceSpec {
   static DeviceSpec xeonE5520();
 
   /// Peak compute throughput in cycles per nanosecond (CUs x PEs x
-  /// clock). The relative magnitudes drive the `static` weight mode of
-  /// SkelCL's block distribution.
+  /// clock). The relative magnitudes are SkelCL's block-distribution
+  /// weights.
   double peakCyclesPerNs() const noexcept {
     return double(computeUnits) * double(pesPerUnit) * clockGHz;
   }
@@ -166,18 +166,16 @@ public:
   }
 
   /// Work retired since configureSystem built this device: VM cycles and
-  /// summed durations (virtual ns) of its kernels, its launch count, and
-  /// the payload bytes its DMA engines moved (uploads, downloads and both
-  /// legs of cross-device copies). `measured` block weights, the job
-  /// service's tenant accounting and the energy ledgers read them live.
+  /// summed durations (virtual ns) of its kernels, and the payload bytes
+  /// its DMA engines moved (uploads, downloads and both legs of
+  /// cross-device copies). The job service's tenant accounting and the
+  /// energy ledgers read them live.
   std::uint64_t kernelCycles() const noexcept { return kernelCycles_; }
   std::uint64_t kernelBusyNs() const noexcept { return kernelBusyNs_; }
-  std::uint64_t launches() const noexcept { return launches_; }
   std::uint64_t dmaBytes() const noexcept { return dmaBytes_; }
   void chargeKernel(std::uint64_t cycles, std::uint64_t busyNs) noexcept {
     kernelCycles_ += cycles;
     kernelBusyNs_ += busyNs;
-    ++launches_;
   }
   void chargeDma(std::uint64_t bytes) noexcept { dmaBytes_ += bytes; }
 
@@ -201,7 +199,6 @@ private:
   std::uint64_t allocated_ = 0;
   std::uint64_t kernelCycles_ = 0;
   std::uint64_t kernelBusyNs_ = 0;
-  std::uint64_t launches_ = 0;
   std::uint64_t dmaBytes_ = 0;
   bool lost_ = false;
 };

@@ -10,12 +10,7 @@
 
 namespace ocl {
 
-namespace {
-
-/// Parses `-cl-opt-level=N` out of an OpenCL-style build-options string.
-/// Unknown tokens are ignored (real drivers do the same); a malformed
-/// level value is a build error. Default is O2.
-clc::OptLevel parseOptLevel(const std::string& options) {
+clc::OptLevel optLevelOf(const std::string& options) {
   static const std::string kFlag = "-cl-opt-level=";
   std::size_t pos = 0;
   clc::OptLevel level = clc::OptLevel::O2;
@@ -33,22 +28,18 @@ clc::OptLevel parseOptLevel(const std::string& options) {
       const std::string value = token.substr(kFlag.size());
       if (value == "0") {
         level = clc::OptLevel::O0;
-      } else if (value == "1") {
-        level = clc::OptLevel::O1;
       } else if (value == "2") {
         level = clc::OptLevel::O2;
       } else {
         throw BuildError("invalid build options",
                          "unsupported value in '" + token +
-                             "' (expected -cl-opt-level=0|1|2)");
+                             "' (expected -cl-opt-level=0|2)");
       }
     }
     pos = stop;
   }
   return level;
 }
-
-} // namespace
 
 Program Program::fromSource(std::string source) {
   Program p;
@@ -71,7 +62,7 @@ void Program::build(const std::string& options) {
   if (impl_->built) {
     return;
   }
-  const clc::OptLevel level = parseOptLevel(options);
+  const clc::OptLevel level = optLevelOf(options);
   if (FaultInjector::enabled()) {
     if (FaultInjector::instance().check(FaultSite::Build, impl_->source)) {
       // Injected CL_BUILD_PROGRAM_FAILURE: the program stays unbuilt and

@@ -13,6 +13,7 @@
 
 #include "clc/bytecode.h"
 #include "clc/eval.h"
+#include "clc/opt.h"
 #include "clc/vm.h"
 #include "ocl/buffer.h"
 
@@ -69,6 +70,11 @@ std::uint64_t scalarSlot(T value) noexcept {
   }
 }
 
+/// The optimization level `-cl-opt-level=0|2` selects in an
+/// OpenCL-style build-options string (O2 when absent). Unknown tokens
+/// are ignored, as real drivers do; a malformed level throws BuildError.
+clc::OptLevel optLevelOf(const std::string& options);
+
 class Program {
 public:
   Program() = default;
@@ -82,9 +88,8 @@ public:
 
   bool valid() const noexcept { return impl_ != nullptr; }
 
-  /// Compiles the source (no-op for binary programs). Throws BuildError.
-  /// `options` is accepted for API fidelity and folded into nothing —
-  /// clc has no build options yet.
+  /// Compiles the source (no-op for binary programs) at the optimization
+  /// level `options` selects (optLevelOf). Throws BuildError.
   void build(const std::string& options = "");
 
   bool isBuilt() const;

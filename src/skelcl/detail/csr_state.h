@@ -3,9 +3,9 @@
 // pointer appears on both neighbors — so the chunk machinery of
 // VectorState does not fit. The matrix is immutable after construction,
 // which keeps the staging logic one-way: partition the rows with the
-// runtime's current block weights (largest-remainder, weight-aware —
-// the same partitioner Vector blocks use, so SKELCL_WEIGHTS=measured
-// shapes sparse row chunks exactly like dense element chunks), slice
+// runtime's block weights (largest-remainder, weight-aware — the same
+// partitioner Vector blocks use, so a heterogeneous machine shapes
+// sparse row chunks exactly like dense element chunks), slice
 // rowPtr/colIdx/values per device, upload once, and keep that geometry
 // for the matrix's lifetime. Row-pointer slices stay absolute; kernels
 // subtract the slice's base nnz (CsrChunk::nnzBegin) instead, so the
@@ -61,10 +61,9 @@ public:
   std::size_t nnz() const { return colIdx_.size(); }
   const std::vector<CsrChunk>& chunks() const { return chunks_; }
 
-  /// Partitions the rows with the runtime's current block weights and
-  /// uploads each device's slices. Idempotent: the first call fixes the
-  /// geometry (like a Vector, the matrix keeps the partition it was
-  /// uploaded with even if measured weights move later).
+  /// Partitions the rows with the runtime's block weights and uploads
+  /// each device's slices. Idempotent: the first call fixes the
+  /// geometry.
   void ensureOnDevices();
 
 private:

@@ -91,8 +91,8 @@ std::vector<std::size_t> nodeBlockPartition(
 
   // Level 1: split n across nodes by summed member weight; level 2:
   // split each node's share across its devices. Both levels use the same
-  // largest-remainder method, so the measured weight mode (DeviceState
-  // totals) carries over per node unchanged.
+  // largest-remainder method, so a node's share follows the summed peak
+  // throughput of its devices.
   std::vector<double> nodeWeights(nodes.size(), 0.0);
   for (std::size_t k = 0; k < nodes.size(); ++k) {
     for (std::size_t d : members[k]) {

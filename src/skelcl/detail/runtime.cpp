@@ -21,15 +21,6 @@ const char* distributionName(Distribution d) noexcept {
   return "?";
 }
 
-const char* weightModeName(WeightMode m) noexcept {
-  switch (m) {
-    case WeightMode::Even: return "even";
-    case WeightMode::Static: return "static";
-    case WeightMode::Measured: return "measured";
-  }
-  return "?";
-}
-
 namespace detail {
 
 Runtime& Runtime::instance() {
@@ -54,20 +45,6 @@ void Runtime::init(const DeviceSelection& selection) {
     LOG_INFO("SKELCL_DEVICES=" << deviceSpec
                                << ": configured heterogeneous platform");
   }
-  // SKELCL_WEIGHTS picks how block-distribution weights are derived;
-  // unknown values fall back to even rather than fail, matching the
-  // other scheduling knobs.
-  const std::string weights = envStr("SKELCL_WEIGHTS", "even");
-  if (weights == "static") {
-    weightMode_ = WeightMode::Static;
-  } else if (weights == "measured") {
-    weightMode_ = WeightMode::Measured;
-  } else {
-    if (weights != "even" && !weights.empty()) {
-      LOG_WARN("unknown SKELCL_WEIGHTS '" << weights << "'; using even");
-    }
-    weightMode_ = WeightMode::Even;
-  }
   devices_.clear();
   for (const auto& platform : ocl::getPlatforms()) {
     for (const auto& device : platform.devices(effective.type)) {
@@ -86,6 +63,10 @@ void Runtime::init(const DeviceSelection& selection) {
     throw common::InvalidArgument(
         "SkelCL init: requested " + std::to_string(effective.count) +
         " devices, only " + std::to_string(devices_.size()) + " available");
+  }
+  blockWeights_.clear();
+  for (const auto& device : devices_) {
+    blockWeights_.push_back(device.spec().peakCyclesPerNs());
   }
   context_ = std::make_unique<ocl::Context>(devices_);
   // Out-of-order queues let transfers overlap compute on each device's
@@ -181,6 +162,7 @@ void Runtime::terminate() {
   }
   context_.reset();
   devices_.clear();
+  blockWeights_.clear();
   initialized_ = false;
 }
 
@@ -244,38 +226,9 @@ std::vector<std::size_t> Runtime::chunkVisitOrder(std::size_t n) {
   return order;
 }
 
-std::vector<double> Runtime::blockWeights() const {
+const std::vector<double>& Runtime::blockWeights() const {
   requireInit();
-  std::vector<double> weights(devices_.size(), 1.0);
-  switch (weightMode_) {
-    case WeightMode::Even:
-      break;
-    case WeightMode::Static:
-      for (std::size_t i = 0; i < devices_.size(); ++i) {
-        weights[i] = devices_[i].spec().peakCyclesPerNs();
-      }
-      break;
-    case WeightMode::Measured: {
-      // Weigh by observed throughput (cycles retired per busy ns). Until
-      // every claimed device has a compute sample the measurements say
-      // nothing about the unsampled ones, so stay even — the first
-      // skeleton call runs even, the next redistribution adapts.
-      std::vector<double> measured(devices_.size(), 0.0);
-      for (std::size_t i = 0; i < devices_.size(); ++i) {
-        const ocl::DeviceState& state = devices_[i].state();
-        if (state.launches() == 0) {
-          return weights;
-        }
-        measured[i] = state.kernelBusyNs() == 0
-                          ? 0.0
-                          : double(state.kernelCycles()) /
-                                double(state.kernelBusyNs());
-      }
-      weights = std::move(measured);
-      break;
-    }
-  }
-  return weights;
+  return blockWeights_;
 }
 
 std::vector<std::uint32_t> Runtime::deviceNodes() const {

@@ -165,18 +165,11 @@ public:
   /// the synchronous retry semantics).
   ocl::Program& programFor(const std::string& source);
 
-  /// Where block-distribution weights come from. Set at init() from
-  /// SKELCL_WEIGHTS=even|static|measured; tests may override at runtime
-  /// (takes effect at the next partition/redistribution).
-  WeightMode weightMode() const noexcept { return weightMode_; }
-  void setWeightMode(WeightMode mode) noexcept { weightMode_ = mode; }
-
-  /// Current per-device block weights under weightMode() — one entry per
-  /// claimed device, order matching devices(). Even: all ones. Static:
-  /// DeviceSpec::peakCyclesPerNs. Measured: cycles per busy ns from each
-  /// device's DeviceState totals, falling back to even until every
-  /// claimed device has retired a kernel.
-  std::vector<double> blockWeights() const;
+  /// Per-device block weights, one entry per claimed device, order
+  /// matching devices(): each device's DeviceSpec::peakCyclesPerNs,
+  /// taken once at init(). A uniform machine has equal weights, so its
+  /// block split is the paper's even one.
+  const std::vector<double>& blockWeights() const;
 
   /// Node index per claimed device, order matching devices(). All zero
   /// on single-node machines.
@@ -213,11 +206,11 @@ private:
   std::mutex programMutex_;
   std::unordered_map<std::string, std::shared_ptr<ProgramEntry>>
       programMemo_;
-  WeightMode weightMode_ = WeightMode::Even;
   ocl::SchedulePolicy schedulePolicy_;
   common::Xoshiro256 orderRng_;
   std::string tracePath_;
   std::vector<ocl::Device> devices_;
+  std::vector<double> blockWeights_;
   std::unique_ptr<ocl::Context> context_;
   std::vector<ocl::CommandQueue> queues_;
   std::unique_ptr<KernelCache> cache_;

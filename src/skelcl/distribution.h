@@ -4,11 +4,12 @@
 // device (block).
 //
 // The paper assumes identical devices and splits block-distributed
-// vectors evenly. On heterogeneous platforms (SKELCL_DEVICES) block
-// parts are instead sized proportionally to per-device *weights*; the
-// WeightMode selects where the weights come from. Partition math lives
-// in detail/partition.h (deterministic largest-remainder); with Even
-// weights it reproduces the historical even split bit-for-bit.
+// vectors evenly. Block parts are sized proportionally to each device's
+// peak compute throughput (DeviceSpec::peakCyclesPerNs), so on
+// heterogeneous platforms (SKELCL_DEVICES) faster devices get larger
+// parts. Partition math lives in detail/partition.h (deterministic
+// largest-remainder); equal weights reproduce the even split
+// bit-for-bit, so uniform machines keep the paper's split.
 #pragma once
 
 namespace skelcl {
@@ -20,16 +21,5 @@ enum class Distribution {
 };
 
 const char* distributionName(Distribution d) noexcept;
-
-/// How block-distribution weights are derived (SKELCL_WEIGHTS).
-enum class WeightMode {
-  Even,     // equal weights — the paper's even split (default)
-  Static,   // DeviceSpec peak compute throughput (CUs x PEs x clock)
-  Measured, // observed cycles-per-busy-ns from the live device totals,
-            // applied at the next (re)distribution; falls back to Even
-            // until every device has executed at least one kernel
-};
-
-const char* weightModeName(WeightMode m) noexcept;
 
 } // namespace skelcl

@@ -5,7 +5,6 @@
 #include <iterator>
 #include <string_view>
 
-#include "clc/bytecode.h"
 #include "common/byte_stream.h"
 #include "common/env.h"
 #include "common/hash.h"
@@ -109,14 +108,7 @@ KernelCache::KernelCache(std::string directory)
                                    : std::move(directory)) {}
 
 std::string KernelCache::entryPath(const std::string& source) const {
-  // Key = source digest + bytecode format version + key-schema version +
-  // build-options digest, so a format bump or a change of the build
-  // options can never resolve to a stale entry.
-  return directory_ + "/" + common::Sha256::hexDigest(source) + "-v" +
-         std::to_string(clc::Program::kSerialVersion) + "-k" +
-         std::to_string(kKeySchemaVersion) + "-" +
-         common::Sha256::hexDigest(kDefaultBuildOptions).substr(0, 8) +
-         ".clcbin";
+  return directory_ + "/" + common::Sha256::hexDigest(source) + ".clcbin";
 }
 
 ocl::Program KernelCache::getOrBuild(const ocl::Context& context,
@@ -128,6 +120,13 @@ ocl::Program KernelCache::getOrBuild(const ocl::Context& context,
       common::Stopwatch timer;
       ocl::Program program =
           context.createProgramFromBinary(openEntry(common::readFile(path)));
+      const clc::OptLevel level = ocl::optLevelOf(kDefaultBuildOptions);
+      if (program.compiled().optLevel != std::uint8_t(level)) {
+        throw common::IoError(
+            "cache entry built at O" +
+            std::to_string(program.compiled().optLevel) + ", expected O" +
+            std::to_string(int(level)));
+      }
       {
         std::lock_guard lock(statsMutex_);
         stats_.loadSeconds += timer.elapsedSeconds();
@@ -137,7 +136,8 @@ ocl::Program KernelCache::getOrBuild(const ocl::Context& context,
                  source.size());
       return program;
     } catch (const common::Error& e) {
-      // Corrupted or version-mismatched entry: rebuild below.
+      // Corrupted, version-mismatched or other-level entry: rebuild
+      // below, overwriting it.
       LOG_WARN("kernel cache entry unusable (" << e.what()
                                                << "); rebuilding");
     }

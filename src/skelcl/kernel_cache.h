@@ -6,15 +6,14 @@
 //
 // A kernel is the same when its source is the same: every program is
 // built with kDefaultBuildOptions, so the build is a pure function of the
-// source. Entries are keyed by the SHA-256 of the source, the bytecode
-// format version, the key-schema version, and a digest of
-// kDefaultBuildOptions: bumping either version or changing the options
-// makes old entries unfindable, and a version check in the deserializer
-// rejects stale or hand-patched files that are found anyway, falling
-// back to a rebuild. On-disk blobs are additionally wrapped in an
-// integrity envelope (magic, payload length, FNV-1a64 digest), so a
-// truncated or bit-flipped entry is detected up front and silently
-// rebuilt instead of reaching the deserializer.
+// source. One source has one entry, `<sha256(source)>.clcbin`. An entry
+// written by another library build is found under the same name and
+// rejected on load — by the deserializer's format-version check, or
+// because the optimization level it records is not kDefaultBuildOptions'
+// — and the rebuild overwrites it in place. On-disk blobs are
+// additionally wrapped in an integrity envelope (magic, payload length,
+// FNV-1a64 digest), so a truncated or bit-flipped entry is detected up
+// front and silently rebuilt instead of reaching the deserializer.
 #pragma once
 
 #include <cstdint>
@@ -31,15 +30,6 @@ inline constexpr const char* kDefaultBuildOptions = "-cl-opt-level=2";
 
 class KernelCache {
 public:
-  /// Version of the cache *keying scheme* (the entry filename layout),
-  /// distinct from the bytecode serialization version inside the entry.
-  /// v2: keys additionally folded in the fusion flag and the
-  /// fused-function composition.
-  /// v3: both are gone, since the generated source already names the
-  /// composition: a program is keyed by its source alone, and "fusion
-  /// found nothing" and "fusion disabled" share one entry.
-  static constexpr unsigned kKeySchemaVersion = 3;
-
   /// `directory`: cache location; empty selects $SKELCL_CACHE_DIR or
   /// $HOME/.skelcl/cache (created on first store).
   explicit KernelCache(std::string directory = "");

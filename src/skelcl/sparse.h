@@ -16,8 +16,8 @@
 //       "float c(float a, float b) { return a + b; }", "0.0f");
 //
 // Rows are block-partitioned across the devices with the runtime's
-// current block weights (SKELCL_WEIGHTS=measured shapes sparse chunks
-// like dense ones); the dense operand is replicated, so a gather can
+// block weights (a heterogeneous machine shapes sparse chunks like
+// dense ones); the dense operand is replicated, so a gather can
 // touch any column without inter-device traffic. One work-item folds
 // one row — empty rows yield the identity, duplicate column entries
 // simply contribute once per entry.

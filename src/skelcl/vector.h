@@ -140,17 +140,17 @@ public:
   /// Allocates fresh output chunks with exactly the given distribution
   /// and geometry and no host staging (the buffers are about to be
   /// written device-side). Element-wise outputs mirror an input's
-  /// *actual* chunks rather than re-partitioning: under measured weights
-  /// a fresh block partition could disagree with the one the input was
-  /// uploaded with. SparseGather mirrors its matrix's row partition.
+  /// *actual* chunks rather than re-partitioning: a Stencil output's
+  /// row-aligned blocks differ from a fresh block partition of the same
+  /// size. SparseGather mirrors its matrix's row partition.
   void allocateOutput(Distribution dist, std::size_t singleDevice,
                       const std::vector<Chunk>& layout);
   /// Ensures this vector's device data has distribution `dist` and the
   /// exact chunk geometry of `layout`, re-staging through the host when
-  /// it does not. Zip aligns its right operand with this: two block
-  /// partitions made at different times may disagree under measured
-  /// weights (and two single distributions may sit on different
-  /// devices), and element-wise kernels need identical geometry.
+  /// it does not. Zip aligns its right operand with this: a Stencil
+  /// output's row-aligned blocks differ from a fresh block partition
+  /// (and two single distributions may sit on different devices), and
+  /// element-wise kernels need identical geometry.
   void matchLayout(Distribution dist, std::size_t singleDevice,
                    const std::vector<Chunk>& layout);
 

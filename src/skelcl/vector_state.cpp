@@ -355,13 +355,12 @@ void VectorState::matchLayout(Distribution dist, std::size_t singleDevice,
 
 // --- private helpers -------------------------------------------------------
 
-/// One chunk descriptor per device, sized by the runtime's current block
-/// weights (detail/partition.h). With even weights — the default — this
-/// is the paper's even split; on heterogeneous platforms or under
-/// measured feedback, faster devices receive proportionally larger
-/// contiguous parts. Devices whose share rounds to zero still get a
-/// (count == 0) chunk so chunk index == device index holds; no device
-/// command is ever enqueued for those.
+/// One chunk descriptor per device, sized by the runtime's block weights
+/// (detail/partition.h). On a uniform machine this is the paper's even
+/// split; on heterogeneous platforms, faster devices receive
+/// proportionally larger contiguous parts. Devices whose share rounds to
+/// zero still get a (count == 0) chunk so chunk index == device index
+/// holds; no device command is ever enqueued for those.
 std::vector<Chunk> VectorState::blockLayout() const {
   auto& runtime = Runtime::instance();
   const std::vector<std::size_t> counts =

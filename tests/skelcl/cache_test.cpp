@@ -226,6 +226,43 @@ TEST_F(CacheTest, StaleFormatVersionIsRejectedAndRebuilt) {
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
+TEST_F(CacheTest, StaleEntryUnderTheSourceNameIsOverwrittenInPlace) {
+  // An entry from a library build with another bytecode format lives
+  // under the same name as the current one: it is rejected on load, and
+  // the rebuild replaces it instead of piling a second file beside it.
+  ocl::Program built = context_.createProgram(source_);
+  built.build(skelcl::kDefaultBuildOptions);
+  std::vector<std::uint8_t> payload = built.binary();
+  ASSERT_GE(payload.size(), 8u);
+  const std::uint32_t stale = clc::Program::kSerialVersion - 1;
+  for (std::size_t i = 0; i < 4; ++i) {
+    payload[4 + i] = std::uint8_t(stale >> (8 * i));
+  }
+  common::writeFile(dir_ + "/" + common::Sha256::hexDigest(source_) +
+                        ".clcbin",
+                    sealEntry(payload));
+
+  KernelCache cache(dir_);
+  cache.getOrBuild(context_, source_);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  std::size_t entries = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+    if (e.path().extension() == ".clcbin") ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+  cache.getOrBuild(context_, source_);
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST_F(CacheTest, EntryBuiltAtAnotherLevelIsRebuilt) {
+  // A sound O0 entry under the source's name: it loads and verifies,
+  // but every cached program is an O2 build, so it is rebuilt.
+  ocl::Program built = context_.createProgram(source_);
+  built.build("-cl-opt-level=0");
+  expectRebuildOver(dir_, context_, source_, sealEntry(built.binary()));
+}
+
 TEST_F(CacheTest, ClearRemovesEntries) {
   KernelCache cache(dir_);
   cache.getOrBuild(context_, source_);

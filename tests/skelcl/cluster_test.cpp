@@ -303,6 +303,49 @@ TEST_F(ClusterTest, MapOutputsBitIdenticalAcrossNodeCounts) {
   EXPECT_EQ(one, four);
 }
 
+TEST_F(ClusterTest, MixedSpeedNodesSplitTwoToOneAndMatchOneGpu) {
+  // A full-speed and a half-speed two-GPU node: node weights are the
+  // summed peak throughput, 2:1, so 3001 elements split {2001, 1000}
+  // across the nodes before each node splits its share evenly.
+  auto run = [this](const std::string& spec) {
+    initPlatform(spec);
+    std::vector<float> a(3001), b(3001);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i] = float((i * 13) % 97) * 0.0625f;
+      b[i] = float((i * 7) % 89) * 0.125f;
+    }
+    Vector<float> va(a), vb(b);
+    va.setDistribution(Distribution::Block);
+    vb.setDistribution(Distribution::Block);
+    Map<float> heavy(
+        "float mheavy(float x) {\n"
+        "  float acc = x;\n"
+        "  for (int i = 0; i < 16; ++i) { acc = acc * 1.0001f + 0.5f; }\n"
+        "  return acc;\n"
+        "}");
+    skelcl::Zip<float> mul("float mmul(float x, float y) { return x * y; }");
+    Vector<float> out = mul(heavy(va), vb);
+    std::vector<float> host = out.hostData();
+    const std::vector<std::size_t> layout = chunkCounts(va);
+    skelcl::terminate();
+    return std::make_pair(layout, host);
+  };
+
+  initPlatform("node(t10*2),node(t10*2@0.5x)@ib");
+  EXPECT_EQ(Runtime::instance().deviceNodes(),
+            (std::vector<std::uint32_t>{0, 0, 1, 1}));
+  const std::vector<std::size_t> split = {1001, 1000, 500, 500};
+  EXPECT_EQ(nodeBlockPartition(3001, Runtime::instance().blockWeights(),
+                               Runtime::instance().deviceNodes()),
+            split);
+  skelcl::terminate();
+
+  const auto mixed = run("node(t10*2),node(t10*2@0.5x)@ib");
+  const auto one = run("t10");
+  EXPECT_EQ(mixed.first, split);
+  EXPECT_EQ(mixed.second, one.second);
+}
+
 TEST_F(ClusterTest, StencilWithFewerRowsThanDevicesFallsBackCleanly) {
   auto run = [this](const std::string& spec) {
     initPlatform(spec);

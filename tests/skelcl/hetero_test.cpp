@@ -1,7 +1,7 @@
 // Heterogeneous simulated platforms and the weighted block
 // distribution (DESIGN.md §6e): the SKELCL_DEVICES spec grammar, the
-// deterministic largest-remainder partitioner, the three weight modes
-// (even / static / measured), and that the fault-injection and
+// deterministic largest-remainder partitioner, block weights taken from
+// each device's peak throughput, and that the fault-injection and
 // schedule-fuzzing guarantees carry over to skewed machines.
 #include <cstdlib>
 #include <numeric>
@@ -18,7 +18,6 @@ using skelcl::MapReduce;
 using skelcl::Reduce;
 using skelcl::Scan;
 using skelcl::Vector;
-using skelcl::WeightMode;
 using skelcl::Zip;
 using skelcl::detail::Runtime;
 using skelcl::detail::weightedPartition;
@@ -155,25 +154,22 @@ TEST(DeviceSpecScaled, ComposesIdempotentlyWithoutStackingSuffixes) {
 }
 
 // ---------------------------------------------------------------------
-// Runtime integration: weight modes, determinism, geometry alignment.
+// Runtime integration: machine weights, determinism, geometry alignment.
 // ---------------------------------------------------------------------
 
 /// Fixture for tests that build their own platform per test body (the
 /// shared SkelclFixture hardcodes the uniform Tesla S1070).
 class HeteroTest : public ::testing::Test {
 protected:
-  void initPlatform(const std::string& spec,
-                    WeightMode mode = WeightMode::Even) {
+  void initPlatform(const std::string& spec) {
     skelcl_test::useTempCacheDir();
     ocl::configureSystem(ocl::SystemConfig::parse(spec));
     skelcl::init(skelcl::DeviceSelection::allDevices());
-    Runtime::instance().setWeightMode(mode);
   }
 
   void TearDown() override {
     ocl::FaultInjector::instance().reset();
     ::unsetenv("SKELCL_DEVICES");
-    ::unsetenv("SKELCL_WEIGHTS");
     ::unsetenv("SKELCL_SCHEDULE_SEED");
     if (Runtime::instance().initialized()) {
       skelcl::terminate();
@@ -192,14 +188,17 @@ protected:
 TEST_F(HeteroTest, EnvSpecAndWeightsDriveInit) {
   skelcl_test::useTempCacheDir();
   ::setenv("SKELCL_DEVICES", "t10@0.5x*2,cpu", 1);
-  ::setenv("SKELCL_WEIGHTS", "static", 1);
   skelcl::init(); // default GPU selection is overridden by the spec
   EXPECT_EQ(skelcl::deviceCount(), 3u);
-  EXPECT_EQ(Runtime::instance().weightMode(), WeightMode::Static);
+  // The spec'd devices' peak throughput is the block weights.
+  const double half = ocl::DeviceSpec::teslaT10().scaled(0.5).peakCyclesPerNs();
+  EXPECT_EQ(Runtime::instance().blockWeights(),
+            (std::vector<double>{
+                half, half, ocl::DeviceSpec::xeonE5520().peakCyclesPerNs()}));
 }
 
 TEST_F(HeteroTest, StaticWeightsFavorFasterDevice) {
-  initPlatform("t10,t10@0.5x", WeightMode::Static);
+  initPlatform("t10,t10@0.5x");
   // Peak throughput 2:1, so 9 elements split exactly {6, 3}.
   EXPECT_EQ(Runtime::instance().blockPartition(9),
             (std::vector<std::size_t>{6, 3}));
@@ -211,128 +210,29 @@ TEST_F(HeteroTest, StaticWeightsFavorFasterDevice) {
   EXPECT_EQ(v.state().chunks()[1].offset, 6u);
 }
 
-TEST_F(HeteroTest, MeasuredFallsBackToEvenUntilSampled) {
-  initPlatform("t10,t10@0.5x", WeightMode::Measured);
-  // No kernel has retired yet: the devices have no samples, so the
-  // partition is the even one, not garbage.
-  EXPECT_EQ(Runtime::instance().blockPartition(10),
-            (std::vector<std::size_t>{5, 5}));
-}
-
-TEST_F(HeteroTest, MeasuredModeConvergesOnSkewedPlatform) {
-  initPlatform("t10,t10@0.5x", WeightMode::Measured);
-  Map<float> heavy(
-      "float heavy(float x) {\n"
-      "  float acc = x;\n"
-      "  for (int i = 0; i < 64; ++i) { acc = acc * 1.0001f + 0.5f; }\n"
-      "  return acc;\n"
-      "}");
-
-  const std::size_t n = 60000;
-  Vector<float> v(n, 1.0f);
-  v.setDistribution(Distribution::Block);
-  v.state().ensureOnDevices();
-  // Round 1 runs on the even fallback split and feeds the device totals.
-  EXPECT_EQ(chunkCounts(v), (std::vector<std::size_t>{n / 2, n / 2}));
-  Vector<float> out = heavy(v);
-  (void)out[0]; // force completion + download
-
-  // Round 2: a fresh redistribution sees the measured rates. The full-
-  // speed device runs ~2x faster, so its share converges toward 2/3.
-  Vector<float> w(n, 2.0f);
-  w.setDistribution(Distribution::Block);
-  w.state().ensureOnDevices();
-  const auto counts = chunkCounts(w);
-  ASSERT_EQ(counts.size(), 2u);
-  EXPECT_EQ(counts[0] + counts[1], n);
-  EXPECT_GE(double(counts[0]), 1.5 * double(counts[1]))
-      << "fast device got " << counts[0] << " vs " << counts[1];
-  EXPECT_LE(double(counts[0]), 2.5 * double(counts[1]))
-      << "fast device got " << counts[0] << " vs " << counts[1];
-
-  // The skewed split still computes the right answer.
-  Vector<float> res = heavy(w);
-  float expected = 2.0f;
-  for (int i = 0; i < 64; ++i) {
-    expected = expected * 1.0001f + 0.5f;
-  }
-  for (std::size_t i = 0; i < n; i += 9973) {
-    ASSERT_FLOAT_EQ(res[i], expected) << i;
-  }
-}
-
-TEST_F(HeteroTest, MeasuredWeightsLiveAsLongAsTheMachine) {
-  // The samples belong to the simulated devices: terminate()/init() over
-  // the same machine keeps them, configureSystem() builds fresh devices
-  // and so starts over from even.
-  initPlatform("t10,t10@0.5x", WeightMode::Measured);
-  {
-    Map<float> heavy(
-        "float heavy(float x) {\n"
-        "  float acc = x;\n"
-        "  for (int i = 0; i < 64; ++i) { acc = acc * 1.0001f + 0.5f; }\n"
-        "  return acc;\n"
-        "}");
-    Vector<float> v(6000, 1.0f);
-    v.setDistribution(Distribution::Block);
-    (void)heavy(v)[0];
-  }
-  const std::vector<double> measured = Runtime::instance().blockWeights();
-  ASSERT_EQ(measured.size(), 2u);
-  EXPECT_GT(measured[0], 1.5 * measured[1]);
-
-  skelcl::terminate();
-  skelcl::init(skelcl::DeviceSelection::allDevices());
-  Runtime::instance().setWeightMode(WeightMode::Measured);
-  EXPECT_EQ(Runtime::instance().blockWeights(), measured);
-  skelcl::terminate();
-
-  initPlatform("t10,t10@0.5x", WeightMode::Measured);
-  EXPECT_EQ(Runtime::instance().blockWeights(),
-            (std::vector<double>{1.0, 1.0}));
-  EXPECT_EQ(Runtime::instance().blockPartition(10),
-            (std::vector<std::size_t>{5, 5}));
-}
-
 TEST_F(HeteroTest, UniformPlatformAllModesMatchSeedSplit) {
-  // Acceptance pin: on a uniform platform every weight mode must keep
-  // the exact historical even split — byte-identical outputs and chunk
-  // boundaries. Measured gets symmetric samples first (a map whose
-  // chunks are all equal) so its weights are exactly equal doubles.
+  // Acceptance pin: on a uniform platform the machine's weights are
+  // equal, so the split is exactly the historical even one — chunk
+  // boundaries and outputs both.
   skelcl_test::useTempCacheDir();
   ocl::configureSystem(ocl::SystemConfig::teslaS1070(4));
   skelcl::init(skelcl::DeviceSelection::nGPUs(4));
-  Runtime::instance().setWeightMode(WeightMode::Measured);
-
-  Map<float> triple("float triple(float x) { return 3.0f * x; }");
-  Vector<float> warm(1000, 1.0f);
-  warm.setDistribution(Distribution::Block);
-  (void)triple(warm)[0];
 
   const std::vector<std::size_t> seedSplit = {251, 251, 251, 250};
-  std::vector<std::vector<float>> outputs;
-  for (const WeightMode mode :
-       {WeightMode::Even, WeightMode::Static, WeightMode::Measured}) {
-    Runtime::instance().setWeightMode(mode);
-    EXPECT_EQ(Runtime::instance().blockPartition(1003), seedSplit)
-        << skelcl::weightModeName(mode);
+  EXPECT_EQ(Runtime::instance().blockPartition(1003), seedSplit);
 
-    std::vector<float> data(1003);
-    std::iota(data.begin(), data.end(), 0.0f);
-    Vector<float> v(data);
-    v.setDistribution(Distribution::Block);
-    v.state().ensureOnDevices();
-    EXPECT_EQ(chunkCounts(v), seedSplit) << skelcl::weightModeName(mode);
+  std::vector<float> data(1003);
+  std::iota(data.begin(), data.end(), 0.0f);
+  Vector<float> v(data);
+  v.setDistribution(Distribution::Block);
+  v.state().ensureOnDevices();
+  EXPECT_EQ(chunkCounts(v), seedSplit);
 
-    Vector<float> out = triple(v);
-    std::vector<float> host(out.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      host[i] = out[i];
-    }
-    outputs.push_back(std::move(host));
+  Map<float> triple("float triple(float x) { return 3.0f * x; }");
+  Vector<float> out = triple(v);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(out[i], 3.0f * data[i]) << i;
   }
-  EXPECT_EQ(outputs[0], outputs[1]);
-  EXPECT_EQ(outputs[0], outputs[2]);
 }
 
 TEST_F(HeteroTest, SameSpecSameSplitAcrossInitCycles) {
@@ -340,7 +240,7 @@ TEST_F(HeteroTest, SameSpecSameSplitAcrossInitCycles) {
   // independent init() cycles over the same machine must produce
   // identical chunk boundaries and identical outputs.
   auto run = [this] {
-    initPlatform("t10*2,t10@0.5x", WeightMode::Static);
+    initPlatform("t10*2,t10@0.5x");
     std::vector<float> data(4097);
     std::iota(data.begin(), data.end(), 0.0f);
     Vector<float> v(data);
@@ -389,7 +289,7 @@ TEST_F(HeteroTest, ZipSizeMismatchIsTypedAndNamesBothSides) {
 }
 
 TEST_F(HeteroTest, ZipAutoRedistributesWhenOnlyDistributionDiffers) {
-  initPlatform("t10,t10@0.5x", WeightMode::Static);
+  initPlatform("t10,t10@0.5x");
   Zip<float> sub("float sub(float x, float y) { return x - y; }");
   std::vector<float> a(999), b(999);
   std::iota(a.begin(), a.end(), 0.0f);
@@ -410,41 +310,39 @@ TEST_F(HeteroTest, ZipAutoRedistributesWhenOnlyDistributionDiffers) {
   }
 }
 
-TEST_F(HeteroTest, ZipAlignsGeometryWhenMeasuredWeightsDrift) {
-  // Under measured weights two block partitions made at different
-  // times can disagree (the device totals keep growing between them).
-  // Zip must align the right operand to the left's *actual* chunks, not
-  // assume both blocks are congruent.
-  initPlatform("t10,t10@0.5x", WeightMode::Measured);
-  const std::size_t n = 40000;
+TEST_F(HeteroTest, ZipAlignsStencilRowBlocksWithFreshBlocks) {
+  // A Stencil output keeps its input's row-aligned blocks, which differ
+  // from a fresh block partition of the same size. Zip must align the
+  // right operand to the left's *actual* chunks, not assume both blocks
+  // are congruent.
+  initPlatform("t10,t10@0.5x");
+  const std::size_t width = 7;
+  const std::size_t n = 10 * width; // rows split {7, 3}
   std::vector<float> data(n);
   std::iota(data.begin(), data.end(), 0.0f);
-  Vector<float> a(data);
-  a.setDistribution(Distribution::Block);
-  a.state().ensureOnDevices(); // even fallback split
-  const auto evenCounts = chunkCounts(a);
-
-  Map<float> heavy(
-      "float heavy2(float x) {\n"
-      "  float acc = x;\n"
-      "  for (int i = 0; i < 64; ++i) { acc = acc * 1.0001f + 0.25f; }\n"
-      "  return acc;\n"
-      "}");
-  (void)heavy(a)[0]; // feed the device totals -> weights now skewed
+  skelcl::Stencil<float> centre(
+      "float centre(__global const float* w, uint st) {\n"
+      "  return w[(int)st + 1];\n"
+      "}\n",
+      skelcl::StencilShape{1, skelcl::Boundary::Clamp, width});
+  Vector<float> grid(data);
+  Vector<float> a = centre(grid);
+  (void)a[0];
+  EXPECT_EQ(chunkCounts(a), (std::vector<std::size_t>{49, 21}));
 
   Vector<float> b(data);
   b.setDistribution(Distribution::Block);
-  b.state().ensureOnDevices(); // measured split, differs from a's
-  EXPECT_NE(chunkCounts(b), evenCounts)
+  b.state().ensureOnDevices();
+  EXPECT_EQ(chunkCounts(b), (std::vector<std::size_t>{47, 23}))
       << "test premise: the two partitions should disagree";
 
   Zip<float> add("float add2(float x, float y) { return x + y; }");
   Vector<float> out = add(a, b);
-  for (std::size_t i = 0; i < n; i += 997) {
+  for (std::size_t i = 0; i < n; ++i) {
     ASSERT_FLOAT_EQ(out[i], 2.0f * float(i)) << i;
   }
   // b was re-staged onto a's geometry.
-  EXPECT_EQ(chunkCounts(b), evenCounts);
+  EXPECT_EQ(chunkCounts(b), chunkCounts(a));
 }
 
 // ---------------------------------------------------------------------
@@ -486,7 +384,7 @@ TEST_F(HeteroTest, EmptyVectorsIssueNoDeviceCommands) {
 }
 
 TEST_F(HeteroTest, TinyVectorsNeverEnqueueZeroLengthCommands) {
-  initPlatform("t10*3,t10@0.5x", WeightMode::Static);
+  initPlatform("t10*3,t10@0.5x");
   Map<int> inc("int inc_t(int x) { return x + 1; }");
   Reduce<int> sum("int add(int x, int y) { return x + y; }");
   Scan<int> prefix("int add2(int x, int y) { return x + y; }");
@@ -520,7 +418,7 @@ TEST_F(HeteroTest, TinyVectorsNeverEnqueueZeroLengthCommands) {
 // ---------------------------------------------------------------------
 
 TEST_F(HeteroTest, FaultPlanReplaysUnderHeterogeneousSpec) {
-  initPlatform("t10,t10@0.5x,cpu", WeightMode::Static);
+  initPlatform("t10,t10@0.5x,cpu");
   Map<int> twice("int twice_h(int x) { return 2 * x; }");
   std::vector<int> data(512);
   std::iota(data.begin(), data.end(), 0);
@@ -543,7 +441,7 @@ TEST_F(HeteroTest, SchedulesAreOutputInvariantOnSkewedPlatform) {
   // weighted chunks differ per device, but every legal schedule of the
   // same command DAG must produce bit-identical results.
   auto run = [this] {
-    initPlatform("t10*2,t10@0.5x", WeightMode::Static);
+    initPlatform("t10*2,t10@0.5x");
     std::vector<float> a(3001), b(3001);
     std::iota(a.begin(), a.end(), 1.0f);
     std::iota(b.begin(), b.end(), 0.5f);
