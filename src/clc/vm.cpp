@@ -1081,6 +1081,10 @@ void runGroup(const LaunchContext& ctx, std::size_t groupLinear,
   }
 }
 
+/// Launches of at most this many work items run on the calling thread
+/// (one default-sized SkelCL work-group).
+constexpr std::size_t kInlineItems = 256;
+
 } // namespace
 
 LaunchStats executeKernel(const Program& program,
@@ -1176,7 +1180,9 @@ LaunchStats executeKernel(const Program& program,
   std::vector<GroupResult> results(numGroups);
 
   const auto runOne = [&](std::size_t g) { runGroup(ctx, g, results[g]); };
-  if (pool != nullptr && numGroups > 1) {
+  const std::size_t items =
+      range.globalSize[0] * range.globalSize[1] * range.globalSize[2];
+  if (pool != nullptr && numGroups > 1 && items > kInlineItems) {
     pool->parallelFor(numGroups, runOne);
   } else {
     for (std::size_t g = 0; g < numGroups; ++g) {

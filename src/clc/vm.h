@@ -79,7 +79,10 @@ struct LaunchStats {
 ///
 /// * `segments` is the launch's global-memory table; Buffer arguments and
 ///   every global pointer in flight index into it.
-/// * `pool` runs work-groups in parallel when non-null.
+/// * `pool` runs work-groups in parallel when non-null, unless the whole
+///   launch has at most 256 work items: waking pool workers for a few
+///   short groups costs more host time than they save, so those run on
+///   the calling thread.
 ///
 /// OpenCL 1.1 rules are enforced: the global size must be divisible by the
 /// work-group size in every dimension. The program must have passed

@@ -67,8 +67,9 @@ FractalResult computeCuda(const FractalParams& params);
 FractalResult computeOpenCl(const FractalParams& params);
 
 /// SkelCL implementation (Map skeleton over a vector of pixel
-/// coordinates). `workGroupSize` 0 = SkelCL default (256). Expects
-/// skelcl::init() to have happened.
+/// coordinates). `workGroupSize` 0 = SkelCL default (256 once a device
+/// holds at least 30 x 256 pixels). Expects skelcl::init() to have
+/// happened.
 FractalResult computeSkelCl(const FractalParams& params,
                             std::size_t workGroupSize = 0);
 

@@ -29,8 +29,9 @@ OsemResult reconstructSkelCl(const Dataset& dataset) {
 
   skelcl::Map<int, void> computeC(kOsemSkelClSource);
   // Hand-tuned work-group size (the paper notes this is "sometimes
-  // reasonable"): with only 512 map indices, the default of 256 would
-  // occupy two compute units; 64 matches the CUDA/OpenCL baselines.
+  // reasonable"): 64 matches the CUDA/OpenCL baselines' launch geometry
+  // (eight groups of 64 over the 512 map indices), so Figure 2 compares
+  // the same launch. The launch-sized default would pick 32.
   computeC.setWorkGroupSize(64);
   skelcl::Zip<float> update(
       "float update_f(float f, float c) {"

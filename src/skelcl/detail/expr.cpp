@@ -208,7 +208,7 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
       collectStageDeps(plan, deps, chunk.deviceIndex);
 
       const std::size_t wg =
-          effectiveWorkGroupSize(node->workGroupSize, device);
+          effectiveWorkGroupSize(node->workGroupSize, chunk.count, device);
       const std::size_t cus =
           std::max<std::size_t>(1, device.spec().computeUnits);
       ocl::Event done = launchPipelined(

@@ -372,8 +372,8 @@ void runStencil(const std::shared_ptr<ExprNode>& node,
       }
       std::vector<ocl::Event> deps;
       appendEvent(deps, chunk.ready);
-      const std::size_t wg = effectiveWorkGroupSize(node->workGroupSize,
-                                                    device);
+      const std::size_t wg =
+          effectiveWorkGroupSize(node->workGroupSize, pn, device);
       packed[idx] = runtime.queue(d).enqueueNDRange(
           kernel, ocl::NDRange1D{roundUp(pn, wg), wg}, deps);
     }
@@ -412,10 +412,12 @@ void runStencil(const std::shared_ptr<ExprNode>& node,
         copyHalo(next < totalRows ? next : 0, rows + R);
       }
 
-      const std::size_t wg = effectiveWorkGroupSize(node->workGroupSize,
-                                                    device);
+      // The interior and border launches are each sized by their own
+      // item count.
       auto compute = [&](std::size_t r0, std::size_t rn, std::size_t skip,
                          std::vector<ocl::Event> deps) {
+        const std::size_t wg =
+            effectiveWorkGroupSize(node->workGroupSize, rn * W, device);
         ocl::Kernel kernel = program.createKernel("skelcl_stencil");
         std::size_t arg = 0;
         kernel.setArg(arg++, pads[idx]);
@@ -555,8 +557,8 @@ void runSparseGather(const std::shared_ptr<ExprNode>& node,
       appendEvent(deps, cc.ready);
       appendEvent(deps, x.readyEventOn(d));
       collectStageDeps(plan, deps, d);
-      const std::size_t wg = effectiveWorkGroupSize(node->workGroupSize,
-                                                    device);
+      const std::size_t wg =
+          effectiveWorkGroupSize(node->workGroupSize, cc.rowCount, device);
       ocl::Event done = runtime.queue(d).enqueueNDRange(
           kernel, ocl::NDRange1D{roundUp(cc.rowCount, wg), wg}, deps);
       out->recordEventOn(d, done);

@@ -160,6 +160,10 @@ void Runtime::terminate() {
     std::lock_guard lock(programMutex_);
     programMemo_.clear();
   }
+  {
+    std::lock_guard lock(nameMutex_);
+    nameMemo_.clear();
+  }
   context_.reset();
   devices_.clear();
   blockWeights_.clear();

@@ -60,7 +60,9 @@ public:
   KernelCache& kernelCache();
 
   /// SkelCL's default work-group size (the paper: "SkelCL uses its
-  /// default work-group size of 256").
+  /// default work-group size of 256"). Element-wise launches too small
+  /// to give every compute unit a group of this size use smaller groups
+  /// (see effectiveWorkGroupSize).
   std::size_t defaultWorkGroupSize() const noexcept { return 256; }
 
   /// True when SKELCL_SERIALIZE=1 forced in-order queues at init():
@@ -165,6 +167,27 @@ public:
   /// the synchronous retry semantics).
   ocl::Program& programFor(const std::string& source);
 
+  /// Memo of UserFunction's parse for this init()..terminate() cycle:
+  /// the names of the functions `source` defines, keyed by the source
+  /// text, so a skeleton built again from a source seen before does not
+  /// re-lex it. Holds names only, never programs. `parse(source)` runs
+  /// on a miss; when it throws, nothing is memoized and the exception
+  /// propagates, so the next request parses again. Thread-safe.
+  template <typename Parse>
+  std::vector<std::string> userFunctionNames(const std::string& source,
+                                             Parse parse) {
+    {
+      std::lock_guard lock(nameMutex_);
+      if (auto it = nameMemo_.find(source); it != nameMemo_.end()) {
+        return it->second;
+      }
+    }
+    std::vector<std::string> names = parse(source);
+    std::lock_guard lock(nameMutex_);
+    nameMemo_.emplace(source, names);
+    return names;
+  }
+
   /// Per-device block weights, one entry per claimed device, order
   /// matching devices(): each device's DeviceSpec::peakCyclesPerNs,
   /// taken once at init(). A uniform machine has equal weights, so its
@@ -206,6 +229,8 @@ private:
   std::mutex programMutex_;
   std::unordered_map<std::string, std::shared_ptr<ProgramEntry>>
       programMemo_;
+  std::mutex nameMutex_;
+  std::unordered_map<std::string, std::vector<std::string>> nameMemo_;
   ocl::SchedulePolicy schedulePolicy_;
   common::Xoshiro256 orderRng_;
   std::string tracePath_;

@@ -1,9 +1,11 @@
 // Shared machinery for the DAG evaluators (detail/expr.cpp,
-// detail/irregular.cpp): launch geometry and the event plumbing that lets
-// skeleton launches pipeline against split uploads instead of serializing
-// behind a finish(). Generated programs come from Runtime::programFor.
+// detail/irregular.cpp) and the copy -> block combine (vector_state.cpp):
+// launch geometry and the event plumbing that lets skeleton launches
+// pipeline against split uploads instead of serializing behind a
+// finish(). Generated programs come from Runtime::programFor.
 #pragma once
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -16,14 +18,28 @@ inline std::size_t roundUp(std::size_t n, std::size_t multiple) {
   return (n + multiple - 1) / multiple * multiple;
 }
 
-/// Resolves the effective work-group size for a launch: the user's
-/// explicit choice if set, otherwise SkelCL's default (256), clamped to
-/// the device limit.
+/// Warp width of the paper's Tesla T10: the smallest work-group SkelCL
+/// picks by itself, since a smaller one would leave warp lanes idle.
+constexpr std::size_t kWarpWidth = 32;
+
+/// Resolves the work-group size of an element-wise launch of `items`
+/// work items: the user's explicit choice if set, otherwise sized from
+/// the launch so that a small one spreads over the device's compute
+/// units instead of padding one group on one of them —
+/// ceil(items / CUs) rounded up to a warp, between kWarpWidth and
+/// SkelCL's default (256). A launch of at least CUs x 256 items keeps
+/// 256. Either way clamped to the device limit.
 inline std::size_t effectiveWorkGroupSize(std::size_t userChoice,
+                                          std::size_t items,
                                           const ocl::Device& device) {
-  auto& runtime = Runtime::instance();
-  const std::size_t wanted =
-      userChoice != 0 ? userChoice : runtime.defaultWorkGroupSize();
+  std::size_t wanted = userChoice;
+  if (wanted == 0) {
+    const std::size_t cus =
+        std::max<std::size_t>(1, device.spec().computeUnits);
+    wanted = std::clamp(roundUp((items + cus - 1) / cus, kWarpWidth),
+                        kWarpWidth,
+                        Runtime::instance().defaultWorkGroupSize());
+  }
   return std::min<std::size_t>(wanted, device.maxWorkGroupSize());
 }
 

@@ -13,16 +13,18 @@ bool isIdentChar(char c) {
          (c >= '0' && c <= '9') || c == '_';
 }
 
-} // namespace
-
-UserFunction::UserFunction(std::string source) : source_(std::move(source)) {
+/// The names of the functions `source` defines at the top level, in
+/// definition order. Throws common::InvalidArgument when it does not lex
+/// or defines no function.
+std::vector<std::string> parseDefinedNames(const std::string& source) {
   std::vector<clc::Token> tokens;
   try {
-    tokens = clc::lexAndPreprocess(source_);
+    tokens = clc::lexAndPreprocess(source);
   } catch (const clc::CompileError& e) {
     throw common::InvalidArgument(
         std::string("cannot parse user function: ") + e.what());
   }
+  std::vector<std::string> names;
   int depth = 0;
   for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
     const clc::Token& tok = tokens[i];
@@ -41,15 +43,23 @@ UserFunction::UserFunction(std::string source) : source_(std::move(source)) {
       }
       if (j + 1 < tokens.size() &&
           tokens[j + 1].kind == clc::TokKind::LBrace) {
-        names_.push_back(tok.text);
+        names.push_back(tok.text);
       }
     }
   }
-  if (names_.empty()) {
+  if (names.empty()) {
     throw common::InvalidArgument(
-        "no function definition found in user source: " + source_);
+        "no function definition found in user source: " + source);
   }
+  return names;
 }
+
+} // namespace
+
+UserFunction::UserFunction(std::string source)
+    : source_(std::move(source)),
+      names_(Runtime::instance().userFunctionNames(source_,
+                                                   parseDefinedNames)) {}
 
 std::string renameUserFunctions(const UserFunction& fn,
                                 const std::string& prefix) {

@@ -17,8 +17,10 @@ namespace skelcl::detail {
 /// nodes share the parsed value, so nothing re-lexes the string later.
 class UserFunction {
 public:
-  /// Lexes `source` once. Throws common::InvalidArgument when it does
-  /// not lex or defines no function.
+  /// Lexes `source`, unless Runtime::userFunctionNames already holds
+  /// its names from this init()..terminate() cycle. Throws
+  /// common::InvalidArgument when it does not lex or defines no
+  /// function.
   explicit UserFunction(std::string source);
 
   /// The shared, immutable form the skeletons and expression nodes hold.

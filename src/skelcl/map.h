@@ -33,7 +33,8 @@ public:
       : function_(detail::UserFunction::parse(std::move(source))) {}
 
   /// Optional tuning knob; the paper notes the work-group size "can have
-  /// a considerable impact on performance". 0 = SkelCL default (256).
+  /// a considerable impact on performance". 0 = SkelCL default: 256, or
+  /// less for a launch too small to fill every compute unit with it.
   void setWorkGroupSize(std::size_t size) { workGroupSize_ = size; }
 
   Vector<Tout> operator()(const Vector<Tin>& input) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "skelcl/detail/expr.h"
+#include "skelcl/detail/skeleton_common.h"
 #include "skelcl/detail/source_utils.h"
 #include "trace/recorder.h"
 
@@ -190,11 +191,11 @@ void VectorState::setDistributionCombine(const std::string& combineSource) {
         kernel.setArg(0, block.buffer);
         kernel.setArg(1, temps[slot]);
         kernel.setArg(2, std::uint32_t(block.count));
-        const std::size_t wg = std::min<std::size_t>(
-            runtime.defaultWorkGroupSize(), device.maxWorkGroupSize());
-        const std::size_t global = (block.count + wg - 1) / wg * wg;
-        folded = queue.enqueueNDRange(kernel, ocl::NDRange1D{global, wg},
-                                      {copied, folded});
+        const std::size_t wg =
+            effectiveWorkGroupSize(0, block.count, device);
+        folded = queue.enqueueNDRange(
+            kernel, ocl::NDRange1D{roundUp(block.count, wg), wg},
+            {copied, folded});
         tempFree[slot] = folded;
         slot ^= 1;
       }

@@ -319,6 +319,42 @@ TEST_F(SkeletonTest, UserFunctionNameExtraction) {
                common::InvalidArgument);
 }
 
+TEST_F(SkeletonTest, UserFunctionNamesAreMemoizedPerSource) {
+  auto& runtime = skelcl::detail::Runtime::instance();
+  const std::string source = "float memo(float x) { return x; }";
+  int parses = 0;
+  const auto parse = [&](const std::string&) {
+    ++parses;
+    return std::vector<std::string>{"memo"};
+  };
+  EXPECT_EQ(runtime.userFunctionNames(source, parse),
+            std::vector<std::string>{"memo"});
+  EXPECT_EQ(runtime.userFunctionNames(source, parse),
+            std::vector<std::string>{"memo"});
+  EXPECT_EQ(parses, 1);
+  // terminate() clears the memo.
+  skelcl::terminate();
+  skelcl::init(skelcl::DeviceSelection::nGPUs(1));
+  runtime.userFunctionNames(source, parse);
+  EXPECT_EQ(parses, 2);
+
+  // A failed parse is not memoized: every construction throws again.
+  const std::string bad = "int x = 3;";
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_THROW(skelcl::detail::UserFunction{bad}, common::InvalidArgument);
+  }
+  int throwingParses = 0;
+  const auto throwing = [&](const std::string&) -> std::vector<std::string> {
+    ++throwingParses;
+    throw common::InvalidArgument("unparsable");
+  };
+  EXPECT_THROW(runtime.userFunctionNames(bad, throwing),
+               common::InvalidArgument);
+  EXPECT_THROW(runtime.userFunctionNames(bad, throwing),
+               common::InvalidArgument);
+  EXPECT_EQ(throwingParses, 2);
+}
+
 TEST_F(SkeletonTest, MapRespectsCustomWorkGroupSize) {
   Map<int> f("int f(int x) { return x + 1; }");
   f.setWorkGroupSize(64);
