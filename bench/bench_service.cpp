@@ -22,9 +22,10 @@
 //     stay backlogged.
 //
 //  3. Cross-tenant batching. The same 4-tenant workload runs once
-//     through a shared batching server and once as per-tenant isolated
-//     cycles (program memo cleared per tenant, batching off — the
-//     "every tenant links its own SkelCL" baseline). The shared server
+//     through a shared server (up to 8 jobs in flight) and once as
+//     per-tenant isolated cycles (program memo cleared per tenant,
+//     batching off — the "every tenant links its own SkelCL"
+//     baseline). The shared server
 //     must win >= 1.3x in virtual makespan and resolve the program
 //     fewer times (kernel-cache hits: one shared load vs one per
 //     tenant).
@@ -510,7 +511,7 @@ bool benchBatching(bool smoke) {
   const double speedup =
       double(isolated.makespanNs) / double(shared.makespanNs);
   std::printf("shared   %10.3f ms, %llu cache hits + %llu misses, "
-              "max batch %llu, %llu coalesced\n",
+              "max in flight %llu, %llu overlapped\n",
               double(shared.makespanNs) * 1e-6,
               (unsigned long long)shared.cacheHits,
               (unsigned long long)shared.cacheMisses,

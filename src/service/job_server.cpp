@@ -1,6 +1,8 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -11,7 +13,44 @@
 namespace skelcl::service {
 
 namespace {
+
 constexpr std::size_t kNone = ~std::size_t(0);
+
+/// Charges `stats` the kernel cycles and DMA bytes the platform's devices
+/// retire while the guard lives. The dispatcher enqueues every command
+/// synchronously, so all of them belong to the job whose phase runs.
+class ChargeScope {
+public:
+  explicit ChargeScope(JobStats& stats)
+      : stats_(stats), devices_(ocl::getPlatforms().front().devices()),
+        before_(retired()) {}
+  ~ChargeScope() {
+    const Retired after = retired();
+    stats_.deviceCycles += after.cycles - before_.cycles;
+    stats_.bytesMoved += after.bytes - before_.bytes;
+  }
+  ChargeScope(const ChargeScope&) = delete;
+  ChargeScope& operator=(const ChargeScope&) = delete;
+
+private:
+  struct Retired {
+    std::uint64_t cycles = 0;
+    std::uint64_t bytes = 0;
+  };
+  Retired retired() const {
+    Retired sum;
+    for (const ocl::Device& device : devices_) {
+      sum.cycles += device.state().kernelCycles();
+      sum.bytes += device.state().dmaBytes();
+    }
+    return sum;
+  }
+
+  JobStats& stats_;
+  std::vector<ocl::Device> devices_;
+  Retired before_;
+};
+
 } // namespace
 
 Policy policyFromString(const std::string& name) {
@@ -45,6 +84,54 @@ ServiceOverload::ServiceOverload(const std::string& tenant,
                     std::to_string(cap) + "); retry after the backlog "
                     "drains"),
       tenant_(tenant), queued_(queued), cap_(cap) {}
+
+// --- LatencyHistogram ----------------------------------------------------
+
+std::size_t LatencyHistogram::bucketOf(std::uint64_t ns) {
+  if (ns < kSubBuckets) {
+    return std::size_t(ns);
+  }
+  // Octave e >= 3 holds [2^e, 2^(e+1)) in kSubBuckets linear steps.
+  const int e = std::bit_width(ns) - 1;
+  const std::size_t sub = std::size_t(ns >> (e - 3)) & (kSubBuckets - 1);
+  return kSubBuckets * std::size_t(e - 2) + sub;
+}
+
+std::uint64_t LatencyHistogram::bucketCeil(std::uint64_t ns) {
+  if (ns < kSubBuckets) {
+    return ns;
+  }
+  const int e = std::bit_width(ns) - 1;
+  const std::uint64_t step = std::uint64_t(1) << (e - 3);
+  return (ns & ~(step - 1)) + (step - 1);
+}
+
+void LatencyHistogram::record(std::uint64_t ns) {
+  ++counts_[bucketOf(ns)];
+  ++count_;
+  max_ = std::max(max_, ns);
+}
+
+std::uint64_t LatencyHistogram::quantile(double q) const {
+  if (count_ == 0) {
+    return 0;
+  }
+  const auto rank = std::max<std::uint64_t>(
+      1, std::uint64_t(std::ceil(q * double(count_))));
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    seen += counts_[b];
+    if (seen >= rank) {
+      // The bucket's largest value: its lowest one plus its width - 1.
+      const std::uint64_t low =
+          b < kSubBuckets
+              ? b
+              : (kSubBuckets + b % kSubBuckets) << (b / kSubBuckets - 1);
+      return std::min(max_, bucketCeil(low));
+    }
+  }
+  return max_;
+}
 
 // --- JobHandle -----------------------------------------------------------
 
@@ -191,208 +278,163 @@ std::size_t JobServer::pickTenant(bool honorArrivals,
   return best;
 }
 
-std::vector<JobServer::PendingJob>
-JobServer::pickBatch(bool honorArrivals, std::uint64_t now,
-                     std::uint64_t* minReadyNs) {
-  *minReadyNs = std::numeric_limits<std::uint64_t>::max();
-  const std::size_t victim = pickTenant(honorArrivals, now);
-  std::vector<PendingJob> batch;
-  if (victim == kNone) {
-    for (const auto& tenant : tenants_) {
-      if (!tenant->queue.empty()) {
-        *minReadyNs =
-            std::min(*minReadyNs, tenant->queue.front().readyNs);
-      }
-    }
-    return batch;
-  }
-  batch.push_back(std::move(tenants_[victim]->queue.front()));
-  tenants_[victim]->queue.pop_front();
-  // Copy, not a reference: push_back below may reallocate the batch.
-  const std::string key = batch.front().job.programKey;
-  if (config_.batching && !key.empty()) {
-    // Coalesce same-program jobs across tenants, taking only queue
-    // fronts (per-session FIFO is preserved), round-robin from the
-    // victim so no tenant monopolizes the batch.
-    bool took = true;
-    while (batch.size() < config_.batchLimit && took) {
-      took = false;
-      for (std::size_t k = 0; k < tenants_.size(); ++k) {
-        Tenant& tenant = *tenants_[(victim + k) % tenants_.size()];
-        while (batch.size() < config_.batchLimit &&
-               eligible(tenant, honorArrivals, now) &&
-               tenant.queue.front().job.programKey == key) {
-          batch.push_back(std::move(tenant.queue.front()));
-          tenant.queue.pop_front();
-          took = true;
-        }
-      }
-    }
-  }
-  totalPending_ -= batch.size();
-  return batch;
-}
-
-void JobServer::finishJob(PendingJob& job, std::exception_ptr error) {
-  detail_service::JobState& state = *job.state;
-  {
-    std::lock_guard lock(state.mutex);
-    state.error = std::move(error);
-    state.done = true;
-  }
-  state.cv.notify_all();
-}
-
-void JobServer::executeBatch(std::vector<PendingJob>& batch) {
-  // Runs `fn` and charges the job what the platform's devices retired
-  // meanwhile: every command of the phase is the job's own, and batch
-  // phases of different jobs interleave, so per-job numbers are deltas.
-  const std::vector<ocl::Device> devices =
-      ocl::getPlatforms().front().devices();
-  auto totals = [&] {
-    std::pair<std::uint64_t, std::uint64_t> cyclesAndBytes{0, 0};
-    for (const ocl::Device& device : devices) {
-      cyclesAndBytes.first += device.state().kernelCycles();
-      cyclesAndBytes.second += device.state().dmaBytes();
-    }
-    return cyclesAndBytes;
-  };
-  auto charged = [&](PendingJob& job, auto&& fn) {
-    const auto before = totals();
-    const auto settle = [&] {
-      const auto after = totals();
-      job.state->stats.deviceCycles += after.first - before.first;
-      job.state->stats.bytesMoved += after.second - before.second;
-    };
-    try {
-      fn();
-    } catch (...) {
-      settle();
-      throw;
-    }
-    settle();
-  };
-  auto fail = [](PendingJob& job) {
-    job.failed = true;
-    job.error = std::current_exception();
-  };
-
-  // The scope adopts this thread as the task-graph registry owner and
-  // suppresses consumption-point drains: the server forces each job's
-  // roots itself, in batch order, so the enqueue sequence — and the
-  // tenant each command is charged to — is exact. Construction throws
-  // if another thread still has pending non-service jobs; that error
-  // fails the whole batch instead of crashing the dispatcher.
-  std::unique_ptr<detail::Scheduler::ExternalDispatchScope> dispatchScope;
+void JobServer::startJob(PendingJob& job) {
+  JobStats& stats = job.state->stats;
+  stats.dispatchNs = ocl::hostTimeNs();
   try {
-    dispatchScope =
-        std::make_unique<detail::Scheduler::ExternalDispatchScope>();
+    ChargeScope charge(stats);
+    // The scope adopts this thread as the task-graph registry owner and
+    // collects the job's deferred skeleton calls instead of leaving them
+    // to the next consumption point. Construction throws if another
+    // thread still has pending non-service jobs; that error fails this
+    // job instead of crashing the dispatcher.
+    detail::Scheduler::ExternalDispatchScope scope;
+    // Phase 1 — register: the skeleton calls build their lazy DAGs
+    // (concrete inputs upload here).
+    JobContext ctx;
+    job.job.work(ctx);
+    job.roots = std::move(ctx.roots_);
+    // Phase 2 — dispatch: every deferred call, then the registered
+    // roots. Nothing here blocks, so the next job's commands queue
+    // behind these on the engines, not behind this job's reads.
+    if (std::exception_ptr error = scope.dispatchDeferred()) {
+      std::rethrow_exception(error);
+    }
+    for (const auto& root : job.roots) {
+      root->forcePending();
+    }
   } catch (...) {
-    for (PendingJob& job : batch) {
-      fail(job);
+    job.error = std::current_exception();
+    for (const auto& root : job.roots) {
+      root->poisonPending(job.error);
     }
   }
+  // Fair share charges a job when its kernels are enqueued, so the jobs
+  // picked while it is in flight already see its cycles.
+  std::lock_guard lock(lock_);
+  job.owner->vruntime +=
+      double(stats.deviceCycles) / job.owner->session->weight();
+}
 
-  if (dispatchScope != nullptr) {
-    // Phase 1 — register: every job's skeleton calls build their lazy
-    // DAGs (concrete inputs upload here, under the tenant's scope).
-    for (PendingJob& job : batch) {
-      job.state->stats.dispatchNs = ocl::hostTimeNs();
-      try {
-        charged(job, [&] {
-          JobContext ctx;
-          job.job.work(ctx);
-          job.roots = std::move(ctx.roots_);
-        });
-      } catch (...) {
-        fail(job);
-      }
-    }
-    // Phase 2 — dispatch: force each job's roots in batch order. All
-    // jobs' commands sit in the per-device queues before any blocking
-    // wait, so independent jobs pipeline exactly as a scheduler drain
-    // would — but with per-tenant attribution.
-    for (PendingJob& job : batch) {
-      if (job.failed) {
-        continue;
-      }
-      try {
-        charged(job, [&] {
-          for (const auto& root : job.roots) {
-            root->forcePending();
-          }
-        });
-      } catch (...) {
-        fail(job);
-        for (const auto& root : job.roots) {
-          root->poisonPending(job.error);
-        }
-      }
-    }
-    // Phase 3 — consume: the blocking reads, in batch order.
-    for (PendingJob& job : batch) {
-      if (!job.failed && job.job.consume != nullptr) {
-        try {
-          charged(job, [&] { job.job.consume(); });
-        } catch (...) {
-          fail(job);
-        }
-      }
+void JobServer::finishOldestJob() {
+  PendingJob& job = window_.front();
+  JobStats& stats = job.state->stats;
+  const std::uint64_t enqueuedCycles = stats.deviceCycles;
+  // Phase 3 — consume: the blocking reads.
+  if (job.error == nullptr && job.job.consume != nullptr) {
+    try {
+      ChargeScope charge(stats);
+      detail::Scheduler::ExternalDispatchScope scope;
+      job.job.consume();
+    } catch (...) {
+      job.error = std::current_exception();
     }
   }
-
-  for (PendingJob& job : batch) {
-    JobStats& stats = job.state->stats;
-    stats.completeNs = ocl::hostTimeNs();
-    if (stats.dispatchNs == 0) {
-      stats.dispatchNs = stats.completeNs; // batch failed before phase 1
+  stats.completeNs = ocl::hostTimeNs();
+  if (trace::Recorder::enabled()) {
+    auto& recorder = trace::Recorder::instance();
+    const std::string& name = job.owner->session->tenant();
+    recorder.recordHostSpan(trace::HostKind::TenantJob, name,
+                            trace::kNoDevice, stats.dispatchNs,
+                            stats.completeNs, stats.queueWaitNs(), job.slot);
+    if (stats.deviceCycles > 0) {
+      recorder.bumpCounter("tenant." + name + ".cycles", trace::kNoDevice,
+                           trace::now(), stats.deviceCycles);
     }
-    if (trace::Recorder::enabled()) {
-      auto& recorder = trace::Recorder::instance();
-      const std::string& name = job.owner->session->tenant();
-      recorder.recordHostSpan(trace::HostKind::TenantJob, name,
-                              trace::kNoDevice, stats.dispatchNs,
-                              stats.completeNs, stats.queueWaitNs());
-      if (stats.deviceCycles > 0) {
-        recorder.bumpCounter("tenant." + name + ".cycles",
-                             trace::kNoDevice, trace::now(),
-                             stats.deviceCycles);
-      }
-      if (stats.bytesMoved > 0) {
-        recorder.bumpCounter("tenant." + name + ".bytes", trace::kNoDevice,
-                             trace::now(), stats.bytesMoved);
-      }
+    if (stats.bytesMoved > 0) {
+      recorder.bumpCounter("tenant." + name + ".bytes", trace::kNoDevice,
+                           trace::now(), stats.bytesMoved);
     }
   }
 
   {
     std::lock_guard lock(lock_);
-    ++serverStats_.batches;
-    serverStats_.jobsExecuted += batch.size();
-    serverStats_.maxBatch =
-        std::max<std::uint64_t>(serverStats_.maxBatch, batch.size());
-    if (batch.size() > 1) {
-      serverStats_.coalescedJobs += batch.size();
+    ++serverStats_.jobsExecuted;
+    Tenant& tenant = *job.owner;
+    ++tenant.completed;
+    if (job.error != nullptr) {
+      ++tenant.failed;
     }
-    for (PendingJob& job : batch) {
-      const JobStats& stats = job.state->stats;
-      Tenant& tenant = *job.owner;
-      ++tenant.completed;
-      if (job.failed) {
-        ++tenant.failed;
-      }
-      tenant.deviceCycles += stats.deviceCycles;
-      tenant.bytesMoved += stats.bytesMoved;
-      tenant.queueWaitNs += stats.queueWaitNs();
-      tenant.vruntime +=
-          double(stats.deviceCycles) / tenant.session->weight();
-    }
+    tenant.deviceCycles += stats.deviceCycles;
+    tenant.bytesMoved += stats.bytesMoved;
+    tenant.queueWaitNs += stats.queueWaitNs();
+    tenant.vruntime += double(stats.deviceCycles - enqueuedCycles) /
+                       tenant.session->weight();
+    tenant.latency.record(stats.latencyNs());
   }
 
   // Publish completion last, so a woken waiter sees consistent server
   // accounting.
-  for (PendingJob& job : batch) {
-    finishJob(job, job.error);
+  PendingJob done = std::move(job);
+  window_.pop_front();
+  {
+    std::lock_guard lock(done.state->mutex);
+    done.state->done = true;
+    // The state's error, written under its mutex, is what handles read.
+    done.state->error = done.error;
+  }
+  done.state->cv.notify_all();
+}
+
+void JobServer::serve(std::unique_lock<std::mutex>& lock,
+                      bool honorArrivals) {
+  const std::size_t limit = config_.batching ? config_.batchLimit : 1;
+  std::uint64_t busyJobs = 0; // jobs started in the current busy period
+  while (true) {
+    const std::uint64_t now = honorArrivals ? ocl::hostTimeNs() : 0;
+    const std::size_t next =
+        window_.size() < limit ? pickTenant(honorArrivals, now) : kNone;
+    if (next != kNone) {
+      Tenant& tenant = *tenants_[next];
+      PendingJob job = std::move(tenant.queue.front());
+      tenant.queue.pop_front();
+      --totalPending_;
+      busyJobs = window_.empty() ? 1 : busyJobs + 1;
+      if (busyJobs == 1) {
+        ++serverStats_.batches;
+      }
+      // A job joining a busy period counts, and so does the one that
+      // opened it.
+      if (busyJobs == 2) {
+        serverStats_.coalescedJobs += 2;
+      } else if (busyJobs > 2) {
+        ++serverStats_.coalescedJobs;
+      }
+      serverStats_.maxBatch =
+          std::max<std::uint64_t>(serverStats_.maxBatch, window_.size() + 1);
+      // The lowest free slot, so overlapping jobs get distinct lanes.
+      for (job.slot = 1;; ++job.slot) {
+        if (std::none_of(window_.begin(), window_.end(),
+                         [&](const PendingJob& other) {
+                           return other.slot == job.slot;
+                         })) {
+          break;
+        }
+      }
+      lock.unlock();
+      startJob(job);
+      window_.push_back(std::move(job));
+      lock.lock();
+      continue;
+    }
+    if (!window_.empty()) {
+      lock.unlock();
+      finishOldestJob();
+      lock.lock();
+      continue;
+    }
+    if (!honorArrivals || totalPending_ == 0) {
+      return;
+    }
+    // Event-driven simulation: everything queued arrives in the future,
+    // so idle the virtual host up to the next arrival.
+    std::uint64_t minReadyNs = std::numeric_limits<std::uint64_t>::max();
+    for (const auto& row : tenants_) {
+      if (!row->queue.empty()) {
+        minReadyNs = std::min(minReadyNs, row->queue.front().readyNs);
+      }
+    }
+    ocl::syncHostTimeToNs(minReadyNs);
   }
 }
 
@@ -400,23 +442,7 @@ void JobServer::pump() {
   std::unique_lock lock(lock_);
   COMMON_EXPECTS(!running_,
                  "JobServer::pump while the dispatcher thread runs");
-  while (totalPending_ > 0) {
-    std::uint64_t minReadyNs = 0;
-    std::vector<PendingJob> batch =
-        pickBatch(/*honorArrivals=*/true, ocl::hostTimeNs(), &minReadyNs);
-    if (batch.empty()) {
-      if (minReadyNs == std::numeric_limits<std::uint64_t>::max()) {
-        break; // defensive: nothing queued after all
-      }
-      // Event-driven simulation: everything queued arrives in the
-      // future, so idle the virtual host up to the next arrival.
-      ocl::syncHostTimeToNs(minReadyNs);
-      continue;
-    }
-    lock.unlock();
-    executeBatch(batch);
-    lock.lock();
-  }
+  serve(lock, /*honorArrivals=*/true);
 }
 
 void JobServer::dispatcherLoop() {
@@ -424,22 +450,11 @@ void JobServer::dispatcherLoop() {
   while (true) {
     workCv_.wait(lock, [&] { return stopRequested_ || totalPending_ > 0; });
     if (totalPending_ == 0) {
-      if (stopRequested_) {
-        return;
-      }
-      continue;
+      return; // stop requested and nothing left: the window is empty
     }
-    std::uint64_t minReadyNs = 0;
     // The serving mode treats every queued job as arrived (clients are
     // the arrival process); arrivalNs is a pump()-mode knob.
-    std::vector<PendingJob> batch =
-        pickBatch(/*honorArrivals=*/false, 0, &minReadyNs);
-    if (batch.empty()) {
-      continue;
-    }
-    lock.unlock();
-    executeBatch(batch);
-    lock.lock();
+    serve(lock, /*honorArrivals=*/false);
   }
 }
 
@@ -483,6 +498,8 @@ std::vector<JobServer::TenantStats> JobServer::tenantStats() const {
     row.deviceCycles = tenant->deviceCycles;
     row.bytesMoved = tenant->bytesMoved;
     row.queueWaitNs = tenant->queueWaitNs;
+    row.latencyP50Ns = tenant->latency.quantile(0.50);
+    row.latencyP99Ns = tenant->latency.quantile(0.99);
     out.push_back(std::move(row));
   }
   return out;

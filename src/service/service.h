@@ -7,11 +7,9 @@
 // one session per tenant, submissions allowed from any thread. Jobs
 // land in per-tenant bounded queues (admission control: a full queue
 // rejects with a typed ServiceOverload instead of letting one tenant
-// buffer unbounded work), a pluggable policy picks the next job (FIFO /
-// weighted fair-share by accumulated device-cycles / strict priority),
-// and same-program jobs are coalesced into one batch so launch and
-// program-load overheads amortize *across* tenants — the kernel cache's
-// hit win becomes cross-tenant.
+// buffer unbounded work), and a pluggable policy picks the next job
+// (FIFO / weighted fair-share by accumulated device-cycles / strict
+// priority), whatever program it runs.
 //
 // Execution model: the simulated devices share one virtual clock, so
 // job execution is funneled through a single dispatcher — either the
@@ -19,11 +17,18 @@
 // deterministic mode tests and benches use). Client threads only
 // enqueue job descriptors; every skeleton call of every tenant runs on
 // the dispatcher, which satisfies the task-graph scheduler's ownership
-// contract (scheduler.h). A job is charged the kernel cycles and DMA
-// bytes the devices retire while its phases run (deltas of the
-// ocl::DeviceState totals), so attribution is exact; the tenant rows sum
-// their jobs' charges and feed fair-share scheduling, tenantStats(), and
-// the skeltrace tenant report (HostKind::TenantJob spans plus
+// contract (scheduler.h). The dispatcher keeps a *window* of up to
+// batchLimit jobs in flight: it starts a job (its skeleton calls, then
+// the enqueue of every command they deferred) without waiting for the
+// jobs before it, and consumes the oldest job (its blocking reads) only
+// when the window is full or no job is eligible. Jobs on different
+// devices therefore overlap, as one SkelCL program's do. A job is
+// charged the kernel cycles and DMA bytes the devices retire while its
+// phases run (deltas of the ocl::DeviceState totals; every command is
+// enqueued synchronously on the dispatcher), so attribution is exact;
+// the tenant rows sum their jobs' charges and feed fair-share
+// scheduling, tenantStats(), and the skeltrace tenant report
+// (HostKind::TenantJob spans, one trace lane per window slot, plus
 // "tenant.<name>.cycles/.bytes" counters).
 //
 // Failure isolation: a job that throws — including injected
@@ -32,6 +37,7 @@
 // solo-run results bit-identically.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -62,8 +68,10 @@ const char* policyName(Policy policy) noexcept;
 struct ServiceConfig {
   Policy policy = Policy::Fifo;
   std::size_t queueCap = 64;  // pending jobs per tenant before overload
-  bool batching = true;       // coalesce same-programKey jobs
-  std::size_t batchLimit = 8; // jobs per coalesced batch
+  // Jobs in flight at once: batchLimit with batching on, 1 with it off
+  // (each job then completes before the next one starts).
+  bool batching = true;
+  std::size_t batchLimit = 8;
 };
 
 /// Admission-control rejection: the tenant's queue is full. Typed so
@@ -83,8 +91,9 @@ private:
 };
 
 /// Handed to a job's work() callback; the job registers its result
-/// vectors here so the server can force them (dispatch their skeleton
-/// DAGs) in policy order and keep them alive until consume() runs.
+/// vectors here so the server forces them and keeps them alive until
+/// consume() runs. Deferred results the job does not register (a
+/// Reduce's Scalar, say) are dispatched with the job all the same.
 class JobContext {
 public:
   template <typename T> void defer(const Vector<T>& result) {
@@ -99,8 +108,8 @@ private:
 /// One unit of tenant work. work() makes the skeleton calls (they stay
 /// lazy; register results via JobContext::defer) and consume() reads
 /// the results (the blocking waits). Both run on the dispatcher.
-/// `programKey` tags the generated program; batching coalesces jobs
-/// with equal non-empty keys. `arrivalNs` (pump mode only) keeps the
+/// `programKey` is a free-form label for the job's program; the server
+/// no longer schedules by it. `arrivalNs` (pump mode only) keeps the
 /// job ineligible until the virtual clock reaches it — the offered-load
 /// knob of the saturation bench.
 struct Job {
@@ -160,6 +169,29 @@ private:
   std::shared_ptr<detail_service::JobState> state_;
 };
 
+/// Fixed-size log-bucket histogram of virtual latencies: values below 8
+/// ns have a bucket each, and each range [2^e, 2^(e+1)) from 8 up splits
+/// into 8 linear buckets, so a quantile reads at most 12.5 % above the
+/// sample it stands for, in constant memory however many jobs run.
+class LatencyHistogram {
+public:
+  void record(std::uint64_t ns);
+  std::uint64_t count() const noexcept { return count_; }
+  /// Nearest-rank quantile `q` in (0, 1]: the upper bound of the bucket
+  /// holding that sample, capped at the largest sample; 0 when empty.
+  std::uint64_t quantile(double q) const;
+  /// The upper bound of the bucket that holds `ns`.
+  static std::uint64_t bucketCeil(std::uint64_t ns);
+
+private:
+  static constexpr std::size_t kSubBuckets = 8;
+  static constexpr std::size_t kBuckets = kSubBuckets * 62;
+  static std::size_t bucketOf(std::uint64_t ns);
+  std::array<std::uint64_t, kBuckets> counts_{};
+  std::uint64_t count_ = 0;
+  std::uint64_t max_ = 0;
+};
+
 class JobServer;
 
 /// One tenant's connection. Obtained from JobServer::openSession;
@@ -205,7 +237,8 @@ public:
 
   /// Starts the dispatcher thread (thread-per-client serving mode).
   void start();
-  /// Drains every queued job, then joins the dispatcher. Idempotent.
+  /// Drains every queued and in-flight job, then joins the dispatcher.
+  /// Idempotent.
   void stop();
 
   /// Deterministic mode: runs queued jobs to completion on the calling
@@ -227,15 +260,20 @@ public:
     std::uint64_t bytesMoved = 0;
     std::uint64_t queueWaitNs = 0;
     double vruntime = 0; // deviceCycles / weight, the fair-share key
+    // Virtual latency (ready .. complete) quantiles of the completed
+    // jobs, from the tenant's LatencyHistogram.
+    std::uint64_t latencyP50Ns = 0;
+    std::uint64_t latencyP99Ns = 0;
   };
   std::vector<TenantStats> tenantStats() const;
 
-  /// What the dispatcher did: batches formed, jobs run, largest batch.
+  /// What the dispatcher's window did. A busy period runs from the
+  /// window's first job to the moment it is empty again.
   struct ServerStats {
-    std::uint64_t batches = 0;
+    std::uint64_t batches = 0; // busy periods
     std::uint64_t jobsExecuted = 0;
-    std::uint64_t maxBatch = 0;
-    std::uint64_t coalescedJobs = 0; // jobs riding in a batch of > 1
+    std::uint64_t maxBatch = 0;      // peak jobs in flight
+    std::uint64_t coalescedJobs = 0; // jobs sharing a busy period
   };
   ServerStats serverStats() const;
 
@@ -249,9 +287,9 @@ private:
     std::uint64_t seq = 0;
     std::uint64_t readyNs = 0;
     Tenant* owner = nullptr; // stable: tenants are heap-allocated
+    std::uint32_t slot = 0;  // window slot 1..limit, the trace lane
     std::vector<std::shared_ptr<detail::VectorState>> roots;
     std::exception_ptr error;
-    bool failed = false;
   };
   struct Tenant {
     std::unique_ptr<Session> session;
@@ -265,18 +303,27 @@ private:
     std::uint64_t deviceCycles = 0;
     std::uint64_t bytesMoved = 0;
     std::uint64_t queueWaitNs = 0;
+    LatencyHistogram latency;
   };
 
   JobHandle submit(std::size_t tenantIndex, Job job);
-  /// Builds the next batch under lock_; empty when nothing is eligible
-  /// (`minReadyNs` then holds the earliest future arrival, if any).
-  std::vector<PendingJob> pickBatch(bool honorArrivals, std::uint64_t now,
-                                    std::uint64_t* minReadyNs);
+  /// The tenant whose queue front runs next under the policy, or ~0
+  /// when no front is eligible at `now`.
   std::size_t pickTenant(bool honorArrivals, std::uint64_t now) const;
   bool eligible(const Tenant& tenant, bool honorArrivals,
                 std::uint64_t now) const;
-  void executeBatch(std::vector<PendingJob>& batch);
-  void finishJob(PendingJob& job, std::exception_ptr error);
+  /// The window loop pump() and the dispatcher thread share: starts
+  /// eligible jobs while the window has room, else consumes the oldest.
+  /// Returns with lock_ held once no job is queued or in flight; with
+  /// `honorArrivals` it idles the virtual clock to the next arrival
+  /// when nothing else can run.
+  void serve(std::unique_lock<std::mutex>& lock, bool honorArrivals);
+  /// Phases 1 and 2 of a job: its work() registers the skeleton calls,
+  /// then every command they deferred is enqueued.
+  void startJob(PendingJob& job);
+  /// Phase 3 of the oldest job in flight (its consume()), then its
+  /// accounting and completion.
+  void finishOldestJob();
   void dispatcherLoop();
 
   ServiceConfig config_;
@@ -288,6 +335,8 @@ private:
   bool stopRequested_ = false;
   bool running_ = false;
   ServerStats serverStats_;
+  // Jobs in flight, oldest first; only the dispatcher touches it.
+  std::deque<PendingJob> window_;
   std::thread dispatcher_;
 };
 

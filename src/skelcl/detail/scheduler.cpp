@@ -85,10 +85,11 @@ void Scheduler::claimOwnershipLocked(const char* op) {
 }
 
 void Scheduler::noteDeferred(const std::shared_ptr<ExprNode>& node) {
+  if (collecting_) {
+    collected_.push_back(PendingJob{node, ocl::hostTimeNs()});
+    return;
+  }
   if (!asyncEnabled_ || draining_) {
-    // draining_ also covers an ExternalDispatchScope: the job service
-    // forces each job's roots itself, so registration would only leave
-    // stale entries behind.
     return;
   }
   std::lock_guard lock(registryMutex_);
@@ -115,30 +116,44 @@ Scheduler::ExternalDispatchScope::ExternalDispatchScope() {
   COMMON_CHECK_MSG(!scheduler.draining_,
                    "nested external dispatch scope / drain");
   scheduler.draining_ = true;
+  scheduler.collecting_ = true;
 }
 
 Scheduler::ExternalDispatchScope::~ExternalDispatchScope() {
-  Scheduler::instance().draining_ = false;
+  Scheduler& scheduler = Scheduler::instance();
+  scheduler.draining_ = false;
+  scheduler.collecting_ = false;
+  scheduler.collected_.clear();
 }
 
-void Scheduler::drain(const std::shared_ptr<ExprNode>& requested) {
-  struct DrainGuard {
-    bool& flag;
-    ~DrainGuard() { flag = false; }
-  };
-  draining_ = true;
-  DrainGuard guard{draining_};
-
+std::exception_ptr Scheduler::ExternalDispatchScope::dispatchDeferred() {
+  Scheduler& scheduler = Scheduler::instance();
   std::vector<PendingJob> taken;
-  {
-    std::lock_guard lock(registryMutex_);
-    claimOwnershipLocked("drain");
-    taken.swap(jobs_);
-    hasJobs_.store(false, std::memory_order_relaxed);
+  taken.swap(scheduler.collected_);
+  std::vector<PendingJob> kept; // stays empty: nothing is being read
+  const std::vector<LiveJob> live = filterLive(taken, nullptr, kept);
+  // A job deferred while these evaluate is dropped, as in drain().
+  scheduler.collecting_ = false;
+  std::exception_ptr first;
+  for (const LiveJob& job : live) {
+    try {
+      forceExprNode(job.node);
+    } catch (...) {
+      job.out->poisonPending(std::current_exception());
+      if (first == nullptr) {
+        first = std::current_exception();
+      }
+    }
   }
+  scheduler.collecting_ = true;
+  return first;
+}
 
+std::vector<Scheduler::LiveJob> Scheduler::filterLive(
+    const std::vector<PendingJob>& taken,
+    const std::shared_ptr<ExprNode>& requested,
+    std::vector<PendingJob>& kept) {
   std::vector<LiveJob> live;
-  std::vector<PendingJob> kept;
   live.reserve(taken.size());
   for (const PendingJob& job : taken) {
     std::shared_ptr<ExprNode> node = job.node.lock();
@@ -151,7 +166,7 @@ void Scheduler::drain(const std::shared_ptr<ExprNode>& requested) {
       // consumption point still forces it — nothing is lost.
       continue;
     }
-    if (node != requested) {
+    if (requested != nullptr && node != requested) {
       std::unordered_set<const ExprNode*> visited;
       if (subgraphContains(node.get(), requested.get(), visited)) {
         // This job consumes the value being read right now: dispatching
@@ -171,6 +186,27 @@ void Scheduler::drain(const std::shared_ptr<ExprNode>& requested) {
     live.push_back(LiveJob{std::move(node), std::move(out),
                            job.registeredNs});
   }
+  return live;
+}
+
+void Scheduler::drain(const std::shared_ptr<ExprNode>& requested) {
+  struct DrainGuard {
+    bool& flag;
+    ~DrainGuard() { flag = false; }
+  };
+  draining_ = true;
+  DrainGuard guard{draining_};
+
+  std::vector<PendingJob> taken;
+  {
+    std::lock_guard lock(registryMutex_);
+    claimOwnershipLocked("drain");
+    taken.swap(jobs_);
+    hasJobs_.store(false, std::memory_order_relaxed);
+  }
+
+  std::vector<PendingJob> kept;
+  const std::vector<LiveJob> live = filterLive(taken, requested, kept);
   if (!kept.empty()) {
     std::lock_guard lock(registryMutex_);
     // jobs_ emptied above and nothing registers during a drain, so the

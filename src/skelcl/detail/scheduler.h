@@ -44,6 +44,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -80,18 +81,26 @@ public:
   /// threads.
   void adoptCallingThread();
 
-  /// Dispatch suppression for an external driver (the job service): while
-  /// a scope is alive, consumption points neither drain nor register new
-  /// jobs — the driver forces each job's roots itself, in its own order,
-  /// so per-tenant device-time attribution stays exact. Construction
-  /// adopts the calling thread (same precondition as
-  /// adoptCallingThread()).
+  /// Dispatch ownership for an external driver (the job service): while
+  /// a scope is alive, consumption points do not drain, and every job
+  /// deferred on this thread is collected by the scope instead of the
+  /// registry. The driver dispatches them with dispatchDeferred(), when
+  /// it chooses, so one tenant job's commands are enqueued — and charged
+  /// to that tenant — as one block. Construction adopts the calling
+  /// thread (same precondition as adoptCallingThread()); destruction
+  /// drops whatever was collected but not dispatched.
   class ExternalDispatchScope {
   public:
     ExternalDispatchScope();
     ~ExternalDispatchScope();
     ExternalDispatchScope(const ExternalDispatchScope&) = delete;
     ExternalDispatchScope& operator=(const ExternalDispatchScope&) = delete;
+
+    /// Dispatches the jobs collected so far in registration order,
+    /// through drain()'s liveness filter: absorbed, evaluated and dead
+    /// jobs are skipped, and a failing job poisons its own output while
+    /// the rest still dispatch. Returns the first failure, or null.
+    std::exception_ptr dispatchDeferred();
   };
 
   /// Whether this init() cycle runs with the async scheduler at all
@@ -137,6 +146,14 @@ private:
   };
   struct LiveJob;
 
+  /// drain()'s liveness filter over `taken`: returns the jobs that still
+  /// need a dispatch, in order. Jobs whose subgraph contains `requested`
+  /// (other than `requested` itself) go to `kept` instead.
+  static std::vector<LiveJob> filterLive(
+      const std::vector<PendingJob>& taken,
+      const std::shared_ptr<ExprNode>& requested,
+      std::vector<PendingJob>& kept);
+
   /// Precondition check under registryMutex_: the caller must own the
   /// registry unless it is empty (which transfers ownership). Throws
   /// common::Error naming `op` on a violation.
@@ -148,6 +165,10 @@ private:
   // mirrors jobs_.empty() for the lock-free shouldDrain() fast path.
   bool asyncEnabled_ = false;
   bool draining_ = false;
+  // Owner-thread state of an ExternalDispatchScope: whether noteDeferred
+  // collects, and what it collected.
+  bool collecting_ = false;
+  std::vector<PendingJob> collected_;
   mutable std::mutex registryMutex_;
   std::thread::id owner_;
   std::atomic<bool> hasJobs_{false};

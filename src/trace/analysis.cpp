@@ -311,6 +311,8 @@ Report analyze(const Trace& trace) {
       report.maxConcurrentJobs =
           std::max<std::uint64_t>(report.maxConcurrentJobs, h.lane);
     } else if (h.kind == HostKind::TenantJob) {
+      report.maxConcurrentJobs =
+          std::max<std::uint64_t>(report.maxConcurrentJobs, h.lane);
       TenantReport& tenant = tenants[trace.str(h.name)];
       ++tenant.jobs;
       tenant.execNs += h.endNs - h.startNs;
@@ -364,7 +366,8 @@ std::string formatReport(const Report& report, std::size_t topN) {
   }
 
   if (!report.tenants.empty()) {
-    out += "\ntenants (job service)\n";
+    out += "\ntenants (job service)   max concurrent jobs: " +
+           std::to_string(report.maxConcurrentJobs) + "\n";
     std::snprintf(line, sizeof(line), "%-16s %6s %12s %14s %14s %12s\n",
                   "tenant", "jobs", "exec ms", "queue wait ms", "cycles",
                   "bytes");

@@ -77,7 +77,8 @@ struct KernelReport {
 };
 
 /// Per-tenant job-service activity, from HostKind::TenantJob spans (one
-/// per completed job: dispatch..completion, value = queue wait) and the
+/// per completed job: dispatch..completion, value = queue wait, lane =
+/// the job's window slot) and the
 /// "tenant.<name>.cycles" / "tenant.<name>.bytes" counters.
 struct TenantReport {
   std::string name;
@@ -118,12 +119,14 @@ struct Report {
   /// "halo_bytes" counter). Scales with the cut surface, not the
   /// volume — the quantity multi-device stencils try to overlap away.
   std::uint64_t haloBytes = 0;
-  /// Async task-graph scheduler activity, all from HostKind::Scheduler
-  /// spans: jobs dispatched by drains (one span each), the summed
+  /// Async task-graph scheduler activity, from HostKind::Scheduler
+  /// spans: jobs dispatched by drains (one span each) and the summed
   /// virtual time jobs spent registered-but-undispatched (each span's
-  /// value), and the largest number of jobs outstanding at any traced
-  /// drain (the highest span lane; a drain puts its job i on lane
-  /// 1 + i). All zero for synchronous (SKELCL_ASYNC=0) runs.
+  /// value). maxConcurrentJobs is the peak concurrency of scheduler and
+  /// service jobs alike: the highest lane of a Scheduler span (a drain
+  /// puts its job i on lane 1 + i) or of a TenantJob span (a job's
+  /// window slot). All zero for synchronous (SKELCL_ASYNC=0) runs
+  /// outside the job service.
   std::uint64_t schedulerJobs = 0;
   std::uint64_t schedQueueWaitNs = 0;
   std::uint64_t maxConcurrentJobs = 0;

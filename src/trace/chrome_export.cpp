@@ -80,7 +80,8 @@ std::string chromeJson(const Trace& trace) {
 
   // Row naming: pid 0 = host, pid d+1 = device d with one tid per engine.
   // Host tid = HostSpanRecord::lane: 0 is the runtime thread, lanes >= 1
-  // hold the async scheduler's overlapping per-job spans.
+  // hold the overlapping per-job spans of the async scheduler and of the
+  // job service's window.
   appendMeta(out, "process_name", 0, -1, "SkelCL host");
   std::uint32_t maxLane = 0;
   for (const HostSpanRecord& h : trace.hostSpans) {

@@ -81,7 +81,8 @@ struct CommandRecord {
 /// Scheduler and TenantJob (whose name is the tenant), otherwise 0.
 /// `lane` is the host row the span renders on:
 /// 0 is the runtime thread; Scheduler spans use one lane per
-/// concurrently outstanding job so overlapping jobs don't collide.
+/// concurrently outstanding job and TenantJob spans their job-service
+/// window slot, so overlapping jobs don't collide.
 struct HostSpanRecord {
   std::uint32_t name = 0; // string-table index
   HostKind kind = HostKind::Skeleton;

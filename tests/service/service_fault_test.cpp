@@ -5,8 +5,9 @@
 // same two-GPU system. Tenants are separable in the plan because their
 // jobs launch differently named kernels (alpha: Map -> "skelcl_map",
 // beta: Zip -> "skelcl_zip") and because FIFO order with batching off
-// makes the per-site call sequence deterministic. Run with
-// `ctest -L service`.
+// makes the per-site call sequence deterministic (one device-loss case
+// runs with a window of jobs in flight, which pump mode keeps just as
+// deterministic). Run with `ctest -L service`.
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -86,10 +87,12 @@ void initSystem() {
   skelcl::init(skelcl::DeviceSelection::nGPUs(2));
 }
 
-svc::ServiceConfig deterministicConfig() {
+/// FIFO, deterministic in pump mode; batching off runs one job at a
+/// time, batching on keeps up to batchLimit jobs in flight.
+svc::ServiceConfig deterministicConfig(bool batching = false) {
   svc::ServiceConfig config;
   config.policy = svc::Policy::Fifo;
-  config.batching = false; // strict per-job execution order
+  config.batching = batching;
   config.queueCap = 2 * kJobs;
   return config;
 }
@@ -131,14 +134,15 @@ struct SharedRun {
 /// via SKELCL_FAULT_PLAN for the whole init() cycle. `betaFirst` puts
 /// beta's first job at the head of the global order (the alloc plan
 /// counts calls from there).
-SharedRun runShared(const char* plan, bool betaFirst) {
+SharedRun runShared(const char* plan, bool betaFirst,
+                    bool batching = false) {
   ::setenv("SKELCL_FAULT_PLAN", plan, 1);
   initSystem();
   ::unsetenv("SKELCL_FAULT_PLAN");
 
   SharedRun run;
   {
-    svc::JobServer server(deterministicConfig());
+    svc::JobServer server(deterministicConfig(batching));
     svc::Session& alpha = server.openSession("alpha");
     svc::Session& beta = server.openSession("beta");
     std::vector<std::shared_ptr<JobSink>> alphaSinks;
@@ -194,6 +198,28 @@ TEST(ServiceFault, DeviceLostConfinesItselfToTheFaultedTenant) {
 
   ASSERT_EQ(run.fired.size(), 1u);
   EXPECT_EQ(run.fired[0].site, ocl::FaultSite::Kernel);
+  EXPECT_TRUE(run.fired[0].deviceLost);
+  EXPECT_EQ(run.fired[0].device, 1u);
+}
+
+TEST(ServiceFault, DeviceLostWithJobsInFlightConfinesItselfToTheTenant) {
+  const auto solo = runAlphaSolo();
+  // The same plan with a window of jobs in flight: beta's second Zip
+  // launch kills GPU 1 while other jobs of both tenants are in flight.
+  const SharedRun run = runShared("kernel~skelcl_zip@2=lost",
+                                  /*betaFirst=*/false, /*batching=*/true);
+
+  expectAlphaIntact(run, solo);
+
+  // Beta's first job computed its result before the fault, but its
+  // download comes after it, at its consume(): a job in flight on a
+  // lost device fails with it. Every beta job fails typed.
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    EXPECT_TRUE(run.betaHandles[j].failed()) << "beta job " << j;
+    EXPECT_THROW(run.betaHandles[j].rethrow(), ocl::DeviceLost);
+  }
+
+  ASSERT_EQ(run.fired.size(), 1u);
   EXPECT_TRUE(run.fired[0].deviceLost);
   EXPECT_EQ(run.fired[0].device, 1u);
 }

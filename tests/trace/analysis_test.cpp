@@ -4,6 +4,7 @@
 #include "trace_test_util.h"
 
 #include "trace/analysis.h"
+#include "trace/chrome_export.h"
 
 namespace {
 
@@ -165,6 +166,42 @@ TEST(Analysis, DerivesTotalsFromRecordsWithoutCounters) {
   EXPECT_EQ(r.schedulerJobs, 5u);
   EXPECT_EQ(r.schedQueueWaitNs, 25u);
   EXPECT_EQ(r.maxConcurrentJobs, 3u);
+}
+
+// Two job-service jobs in flight at once: their TenantJob spans sit on
+// window slots 1 and 2, the report counts them as concurrent and the
+// Chrome export draws them on separate host rows.
+TEST(Analysis, OverlappingTenantJobsCountAsConcurrent) {
+  Trace t = syntheticTrace({command(1, /*engine=*/0, 0, 100)});
+  t.strings.push_back("tenant-a");
+  t.strings.push_back("tenant-b");
+  // {name, kind, device, lane, start, end, queue wait}
+  t.hostSpans.push_back({2, trace::HostKind::TenantJob, trace::kNoDevice,
+                         1, 0, 80, 3});
+  t.hostSpans.push_back({3, trace::HostKind::TenantJob, trace::kNoDevice,
+                         2, 10, 100, 4});
+  t.hostSpans.push_back({2, trace::HostKind::TenantJob, trace::kNoDevice,
+                         1, 80, 120, 5});
+
+  const Report r = trace::analyze(t);
+  EXPECT_EQ(r.schedulerJobs, 0u);
+  EXPECT_EQ(r.maxConcurrentJobs, 2u);
+  ASSERT_EQ(r.tenants.size(), 2u);
+  EXPECT_EQ(r.tenants[0].name, "tenant-a");
+  EXPECT_EQ(r.tenants[0].jobs, 2u);
+  EXPECT_EQ(r.tenants[0].execNs, 120u);
+  EXPECT_EQ(r.tenants[0].queueWaitNs, 8u);
+  EXPECT_EQ(r.tenants[1].jobs, 1u);
+
+  const std::string text = trace::formatReport(r);
+  EXPECT_NE(text.find("tenants (job service)   max concurrent jobs: 2"),
+            std::string::npos);
+  const std::string json = trace::chromeJson(t);
+  EXPECT_NE(json.find("\"tid\":1,\"ts\":0.000,\"dur\":0.080,"
+                      "\"name\":\"tenant-a\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"tid\":2,"), std::string::npos);
 }
 
 // Cache hits and misses are the CacheHit and Build host spans; no

@@ -335,8 +335,8 @@ namespace srv = skelcl::service;
 
 /// One tenant job for the multi-tenant mode: a map/zip chain over data
 /// seeded by (tenant, job), block-distributed so every device runs a
-/// piece. All jobs share one programKey, so batching coalesces them
-/// across tenants — exactly the interleaving under test.
+/// piece. The server keeps several tenants' jobs in flight at once —
+/// exactly the interleaving under test.
 srv::Job tenantJob(std::size_t tenant, std::size_t jobIndex,
                    std::vector<float>* sink) {
   srv::Job job;

@@ -9,7 +9,7 @@
 // everything up front and runs the deterministic caller-thread
 // dispatcher), pushes J map/zip jobs per tenant through a JobServer,
 // and prints the per-tenant accounting table (jobs, device-cycles,
-// bytes moved, queue wait, latency) plus the dispatcher's batching
+// bytes moved, queue wait, p50/p99 latency) plus the dispatcher's window
 // stats. --trace records the run for `skeltrace report`, whose tenant
 // section is fed by the same accounting. The service starts from
 // ServiceConfig's defaults; the flags override them.
@@ -162,7 +162,6 @@ int main(int argc, char** argv) {
     }
 
     std::vector<std::vector<std::shared_ptr<JobResult>>> results(tenants);
-    std::vector<std::vector<service::JobHandle>> handles(tenants);
     std::uint64_t backpressure = 0;
 
     if (pumpMode) {
@@ -170,8 +169,7 @@ int main(int argc, char** argv) {
         for (std::size_t t = 0; t < tenants; ++t) {
           auto out = std::make_shared<JobResult>();
           results[t].push_back(out);
-          handles[t].push_back(
-              sessions[t]->submit(makeJob(t, j, n, gpus, out)));
+          sessions[t]->submit(makeJob(t, j, n, gpus, out));
         }
       }
       server.pump();
@@ -181,15 +179,13 @@ int main(int argc, char** argv) {
       std::mutex backpressureLock;
       for (std::size_t t = 0; t < tenants; ++t) {
         results[t].resize(jobs);
-        handles[t].resize(jobs);
         clients.emplace_back([&, t] {
           for (std::size_t j = 0; j < jobs; ++j) {
             auto out = std::make_shared<JobResult>();
             results[t][j] = out;
             while (true) {
               try {
-                handles[t][j] =
-                    sessions[t]->submit(makeJob(t, j, n, gpus, out));
+                sessions[t]->submit(makeJob(t, j, n, gpus, out));
                 break;
               } catch (const service::ServiceOverload&) {
                 {
@@ -213,23 +209,14 @@ int main(int argc, char** argv) {
                 tenants, jobs, gpus, service::policyName(config.policy),
                 config.queueCap, config.batching ? "on" : "off",
                 pumpMode ? ", pump mode" : "");
-    std::printf("%-12s %6s %4s %5s %6s %8s %14s %12s %13s %13s\n",
+    std::printf("%-12s %6s %4s %5s %6s %8s %14s %12s %12s %11s %11s\n",
                 "tenant", "weight", "prio", "jobs", "failed", "rejects",
-                "cycles", "bytes", "avg wait ms", "avg lat ms");
-    const auto stats = server.tenantStats();
-    for (std::size_t t = 0; t < stats.size(); ++t) {
-      const auto& row = stats[t];
-      std::uint64_t latencyNs = 0;
-      std::uint64_t doneJobs = 0;
-      for (const service::JobHandle& handle : handles[t]) {
-        if (handle.valid() && handle.done()) {
-          latencyNs += handle.stats().latencyNs();
-          ++doneJobs;
-        }
-      }
+                "cycles", "bytes", "avg wait ms", "p50 lat ms",
+                "p99 lat ms");
+    for (const auto& row : server.tenantStats()) {
       std::printf(
-          "%-12s %6.1f %4d %5llu %6llu %8llu %14llu %12llu %13.3f "
-          "%13.3f\n",
+          "%-12s %6.1f %4d %5llu %6llu %8llu %14llu %12llu %12.3f "
+          "%11.3f %11.3f\n",
           row.tenant.c_str(), row.weight, row.priority,
           (unsigned long long)row.completed,
           (unsigned long long)row.failed,
@@ -239,15 +226,14 @@ int main(int argc, char** argv) {
           row.completed == 0
               ? 0.0
               : double(row.queueWaitNs) / double(row.completed) * 1e-6,
-          doneJobs == 0 ? 0.0
-                        : double(latencyNs) / double(doneJobs) * 1e-6);
+          double(row.latencyP50Ns) * 1e-6, double(row.latencyP99Ns) * 1e-6);
       if (row.failed != 0) {
         ok = false;
       }
     }
     const auto server_stats = server.serverStats();
-    std::printf("dispatcher: %llu batch(es), %llu job(s), max batch %llu, "
-                "%llu coalesced, %llu backpressure retr%s\n",
+    std::printf("dispatcher: %llu busy period(s), %llu job(s), max in "
+                "flight %llu, %llu overlapped, %llu backpressure retr%s\n",
                 (unsigned long long)server_stats.batches,
                 (unsigned long long)server_stats.jobsExecuted,
                 (unsigned long long)server_stats.maxBatch,
