@@ -1,7 +1,9 @@
 # Runs `skeltrace <trace>` and `skeltrace --json <trace> -o <out>` and
 # checks that the totals and counter tracks derived from the commands
 # are there: nonzero H2D bytes and kernel cycles in the report, and
-# h2d_bytes / kernel_cycles tracks in the Chrome JSON.
+# h2d_bytes / kernel_cycles tracks in the Chrome JSON. The report must
+# also list the stencil's layout decision, which on the 4-GPU heat trace
+# is row-aligned.
 #
 #   cmake -DSKELTRACE=<skeltrace> -DTRACE=<in.sktrace> -DOUT=<out.json>
 #         -P skeltrace_report.cmake
@@ -11,7 +13,8 @@ message("${report}")
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "skeltrace ${TRACE} exited with ${rc}")
 endif()
-foreach(pattern "h2d: [1-9][0-9]* bytes" "kernel cycles: [1-9]")
+foreach(pattern "h2d: [1-9][0-9]* bytes" "kernel cycles: [1-9]"
+        "\n  [1-9][0-9]*x stencil\\.layout: row-aligned\n")
   if(NOT report MATCHES "${pattern}")
     message(FATAL_ERROR "report lacks '${pattern}'")
   endif()

@@ -1,8 +1,8 @@
 // Uniform environment-variable parsing for the runtime's configuration
-// knobs. There are 10: SKELCL_DEVICES, SKELCL_FUSION, SKELCL_ASYNC,
+// knobs. There are 9: SKELCL_DEVICES, SKELCL_FUSION, SKELCL_ASYNC,
 // SKELCL_SERIALIZE, SKELCL_SCHEDULE_SEED, SKELCL_CACHE_DIR, SKELCL_TRACE,
-// SKELCL_LOG, SKELCL_FAULT_PLAN and SKELCL_FAULT_SEED
-// (tests/common/env_test.cpp pins this list).
+// SKELCL_FAULT_PLAN and SKELCL_FAULT_SEED (tests/common/env_test.cpp
+// pins this list).
 //
 // Flag semantics are normalized across every knob: an unset variable
 // yields the fallback; "", "0", "false", "off" and "no" (case-

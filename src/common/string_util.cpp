@@ -1,6 +1,5 @@
 #include "common/string_util.h"
 
-#include <algorithm>
 #include <cctype>
 
 namespace common {
@@ -54,14 +53,6 @@ std::string replaceAll(std::string_view s, std::string_view from,
     out.append(to);
     start = pos + from.size();
   }
-}
-
-std::string toLower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
 }
 
 std::string join(const std::vector<std::string>& parts,

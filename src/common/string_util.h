@@ -14,7 +14,6 @@ bool startsWith(std::string_view s, std::string_view prefix) noexcept;
 bool endsWith(std::string_view s, std::string_view suffix) noexcept;
 std::string replaceAll(std::string_view s, std::string_view from,
                        std::string_view to);
-std::string toLower(std::string_view s);
 
 /// Joins parts with the given separator.
 std::string join(const std::vector<std::string>& parts,

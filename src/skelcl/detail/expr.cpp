@@ -165,7 +165,7 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
                         leaf0.chunks());
   }
 
-  ocl::Program& program = runtime.programFor(elementwiseSource(plan, *node));
+  ocl::Program program = runtime.programFor(elementwiseSource(plan, *node));
   const std::string kernelName = elementwiseKernelName(plan);
 
   // Per-device chunks are disjoint, so any visit order is legal (the
@@ -369,7 +369,7 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
   const std::size_t elem = node->outElemSize;
   const bool fused = plan.fusedStages > 0;
 
-  ocl::Program& program =
+  ocl::Program program =
       runtime.programFor(reduceProgramSource(*node, plan, fused));
 
   // Per-device partial reduction; under the copy distribution one copy
@@ -642,7 +642,7 @@ void runScan(const std::shared_ptr<ExprNode>& node,
   const std::size_t n = node->outCount;
   const std::size_t deviceIndex = leaf0.chunks().front().deviceIndex;
   const bool fused = plan.fusedStages > 0;
-  ocl::Program& program =
+  ocl::Program program =
       runtime.programFor(scanProgramSource(*node, plan, fused));
 
   try {
@@ -678,9 +678,13 @@ void evaluateNode(const std::shared_ptr<ExprNode>& node,
   // Children the rewrite pass could not absorb run first, materializing
   // their intermediate vectors — the cost fusion exists to avoid, so it
   // is what the fusion counters measure.
-  for (const auto& child : plan.materializeFirst) {
+  for (const FusionPlan::Materialize& m : plan.materializeFirst) {
+    const std::shared_ptr<ExprNode>& child = m.node;
     if (child->evaluated) {
       continue;
+    }
+    if (m.declined != nullptr) {
+      trace::recordDecision(m.declined);
     }
     forceExprNode(child);
     const std::uint64_t bytes =

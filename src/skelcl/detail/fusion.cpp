@@ -37,18 +37,35 @@ bool deferred(const std::shared_ptr<ExprNode>& node) {
   return node != nullptr && !node->evaluated && !node->evaluating;
 }
 
+/// Why an element-wise `child` is not spliced into a `parentOp` parent
+/// holding `stageCount` stages: the parent cannot evaluate a chain
+/// inline, the child has other readers, or the plan is at kMaxStages.
+/// Returns the Decision naming the rule (FusionPlan::Materialize), or
+/// null when none applies or the child is not element-wise.
+const char* declineReason(const ExprNode& child, ExprNode::Op parentOp,
+                          std::size_t stageCount) {
+  if (child.op != ExprNode::Op::Map && child.op != ExprNode::Op::Zip) {
+    return nullptr;
+  }
+  if (!fusableRoot(parentOp)) {
+    return "fusion.declined: opaque root";
+  }
+  if (child.fanout != 1) {
+    return "fusion.declined: fanout";
+  }
+  return stageCount < kMaxStages ? nullptr : "fusion.declined: depth";
+}
+
 /// The absorption rule: `input`'s producer is spliced into the kernel of
-/// a `parentOp` parent when rewriting is enabled, the parent can
-/// evaluate a chain inline, the producer is a still-deferred element-
-/// wise stage read by this parent only, and the plan holds fewer than
-/// kMaxStages stages.
+/// its parent when rewriting is enabled, the producer is a still-
+/// deferred element-wise stage, and no declineReason applies.
 bool absorbable(const ExprNode::Input& input, ExprNode::Op parentOp,
                 bool fusionEnabled, std::size_t stageCount) {
   const std::shared_ptr<ExprNode>& child = input.node;
-  return fusionEnabled && fusableRoot(parentOp) && deferred(child) &&
+  return fusionEnabled && deferred(child) &&
          (child->op == ExprNode::Op::Map ||
           child->op == ExprNode::Op::Zip) &&
-         child->fanout == 1 && stageCount < kMaxStages;
+         declineReason(*child, parentOp, stageCount) == nullptr;
 }
 
 class Emitter {
@@ -125,8 +142,11 @@ private:
     }
     if (deferred(child)) {
       // The child stays a separate launch (rewrites off, non-element-
-      // wise, or other readers need its vector anyway).
-      plan_.materializeFirst.push_back(child);
+      // wise, or declined).
+      plan_.materializeFirst.push_back(
+          {child, fusionEnabled_ ? declineReason(*child, parentOp,
+                                                 plan_.stages.size())
+                                 : nullptr});
     }
     const std::size_t idx = plan_.leaves.size();
     plan_.leaves.push_back(input.state);

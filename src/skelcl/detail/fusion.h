@@ -38,10 +38,16 @@ struct FusionPlan {
   std::vector<std::shared_ptr<VectorState>> leaves;
   std::vector<std::string> leafTypes;
 
-  /// Still-deferred children that were NOT absorbed (extra readers, or
-  /// rewriting disabled): they must be forced — materializing their
-  /// intermediate vectors — before this plan launches.
-  std::vector<std::shared_ptr<ExprNode>> materializeFirst;
+  /// A still-deferred child that was NOT absorbed: it must be forced —
+  /// materializing its intermediate vector — before this plan launches.
+  struct Materialize {
+    std::shared_ptr<ExprNode> node;
+    /// The Decision naming why the rewrite declined an element-wise
+    /// child ("fusion.declined: fanout", "...: depth", "...: opaque
+    /// root"); null when rewriting is off or for other ops.
+    const char* declined = nullptr;
+  };
+  std::vector<Materialize> materializeFirst;
 
   /// Absorbed stages, root first. Their Arguments are bound in this
   /// order after the fixed kernel parameters.

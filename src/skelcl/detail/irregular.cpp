@@ -317,11 +317,13 @@ void runStencil(const std::shared_ptr<ExprNode>& node,
   VectorState& in = *plan.leaves.front();
 
   const bool multi = layOutStencilInput(in, P);
+  trace::recordDecision(multi ? "stencil.layout: row-aligned"
+                              : "stencil.layout: single-device");
   const std::size_t totalRows = in.size() / W;
   prepareStageArguments(plan);
   out->allocateOutput(in.distribution(), in.singleDeviceIndex(), in.chunks());
 
-  ocl::Program& program = runtime.programFor(stencilProgramSource(node, plan));
+  ocl::Program program = runtime.programFor(stencilProgramSource(node, plan));
   const auto& chunks = in.chunks();
   const std::size_t pw = is2D ? W + 2 * R : 1; // padded row length
   const std::size_t haloBytes = R * pw * elem;
@@ -533,7 +535,7 @@ void runSparseGather(const std::shared_ptr<ExprNode>& node,
   }
   out->allocateOutput(Distribution::Block, 0, layout);
 
-  ocl::Program& program = runtime.programFor(sparseProgramSource(node, plan));
+  ocl::Program program = runtime.programFor(sparseProgramSource(node, plan));
   for (std::size_t idx : runtime.chunkVisitOrder(cchunks.size())) {
     const CsrChunk& cc = cchunks[idx];
     if (cc.rowCount == 0) {

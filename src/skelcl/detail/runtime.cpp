@@ -1,9 +1,8 @@
 #include "skelcl/detail/runtime.h"
 
-#include <cstdlib>
+#include <cstdio>
 
 #include "common/env.h"
-#include "common/logging.h"
 #include "skelcl/detail/partition.h"
 #include "skelcl/detail/scheduler.h"
 #include "skelcl/distribution.h"
@@ -32,6 +31,18 @@ void Runtime::init(const DeviceSelection& selection) {
   if (initialized_) {
     terminate();
   }
+  // SKELCL_SCHEDULE_SEED=N explores an alternative legal schedule, the
+  // seeded shuffle N (see Runtime::schedulePolicy); unset or empty, the
+  // single deterministic FIFO tie-break order runs. Any other value
+  // throws before anything is claimed, so a fuzz run never believes it
+  // explores seed N while it runs FIFO. envInt takes its fallback on an
+  // unparsable value, so two fallbacks disagree exactly then.
+  const std::string seedText = envStr("SKELCL_SCHEDULE_SEED");
+  const long long seed = envInt("SKELCL_SCHEDULE_SEED", 0);
+  if (!seedText.empty() && seed != envInt("SKELCL_SCHEDULE_SEED", 1)) {
+    throw common::InvalidArgument("SKELCL_SCHEDULE_SEED '" + seedText +
+                                  "' is not an integer");
+  }
   // SKELCL_DEVICES replaces the simulated machine wholesale with the
   // spec'd (possibly heterogeneous) platform, and the selection widens
   // to every spec'd device — the spec already says exactly which devices
@@ -42,8 +53,6 @@ void Runtime::init(const DeviceSelection& selection) {
   if (!deviceSpec.empty()) {
     ocl::configureSystem(ocl::SystemConfig::parse(deviceSpec));
     effective = DeviceSelection::allDevices();
-    LOG_INFO("SKELCL_DEVICES=" << deviceSpec
-                               << ": configured heterogeneous platform");
   }
   devices_.clear();
   for (const auto& platform : ocl::getPlatforms()) {
@@ -92,22 +101,10 @@ void Runtime::init(const DeviceSelection& selection) {
   // against.
   asyncEnabled_ = envFlag("SKELCL_ASYNC", true);
   Scheduler::instance().configure(asyncEnabled_);
-  // SKELCL_SCHEDULE_SEED=N explores an alternative legal schedule, the
-  // seeded shuffle N (see Runtime::schedulePolicy); unset, the single
-  // deterministic FIFO tie-break order runs. An unparsable value takes
-  // each envInt fallback, so two different fallbacks disagree exactly
-  // when the value did not parse.
-  schedulePolicy_ = ocl::SchedulePolicy::fifo();
-  if (std::getenv("SKELCL_SCHEDULE_SEED") != nullptr) {
-    const long long seed = envInt("SKELCL_SCHEDULE_SEED", 0);
-    if (seed == envInt("SKELCL_SCHEDULE_SEED", 1)) {
-      schedulePolicy_ =
-          ocl::SchedulePolicy::seededShuffle(std::uint64_t(seed));
-    } else {
-      LOG_WARN("unparsable SKELCL_SCHEDULE_SEED '"
-               << envStr("SKELCL_SCHEDULE_SEED") << "'; using fifo");
-    }
-  }
+  schedulePolicy_ =
+      seedText.empty()
+          ? ocl::SchedulePolicy::fifo()
+          : ocl::SchedulePolicy::seededShuffle(std::uint64_t(seed));
   orderRng_ = common::Xoshiro256(schedulePolicy_.seed ^
                                  0xd1b54a32d192ed03ULL);
   // SKELCL_FAULT_PLAN/SKELCL_FAULT_SEED arm deterministic fault
@@ -135,7 +132,6 @@ void Runtime::init(const DeviceSelection& selection) {
     cache_ = std::make_unique<KernelCache>();
   }
   initialized_ = true;
-  LOG_INFO("SkelCL initialized with " << devices_.size() << " device(s)");
 }
 
 void Runtime::terminate() {
@@ -147,11 +143,10 @@ void Runtime::terminate() {
     const trace::Trace collected = trace::Recorder::instance().stop();
     try {
       trace::writeTraceFile(tracePath_, collected);
-      LOG_INFO("trace written to " << tracePath_ << " ("
-                                   << collected.commands.size()
-                                   << " command spans)");
     } catch (const common::Error& e) {
-      LOG_WARN("cannot write trace to " << tracePath_ << ": " << e.what());
+      // The one failure the trace itself cannot carry.
+      std::fprintf(stderr, "skelcl: cannot write trace to %s: %s\n",
+                   tracePath_.c_str(), e.what());
     }
   }
   tracePath_.clear();
@@ -170,11 +165,15 @@ void Runtime::terminate() {
   initialized_ = false;
 }
 
-ocl::Program& Runtime::programFor(const std::string& source) {
+ocl::Program Runtime::programFor(const std::string& source) {
   requireInit();
   std::shared_ptr<ProgramEntry> entry;
   {
     std::lock_guard lock(programMutex_);
+    if (programMemo_.size() >= kMemoCapacity &&
+        !programMemo_.contains(source)) {
+      programMemo_.clear();
+    }
     std::shared_ptr<ProgramEntry>& slot = programMemo_[source];
     if (slot == nullptr) {
       slot = std::make_shared<ProgramEntry>();

@@ -22,7 +22,6 @@ namespace detail {
 // The runtime's environment knobs (SKELCL_SERIALIZE, SKELCL_TRACE,
 // SKELCL_CACHE_DIR, ...) all parse through these helpers so 0/1/true/
 // false handling is consistent everywhere.
-using common::envDouble;
 using common::envFlag;
 using common::envInt;
 using common::envStr;
@@ -72,7 +71,8 @@ public:
   bool serializedQueues() const noexcept { return serializedQueues_; }
 
   /// Ready-queue tie-breaking of the out-of-order scheduler, set at
-  /// init() from SKELCL_SCHEDULE_SEED (unset: FIFO; N: seeded shuffle N).
+  /// init() from SKELCL_SCHEDULE_SEED (unset: FIFO; N: seeded shuffle N;
+  /// anything else: init() throws common::InvalidArgument).
   /// Under SeededShuffle the queues add seeded dispatch jitter and the
   /// skeletons visit per-device chunks in a seeded order — together they
   /// explore alternative legal schedules of the same command DAG. The
@@ -157,22 +157,29 @@ public:
     programMemo_.clear();
   }
 
+  /// Most sources the program and name memos each hold: the next new
+  /// source clears a full memo, so a long-running job service stays
+  /// bounded. A dropped program comes back as a disk-cache load.
+  static constexpr std::size_t kMemoCapacity = 256;
+
   /// Process-wide memo for generated skeleton programs: one build per
   /// source per init() cycle, the disk cache underneath making
   /// cross-process reuse cheap. A program is identified by its source
-  /// alone: the build is a pure function of it. Thread-safe: any thread
-  /// may request a program — distinct sources build in parallel,
+  /// alone: the build is a pure function of it. The handle is returned by
+  /// value, so a cleared memo invalidates no caller. Thread-safe: any
+  /// thread may request a program — distinct sources build in parallel,
   /// concurrent requests for the same source block on one build (a
   /// failed build is not memoized; the next request retries, preserving
   /// the synchronous retry semantics).
-  ocl::Program& programFor(const std::string& source);
+  ocl::Program programFor(const std::string& source);
 
   /// Memo of UserFunction's parse for this init()..terminate() cycle:
   /// the names of the functions `source` defines, keyed by the source
   /// text, so a skeleton built again from a source seen before does not
-  /// re-lex it. Holds names only, never programs. `parse(source)` runs
-  /// on a miss; when it throws, nothing is memoized and the exception
-  /// propagates, so the next request parses again. Thread-safe.
+  /// re-lex it. Holds names only, never programs, and at most
+  /// kMemoCapacity sources. `parse(source)` runs on a miss; when it
+  /// throws, nothing is memoized and the exception propagates, so the
+  /// next request parses again. Thread-safe.
   template <typename Parse>
   std::vector<std::string> userFunctionNames(const std::string& source,
                                              Parse parse) {
@@ -184,6 +191,9 @@ public:
     }
     std::vector<std::string> names = parse(source);
     std::lock_guard lock(nameMutex_);
+    if (nameMemo_.size() >= kMemoCapacity) {
+      nameMemo_.clear();
+    }
     nameMemo_.emplace(source, names);
     return names;
   }

@@ -8,7 +8,6 @@
 #include "common/byte_stream.h"
 #include "common/env.h"
 #include "common/hash.h"
-#include "common/logging.h"
 #include "common/stopwatch.h"
 #include "trace/recorder.h"
 
@@ -101,6 +100,13 @@ std::string defaultDirectory() {
   return (std::filesystem::temp_directory_path() / "skelcl-cache").string();
 }
 
+/// Files a Decision naming what the cache did about `error`.
+void recordCacheDecision(const char* decision, const common::Error& error) {
+  if (trace::Recorder::enabled()) {
+    trace::recordDecision(std::string(decision) + ": " + error.what());
+  }
+}
+
 } // namespace
 
 KernelCache::KernelCache(std::string directory)
@@ -138,8 +144,7 @@ ocl::Program KernelCache::getOrBuild(const ocl::Context& context,
     } catch (const common::Error& e) {
       // Corrupted, version-mismatched or other-level entry: rebuild
       // below, overwriting it.
-      LOG_WARN("kernel cache entry unusable (" << e.what()
-                                               << "); rebuilding");
+      recordCacheDecision("kernel_cache.rejected", e);
     }
   }
 
@@ -158,7 +163,7 @@ ocl::Program KernelCache::getOrBuild(const ocl::Context& context,
   try {
     common::writeFile(path, sealEntry(program.binary()));
   } catch (const common::IoError& e) {
-    LOG_WARN("cannot store kernel cache entry: " << e.what());
+    recordCacheDecision("kernel_cache.store_failed", e);
   }
   return program;
 }

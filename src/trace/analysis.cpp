@@ -88,7 +88,7 @@ Report analyze(const Trace& trace) {
 
   for (const CommandRecord& c : trace.commands) {
     DeviceAccum& acc = perDevice[c.device];
-    const std::uint8_t e = c.engine < kEngineCount ? c.engine : 0;
+    const std::uint8_t e = c.engine;
     acc.engines[e].emplace_back(c.startNs, c.endNs);
     ++acc.commands[e];
     if (e == 1) {
@@ -275,6 +275,7 @@ Report analyze(const Trace& trace) {
     finals[{trace.str(c.name), c.device}] = c.value;
   }
   std::map<std::string, TenantReport> tenants;
+  std::map<std::string, std::vector<Interval>> tenantJobs;
   for (const auto& [key, value] : finals) {
     // "tenant.<name>.cycles" / "tenant.<name>.bytes" — per-tenant job
     // service accounting.
@@ -315,12 +316,15 @@ Report analyze(const Trace& trace) {
           std::max<std::uint64_t>(report.maxConcurrentJobs, h.lane);
       TenantReport& tenant = tenants[trace.str(h.name)];
       ++tenant.jobs;
-      tenant.execNs += h.endNs - h.startNs;
+      tenantJobs[trace.str(h.name)].emplace_back(h.startNs, h.endNs);
       tenant.queueWaitNs += h.value;
+    } else if (h.kind == HostKind::Decision) {
+      ++report.decisions[trace.str(h.name)];
     }
   }
   for (auto& [name, tenant] : tenants) {
     tenant.name = name;
+    tenant.execNs = totalLength(merged(std::move(tenantJobs[name])));
     report.tenants.push_back(std::move(tenant));
   }
   return report;
@@ -363,6 +367,13 @@ std::string formatReport(const Report& report, std::size_t topN) {
                   double(report.schedQueueWaitNs) * 1e-6,
                   (unsigned long long)report.maxConcurrentJobs);
     out += line;
+  }
+
+  if (!report.decisions.empty()) {
+    out += "\ndecisions:\n";
+    for (const auto& [name, count] : report.decisions) {
+      out += "  " + std::to_string(count) + "x " + name + "\n";
+    }
   }
 
   if (!report.tenants.empty()) {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -83,7 +84,9 @@ struct KernelReport {
 struct TenantReport {
   std::string name;
   std::uint64_t jobs = 0;
-  std::uint64_t execNs = 0;      // summed dispatch..completion spans
+  /// Busy time: the union of the tenant's dispatch..completion spans, so
+  /// jobs that overlap in the service's window count once.
+  std::uint64_t execNs = 0;
   std::uint64_t queueWaitNs = 0; // summed submission->dispatch waits
   std::uint64_t deviceCycles = 0;
   std::uint64_t bytesMoved = 0;
@@ -111,6 +114,8 @@ struct Report {
   std::uint64_t cacheHits = 0;
   std::uint64_t cacheMisses = 0;
   std::uint64_t skeletonSpans = 0;
+  /// HostKind::Decision records counted by name ("<decision>: <reason>").
+  std::map<std::string, std::uint64_t> decisions;
   /// Bytes of intermediate vectors materialized between skeleton stages
   /// (from the "intermediate_bytes" counter). Kernel fusion exists to
   /// drive this — and the launch count — down.

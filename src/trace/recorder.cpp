@@ -48,6 +48,7 @@ const char* hostKindLabel(HostKind kind) noexcept {
     case HostKind::Combine: return "combine";
     case HostKind::Scheduler: return "scheduler";
     case HostKind::TenantJob: return "tenant_job";
+    case HostKind::Decision: return "decision";
   }
   return "?";
 }

@@ -98,6 +98,17 @@ private:
   std::unordered_map<std::string, std::uint64_t> counterTotals_;
 };
 
+/// Files a Decision (HostKind::Decision) at virtual now; one atomic load
+/// when recording is off. A caller that builds `name` checks enabled()
+/// first.
+inline void recordDecision(std::string_view name) {
+  if (Recorder::enabled()) {
+    const std::uint64_t nowNs = now();
+    Recorder::instance().recordHostSpan(HostKind::Decision, name,
+                                        kNoDevice, nowNs, nowNs);
+  }
+}
+
 /// RAII host span: captures virtual start/end around a runtime phase.
 /// Free when recording is disabled (one atomic load in the constructor,
 /// nothing in the destructor).

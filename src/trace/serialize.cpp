@@ -18,6 +18,25 @@ constexpr std::size_t kCommandBytes = 8 + 4 + 1 + 1 + 4 + 6 * 8 + 8;
 constexpr std::size_t kHostSpanBytes = 4 + 1 + 4 + 4 + 3 * 8;
 constexpr std::size_t kCounterBytes = 4 + 4 + 8 + 8;
 
+/// Reads an engine index or a record kind, which must be below `count`.
+std::uint8_t readBelow(common::ByteReader& r, std::uint8_t count) {
+  const auto value = r.read<std::uint8_t>();
+  if (value >= count) {
+    throw common::DeserializeError("unknown trace engine or kind " +
+                                   std::to_string(value));
+  }
+  return value;
+}
+
+/// A record names an interned string and ends no earlier than it starts.
+void checkRecord(const Trace& trace, std::uint32_t name,
+                 std::uint64_t startNs, std::uint64_t endNs) {
+  if (name >= trace.strings.size() || endNs < startNs) {
+    throw common::DeserializeError(
+        "trace record names no string or ends before it starts");
+  }
+}
+
 bool hasSuffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -114,8 +133,8 @@ Trace deserialize(const std::vector<std::uint8_t>& bytes) {
     CommandRecord c;
     c.id = r.read<std::uint64_t>();
     c.device = r.read<std::uint32_t>();
-    c.engine = r.read<std::uint8_t>();
-    c.kind = CommandKind(r.read<std::uint8_t>());
+    c.engine = readBelow(r, kEngineCount);
+    c.kind = CommandKind(readBelow(r, kCommandKindCount));
     c.name = r.read<std::uint32_t>();
     c.queuedNs = r.read<std::uint64_t>();
     c.submitNs = r.read<std::uint64_t>();
@@ -124,6 +143,7 @@ Trace deserialize(const std::vector<std::uint8_t>& bytes) {
     c.bytes = r.read<std::uint64_t>();
     c.cycles = r.read<std::uint64_t>();
     c.deps = r.readVector<std::uint64_t>();
+    checkRecord(trace, c.name, c.startNs, c.endNs);
     trace.commands.push_back(std::move(c));
   }
   const std::size_t nHost = r.readCount(kHostSpanBytes);
@@ -131,12 +151,13 @@ Trace deserialize(const std::vector<std::uint8_t>& bytes) {
   for (std::size_t i = 0; i < nHost; ++i) {
     HostSpanRecord h;
     h.name = r.read<std::uint32_t>();
-    h.kind = HostKind(r.read<std::uint8_t>());
+    h.kind = HostKind(readBelow(r, kHostKindCount));
     h.device = r.read<std::uint32_t>();
     h.lane = r.read<std::uint32_t>();
     h.startNs = r.read<std::uint64_t>();
     h.endNs = r.read<std::uint64_t>();
     h.value = r.read<std::uint64_t>();
+    checkRecord(trace, h.name, h.startNs, h.endNs);
     trace.hostSpans.push_back(h);
   }
   const std::size_t nCounters = r.readCount(kCounterBytes);
@@ -147,6 +168,7 @@ Trace deserialize(const std::vector<std::uint8_t>& bytes) {
     c.device = r.read<std::uint32_t>();
     c.timeNs = r.read<std::uint64_t>();
     c.value = r.read<std::uint64_t>();
+    checkRecord(trace, c.name, c.timeNs, c.timeNs);
     trace.counters.push_back(c);
   }
   return trace;

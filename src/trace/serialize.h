@@ -26,7 +26,8 @@ inline constexpr std::uint32_t kBinaryVersion = 4;
 std::vector<std::uint8_t> serialize(const Trace& trace);
 
 /// Throws common::DeserializeError on malformed input (bad magic,
-/// unknown version, truncated stream).
+/// unknown version, truncated stream, unknown engine or kind, a name
+/// outside the string table, a span ending before it starts).
 Trace deserialize(const std::vector<std::uint8_t>& bytes);
 
 /// Extension-dispatched writer: ".json" -> Chrome trace JSON, anything

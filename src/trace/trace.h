@@ -5,9 +5,9 @@
 // on its device's compute/H2D/D2H timeline, in virtual nanoseconds, plus
 // the dependency edges that constrained it), *host spans* (what the
 // runtime was doing: which skeleton, kernel build vs cache hit, lazy
-// transfer, redistribution), and monotone *counters* for the facts
-// neither of those holds (halo and intermediate bytes, kernel-cache
-// hits/misses, tenant accounting).
+// transfer, redistribution, and the decisions it took along the way),
+// and monotone *counters* for the facts neither of those holds (halo
+// and intermediate bytes, tenant accounting).
 //
 // The model is deliberately plain data: the Recorder (recorder.h)
 // produces it, serialize.h round-trips it through a compact binary
@@ -40,6 +40,7 @@ enum class CommandKind : std::uint8_t {
   CopyOnDevice = 3, // same-device buffer copy (compute engine)
   CopyPeer = 4,     // cross-device copy leg (src D2H or dst H2D)
 };
+inline constexpr std::uint8_t kCommandKindCount = 5;
 
 const char* commandKindLabel(CommandKind kind) noexcept;
 
@@ -53,7 +54,9 @@ enum class HostKind : std::uint8_t {
   Combine = 5,      // copy->block merge with a user combine function
   Scheduler = 6,    // async task-graph job: registration .. dispatch end
   TenantJob = 7,    // job service: one tenant job, dispatch .. completion
+  Decision = 8,     // a runtime choice and its reason (zero-length)
 };
+inline constexpr std::uint8_t kHostKindCount = 9;
 
 const char* hostKindLabel(HostKind kind) noexcept;
 
@@ -76,9 +79,12 @@ struct CommandRecord {
   std::vector<std::uint64_t> deps;
 };
 
-/// One host-side runtime span. `value` depends on the kind: bytes for
-/// Transfer, source length for Build, queue-wait nanoseconds for
-/// Scheduler and TenantJob (whose name is the tenant), otherwise 0.
+/// One host-side runtime span. `value` depends on the kind: the input's
+/// element count for Skeleton (nonzeros for SparseGather), bytes for
+/// Transfer and Combine, source length for Build and CacheHit,
+/// queue-wait nanoseconds for Scheduler and TenantJob (whose name is the
+/// tenant), otherwise 0. A Decision is zero-length, at the virtual time
+/// of the choice, and named "<decision>: <reason>".
 /// `lane` is the host row the span renders on:
 /// 0 is the runtime thread; Scheduler spans use one lane per
 /// concurrently outstanding job and TenantJob spans their job-service

@@ -102,8 +102,7 @@ TEST(EnvKnobInventory, SourcesReadExactlyTheDocumentedKnobs) {
   const std::set<std::string> expected = {
       "SKELCL_DEVICES",   "SKELCL_FUSION",        "SKELCL_ASYNC",
       "SKELCL_SERIALIZE", "SKELCL_SCHEDULE_SEED", "SKELCL_CACHE_DIR",
-      "SKELCL_TRACE",     "SKELCL_LOG",           "SKELCL_FAULT_PLAN",
-      "SKELCL_FAULT_SEED"};
+      "SKELCL_TRACE",     "SKELCL_FAULT_PLAN",    "SKELCL_FAULT_SEED"};
   const std::regex read(
       R"re((?:env(?:Flag|Int|Double|Str)|getenv)\(\s*"(SKELCL_[A-Z0-9_]*)")re");
   std::set<std::string> found;

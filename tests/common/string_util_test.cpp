@@ -43,10 +43,6 @@ TEST(StringUtil, Join) {
   EXPECT_EQ(join({"solo"}, ","), "solo");
 }
 
-TEST(StringUtil, ToLower) {
-  EXPECT_EQ(toLower("MiXeD123"), "mixed123");
-}
-
 TEST(LocCounter, CountsCodeLinesOnly) {
   const char* source = R"(
 // a comment line

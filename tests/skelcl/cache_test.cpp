@@ -8,6 +8,7 @@
 #include "common/hash.h"
 #include "common/stopwatch.h"
 #include "skelcl_test_util.h"
+#include "trace/recorder.h"
 
 namespace {
 
@@ -162,6 +163,47 @@ TEST_F(CacheTest, SealedEntryWithHugeCodeLengthFallsBackToRebuild) {
   w.writeString("");
   w.write<std::uint64_t>(1ULL << 62);
   expectRebuildOver(dir_, context_, source_, sealEntry(w.takeBytes()));
+}
+
+// A rejected entry leaves a Decision with the reason, filed before the
+// Build span of the rebuild that replaces it.
+TEST_F(CacheTest, RejectedEntryIsADecisionBeforeItsRebuild) {
+  KernelCache cache(dir_);
+  cache.getOrBuild(context_, source_);
+  for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+    if (e.path().extension() == ".clcbin") {
+      common::writeFile(e.path().string(), {'j', 'u', 'n', 'k'});
+    }
+  }
+  trace::Recorder::instance().start();
+  cache.getOrBuild(context_, source_);
+  const trace::Trace t = trace::Recorder::instance().stop();
+  ASSERT_EQ(t.hostSpans.size(), 2u);
+  const trace::HostSpanRecord& decision = t.hostSpans[0];
+  EXPECT_EQ(decision.kind, trace::HostKind::Decision);
+  EXPECT_EQ(t.str(decision.name),
+            "kernel_cache.rejected: cache entry has no valid header");
+  EXPECT_EQ(decision.startNs, decision.endNs);
+  EXPECT_EQ(t.hostSpans[1].kind, trace::HostKind::Build);
+}
+
+// An entry that cannot be stored costs nothing but the Decision saying
+// so: the build still succeeds.
+TEST_F(CacheTest, FailedStoreIsADecision) {
+  const std::string blocker = dir_ + "/not-a-directory";
+  common::writeFile(blocker, {1});
+  KernelCache cache(blocker + "/cache");
+  trace::Recorder::instance().start();
+  ocl::Program p = cache.getOrBuild(context_, source_);
+  const trace::Trace t = trace::Recorder::instance().stop();
+  EXPECT_TRUE(p.isBuilt());
+  ASSERT_EQ(t.hostSpans.size(), 2u);
+  EXPECT_EQ(t.hostSpans[0].kind, trace::HostKind::Build);
+  EXPECT_EQ(t.hostSpans[1].kind, trace::HostKind::Decision);
+  EXPECT_EQ(t.str(t.hostSpans[1].name).rfind(
+                "kernel_cache.store_failed: cannot open for writing", 0),
+            0u)
+      << t.str(t.hostSpans[1].name);
 }
 
 TEST_F(CacheTest, TruncatedEntryIsDetectedAndRebuilt) {

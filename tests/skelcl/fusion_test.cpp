@@ -10,6 +10,8 @@
 #include <numeric>
 
 #include "skelcl_test_util.h"
+#include "trace/analysis.h"
+#include "trace/recorder.h"
 
 namespace {
 
@@ -280,6 +282,54 @@ TEST(FusionTest, FanoutBlocksAbsorptionButKeepsResultsExact) {
   // launches; unfused runs all 3 stages.
   EXPECT_EQ(fused.kernelLaunches, 2u);
   EXPECT_EQ(unfused.kernelLaunches, 3u);
+}
+
+/// The Decision records one fused, traced run of `scenario` leaves,
+/// counted by name.
+std::map<std::string, std::uint64_t> decisionsOf(
+    const std::function<void(RunResult&)>& scenario) {
+  std::map<std::string, std::uint64_t> decisions;
+  runScenario(
+      [&](RunResult& out) {
+        trace::Recorder::instance().start();
+        scenario(out);
+        decisions =
+            trace::analyze(trace::Recorder::instance().stop()).decisions;
+      },
+      1, /*fused=*/true);
+  return decisions;
+}
+
+/// `stages` stacked Maps over a fresh vector, read back.
+std::function<void(RunResult&)> mapChain(int stages) {
+  return [stages](RunResult& out) {
+    Map<float> step("float fu_step(float x) { return x * 1.5f - 2.0f; }");
+    Vector<float> v(testData(256));
+    for (int i = 0; i < stages; ++i) {
+      v = step(v);
+    }
+    out.floats = v.hostData();
+  };
+}
+
+// A fusion the rewrite declines leaves a Decision naming the reason; a
+// chain fused whole leaves none.
+TEST(FusionTest, DeclinedFusionsAreRecordedWithTheirReason) {
+  using Decisions = std::map<std::string, std::uint64_t>;
+  EXPECT_EQ(decisionsOf([](RunResult& out) {
+              Map<float> inc("float fu_inc(float x) { return x + 1.0f; }");
+              Map<float> dbl("float fu_dbl(float x) { return 2.0f * x; }");
+              Zip<float> add(
+                  "float fu_add(float x, float y) { return x + y; }");
+              Vector<float> input(testData(512));
+              Vector<float> shared = inc(input);
+              out.floats = add(dbl(shared), shared).hostData();
+            }),
+            (Decisions{{"fusion.declined: fanout", 1}}));
+  // Sixteen stages fuse; the seventeenth stage hits the cap.
+  EXPECT_EQ(decisionsOf(mapChain(17)),
+            (Decisions{{"fusion.declined: depth", 1}}));
+  EXPECT_TRUE(decisionsOf(mapChain(16)).empty());
 }
 
 TEST(FusionTest, MultiDeviceChainsStayExact) {

@@ -1,10 +1,8 @@
-// Remaining coverage: Scan operator variants, Arguments misuse, logging
-// levels, Scalar conversions, and skeleton interactions with the virtual
-// clock.
+// Remaining coverage: Scan operator variants, Arguments misuse, Scalar
+// conversions, and skeleton interactions with the virtual clock.
 #include <cmath>
 #include <cstring>
 
-#include "common/logging.h"
 #include "common/prng.h"
 #include "skelcl_test_util.h"
 
@@ -175,16 +173,6 @@ TEST_F(MiscTest, VirtualClockAdvancesMonotonically) {
   EXPECT_GT(t1, t0);
   (void)out.hostData();
   EXPECT_EQ(ocl::hostTimeNs(), t1) << "reading synced data costs nothing";
-}
-
-TEST_F(MiscTest, LogLevelRoundTrip) {
-  const auto previous = common::logLevel();
-  common::setLogLevel(common::LogLevel::Debug);
-  EXPECT_EQ(common::logLevel(), common::LogLevel::Debug);
-  LOG_DEBUG("misc_test debug line " << 42);
-  common::setLogLevel(common::LogLevel::Off);
-  LOG_ERROR("this must not print");
-  common::setLogLevel(previous);
 }
 
 TEST_F(MiscTest, DeviceCountReflectsInit) {

@@ -303,8 +303,7 @@ TEST(ScheduleFuzz, ShuffleActuallyPerturbsTheSchedule) {
 }
 
 TEST(ScheduleFuzz, SeedKnobSelectsThePolicy) {
-  // Unset: FIFO. A number N: the seeded shuffle N. Anything else warns
-  // and falls back to FIFO.
+  // Unset or empty: FIFO. A number N: the seeded shuffle N.
   auto policyFor = [](const char* value) {
     skelcl_test::useTempCacheDir();
     if (value == nullptr) {
@@ -326,8 +325,30 @@ TEST(ScheduleFuzz, SeedKnobSelectsThePolicy) {
   EXPECT_EQ(seeded.kind, Kind::SeededShuffle);
   EXPECT_EQ(seeded.seed, 7u);
   EXPECT_EQ(policyFor("0").kind, Kind::SeededShuffle);
-  EXPECT_EQ(policyFor("shuffle").kind, Kind::Fifo);
   EXPECT_EQ(policyFor("").kind, Kind::Fifo);
+}
+
+// Any other value makes init() throw naming it, so a fuzz run never
+// believes it explores seed N while it runs FIFO.
+TEST(ScheduleFuzz, UnparsableSeedIsATypedError) {
+  skelcl_test::useTempCacheDir();
+  ocl::configureSystem(ocl::SystemConfig::teslaS1070(1));
+  for (const char* value : {"shuffle", "12abc", "7.5"}) {
+    ::setenv("SKELCL_SCHEDULE_SEED", value, 1);
+    try {
+      skelcl::init(skelcl::DeviceSelection::nGPUs(1));
+      ADD_FAILURE() << "init() accepted SKELCL_SCHEDULE_SEED=" << value;
+      skelcl::terminate();
+    } catch (const common::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(value), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(skelcl::detail::Runtime::instance().initialized());
+  }
+  ::unsetenv("SKELCL_SCHEDULE_SEED");
+  skelcl::init(skelcl::DeviceSelection::nGPUs(1));
+  EXPECT_EQ(skelcl::deviceCount(), 1u);
+  skelcl::terminate();
 }
 
 TEST(ScheduleFuzz, SerializedControlHasZeroOverlap) {

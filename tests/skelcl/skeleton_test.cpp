@@ -355,6 +355,43 @@ TEST_F(SkeletonTest, UserFunctionNamesAreMemoizedPerSource) {
   EXPECT_EQ(throwingParses, 2);
 }
 
+// Both source memos hold at most kMemoCapacity sources: the next new
+// source clears a full memo. A dropped program comes back from the disk
+// cache, not from a rebuild.
+TEST_F(SkeletonTest, SourceMemosAreBounded) {
+  using skelcl::detail::Runtime;
+  auto& runtime = Runtime::instance();
+  const auto kernel = [](std::size_t i) {
+    return "__kernel void memo_cap(__global int* d) { d[0] = " +
+           std::to_string(i) + "; }";
+  };
+  runtime.programFor(kernel(0));
+  for (std::size_t i = 1; i <= Runtime::kMemoCapacity; ++i) {
+    runtime.programFor(kernel(i));
+  }
+  {
+    skelcl::detail::StatsScope scope;
+    runtime.programFor(kernel(Runtime::kMemoCapacity)); // still memoized
+    EXPECT_EQ(scope.cacheDelta().hits + scope.cacheDelta().misses, 0u);
+    runtime.programFor(kernel(0)); // dropped: loaded from disk
+    EXPECT_EQ(scope.cacheDelta().hits, 1u);
+    EXPECT_EQ(scope.cacheDelta().misses, 0u);
+  }
+
+  int parses = 0;
+  const auto parse = [&](const std::string&) {
+    ++parses;
+    return std::vector<std::string>{"f"};
+  };
+  for (std::size_t i = 0; i <= Runtime::kMemoCapacity; ++i) {
+    runtime.userFunctionNames(std::to_string(i), parse);
+  }
+  runtime.userFunctionNames(std::to_string(Runtime::kMemoCapacity), parse);
+  EXPECT_EQ(parses, int(Runtime::kMemoCapacity) + 1);
+  runtime.userFunctionNames("0", parse);
+  EXPECT_EQ(parses, int(Runtime::kMemoCapacity) + 2);
+}
+
 TEST_F(SkeletonTest, MapRespectsCustomWorkGroupSize) {
   Map<int> f("int f(int x) { return x + 1; }");
   f.setWorkGroupSize(64);

@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "skelcl_test_util.h"
+#include "trace/analysis.h"
+#include "trace/recorder.h"
 
 namespace {
 
@@ -300,6 +302,25 @@ TEST_F(StencilFourDevices, ChunkSmallerThanHaloFallsBackToSingleDevice) {
       ASSERT_EQ(out[i], want[i]) << "policy=" << int(b) << " i=" << i;
     }
   }
+}
+
+// The evaluation records the layout it chose: row-aligned blocks when
+// every device's share covers the radius, one device when one does not.
+TEST_F(StencilFourDevices, LayoutChoiceIsARecordedDecision) {
+  auto decisionsOf = [](std::size_t rows, std::size_t radius) {
+    Vector<int> in(randomInts(rows * 4, 53));
+    Stencil<int> st(sum2DSource(int(radius)),
+                    StencilShape{radius, Boundary::Clamp, 4});
+    trace::Recorder::instance().start();
+    Vector<int> out = st(in);
+    (void)out[0];
+    return trace::analyze(trace::Recorder::instance().stop()).decisions;
+  };
+  using Decisions = std::map<std::string, std::uint64_t>;
+  EXPECT_EQ(decisionsOf(32, 1),
+            (Decisions{{"stencil.layout: row-aligned", 1}}));
+  EXPECT_EQ(decisionsOf(5, 3),
+            (Decisions{{"stencil.layout: single-device", 1}}));
 }
 
 // Fewer elements than devices: one share is zero rows, which is below

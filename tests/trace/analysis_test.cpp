@@ -204,6 +204,53 @@ TEST(Analysis, OverlappingTenantJobsCountAsConcurrent) {
   EXPECT_NE(json.find("\"tid\":2,"), std::string::npos);
 }
 
+// Exec time is busy time: two of one tenant's jobs that overlap in the
+// service's window count their shared stretch once.
+TEST(Analysis, OverlappingJobsOfOneTenantCountTheirUnion) {
+  Trace t = syntheticTrace({command(1, /*engine=*/0, 0, 100)});
+  t.strings.push_back("tenant-a");
+  // {name, kind, device, lane, start, end, queue wait}
+  t.hostSpans.push_back({2, trace::HostKind::TenantJob, trace::kNoDevice,
+                         1, 0, 80, 3});
+  t.hostSpans.push_back({2, trace::HostKind::TenantJob, trace::kNoDevice,
+                         2, 40, 100, 4});
+  t.hostSpans.push_back({2, trace::HostKind::TenantJob, trace::kNoDevice,
+                         1, 150, 170, 5});
+
+  const Report r = trace::analyze(t);
+  ASSERT_EQ(r.tenants.size(), 1u);
+  EXPECT_EQ(r.tenants[0].jobs, 3u);
+  EXPECT_EQ(r.tenants[0].execNs, 120u); // [0,100) and [150,170)
+  EXPECT_EQ(r.tenants[0].queueWaitNs, 12u);
+}
+
+// Decisions are counted by name and listed in the report.
+TEST(Analysis, CountsDecisionsByName) {
+  Trace t = syntheticTrace({command(1, /*engine=*/0, 0, 10)});
+  t.strings.push_back("fusion.declined: fanout");
+  t.strings.push_back("stencil.layout: row-aligned");
+  for (std::uint32_t name : {2u, 3u, 2u}) {
+    t.hostSpans.push_back({name, trace::HostKind::Decision,
+                           trace::kNoDevice, 0, 7, 7, 0});
+  }
+
+  const Report r = trace::analyze(t);
+  EXPECT_EQ(r.decisions,
+            (std::map<std::string, std::uint64_t>{
+                {"fusion.declined: fanout", 2},
+                {"stencil.layout: row-aligned", 1}}));
+  EXPECT_EQ(r.skeletonSpans, 0u);
+  const std::string text = trace::formatReport(r);
+  EXPECT_NE(text.find("decisions:\n  2x fusion.declined: fanout\n"
+                      "  1x stencil.layout: row-aligned\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(trace::formatReport(trace::analyze(syntheticTrace(
+                                    {command(1, 0, 0, 10)})))
+                .find("decisions:"),
+            std::string::npos);
+}
+
 // Cache hits and misses are the CacheHit and Build host spans; no
 // counter restates them.
 TEST(Analysis, CountsCacheHitsAndMissesFromHostSpans) {

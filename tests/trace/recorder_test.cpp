@@ -249,6 +249,85 @@ TEST(TraceDeserialize, HugeCounterCountIsATypedError) {
       common::DeserializeError);
 }
 
+/// A one-command, one-host-span trace that round-trips; the tests below
+/// break one field of it at a time.
+Trace wellFormedTrace() {
+  Trace t;
+  t.strings = {"", "k"};
+  CommandRecord c;
+  c.name = 1;
+  c.startNs = 5;
+  c.endNs = 9;
+  t.commands.push_back(c);
+  t.hostSpans.push_back({1, HostKind::Decision, trace::kNoDevice, 0, 7, 7});
+  return t;
+}
+
+void expectRejected(const Trace& t) {
+  EXPECT_THROW(trace::deserialize(trace::serialize(t)),
+               common::DeserializeError);
+}
+
+TEST(TraceDeserialize, WellFormedTraceRoundTrips) {
+  const Trace t = wellFormedTrace();
+  EXPECT_EQ(trace::serialize(trace::deserialize(trace::serialize(t))),
+            trace::serialize(t));
+}
+
+TEST(TraceDeserialize, UnknownEngineIsATypedError) {
+  Trace t = wellFormedTrace();
+  t.commands[0].engine = trace::kEngineCount;
+  expectRejected(t);
+}
+
+TEST(TraceDeserialize, UnknownCommandKindIsATypedError) {
+  Trace t = wellFormedTrace();
+  t.commands[0].kind = CommandKind(trace::kCommandKindCount);
+  expectRejected(t);
+}
+
+TEST(TraceDeserialize, UnknownHostKindIsATypedError) {
+  Trace t = wellFormedTrace();
+  t.hostSpans[0].kind = HostKind(trace::kHostKindCount);
+  expectRejected(t);
+}
+
+TEST(TraceDeserialize, SpanEndingBeforeItStartsIsATypedError) {
+  Trace command = wellFormedTrace();
+  command.commands[0].endNs = 4;
+  expectRejected(command);
+  Trace host = wellFormedTrace();
+  host.hostSpans[0].startNs = 8;
+  expectRejected(host);
+}
+
+TEST(TraceDeserialize, NameOutsideTheStringTableIsATypedError) {
+  Trace t = wellFormedTrace();
+  t.hostSpans[0].name = 2;
+  expectRejected(t);
+}
+
+// The one failure the trace cannot carry: terminate() prints one stderr
+// line and returns normally.
+TEST(Recorder, UnwritableTracePathIsOneStderrLine) {
+  const std::string blocker = tempPath("not-a-directory");
+  common::writeFile(blocker, {1});
+  trace_test::useTempCacheDir();
+  ::setenv("SKELCL_TRACE", (blocker + "/run.sktrace").c_str(), 1);
+  ocl::configureSystem(ocl::SystemConfig::teslaS1070(1));
+  skelcl::init(skelcl::DeviceSelection::nGPUs(1));
+  ::unsetenv("SKELCL_TRACE");
+
+  testing::internal::CaptureStderr();
+  EXPECT_NO_THROW(skelcl::terminate());
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_NE(err.find("cannot write trace to " + blocker), std::string::npos)
+      << err;
+  EXPECT_FALSE(Recorder::enabled());
+  std::filesystem::remove(blocker);
+}
+
 TEST(Recorder, WriteTraceFileDispatchesOnExtension) {
   const auto run =
       trace_test::runWorkload(/*traced=*/true, /*serialized=*/false);
