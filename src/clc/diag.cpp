@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "common/string_util.h"
-
 namespace clc {
 
 std::string CompileError::format(const std::string& message, SourceLoc loc) {

@@ -1,8 +1,11 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <string>
 
 namespace common {
+
+namespace {
 
 std::string_view trim(std::string_view s) noexcept {
   const auto isSpace = [](unsigned char c) { return std::isspace(c) != 0; };
@@ -15,57 +18,7 @@ std::string_view trim(std::string_view s) noexcept {
   return s;
 }
 
-std::vector<std::string> split(std::string_view s, char sep) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      parts.emplace_back(s.substr(start));
-      return parts;
-    }
-    parts.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-bool startsWith(std::string_view s, std::string_view prefix) noexcept {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
-bool endsWith(std::string_view s, std::string_view suffix) noexcept {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-std::string replaceAll(std::string_view s, std::string_view from,
-                       std::string_view to) {
-  std::string out;
-  out.reserve(s.size());
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(from, start);
-    if (pos == std::string_view::npos || from.empty()) {
-      out.append(s.substr(start));
-      return out;
-    }
-    out.append(s.substr(start, pos - start));
-    out.append(to);
-    start = pos + from.size();
-  }
-}
-
-std::string join(const std::vector<std::string>& parts,
-                 std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) {
-      out.append(sep);
-    }
-    out.append(parts[i]);
-  }
-  return out;
-}
+} // namespace
 
 std::size_t countLinesOfCode(std::string_view source) {
   std::size_t loc = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <utility>
 
@@ -50,6 +51,23 @@ private:
   std::vector<ocl::Device> devices_;
   Retired before_;
 };
+
+/// Runs one phase of a job, then the scheduler's drain, even when the
+/// phase threw: a call the phase deferred and kept alive is dispatched
+/// inside this job's charge, not left for the next job's drain. Rethrows
+/// the phase's error.
+template <typename Phase> void runThenDrain(const Phase& phase) {
+  std::exception_ptr error;
+  try {
+    phase();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  detail::Scheduler::instance().drain(nullptr);
+  if (error != nullptr) {
+    std::rethrow_exception(error);
+  }
+}
 
 } // namespace
 
@@ -283,23 +301,19 @@ void JobServer::startJob(PendingJob& job) {
   stats.dispatchNs = ocl::hostTimeNs();
   try {
     ChargeScope charge(stats);
-    // The scope adopts this thread as the task-graph registry owner and
-    // collects the job's deferred skeleton calls instead of leaving them
-    // to the next consumption point. Construction throws if another
-    // thread still has pending non-service jobs; that error fails this
-    // job instead of crashing the dispatcher.
-    detail::Scheduler::ExternalDispatchScope scope;
+    // The dispatcher owns the task-graph registry while the job runs;
+    // this throws if another thread still has pending non-service jobs,
+    // and that error fails this job instead of crashing the dispatcher.
+    detail::Scheduler::instance().adoptCallingThread();
     // Phase 1 — register: the skeleton calls build their lazy DAGs
-    // (concrete inputs upload here).
+    // (concrete inputs upload here) and file their deferred calls with
+    // the registry. Phase 2 — dispatch: the drain enqueues them, then
+    // the registered roots are forced. Nothing here blocks, so the next
+    // job's commands queue behind these on the engines, not behind this
+    // job's reads.
     JobContext ctx;
-    job.job.work(ctx);
+    runThenDrain([&] { job.job.work(ctx); });
     job.roots = std::move(ctx.roots_);
-    // Phase 2 — dispatch: every deferred call, then the registered
-    // roots. Nothing here blocks, so the next job's commands queue
-    // behind these on the engines, not behind this job's reads.
-    if (std::exception_ptr error = scope.dispatchDeferred()) {
-      std::rethrow_exception(error);
-    }
     for (const auto& root : job.roots) {
       root->forcePending();
     }
@@ -324,8 +338,7 @@ void JobServer::finishOldestJob() {
   if (job.error == nullptr && job.job.consume != nullptr) {
     try {
       ChargeScope charge(stats);
-      detail::Scheduler::ExternalDispatchScope scope;
-      job.job.consume();
+      runThenDrain(job.job.consume);
     } catch (...) {
       job.error = std::current_exception();
     }

@@ -19,9 +19,9 @@
 // the dispatcher, which satisfies the task-graph scheduler's ownership
 // contract (scheduler.h). The dispatcher keeps a *window* of up to
 // batchLimit jobs in flight: it starts a job (its skeleton calls, then
-// the enqueue of every command they deferred) without waiting for the
-// jobs before it, and consumes the oldest job (its blocking reads) only
-// when the window is full or no job is eligible. Jobs on different
+// the scheduler's drain() of every call they deferred) without waiting
+// for the jobs before it, and consumes the oldest job (its blocking
+// reads) only when the window is full or no job is eligible. Jobs on different
 // devices therefore overlap, as one SkelCL program's do. A job is
 // charged the kernel cycles and DMA bytes the devices retire while its
 // phases run (deltas of the ocl::DeviceState totals; every command is
@@ -93,7 +93,9 @@ private:
 /// Handed to a job's work() callback; the job registers its result
 /// vectors here so the server forces them and keeps them alive until
 /// consume() runs. Deferred results the job does not register (a
-/// Reduce's Scalar, say) are dispatched with the job all the same.
+/// Reduce's Scalar, say) are dispatched with the job all the same, by
+/// the scheduler's drain; under SKELCL_ASYNC=0 there is no registry and
+/// they evaluate when consume() reads them.
 class JobContext {
 public:
   template <typename T> void defer(const Vector<T>& result) {

@@ -10,15 +10,15 @@
 //
 //   map f . map g        ->  map (f . g)
 //   zip f . map g        ->  zip with the g-load spliced in
-//   reduce f . map g     ->  mapReduce (skelcl::MapReduce is a facade
-//                             that builds exactly this chain)
+//   reduce f . map g     ->  mapReduce (skelcl::MapReduce is exactly
+//                             this chain: Reduce of its Map's result)
 //   scan f . map g       ->  scan with a fused first level
 //
 // Eager-evaluation rule: a call whose Arguments reference Vectors is
 // evaluated immediately at the call site (its semantics depend on — and
 // may mutate — external state the host is free to change afterwards), as
-// are explicit-output forms, Map<T, void> and MapReduce. Laziness applies
-// to pure chains; fusion applies to every evaluation.
+// are explicit-output forms and Map<T, void>. Laziness applies to pure
+// chains; fusion applies to every evaluation.
 #pragma once
 
 #include <memory>
@@ -123,8 +123,8 @@ void deferNode(const std::shared_ptr<ExprNode>& node,
                const std::shared_ptr<VectorState>& out);
 
 /// Evaluates `node` into `out` immediately (eager call sites: explicit
-/// outputs, vector-argument calls, MapReduce). `out`'s old value is
-/// snapshotted for any deferred readers first. `out` is null exactly
+/// outputs, vector-argument calls). `out`'s old value is snapshotted
+/// for any deferred readers first. `out` is null exactly
 /// when the node's result is "void" (Map<T, void>).
 void evaluateNodeInto(const std::shared_ptr<ExprNode>& node,
                       const std::shared_ptr<VectorState>& out);

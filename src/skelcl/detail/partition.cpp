@@ -83,16 +83,11 @@ std::vector<std::size_t> nodeBlockPartition(
     }
     members.back().push_back(d);
   }
-  if (nodes.size() <= 1) {
-    // Single node: exactly the flat split, so single-node machines stay
-    // bit-identical to the pre-cluster partitioner.
-    return weightedPartition(n, weights);
-  }
-
   // Level 1: split n across nodes by summed member weight; level 2:
   // split each node's share across its devices. Both levels use the same
   // largest-remainder method, so a node's share follows the summed peak
-  // throughput of its devices.
+  // throughput of its devices. With one node, level 1 hands it all n and
+  // level 2 is exactly the flat split.
   std::vector<double> nodeWeights(nodes.size(), 0.0);
   for (std::size_t k = 0; k < nodes.size(); ++k) {
     for (std::size_t d : members[k]) {

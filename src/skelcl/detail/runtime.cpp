@@ -99,8 +99,7 @@ void Runtime::init(const DeviceSelection& selection) {
   // job evaluates at its own consumption point, exactly the pre-async
   // behavior — the differential baseline the async suite compares
   // against.
-  asyncEnabled_ = envFlag("SKELCL_ASYNC", true);
-  Scheduler::instance().configure(asyncEnabled_);
+  Scheduler::instance().configure(envFlag("SKELCL_ASYNC", true));
   schedulePolicy_ =
       seedText.empty()
           ? ocl::SchedulePolicy::fifo()

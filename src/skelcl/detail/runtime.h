@@ -99,15 +99,6 @@ public:
   /// the differential baseline fused execution must match bit-for-bit.
   bool fusionEnabled() const noexcept { return fusionEnabled_; }
 
-  /// True unless SKELCL_ASYNC=0 disabled the asynchronous task-graph
-  /// scheduler at init(). With async on (the default), deferred skeleton
-  /// jobs accumulate until a consumption point, then every outstanding
-  /// job's commands are dispatched before the consumer blocks — so
-  /// independent jobs overlap on the device engines. SKELCL_ASYNC=0 is
-  /// the differential baseline: each job evaluates at its own
-  /// consumption point, nothing else changes.
-  bool asyncEnabled() const noexcept { return asyncEnabled_; }
-
   /// What the rewrite pass achieved this init()..terminate() cycle.
   struct FusionStats {
     std::uint64_t fusedStages = 0;        // stages absorbed into parents
@@ -234,7 +225,6 @@ private:
   bool initialized_ = false;
   bool serializedQueues_ = false;
   bool fusionEnabled_ = true;
-  bool asyncEnabled_ = true;
   AtomicFusionStats fusionStats_;
   std::mutex programMutex_;
   std::unordered_map<std::string, std::shared_ptr<ProgramEntry>>

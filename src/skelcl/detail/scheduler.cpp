@@ -85,10 +85,6 @@ void Scheduler::claimOwnershipLocked(const char* op) {
 }
 
 void Scheduler::noteDeferred(const std::shared_ptr<ExprNode>& node) {
-  if (collecting_) {
-    collected_.push_back(PendingJob{node, ocl::hostTimeNs()});
-    return;
-  }
   if (!asyncEnabled_ || draining_) {
     return;
   }
@@ -108,45 +104,6 @@ void Scheduler::adoptCallingThread() {
         "consumed) before ownership can move");
   }
   owner_ = std::this_thread::get_id();
-}
-
-Scheduler::ExternalDispatchScope::ExternalDispatchScope() {
-  Scheduler& scheduler = Scheduler::instance();
-  scheduler.adoptCallingThread();
-  COMMON_CHECK_MSG(!scheduler.draining_,
-                   "nested external dispatch scope / drain");
-  scheduler.draining_ = true;
-  scheduler.collecting_ = true;
-}
-
-Scheduler::ExternalDispatchScope::~ExternalDispatchScope() {
-  Scheduler& scheduler = Scheduler::instance();
-  scheduler.draining_ = false;
-  scheduler.collecting_ = false;
-  scheduler.collected_.clear();
-}
-
-std::exception_ptr Scheduler::ExternalDispatchScope::dispatchDeferred() {
-  Scheduler& scheduler = Scheduler::instance();
-  std::vector<PendingJob> taken;
-  taken.swap(scheduler.collected_);
-  std::vector<PendingJob> kept; // stays empty: nothing is being read
-  const std::vector<LiveJob> live = filterLive(taken, nullptr, kept);
-  // A job deferred while these evaluate is dropped, as in drain().
-  scheduler.collecting_ = false;
-  std::exception_ptr first;
-  for (const LiveJob& job : live) {
-    try {
-      forceExprNode(job.node);
-    } catch (...) {
-      job.out->poisonPending(std::current_exception());
-      if (first == nullptr) {
-        first = std::current_exception();
-      }
-    }
-  }
-  scheduler.collecting_ = true;
-  return first;
 }
 
 std::vector<Scheduler::LiveJob> Scheduler::filterLive(

@@ -44,7 +44,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -77,34 +76,14 @@ public:
   /// Makes the calling thread the registry owner. The handoff
   /// precondition is an empty registry (no other thread's jobs may be
   /// pending); a violation throws common::Error. The job service's
-  /// dispatcher calls this before executing a batch submitted by client
-  /// threads.
+  /// dispatcher calls this before each job's work(), and drains the
+  /// calls work() and consume() defer with drain(nullptr).
   void adoptCallingThread();
 
-  /// Dispatch ownership for an external driver (the job service): while
-  /// a scope is alive, consumption points do not drain, and every job
-  /// deferred on this thread is collected by the scope instead of the
-  /// registry. The driver dispatches them with dispatchDeferred(), when
-  /// it chooses, so one tenant job's commands are enqueued — and charged
-  /// to that tenant — as one block. Construction adopts the calling
-  /// thread (same precondition as adoptCallingThread()); destruction
-  /// drops whatever was collected but not dispatched.
-  class ExternalDispatchScope {
-  public:
-    ExternalDispatchScope();
-    ~ExternalDispatchScope();
-    ExternalDispatchScope(const ExternalDispatchScope&) = delete;
-    ExternalDispatchScope& operator=(const ExternalDispatchScope&) = delete;
-
-    /// Dispatches the jobs collected so far in registration order,
-    /// through drain()'s liveness filter: absorbed, evaluated and dead
-    /// jobs are skipped, and a failing job poisons its own output while
-    /// the rest still dispatch. Returns the first failure, or null.
-    std::exception_ptr dispatchDeferred();
-  };
-
-  /// Whether this init() cycle runs with the async scheduler at all
-  /// (SKELCL_ASYNC; off means consumption-ordered evaluation).
+  /// Whether this init() cycle runs with the async scheduler at all.
+  /// SKELCL_ASYNC=0 is the differential baseline: there is no registry,
+  /// each deferred job evaluates at its own consumption point, and
+  /// nothing else changes.
   bool asyncEnabled() const noexcept { return asyncEnabled_; }
 
   /// True when a top-of-stack consumption point should drain() first.
@@ -165,10 +144,6 @@ private:
   // mirrors jobs_.empty() for the lock-free shouldDrain() fast path.
   bool asyncEnabled_ = false;
   bool draining_ = false;
-  // Owner-thread state of an ExternalDispatchScope: whether noteDeferred
-  // collects, and what it collected.
-  bool collecting_ = false;
-  std::vector<PendingJob> collected_;
   mutable std::mutex registryMutex_;
   std::thread::id owner_;
   std::atomic<bool> hasJobs_{false};

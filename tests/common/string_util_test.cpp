@@ -6,43 +6,6 @@ using namespace common;
 
 namespace {
 
-TEST(StringUtil, Trim) {
-  EXPECT_EQ(trim("  hi  "), "hi");
-  EXPECT_EQ(trim("\t\na\r "), "a");
-  EXPECT_EQ(trim(""), "");
-  EXPECT_EQ(trim("   "), "");
-  EXPECT_EQ(trim("no-trim"), "no-trim");
-}
-
-TEST(StringUtil, Split) {
-  EXPECT_EQ(split("a,b,c", ','),
-            (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(split("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
-  EXPECT_EQ(split("trailing,", ','),
-            (std::vector<std::string>{"trailing", ""}));
-}
-
-TEST(StringUtil, StartsEndsWith) {
-  EXPECT_TRUE(startsWith("__kernel void", "__kernel"));
-  EXPECT_FALSE(startsWith("ab", "abc"));
-  EXPECT_TRUE(endsWith("file.cl", ".cl"));
-  EXPECT_FALSE(endsWith("cl", "file.cl"));
-}
-
-TEST(StringUtil, ReplaceAll) {
-  EXPECT_EQ(replaceAll("a TYPE b TYPE", "TYPE", "float"),
-            "a float b float");
-  EXPECT_EQ(replaceAll("none", "x", "y"), "none");
-  EXPECT_EQ(replaceAll("aaa", "aa", "b"), "ba");
-}
-
-TEST(StringUtil, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"solo"}, ","), "solo");
-}
-
 TEST(LocCounter, CountsCodeLinesOnly) {
   const char* source = R"(
 // a comment line

@@ -7,7 +7,9 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "skelcl_test_util.h"
@@ -330,6 +332,74 @@ TEST_F(ServiceTest, TenantAccountingChargesCyclesAndBytesExactly) {
             stats[0].deviceCycles);
   EXPECT_EQ(handles[0].stats().bytesMoved + handles[2].stats().bytesMoved,
             stats[0].bytesMoved);
+}
+
+/// Runs `leaky` and then a chainJob whose solo charge is known; returns
+/// the leaky job's handle after checking that the chain job was charged
+/// exactly its solo cycles and bytes.
+svc::JobHandle runBeforeChain(svc::Job leaky) {
+  svc::ServiceConfig config;
+  // One job at a time: the chain job starts, and drains, only after the
+  // leaky job's consume() ran.
+  config.batching = false;
+  std::uint64_t soloCycles = 0;
+  std::uint64_t soloBytes = 0;
+  {
+    svc::JobServer server(config);
+    svc::JobHandle handle = server.openSession("solo").submit(
+        chainJob(5, kN, 0, std::make_shared<JobSink>()));
+    server.pump();
+    handle.rethrow();
+    soloCycles = handle.stats().deviceCycles;
+    soloBytes = handle.stats().bytesMoved;
+  }
+  svc::JobServer server(config);
+  svc::JobHandle handle = server.openSession("leaky").submit(std::move(leaky));
+  svc::JobHandle next = server.openSession("next").submit(
+      chainJob(5, kN, 0, std::make_shared<JobSink>()));
+  server.pump();
+  next.rethrow();
+  EXPECT_EQ(next.stats().deviceCycles, soloCycles);
+  EXPECT_EQ(next.stats().bytesMoved, soloBytes);
+  return handle;
+}
+
+/// Defers a Map whose result outlives the job.
+void deferKept(const std::shared_ptr<Vector<float>>& kept) {
+  Map<float> scale("float svf_scale(float x) { return 3.0f * x; }");
+  Vector<float> input(seededA(kN, 9));
+  input.setDistribution(skelcl::Distribution::Single, 0);
+  *kept = scale(input);
+}
+
+// A call a job defers and keeps alive must not wait for the next job's
+// drain, which would charge the next job for it.
+TEST_F(ServiceTest, FailedWorkIsChargedForItsOwnDeferredCalls) {
+  auto kept = std::make_shared<Vector<float>>();
+  svc::Job failing;
+  failing.work = [kept](svc::JobContext&) {
+    deferKept(kept);
+    throw std::runtime_error("work failed after deferring");
+  };
+  const svc::JobHandle failed = runBeforeChain(failing);
+  EXPECT_THROW(
+      {
+        try {
+          failed.rethrow();
+        } catch (const std::runtime_error& error) {
+          EXPECT_STREQ(error.what(), "work failed after deferring");
+          throw;
+        }
+      },
+      std::runtime_error);
+}
+
+TEST_F(ServiceTest, ConsumeIsChargedForItsOwnDeferredCalls) {
+  auto kept = std::make_shared<Vector<float>>();
+  svc::Job deferring;
+  deferring.work = [](svc::JobContext&) {};
+  deferring.consume = [kept] { deferKept(kept); };
+  runBeforeChain(deferring).rethrow();
 }
 
 // --- runtime stats scopes (windowed counters) -----------------------------

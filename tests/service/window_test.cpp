@@ -1,8 +1,9 @@
 // The job server's in-flight window: jobs of any program overlap on
-// different devices, a Scalar-only job dispatches with its own start,
-// the window never holds more than batchLimit jobs, each session's jobs
-// still complete in submission order, stop() drains the jobs in flight,
-// and the live per-tenant latency quantiles. Run with `ctest -L service`.
+// different devices, a Scalar-only job dispatches with its own start (at
+// its consume() under SKELCL_ASYNC=0), the window never holds more than
+// batchLimit jobs, each session's jobs still complete in submission
+// order, stop() drains the jobs in flight, and the live per-tenant
+// latency quantiles. Run with `ctest -L service`.
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -15,6 +16,7 @@
 
 #include "ocl/ocl.h"
 #include "service/service.h"
+#include "skelcl/detail/scheduler.h"
 #include "trace/recorder.h"
 
 namespace {
@@ -164,15 +166,24 @@ TEST_F(ServiceWindowTest, ScalarOnlyJobOverlapsWithAnotherDevice) {
   EXPECT_EQ(*dot, expected);
   EXPECT_EQ(chain->size(), kN);
 
-  // The dot product's kernels were enqueued when the job started, not
-  // at its consume(), and ran while the chain worked on GPU 1.
+  // With the registry on, the dot product's kernels were enqueued when
+  // its job started, before the chain job started. With SKELCL_ASYNC=0
+  // there is no registry, so the unregistered Scalar evaluates at the
+  // dot job's consume(), which runs after the chain job started. Either
+  // way they ran while the chain worked on GPU 1.
+  const bool async = skelcl::detail::Scheduler::instance().asyncEnabled();
   const std::uint64_t chainStart = chainHandle.stats().dispatchNs;
   std::uint64_t dotKernels = 0, dotBegin = ~0ull, dotEnd = 0;
   std::uint64_t chainBegin = ~0ull, chainEnd = 0;
   for (const trace::CommandRecord& c : trace.commands) {
     if (c.device == 0 && c.kind == trace::CommandKind::Kernel) {
       ++dotKernels;
-      EXPECT_LE(c.queuedNs, chainStart);
+      if (async) {
+        EXPECT_LE(c.queuedNs, chainStart);
+      } else {
+        EXPECT_GT(c.queuedNs, chainStart);
+        EXPECT_LE(c.queuedNs, dotHandle.stats().completeNs);
+      }
       dotBegin = std::min(dotBegin, c.startNs);
       dotEnd = std::max(dotEnd, c.endNs);
     } else if (c.device == 1) {

@@ -1,5 +1,6 @@
 // MapReduce fused skeleton (extension; DESIGN.md §7).
 #include <numeric>
+#include <utility>
 
 #include "common/prng.h"
 #include "skelcl_test_util.h"
@@ -55,8 +56,26 @@ TEST_F(MapReduceTest, MatchesUnfusedComposition) {
   for (auto& v : data) {
     v = float(rng.nextBelow(8));
   }
+  auto& runtime = skelcl::detail::Runtime::instance();
+  const auto usage = [&] {
+    return std::pair(runtime.queue(0).cumulativeKernelLaunches(),
+                     runtime.devices()[0].state().kernelCycles());
+  };
   Vector<float> a(data), b(data);
-  EXPECT_FLOAT_EQ(fused(a).getValue(), sum(square(b)).getValue());
+  const auto before = usage();
+  // Lazy like Reduce: the call enqueues nothing until the read.
+  skelcl::Scalar<float> deferred = fused(a);
+  EXPECT_EQ(usage(), before);
+  const float value = deferred.getValue();
+  const auto afterFused = usage();
+  EXPECT_EQ(value, sum(square(b)).getValue());
+  const auto afterComposed = usage();
+  // It is Reduce(Map(x)): the same launches and the same kernel cycles.
+  EXPECT_GT(afterFused.first, before.first);
+  EXPECT_EQ(afterFused.first - before.first,
+            afterComposed.first - afterFused.first);
+  EXPECT_EQ(afterFused.second - before.second,
+            afterComposed.second - afterFused.second);
 }
 
 TEST_F(MapReduceTest, SingleElement) {
