@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "skelcl/detail/csr_state.h"
 #include "skelcl/detail/fusion.h"
 #include "skelcl/detail/irregular.h"
 #include "skelcl/detail/runtime.h"
@@ -74,14 +75,59 @@ std::vector<VectorState*> distinctLeaves(const FusionPlan& plan) {
   return distinct;
 }
 
-/// Stages every leaf on the devices, aligned to leaf 0's layout.
-void alignLeaves(const FusionPlan& plan) {
-  VectorState& leaf0 = *plan.leaves.front();
-  leaf0.ensureOnDevices();
-  for (VectorState* leaf : distinctLeaves(plan)) {
-    if (leaf != &leaf0) {
-      leaf->matchLayout(leaf0.distribution(), leaf0.singleDeviceIndex(),
-                        leaf0.chunks());
+/// The one placement rule: stages `inputs` where `node` reads them. The
+/// first input sets the layout. Map, Zip and Reduce read it in its own
+/// distribution, Scan on one device, Stencil in the layout
+/// layOutStencilInput picks, and SparseGather replicated on every device
+/// once the matrix is staged. Every other input is matched to the first
+/// input's layout. A pending input is left for its own evaluation; while
+/// the first one is pending, the others are staged as they are.
+/// invokeSkeleton applies the rule to a call's inputs, so upload faults
+/// surface at the call site. evaluateNode applies it again to the plan's
+/// leaves: the inputs that were pending at the call, and the inputs of
+/// an absorbed chain, which its own calls placed for a different op.
+/// Everything else is already in place, and placing it again is free.
+void placeInputs(const ExprNode& node,
+                 const std::vector<std::shared_ptr<VectorState>>& inputs) {
+  VectorState& first = *inputs.front();
+  if (node.op == ExprNode::Op::SparseGather) {
+    node.sparse->csr->ensureOnDevices();
+  }
+  if (!first.hasPending()) {
+    // Scan and SparseGather read the whole vector on each device they
+    // use; a single-device vector may stay on its device for Scan.
+    const auto wholeOnDevices = [&first](Distribution dist) {
+      if (first.distribution() != dist) {
+        first.setDistribution(dist, 0);
+      }
+      first.ensureOnDevices();
+    };
+    switch (node.op) {
+      case ExprNode::Op::Scan:
+        wholeOnDevices(Distribution::Single);
+        break;
+      case ExprNode::Op::Stencil:
+        layOutStencilInput(first, *node.stencil);
+        break;
+      case ExprNode::Op::SparseGather:
+        wholeOnDevices(Distribution::Copy);
+        break;
+      default:
+        first.ensureOnDevices();
+        break;
+    }
+  }
+  for (auto it = inputs.begin() + 1; it != inputs.end(); ++it) {
+    VectorState& in = **it;
+    if (&in == &first || in.hasPending() ||
+        std::find(inputs.begin() + 1, it, *it) != it) {
+      continue;
+    }
+    if (first.hasPending()) {
+      in.ensureOnDevices();
+    } else {
+      in.matchLayout(first.distribution(), first.singleDeviceIndex(),
+                     first.chunks());
     }
   }
 }
@@ -151,7 +197,6 @@ std::string elementwiseSource(const FusionPlan& plan, const ExprNode& node) {
 void runElementwise(const std::shared_ptr<ExprNode>& node,
                     const std::shared_ptr<VectorState>& out,
                     const FusionPlan& plan, Runtime& runtime) {
-  alignLeaves(plan);
   prepareStageArguments(plan);
 
   VectorState& leaf0 = *plan.leaves.front();
@@ -361,7 +406,6 @@ std::pair<ocl::Buffer, ocl::Event> reduceTree(
 void runReduce(const std::shared_ptr<ExprNode>& node,
                const std::shared_ptr<VectorState>& out,
                const FusionPlan& plan, Runtime& runtime) {
-  alignLeaves(plan);
   prepareStageArguments(plan);
 
   VectorState& leaf0 = *plan.leaves.front();
@@ -631,12 +675,8 @@ ocl::Event scanInto(Runtime& runtime, ocl::Program& program,
 void runScan(const std::shared_ptr<ExprNode>& node,
              const std::shared_ptr<VectorState>& out,
              const FusionPlan& plan, Runtime& runtime) {
-  // Single-device skeleton: gather the primary operand, align the rest.
+  // Single-device skeleton: placement gathered the primary operand.
   VectorState& leaf0 = *plan.leaves.front();
-  if (leaf0.distribution() != Distribution::Single) {
-    leaf0.setDistribution(Distribution::Single, 0);
-  }
-  alignLeaves(plan);
   prepareStageArguments(plan);
 
   const std::size_t n = node->outCount;
@@ -704,6 +744,7 @@ void evaluateNode(const std::shared_ptr<ExprNode>& node,
   trace::ScopedHostSpan span(trace::HostKind::Skeleton, plan.label.c_str(),
                              trace::kNoDevice, spanSize);
   try {
+    placeInputs(*node, plan.leaves);
     switch (node->op) {
       case ExprNode::Op::Map:
       case ExprNode::Op::Zip:
@@ -774,119 +815,58 @@ void forceExprNode(const std::shared_ptr<ExprNode>& node) {
   evaluateNode(keep, out);
 }
 
-bool deferrable(const Arguments& args) { return !args.hasVectorEntries(); }
+void invokeSkeleton(ExprNode node, const std::shared_ptr<VectorState>& out,
+                    bool explicitOutput) {
+  auto call = std::make_shared<ExprNode>(std::move(node));
+  std::vector<std::shared_ptr<VectorState>> states;
+  states.reserve(call->inputs.size());
+  for (const ExprNode::Input& input : call->inputs) {
+    states.push_back(input.state);
+  }
+  placeInputs(*call, states);
 
-std::shared_ptr<ExprNode> makeExprNode(
-    ExprNode::Op op, std::shared_ptr<const UserFunction> function,
-    const Arguments& args, std::size_t workGroupSize,
-    std::vector<std::shared_ptr<VectorState>> inputs,
-    std::string outType, std::size_t outElemSize, std::size_t outCount,
-    std::string identityExpr) {
-  auto node = std::make_shared<ExprNode>();
-  node->op = op;
-  node->function = std::move(function);
-  node->identityExpr = std::move(identityExpr);
-  node->args = args;
-  node->workGroupSize = workGroupSize;
-  node->outType = std::move(outType);
-  node->outElemSize = outElemSize;
-  node->outCount = outCount;
-
-  node->inputs.reserve(inputs.size());
-  for (auto& state : inputs) {
-    ExprNode::Input input;
-    input.node = state->pendingNode();
-    input.state = std::move(state);
+  for (ExprNode::Input& input : call->inputs) {
+    input.node = input.state->pendingNode();
     if (input.node != nullptr && !input.node->evaluated) {
       input.node->fanout += 1;
     }
-    node->inputs.push_back(std::move(input));
   }
   // Host mutations of an input must snapshot this node's value first.
-  for (const ExprNode::Input& input : node->inputs) {
-    input.state->addConsumer(node);
+  for (const ExprNode::Input& input : call->inputs) {
+    input.state->addConsumer(call);
   }
 
-  // Concrete inputs stage eagerly: upload faults surface at the call
-  // site and Zip's geometry alignment (and Scan's gather) stay
-  // observable right after the call — exactly as under eager execution.
-  switch (op) {
-    case ExprNode::Op::Map:
-    case ExprNode::Op::Reduce: {
-      const auto& in0 = node->inputs.front().state;
-      if (!in0->hasPending()) {
-        in0->ensureOnDevices();
-      }
-      break;
-    }
-    case ExprNode::Op::Zip: {
-      const auto& left = node->inputs[0].state;
-      const auto& right = node->inputs[1].state;
-      if (!left->hasPending()) {
-        left->ensureOnDevices();
-        if (!right->hasPending() && right.get() != left.get()) {
-          right->matchLayout(left->distribution(),
-                            left->singleDeviceIndex(), left->chunks());
+  if (explicitOutput || out == nullptr || call->args.hasVectorEntries()) {
+    if (out != nullptr) {
+      // `out` may alias an input, in whose consumer list this very node
+      // already sits; the guard keeps it from forcing itself while the
+      // *old* value's deferred readers are snapshotted.
+      EvalGuard guard(call->evaluating);
+      try {
+        out->forcePending();
+        out->forceConsumers();
+      } catch (...) {
+        // The call never runs: poison it, and take back the reads it
+        // added, so its pending children still fuse with later readers.
+        for (const ExprNode::Input& input : call->inputs) {
+          if (input.node != nullptr && !input.node->evaluated) {
+            input.node->fanout -= 1;
+          }
         }
-      } else if (!right->hasPending() && right.get() != left.get()) {
-        right->ensureOnDevices();
+        call->evaluated = true;
+        throw;
       }
-      break;
     }
-    case ExprNode::Op::Scan: {
-      const auto& in0 = node->inputs.front().state;
-      if (!in0->hasPending()) {
-        if (in0->distribution() != Distribution::Single) {
-          in0->setDistribution(Distribution::Single, 0);
-        }
-        in0->ensureOnDevices();
-      }
-      break;
-    }
-    case ExprNode::Op::Stencil:
-      // Its layout (row-aligned blocks or the single-device fallback)
-      // depends on the StencilParams the skeleton attaches after this
-      // call, so the skeleton stages it (layOutStencilInput); staging
-      // here would upload the grid in a layout the evaluation discards.
-      break;
-    case ExprNode::Op::SparseGather: {
-      // The gather reads arbitrary columns: the dense operand is
-      // replicated on every device, like a vector argument would be.
-      const auto& in0 = node->inputs.front().state;
-      if (!in0->hasPending()) {
-        if (in0->distribution() != Distribution::Copy) {
-          in0->setDistribution(Distribution::Copy, 0);
-        }
-        in0->ensureOnDevices();
-      }
-      break;
-    }
+    call->output = out;
+    evaluateNode(call, out);
+    return;
   }
-  return node;
-}
-
-void deferNode(const std::shared_ptr<ExprNode>& node,
-               const std::shared_ptr<VectorState>& out) {
-  node->output = out;
-  out->installPending(node, node->outCount);
+  call->output = out;
+  out->installPending(call, call->outCount);
   // Register the job with the async scheduler: the next top-of-stack
   // consumption point dispatches every outstanding job, not just the
   // one being consumed. No-op under SKELCL_ASYNC=0.
-  Scheduler::instance().noteDeferred(node);
-}
-
-void evaluateNodeInto(const std::shared_ptr<ExprNode>& node,
-                      const std::shared_ptr<VectorState>& out) {
-  if (out != nullptr) {
-    // `out` may alias an input, in whose consumer list this very node
-    // already sits; the guard keeps it from forcing itself while the
-    // *old* value's deferred readers are snapshotted.
-    EvalGuard guard(node->evaluating);
-    out->forcePending();
-    out->forceConsumers();
-  }
-  node->output = out;
-  evaluateNode(node, out);
+  Scheduler::instance().noteDeferred(call);
 }
 
 } // namespace skelcl::detail

@@ -14,11 +14,12 @@
 //                             this chain: Reduce of its Map's result)
 //   scan f . map g       ->  scan with a fused first level
 //
-// Eager-evaluation rule: a call whose Arguments reference Vectors is
-// evaluated immediately at the call site (its semantics depend on — and
-// may mutate — external state the host is free to change afterwards), as
-// are explicit-output forms and Map<T, void>. Laziness applies to pure
-// chains; fusion applies to every evaluation.
+// Eager-evaluation rule (applied once, in invokeSkeleton): a call whose
+// Arguments reference Vectors is evaluated immediately at the call site
+// (its semantics depend on — and may mutate — external state the host
+// is free to change afterwards), as are explicit-output forms and
+// Map<T, void>. Laziness applies to pure chains; fusion applies to
+// every evaluation.
 #pragma once
 
 #include <memory>
@@ -60,21 +61,22 @@ public:
   enum class Op { Map, Zip, Reduce, Scan, Stencil, SparseGather };
 
   /// One input operand: the vector state read, plus the node that was
-  /// pending on it at *build* time (null for concrete data). The child
-  /// link is what the fusion pass follows; the state is the fallback
-  /// leaf when the child is not absorbed (or was forced meanwhile).
+  /// pending on it at the call (null for concrete data; invokeSkeleton
+  /// links it). The child link is what the fusion pass follows; the
+  /// state is the fallback leaf when the child is not absorbed (or was
+  /// forced meanwhile).
   struct Input {
     std::shared_ptr<VectorState> state;
-    std::shared_ptr<ExprNode> node;
+    std::shared_ptr<ExprNode> node{};
   };
 
   Op op = Op::Map;
   /// The customizing function, parsed once when the skeleton was built
   /// and shared by every node that skeleton creates.
   std::shared_ptr<const UserFunction> function;
-  std::string identityExpr; // Scan/SparseGather: identity expression
-  Arguments args;           // additional arguments (scalars/structs only
-                            // when the node is deferred)
+  std::string identityExpr{}; // Scan/SparseGather: identity expression
+  Arguments args{};           // additional arguments (scalars/structs
+                              // only when the node is deferred)
   std::size_t workGroupSize = 0; // user override; 0 = SkelCL default
   std::vector<Input> inputs;
 
@@ -84,14 +86,14 @@ public:
   std::size_t outCount = 0;     // result element count
   std::size_t fanout = 0;       // deferred parents reading this node
 
-  /// Irregular-root descriptors; set by the skeleton right after
-  /// makeExprNode, before the node is deferred or evaluated.
-  std::shared_ptr<StencilParams> stencil; // Op::Stencil only
-  std::shared_ptr<SparseParams> sparse;   // Op::SparseGather only
+  /// Irregular-root descriptors, part of the node the skeleton call
+  /// builds. Members a call may leave out carry default initializers.
+  std::shared_ptr<StencilParams> stencil{}; // Op::Stencil only
+  std::shared_ptr<SparseParams> sparse{};   // Op::SparseGather only
 
   bool evaluated = false;
   bool evaluating = false; // re-entrancy guard during evaluation
-  std::weak_ptr<VectorState> output;
+  std::weak_ptr<VectorState> output{};
 };
 
 /// Materializes a deferred skeleton computation. No-op when the node has
@@ -99,34 +101,22 @@ public:
 /// stack.
 void forceExprNode(const std::shared_ptr<ExprNode>& node);
 
-/// True when `args` allows deferring the call: vector (and vector-size)
-/// arguments pin a call to eager evaluation.
-bool deferrable(const Arguments& args);
-
-/// Builds a DAG node. Records each input's currently-pending producer as
-/// the child edge, registers the node as a consumer on every input state
-/// (so host mutations snapshot it first), and eagerly stages concrete
-/// inputs on the devices — upload faults and Zip geometry alignment stay
-/// observable at the call site, exactly as under eager execution. A
-/// Stencil input is the exception: its layout depends on the
-/// StencilParams, so the skeleton stages it (layOutStencilInput).
-std::shared_ptr<ExprNode> makeExprNode(
-    ExprNode::Op op, std::shared_ptr<const UserFunction> function,
-    const Arguments& args, std::size_t workGroupSize,
-    std::vector<std::shared_ptr<VectorState>> inputs,
-    std::string outType, std::size_t outElemSize, std::size_t outCount,
-    std::string identityExpr = "");
-
-/// Defers `node`: installs it as `out`'s pending producer. The node
-/// materializes when `out` (or a mutation of its inputs) forces it.
-void deferNode(const std::shared_ptr<ExprNode>& node,
-               const std::shared_ptr<VectorState>& out);
-
-/// Evaluates `node` into `out` immediately (eager call sites: explicit
-/// outputs, vector-argument calls). `out`'s old value is snapshotted
-/// for any deferred readers first. `out` is null exactly
-/// when the node's result is "void" (Map<T, void>).
-void evaluateNodeInto(const std::shared_ptr<ExprNode>& node,
-                      const std::shared_ptr<VectorState>& out);
+/// The one call path of every skeleton. `node` arrives complete (its
+/// inputs carry states only) and is
+///   1. placed: its concrete inputs are staged where the op reads them
+///      (placeInputs), so upload faults surface at the call site;
+///   2. linked into the DAG: each input's pending producer becomes a
+///      child edge, and the node registers as a consumer of every input
+///      (so host mutations snapshot it first);
+///   3. evaluated now into `out` when the call has an explicit output,
+///      vector Arguments (its semantics depend on external state the
+///      host may change afterwards) or no output at all (`out` is null
+///      exactly for Map<T, void>); otherwise deferred as `out`'s pending
+///      producer.
+/// A call that throws before it runs (while placing, or while an eager
+/// call snapshots `out`'s old value) leaves no reader on its inputs'
+/// pending producers.
+void invokeSkeleton(ExprNode node, const std::shared_ptr<VectorState>& out,
+                    bool explicitOutput = false);
 
 } // namespace skelcl::detail

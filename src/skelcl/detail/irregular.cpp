@@ -258,7 +258,7 @@ std::string sparseProgramSource(const std::shared_ptr<ExprNode>& node,
 
 } // namespace
 
-bool layOutStencilInput(VectorState& in, const StencilParams& P) {
+void layOutStencilInput(VectorState& in, const StencilParams& P) {
   auto& runtime = Runtime::instance();
   const std::size_t W = P.width > 0 ? P.width : 1;
   const std::size_t n = in.size();
@@ -268,41 +268,22 @@ bool layOutStencilInput(VectorState& in, const StencilParams& P) {
   // Geometry: a multi-device run needs every device's row share to
   // cover the radius, so each halo is one contiguous copy from exactly
   // one neighbor chunk. Degenerate shares fall back to a single device.
-  const std::size_t devices = runtime.deviceCount();
-  bool multi = devices > 1 && totalRows > 0;
-  std::vector<std::size_t> rowCounts;
-  if (multi) {
-    rowCounts = runtime.blockPartition(totalRows);
-    for (std::size_t rows : rowCounts) {
-      if (rows < P.radius) {
-        multi = false;
-        break;
-      }
+  // The blocks split whole rows (a 2D stencil must not cut a grid row
+  // across devices). An iterated stencil hits matchLayout's same-layout
+  // fast path after the first step and stays resident.
+  if (runtime.deviceCount() > 1 && totalRows > 0) {
+    const std::vector<Chunk> layout = blockLayout(totalRows, W);
+    if (std::all_of(layout.begin(), layout.end(), [&](const Chunk& c) {
+          return c.count >= P.radius * W;
+        })) {
+      in.matchLayout(Distribution::Block, 0, layout);
+      return;
     }
   }
-  if (!multi) {
-    if (in.distribution() != Distribution::Single) {
-      in.setDistribution(Distribution::Single, 0);
-    }
-    in.ensureOnDevices();
-    return false;
+  if (in.distribution() != Distribution::Single) {
+    in.setDistribution(Distribution::Single, 0);
   }
-  // Row-aligned block layout (blockPartition splits elements; a 2D
-  // stencil must not cut a grid row across devices). An iterated stencil
-  // hits matchLayout's same-layout fast path after the first step and
-  // stays resident.
-  std::vector<Chunk> layout;
-  std::size_t row = 0;
-  for (std::size_t d = 0; d < devices; ++d) {
-    Chunk c;
-    c.deviceIndex = d;
-    c.offset = row * W;
-    c.count = rowCounts[d] * W;
-    row += rowCounts[d];
-    layout.push_back(std::move(c));
-  }
-  in.matchLayout(Distribution::Block, 0, layout);
-  return true;
+  in.ensureOnDevices();
 }
 
 void runStencil(const std::shared_ptr<ExprNode>& node,
@@ -316,7 +297,8 @@ void runStencil(const std::shared_ptr<ExprNode>& node,
   const bool wrap = P.boundary == kWrap;
   VectorState& in = *plan.leaves.front();
 
-  const bool multi = layOutStencilInput(in, P);
+  // Placement chose the layout: row-aligned blocks or one device.
+  const bool multi = in.distribution() == Distribution::Block;
   trace::recordDecision(multi ? "stencil.layout: row-aligned"
                               : "stencil.layout: single-device");
   const std::size_t totalRows = in.size() / W;
@@ -459,20 +441,18 @@ void CsrState::ensureOnDevices() {
   }
   auto& runtime = Runtime::instance();
   runtime.requireInit();
-  const std::vector<std::size_t> share = runtime.blockPartition(rows_);
   try {
-    std::size_t row = 0;
-    for (std::size_t d = 0; d < share.size(); ++d) {
+    for (const Chunk& share : blockLayout(rows_)) {
       CsrChunk chunk;
-      chunk.deviceIndex = d;
-      chunk.rowBegin = row;
-      chunk.rowCount = share[d];
-      chunk.nnzBegin = rowPtr_[row];
-      chunk.nnzCount = rowPtr_[row + share[d]] - chunk.nnzBegin;
-      row += share[d];
+      chunk.deviceIndex = share.deviceIndex;
+      chunk.rowBegin = share.offset;
+      chunk.rowCount = share.count;
+      chunk.nnzBegin = rowPtr_[chunk.rowBegin];
+      chunk.nnzCount =
+          rowPtr_[chunk.rowBegin + chunk.rowCount] - chunk.nnzBegin;
 
-      const auto& device = runtime.devices()[d];
-      auto& queue = runtime.queue(d);
+      const auto& device = runtime.devices()[chunk.deviceIndex];
+      auto& queue = runtime.queue(chunk.deviceIndex);
       const std::size_t ptrBytes =
           (chunk.rowCount + 1) * sizeof(std::uint32_t);
       const std::size_t valueBytes = chunk.nnzCount * valueSize_;
@@ -510,17 +490,11 @@ void CsrState::ensureOnDevices() {
 void runSparseGather(const std::shared_ptr<ExprNode>& node,
                      const std::shared_ptr<VectorState>& out,
                      const FusionPlan& plan, Runtime& runtime) {
-  CsrState& csr = *node->sparse->csr;
+  // Placement replicated the dense operand (the gather may touch any
+  // column on any device). The matrix's row partition, fixed at its
+  // first upload, dictates the output layout.
+  const CsrState& csr = *node->sparse->csr;
   VectorState& x = *plan.leaves.front();
-
-  // The gather may touch any column on any device: replicate the dense
-  // operand. The matrix's row partition (fixed at its first upload)
-  // dictates the output layout.
-  if (x.distribution() != Distribution::Copy) {
-    x.setDistribution(Distribution::Copy, 0);
-  }
-  x.ensureOnDevices();
-  csr.ensureOnDevices();
   prepareStageArguments(plan);
 
   const std::vector<CsrChunk>& cchunks = csr.chunks();

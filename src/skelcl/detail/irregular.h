@@ -19,10 +19,10 @@ class Runtime;
 /// Stages a stencil input in the layout its evaluation reads: row-
 /// aligned blocks when every device's row share covers the radius, else
 /// the whole grid on one device. A no-op when the input already has that
-/// layout; returns whether it is the multi-device one. The Stencil
-/// skeleton calls it for a concrete input at the call site, so upload
-/// faults surface there, and runStencil calls it again at evaluation.
-bool layOutStencilInput(VectorState& in, const StencilParams& P);
+/// layout. The placement rule (expr.cpp) applies it, both at the call
+/// and before runStencil, which reads the choice back from the input's
+/// distribution.
+void layOutStencilInput(VectorState& in, const StencilParams& P);
 
 void runStencil(const std::shared_ptr<ExprNode>& node,
                 const std::shared_ptr<VectorState>& out,

@@ -60,17 +60,16 @@ private:
     // paths, the whole launch). Fused evaluation emits its own span.
     trace::ScopedHostSpan span(trace::HostKind::Skeleton, "Map",
                                trace::kNoDevice, input.size());
-    auto& runtime = detail::Runtime::instance();
-    runtime.requireInit();
-    auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Map, function_, args,
-        workGroupSize_, {input.stateHandle()}, typeName<Tout>(),
-        sizeof(Tout), input.size());
-    if (!explicitOutput && detail::deferrable(args)) {
-      detail::deferNode(node, output.stateHandle());
-    } else {
-      detail::evaluateNodeInto(node, output.stateHandle());
-    }
+    detail::Runtime::instance().requireInit();
+    detail::invokeSkeleton({.op = detail::ExprNode::Op::Map,
+                            .function = function_,
+                            .args = args,
+                            .workGroupSize = workGroupSize_,
+                            .inputs = {{input.stateHandle()}},
+                            .outType = typeName<Tout>(),
+                            .outElemSize = sizeof(Tout),
+                            .outCount = input.size()},
+                           output.stateHandle(), explicitOutput);
   }
 
   std::shared_ptr<const detail::UserFunction> function_;
@@ -93,11 +92,15 @@ public:
     trace::ScopedHostSpan span(trace::HostKind::Skeleton, "Map<void>",
                                trace::kNoDevice, input.size());
     detail::Runtime::instance().requireInit();
-    auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Map, function_, args,
-        workGroupSize_, {input.stateHandle()}, "void",
-        /*outElemSize=*/0, input.size());
-    detail::evaluateNodeInto(node, nullptr);
+    detail::invokeSkeleton({.op = detail::ExprNode::Op::Map,
+                            .function = function_,
+                            .args = args,
+                            .workGroupSize = workGroupSize_,
+                            .inputs = {{input.stateHandle()}},
+                            .outType = "void",
+                            .outElemSize = 0,
+                            .outCount = input.size()},
+                           nullptr);
   }
 
 private:

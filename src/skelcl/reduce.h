@@ -49,12 +49,14 @@ public:
     if (input.size() == 0) {
       return Scalar<T>(identity_);
     }
-    auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Reduce, function_, Arguments{},
-        /*workGroupSize=*/0, {input.stateHandle()}, typeName<T>(),
-        sizeof(T), /*outCount=*/1);
     Vector<T> holder;
-    detail::deferNode(node, holder.stateHandle());
+    detail::invokeSkeleton({.op = detail::ExprNode::Op::Reduce,
+                            .function = function_,
+                            .inputs = {{input.stateHandle()}},
+                            .outType = typeName<T>(),
+                            .outElemSize = sizeof(T),
+                            .outCount = 1},
+                           holder.stateHandle());
     return Scalar<T>(std::move(holder));
   }
 

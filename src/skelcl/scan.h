@@ -50,12 +50,15 @@ public:
       // and every device command.
       return Vector<T>();
     }
-    auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Scan, function_, Arguments{},
-        /*workGroupSize=*/0, {input.stateHandle()}, typeName<T>(),
-        sizeof(T), input.size(), identity_);
     Vector<T> output;
-    detail::deferNode(node, output.stateHandle());
+    detail::invokeSkeleton({.op = detail::ExprNode::Op::Scan,
+                            .function = function_,
+                            .identityExpr = identity_,
+                            .inputs = {{input.stateHandle()}},
+                            .outType = typeName<T>(),
+                            .outElemSize = sizeof(T),
+                            .outCount = input.size()},
+                           output.stateHandle());
     return output;
   }
 

@@ -123,25 +123,20 @@ public:
           " element(s); matrix has " + std::to_string(matrix.cols()) +
           " column(s)");
     }
-    // Upload eagerly: faults surface at the call site, and the row
-    // partition is fixed before any deferred evaluation observes it.
-    matrix.state().ensureOnDevices();
-
-    auto node = detail::makeExprNode(
-        detail::ExprNode::Op::SparseGather, gather_, args,
-        workGroupSize_, {x.stateHandle()}, typeName<T>(), sizeof(T),
-        matrix.rows(), identity_);
-    auto params = std::make_shared<detail::SparseParams>();
-    params->csr = matrix.stateHandle();
-    params->combine = combine_;
-    node->sparse = std::move(params);
-
     Vector<T> output;
-    if (detail::deferrable(args)) {
-      detail::deferNode(node, output.stateHandle());
-    } else {
-      detail::evaluateNodeInto(node, output.stateHandle());
-    }
+    detail::invokeSkeleton(
+        {.op = detail::ExprNode::Op::SparseGather,
+         .function = gather_,
+         .identityExpr = identity_,
+         .args = args,
+         .workGroupSize = workGroupSize_,
+         .inputs = {{x.stateHandle()}},
+         .outType = typeName<T>(),
+         .outElemSize = sizeof(T),
+         .outCount = matrix.rows(),
+         .sparse = std::make_shared<detail::SparseParams>(
+             detail::SparseParams{matrix.stateHandle(), combine_})},
+        output.stateHandle());
     return output;
   }
 

@@ -32,7 +32,6 @@
 
 #include "skelcl/arguments.h"
 #include "skelcl/detail/expr.h"
-#include "skelcl/detail/irregular.h"
 #include "skelcl/detail/source_utils.h"
 #include "skelcl/vector.h"
 #include "trace/recorder.h"
@@ -84,29 +83,21 @@ public:
     runtime.requireInit();
     validate(input.size());
 
-    auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Stencil, function_, args,
-        workGroupSize_, {input.stateHandle()}, typeName<T>(), sizeof(T),
-        input.size());
-    auto params = std::make_shared<detail::StencilParams>();
-    params->radius = shape_.radius;
-    params->boundary = static_cast<int>(shape_.boundary);
-    params->width = shape_.width;
-    params->constArg = constArg_;
-    node->stencil = std::move(params);
-    // A concrete input is staged now, in the layout the evaluation
-    // reads, so upload faults surface at the call site.
-    const auto& in = node->inputs.front().state;
-    if (!in->hasPending()) {
-      detail::layOutStencilInput(*in, *node->stencil);
-    }
-
     Vector<T> output;
-    if (detail::deferrable(args)) {
-      detail::deferNode(node, output.stateHandle());
-    } else {
-      detail::evaluateNodeInto(node, output.stateHandle());
-    }
+    detail::invokeSkeleton(
+        {.op = detail::ExprNode::Op::Stencil,
+         .function = function_,
+         .args = args,
+         .workGroupSize = workGroupSize_,
+         .inputs = {{input.stateHandle()}},
+         .outType = typeName<T>(),
+         .outElemSize = sizeof(T),
+         .outCount = input.size(),
+         .stencil = std::make_shared<detail::StencilParams>(
+             detail::StencilParams{shape_.radius,
+                                   static_cast<int>(shape_.boundary),
+                                   shape_.width, constArg_})},
+        output.stateHandle());
     return output;
   }
 

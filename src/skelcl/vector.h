@@ -56,6 +56,16 @@ struct Chunk {
   UploadPieces pieces;
 };
 
+/// The block distribution's chunks for `units` units of `unitSize`
+/// elements each: one chunk per device, holding whole units in the
+/// runtime's block-weight split (detail/partition.h). On a uniform
+/// machine this is the paper's even split; on heterogeneous platforms,
+/// faster devices receive proportionally larger contiguous parts.
+/// Devices whose share rounds to zero still get a (count == 0) chunk so
+/// chunk index == device index holds; no device command is ever enqueued
+/// for those. Offsets and counts are in elements.
+std::vector<Chunk> blockLayout(std::size_t units, std::size_t unitSize = 1);
+
 class ExprNode;
 
 /// The device side of a Vector, untyped. Every element type is trivially
@@ -212,7 +222,6 @@ private:
 
   std::size_t hostCount() const { return hostBytes().size() / elemSize_; }
   std::size_t chunkIndexOn(std::size_t deviceIndex) const;
-  std::vector<Chunk> blockLayout() const;
   void allocateLayout(const std::vector<Chunk>& layout);
   void upload();
   [[noreturn]] void rollbackStaging(ocl::ClError& error,

@@ -39,6 +39,23 @@ std::vector<ocl::Event> depsOf(const Chunk& chunk) {
 
 } // namespace
 
+std::vector<Chunk> blockLayout(std::size_t units, std::size_t unitSize) {
+  auto& runtime = Runtime::instance();
+  const std::vector<std::size_t> counts = runtime.blockPartition(units);
+  COMMON_CHECK(counts.size() == runtime.deviceCount());
+  std::vector<Chunk> layout;
+  std::size_t offset = 0;
+  for (std::size_t d = 0; d < counts.size(); ++d) {
+    Chunk chunk;
+    chunk.deviceIndex = d;
+    chunk.offset = offset;
+    chunk.count = counts[d] * unitSize;
+    offset += chunk.count;
+    layout.push_back(std::move(chunk));
+  }
+  return layout;
+}
+
 // --- host access -----------------------------------------------------------
 
 void VectorState::syncHost() {
@@ -148,7 +165,7 @@ void VectorState::setDistributionCombine(const std::string& combineSource) {
   // mid-combine discards the half-built blocks; the vector stays
   // copy-distributed with its old chunks and host data untouched, so
   // the caller can retry the redistribution after handling the error.
-  std::vector<Chunk> blocks = blockLayout();
+  std::vector<Chunk> blocks = blockLayout(hostCount());
   for (Chunk& block : blocks) {
     const std::size_t d = block.deviceIndex;
     const std::size_t offset = block.offset * elemSize_;
@@ -226,7 +243,7 @@ void VectorState::ensureOnDevices() {
       // partition.
       std::vector<Chunk> layout;
       if (dist_ == Distribution::Block) {
-        layout = blockLayout();
+        layout = blockLayout(hostCount());
       } else {
         const bool copy = dist_ == Distribution::Copy;
         const std::size_t first = copy ? 0 : singleDevice_;
@@ -355,30 +372,6 @@ void VectorState::matchLayout(Distribution dist, std::size_t singleDevice,
 }
 
 // --- private helpers -------------------------------------------------------
-
-/// One chunk descriptor per device, sized by the runtime's block weights
-/// (detail/partition.h). On a uniform machine this is the paper's even
-/// split; on heterogeneous platforms, faster devices receive
-/// proportionally larger contiguous parts. Devices whose share rounds to
-/// zero still get a (count == 0) chunk so chunk index == device index
-/// holds; no device command is ever enqueued for those.
-std::vector<Chunk> VectorState::blockLayout() const {
-  auto& runtime = Runtime::instance();
-  const std::vector<std::size_t> counts =
-      runtime.blockPartition(hostCount());
-  COMMON_CHECK(counts.size() == runtime.deviceCount());
-  std::vector<Chunk> layout;
-  std::size_t offset = 0;
-  for (std::size_t d = 0; d < counts.size(); ++d) {
-    Chunk chunk;
-    chunk.deviceIndex = d;
-    chunk.offset = offset;
-    chunk.count = counts[d];
-    offset += chunk.count;
-    layout.push_back(chunk);
-  }
-  return layout;
-}
 
 /// Fresh buffers with exactly the given chunk geometry.
 void VectorState::allocateLayout(const std::vector<Chunk>& layout) {

@@ -71,15 +71,16 @@ private:
                             left.state().distribution(),
                             right.state().distribution());
     }
-    auto node = detail::makeExprNode(
-        detail::ExprNode::Op::Zip, function_, args,
-        workGroupSize_, {left.stateHandle(), right.stateHandle()},
-        typeName<Tout>(), sizeof(Tout), left.size());
-    if (!explicitOutput && detail::deferrable(args)) {
-      detail::deferNode(node, output.stateHandle());
-    } else {
-      detail::evaluateNodeInto(node, output.stateHandle());
-    }
+    detail::invokeSkeleton(
+        {.op = detail::ExprNode::Op::Zip,
+         .function = function_,
+         .args = args,
+         .workGroupSize = workGroupSize_,
+         .inputs = {{left.stateHandle()}, {right.stateHandle()}},
+         .outType = typeName<Tout>(),
+         .outElemSize = sizeof(Tout),
+         .outCount = left.size()},
+        output.stateHandle(), explicitOutput);
   }
 
   std::shared_ptr<const detail::UserFunction> function_;

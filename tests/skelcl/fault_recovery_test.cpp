@@ -98,6 +98,56 @@ TEST_F(FaultRecovery, DownloadTransferFaultIsTransactional) {
   }
 }
 
+// A call that throws while staging its inputs leaves the DAG as it was:
+// the pending child it would have read gains no phantom reader, so a
+// later consumer still fuses with it.
+TEST_F(FaultRecovery, StagingFaultAtTheCallLeavesNoReader) {
+  Map<int> inc("int inc_pr(int x) { return x + 1; }");
+  Map<int> dbl("int dbl_pr(int x) { return 2 * x; }");
+  skelcl::Zip<int> add("int add_pr(int a, int b) { return a + b; }");
+  Vector<int> x(std::vector<int>(256, 1));
+  Vector<int> b(std::vector<int>(256, 2));
+  Vector<int> a = inc(x); // pending
+
+  FaultInjector::instance().configure("write@1"); // b's upload
+  EXPECT_THROW(add(a, b), ocl::TransferFailure);
+  FaultInjector::instance().reset();
+
+  const std::uint64_t before = skelcl_test::totalKernelLaunches();
+  const std::vector<int> doubled = dbl(a).hostData();
+  EXPECT_EQ(skelcl_test::totalKernelLaunches() - before, 1u)
+      << "dbl . inc should fuse into one launch";
+  EXPECT_EQ(doubled, std::vector<int>(256, 4));
+}
+
+// The same holds when an eager call throws while snapshotting its
+// explicit output's old value: here the output's own pending producer
+// fails. The call never runs, neither now nor when an input changes.
+TEST_F(FaultRecovery, EagerCallThatThrowsBeforeItRunsLeavesNoReader) {
+  Map<int> inc("int inc_eo(int x) { return x + 1; }");
+  Map<int> inc2("int inc2_eo(int x) { return x + 2; }");
+  Map<int> dbl("int dbl_eo(int x) { return 2 * x; }");
+  skelcl::Zip<int> add("int add_eo(int a, int b) { return a + b; }");
+  Vector<int> x(std::vector<int>(256, 1));
+  Vector<int> y(std::vector<int>(256, 1));
+  Vector<int> b(std::vector<int>(256, 2));
+  Vector<int> a = inc(x);  // pending
+  Vector<int> o = inc2(y); // pending: the explicit output's old value
+
+  FaultInjector::instance().configure("kernel@1"); // o's producer
+  EXPECT_THROW(add(a, b, o), ocl::LaunchFailure);
+  FaultInjector::instance().reset();
+
+  const std::uint64_t before = skelcl_test::totalKernelLaunches();
+  const std::vector<int> doubled = dbl(a).hostData();
+  EXPECT_EQ(skelcl_test::totalKernelLaunches() - before, 1u)
+      << "dbl . inc should fuse into one launch";
+  EXPECT_EQ(doubled, std::vector<int>(256, 4));
+  // b's only reader is the failed call: changing b runs nothing.
+  b.hostDataForWriting()[0] = 7;
+  EXPECT_EQ(skelcl_test::totalKernelLaunches() - before, 1u);
+}
+
 TEST_F(FaultRecovery, LaunchFaultReportsSkeletonAndDevice) {
   Map<int> inc("int inc_lf(int x) { return x + 1; }");
   std::vector<int> data(1000);

@@ -80,6 +80,39 @@ TEST_P(MultiDeviceTest, ScanGathersDistributedInput) {
   }
 }
 
+class ScanFourDevices : public skelcl_test::SkelclFixture {
+public:
+  ScanFourDevices() : SkelclFixture(4) {}
+};
+
+/// DMA bytes all devices moved while one Scan over `in` ran and its
+/// result was downloaded.
+std::uint64_t scanDmaBytes(const Vector<int>& in) {
+  Scan<int> scan("int add_pin(int a, int b) { return a + b; }", "0");
+  const std::uint64_t before = skelcl_test::totalDmaBytes();
+  Vector<int> out = scan(in);
+  (void)out[0]; // downloads the whole result
+  return skelcl_test::totalDmaBytes() - before;
+}
+
+// A Scan whose input is still pending is placed at evaluation. The Scan
+// absorbs the pending Map, so placement gathers the Map's own input, the
+// plan's leaf, onto one device. A fresh vector already sits on device 0,
+// so only the result comes back. A block vector whose host copy is
+// current is uploaded whole to device 0 first.
+TEST_F(ScanFourDevices, PendingInputIsPlacedAtEvaluation) {
+  const std::size_t n = 1024;
+  const std::uint64_t bytes = n * sizeof(int);
+  Map<int> inc("int inc_pin(int x) { return x + 1; }");
+
+  Vector<int> fresh(std::vector<int>(n, 1));
+  EXPECT_EQ(scanDmaBytes(inc(fresh)), bytes);
+
+  Vector<int> blocks(std::vector<int>(n, 1));
+  blocks.setDistribution(Distribution::Block);
+  EXPECT_EQ(scanDmaBytes(inc(blocks)), 2 * bytes);
+}
+
 TEST_P(MultiDeviceTest, MapOverCopyRunsEverywhere) {
   Map<int> inc("int inc(int x) { return x + 1; }");
   Vector<int> input(std::vector<int>(100, 7));

@@ -22,6 +22,25 @@ inline void useTempCacheDir() {
   (void)dir;
 }
 
+/// DMA bytes every device has moved so far (both engines, all links).
+inline std::uint64_t totalDmaBytes() {
+  std::uint64_t total = 0;
+  for (const ocl::Device& d : skelcl::detail::Runtime::instance().devices()) {
+    total += d.state().dmaBytes();
+  }
+  return total;
+}
+
+/// Kernel launches enqueued so far, summed over every device queue.
+inline std::uint64_t totalKernelLaunches() {
+  auto& runtime = skelcl::detail::Runtime::instance();
+  std::uint64_t total = 0;
+  for (std::size_t d = 0; d < runtime.deviceCount(); ++d) {
+    total += runtime.queue(d).cumulativeKernelLaunches();
+  }
+  return total;
+}
+
 /// Fixture parameterized on GPU count via the constructor.
 class SkelclFixture : public ::testing::Test {
 protected:

@@ -126,6 +126,39 @@ TEST_F(SparseOneDevice, SpmvMatchesOracle) { expectSpmvMatchesOracle(3); }
 TEST_F(SparseTwoDevices, SpmvMatchesOracle) { expectSpmvMatchesOracle(5); }
 TEST_F(SparseFourDevices, SpmvMatchesOracle) { expectSpmvMatchesOracle(7); }
 
+// A SparseGather whose operand is still pending is placed at
+// evaluation: the Map over a fresh vector leaves its result on device 0,
+// so replicating it costs a download and one upload per device on top
+// of the CSR slices (uploaded at the call) and the result download.
+TEST_F(SparseFourDevices, PendingOperandIsPlacedAtEvaluation) {
+  // 64 rows of two entries each: every device gets 16 rows.
+  const std::size_t n = 64;
+  std::vector<std::uint32_t> rowPtr, colIdx;
+  for (std::uint32_t r = 0; r <= n; ++r) {
+    rowPtr.push_back(2 * r);
+  }
+  for (std::uint32_t r = 0; r < n; ++r) {
+    colIdx.push_back(r);
+    colIdx.push_back((r + 1) % n);
+  }
+  CsrMatrix<int> m(n, n, rowPtr, colIdx, std::vector<int>(2 * n, 3));
+  SparseGather<int> spmv(kSpmvGatherI, kSpmvCombineI, "0");
+  Map<int> inc("int inc_pin(int x) { return x + 1; }");
+  Vector<int> fresh(std::vector<int>(n, 1));
+  Vector<int> x = inc(fresh);
+
+  const std::uint64_t before = skelcl_test::totalDmaBytes();
+  Vector<int> y = spmv(m, x);
+  EXPECT_EQ(y[0], 12);
+  const std::uint64_t moved = skelcl_test::totalDmaBytes() - before;
+
+  const std::uint64_t vec = n * sizeof(int);
+  const std::uint64_t csr = 4 * (17 * sizeof(std::uint32_t) +
+                                 32 * sizeof(std::uint32_t) + 32 * sizeof(int));
+  EXPECT_EQ(moved, csr + vec + 4 * vec + vec);
+  EXPECT_EQ(moved, 2832u);
+}
+
 // --- degenerate structure ------------------------------------------------
 
 TEST_F(SparseTwoDevices, ZeroRowMatrixYieldsEmptyResult) {

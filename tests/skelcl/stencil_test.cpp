@@ -235,19 +235,11 @@ TEST_F(StencilOneDevice, TwoLaunchesWithoutHalo) {
 /// DMA bytes all devices moved while one clamp stencil call over `in`
 /// staged its grid, exchanged halos, and downloaded its result.
 std::uint64_t dmaBytesForOneCall(Vector<int>& in, std::size_t width) {
-  auto& runtime = skelcl::detail::Runtime::instance();
-  auto dma = [&] {
-    std::uint64_t total = 0;
-    for (const ocl::Device& d : runtime.devices()) {
-      total += d.state().dmaBytes();
-    }
-    return total;
-  };
   Stencil<int> st(sum2DSource(1), StencilShape{1, Boundary::Clamp, width});
-  const std::uint64_t before = dma();
+  const std::uint64_t before = skelcl_test::totalDmaBytes();
   Vector<int> out = st(in);
   (void)out[0]; // downloads the whole result
-  return dma() - before;
+  return skelcl_test::totalDmaBytes() - before;
 }
 
 // The grid crosses PCIe once, already in the row-aligned layout the
@@ -267,6 +259,27 @@ TEST_F(StencilFourDevices, InputIsStagedOnceInItsRowAlignedLayout) {
   Vector<int> fresh(randomInts(16 * width, 92));
   EXPECT_EQ(dmaBytesForOneCall(fresh, width),
             2 * 16 * width * sizeof(int) + haloLegs);
+}
+
+// A still-pending input is placed at evaluation, after its producer ran
+// where its own input lived: a fresh vector's Map runs on device 0, so
+// the row-aligned layout costs a download of the Map result and its
+// re-upload in blocks, where a concrete grid costs one upload. This pins
+// that host round trip; a change that moves the result device-to-device
+// must update the pin on purpose.
+TEST_F(StencilFourDevices, PendingInputIsPlacedAtEvaluation) {
+  const std::size_t width = 64;
+  const std::uint64_t grid = 16 * width * sizeof(int);
+  const std::uint64_t haloLegs = 3 * 2 * 2 * (width + 2) * sizeof(int);
+
+  skelcl::Map<int> inc("int inc_pin(int x) { return x + 1; }");
+  Vector<int> fresh(randomInts(16 * width, 93));
+  Vector<int> pending = inc(fresh);
+  const std::uint64_t first = dmaBytesForOneCall(pending, width);
+  EXPECT_EQ(first, 3 * grid + haloLegs);
+  EXPECT_EQ(first, 15456u);
+  // The grid now stays resident in its row-aligned layout.
+  EXPECT_EQ(dmaBytesForOneCall(pending, width), grid + haloLegs);
 }
 
 // Iterated stencils chain through the expression DAG (each step's input
