@@ -169,7 +169,6 @@ SatPoint runSaturation(double load, std::uint64_t serviceNs,
   {
     svc::ServiceConfig config;
     config.policy = svc::Policy::Fifo;
-    config.batching = true;
     config.batchLimit = 8;
     config.queueCap = jobsPerTenant;
     svc::JobServer server(config);
@@ -274,7 +273,7 @@ HeavyLight runHeavyLight(svc::Policy policy, std::size_t heavyJobs,
   {
     svc::ServiceConfig config;
     config.policy = policy;
-    config.batching = false; // job-granularity scheduling under test
+    config.batchLimit = 1; // job-granularity scheduling under test
     config.queueCap = heavyJobs + lightJobs;
     svc::JobServer server(config);
     svc::Session& heavy = server.openSession("heavy");
@@ -320,7 +319,7 @@ std::size_t runWeightedSplit(std::size_t jobsEach, std::size_t n) {
   {
     svc::ServiceConfig config;
     config.policy = svc::Policy::FairShare;
-    config.batching = false;
+    config.batchLimit = 1;
     config.queueCap = jobsEach;
     svc::JobServer server(config);
     svc::Session& a = server.openSession("w2", /*weight=*/2.0);
@@ -416,7 +415,6 @@ BatchRun runShared(std::size_t tenants, std::size_t jobsPerTenant,
   {
     svc::ServiceConfig config;
     config.policy = svc::Policy::Fifo;
-    config.batching = true;
     config.batchLimit = 8;
     config.queueCap = jobsPerTenant;
     svc::JobServer server(config);
@@ -466,7 +464,7 @@ BatchRun runIsolated(std::size_t tenants, std::size_t jobsPerTenant,
     {
       svc::ServiceConfig config;
       config.policy = svc::Policy::Fifo;
-      config.batching = false;
+      config.batchLimit = 1;
       config.queueCap = jobsPerTenant;
       svc::JobServer server(config);
       svc::Session& session =
@@ -558,7 +556,7 @@ std::vector<std::vector<float>> runAlphaSolo(std::size_t jobs,
   {
     svc::ServiceConfig config;
     config.policy = svc::Policy::Fifo;
-    config.batching = false;
+    config.batchLimit = 1;
     config.queueCap = jobs;
     svc::JobServer server(config);
     svc::Session& alpha = server.openSession("alpha");
@@ -601,7 +599,7 @@ bool benchFaultIsolation(bool smoke) {
   {
     svc::ServiceConfig config;
     config.policy = svc::Policy::Fifo;
-    config.batching = false;
+    config.batchLimit = 1;
     config.queueCap = jobs;
     svc::JobServer server(config);
     svc::Session& alpha = server.openSession("alpha");

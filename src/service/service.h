@@ -68,10 +68,10 @@ const char* policyName(Policy policy) noexcept;
 struct ServiceConfig {
   Policy policy = Policy::Fifo;
   std::size_t queueCap = 64;  // pending jobs per tenant before overload
-  // Jobs in flight at once: batchLimit with batching on, 1 with it off
-  // (each job then completes before the next one starts).
+  std::size_t batchLimit = 8; // jobs in flight; 1 runs one at a time
+  // Deprecated: false is batchLimit = 1. Only perfbench's service_mix
+  // workload still sets it; delete it with the next change to perfbench.
   bool batching = true;
-  std::size_t batchLimit = 8;
 };
 
 /// Admission-control rejection: the tenant's queue is full. Typed so

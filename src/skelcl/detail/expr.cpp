@@ -75,13 +75,14 @@ std::vector<VectorState*> distinctLeaves(const FusionPlan& plan) {
   return distinct;
 }
 
-/// The one placement rule: stages `inputs` where `node` reads them. The
-/// first input sets the layout. Map, Zip and Reduce read it in its own
-/// distribution, Scan on one device, Stencil in the layout
-/// layOutStencilInput picks, and SparseGather replicated on every device
-/// once the matrix is staged. Every other input is matched to the first
+/// The one placement rule: stages `inputs` where `node` reads them,
+/// each through VectorState::place. The first input sets the layout.
+/// Map, Zip and Reduce read it in its own layout, Stencil in row-aligned
+/// blocks (placeInRowBlocks), Scan and a Stencil with too few rows per
+/// device on one device, and SparseGather replicated on every device
+/// once the matrix is staged. Every other input is placed in the first
 /// input's layout. A pending input is left for its own evaluation; while
-/// the first one is pending, the others are staged as they are.
+/// the first one is pending, the others are placed in their own layouts.
 /// invokeSkeleton applies the rule to a call's inputs, so upload faults
 /// surface at the call site. evaluateNode applies it again to the plan's
 /// leaves: the inputs that were pending at the call, and the inputs of
@@ -94,23 +95,25 @@ void placeInputs(const ExprNode& node,
     node.sparse->csr->ensureOnDevices();
   }
   if (!first.hasPending()) {
-    // Scan and SparseGather read the whole vector on each device they
-    // use; a single-device vector may stay on its device for Scan.
-    const auto wholeOnDevices = [&first](Distribution dist) {
-      if (first.distribution() != dist) {
-        first.setDistribution(dist, 0);
-      }
-      first.ensureOnDevices();
-    };
     switch (node.op) {
-      case ExprNode::Op::Scan:
-        wholeOnDevices(Distribution::Single);
-        break;
       case ExprNode::Op::Stencil:
-        layOutStencilInput(first, *node.stencil);
+        if (placeInRowBlocks(first, *node.stencil)) {
+          break;
+        }
+        [[fallthrough]];
+      case ExprNode::Op::Scan: {
+        // A Single vector stays on its device; anything else goes to
+        // device 0.
+        const std::size_t device = first.distribution() == Distribution::Single
+                                       ? first.singleDeviceIndex()
+                                       : 0;
+        first.place(Distribution::Single, device,
+                    layoutOf(Distribution::Single, device, first.size()));
         break;
+      }
       case ExprNode::Op::SparseGather:
-        wholeOnDevices(Distribution::Copy);
+        first.place(Distribution::Copy, 0,
+                    layoutOf(Distribution::Copy, 0, first.size()));
         break;
       default:
         first.ensureOnDevices();
@@ -126,8 +129,8 @@ void placeInputs(const ExprNode& node,
     if (first.hasPending()) {
       in.ensureOnDevices();
     } else {
-      in.matchLayout(first.distribution(), first.singleDeviceIndex(),
-                     first.chunks());
+      in.place(first.distribution(), first.singleDeviceIndex(),
+               first.chunks());
     }
   }
 }

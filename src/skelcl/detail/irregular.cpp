@@ -258,7 +258,7 @@ std::string sparseProgramSource(const std::shared_ptr<ExprNode>& node,
 
 } // namespace
 
-void layOutStencilInput(VectorState& in, const StencilParams& P) {
+bool placeInRowBlocks(VectorState& in, const StencilParams& P) {
   auto& runtime = Runtime::instance();
   const std::size_t W = P.width > 0 ? P.width : 1;
   const std::size_t n = in.size();
@@ -267,23 +267,22 @@ void layOutStencilInput(VectorState& in, const StencilParams& P) {
 
   // Geometry: a multi-device run needs every device's row share to
   // cover the radius, so each halo is one contiguous copy from exactly
-  // one neighbor chunk. Degenerate shares fall back to a single device.
-  // The blocks split whole rows (a 2D stencil must not cut a grid row
-  // across devices). An iterated stencil hits matchLayout's same-layout
-  // fast path after the first step and stays resident.
+  // one neighbor chunk. Degenerate shares fall back to a single device,
+  // which the caller places. The blocks split whole rows (a 2D stencil
+  // must not cut a grid row across devices). An iterated stencil keeps
+  // its chunks after the first step (place's same-layout case) and stays
+  // resident.
   if (runtime.deviceCount() > 1 && totalRows > 0) {
-    const std::vector<Chunk> layout = blockLayout(totalRows, W);
+    const std::vector<Chunk> layout =
+        layoutOf(Distribution::Block, 0, totalRows, W);
     if (std::all_of(layout.begin(), layout.end(), [&](const Chunk& c) {
           return c.count >= P.radius * W;
         })) {
-      in.matchLayout(Distribution::Block, 0, layout);
-      return;
+      in.place(Distribution::Block, 0, layout);
+      return true;
     }
   }
-  if (in.distribution() != Distribution::Single) {
-    in.setDistribution(Distribution::Single, 0);
-  }
-  in.ensureOnDevices();
+  return false;
 }
 
 void runStencil(const std::shared_ptr<ExprNode>& node,
@@ -442,7 +441,7 @@ void CsrState::ensureOnDevices() {
   auto& runtime = Runtime::instance();
   runtime.requireInit();
   try {
-    for (const Chunk& share : blockLayout(rows_)) {
+    for (const Chunk& share : layoutOf(Distribution::Block, 0, rows_)) {
       CsrChunk chunk;
       chunk.deviceIndex = share.deviceIndex;
       chunk.rowBegin = share.offset;
@@ -491,23 +490,16 @@ void runSparseGather(const std::shared_ptr<ExprNode>& node,
                      const std::shared_ptr<VectorState>& out,
                      const FusionPlan& plan, Runtime& runtime) {
   // Placement replicated the dense operand (the gather may touch any
-  // column on any device). The matrix's row partition, fixed at its
-  // first upload, dictates the output layout.
+  // column on any device). The output takes the matrix's row
+  // partition: the block split of its rows, which its upload used too
+  // (block weights are fixed for an init() cycle).
   const CsrState& csr = *node->sparse->csr;
   VectorState& x = *plan.leaves.front();
   prepareStageArguments(plan);
 
   const std::vector<CsrChunk>& cchunks = csr.chunks();
-  std::vector<Chunk> layout;
-  layout.reserve(cchunks.size());
-  for (const CsrChunk& cc : cchunks) {
-    Chunk c;
-    c.deviceIndex = cc.deviceIndex;
-    c.offset = cc.rowBegin;
-    c.count = cc.rowCount;
-    layout.push_back(std::move(c));
-  }
-  out->allocateOutput(Distribution::Block, 0, layout);
+  out->allocateOutput(Distribution::Block, 0,
+                      layoutOf(Distribution::Block, 0, csr.rows()));
 
   ocl::Program program = runtime.programFor(sparseProgramSource(node, plan));
   for (std::size_t idx : runtime.chunkVisitOrder(cchunks.size())) {

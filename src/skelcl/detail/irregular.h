@@ -16,13 +16,13 @@ namespace skelcl::detail {
 
 class Runtime;
 
-/// Stages a stencil input in the layout its evaluation reads: row-
-/// aligned blocks when every device's row share covers the radius, else
-/// the whole grid on one device. A no-op when the input already has that
-/// layout. The placement rule (expr.cpp) applies it, both at the call
-/// and before runStencil, which reads the choice back from the input's
-/// distribution.
-void layOutStencilInput(VectorState& in, const StencilParams& P);
+/// Places a stencil input in row-aligned blocks when every device's row
+/// share covers the radius, and returns false, placing nothing, when
+/// some share does not (the grid then goes to one device). A no-op when
+/// the input already has that layout. The placement rule (expr.cpp)
+/// applies it, both at the call and before runStencil, which reads the
+/// choice back from the input's distribution.
+bool placeInRowBlocks(VectorState& in, const StencilParams& P);
 
 void runStencil(const std::shared_ptr<ExprNode>& node,
                 const std::shared_ptr<VectorState>& out,

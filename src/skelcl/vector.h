@@ -56,15 +56,18 @@ struct Chunk {
   UploadPieces pieces;
 };
 
-/// The block distribution's chunks for `units` units of `unitSize`
-/// elements each: one chunk per device, holding whole units in the
-/// runtime's block-weight split (detail/partition.h). On a uniform
-/// machine this is the paper's even split; on heterogeneous platforms,
-/// faster devices receive proportionally larger contiguous parts.
-/// Devices whose share rounds to zero still get a (count == 0) chunk so
-/// chunk index == device index holds; no device command is ever enqueued
-/// for those. Offsets and counts are in elements.
-std::vector<Chunk> blockLayout(std::size_t units, std::size_t unitSize = 1);
+/// The chunks of distribution `dist` for `units` units of `unitSize`
+/// elements each, without buffers. Single is the whole vector on
+/// `singleDevice`, Copy the whole vector on every device. Block is one
+/// chunk per device, holding whole units in the runtime's block-weight
+/// split (detail/partition.h). On a uniform machine this is the paper's
+/// even split; on heterogeneous platforms, faster devices receive
+/// proportionally larger contiguous parts. Devices whose share rounds to
+/// zero still get a (count == 0) chunk so chunk index == device index
+/// holds; no device command is ever enqueued for those. Offsets and
+/// counts are in elements.
+std::vector<Chunk> layoutOf(Distribution dist, std::size_t singleDevice,
+                            std::size_t units, std::size_t unitSize = 1);
 
 class ExprNode;
 
@@ -116,6 +119,10 @@ public:
 
   Distribution distribution() const { return dist_; }
   std::size_t singleDeviceIndex() const { return singleDevice_; }
+  /// Lazy: downloads the device data if it is newer than the host copy
+  /// and drops the chunks; the next placement uploads the new layout.
+  /// Throws common::InvalidArgument for a single device the runtime does
+  /// not have, leaving the vector as it was.
   void setDistribution(Distribution dist, std::size_t singleDevice = 0);
   /// Redistribution copy -> block with a user combine function: device i
   /// keeps its own portion and element-wise combines every other
@@ -124,7 +131,16 @@ public:
 
   // --- device access ----------------------------------------------------
 
+  /// place() in the vector's own layout: its chunks, or a fresh
+  /// layoutOf its distribution when it has none.
   void ensureOnDevices();
+  /// The one placement routine: gives the device data distribution
+  /// `dist` and the exact chunk geometry of `layout`. Chunks that already
+  /// have it are kept and uploaded only when the host copy is newer.
+  /// Otherwise the layout is staged through the host: the device data is
+  /// downloaded if it is newer, the target layout allocated and uploaded.
+  void place(Distribution dist, std::size_t singleDevice,
+             const std::vector<Chunk>& layout);
   const std::vector<Chunk>& chunks() const { return chunks_; }
   const Chunk& chunkForDevice(std::size_t deviceIndex) const;
   void markDevicesModified();
@@ -155,14 +171,6 @@ public:
   /// size. SparseGather mirrors its matrix's row partition.
   void allocateOutput(Distribution dist, std::size_t singleDevice,
                       const std::vector<Chunk>& layout);
-  /// Ensures this vector's device data has distribution `dist` and the
-  /// exact chunk geometry of `layout`, re-staging through the host when
-  /// it does not. Zip aligns its right operand with this: a Stencil
-  /// output's row-aligned blocks differ from a fresh block partition
-  /// (and two single distributions may sit on different devices), and
-  /// element-wise kernels need identical geometry.
-  void matchLayout(Distribution dist, std::size_t singleDevice,
-                   const std::vector<Chunk>& layout);
 
   // --- deferred-computation plumbing ------------------------------------
   // A vector produced by a lazy skeleton call carries the producing DAG
@@ -224,8 +232,6 @@ private:
   std::size_t chunkIndexOn(std::size_t deviceIndex) const;
   void allocateLayout(const std::vector<Chunk>& layout);
   void upload();
-  [[noreturn]] void rollbackStaging(ocl::ClError& error,
-                                    const std::string& what);
   void rethrowPoison();
 
   std::size_t elemSize_;

@@ -1,12 +1,13 @@
 // detail::VectorState — the untyped device side of skelcl::Vector (see
 // vector.h): chunk geometry, lazy and split uploads, transactional
 // downloads, redistribution (including the device-side copy -> block
-// combine), output allocation and layout alignment, all in units of the
+// combine), output allocation and placement, all in units of the
 // element's byte size. The typed host copy is reached only through the
 // three host-storage hooks.
 #include "skelcl/vector.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "skelcl/detail/expr.h"
 #include "skelcl/detail/skeleton_common.h"
@@ -39,18 +40,27 @@ std::vector<ocl::Event> depsOf(const Chunk& chunk) {
 
 } // namespace
 
-std::vector<Chunk> blockLayout(std::size_t units, std::size_t unitSize) {
+std::vector<Chunk> layoutOf(Distribution dist, std::size_t singleDevice,
+                            std::size_t units, std::size_t unitSize) {
   auto& runtime = Runtime::instance();
-  const std::vector<std::size_t> counts = runtime.blockPartition(units);
+  // Units per device: a block share each, or the whole vector on every
+  // device (copy) or on the single one.
+  const bool block = dist == Distribution::Block;
+  const std::vector<std::size_t> counts =
+      block ? runtime.blockPartition(units)
+            : std::vector<std::size_t>(runtime.deviceCount(), units);
   COMMON_CHECK(counts.size() == runtime.deviceCount());
   std::vector<Chunk> layout;
   std::size_t offset = 0;
   for (std::size_t d = 0; d < counts.size(); ++d) {
+    if (dist == Distribution::Single && d != singleDevice) {
+      continue;
+    }
     Chunk chunk;
     chunk.deviceIndex = d;
     chunk.offset = offset;
     chunk.count = counts[d] * unitSize;
-    offset += chunk.count;
+    offset += block ? chunk.count : 0;
     layout.push_back(std::move(chunk));
   }
   return layout;
@@ -119,6 +129,12 @@ void VectorState::setDistribution(Distribution dist,
                                   std::size_t singleDevice) {
   auto& runtime = Runtime::instance();
   runtime.requireInit();
+  if (dist == Distribution::Single && singleDevice >= runtime.deviceCount()) {
+    throw common::InvalidArgument(
+        "single distribution on device " + std::to_string(singleDevice) +
+        ", but the runtime has " + std::to_string(runtime.deviceCount()) +
+        " device(s)");
+  }
   forcePending();
   if (dist == dist_ &&
       (dist != Distribution::Single || singleDevice == singleDevice_)) {
@@ -165,7 +181,7 @@ void VectorState::setDistributionCombine(const std::string& combineSource) {
   // mid-combine discards the half-built blocks; the vector stays
   // copy-distributed with its old chunks and host data untouched, so
   // the caller can retry the redistribution after handling the error.
-  std::vector<Chunk> blocks = blockLayout(hostCount());
+  std::vector<Chunk> blocks = layoutOf(Distribution::Block, 0, hostCount());
   for (Chunk& block : blocks) {
     const std::size_t d = block.deviceIndex;
     const std::size_t offset = block.offset * elemSize_;
@@ -233,35 +249,63 @@ void VectorState::setDistributionCombine(const std::string& combineSource) {
 void VectorState::ensureOnDevices() {
   forcePending();
   Runtime::instance().requireInit();
-  if (!chunks_.empty() && !hostDirty_) {
-    return;
+  if (chunks_.empty()) {
+    place(dist_, singleDevice_, layoutOf(dist_, singleDevice_, hostCount()));
+  } else {
+    // The chunks match themselves, so place keeps them without rebuilding
+    // (which would clear the layout it reads) and uploads only a newer
+    // host copy.
+    place(dist_, singleDevice_, chunks_);
+  }
+}
+
+void VectorState::place(Distribution dist, std::size_t singleDevice,
+                        const std::vector<Chunk>& layout) {
+  forcePending();
+  const bool sameDistribution =
+      dist == dist_ &&
+      (dist != Distribution::Single || singleDevice == singleDevice_);
+  const auto sameGeometry = [](const Chunk& a, const Chunk& b) {
+    return a.deviceIndex == b.deviceIndex && a.offset == b.offset &&
+           a.count == b.count;
+  };
+  const bool inPlace = !chunks_.empty() && sameDistribution &&
+                       std::equal(chunks_.begin(), chunks_.end(),
+                                  layout.begin(), layout.end(), sameGeometry);
+  std::optional<trace::ScopedHostSpan> span;
+  if (inPlace) {
+    if (!hostDirty_) {
+      return;
+    }
+  } else {
+    // Replacing chunks, or uploading a vector in another distribution
+    // than its own, is a redistribution staged through the host. A
+    // failed download leaves the old chunks as they were.
+    if (!chunks_.empty() || !sameDistribution) {
+      span.emplace(trace::HostKind::Redistribute, "vector.redistribute");
+    }
+    ensureOnHost();
+    dist_ = dist;
+    singleDevice_ = singleDevice;
   }
   try {
-    if (chunks_.empty()) {
-      // One chunk per device of the distribution: the whole vector on
-      // the single device or on every device (copy), or the block
-      // partition.
-      std::vector<Chunk> layout;
-      if (dist_ == Distribution::Block) {
-        layout = blockLayout(hostCount());
-      } else {
-        const bool copy = dist_ == Distribution::Copy;
-        const std::size_t first = copy ? 0 : singleDevice_;
-        const std::size_t last =
-            copy ? Runtime::instance().deviceCount() : singleDevice_ + 1;
-        for (std::size_t d = first; d < last; ++d) {
-          Chunk chunk;
-          chunk.deviceIndex = d;
-          chunk.count = hostCount();
-          layout.push_back(std::move(chunk));
-        }
-      }
+    if (!inPlace) {
       allocateLayout(layout);
     }
     upload();
     hostDirty_ = false;
   } catch (ocl::ClError& e) {
-    rollbackStaging(e, "vector upload");
+    // Failure atomicity of staging: an allocation or upload failure
+    // (injected or organic) may leave some chunks allocated or partially
+    // written. Dropping every chunk restores the invariant "host data is
+    // the truth" — the next access re-allocates and re-uploads from the
+    // still-valid host copy — and the caller sees the typed exception.
+    chunks_.clear();
+    hostDirty_ = true;
+    devicesDirty_ = false;
+    e.prependContext("vector upload of " + std::to_string(hostCount()) +
+                     " element(s)");
+    throw;
   }
 }
 
@@ -315,12 +359,9 @@ void VectorState::adoptDeviceBuffer(ocl::Buffer buffer, std::size_t count,
   resizeHostStorage(0);
   resizeHostStorage(count);
   clearPending();
-  Chunk chunk;
-  chunk.buffer = std::move(buffer);
-  chunk.deviceIndex = deviceIndex;
-  chunk.count = count;
-  chunk.ready = std::move(ready);
-  chunks_ = {std::move(chunk)};
+  chunks_ = layoutOf(Distribution::Single, deviceIndex, count);
+  chunks_.front().buffer = std::move(buffer);
+  chunks_.front().ready = std::move(ready);
   dist_ = Distribution::Single;
   singleDevice_ = deviceIndex;
   hostDirty_ = false;
@@ -340,35 +381,6 @@ void VectorState::allocateOutput(Distribution dist, std::size_t singleDevice,
   resizeHostStorage(count);
   allocateLayout(layout);
   hostDirty_ = false;
-}
-
-void VectorState::matchLayout(Distribution dist, std::size_t singleDevice,
-                              const std::vector<Chunk>& layout) {
-  forcePending();
-  const auto sameGeometry = [](const Chunk& a, const Chunk& b) {
-    return a.deviceIndex == b.deviceIndex && a.offset == b.offset &&
-           a.count == b.count;
-  };
-  if (!chunks_.empty() && dist_ == dist &&
-      (dist != Distribution::Single || singleDevice_ == singleDevice) &&
-      std::equal(chunks_.begin(), chunks_.end(), layout.begin(),
-                 layout.end(), sameGeometry)) {
-    ensureOnDevices();
-    return;
-  }
-  trace::ScopedHostSpan span(trace::HostKind::Redistribute,
-                             "vector.redistribute");
-  ensureOnHost();
-  chunks_.clear();
-  dist_ = dist;
-  singleDevice_ = singleDevice;
-  try {
-    allocateLayout(layout);
-    upload();
-    hostDirty_ = false;
-  } catch (ocl::ClError& e) {
-    rollbackStaging(e, "vector layout alignment");
-  }
 }
 
 // --- private helpers -------------------------------------------------------
@@ -430,21 +442,6 @@ void VectorState::upload() {
       begin = end;
     }
   }
-}
-
-/// Failure atomicity of staging: an allocation or upload failure
-/// (injected or organic) may leave some chunks allocated or partially
-/// written. Dropping every chunk restores the invariant "host data is
-/// the truth" — the next access re-allocates and re-uploads from the
-/// still-valid host copy — and the caller sees the typed exception.
-void VectorState::rollbackStaging(ocl::ClError& error,
-                                  const std::string& what) {
-  chunks_.clear();
-  hostDirty_ = true;
-  devicesDirty_ = false;
-  error.prependContext(what + " of " + std::to_string(hostCount()) +
-                       " element(s)");
-  throw;
 }
 
 // --- deferred-computation plumbing -----------------------------------------

@@ -88,11 +88,13 @@ void initSystem() {
 }
 
 /// FIFO, deterministic in pump mode; batching off runs one job at a
-/// time, batching on keeps up to batchLimit jobs in flight.
+/// time, batching on keeps up to the default batchLimit jobs in flight.
 svc::ServiceConfig deterministicConfig(bool batching = false) {
   svc::ServiceConfig config;
   config.policy = svc::Policy::Fifo;
-  config.batching = batching;
+  if (!batching) {
+    config.batchLimit = 1;
+  }
   config.queueCap = 2 * kJobs;
   return config;
 }

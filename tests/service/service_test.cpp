@@ -192,7 +192,7 @@ TEST_F(ServiceTest, FairShareConvergesOnWeightedPair) {
   const std::size_t jobsEach = 9;
   svc::ServiceConfig config;
   config.policy = svc::Policy::FairShare;
-  config.batching = false;
+  config.batchLimit = 1;
   config.queueCap = jobsEach;
   svc::JobServer server(config);
   svc::Session& a = server.openSession("w2", /*weight=*/2.0);
@@ -231,7 +231,7 @@ TEST_F(ServiceTest, FairShareConvergesOnWeightedPair) {
 TEST_F(ServiceTest, PriorityPreemptsAtJobNotKernelGranularity) {
   svc::ServiceConfig config;
   config.policy = svc::Policy::Priority;
-  config.batching = false;
+  config.batchLimit = 1;
   svc::JobServer server(config);
   svc::Session& low = server.openSession("low", 1.0, /*priority=*/0);
   svc::Session& high = server.openSession("high", 1.0, /*priority=*/5);
@@ -266,7 +266,6 @@ TEST_F(ServiceTest, PriorityPreemptsAtJobNotKernelGranularity) {
 TEST_F(ServiceTest, BatchingCoalescesSameProgramAcrossTenants) {
   svc::ServiceConfig config;
   config.policy = svc::Policy::Fifo;
-  config.batching = true;
   config.batchLimit = 8;
   svc::JobServer server(config);
   svc::Session& a = server.openSession("a");
@@ -287,7 +286,7 @@ TEST_F(ServiceTest, BatchingCoalescesSameProgramAcrossTenants) {
 
 TEST_F(ServiceTest, BatchingOffRunsEveryJobAlone) {
   svc::ServiceConfig config;
-  config.batching = false;
+  config.batchLimit = 1;
   svc::JobServer server(config);
   svc::Session& a = server.openSession("a");
   auto sink = std::make_shared<JobSink>();
@@ -341,7 +340,7 @@ svc::JobHandle runBeforeChain(svc::Job leaky) {
   svc::ServiceConfig config;
   // One job at a time: the chain job starts, and drains, only after the
   // leaky job's consume() ran.
-  config.batching = false;
+  config.batchLimit = 1;
   std::uint64_t soloCycles = 0;
   std::uint64_t soloBytes = 0;
   {

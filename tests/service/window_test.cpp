@@ -93,7 +93,6 @@ svc::Job dotJob(std::size_t seed, std::size_t gpu,
 svc::ServiceConfig windowConfig(std::size_t limit) {
   svc::ServiceConfig config;
   config.policy = svc::Policy::Fifo;
-  config.batching = true;
   config.batchLimit = limit;
   return config;
 }

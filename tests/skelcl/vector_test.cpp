@@ -123,6 +123,41 @@ TEST_F(VectorTest, SingleDistributionTargetsChosenDevice) {
   EXPECT_EQ(v.state().chunks()[0].deviceIndex, 1u);
 }
 
+TEST_F(VectorTest, SingleDistributionOnTheLastDeviceIsAccepted) {
+  const std::size_t last = skelcl::deviceCount() - 1;
+  Vector<int> v(4, 1);
+  v.setDistribution(Distribution::Single, last);
+  v.state().ensureOnDevices();
+  ASSERT_EQ(v.state().chunks().size(), 1u);
+  EXPECT_EQ(v.state().chunks()[0].deviceIndex, last);
+  EXPECT_EQ(v[3], 1);
+}
+
+// An index past the last device is rejected where it is given, not when
+// a later skeleton call would stage the vector there.
+TEST_F(VectorTest, SingleDistributionPastTheLastDeviceThrows) {
+  const std::size_t devices = skelcl::deviceCount();
+  Vector<int> v(4, 1);
+  v.setDistribution(Distribution::Block);
+  v.state().ensureOnDevices();
+  try {
+    v.setDistribution(Distribution::Single, devices);
+    FAIL() << "expected InvalidArgument";
+  } catch (const common::InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("device " + std::to_string(devices)),
+              std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(devices) + " device(s)"),
+              std::string::npos) << what;
+  }
+  // The vector is unchanged and still usable.
+  EXPECT_EQ(v.distribution(), Distribution::Block);
+  skelcl::Map<int> inc("int inc_oob(int x) { return x + 1; }");
+  Vector<int> out = inc(v);
+  EXPECT_EQ(out.distribution(), Distribution::Block);
+  EXPECT_EQ(out[3], 2);
+}
+
 TEST_F(VectorTest, RedistributionRoundTripPreservesData) {
   std::vector<int> data(100);
   std::iota(data.begin(), data.end(), 0);

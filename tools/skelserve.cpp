@@ -2,7 +2,7 @@
 // simulated SkelCL runtime.
 //
 //   skelserve [--tenants N] [--jobs J] [--gpus G]
-//             [--policy fifo|fair|priority] [--queue-cap C] [--batch 0|1]
+//             [--policy fifo|fair|priority] [--queue-cap C] [--batch N]
 //             [--pump] [--n ELEMENTS] [--trace FILE]
 //
 // Spawns one client thread per tenant (or, with --pump, submits
@@ -10,16 +10,17 @@
 // dispatcher), pushes J map/zip jobs per tenant through a JobServer,
 // and prints the per-tenant accounting table (jobs, device-cycles,
 // bytes moved, queue wait, p50/p99 latency) plus the dispatcher's window
-// stats. --trace records the run for `skeltrace report`, whose tenant
-// section is fed by the same accounting. The service starts from
-// ServiceConfig's defaults; the flags override them.
+// stats. --batch sets how many jobs may be in flight at once (1 runs
+// each job to completion before the next starts). --trace records the
+// run for `skeltrace report`, whose tenant section is fed by the same
+// accounting. The service starts from ServiceConfig's defaults; the
+// flags override them.
 //
 // Exit status: 0 when every job completed with the expected checksum,
 // 1 on any failed job or checksum mismatch, 2 on usage errors.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -39,7 +40,7 @@ int usage() {
       stderr,
       "usage: skelserve [--tenants N] [--jobs J] [--gpus G]\n"
       "                 [--policy fifo|fair|priority] [--queue-cap C]\n"
-      "                 [--batch 0|1] [--pump] [--n ELEMENTS]"
+      "                 [--batch N] [--pump] [--n ELEMENTS]"
       " [--trace FILE]\n");
   return 2;
 }
@@ -124,7 +125,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--queue-cap" && (v = next())) {
       config.queueCap = std::strtoull(v, nullptr, 10);
     } else if (arg == "--batch" && (v = next())) {
-      config.batching = std::strcmp(v, "0") != 0;
+      config.batchLimit = std::strtoull(v, nullptr, 10);
     } else if (arg == "--trace" && (v = next())) {
       tracePath = v;
     } else if (arg == "--pump") {
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
     }
   }
   if (tenants == 0 || jobs == 0 || gpus == 0 || n == 0 ||
-      config.queueCap == 0) {
+      config.queueCap == 0 || config.batchLimit == 0) {
     return usage();
   }
 
@@ -205,9 +206,9 @@ int main(int argc, char** argv) {
     }
 
     std::printf("skelserve: %zu tenant(s) x %zu job(s), %u GPU(s), "
-                "policy %s, queue cap %zu, batching %s%s\n",
+                "policy %s, queue cap %zu, batch limit %zu%s\n",
                 tenants, jobs, gpus, service::policyName(config.policy),
-                config.queueCap, config.batching ? "on" : "off",
+                config.queueCap, config.batchLimit,
                 pumpMode ? ", pump mode" : "");
     std::printf("%-12s %6s %4s %5s %6s %8s %14s %12s %12s %11s %11s\n",
                 "tenant", "weight", "prio", "jobs", "failed", "rejects",
