@@ -1,5 +1,5 @@
 // Multi-node cluster simulation: node scaling, interconnect tiers, and
-// the energy/cost ledger (DESIGN.md §6j).
+// the energy/cost of each run (DESIGN.md §6j).
 //
 // Scaling runs R rounds of upload + compute-heavy Map + download over
 // `node(t10*2)*N@ib` for N = 1, 2, 4. The two-level block distribution
@@ -7,11 +7,13 @@
 // must be bit-identical to the single-node run (distribution moves
 // chunk boundaries, never results) and 2 nodes must beat 1 by >= 1.3x
 // virtual time (the binary exits non-zero otherwise). Each config also
-// reports joules (idle power over the makespan, busy-idle power over
-// compute time, nJ per DMA byte — live from the ocl::DeviceState totals,
-// both legs of cross-device copies included), perf-per-watt, and the
-// $-cost of the run (cloud-style: a fixed rate per node-hour plus
-// metered energy).
+// reports joules and perf-per-watt, read from the trace of its timed
+// region (trace::analyze: idle power over the trace span, busy-idle
+// power over compute busy time, nJ per DMA byte), and the $-cost of the
+// run (cloud-style: a fixed rate per node-hour plus metered energy).
+// The timed region is always recorded; under SKELCL_TRACE that same
+// recording is the config's trace file, so skeltrace reports the joules
+// printed here.
 //
 // The interconnect comparison runs the same 2-device stencil halo
 // exchange on one node (PCIe peer copies), split across two nodes over
@@ -21,14 +23,15 @@
 //
 // Output: human-readable tables plus `BENCH {...}` JSON lines. ctest
 // runs `--smoke` under the `perf-smoke;cluster` labels with SKELCL_TRACE
-// set; `skeltrace --check-cluster` then audits the 2-node ib trace
-// (cross-node bytes flowed, energy ledger reconciles).
+// set; `skeltrace --check-cluster` then audits the 2-node ib halo trace
+// (cross-node bytes flowed, energy reconciles per node and device).
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "trace/analysis.h"
 
 namespace {
 
@@ -39,54 +42,21 @@ constexpr double kMinTwoNodeSpeedup = 1.3;
 constexpr double kUsdPerKwh = 0.12;
 constexpr double kUsdPerNodeHour = 2.50;
 
-struct EnergyLedger {
+struct Energy {
   double joules = 0.0;
   double perfPerWatt = 0.0; // kernel cycles per joule
   double costUsd = 0.0;
 };
 
-/// One device's ocl::DeviceState totals at an edge of a measured region.
-struct DeviceTotals {
-  std::uint64_t kernelCycles = 0;
-  std::uint64_t kernelBusyNs = 0;
-  std::uint64_t dmaBytes = 0;
-};
-
-std::vector<DeviceTotals> sampleTotals() {
-  std::vector<DeviceTotals> out;
-  for (const ocl::Device& device :
-       skelcl::detail::Runtime::instance().devices()) {
-    const ocl::DeviceState& state = device.state();
-    out.push_back(
-        {state.kernelCycles(), state.kernelBusyNs(), state.dmaBytes()});
-  }
-  return out;
-}
-
-/// Live energy over one measured region: per device, idle watts over the
-/// whole makespan plus (busy - idle) watts over its compute-busy time
-/// plus nJ per DMA byte, from DeviceState total deltas (1 W = 1 nJ/ns).
-EnergyLedger ledger(const std::vector<DeviceTotals>& before,
-                    const std::vector<DeviceTotals>& after,
-                    std::uint64_t makespanNs, std::uint32_t nodes) {
-  auto& runtime = skelcl::detail::Runtime::instance();
-  double nj = 0.0;
-  double cycles = 0.0;
-  const auto& devices = runtime.devices();
-  for (std::size_t d = 0; d < devices.size(); ++d) {
-    const ocl::DeviceSpec& spec = devices[d].spec();
-    const std::uint64_t busyNs =
-        after[d].kernelBusyNs - before[d].kernelBusyNs;
-    const std::uint64_t bytes = after[d].dmaBytes - before[d].dmaBytes;
-    nj += spec.idlePowerW * double(makespanNs) +
-          (spec.busyPowerW - spec.idlePowerW) * double(busyNs) +
-          spec.transferNjPerByte * double(bytes);
-    cycles += double(after[d].kernelCycles - before[d].kernelCycles);
-  }
-  EnergyLedger out;
-  out.joules = nj * 1e-9;
-  out.perfPerWatt = out.joules > 0.0 ? cycles / out.joules : 0.0;
+/// Energy of one timed region, from its trace; the rental covers the
+/// region's virtual makespan on every node.
+Energy energyOf(const trace::Trace& region, std::uint64_t makespanNs,
+                std::uint32_t nodes) {
+  const trace::Report report = trace::analyze(region);
   const double hours = double(makespanNs) * 1e-9 / 3600.0;
+  Energy out;
+  out.joules = report.totalEnergyJ;
+  out.perfPerWatt = report.perfPerWatt;
   out.costUsd = out.joules / 3.6e6 * kUsdPerKwh +
                 double(nodes) * hours * kUsdPerNodeHour;
   return out;
@@ -95,7 +65,7 @@ EnergyLedger ledger(const std::vector<DeviceTotals>& before,
 struct ScaleResult {
   std::uint64_t virtualNs = 0;
   std::vector<std::vector<float>> outputs; // one per timed round
-  EnergyLedger energy;
+  Energy energy;
 };
 
 struct ScaleWorkload {
@@ -120,7 +90,6 @@ std::vector<float> runRound(skelcl::Map<float>& heavy,
 
 ScaleResult runScale(std::uint32_t nodes, const ScaleWorkload& w,
                      const std::string& traceTag) {
-  bench::ScopedTrace trace(traceTag);
   const std::string spec =
       "node(t10*2)*" + std::to_string(nodes) + "@ib";
   ocl::configureSystem(ocl::SystemConfig::parse(spec));
@@ -141,14 +110,14 @@ ScaleResult runScale(std::uint32_t nodes, const ScaleWorkload& w,
     runRound(heavy, w, /*round=*/w.rounds);
     bench::syncAllDevices();
 
-    const std::vector<DeviceTotals> totals0 = sampleTotals();
+    trace::Recorder::instance().start();
     const std::uint64_t t0 = ocl::hostTimeNs();
     for (std::size_t r = 0; r < w.rounds; ++r) {
       out.outputs.push_back(runRound(heavy, w, r));
     }
     bench::syncAllDevices();
     out.virtualNs = ocl::hostTimeNs() - t0;
-    out.energy = ledger(totals0, sampleTotals(), out.virtualNs, nodes);
+    out.energy = energyOf(bench::stopTrace(traceTag), out.virtualNs, nodes);
   }
   skelcl::terminate();
   return out;
@@ -173,7 +142,6 @@ struct HaloWorkload {
 /// visible in the makespan instead of hiding behind interior compute.
 HaloResult runHalo(const std::string& spec, const HaloWorkload& w,
                    const std::string& traceTag) {
-  bench::ScopedTrace trace(traceTag);
   ocl::configureSystem(ocl::SystemConfig::parse(spec));
   skelcl::init(skelcl::DeviceSelection::allDevices());
 
@@ -199,6 +167,7 @@ HaloResult runHalo(const std::string& spec, const HaloWorkload& w,
     }
     bench::syncAllDevices();
 
+    trace::Recorder::instance().start();
     const std::uint64_t t0 = ocl::hostTimeNs();
     skelcl::Vector<float> v(grid);
     for (std::size_t it = 0; it < w.iterations; ++it) {
@@ -207,6 +176,7 @@ HaloResult runHalo(const std::string& spec, const HaloWorkload& w,
     out.output = v.hostData();
     bench::syncAllDevices();
     out.virtualNs = ocl::hostTimeNs() - t0;
+    bench::stopTrace(traceTag);
   }
   skelcl::terminate();
   return out;
@@ -348,7 +318,7 @@ int main(int argc, char** argv) {
   if (!(scale[1].energy.joules > 0.0 &&
         scale[1].energy.perfPerWatt > 0.0 &&
         scale[1].energy.costUsd > 0.0)) {
-    std::fprintf(stderr, "\nFAIL: energy ledger recorded no activity\n");
+    std::fprintf(stderr, "\nFAIL: energy shows no recorded activity\n");
     ok = false;
   }
   return ok ? 0 : 1;

@@ -18,15 +18,17 @@
 // Fusion must strictly win in virtual time and launch fewer kernels,
 // with bit-identical outputs (the rewrite splices sources; it never
 // reassociates arithmetic). Output: human-readable table plus `BENCH
-// {...}` JSON with launch and intermediate-byte counters. `--smoke`
-// shrinks sizes; ctest runs it under `perf-smoke` and the binary exits
-// non-zero on any violation.
+// {...}` JSON with launch counts and the intermediate bytes each run's
+// trace records (every run is recorded; SKELCL_TRACE also keeps the
+// file). `--smoke` shrinks sizes; ctest runs it under `perf-smoke` and
+// the binary exits non-zero on any violation.
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "trace/analysis.h"
 
 namespace {
 
@@ -34,6 +36,7 @@ struct RunResult {
   std::uint64_t virtualNs = 0;
   std::uint64_t kernelLaunches = 0; // summed over every device queue
   skelcl::detail::Runtime::FusionStats stats;
+  std::uint64_t intermediateBytes = 0; // from the run's trace
   std::vector<std::vector<float>> outputs;
 };
 
@@ -55,7 +58,7 @@ void setFusion(bool fused) {
 RunResult runDotChain(bool fused, bool smoke,
                       const std::string& traceTag) {
   setFusion(fused);
-  bench::ScopedTrace trace(traceTag);
+  trace::Recorder::instance().start();
   bench::setupSystem(1);
 
   const std::size_t n = smoke ? std::size_t(1) << 16
@@ -95,6 +98,8 @@ RunResult runDotChain(bool fused, bool smoke,
     out.outputs.push_back(std::move(values));
   }
   skelcl::terminate();
+  out.intermediateBytes =
+      trace::analyze(bench::stopTrace(traceTag)).intermediateBytes;
   return out;
 }
 
@@ -103,7 +108,7 @@ RunResult runDotChain(bool fused, bool smoke,
 RunResult runMapChain(bool fused, bool smoke,
                       const std::string& traceTag) {
   setFusion(fused);
-  bench::ScopedTrace trace(traceTag);
+  trace::Recorder::instance().start();
   bench::setupSystem(1);
 
   const std::size_t n = smoke ? std::size_t(1) << 16
@@ -133,6 +138,8 @@ RunResult runMapChain(bool fused, bool smoke,
     out.stats = skelcl::detail::Runtime::instance().fusionStats();
   }
   skelcl::terminate();
+  out.intermediateBytes =
+      trace::analyze(bench::stopTrace(traceTag)).intermediateBytes;
   return out;
 }
 
@@ -150,7 +157,7 @@ bool compare(const Scenario& s, bool smoke) {
   const bool identical = staged.outputs == fused.outputs;
   const bool fewerLaunches = fused.kernelLaunches < staged.kernelLaunches;
   const bool lessIntermediate =
-      fused.stats.intermediateBytes < staged.stats.intermediateBytes;
+      fused.intermediateBytes < staged.intermediateBytes;
   const bool timeWin = fused.virtualNs < staged.virtualNs;
   const double ratio =
       double(fused.virtualNs) / double(staged.virtualNs);
@@ -170,8 +177,8 @@ bool compare(const Scenario& s, bool smoke) {
       .field("staged_launches", staged.kernelLaunches)
       .field("fused_launches", fused.kernelLaunches)
       .field("fused_stages", fused.stats.fusedStages)
-      .field("staged_intermediate_bytes", staged.stats.intermediateBytes)
-      .field("fused_intermediate_bytes", fused.stats.intermediateBytes)
+      .field("staged_intermediate_bytes", staged.intermediateBytes)
+      .field("fused_intermediate_bytes", fused.intermediateBytes)
       .field("outputs_identical", identical)
       .print();
 

@@ -101,14 +101,8 @@ MachineResult runMachine(const char* spec, const Workload& w,
     out.virtualNs = ocl::hostTimeNs() - t0;
   }
   skelcl::terminate();
-
-  const trace::Trace collected = trace::Recorder::instance().stop();
-  out.imbalance = trace::analyze(collected).computeImbalance;
-  if (!bench::traceSpec().empty()) {
-    const std::string path = bench::traceSpec() + "." + traceTag + ".sktrace";
-    trace::writeTraceFile(path, collected);
-    std::printf("trace: %s\n", path.c_str());
-  }
+  out.imbalance =
+      trace::analyze(bench::stopTrace(traceTag)).computeImbalance;
   return out;
 }
 

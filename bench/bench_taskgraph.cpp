@@ -17,17 +17,18 @@
 // crunch concurrently. The bench asserts, at N=4, >= 1.3x virtual-time
 // throughput for async with bit-identical scalars; at N=1 it asserts
 // *exactly* equal virtual time (a single-job drain degenerates to the
-// synchronous force). Output: human-readable table plus `BENCH {...}`
-// JSON. `--smoke` shrinks sizes; ctest runs it under `perf-smoke` and
-// the binary exits non-zero on any violation.
+// synchronous force). Jobs dispatched and peak concurrency are read
+// from each run's trace (every run is recorded; SKELCL_TRACE also keeps
+// the file). Output: human-readable table plus `BENCH {...}` JSON.
+// `--smoke` shrinks sizes; ctest runs it under `perf-smoke` and the
+// binary exits non-zero on any violation.
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-
-#include "skelcl/detail/scheduler.h"
+#include "trace/analysis.h"
 
 namespace {
 
@@ -44,7 +45,7 @@ struct RunResult {
 RunResult runDotJobs(bool async, std::size_t jobs, std::size_t n,
                      const std::string& traceTag) {
   ::setenv("SKELCL_ASYNC", async ? "1" : "0", 1);
-  bench::ScopedTrace trace(traceTag);
+  trace::Recorder::instance().start();
   bench::setupSystem(4);
 
   RunResult out;
@@ -78,11 +79,11 @@ RunResult runDotJobs(bool async, std::size_t jobs, std::size_t n,
     bench::syncAllDevices();
 
     out.virtualNs = ocl::hostTimeNs() - t0;
-    const auto stats = skelcl::detail::Scheduler::instance().stats();
-    out.jobsDispatched = stats.jobsDispatched;
-    out.maxConcurrent = stats.maxConcurrent;
   }
   skelcl::terminate();
+  const trace::Report report = trace::analyze(bench::stopTrace(traceTag));
+  out.jobsDispatched = report.schedulerJobs;
+  out.maxConcurrent = report.maxConcurrentJobs;
   return out;
 }
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/byte_stream.h"
@@ -39,8 +40,8 @@ inline double scale() {
 /// harness: the first call caches the value and *unsets* the variable so
 /// the SkelCL runtime does not also try to manage the trace across the
 /// init()/terminate() cycles benches run internally. Benches that
-/// support tracing wrap each measured region in a ScopedTrace, which
-/// derives per-run file names from this base path.
+/// support tracing wrap each measured region in a ScopedTrace (or end it
+/// with stopTrace), which derive per-run file names from this base path.
 inline const std::string& traceSpec() {
   static const std::string spec = [] {
     std::string s = common::envStr("SKELCL_TRACE");
@@ -52,42 +53,51 @@ inline const std::string& traceSpec() {
   return spec;
 }
 
-/// Records one benchmark run into `<traceSpec>.<tag>.sktrace` (binary
-/// skeltrace format). No-op when SKELCL_TRACE was not set. Construct
-/// after the scenario decided its env knobs and before setupSystem();
-/// the trace is written at scope exit.
+/// Stops the recorder and returns what it recorded, after writing it to
+/// `<traceSpec>.<tag>.sktrace` (binary skeltrace format) when
+/// SKELCL_TRACE was set; a failed write is reported, not fatal. A bench
+/// that reads its own figures from the trace calls
+/// trace::Recorder::start() whatever SKELCL_TRACE says and ends the
+/// region here, so what it prints and what skeltrace reports on the file
+/// come from the same records.
+inline trace::Trace stopTrace(const std::string& tag) {
+  trace::Trace recorded = trace::Recorder::instance().stop();
+  if (!traceSpec().empty()) {
+    const std::string path = traceSpec() + "." + tag + ".sktrace";
+    try {
+      trace::writeTraceFile(path, recorded);
+      std::printf("trace: %s\n", path.c_str());
+    } catch (const common::Error& e) {
+      std::fprintf(stderr, "cannot write trace %s: %s\n", path.c_str(),
+                   e.what());
+    }
+  }
+  return recorded;
+}
+
+/// Records one benchmark run into `<traceSpec>.<tag>.sktrace`. No-op
+/// when SKELCL_TRACE was not set. Construct after the scenario decided
+/// its env knobs and before setupSystem(); the trace is written at scope
+/// exit.
 class ScopedTrace {
 public:
-  explicit ScopedTrace(const std::string& tag) {
-    if (traceSpec().empty()) {
-      return;
+  explicit ScopedTrace(std::string tag) : tag_(std::move(tag)) {
+    if (!traceSpec().empty()) {
+      trace::Recorder::instance().start();
     }
-    path_ = traceSpec() + "." + tag + ".sktrace";
-    trace::Recorder::instance().start();
-    active_ = true;
   }
 
   ScopedTrace(const ScopedTrace&) = delete;
   ScopedTrace& operator=(const ScopedTrace&) = delete;
 
   ~ScopedTrace() {
-    if (!active_) {
-      return;
-    }
-    try {
-      trace::writeTraceFile(path_, trace::Recorder::instance().stop());
-      std::printf("trace: %s\n", path_.c_str());
-    } catch (const common::Error& e) {
-      std::fprintf(stderr, "cannot write trace %s: %s\n", path_.c_str(),
-                   e.what());
+    if (!traceSpec().empty()) {
+      stopTrace(tag_);
     }
   }
 
-  const std::string& path() const noexcept { return path_; }
-
 private:
-  std::string path_;
-  bool active_ = false;
+  std::string tag_;
 };
 
 /// Builds the machine-readable `BENCH {...}` line every bench prints per

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "clc/builtins.h"
+#include "clc/eval.h"
 #include "clc/parser.h"
 #include "clc/sema.h"
 #include "clc/verify.h"
@@ -34,19 +35,6 @@ TypeTag tagFor(const Type* type) {
   }
   COMMON_CHECK_MSG(false, "tagFor(void)");
   return TypeTag::I32;
-}
-
-/// Canonical 64-bit slot representation of an integer literal of a type.
-std::uint64_t canonicalInt(std::uint64_t value, TypeTag tag) {
-  switch (tag) {
-    case TypeTag::I8: return std::uint64_t(std::int64_t(std::int8_t(value)));
-    case TypeTag::U8: return value & 0xff;
-    case TypeTag::I16: return std::uint64_t(std::int64_t(std::int16_t(value)));
-    case TypeTag::U16: return value & 0xffff;
-    case TypeTag::I32: return std::uint64_t(std::int64_t(std::int32_t(value)));
-    case TypeTag::U32: return value & 0xffffffffULL;
-    default: return value;
-  }
 }
 
 class CodeGen {
@@ -447,7 +435,7 @@ private:
       case ExprKind::IntLit:
       case ExprKind::BoolLit: {
         const TypeTag tag = tagFor(e->type);
-        pushConst(canonicalInt(e->intValue, tag), tag);
+        pushConst(eval::canon(e->intValue, tag), tag);
         return;
       }
       case ExprKind::FloatLit:

@@ -40,18 +40,20 @@ bool envFlag(const char* name, bool fallback) {
   return !(v.empty() || v == "0" || v == "false" || v == "off" || v == "no");
 }
 
-long long envInt(const char* name, long long fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) {
-    return fallback;
-  }
+std::optional<long long> parseInt(std::string_view text) {
+  const std::string value(text);
   char* end = nullptr;
   errno = 0;
-  const long long parsed = std::strtoll(value, &end, 10);
-  if (end == value || errno == ERANGE || !onlyWhitespace(end)) {
-    return fallback;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (end == value.c_str() || errno == ERANGE || !onlyWhitespace(end)) {
+    return std::nullopt;
   }
   return parsed;
+}
+
+long long envInt(const char* name, long long fallback) {
+  const char* value = std::getenv(name);
+  return value == nullptr ? fallback : parseInt(value).value_or(fallback);
 }
 
 double envDouble(const char* name, double fallback) {

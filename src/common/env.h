@@ -1,8 +1,7 @@
 // Uniform environment-variable parsing for the runtime's configuration
-// knobs. There are 9: SKELCL_DEVICES, SKELCL_FUSION, SKELCL_ASYNC,
-// SKELCL_SERIALIZE, SKELCL_SCHEDULE_SEED, SKELCL_CACHE_DIR, SKELCL_TRACE,
-// SKELCL_FAULT_PLAN and SKELCL_FAULT_SEED (tests/common/env_test.cpp
-// pins this list).
+// knobs. There are 8: SKELCL_DEVICES, SKELCL_FUSION, SKELCL_ASYNC,
+// SKELCL_SERIALIZE, SKELCL_SCHEDULE_SEED, SKELCL_CACHE_DIR, SKELCL_TRACE
+// and SKELCL_FAULT_PLAN (tests/common/env_test.cpp pins this list).
 //
 // Flag semantics are normalized across every knob: an unset variable
 // yields the fallback; "", "0", "false", "off" and "no" (case-
@@ -14,9 +13,31 @@
 // fallback rather than a half-parsed or saturated value.
 #pragma once
 
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace common {
+
+/// The one strict integer parser, for knobs and tool flags alike: a
+/// decimal integer, optionally signed and surrounded by whitespace.
+/// Empty text, trailing garbage ("2x") and out-of-range magnitudes give
+/// nullopt.
+std::optional<long long> parseInt(std::string_view text);
+
+/// parseInt narrowed to an unsigned count type: nullopt also for a
+/// negative value or one `T` cannot hold.
+template <typename T>
+std::optional<T> parseCount(std::string_view text) {
+  const std::optional<long long> value = parseInt(text);
+  if (!value || *value < 0 ||
+      static_cast<unsigned long long>(*value) >
+          std::numeric_limits<T>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<T>(*value);
+}
 
 /// Boolean knob with consistent 0/1/true/false handling (see above).
 bool envFlag(const char* name, bool fallback = false);

@@ -165,18 +165,14 @@ public:
     return ready;
   }
 
-  /// Work retired since configureSystem built this device: VM cycles and
-  /// summed durations (virtual ns) of its kernels, and the payload bytes
-  /// its DMA engines moved (uploads, downloads and both legs of
-  /// cross-device copies). The job service's tenant accounting and the
-  /// energy ledgers read them live.
+  /// Work retired since configureSystem built this device: VM cycles of
+  /// its kernels, and the payload bytes its DMA engines moved (uploads,
+  /// downloads and both legs of cross-device copies). The job service's
+  /// tenant accounting reads them live; energy is derived from the trace
+  /// (trace::analyze).
   std::uint64_t kernelCycles() const noexcept { return kernelCycles_; }
-  std::uint64_t kernelBusyNs() const noexcept { return kernelBusyNs_; }
   std::uint64_t dmaBytes() const noexcept { return dmaBytes_; }
-  void chargeKernel(std::uint64_t cycles, std::uint64_t busyNs) noexcept {
-    kernelCycles_ += cycles;
-    kernelBusyNs_ += busyNs;
-  }
+  void chargeKernel(std::uint64_t cycles) noexcept { kernelCycles_ += cycles; }
   void chargeDma(std::uint64_t bytes) noexcept { dmaBytes_ += bytes; }
 
   std::uint64_t allocatedBytes() const noexcept { return allocated_; }
@@ -198,7 +194,6 @@ private:
   std::uint64_t engineReadyNs_[kEngineCount] = {0, 0, 0};
   std::uint64_t allocated_ = 0;
   std::uint64_t kernelCycles_ = 0;
-  std::uint64_t kernelBusyNs_ = 0;
   std::uint64_t dmaBytes_ = 0;
   bool lost_ = false;
 };

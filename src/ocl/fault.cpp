@@ -158,8 +158,7 @@ void FaultInjector::configureFromEnv() {
   if (plan.empty()) {
     return;
   }
-  configure(plan,
-            std::uint64_t(common::envInt("SKELCL_FAULT_SEED", 0)));
+  configure(plan);
 }
 
 void FaultInjector::reset() { configure("", 0); }

@@ -7,6 +7,8 @@
 // point in src/ocl, driven by a *plan* evaluated against deterministic
 // per-site call counters and a seeded PRNG. Given the same plan, seed,
 // and call sequence, the entire failure sequence is byte-reproducible.
+// A plan armed from SKELCL_FAULT_PLAN runs with seed 0; configure() and
+// `skelfuzz --fault-seed` choose others.
 //
 // Plan grammar (SKELCL_FAULT_PLAN, comma-separated rules):
 //
@@ -28,7 +30,7 @@
 //   SKELCL_FAULT_PLAN="transfer@3"              third transfer fails
 //   SKELCL_FAULT_PLAN="build@1"                 first build fails
 //   SKELCL_FAULT_PLAN="kernel~skelcl_map@2"     2nd map launch fails
-//   SKELCL_FAULT_PLAN="enqueue@p0.1" SKELCL_FAULT_SEED=42
+//   SKELCL_FAULT_PLAN="enqueue@p0.1"            10% of enqueues fail
 //   SKELCL_FAULT_PLAN="kernel@5=lost"           5th launch kills the device
 //
 // The injector never throws by itself: each hook site raises the typed
@@ -178,7 +180,7 @@ public:
   /// Throws common::InvalidArgument on a malformed plan string.
   void configure(const std::string& plan, std::uint64_t seed = 0);
 
-  /// configure() from SKELCL_FAULT_PLAN / SKELCL_FAULT_SEED. No-op when
+  /// configure() from SKELCL_FAULT_PLAN, with seed 0. No-op when
   /// SKELCL_FAULT_PLAN is unset or empty (a programmatic configuration
   /// stays in force).
   void configureFromEnv();

@@ -142,7 +142,7 @@ Event CommandQueue::submit(std::initializer_list<Leg> legs,
   for (const Leg& leg : legs) {
     leg.device.setReadyTimeNs(leg.engine, state->endNs);
     if (kind == trace::CommandKind::Kernel) {
-      leg.device.chargeKernel(cycles, durationNs);
+      leg.device.chargeKernel(cycles);
     } else if (leg.engine != Engine::Compute) {
       leg.device.chargeDma(bytes);
     }

@@ -720,7 +720,7 @@ void evaluateNode(const std::shared_ptr<ExprNode>& node,
 
   // Children the rewrite pass could not absorb run first, materializing
   // their intermediate vectors — the cost fusion exists to avoid, so it
-  // is what the fusion counters measure.
+  // is what the "intermediate_bytes" counter measures.
   for (const FusionPlan::Materialize& m : plan.materializeFirst) {
     const std::shared_ptr<ExprNode>& child = m.node;
     if (child->evaluated) {
@@ -730,12 +730,10 @@ void evaluateNode(const std::shared_ptr<ExprNode>& node,
       trace::recordDecision(m.declined);
     }
     forceExprNode(child);
-    const std::uint64_t bytes =
-        std::uint64_t(child->outCount) * child->outElemSize;
-    runtime.noteIntermediate(bytes);
     if (trace::Recorder::enabled()) {
       trace::Recorder::instance().bumpCounter(
-          "intermediate_bytes", trace::kNoDevice, trace::now(), bytes);
+          "intermediate_bytes", trace::kNoDevice, trace::now(),
+          std::uint64_t(child->outCount) * child->outElemSize);
     }
   }
   if (plan.fusedStages > 0) {

@@ -35,11 +35,10 @@ void Runtime::init(const DeviceSelection& selection) {
   // seeded shuffle N (see Runtime::schedulePolicy); unset or empty, the
   // single deterministic FIFO tie-break order runs. Any other value
   // throws before anything is claimed, so a fuzz run never believes it
-  // explores seed N while it runs FIFO. envInt takes its fallback on an
-  // unparsable value, so two fallbacks disagree exactly then.
+  // explores seed N while it runs FIFO.
   const std::string seedText = envStr("SKELCL_SCHEDULE_SEED");
-  const long long seed = envInt("SKELCL_SCHEDULE_SEED", 0);
-  if (!seedText.empty() && seed != envInt("SKELCL_SCHEDULE_SEED", 1)) {
+  const std::optional<long long> seed = common::parseInt(seedText);
+  if (!seedText.empty() && !seed) {
     throw common::InvalidArgument("SKELCL_SCHEDULE_SEED '" + seedText +
                                   "' is not an integer");
   }
@@ -87,10 +86,7 @@ void Runtime::init(const DeviceSelection& selection) {
   // still built, but every node evaluates as its own kernel — the
   // differential baseline the fusion suite compares against.
   fusionEnabled_ = envFlag("SKELCL_FUSION", true);
-  fusionStats_.fusedStages.store(0);
-  fusionStats_.fusedLaunches.store(0);
-  fusionStats_.intermediateBuffers.store(0);
-  fusionStats_.intermediateBytes.store(0);
+  fusedStages_.store(0);
   {
     std::lock_guard lock(programMutex_);
     programMemo_.clear();
@@ -103,13 +99,13 @@ void Runtime::init(const DeviceSelection& selection) {
   schedulePolicy_ =
       seedText.empty()
           ? ocl::SchedulePolicy::fifo()
-          : ocl::SchedulePolicy::seededShuffle(std::uint64_t(seed));
+          : ocl::SchedulePolicy::seededShuffle(std::uint64_t(*seed));
   orderRng_ = common::Xoshiro256(schedulePolicy_.seed ^
                                  0xd1b54a32d192ed03ULL);
-  // SKELCL_FAULT_PLAN/SKELCL_FAULT_SEED arm deterministic fault
-  // injection for this init()..terminate() cycle; reconfiguring here
-  // resets the injector's counters and PRNG, so two identical runs
-  // replay the exact same failure sequence.
+  // SKELCL_FAULT_PLAN arms deterministic fault injection (seed 0) for
+  // this init()..terminate() cycle; reconfiguring here resets the
+  // injector's counters and PRNG, so two identical runs replay the
+  // exact same failure sequence.
   ocl::FaultInjector::instance().configureFromEnv();
   // SKELCL_TRACE=<path> records this init()..terminate() cycle and
   // writes the trace at terminate() — Chrome trace-event JSON when the

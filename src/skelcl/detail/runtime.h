@@ -23,7 +23,6 @@ namespace detail {
 // SKELCL_CACHE_DIR, ...) all parse through these helpers so 0/1/true/
 // false handling is consistent everywhere.
 using common::envFlag;
-using common::envInt;
 using common::envStr;
 } // namespace detail
 
@@ -99,45 +98,26 @@ public:
   /// the differential baseline fused execution must match bit-for-bit.
   bool fusionEnabled() const noexcept { return fusionEnabled_; }
 
-  /// What the rewrite pass achieved this init()..terminate() cycle.
+  /// What the rewrite pass achieved this init()..terminate() cycle. The
+  /// bytes of the intermediates it could not avoid are the trace's
+  /// "intermediate_bytes" counter (trace::Report::intermediateBytes).
   struct FusionStats {
-    std::uint64_t fusedStages = 0;        // stages absorbed into parents
-    std::uint64_t fusedLaunches = 0;      // evaluations of fused plans
-    std::uint64_t intermediateBuffers = 0; // materialized DAG-internal
-    std::uint64_t intermediateBytes = 0;   //   vectors, and their bytes
+    std::uint64_t fusedStages = 0; // stages absorbed into parents
 
     /// Delta between two snapshots — see KernelCache::Stats::operator-.
     friend FusionStats operator-(const FusionStats& later,
                                  const FusionStats& earlier) {
-      FusionStats delta;
-      delta.fusedStages = later.fusedStages - earlier.fusedStages;
-      delta.fusedLaunches = later.fusedLaunches - earlier.fusedLaunches;
-      delta.intermediateBuffers =
-          later.intermediateBuffers - earlier.intermediateBuffers;
-      delta.intermediateBytes =
-          later.intermediateBytes - earlier.intermediateBytes;
-      return delta;
+      return FusionStats{later.fusedStages - earlier.fusedStages};
     }
   };
-  /// Snapshot of the counters. Internally atomic, so a snapshot taken
-  /// on one thread never races accounting on another under TSan.
+  /// Snapshot of the counter. Atomic, so a snapshot taken on one thread
+  /// never races accounting on another under TSan.
   FusionStats fusionStats() const noexcept {
-    FusionStats out;
-    out.fusedStages = fusionStats_.fusedStages.load();
-    out.fusedLaunches = fusionStats_.fusedLaunches.load();
-    out.intermediateBuffers = fusionStats_.intermediateBuffers.load();
-    out.intermediateBytes = fusionStats_.intermediateBytes.load();
-    return out;
+    return FusionStats{fusedStages_.load()};
   }
   /// One fused plan evaluated, absorbing `stagesAbsorbed` children.
   void noteFusedEvaluation(std::uint64_t stagesAbsorbed) noexcept {
-    fusionStats_.fusedStages.fetch_add(stagesAbsorbed);
-    fusionStats_.fusedLaunches.fetch_add(1);
-  }
-  /// One DAG-internal intermediate vector of `bytes` materialized.
-  void noteIntermediate(std::uint64_t bytes) noexcept {
-    fusionStats_.intermediateBuffers.fetch_add(1);
-    fusionStats_.intermediateBytes.fetch_add(bytes);
+    fusedStages_.fetch_add(stagesAbsorbed);
   }
 
   /// Drops the per-init program memo (the disk cache underneath stays).
@@ -208,12 +188,6 @@ public:
 private:
   Runtime() = default;
 
-  struct AtomicFusionStats {
-    std::atomic<std::uint64_t> fusedStages{0};
-    std::atomic<std::uint64_t> fusedLaunches{0};
-    std::atomic<std::uint64_t> intermediateBuffers{0};
-    std::atomic<std::uint64_t> intermediateBytes{0};
-  };
   /// One memoized program. Entries are pinned by shared_ptr so the map
   /// can rehash while another thread builds; call_once serializes
   /// concurrent builders of the same key.
@@ -225,7 +199,7 @@ private:
   bool initialized_ = false;
   bool serializedQueues_ = false;
   bool fusionEnabled_ = true;
-  AtomicFusionStats fusionStats_;
+  std::atomic<std::uint64_t> fusedStages_{0};
   std::mutex programMutex_;
   std::unordered_map<std::string, std::shared_ptr<ProgramEntry>>
       programMemo_;

@@ -1,6 +1,5 @@
 #include "skelcl/detail/scheduler.h"
 
-#include <algorithm>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -56,7 +55,6 @@ void Scheduler::configure(bool asyncEnabled) {
   asyncEnabled_ = asyncEnabled;
   jobs_.clear();
   hasJobs_.store(false, std::memory_order_relaxed);
-  stats_ = Stats{};
   owner_ = std::this_thread::get_id();
 }
 
@@ -64,7 +62,6 @@ void Scheduler::reset() {
   std::lock_guard lock(registryMutex_);
   jobs_.clear();
   hasJobs_.store(false, std::memory_order_relaxed);
-  stats_ = Stats{};
 }
 
 void Scheduler::claimOwnershipLocked(const char* op) {
@@ -175,13 +172,6 @@ void Scheduler::drain(const std::shared_ptr<ExprNode>& requested) {
     return;
   }
 
-  {
-    std::lock_guard lock(registryMutex_);
-    ++stats_.drains;
-    stats_.maxConcurrent = std::max<std::uint64_t>(stats_.maxConcurrent,
-                                                   live.size());
-  }
-
   for (std::size_t i = 0; i < live.size(); ++i) {
     const LiveJob& job = live[i];
     const std::uint64_t dispatchNs = ocl::hostTimeNs();
@@ -192,10 +182,6 @@ void Scheduler::drain(const std::shared_ptr<ExprNode>& requested) {
       // exception, at this job's own consumption point; the remaining
       // jobs still dispatch.
       job.out->poisonPending(std::current_exception());
-    }
-    {
-      std::lock_guard lock(registryMutex_);
-      ++stats_.jobsDispatched;
     }
     if (trace::Recorder::enabled()) {
       // Lane 1 + i: the highest lane of a trace is its largest drain.

@@ -39,7 +39,9 @@
 // would run the victim's jobs on the wrong thread — and gets a typed
 // common::Error instead of a silent race. The registry itself is guarded
 // by a mutex (the same discipline as Runtime::programFor) so the checks
-// and the handoff are race-free; stats() may be read from any thread.
+// and the handoff are race-free. What the scheduler did is read from
+// the trace: one `sched.job` span per dispatched job (trace::analyze
+// counts them and their peak concurrency).
 #pragma once
 
 #include <atomic>
@@ -105,17 +107,6 @@ public:
   /// speculatively evaluating the rest of the chain.
   void drain(const std::shared_ptr<ExprNode>& requested);
 
-  /// What the scheduler did this init()..terminate() cycle.
-  struct Stats {
-    std::uint64_t drains = 0;         // non-empty drain() calls
-    std::uint64_t jobsDispatched = 0; // root jobs enqueued by drains
-    std::uint64_t maxConcurrent = 0;  // most jobs live in one drain
-  };
-  Stats stats() const {
-    std::lock_guard lock(registryMutex_);
-    return stats_;
-  }
-
 private:
   Scheduler() = default;
 
@@ -138,7 +129,7 @@ private:
   /// common::Error naming `op` on a violation.
   void claimOwnershipLocked(const char* op);
 
-  // The registry (jobs_, stats_, owner_) is guarded by registryMutex_ so
+  // The registry (jobs_, owner_) is guarded by registryMutex_ so
   // cross-thread handoffs are race-free and violations are detectable
   // rather than UB; draining_ is owner-thread-only state and hasJobs_
   // mirrors jobs_.empty() for the lock-free shouldDrain() fast path.
@@ -148,7 +139,6 @@ private:
   std::thread::id owner_;
   std::atomic<bool> hasJobs_{false};
   std::vector<PendingJob> jobs_;
-  Stats stats_;
 };
 
 } // namespace skelcl::detail

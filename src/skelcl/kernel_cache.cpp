@@ -123,7 +123,6 @@ ocl::Program KernelCache::getOrBuild(const ocl::Context& context,
   if (common::fileExists(path)) {
     try {
       const std::uint64_t startNs = trace::now();
-      common::Stopwatch timer;
       ocl::Program program =
           context.createProgramFromBinary(openEntry(common::readFile(path)));
       const clc::OptLevel level = ocl::optLevelOf(kDefaultBuildOptions);
@@ -135,7 +134,6 @@ ocl::Program KernelCache::getOrBuild(const ocl::Context& context,
       }
       {
         std::lock_guard lock(statsMutex_);
-        stats_.loadSeconds += timer.elapsedSeconds();
         ++stats_.hits;
       }
       recordSpan(trace::HostKind::CacheHit, "kernel_cache.hit", startNs,

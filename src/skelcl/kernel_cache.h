@@ -48,7 +48,6 @@ public:
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    double loadSeconds = 0;  // time spent loading cached binaries
     double buildSeconds = 0; // time spent building from source
 
     /// What happened between two snapshots (`later - earlier`); the
@@ -58,7 +57,6 @@ public:
       Stats delta;
       delta.hits = later.hits - earlier.hits;
       delta.misses = later.misses - earlier.misses;
-      delta.loadSeconds = later.loadSeconds - earlier.loadSeconds;
       delta.buildSeconds = later.buildSeconds - earlier.buildSeconds;
       return delta;
     }

@@ -96,13 +96,24 @@ TEST_F(EnvParsing, EmptyStringValueIsKept) {
   EXPECT_EQ(common::envStr(kVar, "dflt"), "");
 }
 
+// Tool flags parse through the same strict parser as the knobs.
+TEST(ParseCount, AcceptsOnlyWholeCountsTheTypeHolds) {
+  EXPECT_EQ(common::parseCount<std::size_t>("10"), std::size_t(10));
+  EXPECT_EQ(common::parseCount<std::uint32_t>(" 4 "), 4u);
+  EXPECT_FALSE(common::parseCount<std::size_t>("abc"));
+  EXPECT_FALSE(common::parseCount<std::uint32_t>("2x"));
+  EXPECT_FALSE(common::parseCount<std::uint32_t>("-1"));
+  EXPECT_FALSE(common::parseCount<std::uint32_t>("4294967296"));
+  EXPECT_FALSE(common::parseCount<std::size_t>(""));
+}
+
 // The documented knob list (common/env.h, README) is the whole
 // configuration surface: adding a knob means editing this set on purpose.
 TEST(EnvKnobInventory, SourcesReadExactlyTheDocumentedKnobs) {
   const std::set<std::string> expected = {
       "SKELCL_DEVICES",   "SKELCL_FUSION",        "SKELCL_ASYNC",
       "SKELCL_SERIALIZE", "SKELCL_SCHEDULE_SEED", "SKELCL_CACHE_DIR",
-      "SKELCL_TRACE",     "SKELCL_FAULT_PLAN",    "SKELCL_FAULT_SEED"};
+      "SKELCL_TRACE",     "SKELCL_FAULT_PLAN"};
   const std::regex read(
       R"re((?:env(?:Flag|Int|Double|Str)|getenv)\(\s*"(SKELCL_[A-Z0-9_]*)")re");
   std::set<std::string> found;

@@ -414,7 +414,7 @@ TEST_F(ServiceTest, StatsScopeIsolatesFusionAndCacheDeltas) {
     const auto fusion = scope.fusionDelta();
     // Map(Zip) fuses under the default rewrite rules: the scope must see
     // exactly this run's fusion work, not history.
-    EXPECT_GT(fusion.fusedStages + fusion.fusedLaunches, 0u);
+    EXPECT_GT(fusion.fusedStages, 0u);
   }
 
   // A cleared program memo forces one cache resolution, visible only

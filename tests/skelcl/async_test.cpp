@@ -21,8 +21,6 @@
 #include "trace/recorder.h"
 #include "trace/serialize.h"
 
-#include "skelcl/detail/scheduler.h"
-
 namespace {
 
 using skelcl::Map;
@@ -34,7 +32,8 @@ struct RunResult {
   std::vector<std::vector<float>> outputs;
   std::vector<float> scalars;
   std::uint64_t finalVirtualNs = 0;
-  skelcl::detail::Scheduler::Stats sched;
+  trace::Report report;     // of the scenario's recording
+  std::uint64_t drains = 0; // lane-1 sched.job spans: one per drain
 };
 
 std::vector<float> testData(std::size_t n, std::size_t seed = 0) {
@@ -46,14 +45,16 @@ std::vector<float> testData(std::size_t n, std::size_t seed = 0) {
 }
 
 /// Runs `scenario` in a fresh init()..terminate() cycle with the async
-/// scheduler on or off; the final virtual time is taken after every
-/// device queue drained, so trailing downloads count in both modes.
+/// scheduler on or off, recorded; the final virtual time is taken after
+/// every device queue drained, so trailing downloads count in both modes.
+/// What the scheduler did is read from the recording's sched.job spans.
 RunResult runScenario(const std::function<void(RunResult&)>& scenario,
                       bool async, std::uint32_t gpus = 1) {
   skelcl_test::useTempCacheDir();
   ::setenv("SKELCL_ASYNC", async ? "1" : "0", 1);
   ocl::configureSystem(ocl::SystemConfig::teslaS1070(gpus));
   skelcl::init(skelcl::DeviceSelection::nGPUs(gpus));
+  trace::Recorder::instance().start();
 
   RunResult result;
   scenario(result);
@@ -63,7 +64,13 @@ RunResult runScenario(const std::function<void(RunResult&)>& scenario,
     runtime.queue(d).finish();
   }
   result.finalVirtualNs = ocl::hostTimeNs();
-  result.sched = skelcl::detail::Scheduler::instance().stats();
+  const trace::Trace recorded = trace::Recorder::instance().stop();
+  result.report = trace::analyze(recorded);
+  for (const trace::HostSpanRecord& span : recorded.hostSpans) {
+    if (span.kind == trace::HostKind::Scheduler && span.lane == 1) {
+      ++result.drains; // a drain puts its first job on lane 1
+    }
+  }
   skelcl::terminate();
   ::unsetenv("SKELCL_ASYNC");
   return result;
@@ -92,8 +99,8 @@ TEST(AsyncScheduler, SingleJobKeepsOutputAndVirtualTimeBitIdentical) {
   const RunResult off = runScenario(scenario, /*async=*/false);
   EXPECT_TRUE(bitIdentical(on.scalars, off.scalars));
   EXPECT_EQ(on.finalVirtualNs, off.finalVirtualNs);
-  EXPECT_EQ(on.sched.jobsDispatched, 1u);
-  EXPECT_EQ(off.sched.jobsDispatched, 0u); // scheduler off: no registry
+  EXPECT_EQ(on.report.schedulerJobs, 1u);
+  EXPECT_EQ(off.report.schedulerJobs, 0u); // scheduler off: no registry
 }
 
 TEST(AsyncScheduler, SingleJobChainOnMultipleDevicesStaysInvariant) {
@@ -135,9 +142,9 @@ TEST(AsyncScheduler, IndependentJobsOverlapWithIdenticalValues) {
   // The first consumption dispatches all four jobs; the later reads
   // block only on work already in flight — strictly better makespan.
   EXPECT_LT(on.finalVirtualNs, off.finalVirtualNs);
-  EXPECT_EQ(on.sched.jobsDispatched, 4u);
-  EXPECT_EQ(on.sched.maxConcurrent, 4u);
-  EXPECT_EQ(on.sched.drains, 1u);
+  EXPECT_EQ(on.report.schedulerJobs, 4u);
+  EXPECT_EQ(on.report.maxConcurrentJobs, 4u);
+  EXPECT_EQ(on.drains, 1u);
 }
 
 TEST(AsyncScheduler, IndependentDotProductsOverlap) {
@@ -158,7 +165,7 @@ TEST(AsyncScheduler, IndependentDotProductsOverlap) {
   const RunResult off = runScenario(scenario, /*async=*/false);
   EXPECT_TRUE(bitIdentical(on.scalars, off.scalars));
   EXPECT_LT(on.finalVirtualNs, off.finalVirtualNs);
-  EXPECT_EQ(on.sched.maxConcurrent, 3u);
+  EXPECT_EQ(on.report.maxConcurrentJobs, 3u);
 }
 
 TEST(AsyncScheduler, DependentChainsDispatchOnceThroughTheirRoot) {

@@ -312,13 +312,12 @@ TEST_F(FaultRecovery, CorruptCacheEntryRebuildsSilentlyThroughSkeleton) {
   }
 }
 
-// Mirrors tests/trace/determinism_test.cpp: a fixed SKELCL_FAULT_SEED
-// and plan reproduce the exact same failure sequence across two
-// independent init()..terminate() cycles.
+// Mirrors tests/trace/determinism_test.cpp: a plan armed from the
+// environment (seed 0) reproduces the exact same failure sequence
+// across two independent init()..terminate() cycles.
 TEST(FaultDeterminism, EnvConfiguredPlanReplaysByteIdentically) {
   skelcl_test::useTempCacheDir();
   ::setenv("SKELCL_FAULT_PLAN", "kernel@p0.4,write@2", 1);
-  ::setenv("SKELCL_FAULT_SEED", "77", 1);
 
   auto cycle = [] {
     ocl::configureSystem(ocl::SystemConfig::teslaS1070(2));
@@ -346,7 +345,6 @@ TEST(FaultDeterminism, EnvConfiguredPlanReplaysByteIdentically) {
   const auto a = cycle();
   const auto b = cycle();
   ::unsetenv("SKELCL_FAULT_PLAN");
-  ::unsetenv("SKELCL_FAULT_SEED");
   FaultInjector::instance().reset();
 
   EXPECT_EQ(a.first, b.first) << "caught failure sequence diverged";

@@ -32,16 +32,19 @@ struct RunResult {
   std::uint64_t programResolutions = 0; // kernel-cache hits + misses
   std::uint64_t programBuilds = 0;      // kernel-cache misses
   skelcl::detail::Runtime::FusionStats stats;
+  /// Of the scenario's recording: intermediate bytes and decisions.
+  trace::Report report;
 };
 
-/// Runs `scenario` in a fresh init()..terminate() cycle on `gpus`
-/// simulated GPUs with fusion on or off.
+/// Runs `scenario`, recorded, in a fresh init()..terminate() cycle on
+/// `gpus` simulated GPUs with fusion on or off.
 RunResult runScenario(const std::function<void(RunResult&)>& scenario,
                       std::uint32_t gpus, bool fused) {
   skelcl_test::useTempCacheDir();
   ::setenv("SKELCL_FUSION", fused ? "1" : "0", 1);
   ocl::configureSystem(ocl::SystemConfig::teslaS1070(gpus));
   skelcl::init(skelcl::DeviceSelection::nGPUs(gpus));
+  trace::Recorder::instance().start();
 
   RunResult result;
   {
@@ -57,6 +60,7 @@ RunResult runScenario(const std::function<void(RunResult&)>& scenario,
     result.kernelLaunches += runtime.queue(d).cumulativeKernelLaunches();
   }
   result.stats = runtime.fusionStats();
+  result.report = trace::analyze(trace::Recorder::instance().stop());
   skelcl::terminate();
   ::unsetenv("SKELCL_FUSION");
   return result;
@@ -90,8 +94,8 @@ void expectFusionWins(const std::function<void(RunResult&)>& scenario,
   EXPECT_LT(fused.kernelLaunches, unfused.kernelLaunches);
   EXPECT_GT(fused.stats.fusedStages, 0u);
   EXPECT_EQ(unfused.stats.fusedStages, 0u);
-  EXPECT_LT(fused.stats.intermediateBytes,
-            unfused.stats.intermediateBytes);
+  EXPECT_LT(fused.report.intermediateBytes,
+            unfused.report.intermediateBytes);
 }
 
 TEST(FusionTest, MapMapComposesIntoOneKernel) {
@@ -108,8 +112,8 @@ TEST(FusionTest, MapMapComposesIntoOneKernel) {
   // map f . map g -> one kernel; unfused runs one per stage.
   EXPECT_EQ(fused.kernelLaunches, 1u);
   EXPECT_EQ(unfused.kernelLaunches, 2u);
-  EXPECT_EQ(fused.stats.intermediateBytes, 0u);
-  EXPECT_EQ(unfused.stats.intermediateBytes, 4096 * sizeof(float));
+  EXPECT_EQ(fused.report.intermediateBytes, 0u);
+  EXPECT_EQ(unfused.report.intermediateBytes, 4096 * sizeof(float));
 }
 
 TEST(FusionTest, ZipAbsorbsMapOperands) {
@@ -147,8 +151,8 @@ TEST(FusionTest, DotProductChainFusesToTwoLaunches) {
   // Fused: one mapreduce first pass + one combine pass. Unfused: the
   // zip kernel, then the same two reduce passes.
   EXPECT_EQ(fused.kernelLaunches + 1, unfused.kernelLaunches);
-  EXPECT_EQ(fused.stats.intermediateBytes, 0u);
-  EXPECT_EQ(unfused.stats.intermediateBytes, 8192 * sizeof(float));
+  EXPECT_EQ(fused.report.intermediateBytes, 0u);
+  EXPECT_EQ(unfused.report.intermediateBytes, 8192 * sizeof(float));
 }
 
 // A fused Reduce or Scan carries its tree kernels beside the fused first
@@ -288,16 +292,7 @@ TEST(FusionTest, FanoutBlocksAbsorptionButKeepsResultsExact) {
 /// counted by name.
 std::map<std::string, std::uint64_t> decisionsOf(
     const std::function<void(RunResult&)>& scenario) {
-  std::map<std::string, std::uint64_t> decisions;
-  runScenario(
-      [&](RunResult& out) {
-        trace::Recorder::instance().start();
-        scenario(out);
-        decisions =
-            trace::analyze(trace::Recorder::instance().stop()).decisions;
-      },
-      1, /*fused=*/true);
-  return decisions;
+  return runScenario(scenario, 1, /*fused=*/true).report.decisions;
 }
 
 /// `stages` stacked Maps over a fresh vector, read back.

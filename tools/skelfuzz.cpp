@@ -30,8 +30,10 @@
 #include <functional>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/env.h"
 #include "ocl/fault.h"
 #include "service/service.h"
 #include "skelcl/skelcl.h"
@@ -467,40 +469,39 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
+      return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag takes a whole count; anything else is a usage error.
+    auto count = [&](auto& field) {
+      const char* text = next();
+      const auto parsed =
+          common::parseCount<std::remove_reference_t<decltype(field)>>(
+              text == nullptr ? "" : text);
+      if (parsed) {
+        field = *parsed;
+      }
+      return parsed.has_value();
+    };
+    const char* v = nullptr;
+    bool ok = true;
     if (arg == "--seeds") {
-      const char* v = next();
-      if (!v) return usage();
-      seeds = std::strtoull(v, nullptr, 10);
+      ok = count(seeds);
     } else if (arg == "--gpus") {
-      const char* v = next();
-      if (!v) return usage();
-      gpus = std::uint32_t(std::strtoul(v, nullptr, 10));
-    } else if (arg == "--scenario") {
-      const char* v = next();
-      if (!v) return usage();
+      ok = count(gpus);
+    } else if (arg == "--scenario" && (v = next())) {
       scenario = v;
-    } else if (arg == "--plan") {
-      const char* v = next();
-      if (!v) return usage();
+    } else if (arg == "--plan" && (v = next())) {
       plan = v;
     } else if (arg == "--fault-seed") {
-      const char* v = next();
-      if (!v) return usage();
-      faultSeed = std::strtoull(v, nullptr, 10);
+      ok = count(faultSeed);
     } else if (arg == "--rounds") {
-      const char* v = next();
-      if (!v) return usage();
-      rounds = std::strtoull(v, nullptr, 10);
+      ok = count(rounds);
     } else if (arg == "--tenants") {
-      const char* v = next();
-      if (!v) return usage();
-      tenants = std::strtoull(v, nullptr, 10);
+      ok = count(tenants);
     } else {
       return usage();
     }
+    if (!ok) return usage();
   }
   if (seeds == 0 || gpus == 0 || rounds == 0) return usage();
 

@@ -24,8 +24,10 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "common/env.h"
 #include "service/service.h"
 #include "skelcl/skelcl.h"
 #include "trace/recorder.h"
@@ -111,26 +113,46 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag takes a whole count; anything else is a usage error.
+    auto count = [&](auto& field) {
+      const char* text = next();
+      const auto parsed =
+          common::parseCount<std::remove_reference_t<decltype(field)>>(
+              text == nullptr ? "" : text);
+      if (parsed) {
+        field = *parsed;
+      }
+      return parsed.has_value();
+    };
     const char* v = nullptr;
-    if (arg == "--tenants" && (v = next())) {
-      tenants = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--jobs" && (v = next())) {
-      jobs = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--gpus" && (v = next())) {
-      gpus = std::uint32_t(std::strtoul(v, nullptr, 10));
-    } else if (arg == "--n" && (v = next())) {
-      n = std::strtoull(v, nullptr, 10);
+    bool ok = true;
+    if (arg == "--tenants") {
+      ok = count(tenants);
+    } else if (arg == "--jobs") {
+      ok = count(jobs);
+    } else if (arg == "--gpus") {
+      ok = count(gpus);
+    } else if (arg == "--n") {
+      ok = count(n);
     } else if (arg == "--policy" && (v = next())) {
-      config.policy = service::policyFromString(v);
-    } else if (arg == "--queue-cap" && (v = next())) {
-      config.queueCap = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--batch" && (v = next())) {
-      config.batchLimit = std::strtoull(v, nullptr, 10);
+      try {
+        config.policy = service::policyFromString(v);
+      } catch (const common::InvalidArgument& e) {
+        std::fprintf(stderr, "skelserve: %s\n", e.what());
+        return usage();
+      }
+    } else if (arg == "--queue-cap") {
+      ok = count(config.queueCap);
+    } else if (arg == "--batch") {
+      ok = count(config.batchLimit);
     } else if (arg == "--trace" && (v = next())) {
       tracePath = v;
     } else if (arg == "--pump") {
       pumpMode = true;
     } else {
+      return usage();
+    }
+    if (!ok) {
       return usage();
     }
   }

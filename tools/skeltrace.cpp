@@ -15,9 +15,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/byte_stream.h"
+#include "common/env.h"
 #include "common/error.h"
 #include "trace/analysis.h"
 #include "trace/chrome_export.h"
@@ -181,7 +183,12 @@ int main(int argc, char** argv) {
     } else if (arg == "-o" && i + 1 < argc) {
       out = argv[++i];
     } else if (arg == "--top" && i + 1 < argc) {
-      topN = std::strtoul(argv[++i], nullptr, 10);
+      const std::optional<std::size_t> n =
+          common::parseCount<std::size_t>(argv[++i]);
+      if (!n) {
+        return usage();
+      }
+      topN = *n;
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
