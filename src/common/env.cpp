@@ -51,11 +51,6 @@ std::optional<long long> parseInt(std::string_view text) {
   return parsed;
 }
 
-long long envInt(const char* name, long long fallback) {
-  const char* value = std::getenv(name);
-  return value == nullptr ? fallback : parseInt(value).value_or(fallback);
-}
-
 double envDouble(const char* name, double fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr) {

@@ -5,12 +5,12 @@
 //
 // Flag semantics are normalized across every knob: an unset variable
 // yields the fallback; "", "0", "false", "off" and "no" (case-
-// insensitive) are false; every other value is true. Numeric helpers
-// fall back on unset *or unparsable* values, so a typo degrades to the
-// documented default instead of silently becoming zero. "Unparsable"
-// is strict: empty or whitespace-only values, trailing garbage after
-// the number ("12abc"), and out-of-range magnitudes all take the
-// fallback rather than a half-parsed or saturated value.
+// insensitive) are false; every other value is true. Numbers are parsed
+// strictly: empty or whitespace-only text, trailing garbage after the
+// number ("12abc") and out-of-range magnitudes are unparsable, never a
+// half-parsed or saturated value. An integer is read by parseInt, whose
+// caller decides what unparsable text means (SKELCL_SCHEDULE_SEED
+// rejects it); envDouble takes its fallback instead.
 #pragma once
 
 #include <limits>
@@ -41,9 +41,6 @@ std::optional<T> parseCount(std::string_view text) {
 
 /// Boolean knob with consistent 0/1/true/false handling (see above).
 bool envFlag(const char* name, bool fallback = false);
-
-/// Integer knob; returns `fallback` when unset or not a number.
-long long envInt(const char* name, long long fallback);
 
 /// Floating-point knob; returns `fallback` when unset or not a number.
 double envDouble(const char* name, double fallback);

@@ -46,9 +46,9 @@ struct StencilParams {
   Arguments constArg;
 };
 
-/// SparseGather root descriptor: the CSR operand (not a VectorState —
-/// its per-device rowPtr slices overlap at the cut rows) plus the fold's
-/// combine function; ExprNode::function is the gather function.
+/// SparseGather root descriptor: the CSR operand (three vector states,
+/// placed by CsrState::ensureOnDevices) plus the fold's combine
+/// function; ExprNode::function is the gather function.
 struct SparseParams {
   std::shared_ptr<CsrState> csr;
   std::shared_ptr<const UserFunction> combine;

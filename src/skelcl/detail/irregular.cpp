@@ -18,11 +18,11 @@
 // vector) falls back to the Single distribution — the same gather rule
 // Scan uses — where no halo exists at all.
 //
-// SparseGather — the matrix rows are block-partitioned (CsrState fixed
-// that geometry at upload), the dense operand is copy-distributed, and
-// one work-item folds one row's gathered values with the combine
-// function. No inter-device traffic: the gather indexes the full
-// replicated operand.
+// SparseGather — the matrix rows are block-partitioned (CsrState placed
+// its three arrays in that partition), the dense operand is
+// copy-distributed, and one work-item folds one row's gathered values
+// with the combine function. No inter-device traffic: the gather
+// indexes the full replicated operand.
 #include "skelcl/detail/irregular.h"
 
 #include <algorithm>
@@ -435,55 +435,20 @@ void runStencil(const std::shared_ptr<ExprNode>& node,
 }
 
 void CsrState::ensureOnDevices() {
-  if (!chunks_.empty()) {
-    return;
+  // Device d's rows [rowBegin, rowBegin + rowCount) need rowCount + 1
+  // row pointers and the nonzeros [rowPtr[rowBegin], rowPtr[rowEnd]).
+  const std::vector<std::uint32_t>& ptr = rowPtr_.rawHost();
+  std::vector<Chunk> ptrLayout = layoutOf(Distribution::Block, 0, rows_);
+  std::vector<Chunk> nnzLayout = ptrLayout;
+  for (std::size_t i = 0; i < ptrLayout.size(); ++i) {
+    Chunk& rows = ptrLayout[i];
+    nnzLayout[i].offset = ptr[rows.offset];
+    nnzLayout[i].count = ptr[rows.offset + rows.count] - ptr[rows.offset];
+    rows.count += 1;
   }
-  auto& runtime = Runtime::instance();
-  runtime.requireInit();
-  try {
-    for (const Chunk& share : layoutOf(Distribution::Block, 0, rows_)) {
-      CsrChunk chunk;
-      chunk.deviceIndex = share.deviceIndex;
-      chunk.rowBegin = share.offset;
-      chunk.rowCount = share.count;
-      chunk.nnzBegin = rowPtr_[chunk.rowBegin];
-      chunk.nnzCount =
-          rowPtr_[chunk.rowBegin + chunk.rowCount] - chunk.nnzBegin;
-
-      const auto& device = runtime.devices()[chunk.deviceIndex];
-      auto& queue = runtime.queue(chunk.deviceIndex);
-      const std::size_t ptrBytes =
-          (chunk.rowCount + 1) * sizeof(std::uint32_t);
-      const std::size_t valueBytes = chunk.nnzCount * valueSize_;
-      chunk.rowPtr = runtime.context().createBuffer(device, ptrBytes);
-      chunk.colIdx = runtime.context().createBuffer(
-          device,
-          std::max<std::size_t>(1, chunk.nnzCount * sizeof(std::uint32_t)));
-      chunk.values = runtime.context().createBuffer(
-          device, std::max<std::size_t>(1, valueBytes));
-      // The three uploads chain on the H2D engine; the last event is the
-      // chunk's single ready event.
-      ocl::Event w = queue.enqueueWriteBuffer(
-          chunk.rowPtr, 0, ptrBytes, rowPtr_.data() + chunk.rowBegin);
-      if (chunk.nnzCount > 0) {
-        w = queue.enqueueWriteBuffer(
-            chunk.colIdx, 0, chunk.nnzCount * sizeof(std::uint32_t),
-            colIdx_.data() + chunk.nnzBegin, {w});
-        w = queue.enqueueWriteBuffer(
-            chunk.values, 0, valueBytes,
-            values_.get() + chunk.nnzBegin * valueSize_, {w});
-      }
-      chunk.ready = std::move(w);
-      chunks_.push_back(std::move(chunk));
-    }
-  } catch (ocl::ClError& e) {
-    // Failure atomicity: drop every chunk so a later retry re-uploads
-    // from the intact host arrays.
-    chunks_.clear();
-    e.prependContext("CSR upload of " + std::to_string(nnz()) +
-                     " nonzero(s)");
-    throw;
-  }
+  rowPtr_.place(Distribution::Block, 0, ptrLayout);
+  colIdx_.place(Distribution::Block, 0, nnzLayout);
+  values_->place(Distribution::Block, 0, nnzLayout);
 }
 
 void runSparseGather(const std::shared_ptr<ExprNode>& node,
@@ -491,49 +456,53 @@ void runSparseGather(const std::shared_ptr<ExprNode>& node,
                      const FusionPlan& plan, Runtime& runtime) {
   // Placement replicated the dense operand (the gather may touch any
   // column on any device). The output takes the matrix's row
-  // partition: the block split of its rows, which its upload used too
+  // partition: the block split of its rows, which its placement used too
   // (block weights are fixed for an init() cycle).
   const CsrState& csr = *node->sparse->csr;
   VectorState& x = *plan.leaves.front();
   prepareStageArguments(plan);
 
-  const std::vector<CsrChunk>& cchunks = csr.chunks();
   out->allocateOutput(Distribution::Block, 0,
                       layoutOf(Distribution::Block, 0, csr.rows()));
 
   ocl::Program program = runtime.programFor(sparseProgramSource(node, plan));
-  for (std::size_t idx : runtime.chunkVisitOrder(cchunks.size())) {
-    const CsrChunk& cc = cchunks[idx];
-    if (cc.rowCount == 0) {
+  const std::vector<Chunk>& ptrChunks = csr.rowPtr().chunks();
+  for (std::size_t idx : runtime.chunkVisitOrder(ptrChunks.size())) {
+    const std::size_t d = ptrChunks[idx].deviceIndex;
+    const std::size_t rows = ptrChunks[idx].count - 1;
+    if (rows == 0) {
       continue; // zero-row share (more devices than rows): no launch
     }
     try {
-      const std::size_t d = cc.deviceIndex;
       const auto& device = runtime.devices()[d];
+      // The nonzero slices start at absolute nonzero `nnz.offset`.
+      const Chunk& nnz = csr.colIdx().chunkForDevice(d);
       ocl::Kernel kernel = program.createKernel("skelcl_spgather");
       std::size_t arg = 0;
-      kernel.setArg(arg++, cc.rowPtr);
-      kernel.setArg(arg++, cc.colIdx);
-      kernel.setArg(arg++, cc.values);
+      kernel.setArg(arg++, ptrChunks[idx].buffer);
+      kernel.setArg(arg++, nnz.buffer);
+      kernel.setArg(arg++, csr.values().chunkForDevice(d).buffer);
       kernel.setArg(arg++, x.chunkForDevice(d).buffer);
       kernel.setArg(arg++, out->chunkForDevice(d).buffer);
-      kernel.setArg(arg++, std::uint32_t(cc.rowCount));
-      kernel.setArg(arg++, std::uint32_t(cc.nnzBegin));
+      kernel.setArg(arg++, std::uint32_t(rows));
+      kernel.setArg(arg++, std::uint32_t(nnz.offset));
       bindStageArguments(plan, kernel, arg, d);
 
       std::vector<ocl::Event> deps;
-      appendEvent(deps, cc.ready);
+      appendEvent(deps, csr.rowPtr().readyEventOn(d));
+      appendEvent(deps, csr.colIdx().readyEventOn(d));
+      appendEvent(deps, csr.values().readyEventOn(d));
       appendEvent(deps, x.readyEventOn(d));
       collectStageDeps(plan, deps, d);
       const std::size_t wg =
-          effectiveWorkGroupSize(node->workGroupSize, cc.rowCount, device);
+          effectiveWorkGroupSize(node->workGroupSize, rows, device);
       ocl::Event done = runtime.queue(d).enqueueNDRange(
-          kernel, ocl::NDRange1D{roundUp(cc.rowCount, wg), wg}, deps);
+          kernel, ocl::NDRange1D{roundUp(rows, wg), wg}, deps);
       out->recordEventOn(d, done);
       recordStageEvents(plan, done, d);
     } catch (ocl::ClError& e) {
       e.prependContext(plan.label + " skeleton on device " +
-                       std::to_string(cc.deviceIndex));
+                       std::to_string(d));
       throw;
     }
   }

@@ -135,10 +135,12 @@ public:
   /// layoutOf its distribution when it has none.
   void ensureOnDevices();
   /// The one placement routine: gives the device data distribution
-  /// `dist` and the exact chunk geometry of `layout`. Chunks that already
-  /// have it are kept and uploaded only when the host copy is newer.
-  /// Otherwise the layout is staged through the host: the device data is
-  /// downloaded if it is newer, the target layout allocated and uploaded.
+  /// `dist` and the exact chunk geometry of `layout`. When every chunk of
+  /// `layout` already exists with the same device, offset and count, in
+  /// whatever distribution, those chunks are kept (the rest dropped) and
+  /// uploaded only when the host copy is newer. Otherwise the layout is
+  /// staged through the host: the device data is downloaded if it is
+  /// newer, the target layout allocated and uploaded.
   void place(Distribution dist, std::size_t singleDevice,
              const std::vector<Chunk>& layout);
   const std::vector<Chunk>& chunks() const { return chunks_; }

@@ -262,18 +262,34 @@ void VectorState::ensureOnDevices() {
 void VectorState::place(Distribution dist, std::size_t singleDevice,
                         const std::vector<Chunk>& layout) {
   forcePending();
-  const bool sameDistribution =
-      dist == dist_ &&
-      (dist != Distribution::Single || singleDevice == singleDevice_);
-  const auto sameGeometry = [](const Chunk& a, const Chunk& b) {
-    return a.deviceIndex == b.deviceIndex && a.offset == b.offset &&
-           a.count == b.count;
-  };
-  const bool inPlace = !chunks_.empty() && sameDistribution &&
-                       std::equal(chunks_.begin(), chunks_.end(),
-                                  layout.begin(), layout.end(), sameGeometry);
+  // The chunk that already has each target chunk's geometry (device,
+  // offset, count), if every target chunk has one. The layout covers the
+  // whole vector, so those chunks hold all of it, whatever distribution
+  // they were placed in: a Copy chunk on device 0 is the Single layout.
+  std::vector<std::size_t> keep;
+  for (const Chunk& target : layout) {
+    const std::size_t i = chunkIndexOn(target.deviceIndex);
+    if (i == chunks_.size() || chunks_[i].offset != target.offset ||
+        chunks_[i].count != target.count) {
+      keep.clear();
+      break;
+    }
+    keep.push_back(i);
+  }
+  const bool inPlace = !keep.empty();
   std::optional<trace::ScopedHostSpan> span;
   if (inPlace) {
+    // Kept chunks keep their buffer, ready event and pieces; the rest
+    // are dropped. (`layout` may be chunks_ itself, which needs none.)
+    if (keep.size() != chunks_.size()) {
+      std::vector<Chunk> kept;
+      for (std::size_t i : keep) {
+        kept.push_back(std::move(chunks_[i]));
+      }
+      chunks_ = std::move(kept);
+    }
+    dist_ = dist;
+    singleDevice_ = singleDevice;
     if (!hostDirty_) {
       return;
     }
@@ -281,6 +297,9 @@ void VectorState::place(Distribution dist, std::size_t singleDevice,
     // Replacing chunks, or uploading a vector in another distribution
     // than its own, is a redistribution staged through the host. A
     // failed download leaves the old chunks as they were.
+    const bool sameDistribution =
+        dist == dist_ &&
+        (dist != Distribution::Single || singleDevice == singleDevice_);
     if (!chunks_.empty() || !sameDistribution) {
       span.emplace(trace::HostKind::Redistribute, "vector.redistribute");
     }

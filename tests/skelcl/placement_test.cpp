@@ -305,8 +305,8 @@ TEST(PlacementMatrix, Scan) {
       {"block/bothCurrent", "h2d 4096/0/0/0 d2h 4096/0/0/0 +124477ns single"},
       {"block/devicesNewer", "h2d 4096/0/0/0 d2h 5120/1024/1024/1024 +142943ns single"},
       {"copy/hostNewer", "h2d 4096/0/0/0 d2h 4096/0/0/0 +125068ns single"},
-      {"copy/bothCurrent", "h2d 4096/0/0/0 d2h 4096/0/0/0 +125068ns single"},
-      {"copy/devicesNewer", "h2d 4096/0/0/0 d2h 8192/0/0/0 +138396ns single"},
+      {"copy/bothCurrent", "h2d 0/0/0/0 d2h 4096/0/0/0 +116281ns single"},
+      {"copy/devicesNewer", "h2d 0/0/0/0 d2h 4096/0/0/0 +120822ns single"},
   });
 }
 
@@ -347,26 +347,26 @@ TEST(PlacementMatrix, StencilFallback) {
       {"block/bothCurrent", "h2d 4096/0/0/0 d2h 4096/0/0/0 +92526ns single"},
       {"block/devicesNewer", "h2d 4096/0/0/0 d2h 5120/1024/1024/1024 +110992ns single"},
       {"copy/hostNewer", "h2d 4096/0/0/0 d2h 4096/0/0/0 +93117ns single"},
-      {"copy/bothCurrent", "h2d 4096/0/0/0 d2h 4096/0/0/0 +93117ns single"},
-      {"copy/devicesNewer", "h2d 4096/0/0/0 d2h 8192/0/0/0 +106445ns single"},
+      {"copy/bothCurrent", "h2d 0/0/0/0 d2h 4096/0/0/0 +84330ns single"},
+      {"copy/devicesNewer", "h2d 0/0/0/0 d2h 4096/0/0/0 +88871ns single"},
   });
 }
 
 TEST(PlacementMatrix, SparseGather) {
   runMatrix(sparseConsumer, {
-      {"fresh", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +71520ns copy"},
-      {"single0/hostNewer", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +71520ns copy"},
-      {"single0/bothCurrent", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +71520ns copy"},
-      {"single0/devicesNewer", "h2d 4420/4420/4420/4420 d2h 4160/64/64/64 +71520ns copy"},
-      {"single2/hostNewer", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +71520ns copy"},
-      {"single2/bothCurrent", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +71520ns copy"},
-      {"single2/devicesNewer", "h2d 4420/4420/4420/4420 d2h 64/64/4160/64 +71520ns copy"},
-      {"block/hostNewer", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +71520ns copy"},
-      {"block/bothCurrent", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +71520ns copy"},
+      {"fresh", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +59520ns copy"},
+      {"single0/hostNewer", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +60307ns copy"},
+      {"single0/bothCurrent", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +60307ns copy"},
+      {"single0/devicesNewer", "h2d 4420/4420/4420/4420 d2h 4160/64/64/64 +68246ns copy"},
+      {"single2/hostNewer", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +60307ns copy"},
+      {"single2/bothCurrent", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +60307ns copy"},
+      {"single2/devicesNewer", "h2d 4420/4420/4420/4420 d2h 64/64/4160/64 +68246ns copy"},
+      {"block/hostNewer", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +59716ns copy"},
+      {"block/bothCurrent", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +59716ns copy"},
       {"block/devicesNewer", "h2d 4420/4420/4420/4420 d2h 1088/1088/1088/1088 +73655ns copy"},
-      {"copy/hostNewer", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +71520ns copy"},
-      {"copy/bothCurrent", "h2d 324/324/324/324 d2h 64/64/64/64 +62733ns copy"},
-      {"copy/devicesNewer", "h2d 324/324/324/324 d2h 64/64/64/64 +62733ns copy"},
+      {"copy/hostNewer", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +60307ns copy"},
+      {"copy/bothCurrent", "h2d 324/324/324/324 d2h 64/64/64/64 +51520ns copy"},
+      {"copy/devicesNewer", "h2d 324/324/324/324 d2h 64/64/64/64 +50733ns copy"},
   });
 }
 

@@ -4,16 +4,18 @@
 // specs; bit-identity across shuffled schedules, async-off and
 // fusion-off; degenerate structure (zero-row matrix, empty rows, a full
 // row, duplicate column entries, more devices than rows); CSR
-// validation errors; and typed-error recovery with a fault aimed at the
-// gather kernel.
+// validation errors; the bytes CSR staging moves; and typed-error
+// recovery with faults aimed at the gather kernel and at staging.
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <queue>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "skelcl_test_util.h"
+#include "trace/recorder.h"
 
 namespace {
 
@@ -178,6 +180,63 @@ TEST_F(SparseFourDevices, FewerRowsThanDevices) {
   ASSERT_EQ(y.size(), 2u);
   EXPECT_EQ(y[0], 4 * 1 + 5 * 100);
   EXPECT_EQ(y[1], 6 * 10);
+}
+
+/// Each device's H2D bytes while `call` runs.
+std::vector<std::uint64_t> h2dBytesPerDevice(const std::function<void()>& call) {
+  trace::Recorder::instance().start();
+  call();
+  const trace::Trace trace = trace::Recorder::instance().stop();
+  std::vector<std::uint64_t> h2d(
+      skelcl::detail::Runtime::instance().deviceCount());
+  for (const trace::CommandRecord& c : trace.commands) {
+    if (c.engine == std::uint8_t(ocl::Engine::HostToDevice)) {
+      h2d[c.device] += c.bytes;
+    }
+  }
+  return h2d;
+}
+
+// The three CSR arrays are staged by vector placement: once, in the row
+// partition, with a zero-row share uploading only its one row pointer.
+// A failed upload drops what it staged, and a retry stages it again.
+TEST_F(SparseFourDevices, CsrSlicesStageOnceThroughPlace) {
+  // 3 rows over 4 devices: the last share has no rows.
+  HostCsr h;
+  h.rows = 3;
+  h.cols = 5;
+  h.rowPtr = {0, 2, 5, 6};
+  h.colIdx = {0, 4, 1, 2, 3, 4};
+  const std::vector<int> vals = {1, 2, 3, 4, 5, 6};
+  const std::vector<int> xs = {1, 10, 100, 1000, 10000};
+  const std::vector<int> want = spmvOracle<int>(h, xs, vals);
+  SparseGather<int> spmv(kSpmvGatherI, kSpmvCombineI, "0");
+  Vector<int> x(xs);
+  x.setDistribution(skelcl::Distribution::Copy);
+  x.state().ensureOnDevices();
+
+  CsrMatrix<int> m(h.rows, h.cols, h.rowPtr, h.colIdx, vals);
+  std::vector<int> got;
+  EXPECT_EQ(h2dBytesPerDevice([&] { got = spmv(m, x).hostData(); }),
+            (std::vector<std::uint64_t>{24, 32, 16, 4}));
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(h2dBytesPerDevice([&] { got = spmv(m, x).hostData(); }),
+            (std::vector<std::uint64_t>(4, 0)));
+  EXPECT_EQ(got, want);
+
+  struct ResetFaults {
+    ~ResetFaults() { FaultInjector::instance().reset(); }
+  } resetFaults;
+  CsrMatrix<int> fresh(h.rows, h.cols, h.rowPtr, h.colIdx, vals);
+  FaultInjector::instance().configure("write@2");
+  EXPECT_THROW(
+      {
+        Vector<int> y = spmv(fresh, x);
+        (void)y[0];
+      },
+      ocl::TransferFailure);
+  FaultInjector::instance().reset();
+  EXPECT_EQ(spmv(fresh, x).hostData(), want);
 }
 
 TEST_F(SparseTwoDevices, EmptyRowsYieldIdentity) {
