@@ -11,8 +11,9 @@
 // (the binary exits non-zero otherwise).
 //
 // A service-sized stencil (the 16×64 int grid, 3×3 box of the perfbench
-// service_mix stencil job) shows the launch-bound regime: it reports the
-// virtual time and the kernel launches per call, upload to read-back.
+// service_mix stencil job) shows the launch-bound regime, where the
+// layout rule keeps the grid on one device: it reports the virtual time
+// and the kernel launches per call, upload to read-back.
 //
 // SpMV and PageRank run the SparseGather skeleton over a random CSR
 // matrix and report nonzeros processed per virtual second.

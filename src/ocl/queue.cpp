@@ -270,34 +270,13 @@ Event CommandQueue::enqueueCopyBuffer(const Buffer& src,
   // Cross-device: staged over PCIe (down from src, up to dst). The
   // source's D2H engine and the destination's H2D engine are both
   // occupied for the whole transfer; the compute engines of both devices
-  // stay free to overlap kernels with the copy.
-  //
-  // The staged legs *pipeline*: after the first piece lands in host
-  // memory the upload streams concurrently with the rest of the
-  // download, so the copy takes the slower leg's wire time plus one
-  // latency — not the sum of two full latency+wire transfers. When the
-  // devices live on different nodes the pieces additionally cross the
-  // interconnect, adding its (usually dominant) wire time to the
-  // pipeline bottleneck and its latency on top, and occupying the
-  // source node's egress and the destination node's ingress link.
-  const TimingModel srcModel(src.device().spec(), backend_);
-  const TimingModel dstModel(dst.device().spec(), backend_);
+  // stay free to overlap kernels with the copy. A cross-node copy also
+  // occupies the source node's egress and the destination node's
+  // ingress link.
   const bool crossNode = srcState.node() != dstState.node();
   NodeState* srcLink = crossNode ? srcState.link().get() : nullptr;
   NodeState* dstLink = crossNode ? dstState.link().get() : nullptr;
   const bool linked = srcLink != nullptr && dstLink != nullptr;
-  double wireNs = std::max(srcModel.transferWireNs(bytes),
-                           dstModel.transferWireNs(bytes));
-  double latencyNs = std::max(srcModel.transferLatencyNs(),
-                              dstModel.transferLatencyNs());
-  if (crossNode && srcLink != nullptr) {
-    const InterconnectSpec& ic = srcLink->interconnect();
-    if (ic.bandwidthGBs > 0.0) {
-      wireNs = std::max(wireNs,
-                        double(bytes) / (ic.bandwidthGBs * 1e9) * 1e9);
-    }
-    latencyNs += ic.latencyUs * 1e3;
-  }
   // Cross-node copies carry distinct labels: skeltrace sums the
   // copy_node_in legs as interconnect traffic, apart from same-node PCIe
   // staging.
@@ -306,8 +285,8 @@ Event CommandQueue::enqueueCopyBuffer(const Buffer& src,
         crossNode ? "copy_node_out" : "copy_peer_out"},
        {dstState, Engine::HostToDevice,
         crossNode ? "copy_node_in" : "copy_peer_in"}},
-      std::uint64_t(wireNs + latencyNs), trace::CommandKind::CopyPeer, bytes,
-      0, deps,
+      peerCopyDurationNs(srcState, dstState, backend_, bytes),
+      trace::CommandKind::CopyPeer, bytes, 0, deps,
       linked ? std::max(srcLink->egressReadyNs(), dstLink->ingressReadyNs())
              : 0);
   if (linked) {

@@ -51,16 +51,27 @@ std::vector<double> TimingModel::computeUnitCycles(
 std::uint64_t TimingModel::kernelDurationNs(
     const clc::LaunchStats& stats) const {
   const std::vector<double> cuCycles = computeUnitCycles(stats);
-  const double critical =
-      *std::max_element(cuCycles.begin(), cuCycles.end());
+  return rooflineNs(*std::max_element(cuCycles.begin(), cuCycles.end()),
+                    double(stats.globalBytesRead + stats.globalBytesWritten));
+}
 
+std::uint64_t TimingModel::predictKernelNs(std::uint64_t items,
+                                           std::uint64_t groupSize,
+                                           double itemCycles,
+                                           double itemBytes) const {
+  const std::uint64_t wg = std::max<std::uint64_t>(1, groupSize);
+  const std::uint64_t cus = std::max<std::uint32_t>(1, spec_.computeUnits);
+  const std::uint64_t rounds = ((items + wg - 1) / wg + cus - 1) / cus;
+  const double pes = double(std::max<std::uint32_t>(1, spec_.pesPerUnit));
+  const double group = std::max(double(wg) * itemCycles / pes, itemCycles);
+  return rooflineNs(double(rounds) * group, double(items) * itemBytes);
+}
+
+std::uint64_t TimingModel::rooflineNs(double criticalCycles,
+                                      double bytes) const {
   const double hz = spec_.clockGHz * 1e9 * profile_.efficiency;
-  const double computeNs = std::ceil(critical) / hz * 1e9;
-
-  const double bytes =
-      double(stats.globalBytesRead + stats.globalBytesWritten);
+  const double computeNs = std::ceil(criticalCycles) / hz * 1e9;
   const double memNs = bytes / (spec_.memBandwidthGBs * 1e9) * 1e9;
-
   return profile_.launchOverheadNs +
          std::uint64_t(std::max(computeNs, memNs));
 }
@@ -80,6 +91,26 @@ double TimingModel::transferWireNs(std::uint64_t bytes) const noexcept {
 std::uint64_t TimingModel::deviceCopyDurationNs(std::uint64_t bytes) const {
   const double bw = spec_.memBandwidthGBs * 1e9;
   return std::uint64_t(double(2 * bytes) / bw * 1e9);
+}
+
+std::uint64_t peerCopyDurationNs(const DeviceState& src,
+                                 const DeviceState& dst, Backend backend,
+                                 std::uint64_t bytes) {
+  const TimingModel srcModel(src.spec(), backend);
+  const TimingModel dstModel(dst.spec(), backend);
+  double wireNs = std::max(srcModel.transferWireNs(bytes),
+                           dstModel.transferWireNs(bytes));
+  double latencyNs = std::max(srcModel.transferLatencyNs(),
+                              dstModel.transferLatencyNs());
+  if (src.node() != dst.node() && src.link() != nullptr) {
+    const InterconnectSpec& ic = src.link()->interconnect();
+    if (ic.bandwidthGBs > 0.0) {
+      wireNs = std::max(wireNs,
+                        double(bytes) / (ic.bandwidthGBs * 1e9) * 1e9);
+    }
+    latencyNs += ic.latencyUs * 1e3;
+  }
+  return std::uint64_t(wireNs + latencyNs);
 }
 
 } // namespace ocl

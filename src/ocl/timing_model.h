@@ -17,7 +17,7 @@
 //   peercopy = max(src wire, dst wire) + max(src, dst latency)
 //              (the staged legs pipeline; cross-node copies add the
 //              interconnect's wire time to the max and its latency on
-//              top — see CommandQueue::enqueueCopyBuffer)
+//              top — see peerCopyDurationNs)
 //   energy   = idle_power x wall + (busy-idle) x compute busy
 //              + nj_per_byte x bytes moved        (1 W = 1 nJ/ns;
 //              computed by trace/analysis.cpp from the device totals)
@@ -68,6 +68,13 @@ public:
   /// Duration of a kernel launch with the given execution profile.
   std::uint64_t kernelDurationNs(const clc::LaunchStats& stats) const;
 
+  /// What kernelDurationNs will bill a launch of `items` work-items in
+  /// groups of `groupSize`, each item retiring `itemCycles` VM cycles and
+  /// moving `itemBytes` bytes of global memory, before it runs: the
+  /// groups dealt out in rounds over the compute units.
+  std::uint64_t predictKernelNs(std::uint64_t items, std::uint64_t groupSize,
+                                double itemCycles, double itemBytes) const;
+
   /// Duration of a host<->device transfer of `bytes` over one PCIe DMA
   /// engine (latency + bytes/bandwidth).
   std::uint64_t transferDurationNs(std::uint64_t bytes) const;
@@ -89,8 +96,24 @@ public:
   }
 
 private:
+  /// Launch overhead plus the roofline of the critical CU's cycles and
+  /// the bytes the launch moves.
+  std::uint64_t rooflineNs(double criticalCycles, double bytes) const;
+
   DeviceSpec spec_;
   BackendProfile profile_;
 };
+
+/// Duration of a cross-device copy of `bytes` from `src` to `dst`. The
+/// staged legs pipeline: after the first piece lands in host memory the
+/// upload streams concurrently with the rest of the download, so the
+/// copy takes the slower leg's wire time plus one latency — not the sum
+/// of two full latency+wire transfers. When the devices live on
+/// different nodes the pieces also cross the interconnect, adding its
+/// (usually dominant) wire time to the pipeline bottleneck and its
+/// latency on top.
+std::uint64_t peerCopyDurationNs(const DeviceState& src,
+                                 const DeviceState& dst, Backend backend,
+                                 std::uint64_t bytes);
 
 } // namespace ocl

@@ -430,25 +430,47 @@ void JobServer::serve(std::unique_lock<std::mutex>& lock,
       lock.lock();
       continue;
     }
-    if (!window_.empty()) {
+    // Event-driven simulation: everything queued arrives in the future.
+    // A job arriving while the window has room and before the oldest
+    // job's device work ends is dispatched at its arrival, not after
+    // that job's consume.
+    const bool arrivalFirst =
+        honorArrivals && totalPending_ > 0 &&
+        (window_.empty() ||
+         (window_.size() < limit && nextArrivalNs() < oldestJobEndNs()));
+    if (!window_.empty() && !arrivalFirst) {
       lock.unlock();
       finishOldestJob();
       lock.lock();
       continue;
     }
-    if (!honorArrivals || totalPending_ == 0) {
+    if (!arrivalFirst) {
       return;
     }
-    // Event-driven simulation: everything queued arrives in the future,
-    // so idle the virtual host up to the next arrival.
-    std::uint64_t minReadyNs = std::numeric_limits<std::uint64_t>::max();
-    for (const auto& row : tenants_) {
-      if (!row->queue.empty()) {
-        minReadyNs = std::min(minReadyNs, row->queue.front().readyNs);
+    ocl::syncHostTimeToNs(nextArrivalNs());
+  }
+}
+
+std::uint64_t JobServer::nextArrivalNs() const {
+  std::uint64_t minReadyNs = std::numeric_limits<std::uint64_t>::max();
+  for (const auto& row : tenants_) {
+    if (!row->queue.empty()) {
+      minReadyNs = std::min(minReadyNs, row->queue.front().readyNs);
+    }
+  }
+  return minReadyNs;
+}
+
+std::uint64_t JobServer::oldestJobEndNs() const {
+  std::uint64_t endNs = 0;
+  for (const auto& root : window_.front().roots) {
+    for (const detail::Chunk& chunk : root->chunks()) {
+      if (chunk.ready.valid()) {
+        endNs = std::max(endNs, chunk.ready.endNs());
       }
     }
-    ocl::syncHostTimeToNs(minReadyNs);
   }
+  return endNs;
 }
 
 void JobServer::pump() {

@@ -316,10 +316,16 @@ private:
                 std::uint64_t now) const;
   /// The window loop pump() and the dispatcher thread share: starts
   /// eligible jobs while the window has room, else consumes the oldest.
-  /// Returns with lock_ held once no job is queued or in flight; with
-  /// `honorArrivals` it idles the virtual clock to the next arrival
-  /// when nothing else can run.
+  /// Returns with lock_ held once no job is queued or in flight. With
+  /// `honorArrivals` it idles the virtual clock to the next arrival when
+  /// nothing else can run, or when the window has room and that arrival
+  /// comes before the oldest job's device work ends (oldestJobEndNs).
   void serve(std::unique_lock<std::mutex>& lock, bool honorArrivals);
+  /// When the earliest queued job arrives (max when none is queued).
+  std::uint64_t nextArrivalNs() const;
+  /// When the oldest job's device work ends: the latest ready event of
+  /// its results' chunks (0 when it deferred no vector).
+  std::uint64_t oldestJobEndNs() const;
   /// Phases 1 and 2 of a job: its work() registers the skeleton calls,
   /// then every command they deferred is enqueued.
   void startJob(PendingJob& job);

@@ -153,23 +153,29 @@ public:
   /// Binds the extra arguments to a kernel for one device's launch.
   void apply(ocl::Kernel& kernel, std::size_t firstIndex,
              std::size_t deviceIndex) const {
+    applyValues(kernel, firstIndex);
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
       const std::size_t at = firstIndex + i;
-      switch (e.kind) {
-        case Kind::Scalar:
-          kernel.setScalar(at, e.slot, e.scalarTag);
-          break;
-        case Kind::Struct:
-          kernel.setArgBytes(at, e.bytes.data(), e.bytes.size());
-          break;
-        case Kind::VectorArg:
-          kernel.setArg(at, e.vector->chunkForDevice(deviceIndex).buffer);
-          break;
-        case Kind::VectorSize:
-          kernel.setArg(
-              at, std::uint32_t(e.vector->chunkForDevice(deviceIndex).count));
-          break;
+      if (e.kind == Kind::VectorArg) {
+        kernel.setArg(at, e.vector->chunkForDevice(deviceIndex).buffer);
+      } else if (e.kind == Kind::VectorSize) {
+        kernel.setArg(
+            at, std::uint32_t(e.vector->chunkForDevice(deviceIndex).count));
+      }
+    }
+  }
+
+  /// Binds the scalar and struct arguments only, leaving every Vector
+  /// entry unset: what a host-side run of one work-item over scratch
+  /// memory can bind (irregular.cpp's layout forecast).
+  void applyValues(ocl::Kernel& kernel, std::size_t firstIndex) const {
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      const Entry& e = entries_[i];
+      if (e.kind == Kind::Scalar) {
+        kernel.setScalar(firstIndex + i, e.slot, e.scalarTag);
+      } else if (e.kind == Kind::Struct) {
+        kernel.setArgBytes(firstIndex + i, e.bytes.data(), e.bytes.size());
       }
     }
   }

@@ -1,6 +1,7 @@
 // Device-side state of a CSR matrix (skelcl/sparse.h): its three arrays
-// are vector states, staged like any vector by VectorState::place. The
-// rows are partitioned with the runtime's block weights (the partitioner
+// are vector states, staged like any vector by VectorState::place, in
+// the row layout the call's placement chose: all rows on one device, or
+// rows partitioned with the runtime's block weights (the partitioner
 // Vector blocks use, so a heterogeneous machine shapes sparse row chunks
 // exactly like dense element chunks). Device d's rowPtr chunk holds its
 // rowCount + 1 *absolute* entries, so neighboring chunks overlap in the
@@ -14,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "skelcl/vector.h"
@@ -37,9 +39,15 @@ public:
   const VectorState& colIdx() const { return colIdx_; }
   const VectorState& values() const { return *values_; }
 
-  /// Places the three arrays in the row partition's chunks. Idempotent:
-  /// place keeps chunks that already have the layout.
-  void ensureOnDevices();
+  /// The three arrays' chunks for rows laid out in `dist` (Block: the
+  /// row partition; Single: every row on `device`): the rowPtr chunks,
+  /// and the nonzero chunks colIdx and values share.
+  std::pair<std::vector<Chunk>, std::vector<Chunk>> layouts(
+      Distribution dist, std::size_t device) const;
+
+  /// Places the three arrays in those chunks. Idempotent: place keeps
+  /// chunks that already have the layout.
+  void place(Distribution dist, std::size_t device);
 
 private:
   std::size_t rows_;

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "skelcl/detail/csr_state.h"
 #include "skelcl/detail/fusion.h"
 #include "skelcl/detail/irregular.h"
 #include "skelcl/detail/runtime.h"
@@ -77,10 +76,11 @@ std::vector<VectorState*> distinctLeaves(const FusionPlan& plan) {
 
 /// The one placement rule: stages `inputs` where `node` reads them,
 /// each through VectorState::place. The first input sets the layout.
-/// Map, Zip and Reduce read it in its own layout, Stencil in row-aligned
-/// blocks (placeInRowBlocks), Scan and a Stencil with too few rows per
-/// device on one device, and SparseGather replicated on every device
-/// once the matrix is staged. Every other input is placed in the first
+/// Map, Zip and Reduce read it in its own layout, and Scan on one
+/// device. Stencil and SparseGather read it in the layout forecast to
+/// finish the call first: row-aligned blocks or replicated beside a
+/// block-partitioned matrix, else one device (placeStencilInput,
+/// placeSparseOperands). Every other input is placed in the first
 /// input's layout. A pending input is left for its own evaluation; while
 /// the first one is pending, the others are placed in their own layouts.
 /// invokeSkeleton applies the rule to a call's inputs, so upload faults
@@ -88,19 +88,20 @@ std::vector<VectorState*> distinctLeaves(const FusionPlan& plan) {
 /// leaves: the inputs that were pending at the call, and the inputs of
 /// an absorbed chain, which its own calls placed for a different op.
 /// Everything else is already in place, and placing it again is free.
+/// Only the evaluation (`evaluating`) files the irregular layouts as
+/// Decisions, so each call records its layout once.
 void placeInputs(const ExprNode& node,
-                 const std::vector<std::shared_ptr<VectorState>>& inputs) {
+                 const std::vector<std::shared_ptr<VectorState>>& inputs,
+                 bool evaluating) {
   VectorState& first = *inputs.front();
-  if (node.op == ExprNode::Op::SparseGather) {
-    node.sparse->csr->ensureOnDevices();
-  }
   if (!first.hasPending()) {
     switch (node.op) {
       case ExprNode::Op::Stencil:
-        if (placeInRowBlocks(first, *node.stencil)) {
-          break;
-        }
-        [[fallthrough]];
+        placeStencilInput(first, node, evaluating);
+        break;
+      case ExprNode::Op::SparseGather:
+        placeSparseOperands(first, node, evaluating);
+        break;
       case ExprNode::Op::Scan: {
         // A Single vector stays on its device; anything else goes to
         // device 0.
@@ -111,10 +112,6 @@ void placeInputs(const ExprNode& node,
                     layoutOf(Distribution::Single, device, first.size()));
         break;
       }
-      case ExprNode::Op::SparseGather:
-        first.place(Distribution::Copy, 0,
-                    layoutOf(Distribution::Copy, 0, first.size()));
-        break;
       default:
         first.ensureOnDevices();
         break;
@@ -745,7 +742,7 @@ void evaluateNode(const std::shared_ptr<ExprNode>& node,
   trace::ScopedHostSpan span(trace::HostKind::Skeleton, plan.label.c_str(),
                              trace::kNoDevice, spanSize);
   try {
-    placeInputs(*node, plan.leaves);
+    placeInputs(*node, plan.leaves, /*evaluating=*/true);
     switch (node->op) {
       case ExprNode::Op::Map:
       case ExprNode::Op::Zip:
@@ -824,7 +821,7 @@ void invokeSkeleton(ExprNode node, const std::shared_ptr<VectorState>& out,
   for (const ExprNode::Input& input : call->inputs) {
     states.push_back(input.state);
   }
-  placeInputs(*call, states);
+  placeInputs(*call, states, /*evaluating=*/false);
 
   for (ExprNode::Input& input : call->inputs) {
     input.node = input.state->pendingNode();

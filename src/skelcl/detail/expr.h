@@ -47,7 +47,7 @@ struct StencilParams {
 };
 
 /// SparseGather root descriptor: the CSR operand (three vector states,
-/// placed by CsrState::ensureOnDevices) plus the fold's combine
+/// placed by CsrState::place) plus the fold's combine
 /// function; ExprNode::function is the gather function.
 struct SparseParams {
   std::shared_ptr<CsrState> csr;

@@ -16,13 +16,24 @@ namespace skelcl::detail {
 
 class Runtime;
 
-/// Places a stencil input in row-aligned blocks when every device's row
-/// share covers the radius, and returns false, placing nothing, when
-/// some share does not (the grid then goes to one device). A no-op when
-/// the input already has that layout. The placement rule (expr.cpp)
-/// applies it, both at the call and before runStencil, which reads the
-/// choice back from the input's distribution.
-bool placeInRowBlocks(VectorState& in, const StencilParams& P);
+/// The placement rule's irregular cases (expr.cpp placeInputs). Each
+/// forecasts when the call would finish in its multi-device layout and
+/// on one device — the device a Single input lives on, else the one on
+/// which the call, started once its compute engine frees, would finish
+/// first — and places the operands in the layout forecast to finish
+/// first (one device on a tie). A no-op when they already have that
+/// layout. With `record`, files the choice as a Decision whose value
+/// packs both forecasts (trace::packForecasts; a layout that cannot run
+/// the call reads "never").
+///
+/// Stencil: row-aligned blocks, a layout that cannot run a call with a
+/// device's row share below the radius; the evaluator reads the choice
+/// back from the input's distribution.
+void placeStencilInput(VectorState& in, const ExprNode& node, bool record);
+
+/// SparseGather: block-partitioned rows with `x` replicated; the
+/// evaluator reads the choice back from the matrix's row layout.
+void placeSparseOperands(VectorState& x, const ExprNode& node, bool record);
 
 void runStencil(const std::shared_ptr<ExprNode>& node,
                 const std::shared_ptr<VectorState>& out,

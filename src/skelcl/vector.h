@@ -113,6 +113,9 @@ public:
     devicesDirty_ = false;
   }
   bool hostDirty() const { return hostDirty_; }
+  /// True when the device chunks are newer than the host copy.
+  bool devicesDirty() const { return devicesDirty_; }
+  std::size_t elementSize() const { return elemSize_; }
   bool hasDeviceData() const { return !chunks_.empty(); }
 
   // --- distribution -----------------------------------------------------
@@ -143,6 +146,12 @@ public:
   /// newer, the target layout allocated and uploaded.
   void place(Distribution dist, std::size_t singleDevice,
              const std::vector<Chunk>& layout);
+  /// True when place(..., layout) would move no data: a chunk with the
+  /// geometry of each of `layout`'s exists and the host copy is not
+  /// newer.
+  bool holds(const std::vector<Chunk>& layout) const {
+    return !hostDirty_ && !chunksMatching(layout).empty();
+  }
   const std::vector<Chunk>& chunks() const { return chunks_; }
   const Chunk& chunkForDevice(std::size_t deviceIndex) const;
   void markDevicesModified();
@@ -232,6 +241,10 @@ private:
 
   std::size_t hostCount() const { return hostBytes().size() / elemSize_; }
   std::size_t chunkIndexOn(std::size_t deviceIndex) const;
+  /// Indices of the chunks with the geometry (device, offset, count) of
+  /// each of `layout`'s; empty unless every one has such a chunk.
+  std::vector<std::size_t> chunksMatching(
+      const std::vector<Chunk>& layout) const;
   void allocateLayout(const std::vector<Chunk>& layout);
   void upload();
   void rethrowPoison();

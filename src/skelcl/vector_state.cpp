@@ -262,20 +262,7 @@ void VectorState::ensureOnDevices() {
 void VectorState::place(Distribution dist, std::size_t singleDevice,
                         const std::vector<Chunk>& layout) {
   forcePending();
-  // The chunk that already has each target chunk's geometry (device,
-  // offset, count), if every target chunk has one. The layout covers the
-  // whole vector, so those chunks hold all of it, whatever distribution
-  // they were placed in: a Copy chunk on device 0 is the Single layout.
-  std::vector<std::size_t> keep;
-  for (const Chunk& target : layout) {
-    const std::size_t i = chunkIndexOn(target.deviceIndex);
-    if (i == chunks_.size() || chunks_[i].offset != target.offset ||
-        chunks_[i].count != target.count) {
-      keep.clear();
-      break;
-    }
-    keep.push_back(i);
-  }
+  const std::vector<std::size_t> keep = chunksMatching(layout);
   const bool inPlace = !keep.empty();
   std::optional<trace::ScopedHostSpan> span;
   if (inPlace) {
@@ -326,6 +313,23 @@ void VectorState::place(Distribution dist, std::size_t singleDevice,
                      " element(s)");
     throw;
   }
+}
+
+std::vector<std::size_t> VectorState::chunksMatching(
+    const std::vector<Chunk>& layout) const {
+  // The layout covers the whole vector, so chunks with its geometry hold
+  // all of it, whatever distribution they were placed in: a Copy chunk
+  // on device 0 is the Single layout.
+  std::vector<std::size_t> keep;
+  for (const Chunk& target : layout) {
+    const std::size_t i = chunkIndexOn(target.deviceIndex);
+    if (i == chunks_.size() || chunks_[i].offset != target.offset ||
+        chunks_[i].count != target.count) {
+      return {};
+    }
+    keep.push_back(i);
+  }
+  return keep;
 }
 
 std::size_t VectorState::chunkIndexOn(std::size_t deviceIndex) const {

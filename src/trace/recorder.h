@@ -15,6 +15,7 @@
 // deterministic workload byte-identical across runs.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -98,15 +99,25 @@ private:
   std::unordered_map<std::string, std::uint64_t> counterTotals_;
 };
 
-/// Files a Decision (HostKind::Decision) at virtual now; one atomic load
-/// when recording is off. A caller that builds `name` checks enabled()
-/// first.
-inline void recordDecision(std::string_view name) {
+/// Files a Decision (HostKind::Decision) at virtual now, carrying
+/// `value` (0 when the decision has no datum); one atomic load when
+/// recording is off. A caller that builds `name` checks enabled() first.
+inline void recordDecision(std::string_view name, std::uint64_t value = 0) {
   if (Recorder::enabled()) {
     const std::uint64_t nowNs = now();
     Recorder::instance().recordHostSpan(HostKind::Decision, name,
-                                        kNoDevice, nowNs, nowNs);
+                                        kNoDevice, nowNs, nowNs, value);
   }
+}
+
+/// A layout Decision's value: the forecast finish of the multi-device
+/// layout in the high 32 bits and of one device in the low 32, in ns
+/// from the decision, each saturated at 2^32 - 1 (which reads "never":
+/// the layout cannot run the call).
+constexpr std::uint64_t packForecasts(std::uint64_t multiNs,
+                                      std::uint64_t singleNs) {
+  constexpr std::uint64_t kMax = 0xFFFFFFFFull;
+  return (std::min(multiNs, kMax) << 32) | std::min(singleNs, kMax);
 }
 
 /// RAII host span: captures virtual start/end around a runtime phase.

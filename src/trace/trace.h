@@ -83,8 +83,10 @@ struct CommandRecord {
 /// element count for Skeleton (nonzeros for SparseGather), bytes for
 /// Transfer and Combine, source length for Build and CacheHit,
 /// queue-wait nanoseconds for Scheduler and TenantJob (whose name is the
-/// tenant), otherwise 0. A Decision is zero-length, at the virtual time
-/// of the choice, and named "<decision>: <reason>".
+/// tenant), both layout forecasts for a `stencil.layout` or
+/// `sparse.layout` Decision (packForecasts, recorder.h), otherwise 0. A
+/// Decision is zero-length, at the virtual time of the choice, and named
+/// "<decision>: <reason>".
 /// `lane` is the host row the span renders on:
 /// 0 is the runtime thread; Scheduler spans use one lane per
 /// concurrently outstanding job and TenantJob spans their job-service

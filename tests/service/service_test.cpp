@@ -261,6 +261,35 @@ TEST_F(ServiceTest, PriorityPreemptsAtJobNotKernelGranularity) {
   EXPECT_LE(highStats.completeNs, low1.dispatchNs);
 }
 
+// A job arriving while the window has room and the job in flight still
+// computes is dispatched at its arrival: the pump idles to the arrival,
+// not to the end of the job in flight.
+TEST_F(ServiceTest, JobArrivingMidFlightDispatchesAtItsArrival) {
+  svc::ServiceConfig config;
+  config.policy = svc::Policy::Fifo;
+  config.batchLimit = 2;
+  svc::JobServer server(config);
+  svc::Session& a = server.openSession("a");
+  svc::Session& b = server.openSession("b");
+
+  auto sink = std::make_shared<JobSink>();
+  const std::size_t n = std::size_t(1) << 16; // ~60 us of uploads alone
+  const std::uint64_t t0 = ocl::hostTimeNs();
+  svc::JobHandle first = a.submit(chainJob(1, n, 0, sink));
+  svc::JobHandle second =
+      b.submit(chainJob(2, n, 1, sink, /*arrivalNs=*/t0 + 30'000));
+  server.pump();
+  first.rethrow();
+  second.rethrow();
+
+  const auto firstStats = first.stats();
+  const auto secondStats = second.stats();
+  EXPECT_GT(secondStats.readyNs, firstStats.dispatchNs);
+  EXPECT_LT(secondStats.readyNs, firstStats.completeNs);
+  EXPECT_EQ(secondStats.dispatchNs, secondStats.readyNs);
+  EXPECT_EQ(server.serverStats().maxBatch, 2u);
+}
+
 // --- batching -------------------------------------------------------------
 
 TEST_F(ServiceTest, BatchingCoalescesSameProgramAcrossTenants) {

@@ -432,7 +432,7 @@ TEST_F(ClusterTest, TraceCarriesNodeTrafficAndReconcilingEnergy) {
 
   // A stencil across the two single-device nodes ships halo rows over
   // the interconnect every iteration; the map adds pure compute.
-  const std::size_t width = 64, rows = 512;
+  const std::size_t width = 256, rows = 256;
   std::vector<float> grid(rows * width);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     grid[i] = float((i * 31) % 101) * 0.125f;
@@ -464,6 +464,11 @@ TEST_F(ClusterTest, TraceCarriesNodeTrafficAndReconcilingEnergy) {
   EXPECT_DOUBLE_EQ(rt.devices[0].transferNjPerByte, 0.5);
 
   const trace::Report report = trace::analyze(t);
+
+  // Every step spread the grid over both nodes.
+  const auto layout = report.decisions.find("stencil.layout: row-aligned");
+  ASSERT_NE(layout, report.decisions.end());
+  EXPECT_EQ(layout->second, 3u);
 
   // Cross-node traffic flowed (summed from the copy_node_in legs), and
   // every byte that left a node over a copy_node_out leg arrived.

@@ -316,7 +316,7 @@ TEST_F(HeteroTest, ZipAlignsStencilRowBlocksWithFreshBlocks) {
   // right operand to the left's *actual* chunks, not assume both blocks
   // are congruent.
   initPlatform("t10,t10@0.5x");
-  const std::size_t width = 7;
+  const std::size_t width = 16384; // wide enough for row-aligned blocks
   const std::size_t n = 10 * width; // rows split {7, 3}
   std::vector<float> data(n);
   std::iota(data.begin(), data.end(), 0.0f);
@@ -328,12 +328,12 @@ TEST_F(HeteroTest, ZipAlignsStencilRowBlocksWithFreshBlocks) {
   Vector<float> grid(data);
   Vector<float> a = centre(grid);
   (void)a[0];
-  EXPECT_EQ(chunkCounts(a), (std::vector<std::size_t>{49, 21}));
+  EXPECT_EQ(chunkCounts(a), (std::vector<std::size_t>{114688, 49152}));
 
   Vector<float> b(data);
   b.setDistribution(Distribution::Block);
   b.state().ensureOnDevices();
-  EXPECT_EQ(chunkCounts(b), (std::vector<std::size_t>{47, 23}))
+  EXPECT_EQ(chunkCounts(b), (std::vector<std::size_t>{109227, 54613}))
       << "test premise: the two partitions should disagree";
 
   Zip<float> add("float add2(float x, float y) { return x + y; }");

@@ -6,8 +6,10 @@
 // device chunks, once with both current and once with the devices
 // newer. Consumers: Map (the input's own layout), Zip (the partner is
 // matched to a block-distributed first operand), Scan (gathered onto
-// one device), Stencil with row blocks and with a radius too wide for
-// them (gathered), and SparseGather (replicated).
+// one device), Stencil over a wide grid (row blocks, the layout
+// forecast to finish first from every source) and with a radius too
+// wide for row blocks (one device), and SparseGather over a large
+// matrix (replicated, likewise).
 //
 // Each case runs on a fresh runtime and pins the result against a host
 // oracle, each device's H2D and D2H bytes, the virtual host time the
@@ -41,6 +43,8 @@ constexpr std::size_t kDevices = 4;
 constexpr std::size_t kWidth = 64;
 constexpr std::size_t kRows = 16;
 constexpr std::size_t kN = kRows * kWidth;
+/// The grid width the row-block stencil consumer spreads.
+constexpr std::size_t kWideWidth = 4096;
 
 enum class Freshness { Fresh, HostNewer, BothCurrent, DevicesNewer };
 
@@ -71,9 +75,9 @@ std::vector<Source> allSources() {
   return sources;
 }
 
-std::vector<int> sourceData() {
-  std::vector<int> data(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
+std::vector<int> sourceData(std::size_t n) {
+  std::vector<int> data(n);
+  for (std::size_t i = 0; i < n; ++i) {
     data[i] = int((i * 37) % 101) - 50;
   }
   return data;
@@ -179,9 +183,9 @@ std::string scanConsumer(Vector<int>& source, const std::vector<int>& data) {
   return measure([&] { return scan(source).hostData(); }, source, want);
 }
 
-/// A 2D clamp stencil summing the (2r+1)² window.
+/// A 2D clamp stencil summing the (2r+1)² window of a kRows-row grid.
 std::string stencilConsumer(Vector<int>& source, const std::vector<int>& data,
-                            int radius) {
+                            int radius, std::size_t width) {
   const int w = 2 * radius + 1;
   Stencil<int> st("int sum_pm(__global const int* w, uint st) {\n"
                   "  int s = 0;\n"
@@ -190,52 +194,56 @@ std::string stencilConsumer(Vector<int>& source, const std::vector<int>& data,
                   "      s = s + w[r * (int)st + c];\n"
                   "  return s;\n"
                   "}\n",
-                  StencilShape{std::size_t(radius), Boundary::Clamp, kWidth});
+                  StencilShape{std::size_t(radius), Boundary::Clamp, width});
   const auto clamp = [](long v, long n) {
     return v < 0 ? 0 : (v >= n ? n - 1 : v);
   };
+  const long cols = long(width);
   std::vector<int> want(data.size());
   for (long r = 0; r < long(kRows); ++r) {
-    for (long c = 0; c < long(kWidth); ++c) {
+    for (long c = 0; c < cols; ++c) {
       int s = 0;
       for (long dr = -radius; dr <= radius; ++dr) {
         for (long dc = -radius; dc <= radius; ++dc) {
-          s += data[std::size_t(clamp(r + dr, kRows) * long(kWidth) +
-                                clamp(c + dc, kWidth))];
+          s += data[std::size_t(clamp(r + dr, kRows) * cols +
+                                clamp(c + dc, cols))];
         }
       }
-      want[std::size_t(r * long(kWidth) + c)] = s;
+      want[std::size_t(r * cols + c)] = s;
     }
   }
   return measure([&] { return st(source).hostData(); }, source, want);
 }
 
-/// 64 rows, two entries each, gathering from columns spread over the
-/// whole operand.
+/// 32768 rows of eight entries each, gathering from columns spread over
+/// the whole operand.
 std::string sparseConsumer(Vector<int>& source, const std::vector<int>& data) {
-  const std::size_t rows = 64;
+  const std::size_t rows = 32768;
+  const std::uint32_t perRow = 8;
   std::vector<std::uint32_t> rowPtr, colIdx;
-  for (std::uint32_t r = 0; r <= rows; ++r) rowPtr.push_back(2 * r);
+  for (std::uint32_t r = 0; r <= rows; ++r) rowPtr.push_back(perRow * r);
   std::vector<int> want(rows);
   for (std::uint32_t r = 0; r < rows; ++r) {
-    const std::uint32_t a = r * 16;
-    const std::uint32_t b = (r * 16 + 5) % kN;
-    colIdx.push_back(a);
-    colIdx.push_back(b);
-    want[r] = 3 * data[a] + 3 * data[b];
+    for (std::uint32_t k = 0; k < perRow; ++k) {
+      const std::uint32_t c = (r * 16 + k * 131) % kN;
+      colIdx.push_back(c);
+      want[r] += 3 * data[c];
+    }
   }
-  CsrMatrix<int> m(rows, kN, rowPtr, colIdx, std::vector<int>(2 * rows, 3));
+  CsrMatrix<int> m(rows, kN, rowPtr, colIdx,
+                   std::vector<int>(perRow * rows, 3));
   SparseGather<int> spmv("int g_pm(int a, int xj) { return a * xj; }",
                          "int c_pm(int a, int b) { return a + b; }", "0");
   return measure([&] { return spmv(m, source).hostData(); }, source, want);
 }
 
-/// Runs `consumer` over every source state, each on a fresh 4-GPU
-/// runtime, and checks each rendering against `pins`.
+/// Runs `consumer` over every source state of `n` elements, each on a
+/// fresh 4-GPU runtime, and checks each rendering against `pins`.
 void runMatrix(const Consumer& consumer,
-               const std::map<std::string, std::string>& pins) {
+               const std::map<std::string, std::string>& pins,
+               std::size_t n = kN) {
   skelcl_test::useTempCacheDir();
-  const std::vector<int> data = sourceData();
+  const std::vector<int> data = sourceData(n);
   for (const Source& source : allSources()) {
     SCOPED_TRACE(source.name);
     ocl::configureSystem(ocl::SystemConfig::teslaS1070(kDevices));
@@ -310,37 +318,42 @@ TEST(PlacementMatrix, Scan) {
   });
 }
 
+// A wide grid spreads in row-aligned blocks from every source, also
+// where one device holds the only current copy: the split saves more
+// than the move through the host costs.
 TEST(PlacementMatrix, StencilRowBlocks) {
   runMatrix([](Vector<int>& v, const std::vector<int>& d) {
-    return stencilConsumer(v, d, 1);
+    return stencilConsumer(v, d, 1, kWideWidth);
   }, {
-      {"fresh", "h2d 1288/1552/1552/1288 d2h 1288/1552/1552/1288 +77272ns block"},
-      {"single0/hostNewer", "h2d 1288/1552/1552/1288 d2h 1288/1552/1552/1288 +77272ns block"},
-      {"single0/bothCurrent", "h2d 1288/1552/1552/1288 d2h 1288/1552/1552/1288 +77272ns block"},
-      {"single0/devicesNewer", "h2d 1288/1552/1552/1288 d2h 5384/1552/1552/1288 +103387ns block"},
-      {"single2/hostNewer", "h2d 1288/1552/1552/1288 d2h 1288/1552/1552/1288 +77272ns block"},
-      {"single2/bothCurrent", "h2d 1288/1552/1552/1288 d2h 1288/1552/1552/1288 +77272ns block"},
-      {"single2/devicesNewer", "h2d 1288/1552/1552/1288 d2h 1288/1552/5648/1288 +103387ns block"},
-      {"block/hostNewer", "h2d 1288/1552/1552/1288 d2h 1288/1552/1552/1288 +77272ns block"},
-      {"block/bothCurrent", "h2d 264/528/528/264 d2h 1288/1552/1552/1288 +69272ns block"},
-      {"block/devicesNewer", "h2d 264/528/528/264 d2h 1288/1552/1552/1288 +69272ns block"},
-      {"copy/hostNewer", "h2d 1288/1552/1552/1288 d2h 1288/1552/1552/1288 +77272ns block"},
-      {"copy/bothCurrent", "h2d 1288/1552/1552/1288 d2h 1288/1552/1552/1288 +77272ns block"},
-      {"copy/devicesNewer", "h2d 1288/1552/1552/1288 d2h 5384/1552/1552/1288 +91387ns block"},
-  });
+      {"fresh", "h2d 81928/98320/98320/81928 d2h 81928/98320/98320/81928 +179606ns block"},
+      {"single0/hostNewer", "h2d 81928/98320/98320/81928 d2h 81928/98320/98320/81928 +229874ns block"},
+      {"single0/bothCurrent", "h2d 81928/98320/98320/81928 d2h 81928/98320/98320/81928 +229874ns block"},
+      {"single0/devicesNewer", "h2d 81928/98320/98320/81928 d2h 344072/98320/98320/81928 +323930ns block"},
+      {"single2/hostNewer", "h2d 81928/98320/98320/81928 d2h 81928/98320/98320/81928 +229758ns block"},
+      {"single2/bothCurrent", "h2d 81928/98320/98320/81928 d2h 81928/98320/98320/81928 +229758ns block"},
+      {"single2/devicesNewer", "h2d 81928/98320/98320/81928 d2h 81928/98320/360464/81928 +323930ns block"},
+      {"block/hostNewer", "h2d 81928/98320/98320/81928 d2h 81928/98320/98320/81928 +192209ns block"},
+      {"block/bothCurrent", "h2d 16392/32784/32784/16392 d2h 81928/98320/98320/81928 +171606ns block"},
+      {"block/devicesNewer", "h2d 16392/32784/32784/16392 d2h 81928/98320/98320/81928 +182106ns block"},
+      {"copy/hostNewer", "h2d 81928/98320/98320/81928 d2h 81928/98320/98320/81928 +230018ns block"},
+      {"copy/bothCurrent", "h2d 81928/98320/98320/81928 d2h 81928/98320/98320/81928 +230018ns block"},
+      {"copy/devicesNewer", "h2d 81928/98320/98320/81928 d2h 344072/98320/98320/81928 +311930ns block"},
+  }, kRows * kWideWidth);
 }
 
-// Radius 5 exceeds every device's 4-row share: the call runs on one
-// device.
+// Radius 5 exceeds every device's 4-row share: row blocks cannot run
+// the call, which runs on one device: the one holding the grid, else
+// the first whose compute engine is free (device 0 here, so the stale
+// single2/hostNewer chunk is dropped).
 TEST(PlacementMatrix, StencilFallback) {
   runMatrix([](Vector<int>& v, const std::vector<int>& d) {
-    return stencilConsumer(v, d, 5);
+    return stencilConsumer(v, d, 5, kWidth);
   }, {
       {"fresh", "h2d 4096/0/0/0 d2h 4096/0/0/0 +92330ns single"},
       {"single0/hostNewer", "h2d 4096/0/0/0 d2h 4096/0/0/0 +99117ns single"},
       {"single0/bothCurrent", "h2d 0/0/0/0 d2h 4096/0/0/0 +90330ns single"},
       {"single0/devicesNewer", "h2d 0/0/0/0 d2h 4096/0/0/0 +100871ns single"},
-      {"single2/hostNewer", "h2d 0/0/4096/0 d2h 0/0/4096/0 +99117ns single"},
+      {"single2/hostNewer", "h2d 4096/0/0/0 d2h 4096/0/0/0 +92330ns single"},
       {"single2/bothCurrent", "h2d 0/0/0/0 d2h 0/0/4096/0 +90330ns single"},
       {"single2/devicesNewer", "h2d 0/0/0/0 d2h 0/0/4096/0 +100871ns single"},
       {"block/hostNewer", "h2d 4096/0/0/0 d2h 4096/0/0/0 +92526ns single"},
@@ -354,19 +367,19 @@ TEST(PlacementMatrix, StencilFallback) {
 
 TEST(PlacementMatrix, SparseGather) {
   runMatrix(sparseConsumer, {
-      {"fresh", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +59520ns copy"},
-      {"single0/hostNewer", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +60307ns copy"},
-      {"single0/bothCurrent", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +60307ns copy"},
-      {"single0/devicesNewer", "h2d 4420/4420/4420/4420 d2h 4160/64/64/64 +68246ns copy"},
-      {"single2/hostNewer", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +60307ns copy"},
-      {"single2/bothCurrent", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +60307ns copy"},
-      {"single2/devicesNewer", "h2d 4420/4420/4420/4420 d2h 64/64/4160/64 +68246ns copy"},
-      {"block/hostNewer", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +59716ns copy"},
-      {"block/bothCurrent", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +59716ns copy"},
-      {"block/devicesNewer", "h2d 4420/4420/4420/4420 d2h 1088/1088/1088/1088 +73655ns copy"},
-      {"copy/hostNewer", "h2d 4420/4420/4420/4420 d2h 64/64/64/64 +60307ns copy"},
-      {"copy/bothCurrent", "h2d 324/324/324/324 d2h 64/64/64/64 +51520ns copy"},
-      {"copy/devicesNewer", "h2d 324/324/324/324 d2h 64/64/64/64 +50733ns copy"},
+      {"fresh", "h2d 561156/561156/561156/561156 d2h 32768/32768/32768/32768 +230569ns copy"},
+      {"single0/hostNewer", "h2d 561156/561156/561156/561156 d2h 32768/32768/32768/32768 +231356ns copy"},
+      {"single0/bothCurrent", "h2d 561156/561156/561156/561156 d2h 32768/32768/32768/32768 +231356ns copy"},
+      {"single0/devicesNewer", "h2d 561156/561156/561156/561156 d2h 36864/32768/32768/32768 +230569ns copy"},
+      {"single2/hostNewer", "h2d 561156/561156/561156/561156 d2h 32768/32768/32768/32768 +231356ns copy"},
+      {"single2/bothCurrent", "h2d 561156/561156/561156/561156 d2h 32768/32768/32768/32768 +231356ns copy"},
+      {"single2/devicesNewer", "h2d 561156/561156/561156/561156 d2h 32768/32768/36864/32768 +230569ns copy"},
+      {"block/hostNewer", "h2d 561156/561156/561156/561156 d2h 32768/32768/32768/32768 +230765ns copy"},
+      {"block/bothCurrent", "h2d 561156/561156/561156/561156 d2h 32768/32768/32768/32768 +230765ns copy"},
+      {"block/devicesNewer", "h2d 561156/561156/561156/561156 d2h 33792/33792/33792/33792 +230569ns copy"},
+      {"copy/hostNewer", "h2d 561156/561156/561156/561156 d2h 32768/32768/32768/32768 +231356ns copy"},
+      {"copy/bothCurrent", "h2d 557060/557060/557060/557060 d2h 32768/32768/32768/32768 +222569ns copy"},
+      {"copy/devicesNewer", "h2d 557060/557060/557060/557060 d2h 32768/32768/32768/32768 +221782ns copy"},
   });
 }
 

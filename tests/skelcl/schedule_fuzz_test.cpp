@@ -186,15 +186,16 @@ void dotProduct(Invariants& inv) {
 
 void stencilHalo(Invariants& inv) {
   // 203 rows: not divisible by 2, 3, or 4 devices, so block shares are
-  // uneven and every boundary exchanges halos. Wrap makes even the
-  // outermost chunks source rows from the opposite end of the grid.
+  // uneven and every boundary exchanges halos (the grid is wide enough
+  // to spread). Wrap makes even the outermost chunks source rows from
+  // the opposite end of the grid.
   skelcl::Stencil<float> heat(
       "float fzst(__global const float* w, uint st) {"
       "  return 0.2f * (w[0] + w[1] + w[2]"
       "                 + w[(int)st + 1] + w[2 * (int)st + 1]);"
       "}",
-      skelcl::StencilShape{1, skelcl::Boundary::Wrap, 8});
-  std::vector<float> grid(203 * 8);
+      skelcl::StencilShape{1, skelcl::Boundary::Wrap, 256});
+  std::vector<float> grid(203 * 256);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     grid[i] = float((i * 40503u) % 701) * 0.125f;
   }
@@ -207,8 +208,9 @@ void stencilHalo(Invariants& inv) {
 
 void csrDegenerate(Invariants& inv) {
   // Degenerate CSR structure on a prime row count: empty rows, one full
-  // row, duplicate columns. Exercises zero-row chunks on 4 devices.
-  const std::size_t rows = 53, cols = 19;
+  // row, duplicate columns, in uneven row shares over 4 devices (enough
+  // rows to replicate the operand).
+  const std::size_t rows = 32771, cols = 19;
   std::vector<std::uint32_t> rowPtr = {0}, colIdx;
   std::vector<int> vals;
   for (std::size_t r = 0; r < rows; ++r) {

@@ -1,11 +1,13 @@
 // Differential suite for CsrMatrix + SparseGather: exact host oracles
 // for SpMV (int and float), BFS level expansion to a fixed point, and a
 // 20-iteration PageRank, on 1, 2, and 4 devices and heterogeneous
-// specs; bit-identity across shuffled schedules, async-off and
-// fusion-off; degenerate structure (zero-row matrix, empty rows, a full
-// row, duplicate column entries, more devices than rows); CSR
-// validation errors; the bytes CSR staging moves; and typed-error
-// recovery with faults aimed at the gather kernel and at staging.
+// specs, in both layouts the placement rule picks from (a small matrix
+// on one device, a large one with its operand replicated); bit-identity
+// across shuffled schedules, async-off and fusion-off; degenerate
+// structure (zero-row matrix, empty rows, a full row, duplicate column
+// entries, more devices than rows); CSR validation errors; the bytes
+// CSR staging moves; and typed-error recovery with faults aimed at the
+// gather kernel and at staging.
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -22,6 +24,7 @@ namespace {
 using ocl::FaultInjector;
 using skelcl::Arguments;
 using skelcl::CsrMatrix;
+using skelcl::Distribution;
 using skelcl::Map;
 using skelcl::SparseGather;
 using skelcl::Vector;
@@ -87,8 +90,12 @@ const char* kSpmvCombineF = "float spc(float a, float b) { return a + b; }";
 const char* kSpmvGatherI = "int spgi(int a, int xj) { return a * xj; }";
 const char* kSpmvCombineI = "int spci(int a, int b) { return a + b; }";
 
-void expectSpmvMatchesOracle(unsigned seed) {
-  const HostCsr m = randomCsr(97, 53, seed);
+/// Checks an SpMV over a random `rows` x `cols` matrix against the
+/// oracle; the call must run in `layout` (Block: replicated operand,
+/// block-partitioned rows).
+void expectSpmvMatchesOracle(unsigned seed, std::size_t rows, std::size_t cols,
+                             Distribution layout) {
+  const HostCsr m = randomCsr(rows, cols, seed);
   std::vector<int> vals(m.values.size());
   for (std::size_t i = 0; i < vals.size(); ++i) {
     vals[i] = int(m.values[i] * 10.0f);
@@ -106,6 +113,7 @@ void expectSpmvMatchesOracle(unsigned seed) {
   Vector<int> y = spmv(mat, xs);
   const std::vector<int> want = spmvOracle<int>(m, x, vals);
   ASSERT_EQ(y.size(), want.size());
+  EXPECT_EQ(y.distribution(), layout);
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(y[i], want[i]) << "row " << i;
   }
@@ -124,41 +132,105 @@ public:
   SparseFourDevices() : SkelclFixture(4) {}
 };
 
-TEST_F(SparseOneDevice, SpmvMatchesOracle) { expectSpmvMatchesOracle(3); }
-TEST_F(SparseTwoDevices, SpmvMatchesOracle) { expectSpmvMatchesOracle(5); }
-TEST_F(SparseFourDevices, SpmvMatchesOracle) { expectSpmvMatchesOracle(7); }
+TEST_F(SparseOneDevice, SpmvMatchesOracle) {
+  expectSpmvMatchesOracle(3, 97, 53, Distribution::Single);
+}
+TEST_F(SparseTwoDevices, SpmvMatchesOracle) {
+  expectSpmvMatchesOracle(5, 97, 53, Distribution::Single);
+  expectSpmvMatchesOracle(6, 32771, 4099, Distribution::Block);
+}
+TEST_F(SparseFourDevices, SpmvMatchesOracle) {
+  expectSpmvMatchesOracle(7, 97, 53, Distribution::Single);
+  expectSpmvMatchesOracle(8, 32771, 4099, Distribution::Block);
+}
 
-// A SparseGather whose operand is still pending is placed at
-// evaluation: the Map over a fresh vector leaves its result on device 0,
-// so replicating it costs a download and one upload per device on top
-// of the CSR slices (uploaded at the call) and the result download.
-TEST_F(SparseFourDevices, PendingOperandIsPlacedAtEvaluation) {
-  // 64 rows of two entries each: every device gets 16 rows.
-  const std::size_t n = 64;
+/// DMA bytes one SpMV over `rows` rows of `perRow` entries each moves
+/// when its operand `x` (cols elements) is a pending Map over a fresh
+/// vector, including the result download; the call must run in
+/// `layout`.
+std::uint64_t pendingOperandBytes(std::size_t rows, std::size_t cols,
+                                  std::uint32_t perRow, Distribution layout) {
   std::vector<std::uint32_t> rowPtr, colIdx;
-  for (std::uint32_t r = 0; r <= n; ++r) {
-    rowPtr.push_back(2 * r);
+  for (std::uint32_t r = 0; r <= rows; ++r) {
+    rowPtr.push_back(perRow * r);
   }
-  for (std::uint32_t r = 0; r < n; ++r) {
-    colIdx.push_back(r);
-    colIdx.push_back((r + 1) % n);
+  for (std::uint32_t k = 0; k < perRow * rows; ++k) {
+    colIdx.push_back((k * 7) % std::uint32_t(cols));
   }
-  CsrMatrix<int> m(n, n, rowPtr, colIdx, std::vector<int>(2 * n, 3));
+  CsrMatrix<int> m(rows, cols, rowPtr, colIdx,
+                   std::vector<int>(perRow * rows, 3));
   SparseGather<int> spmv(kSpmvGatherI, kSpmvCombineI, "0");
   Map<int> inc("int inc_pin(int x) { return x + 1; }");
-  Vector<int> fresh(std::vector<int>(n, 1));
+  Vector<int> fresh(std::vector<int>(cols, 1));
   Vector<int> x = inc(fresh);
 
   const std::uint64_t before = skelcl_test::totalDmaBytes();
   Vector<int> y = spmv(m, x);
-  EXPECT_EQ(y[0], 12);
-  const std::uint64_t moved = skelcl_test::totalDmaBytes() - before;
+  EXPECT_EQ(y[0], int(6 * perRow));
+  EXPECT_EQ(y.distribution(), layout);
+  return skelcl_test::totalDmaBytes() - before;
+}
 
-  const std::uint64_t vec = n * sizeof(int);
-  const std::uint64_t csr = 4 * (17 * sizeof(std::uint32_t) +
-                                 32 * sizeof(std::uint32_t) + 32 * sizeof(int));
-  EXPECT_EQ(moved, csr + vec + 4 * vec + vec);
-  EXPECT_EQ(moved, 2832u);
+// A SparseGather whose operand is still pending is placed at
+// evaluation, matrix included: the Map over a fresh vector leaves its
+// result on device 0. A small matrix joins it there, so the call moves
+// the matrix once plus the result download.
+TEST_F(SparseFourDevices, PendingOperandIsPlacedAtEvaluation) {
+  const std::size_t n = 64;
+  const std::uint64_t csr = 65 * sizeof(std::uint32_t) +
+                            128 * sizeof(std::uint32_t) + 128 * sizeof(int);
+  const std::uint64_t moved =
+      pendingOperandBytes(n, n, 2, Distribution::Single);
+  EXPECT_EQ(moved, csr + n * sizeof(int));
+  EXPECT_EQ(moved, 1540u);
+}
+
+// A matrix large enough to replicate the operand pays for the move off
+// device 0: a download of the Map result and one upload per device, on
+// top of the CSR slices and the result download. This pins that host
+// round trip; a change that moves the operand device-to-device must
+// update the pin on purpose.
+TEST_F(SparseFourDevices, PendingOperandOfALargeMatrixIsReplicated) {
+  const std::size_t rows = 32768;
+  const std::size_t cols = 4096;
+  const std::uint64_t csr = 4 * (8193 * sizeof(std::uint32_t)) +
+                            rows * 8 * (sizeof(std::uint32_t) + sizeof(int));
+  const std::uint64_t vec = cols * sizeof(int);
+  const std::uint64_t moved =
+      pendingOperandBytes(rows, cols, 8, Distribution::Block);
+  EXPECT_EQ(moved, csr + vec + 4 * vec + rows * sizeof(int));
+  EXPECT_EQ(moved, 2441232u);
+}
+
+// A service-sized SpMV runs on one device in one launch, without
+// replicating its operand: four launches behind four copies of x cost
+// more than splitting 256 rows saves.
+TEST_F(SparseFourDevices, SmallSpmvRunsInOneLaunch) {
+  const std::size_t n = 256;
+  std::vector<std::uint32_t> rowPtr, colIdx;
+  for (std::uint32_t r = 0; r <= n; ++r) {
+    rowPtr.push_back(4 * r);
+  }
+  for (std::uint32_t k = 0; k < 4 * n; ++k) {
+    colIdx.push_back((k * 7) % std::uint32_t(n));
+  }
+  CsrMatrix<int> m(n, n, rowPtr, colIdx, std::vector<int>(4 * n, 2));
+  SparseGather<int> spmv(kSpmvGatherI, kSpmvCombineI, "0");
+  Vector<int> x(std::vector<int>(n, 1));
+  auto& runtime = skelcl::detail::Runtime::instance();
+  auto launches = [&] {
+    std::uint64_t total = 0;
+    for (std::size_t d = 0; d < runtime.deviceCount(); ++d) {
+      total += runtime.queue(d).cumulativeKernelLaunches();
+    }
+    return total;
+  };
+  const std::uint64_t before = launches();
+  Vector<int> y = spmv(m, x);
+  EXPECT_EQ(y[0], 8);
+  EXPECT_EQ(launches() - before, 1u);
+  EXPECT_EQ(y.distribution(), Distribution::Single);
+  EXPECT_EQ(x.distribution(), Distribution::Single);
 }
 
 // --- degenerate structure ------------------------------------------------
@@ -199,7 +271,10 @@ std::vector<std::uint64_t> h2dBytesPerDevice(const std::function<void()>& call) 
 
 // The three CSR arrays are staged by vector placement: once, in the row
 // partition, with a zero-row share uploading only its one row pointer.
-// A failed upload drops what it staged, and a retry stages it again.
+// A call keeps a matrix already staged there with its operand already
+// replicated, as moving both to one device would cost more than its
+// three tiny launches. A failed upload drops what it staged, and a retry
+// stages it again.
 TEST_F(SparseFourDevices, CsrSlicesStageOnceThroughPlace) {
   // 3 rows over 4 devices: the last share has no rows.
   HostCsr h;
@@ -216,13 +291,18 @@ TEST_F(SparseFourDevices, CsrSlicesStageOnceThroughPlace) {
   x.state().ensureOnDevices();
 
   CsrMatrix<int> m(h.rows, h.cols, h.rowPtr, h.colIdx, vals);
-  std::vector<int> got;
-  EXPECT_EQ(h2dBytesPerDevice([&] { got = spmv(m, x).hostData(); }),
+  EXPECT_EQ(h2dBytesPerDevice([&] { m.state().place(Distribution::Block, 0); }),
             (std::vector<std::uint64_t>{24, 32, 16, 4}));
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(h2dBytesPerDevice([&] { got = spmv(m, x).hostData(); }),
-            (std::vector<std::uint64_t>(4, 0)));
-  EXPECT_EQ(got, want);
+  std::vector<int> got;
+  for (int call = 0; call < 2; ++call) {
+    EXPECT_EQ(h2dBytesPerDevice([&] {
+                Vector<int> y = spmv(m, x);
+                got = y.hostData();
+                EXPECT_EQ(y.distribution(), Distribution::Block);
+              }),
+              (std::vector<std::uint64_t>(4, 0)));
+    EXPECT_EQ(got, want);
+  }
 
   struct ResetFaults {
     ~ResetFaults() { FaultInjector::instance().reset(); }
@@ -474,7 +554,7 @@ std::vector<float> runSpmvConfig(std::uint32_t gpus,
     ocl::configureSystem(ocl::SystemConfig::teslaS1070(gpus));
     skelcl::init(skelcl::DeviceSelection::nGPUs(gpus));
   }
-  const HostCsr m = randomCsr(151, 151, 29);
+  const HostCsr m = randomCsr(32771, 32771, 29);
   std::vector<float> x(m.cols);
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = float((i * 2654435761u) % 997) / 991.0f;
@@ -485,6 +565,9 @@ std::vector<float> runSpmvConfig(std::uint32_t gpus,
   for (int it = 0; it < 3; ++it) {
     v = spmv(mat, v); // square matrix: iterate
   }
+  // Every multi-GPU run replicates the operand of a matrix this large.
+  EXPECT_EQ(v.distribution(), gpus == 1 ? Distribution::Single
+                                        : Distribution::Block);
   std::vector<float> result(v.begin(), v.end());
   skelcl::terminate();
   return result;

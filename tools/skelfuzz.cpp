@@ -142,15 +142,16 @@ void dot(Observation& obs) {
 }
 
 void stencilScenario(Observation& obs) {
-  // 2D heat step on a grid whose row count (211) is divisible by no
-  // device count > 1, so every chunk boundary needs a halo exchange.
+  // 2D heat step on a grid wide enough to spread, whose row count (211)
+  // is divisible by no device count > 1, so every chunk boundary needs a
+  // halo exchange.
   skelcl::Stencil<float> heat(
       "float fzheat(__global const float* w, uint st) {"
       "  return 0.25f * (w[1] + w[(int)st] + w[(int)st + 2]"
       "                  + w[2 * (int)st + 1]);"
       "}",
-      skelcl::StencilShape{1, skelcl::Boundary::Clamp, 16});
-  std::vector<float> grid(211 * 16);
+      skelcl::StencilShape{1, skelcl::Boundary::Clamp, 256});
+  std::vector<float> grid(211 * 256);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     grid[i] = float((i * 2654435761u) % 1000) / 997.0f;
   }
@@ -163,8 +164,9 @@ void stencilScenario(Observation& obs) {
 
 void csrScenario(Observation& obs) {
   // CSR with deliberately degenerate rows: empty rows, one full row, and
-  // duplicate column entries, on a prime row count.
-  const std::size_t rows = 67, cols = 31;
+  // duplicate column entries, on a prime row count large enough to
+  // replicate the operand.
+  const std::size_t rows = 16411, cols = 31;
   std::vector<std::uint32_t> rowPtr = {0}, colIdx;
   std::vector<int> vals;
   for (std::size_t r = 0; r < rows; ++r) {
