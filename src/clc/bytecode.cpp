@@ -1,7 +1,10 @@
 #include "clc/bytecode.h"
 
+#include <algorithm>
 #include <iterator>
 #include <sstream>
+
+#include "clc/dispatch.h"
 
 namespace clc {
 
@@ -135,6 +138,9 @@ static_assert(comparesCostAlike(), "CmpJz/CmpJnz charge CmpEq's row");
 /// here, but control may still continue at pc + 1.
 constexpr OpInfo kUnknownOp = row(Op::Nop, "?", 1, 0, 0, Flow::Yield);
 
+/// Where disassemble()'s dispatch column starts.
+constexpr std::streamoff kDispatchColumn = 40;
+
 } // namespace
 
 const OpInfo& opInfo(Op op) noexcept {
@@ -159,13 +165,17 @@ std::uint32_t instrCycleCost(const Instr& instr) noexcept {
   }
 }
 
-std::string disassemble(const Program& program) {
+std::string disassemble(const Program& program, bool withDispatch) {
+  withDispatch = withDispatch &&
+                 program.cycleCosts.size() == program.code.size() &&
+                 program.handlers.size() == program.code.size();
   std::ostringstream out;
   for (const FunctionInfo& f : program.functions) {
     out << (f.isKernel ? "kernel " : "func ") << f.name << " frame="
         << f.frameSize << ":\n";
     for (std::uint32_t pc = f.codeStart; pc < f.codeEnd; ++pc) {
       const Instr& instr = program.code[pc];
+      const auto start = out.tellp();
       out << "  " << pc << ": " << opName(instr.op) << "."
           << typeTagName(instr.tag);
       switch (instr.op) {
@@ -203,6 +213,14 @@ std::string disassemble(const Program& program) {
             out << " " << instr.a;
           }
           break;
+      }
+      if (withDispatch) {
+        const auto width = std::streamoff(out.tellp() - start);
+        out << std::string(std::size_t(std::max<std::streamoff>(
+                               kDispatchColumn - width, 1)),
+                           ' ')
+            << "cycles " << program.cycleCosts[pc] << ", "
+            << handlerKindName(handlerKind(program.handlers[pc]));
       }
       out << "\n";
     }

@@ -298,6 +298,9 @@ struct Program {
   /// maintains it so optimized code is charged exactly the cycles of the
   /// unoptimized sequence it replaces (timing-invariance contract, opt.h).
   std::vector<std::uint32_t> cycleCosts;
+  /// The VM handler that runs each instruction (clc/dispatch.h), resolved
+  /// by the verifier once per program. Derived, so not serialized.
+  std::vector<std::uint16_t> handlers;
   /// Optimization level the code was produced at (0 = raw codegen output).
   std::uint8_t optLevel = 0;
 
@@ -350,7 +353,10 @@ constexpr std::uint64_t pointerOffset(std::uint64_t ptr) noexcept {
   return ptr & 0xffffffffffffULL;
 }
 
-/// Disassembles the program for debugging and golden tests.
-std::string disassemble(const Program& program);
+/// Disassembles the program for debugging and golden tests. With
+/// `withDispatch`, each instruction of a verified program also shows its
+/// cycleCosts entry and the kind of VM handler it resolved to
+/// (clc/dispatch.h).
+std::string disassemble(const Program& program, bool withDispatch = false);
 
 } // namespace clc

@@ -1117,6 +1117,7 @@ OptStats optimizeWith(Program& p, const OptOptions& opts) {
   for (KernelInfo& k : p.kernels) {
     k.bounds = {};
   }
+  p.handlers.clear();
   std::vector<std::uint32_t> costs(p.code.size());
   for (std::size_t i = 0; i < p.code.size(); ++i) {
     costs[i] = instrCycleCost(p.code[i]);

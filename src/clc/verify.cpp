@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "clc/builtins.h"
+#include "clc/dispatch.h"
 
 namespace clc {
 
@@ -71,6 +72,10 @@ public:
       k.bounds.arenaBytes = std::uint32_t(g.arenaBytes);
       k.bounds.callDepth = g.callDepth;
       k.bounds.hasBarrier = g.hasBarrier;
+    }
+    program_.handlers.resize(codeSize);
+    for (std::size_t pc = 0; pc < codeSize; ++pc) {
+      program_.handlers[pc] = resolveHandler(program_.code[pc]);
     }
   }
 

@@ -18,9 +18,11 @@
 //   * the call graph is acyclic and at most kMaxCallDepth frames deep, and
 //     no kernel's live frames exceed kMaxPrivateArena bytes.
 //
-// From this it records each kernel's KernelBounds (bytecode.h), and it
-// fills an empty Program::cycleCosts from the opcode table, so every
-// runnable program carries the cycle table the VM charges from.
+// From this it records each kernel's KernelBounds (bytecode.h), fills an
+// empty Program::cycleCosts from the opcode table and resolves every
+// instruction's Program::handlers entry (dispatch.h), so every runnable
+// program carries the cycle table the VM charges from and the handler
+// table it dispatches through.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +47,8 @@ inline constexpr std::uint32_t kMaxPrivateArena = 1u << 20;
 inline constexpr std::uint32_t kMaxCallDepth = 64;
 
 /// Verifies `program`, stores every kernel's proven bounds in
-/// KernelInfo::bounds and fills an empty cycleCosts table. Throws
+/// KernelInfo::bounds, fills an empty cycleCosts table and resolves the
+/// handler table. Throws
 /// VerifyError on the first violation, a wrong-length cycleCosts included.
 void verify(Program& program);
 

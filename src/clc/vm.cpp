@@ -9,6 +9,7 @@
 #include <iterator>
 
 #include "clc/builtins.h"
+#include "clc/dispatch.h"
 #include "clc/eval.h"
 
 namespace clc {
@@ -32,8 +33,10 @@ struct LaunchContext {
   std::uint64_t totalLocalSize = 0;
   NDRange range;
   std::size_t groupCount[3] = {1, 1, 1};
-  /// Program::cycleCosts, one entry per instruction (verify.h).
+  /// Program::cycleCosts and Program::handlers, one entry per
+  /// instruction (verify.h).
   const std::uint32_t* costs = nullptr;
+  const HandlerIndex* handlers = nullptr;
 };
 
 struct Frame {
@@ -89,32 +92,6 @@ inline void storeSlot(std::uint8_t* p, std::uint64_t v, TypeTag tag) noexcept {
     *p = std::uint8_t(v);
   }
 }
-
-// Every opcode's handler label in ItemVM::resume, in Op order.
-#define CLC_VM_OPS(X)                                                     \
-  X(Nop) X(PushConst) X(PushFrameAddr) X(PushLocalAddr) X(Dup) X(Pop)     \
-  X(Swap) X(Rot3) X(Load) X(Store) X(StoreKeep) X(MemCopy) X(Add) X(Sub)  \
-  X(Mul) X(Div) X(Rem) X(Neg) X(Shl) X(Shr) X(BitAnd) X(BitOr) X(BitXor)  \
-  X(BitNot) X(CmpEq) X(CmpNe) X(CmpLt) X(CmpLe) X(CmpGt) X(CmpGe)         \
-  X(LogNot) X(Conv) X(Jmp) X(Jz) X(Jnz) X(Call) X(CallBuiltin) X(Barrier) \
-  X(Ret) X(RetVal) X(RetStruct) X(Trap) X(LoadFrame) X(StoreFrame)       \
-  X(BinConst) X(FrameBin) X(LoadBin) X(CmpJz) X(CmpJnz) X(MulAdd)        \
-  X(FrameBin2)
-
-#define CLC_VM_OP(name) Op::name,
-constexpr Op kHandlerOps[] = {CLC_VM_OPS(CLC_VM_OP)};
-#undef CLC_VM_OP
-
-constexpr bool handlersInOpOrder() {
-  for (std::size_t i = 0; i < std::size(kHandlerOps); ++i) {
-    if (kHandlerOps[i] != Op(i)) {
-      return false;
-    }
-  }
-  return std::size(kHandlerOps) == std::size_t(kMaxOp) + 1;
-}
-static_assert(handlersInOpOrder(),
-              "CLC_VM_OPS must list every Op once, in enum order");
 
 // ItemVM::resume reads each Instr as one little-endian 8-byte word.
 static_assert(std::endian::native == std::endian::little &&
@@ -175,16 +152,19 @@ public:
   /// Runs until completion or the next barrier.
   ///
   /// Direct-threaded: every handler ends by fetching the next instruction
-  /// and jumping through kDispatch itself, so each opcode gets its own
-  /// indirect branch. The verifier proved every opcode <= kMaxOp, so the
-  /// table lookup needs no range check. The function is aligned so that
-  /// unrelated code moving around it cannot shift the hot loop.
+  /// and jumping through kDispatch itself, so each handler gets its own
+  /// indirect branch. The jump goes to the instruction's entry in
+  /// Program::handlers, which clc::verify resolved once per program
+  /// (dispatch.h) and which is always inside kDispatch, so it needs no
+  /// range check. The function is aligned so that unrelated code moving
+  /// around it cannot shift the hot loop.
   [[gnu::noinline, gnu::aligned(64)]] void resume() {
     status_ = ItemStatus::Running;
     const Program& program = *ctx_->program;
     const Instr* const code = program.code.data();
     const std::uint64_t* const constants = program.constants.data();
     const std::uint32_t* const costs = ctx_->costs;
+    const HandlerIndex* const handlers = ctx_->handlers;
     // The hot state lives in locals. It is published to the members only
     // around what reads it there: calls, builtins and suspension. The
     // instruction/cycle counters are flushed on suspension; resolve() and
@@ -195,8 +175,7 @@ public:
     std::uint64_t instructions = 0;
     std::uint64_t cycles = 0;
     // The current instruction as one 8-byte word (layout asserted at
-    // namespace scope): the opcode selects the handler, which decodes the
-    // tag and immediate it needs.
+    // namespace scope); each handler decodes what it needs of it.
     std::uint64_t word = 0;
     // Each helper captures only locals and is force-inlined, so the hot
     // state stays in registers.
@@ -237,35 +216,121 @@ public:
 #undef CLC_VM_INLINE
 
 #define CLC_VM_LABEL(name) &&op_##name,
-    static const void* const kDispatch[] = {CLC_VM_OPS(CLC_VM_LABEL)};
+#define CLC_VM_QUICK_LABEL(family, op, tag) &&quick_##family##_##op##_##tag,
+    static const void* const kDispatch[] = {
+        CLC_GENERIC_HANDLERS(CLC_VM_LABEL)
+            CLC_QUICK_HANDLERS(CLC_VM_QUICK_LABEL)};
+#undef CLC_VM_QUICK_LABEL
 #undef CLC_VM_LABEL
-    static_assert(std::size(kDispatch) == std::size_t(kMaxOp) + 1);
+    static_assert(std::size(kDispatch) == kHandlerCount);
 
-#define CLC_VM_NEXT()                   \
-  do {                                  \
-    std::memcpy(&word, code + pc, 8);   \
-    cycles += costs[pc];                \
-    ++pc;                               \
-    ++instructions;                     \
-    goto* kDispatch[word & 0xff];       \
+#define CLC_VM_NEXT()                            \
+  do {                                           \
+    std::memcpy(&word, code + pc, 8);            \
+    cycles += costs[pc];                         \
+    const HandlerIndex handler = handlers[pc];   \
+    ++pc;                                        \
+    ++instructions;                              \
+    goto* kDispatch[handler];                    \
   } while (false)
-// One handler per binary arithmetic op and per compare, so the op is a
-// constant and evalArith/evalCompare inline to the tag's path.
-#define CLC_VM_ARITH(name)                        \
-  op_##name : {                                   \
+// One body per quickened family, shared by its generic handler: OP and
+// TAG are constants in a quickened handler, so binop() and the slot
+// helpers inline to the one path they take, and decoded from the
+// instruction in the generic one.
+#define CLC_VM_Plain(OP, TAG)                     \
+  {                                               \
     const std::uint64_t rhs = pop();              \
-    sp[-1] = arith(Op::name, tag(), sp[-1], rhs); \
+    sp[-1] = binop(OP, TAG, sp[-1], rhs);         \
     CLC_VM_NEXT();                                \
   }
-#define CLC_VM_COMPARE(name)                                \
-  op_##name : {                                             \
-    const std::uint64_t rhs = pop();                        \
-    sp[-1] = compare(Op::name, tag(), sp[-1], rhs) ? 1 : 0; \
-    CLC_VM_NEXT();                                          \
+#define CLC_VM_BinConst(OP, TAG)                                         \
+  {                                                                      \
+    sp[-1] = binop(OP, TAG, sp[-1],                                      \
+                   constants[std::size_t(embeddedOperand(imm()))]);      \
+    CLC_VM_NEXT();                                                       \
   }
+#define CLC_VM_FrameBin(OP, TAG)                                         \
+  {                                                                      \
+    const std::uint64_t rhs =                                            \
+        loadSlot(fp + std::uint32_t(embeddedOperand(imm())), TAG);       \
+    sp[-1] = binop(OP, TAG, sp[-1], rhs);                                \
+    CLC_VM_NEXT();                                                       \
+  }
+#define CLC_VM_FrameBin2(OP, TAG)                                        \
+  {                                                                      \
+    const std::uint64_t lhs =                                            \
+        loadSlot(fp + std::uint32_t(frame2X(imm())), TAG);               \
+    const std::uint64_t rhs =                                            \
+        loadSlot(fp + std::uint32_t(frame2Y(imm())), TAG);               \
+    push(binop(OP, TAG, lhs, rhs));                                      \
+    CLC_VM_NEXT();                                                       \
+  }
+#define CLC_VM_CmpJz(OP, TAG)                                            \
+  {                                                                      \
+    const std::uint64_t rhs = pop();                                     \
+    const std::uint64_t lhs = pop();                                     \
+    if (!compare(OP, TAG, lhs, rhs)) {                                   \
+      pc = std::uint32_t(cmpJumpTarget(imm()));                          \
+    }                                                                    \
+    CLC_VM_NEXT();                                                       \
+  }
+#define CLC_VM_CmpJnz(OP, TAG)                                           \
+  {                                                                      \
+    const std::uint64_t rhs = pop();                                     \
+    const std::uint64_t lhs = pop();                                     \
+    if (compare(OP, TAG, lhs, rhs)) {                                    \
+      pc = std::uint32_t(cmpJumpTarget(imm()));                          \
+    }                                                                    \
+    CLC_VM_NEXT();                                                       \
+  }
+#define CLC_VM_Load(OP, TAG)                                             \
+  {                                                                      \
+    const std::uint64_t ptr = pop();                                     \
+    push(loadSlot(resolve(ptr, typeTagSize(TAG), /*write=*/false), TAG)); \
+    CLC_VM_NEXT();                                                       \
+  }
+#define CLC_VM_Store(OP, TAG)                                            \
+  {                                                                      \
+    const std::uint64_t v = pop();                                       \
+    const std::uint64_t ptr = pop();                                     \
+    storeSlot(resolve(ptr, typeTagSize(TAG), /*write=*/true), v, TAG);   \
+    CLC_VM_NEXT();                                                       \
+  }
+// Frame-addressed: the offsets are verified against the owning
+// function's frame, so these access it directly.
+#define CLC_VM_LoadFrame(OP, TAG)                                        \
+  {                                                                      \
+    push(loadSlot(fp + std::uint32_t(imm()), TAG));                      \
+    CLC_VM_NEXT();                                                       \
+  }
+#define CLC_VM_StoreFrame(OP, TAG)                                       \
+  {                                                                      \
+    storeSlot(fp + std::uint32_t(imm()), pop(), TAG);                    \
+    CLC_VM_NEXT();                                                       \
+  }
+// Two-step multiply-then-add: bit-identical to the Mul+Add pair it
+// replaces (deliberately *not* a fused fma).
+#define CLC_VM_MulAdd(OP, TAG)                                           \
+  {                                                                      \
+    const std::uint64_t rhs = pop();                                     \
+    const std::uint64_t lhs = pop();                                     \
+    sp[-1] = arith(Op::Add, TAG, sp[-1], arith(Op::Mul, TAG, lhs, rhs)); \
+    CLC_VM_NEXT();                                                       \
+  }
+// The generic handler of a binary arithmetic op or a compare: the op is
+// a constant, the tag is decoded.
+#define CLC_VM_BINOP(name) \
+  op_##name : CLC_VM_Plain(Op::name, tag())
 
     CLC_VM_NEXT();
 
+    // --- quickened handlers ---------------------------------------------
+#define CLC_VM_QUICK(family, op, tag) \
+  quick_##family##_##op##_##tag : CLC_VM_##family(Op::op, TypeTag::tag)
+    CLC_QUICK_HANDLERS(CLC_VM_QUICK)
+#undef CLC_VM_QUICK
+
+    // --- generic handlers -----------------------------------------------
   op_Nop:
     CLC_VM_NEXT();
   op_PushConst:
@@ -297,19 +362,10 @@ public:
     sp[-1] = a;
     CLC_VM_NEXT();
   }
-  op_Load: {
-    const std::uint64_t ptr = pop();
-    push(loadSlot(resolve(ptr, typeTagSize(tag()), /*write=*/false),
-                  tag()));
-    CLC_VM_NEXT();
-  }
-  op_Store: {
-    const std::uint64_t v = pop();
-    const std::uint64_t ptr = pop();
-    storeSlot(resolve(ptr, typeTagSize(tag()), /*write=*/true), v,
-              tag());
-    CLC_VM_NEXT();
-  }
+  op_Load:
+    CLC_VM_Load(Op::Nop, tag())
+  op_Store:
+    CLC_VM_Store(Op::Nop, tag())
   op_StoreKeep: {
     const std::uint64_t v = pop();
     const std::uint64_t ptr = pop();
@@ -327,28 +383,28 @@ public:
     std::memmove(d, s, size);
     CLC_VM_NEXT();
   }
-  CLC_VM_ARITH(Add)
-  CLC_VM_ARITH(Sub)
-  CLC_VM_ARITH(Mul)
-  CLC_VM_ARITH(Div)
-  CLC_VM_ARITH(Rem)
-  CLC_VM_ARITH(Shl)
-  CLC_VM_ARITH(Shr)
-  CLC_VM_ARITH(BitAnd)
-  CLC_VM_ARITH(BitOr)
-  CLC_VM_ARITH(BitXor)
+  CLC_VM_BINOP(Add)
+  CLC_VM_BINOP(Sub)
+  CLC_VM_BINOP(Mul)
+  CLC_VM_BINOP(Div)
+  CLC_VM_BINOP(Rem)
+  CLC_VM_BINOP(Shl)
+  CLC_VM_BINOP(Shr)
+  CLC_VM_BINOP(BitAnd)
+  CLC_VM_BINOP(BitOr)
+  CLC_VM_BINOP(BitXor)
   op_Neg:
     sp[-1] = evalNeg(tag(), sp[-1]);
     CLC_VM_NEXT();
   op_BitNot:
     sp[-1] = canon(~sp[-1], tag());
     CLC_VM_NEXT();
-  CLC_VM_COMPARE(CmpEq)
-  CLC_VM_COMPARE(CmpNe)
-  CLC_VM_COMPARE(CmpLt)
-  CLC_VM_COMPARE(CmpLe)
-  CLC_VM_COMPARE(CmpGt)
-  CLC_VM_COMPARE(CmpGe)
+  CLC_VM_BINOP(CmpEq)
+  CLC_VM_BINOP(CmpNe)
+  CLC_VM_BINOP(CmpLt)
+  CLC_VM_BINOP(CmpLe)
+  CLC_VM_BINOP(CmpGt)
+  CLC_VM_BINOP(CmpGe)
   op_LogNot:
     sp[-1] = sp[-1] == 0 ? 1 : 0;
     CLC_VM_NEXT();
@@ -413,24 +469,14 @@ public:
   op_Trap:
     trap(imm() == 1 ? "control reached the end of a non-void function"
                       : "kernel trap");
-  // Frame-addressed superinstructions: their offsets are verified against
-  // the owning function's frame, so they access it directly.
   op_LoadFrame:
-    push(loadSlot(fp + std::uint32_t(imm()), tag()));
-    CLC_VM_NEXT();
+    CLC_VM_LoadFrame(Op::Nop, tag())
   op_StoreFrame:
-    storeSlot(fp + std::uint32_t(imm()), pop(), tag());
-    CLC_VM_NEXT();
+    CLC_VM_StoreFrame(Op::Nop, tag())
   op_BinConst:
-    sp[-1] = binop(embeddedOp(imm()), tag(), sp[-1],
-                   constants[std::size_t(embeddedOperand(imm()))]);
-    CLC_VM_NEXT();
-  op_FrameBin: {
-    const std::uint64_t rhs =
-        loadSlot(fp + std::uint32_t(embeddedOperand(imm())), tag());
-    sp[-1] = binop(embeddedOp(imm()), tag(), sp[-1], rhs);
-    CLC_VM_NEXT();
-  }
+    CLC_VM_BinConst(embeddedOp(imm()), tag())
+  op_FrameBin:
+    CLC_VM_FrameBin(embeddedOp(imm()), tag())
   op_LoadBin: {
     const std::uint64_t ptr = pop();
     const std::uint64_t rhs = loadSlot(
@@ -438,41 +484,26 @@ public:
     sp[-1] = binop(Op(imm()), tag(), sp[-1], rhs);
     CLC_VM_NEXT();
   }
-  op_CmpJz: {
-    const std::uint64_t rhs = pop();
-    const std::uint64_t lhs = pop();
-    if (!compare(cmpFromJump(imm()), tag(), lhs, rhs)) {
-      pc = std::uint32_t(cmpJumpTarget(imm()));
-    }
-    CLC_VM_NEXT();
-  }
-  op_CmpJnz: {
-    const std::uint64_t rhs = pop();
-    const std::uint64_t lhs = pop();
-    if (compare(cmpFromJump(imm()), tag(), lhs, rhs)) {
-      pc = std::uint32_t(cmpJumpTarget(imm()));
-    }
-    CLC_VM_NEXT();
-  }
-  op_MulAdd: {
-    // Two-step multiply-then-add: bit-identical to the Mul+Add pair it
-    // replaces (deliberately *not* a fused fma).
-    const std::uint64_t rhs = pop();
-    const std::uint64_t lhs = pop();
-    sp[-1] = arith(Op::Add, tag(), sp[-1],
-                   arith(Op::Mul, tag(), lhs, rhs));
-    CLC_VM_NEXT();
-  }
-  op_FrameBin2: {
-    const std::uint64_t lhs =
-        loadSlot(fp + std::uint32_t(frame2X(imm())), tag());
-    const std::uint64_t rhs =
-        loadSlot(fp + std::uint32_t(frame2Y(imm())), tag());
-    push(binop(frame2Op(imm()), tag(), lhs, rhs));
-    CLC_VM_NEXT();
-  }
-#undef CLC_VM_COMPARE
-#undef CLC_VM_ARITH
+  op_CmpJz:
+    CLC_VM_CmpJz(cmpFromJump(imm()), tag())
+  op_CmpJnz:
+    CLC_VM_CmpJnz(cmpFromJump(imm()), tag())
+  op_MulAdd:
+    CLC_VM_MulAdd(Op::Nop, tag())
+  op_FrameBin2:
+    CLC_VM_FrameBin2(frame2Op(imm()), tag())
+#undef CLC_VM_BINOP
+#undef CLC_VM_MulAdd
+#undef CLC_VM_StoreFrame
+#undef CLC_VM_LoadFrame
+#undef CLC_VM_Store
+#undef CLC_VM_Load
+#undef CLC_VM_CmpJnz
+#undef CLC_VM_CmpJz
+#undef CLC_VM_FrameBin2
+#undef CLC_VM_FrameBin
+#undef CLC_VM_BinConst
+#undef CLC_VM_Plain
 #undef CLC_VM_NEXT
   }
 
@@ -605,7 +636,7 @@ private:
     return out;
   }
 
-  /// An embedded binop of a superinstruction: arithmetic or a compare.
+  /// A binary arithmetic op or a compare, plain or embedded.
   [[gnu::always_inline]] std::uint64_t binop(Op op, TypeTag tag,
                                              std::uint64_t lhs,
                                              std::uint64_t rhs) {
@@ -1096,7 +1127,8 @@ LaunchStats executeKernel(const Program& program,
   if (kernel == nullptr) {
     throw common::InvalidArgument("no kernel named '" + kernelName + "'");
   }
-  if (kernel->bounds.callDepth == 0) {
+  if (kernel->bounds.callDepth == 0 ||
+      program.handlers.size() != program.code.size()) {
     throw common::InvalidArgument("kernel '" + kernelName +
                                   "' has not been verified (clc::verify)");
   }
@@ -1109,6 +1141,7 @@ LaunchStats executeKernel(const Program& program,
   ctx.range = range;
 
   ctx.costs = program.cycleCosts.data();
+  ctx.handlers = program.handlers.data();
 
   if (args.size() != ctx.kernelFunc->params.size()) {
     throw common::InvalidArgument(

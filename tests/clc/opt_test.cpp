@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "clc/codegen.h"
+#include "clc/dispatch.h"
 #include "clc/opt.h"
 #include "clc/serialize.h"
 #include "clc/vm.h"
@@ -394,6 +395,41 @@ TEST(OptDifferential, MandelbrotKernel) {
   const clc::LaunchStats s0 = runLaunch(o0, l).stats;
   const clc::LaunchStats s2 = runLaunch(o2, l).stats;
   EXPECT_LT(s2.instructions, s0.instructions);
+}
+
+TEST(OptDifferential, MandelbrotUserFunctionLoopRunsOnQuickenedHandlers) {
+  // perfbench's mandelbrot spends nearly all its time in this loop. Every
+  // instruction of it must resolve to a quickened handler, or to the
+  // generic handler of an opcode that decodes nothing (jumps, pushes): a
+  // new optimizer form there would otherwise fall back silently.
+  const std::string source =
+      "typedef struct { float re; float im; } PixelPos;\n" +
+      readRepoFile("src/mandelbrot/kernels/mandelbrot_skelcl.cl");
+  clc::Program p = clc::compile(source);
+  clc::optimize(p, clc::OptLevel::O2);
+  const clc::FunctionInfo* f = p.findFunction("mandelbrot");
+  ASSERT_NE(f, nullptr);
+  // The loop runs from the target of the function's back edge to it.
+  std::uint32_t head = 0;
+  std::uint32_t backEdge = 0;
+  for (std::uint32_t pc = f->codeStart; pc < f->codeEnd; ++pc) {
+    const Instr& in = p.code[pc];
+    if (clc::hasBranchTarget(in.op) &&
+        std::uint32_t(clc::branchTarget(in)) <= pc) {
+      head = std::uint32_t(clc::branchTarget(in));
+      backEdge = pc;
+    }
+  }
+  ASSERT_GT(backEdge, head) << clc::disassemble(p, /*withDispatch=*/true);
+  std::size_t quickened = 0;
+  for (std::uint32_t pc = head; pc <= backEdge; ++pc) {
+    const clc::HandlerKind kind = clc::handlerKind(p.handlers[pc]);
+    EXPECT_NE(kind, clc::HandlerKind::Generic)
+        << "pc " << pc << "\n" << clc::disassemble(p, /*withDispatch=*/true);
+    quickened += kind == clc::HandlerKind::Quickened ? 1 : 0;
+  }
+  // The loop's float and int arithmetic, compares, frame loads and stores.
+  EXPECT_GE(quickened, 20u) << clc::disassemble(p, /*withDispatch=*/true);
 }
 
 TEST(OptDifferential, OsemUpdateAndAddImages) {

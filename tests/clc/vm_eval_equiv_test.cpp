@@ -3,7 +3,11 @@
 // semantics that the optimizer folds with. Each case runs a hand-assembled,
 // verified kernel in the plain form and in every superinstruction form that
 // can embed the op, over each TypeTag and an edge-operand grid. A case
-// traps exactly where eval.h reports DivByZero or BadOp.
+// traps exactly where eval.h reports DivByZero or BadOp. The hot tags run
+// on quickened handlers and the others on generic ones (clc/dispatch.h),
+// so every tag loop covers both. Loads and stores are checked per tag the
+// same way: sign or zero extension at each width, narrow-store truncation,
+// Ptr as U64, and the global traffic counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "clc/dispatch.h"
 #include "clc/eval.h"
 #include "clc/verify.h"
 #include "clc/vm.h"
@@ -130,9 +135,11 @@ void finish(std::vector<Instr>& code) {
   code.push_back(I(Op::Ret));
 }
 
-/// A verified program whose kernel "k" takes (out, lhs, rhs, acc).
+/// A verified program whose kernel "k" takes (out, lhs, rhs, acc); the
+/// first `globals` of them are __global pointers, the rest `tag` scalars.
 clc::Program kernel(std::vector<Instr> code,
-                    std::vector<std::uint64_t> constants, TypeTag tag) {
+                    std::vector<std::uint64_t> constants, TypeTag tag,
+                    std::uint32_t globals = 1) {
   clc::Program p;
   p.code = std::move(code);
   p.constants = std::move(constants);
@@ -145,7 +152,8 @@ clc::Program kernel(std::vector<Instr> code,
   for (std::uint32_t i = 0; i < 4; ++i) {
     clc::ParamInfo param;
     param.name = names[i];
-    param.kind = i == 0 ? clc::ParamKind::GlobalPtr : clc::ParamKind::Scalar;
+    param.kind =
+        i < globals ? clc::ParamKind::GlobalPtr : clc::ParamKind::Scalar;
     param.size = 8;
     param.scalarTag = tag;
     param.frameOffset = i * 8;
@@ -432,6 +440,202 @@ TEST(VmEvalEquiv, ConvEveryTagPair) {
         check.expect(std::string("conv to ") + clc::typeTagName(to), Op::Conv,
                      from, v, 0, eval::EvalStatus::Ok,
                      eval::convert(v, from, to), run(p, v, 0));
+      }
+    }
+  }
+}
+
+// --- loads and stores --------------------------------------------------------
+
+// The memory kernels take (out, in, value, fill): two 16-byte __global
+// buffers, then two whole 64-bit slots.
+constexpr std::int32_t kIn = kLhs;
+constexpr std::int32_t kValue = kRhs;
+constexpr std::int32_t kFill = kAcc;
+constexpr std::size_t kBufferBytes = 16;
+constexpr std::uint8_t kUntouched = 0x5a;
+
+/// Raw 64-bit patterns: every byte's top bit set, every byte's clear, all
+/// ones, and sign bits at single widths.
+constexpr std::uint64_t kPatterns[] = {
+    0x8182838485868788ULL, 0x7f6e5d4c3b2a1908ULL, ~0ULL,
+    0x0000000000000080ULL, 0x00000000ffff7fffULL, 0x80000000ffffffffULL};
+
+bool isSigned(TypeTag tag) {
+  return tag == TypeTag::I8 || tag == TypeTag::I16 || tag == TypeTag::I32 ||
+         tag == TypeTag::I64;
+}
+
+/// The slot a load of `tag` makes of the low bytes of `raw`: sign extended
+/// for the signed tags, zero extended for the others.
+std::uint64_t extend(std::uint64_t raw, TypeTag tag) {
+  const std::size_t bits = clc::typeTagSize(tag) * 8;
+  if (bits == 64) {
+    return raw;
+  }
+  const std::uint64_t low = raw & ((1ULL << bits) - 1);
+  const std::uint64_t sign = 1ULL << (bits - 1);
+  return isSigned(tag) ? (low ^ sign) - sign : low;
+}
+
+/// `base` with its low typeTagSize(tag) bytes replaced by `value`'s.
+std::uint64_t overlay(std::uint64_t base, std::uint64_t value, TypeTag tag) {
+  const std::size_t bits = clc::typeTagSize(tag) * 8;
+  const std::uint64_t mask = bits == 64 ? ~0ULL : (1ULL << bits) - 1;
+  return (base & ~mask) | (value & mask);
+}
+
+bool isHot(TypeTag tag) {
+  return tag == TypeTag::F32 || tag == TypeTag::I32 || tag == TypeTag::U32 ||
+         tag == TypeTag::I64 || tag == TypeTag::U64 || tag == TypeTag::Ptr;
+}
+
+/// The handler kind the instruction at `pc` must resolve to: quickened for
+/// the hot tags (Ptr as U64), generic for the others.
+void expectHandler(const clc::Program& p, std::size_t pc, TypeTag tag) {
+  EXPECT_EQ(clc::handlerKind(p.handlers.at(pc)),
+            isHot(tag) ? clc::HandlerKind::Quickened
+                       : clc::HandlerKind::Generic)
+      << clc::opName(p.code[pc].op) << "." << clc::typeTagName(tag);
+}
+
+std::uint64_t slotAt(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data(), 8);
+  return v;
+}
+
+/// One launch of a memory kernel on fresh buffers: `in` holds `raw` in its
+/// first 8 bytes, every other byte of both buffers is kUntouched.
+struct MemRun {
+  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> in;
+  clc::LaunchStats stats;
+};
+
+MemRun runMem(const clc::Program& p, std::uint64_t raw, std::uint64_t value,
+              std::uint64_t fill) {
+  MemRun r;
+  r.out.assign(kBufferBytes, kUntouched);
+  r.in.assign(kBufferBytes, kUntouched);
+  std::memcpy(r.in.data(), &raw, 8);
+  const std::vector<clc::Segment> segments = {
+      clc::Segment{r.out.data(), r.out.size()},
+      clc::Segment{r.in.data(), r.in.size()}};
+  std::vector<clc::KernelArgValue> args(4);
+  args[0].kind = clc::KernelArgValue::Kind::Buffer;
+  args[1].kind = clc::KernelArgValue::Kind::Buffer;
+  args[1].segmentIndex = 1;
+  args[2].scalar = value;
+  args[3].scalar = fill;
+  r.stats = clc::executeKernel(p, "k", clc::NDRange{}, args, segments,
+                               nullptr);
+  return r;
+}
+
+bool untouchedFrom(const std::vector<std::uint8_t>& bytes, std::size_t from) {
+  return std::all_of(bytes.begin() + std::ptrdiff_t(from), bytes.end(),
+                     [](std::uint8_t b) { return b == kUntouched; });
+}
+
+TEST(VmEvalEquiv, GlobalLoadExtendsEachWidth) {
+  for (const TypeTag tag : kTags) {
+    std::vector<Instr> code = begin();
+    load(code, kIn, TypeTag::Ptr);
+    const std::size_t pc = code.size();
+    code.push_back(I(Op::Load, tag));
+    finish(code);
+    const clc::Program p = kernel(code, {}, tag, /*globals=*/2);
+    expectHandler(p, pc, tag);
+    for (const std::uint64_t raw : kPatterns) {
+      const MemRun r = runMem(p, raw, 0, 0);
+      EXPECT_EQ(slotAt(r.out), extend(raw, tag))
+          << clc::typeTagName(tag) << " raw=0x" << std::hex << raw;
+      EXPECT_EQ(r.stats.globalBytesRead, clc::typeTagSize(tag));
+      EXPECT_EQ(r.stats.globalBytesWritten, 8u);
+    }
+  }
+}
+
+TEST(VmEvalEquiv, GlobalStoreTruncatesToItsWidth) {
+  for (const TypeTag tag : kTags) {
+    std::vector<Instr> code = begin();
+    load(code, kValue, TypeTag::U64);
+    const std::size_t pc = code.size();
+    code.push_back(I(Op::Store, tag));
+    code.push_back(I(Op::Ret));
+    const clc::Program p = kernel(code, {}, tag, /*globals=*/2);
+    expectHandler(p, pc, tag);
+    const std::size_t size = clc::typeTagSize(tag);
+    for (const std::uint64_t value : kPatterns) {
+      const MemRun r = runMem(p, 0, value, 0);
+      const std::uint64_t untouched = 0x5a5a5a5a5a5a5a5aULL;
+      EXPECT_EQ(slotAt(r.out), overlay(untouched, value, tag))
+          << clc::typeTagName(tag) << " value=0x" << std::hex << value;
+      EXPECT_TRUE(untouchedFrom(r.out, size)) << clc::typeTagName(tag);
+      EXPECT_EQ(r.stats.globalBytesRead, 0u);
+      EXPECT_EQ(r.stats.globalBytesWritten, size);
+    }
+  }
+}
+
+TEST(VmEvalEquiv, StoreKeepTruncatesAndKeepsTheWholeSlot) {
+  // The kept slot is stored whole into `in`, so both halves are visible.
+  for (const TypeTag tag : kTags) {
+    std::vector<Instr> code;
+    load(code, kIn, TypeTag::Ptr);
+    load(code, kOut, TypeTag::Ptr);
+    load(code, kValue, TypeTag::U64);
+    code.push_back(I(Op::StoreKeep, tag));
+    finish(code);
+    const clc::Program p = kernel(code, {}, tag, /*globals=*/2);
+    const std::size_t size = clc::typeTagSize(tag);
+    for (const std::uint64_t value : kPatterns) {
+      const MemRun r = runMem(p, 0, value, 0);
+      EXPECT_EQ(slotAt(r.out), overlay(0x5a5a5a5a5a5a5a5aULL, value, tag))
+          << clc::typeTagName(tag) << " value=0x" << std::hex << value;
+      EXPECT_TRUE(untouchedFrom(r.out, size)) << clc::typeTagName(tag);
+      EXPECT_EQ(slotAt(r.in), value) << clc::typeTagName(tag);
+      EXPECT_EQ(r.stats.globalBytesRead, 0u);
+      EXPECT_EQ(r.stats.globalBytesWritten, size + 8);
+    }
+  }
+}
+
+TEST(VmEvalEquiv, FrameStoreTruncatesAndFrameLoadExtends) {
+  for (const TypeTag tag : kTags) {
+    // store_frame.tag of a whole slot over `fill`, read back whole.
+    std::vector<Instr> storeCode = begin();
+    load(storeCode, kValue, TypeTag::U64);
+    const std::size_t storePc = storeCode.size();
+    storeCode.push_back(I(Op::StoreFrame, tag, kFill));
+    storeCode.push_back(I(Op::LoadFrame, TypeTag::U64, kFill));
+    finish(storeCode);
+    const clc::Program storing = kernel(storeCode, {}, tag, /*globals=*/2);
+    expectHandler(storing, storePc, tag);
+
+    // load_frame.tag of the low bytes of a whole slot.
+    std::vector<Instr> loadCode = begin();
+    const std::size_t loadPc = loadCode.size();
+    loadCode.push_back(I(Op::LoadFrame, tag, kValue));
+    finish(loadCode);
+    const clc::Program loading = kernel(loadCode, {}, tag, /*globals=*/2);
+    expectHandler(loading, loadPc, tag);
+
+    const std::uint64_t fill = 0xa5a5a5a5a5a5a5a5ULL;
+    for (const std::uint64_t value : kPatterns) {
+      const MemRun s = runMem(storing, 0, value, fill);
+      EXPECT_EQ(slotAt(s.out), overlay(fill, value, tag))
+          << "store_frame." << clc::typeTagName(tag) << " value=0x"
+          << std::hex << value;
+      const MemRun l = runMem(loading, 0, value, fill);
+      EXPECT_EQ(slotAt(l.out), extend(value, tag))
+          << "load_frame." << clc::typeTagName(tag) << " value=0x"
+          << std::hex << value;
+      // Frame accesses are private: only the result store is global.
+      for (const MemRun* r : {&s, &l}) {
+        EXPECT_EQ(r->stats.globalBytesRead, 0u);
+        EXPECT_EQ(r->stats.globalBytesWritten, 8u);
       }
     }
   }

@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "clc/serialize.h"
+#include "clc/vm.h"
 #include "common/byte_stream.h"
 #include "common/hash.h"
 #include "common/stopwatch.h"
@@ -331,6 +332,73 @@ TEST_F(CacheTest, LoadedProgramExecutesCorrectly) {
   queue.enqueueReadBuffer(buf, 0, 8 * sizeof(float), data.data());
   for (float v : data) {
     EXPECT_FLOAT_EQ(v, 1.0f);
+  }
+}
+
+TEST_F(CacheTest, LoadedProgramLaunchesExactlyLikeTheBuildItCameFrom) {
+  // The handler table is derived, not stored: a load re-resolves it, and
+  // the loaded program must dispatch and charge exactly like the build.
+  const std::string source = R"(
+__kernel void escape(__global int* out, float x0, float dx, int maxIter) {
+  int i = (int)get_global_id(0);
+  float cx = x0 + i * dx;
+  float zx = 0.0f;
+  float zy = 0.0f;
+  int n = 0;
+  while (zx * zx + zy * zy <= 4.0f && n < maxIter) {
+    float t = zx * zx - zy * zy + cx;
+    zy = 2.0f * zx * zy + 0.25f;
+    zx = t;
+    n = n + 1;
+  }
+  out[i] = n;
+})";
+  KernelCache cache(dir_);
+  const ocl::Program built = cache.getOrBuild(context_, source);
+  KernelCache fresh(dir_);
+  const ocl::Program loaded = fresh.getOrBuild(context_, source);
+  ASSERT_EQ(fresh.stats().hits, 1u);
+  const clc::Program& a = built.compiled();
+  const clc::Program& b = loaded.compiled();
+  EXPECT_EQ(b.handlers, a.handlers);
+  EXPECT_EQ(b.cycleCosts, a.cycleCosts);
+  ASSERT_EQ(b.handlers.size(), b.code.size());
+
+  const auto launch = [](const clc::Program& program,
+                         std::vector<std::int32_t>& out) {
+    clc::NDRange range;
+    range.globalSize[0] = out.size();
+    range.localSize[0] = 16;
+    std::vector<clc::KernelArgValue> args(4);
+    args[0].kind = clc::KernelArgValue::Kind::Buffer;
+    const float x0 = -2.0f;
+    const float dx = 2.5f / float(out.size());
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &x0, 4);
+    args[1].scalar = bits;
+    std::memcpy(&bits, &dx, 4);
+    args[2].scalar = bits;
+    args[3].scalar = 200;
+    const std::vector<clc::Segment> segments = {clc::Segment{
+        reinterpret_cast<std::uint8_t*>(out.data()), out.size() * 4}};
+    return clc::executeKernel(program, "escape", range, args, segments,
+                              nullptr);
+  };
+  std::vector<std::int32_t> outBuilt(64, -1);
+  std::vector<std::int32_t> outLoaded(64, -1);
+  const clc::LaunchStats s = launch(a, outBuilt);
+  const clc::LaunchStats t = launch(b, outLoaded);
+  EXPECT_EQ(outLoaded, outBuilt);
+  EXPECT_EQ(t.instructions, s.instructions);
+  EXPECT_EQ(t.totalCycles, s.totalCycles);
+  EXPECT_EQ(t.globalBytesRead, s.globalBytesRead);
+  EXPECT_EQ(t.globalBytesWritten, s.globalBytesWritten);
+  EXPECT_EQ(t.atomicOps, s.atomicOps);
+  EXPECT_EQ(t.barrierWaits, s.barrierWaits);
+  ASSERT_EQ(t.groups.size(), s.groups.size());
+  for (std::size_t g = 0; g < s.groups.size(); ++g) {
+    EXPECT_EQ(t.groups[g].sumCycles, s.groups[g].sumCycles) << "group " << g;
+    EXPECT_EQ(t.groups[g].maxCycles, s.groups[g].maxCycles) << "group " << g;
   }
 }
 

@@ -1,9 +1,15 @@
 // clcc — standalone driver for the clc OpenCL-C compiler.
 //
 //   clcc file.cl             check: compile and report diagnostics
-//   clcc --disasm file.cl    print the compiled bytecode
+//   clcc --disasm file.cl    print the compiled bytecode; each line ends
+//                            with the instruction's cycle cost and the
+//                            kind of VM handler it resolved to (quick,
+//                            untyped or generic; see clc/dispatch.h)
 //   clcc --info file.cl      list kernels, parameters, frame sizes
 //   clcc --emit out.clcbin file.cl   write the serialized binary
+//
+// The program is optimized at ocl::Program::build's default level (O2);
+// `-O0` keeps the raw codegen output.
 //
 // Exit code 0 on success, 1 on compile errors, 2 on usage errors.
 #include <cstdio>
@@ -12,6 +18,7 @@
 
 #include "clc/codegen.h"
 #include "clc/diag.h"
+#include "clc/opt.h"
 #include "clc/serialize.h"
 #include "common/byte_stream.h"
 
@@ -43,7 +50,8 @@ void printInfo(const clc::Program& program) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: clcc [--disasm | --info | --emit <out>] <file.cl>\n");
+               "usage: clcc [-O0] [--disasm | --info | --emit <out>] "
+               "<file.cl>\n");
   return 2;
 }
 
@@ -52,6 +60,7 @@ int usage() {
 int main(int argc, char** argv) {
   bool disasm = false;
   bool info = false;
+  clc::OptLevel level = clc::OptLevel::O2;
   std::string emitPath;
   std::string inputPath;
 
@@ -61,6 +70,8 @@ int main(int argc, char** argv) {
       disasm = true;
     } else if (arg == "--info") {
       info = true;
+    } else if (arg == "-O0") {
+      level = clc::OptLevel::O0;
     } else if (arg == "--emit") {
       if (++i >= argc) {
         return usage();
@@ -90,6 +101,7 @@ int main(int argc, char** argv) {
   clc::Program program;
   try {
     program = clc::compile(source);
+    clc::optimize(program, level);
   } catch (const clc::CompileError& e) {
     std::fputs(clc::renderContext(source, e.loc(), e.message()).c_str(),
                stderr);
@@ -104,7 +116,8 @@ int main(int argc, char** argv) {
     printInfo(program);
   }
   if (disasm) {
-    std::fputs(clc::disassemble(program).c_str(), stdout);
+    std::fputs(clc::disassemble(program, /*withDispatch=*/true).c_str(),
+               stdout);
   }
   if (!info && !disasm && emitPath.empty()) {
     std::printf("%s: ok (%zu kernels, %zu instructions)\n",
