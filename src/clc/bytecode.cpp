@@ -165,10 +165,10 @@ std::uint32_t instrCycleCost(const Instr& instr) noexcept {
   }
 }
 
-std::string disassemble(const Program& program, bool withDispatch) {
-  withDispatch = withDispatch &&
-                 program.cycleCosts.size() == program.code.size() &&
-                 program.handlers.size() == program.code.size();
+std::string disassemble(const Program& program) {
+  const bool withDispatch =
+      program.cycleCosts.size() == program.code.size() &&
+      program.handlers.size() == program.code.size();
   std::ostringstream out;
   for (const FunctionInfo& f : program.functions) {
     out << (f.isKernel ? "kernel " : "func ") << f.name << " frame="

@@ -353,10 +353,9 @@ constexpr std::uint64_t pointerOffset(std::uint64_t ptr) noexcept {
   return ptr & 0xffffffffffffULL;
 }
 
-/// Disassembles the program for debugging and golden tests. With
-/// `withDispatch`, each instruction of a verified program also shows its
-/// cycleCosts entry and the kind of VM handler it resolved to
-/// (clc/dispatch.h).
-std::string disassemble(const Program& program, bool withDispatch = false);
+/// Disassembles the program for debugging and golden tests. Each
+/// instruction of a verified program also shows its cycleCosts entry and
+/// the kind of VM handler it resolved to (clc/dispatch.h).
+std::string disassemble(const Program& program);
 
 } // namespace clc

@@ -23,6 +23,12 @@ constexpr bool genericHandlersInOpOrder() {
 static_assert(genericHandlersInOpOrder(),
               "CLC_GENERIC_HANDLERS must list every Op once, in enum order");
 
+/// The families of CLC_QUICK_HANDLERS.
+enum class QuickFamily : std::uint8_t {
+  Plain, BinConst, FrameBin, FrameBin2, CmpJz, CmpJnz,
+  Load, Store, LoadFrame, StoreFrame, MulAdd,
+};
+
 struct QuickKey {
   QuickFamily family;
   Op op;

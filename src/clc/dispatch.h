@@ -34,9 +34,11 @@ namespace clc {
   X(BinConst) X(FrameBin) X(LoadBin) X(CmpJz) X(CmpJnz) X(MulAdd)        \
   X(FrameBin2)
 
-// The quickened handlers, X(family, op, tag): `op` is the binop the
-// handler evaluates (Nop for the families without one) and `tag` one of
-// the five hot tags; Ptr resolves to U64, whose semantics it shares.
+// The quickened handlers, X(family, op, tag). `family` is the opcode of
+// that name, or Plain for a binop instruction itself (Add, Sub, Mul or a
+// compare); `op` is the binop the handler evaluates (Nop for the families
+// without one) and `tag` one of the five hot tags. Ptr resolves to U64,
+// whose semantics it shares.
 #define CLC_QUICK_TAGS(X, family, op)                                     \
   X(family, op, F32) X(family, op, I32) X(family, op, U32)                \
   X(family, op, I64) X(family, op, U64)
@@ -54,13 +56,6 @@ namespace clc {
   CLC_QUICK_TAGS(X, Load, Nop) CLC_QUICK_TAGS(X, Store, Nop)              \
   CLC_QUICK_TAGS(X, LoadFrame, Nop) CLC_QUICK_TAGS(X, StoreFrame, Nop)    \
   CLC_QUICK_TAGS(X, MulAdd, Nop)
-
-/// The quickened families. Plain is a binop instruction itself (Add, Sub,
-/// Mul or a compare); every other family is the opcode of its name.
-enum class QuickFamily : std::uint8_t {
-  Plain, BinConst, FrameBin, FrameBin2, CmpJz, CmpJnz,
-  Load, Store, LoadFrame, StoreFrame, MulAdd,
-};
 
 /// An index into the VM's dispatch table: the generic handlers first, in
 /// Op order, then the quickened ones in CLC_QUICK_HANDLERS order.

@@ -420,16 +420,16 @@ TEST(OptDifferential, MandelbrotUserFunctionLoopRunsOnQuickenedHandlers) {
       backEdge = pc;
     }
   }
-  ASSERT_GT(backEdge, head) << clc::disassemble(p, /*withDispatch=*/true);
+  ASSERT_GT(backEdge, head) << clc::disassemble(p);
   std::size_t quickened = 0;
   for (std::uint32_t pc = head; pc <= backEdge; ++pc) {
     const clc::HandlerKind kind = clc::handlerKind(p.handlers[pc]);
     EXPECT_NE(kind, clc::HandlerKind::Generic)
-        << "pc " << pc << "\n" << clc::disassemble(p, /*withDispatch=*/true);
+        << "pc " << pc << "\n" << clc::disassemble(p);
     quickened += kind == clc::HandlerKind::Quickened ? 1 : 0;
   }
   // The loop's float and int arithmetic, compares, frame loads and stores.
-  EXPECT_GE(quickened, 20u) << clc::disassemble(p, /*withDispatch=*/true);
+  EXPECT_GE(quickened, 20u) << clc::disassemble(p);
 }
 
 TEST(OptDifferential, OsemUpdateAndAddImages) {

@@ -116,8 +116,7 @@ int main(int argc, char** argv) {
     printInfo(program);
   }
   if (disasm) {
-    std::fputs(clc::disassemble(program, /*withDispatch=*/true).c_str(),
-               stdout);
+    std::fputs(clc::disassemble(program).c_str(), stdout);
   }
   if (!info && !disasm && emitPath.empty()) {
     std::printf("%s: ok (%zu kernels, %zu instructions)\n",
