@@ -122,12 +122,12 @@ public:
   }
 
   /// Appends the ready events of every vector argument's chunk on
-  /// `deviceIndex` to `deps`, so a skeleton launch that binds them waits
-  /// for their uploads without a finish(). Arguments without data on the
-  /// device (e.g. index vectors under other distributions) contribute
-  /// nothing.
-  void collectDeps(std::vector<ocl::Event>& deps,
-                   std::size_t deviceIndex) const {
+  /// `deviceIndex` to `deps` (any vector an ocl::Event converts into), so
+  /// a skeleton launch that binds them waits for their uploads without a
+  /// finish(). Arguments without data on the device (e.g. index vectors
+  /// under other distributions) contribute nothing.
+  template <typename Deps>
+  void collectDeps(Deps& deps, std::size_t deviceIndex) const {
     for (const Entry& e : entries_) {
       if (e.kind == Kind::VectorArg && e.vector != nullptr) {
         ocl::Event ready = e.vector->readyEventOn(deviceIndex);

@@ -7,11 +7,12 @@
 // old eager execution; a fused plan runs one kernel where the chain ran
 // several, with no intermediate vectors.
 //
-// Every evaluation resolves exactly one program, generated from its plan:
-// a Reduce or Scan program carries the plain tree kernels its later
+// Every evaluation resolves exactly one program, generated from its plan
+// (a Reduce or Scan program carries the plain tree kernels its later
 // passes run and, when the plan absorbed a chain, the fused first pass
-// beside them. Every launch that may split against upload pieces goes
-// through launchPipelined (skeleton_common.h).
+// beside them), builds its command list (detail/commands.h) — a launch
+// that may split against upload pieces through launchPipelined — and
+// executes it.
 #include "skelcl/detail/expr.h"
 
 #include <algorithm>
@@ -149,21 +150,32 @@ std::string leafParams(const FusionPlan& plan) {
 /// to `deps` instead.
 std::vector<UploadPieces> takeUploadPieces(
     const std::vector<VectorState*>& leaves, std::size_t deviceIndex,
-    std::vector<ocl::Event>& deps) {
+    std::vector<Dep>& deps) {
   std::vector<UploadPieces> pieces;
   pieces.reserve(leaves.size());
   for (VectorState* leaf : leaves) {
     pieces.push_back(leaf->takeUploadPieces(deviceIndex));
     if (pieces.back().empty()) {
-      appendEvent(deps, leaf->readyEventOn(deviceIndex));
+      deps.push_back(leaf->readyEventOn(deviceIndex));
     }
   }
   return pieces;
 }
 
+/// Launch operands for the plan's leaves on `deviceIndex`, one per
+/// occurrence.
+std::vector<Operand> leafOperands(const FusionPlan& plan,
+                                  std::size_t deviceIndex) {
+  std::vector<Operand> args;
+  for (const auto& leaf : plan.leaves) {
+    args.push_back(Operand::chunk(*leaf, deviceIndex));
+  }
+  return args;
+}
+
 // --- element-wise plans (Map/Zip roots) ---------------------------------
 
-std::string elementwiseKernelName(const FusionPlan& plan) {
+const char* elementwiseKernelName(const FusionPlan& plan) {
   if (plan.stages.size() > 1) {
     return "skelcl_fused";
   }
@@ -211,65 +223,52 @@ void runElementwise(const std::shared_ptr<ExprNode>& node,
   }
 
   ocl::Program program = runtime.programFor(elementwiseSource(plan, *node));
-  const std::string kernelName = elementwiseKernelName(plan);
 
   // Per-device chunks are disjoint, so any visit order is legal (the
-  // schedule fuzzer shuffles it); a fault on one device reports which.
+  // schedule fuzzer shuffles it).
+  CommandList list(plan.label + " skeleton", out.get());
   const auto& chunks = leaf0.chunks();
   for (std::size_t idx : runtime.chunkVisitOrder(chunks.size())) {
     const Chunk& chunk = chunks[idx];
     if (chunk.count == 0) {
       continue;
     }
-    try {
-      const auto& device = runtime.devices()[chunk.deviceIndex];
-      ocl::Kernel kernel = program.createKernel(kernelName);
-      std::size_t arg = 0;
-      for (const auto& leaf : plan.leaves) {
-        kernel.setArg(arg++,
-                      leaf->chunkForDevice(chunk.deviceIndex).buffer);
-      }
-      if (!isVoid) {
-        kernel.setArg(arg++,
-                      out->chunkForDevice(chunk.deviceIndex).buffer);
-      }
-      kernel.setArg(arg++, std::uint32_t(chunk.count));
-      bindStageArguments(plan, kernel, arg, chunk.deviceIndex);
-
-      // The launch depends on every distinct operand's upload — piecewise
-      // where split, so sub-launches pipeline against whichever transfer
-      // streams last — plus any stage argument vectors. A void map may
-      // scatter to arbitrary indices of its argument vectors, so it is
-      // never split: one launch waits for the whole upload.
-      std::vector<ocl::Event> deps;
-      std::vector<UploadPieces> pieces;
-      if (isVoid) {
-        for (VectorState* leaf : distinct) {
-          appendEvent(deps, leaf->readyEventOn(chunk.deviceIndex));
-        }
-      } else {
-        pieces = takeUploadPieces(distinct, chunk.deviceIndex, deps);
-      }
-      collectStageDeps(plan, deps, chunk.deviceIndex);
-
-      const std::size_t wg =
-          effectiveWorkGroupSize(node->workGroupSize, chunk.count, device);
-      const std::size_t cus =
-          std::max<std::size_t>(1, device.spec().computeUnits);
-      ocl::Event done = launchPipelined(
-          runtime.queue(chunk.deviceIndex), kernel,
-          (chunk.count + wg - 1) / wg, wg, /*span=*/wg, chunk.count,
-          kMinWavesPerSlice * cus, deps, pieces);
-      if (!isVoid) {
-        out->recordEventOn(chunk.deviceIndex, done);
-      }
-      recordStageEvents(plan, done, chunk.deviceIndex);
-    } catch (ocl::ClError& e) {
-      e.prependContext(plan.label + " skeleton on device " +
-                       std::to_string(chunk.deviceIndex));
-      throw;
+    const std::size_t d = chunk.deviceIndex;
+    const auto& device = runtime.devices()[d];
+    std::vector<Operand> args = leafOperands(plan, d);
+    if (!isVoid) {
+      args.push_back(Operand::output());
     }
+    args.push_back(Operand::uint(chunk.count));
+    appendStageArgs(plan, args);
+
+    // The launch depends on every distinct operand's upload — piecewise
+    // where split, so sub-launches pipeline against whichever transfer
+    // streams last — plus any stage argument vectors. A void map may
+    // scatter to arbitrary indices of its argument vectors, so it is
+    // never split: one launch waits for the whole upload.
+    std::vector<Dep> deps;
+    std::vector<UploadPieces> pieces;
+    if (isVoid) {
+      for (VectorState* leaf : distinct) {
+        deps.push_back(leaf->readyEventOn(d));
+      }
+    } else {
+      pieces = takeUploadPieces(distinct, d, deps);
+    }
+    collectStageDeps(plan, deps, d);
+
+    const std::size_t wg =
+        effectiveWorkGroupSize(node->workGroupSize, chunk.count, device);
+    const std::size_t cus =
+        std::max<std::size_t>(1, device.spec().computeUnits);
+    launchPipelined(list,
+                    Command::launch(d, elementwiseKernelName(plan),
+                                    chunk.count, wg, std::move(args), {}),
+                    (chunk.count + wg - 1) / wg, wg, /*span=*/wg,
+                    chunk.count, kMinWavesPerSlice * cus, deps, pieces);
   }
+  execute(list, program);
   if (!isVoid) {
     out->markDevicesModified();
   }
@@ -372,35 +371,32 @@ std::string reduceProgramSource(const ExprNode& node, const FusionPlan& plan,
                                   "skelcl_in[%IDX%]", /*pipelined=*/false);
 }
 
-/// Tree-reduces `count` elements of `in` (element size `elem`) down to
-/// one with skelcl_reduce; the first pass waits on `deps`. Mirrors the
-/// eager Reduce::reduceOnDevice, including the count==1 passthrough.
-std::pair<ocl::Buffer, ocl::Event> reduceTree(
-    Runtime& runtime, ocl::Program& program, ocl::Buffer in,
-    std::size_t count, std::size_t elem, std::size_t deviceIndex,
-    std::vector<ocl::Event> deps) {
-  auto& queue = runtime.queue(deviceIndex);
-  const auto& device = runtime.devices()[deviceIndex];
-  ocl::Event last;
-  if (!deps.empty()) {
-    last = deps.front();
-  }
+/// A buffer a Reduce call's list reads, and when its contents are ready.
+struct Reduced {
+  Operand buffer;
+  Dep ready;
+};
+
+/// Appends the tree reduction of `count` elements of `in` (element size
+/// `elem`) down to one with skelcl_reduce; the first pass waits on
+/// `deps`. Mirrors the eager Reduce::reduceOnDevice, including the
+/// count==1 passthrough.
+Reduced reduceTree(CommandList& list, Operand in, std::size_t count,
+                   std::size_t elem, std::size_t deviceIndex,
+                   std::vector<Dep> deps) {
+  Dep last = deps.empty() ? Dep() : deps.front();
   while (count > 1) {
     const std::size_t groups =
         std::min(kReduceMaxGroups, (count + kTreeWg - 1) / kTreeWg);
-    ocl::Buffer out =
-        runtime.context().createBuffer(device, groups * elem);
-    ocl::Kernel kernel = program.createKernel("skelcl_reduce");
-    kernel.setArg(0, in);
-    kernel.setArg(1, out);
-    kernel.setArg(2, std::uint32_t(count));
-    last = queue.enqueueNDRange(
-        kernel, ocl::NDRange1D{groups * kTreeWg, kTreeWg}, deps);
+    const std::size_t out = list.scratch(deviceIndex, groups * elem);
+    last = Dep::on(list.push(Command::launch(
+        deviceIndex, "skelcl_reduce", groups * kTreeWg, kTreeWg,
+        {in, Operand::scratch(out), Operand::uint(count)}, std::move(deps))));
     deps = {last};
-    in = std::move(out);
+    in = Operand::scratch(out);
     count = groups;
   }
-  return {std::move(in), std::move(last)};
+  return {in, std::move(last)};
 }
 
 void runReduce(const std::shared_ptr<ExprNode>& node,
@@ -419,107 +415,85 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
   // Per-device partial reduction; under the copy distribution one copy
   // suffices. Partials stay in canonical chunk order (device order =
   // element order), so the combine below needs associativity only.
-  struct Partial {
-    ocl::Buffer buffer;
-    ocl::Event ready;
-    std::size_t deviceIndex;
-  };
-  std::vector<Partial> partials;
+  CommandList list(plan.label + " skeleton");
+  std::vector<std::pair<Reduced, std::size_t>> partials; // and device
   const auto& chunks = leaf0.chunks();
   const bool copyDist = leaf0.distribution() == Distribution::Copy;
   for (const Chunk& chunk : chunks) {
     if (chunk.count == 0) {
       continue;
     }
-    try {
-      std::vector<ocl::Event> deps;
-      ocl::Buffer in = chunk.buffer;
-      std::size_t count = chunk.count;
-      if (fused) {
-        // Fused first pass: the absorbed chain evaluates inline while
-        // the tree reduces — the reduce.map rewrite. Harvest any split
-        // upload pieces so the tree groups can start on the prefix of
-        // the input while its tail still streams; a sub-launch is worth
-        // it once each piece unlocks whole groups.
-        const auto& device = runtime.devices()[chunk.deviceIndex];
-        collectStageDeps(plan, deps, chunk.deviceIndex);
-        const std::vector<UploadPieces> pieces =
-            takeUploadPieces(distinct, chunk.deviceIndex, deps);
-        const std::size_t groups =
-            std::min(kReduceMaxGroups, (count + kTreeWg - 1) / kTreeWg);
-        ocl::Buffer mapped =
-            runtime.context().createBuffer(device, groups * elem);
-        ocl::Kernel kernel = program.createKernel("skelcl_mapreduce");
-        std::size_t arg = 0;
-        for (const auto& leaf : plan.leaves) {
-          kernel.setArg(arg++,
-                        leaf->chunkForDevice(chunk.deviceIndex).buffer);
-        }
-        kernel.setArg(arg++, mapped);
-        kernel.setArg(arg++, std::uint32_t(count));
-        kernel.setArg(arg++, std::uint32_t(groups));
-        bindStageArguments(plan, kernel, arg, chunk.deviceIndex);
-        ocl::Event first = launchPipelined(
-            runtime.queue(chunk.deviceIndex), kernel, groups, kTreeWg,
-            /*span=*/(count + groups - 1) / groups, count,
-            /*minGroupsPerSlice=*/2, deps, pieces);
-        recordStageEvents(plan, first, chunk.deviceIndex);
-        deps = {first};
-        in = std::move(mapped);
-        count = groups;
-      } else {
-        // Unfused: one leaf and no stage arguments (Reduce takes none).
-        appendEvent(deps, chunk.ready);
-      }
-      auto reduced = reduceTree(runtime, program, std::move(in), count,
-                                elem, chunk.deviceIndex, std::move(deps));
-      partials.push_back(Partial{std::move(reduced.first),
-                                 std::move(reduced.second),
-                                 chunk.deviceIndex});
-    } catch (ocl::ClError& e) {
-      e.prependContext(plan.label + " skeleton on device " +
-                       std::to_string(chunk.deviceIndex));
-      throw;
+    const std::size_t d = chunk.deviceIndex;
+    std::vector<Dep> deps;
+    Operand in = Operand::chunk(leaf0, d);
+    std::size_t count = chunk.count;
+    if (fused) {
+      // Fused first pass: the absorbed chain evaluates inline while the
+      // tree reduces — the reduce.map rewrite. Harvest any split upload
+      // pieces so the tree groups can start on the prefix of the input
+      // while its tail still streams; a sub-launch is worth it once each
+      // piece unlocks whole groups.
+      collectStageDeps(plan, deps, d);
+      const std::vector<UploadPieces> pieces =
+          takeUploadPieces(distinct, d, deps);
+      const std::size_t groups =
+          std::min(kReduceMaxGroups, (count + kTreeWg - 1) / kTreeWg);
+      const std::size_t mapped = list.scratch(d, groups * elem);
+      std::vector<Operand> args = leafOperands(plan, d);
+      args.push_back(Operand::scratch(mapped));
+      args.push_back(Operand::uint(count));
+      args.push_back(Operand::uint(groups));
+      appendStageArgs(plan, args);
+      const std::size_t first = launchPipelined(
+          list,
+          Command::launch(d, "skelcl_mapreduce", groups * kTreeWg, kTreeWg,
+                          std::move(args), {}),
+          groups, kTreeWg, /*span=*/(count + groups - 1) / groups, count,
+          /*minGroupsPerSlice=*/2, deps, pieces);
+      deps = {Dep::on(first)};
+      in = Operand::scratch(mapped);
+      count = groups;
+    } else {
+      // Unfused: one leaf and no stage arguments (Reduce takes none).
+      deps.push_back(chunk.ready);
     }
+    partials.emplace_back(reduceTree(list, in, count, elem, d, std::move(deps)),
+                          d);
     if (copyDist) {
       break;
     }
   }
   COMMON_CHECK(!partials.empty());
 
-  if (partials.size() == 1) {
-    out->adoptDeviceBuffer(std::move(partials[0].buffer), 1,
-                           partials[0].deviceIndex,
-                           std::move(partials[0].ready));
-    return;
+  // Several partials combine on device 0 (see reduce.h): every read is
+  // non-blocking, the staging upload waits on them through events, and
+  // the final value is consumed at the Scalar's getValue().
+  Reduced result = partials.front().first;
+  std::size_t resultDevice = partials.front().second;
+  if (partials.size() > 1) {
+    const std::size_t bytes = partials.size() * elem;
+    list.hostBytes = bytes;
+    std::vector<Dep> reads;
+    for (const auto& [partial, d] : partials) {
+      reads.push_back(Dep::on(list.push({.kind = Command::Kind::Read,
+                                         .device = d,
+                                         .deps = {partial.ready},
+                                         .src = partial.buffer,
+                                         .dstOffset = reads.size() * elem,
+                                         .bytes = elem})));
+    }
+    const Operand staging = Operand::scratch(list.scratch(0, bytes));
+    const std::size_t staged = list.push({.kind = Command::Kind::Write,
+                                          .deps = std::move(reads),
+                                          .dst = staging,
+                                          .bytes = bytes});
+    result = reduceTree(list, staging, partials.size(), elem, 0,
+                        {Dep::on(staged)});
+    resultDevice = 0;
   }
-
-  // Combine the per-device results on device 0 (see reduce.h): all reads
-  // non-blocking, the staging upload waits on them through events, the
-  // final value is consumed at the Scalar's getValue().
-  std::vector<std::uint8_t> values(partials.size() * elem);
-  std::vector<ocl::Event> reads;
-  for (std::size_t i = 0; i < partials.size(); ++i) {
-    reads.push_back(
-        runtime.queue(partials[i].deviceIndex)
-            .enqueueReadBuffer(partials[i].buffer, 0, elem,
-                               values.data() + i * elem,
-                               /*blocking=*/false, {partials[i].ready}));
-  }
-  try {
-    const auto& device0 = runtime.devices()[0];
-    ocl::Buffer staging =
-        runtime.context().createBuffer(device0, values.size());
-    ocl::Event staged = runtime.queue(0).enqueueWriteBuffer(
-        staging, 0, values.size(), values.data(), reads);
-    auto finalReduce = reduceTree(runtime, program, std::move(staging),
-                                  partials.size(), elem, 0, {staged});
-    out->adoptDeviceBuffer(std::move(finalReduce.first), 1, 0,
-                           std::move(finalReduce.second));
-  } catch (ocl::ClError& e) {
-    e.prependContext(plan.label + " skeleton on device 0");
-    throw;
-  }
+  const Executed done = execute(list, program);
+  out->adoptDeviceBuffer(done.buffer(result.buffer), 1, resultDevice,
+                         done.event(result.ready));
 }
 
 // --- Scan plans ----------------------------------------------------------
@@ -619,57 +593,46 @@ std::string scanProgramSource(const ExprNode& node, const FusionPlan& plan,
          scanAddKernelSource(t, plan.rootFuncName);
 }
 
-/// Scans `n` elements into `out` with the block kernel `blockKernel`,
-/// recursing over the per-group sums and adding them back uniformly —
-/// the eager Scan::scanBuffer, parameterized on element size. Level 0
-/// passes the plan: its block kernel reads the plan's leaves and stage
-/// arguments. Every block-sum level passes no plan and reads `in`.
-ocl::Event scanInto(Runtime& runtime, ocl::Program& program,
-                    const char* blockKernel, const FusionPlan* plan,
-                    const ocl::Buffer& in, const ocl::Buffer& out,
-                    std::size_t n, std::size_t elem, std::size_t deviceIndex,
-                    const std::vector<ocl::Event>& deps) {
-  auto& queue = runtime.queue(deviceIndex);
-  const auto& device = runtime.devices()[deviceIndex];
+/// Appends the scan of `n` elements into `out` with the block kernel
+/// `blockKernel`, recursing over the per-group sums and adding them back
+/// uniformly — the eager Scan::scanBuffer, parameterized on element
+/// size; returns the index of its last command. Level 0 passes the plan:
+/// its block kernel reads the plan's leaves and stage arguments. Every
+/// block-sum level passes no plan and reads `in`.
+std::size_t scanInto(CommandList& list, const char* blockKernel,
+                     const FusionPlan* plan, const Operand& in,
+                     const Operand& out, std::size_t n, std::size_t elem,
+                     std::size_t deviceIndex, std::vector<Dep> deps) {
   const std::size_t groups = (n + kTreeWg - 1) / kTreeWg;
-  ocl::Buffer sums =
-      runtime.context().createBuffer(device, groups * elem);
+  const Operand sums =
+      Operand::scratch(list.scratch(deviceIndex, groups * elem));
 
-  ocl::Kernel block = program.createKernel(blockKernel);
-  std::size_t arg = 0;
+  std::vector<Operand> args =
+      plan != nullptr ? leafOperands(*plan, deviceIndex)
+                      : std::vector<Operand>{in};
+  args.push_back(out);
+  args.push_back(sums);
+  args.push_back(Operand::uint(n));
   if (plan != nullptr) {
-    for (const auto& leaf : plan->leaves) {
-      block.setArg(arg++, leaf->chunkForDevice(deviceIndex).buffer);
-    }
-  } else {
-    block.setArg(arg++, in);
+    appendStageArgs(*plan, args);
   }
-  block.setArg(arg++, out);
-  block.setArg(arg++, sums);
-  block.setArg(arg++, std::uint32_t(n));
-  if (plan != nullptr) {
-    bindStageArguments(*plan, block, arg, deviceIndex);
-  }
-  ocl::Event blocked = queue.enqueueNDRange(
-      block, ocl::NDRange1D{groups * kTreeWg, kTreeWg}, deps);
-  if (plan != nullptr) {
-    recordStageEvents(*plan, blocked, deviceIndex);
-  }
+  Command block = Command::launch(deviceIndex, blockKernel, n, kTreeWg,
+                                  std::move(args), std::move(deps));
+  block.records = true;
+  const std::size_t blocked = list.push(std::move(block));
   if (groups <= 1) {
     return blocked;
   }
 
-  ocl::Buffer sumsScanned =
-      runtime.context().createBuffer(device, groups * elem);
-  ocl::Event sumsDone =
-      scanInto(runtime, program, "skelcl_scan_block", nullptr, sums,
-               sumsScanned, groups, elem, deviceIndex, {blocked});
-  ocl::Kernel add = program.createKernel("skelcl_scan_add");
-  add.setArg(0, out);
-  add.setArg(1, sumsScanned);
-  add.setArg(2, std::uint32_t(n));
-  return queue.enqueueNDRange(
-      add, ocl::NDRange1D{groups * kTreeWg, kTreeWg}, {blocked, sumsDone});
+  const Operand sumsScanned =
+      Operand::scratch(list.scratch(deviceIndex, groups * elem));
+  const std::size_t sumsDone =
+      scanInto(list, "skelcl_scan_block", nullptr, sums, sumsScanned, groups,
+               elem, deviceIndex, {Dep::on(blocked)});
+  return list.push(Command::launch(
+      deviceIndex, "skelcl_scan_add", n, kTreeWg,
+      {out, sumsScanned, Operand::uint(n)},
+      {Dep::on(blocked), Dep::on(sumsDone)}));
 }
 
 void runScan(const std::shared_ptr<ExprNode>& node,
@@ -685,25 +648,21 @@ void runScan(const std::shared_ptr<ExprNode>& node,
   ocl::Program program =
       runtime.programFor(scanProgramSource(*node, plan, fused));
 
-  try {
-    ocl::Buffer outBuf = runtime.context().createBuffer(
-        runtime.devices()[deviceIndex], n * node->outElemSize);
-    std::vector<ocl::Event> deps;
-    for (VectorState* leaf : distinctLeaves(plan)) {
-      appendEvent(deps, leaf->readyEventOn(deviceIndex));
-    }
-    collectStageDeps(plan, deps, deviceIndex);
-    ocl::Event done = scanInto(
-        runtime, program, fused ? "skelcl_mapscan" : "skelcl_scan_block",
-        &plan, ocl::Buffer(), outBuf, n, node->outElemSize, deviceIndex,
-        deps);
-    out->adoptDeviceBuffer(std::move(outBuf), n, deviceIndex,
-                           std::move(done));
-  } catch (ocl::ClError& e) {
-    e.prependContext(plan.label + " skeleton on device " +
-                     std::to_string(deviceIndex));
-    throw;
+  CommandList list(plan.label + " skeleton");
+  const std::size_t outBuf =
+      list.scratch(deviceIndex, n * node->outElemSize);
+  std::vector<Dep> deps;
+  for (VectorState* leaf : distinctLeaves(plan)) {
+    deps.push_back(leaf->readyEventOn(deviceIndex));
   }
+  collectStageDeps(plan, deps, deviceIndex);
+  const std::size_t last =
+      scanInto(list, fused ? "skelcl_mapscan" : "skelcl_scan_block", &plan,
+               Operand(), Operand::scratch(outBuf), n, node->outElemSize,
+               deviceIndex, std::move(deps));
+  const Executed done = execute(list, program);
+  out->adoptDeviceBuffer(done.scratch[outBuf], n, deviceIndex,
+                         done.events[last]);
 }
 
 void evaluateNode(const std::shared_ptr<ExprNode>& node,

@@ -209,28 +209,16 @@ void prepareStageArguments(const FusionPlan& plan) {
   }
 }
 
-std::size_t bindStageArguments(const FusionPlan& plan, ocl::Kernel& kernel,
-                               std::size_t firstIndex,
-                               std::size_t deviceIndex) {
-  std::size_t at = firstIndex;
+void appendStageArgs(const FusionPlan& plan, std::vector<Operand>& args) {
   for (const FusionStage& stage : plan.stages) {
-    stage.node->args.apply(kernel, at, deviceIndex);
-    at += stage.node->args.count();
+    args.push_back(Operand::arguments(stage.node->args));
   }
-  return at;
 }
 
-void collectStageDeps(const FusionPlan& plan, std::vector<ocl::Event>& deps,
+void collectStageDeps(const FusionPlan& plan, std::vector<Dep>& deps,
                       std::size_t deviceIndex) {
   for (const FusionStage& stage : plan.stages) {
     stage.node->args.collectDeps(deps, deviceIndex);
-  }
-}
-
-void recordStageEvents(const FusionPlan& plan, const ocl::Event& event,
-                       std::size_t deviceIndex) {
-  for (const FusionStage& stage : plan.stages) {
-    stage.node->args.recordEvent(event, deviceIndex);
   }
 }
 

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "skelcl/detail/commands.h"
 #include "skelcl/detail/expr.h"
 
 namespace skelcl::detail {
@@ -77,21 +78,13 @@ FusionPlan buildFusionPlan(const std::shared_ptr<ExprNode>& root,
 /// Uploads every stage's vector arguments before launch.
 void prepareStageArguments(const FusionPlan& plan);
 
-/// Binds every stage's Arguments for `deviceIndex`, starting at kernel
-/// parameter `firstIndex`; returns the next free parameter index.
-std::size_t bindStageArguments(const FusionPlan& plan, ocl::Kernel& kernel,
-                               std::size_t firstIndex,
-                               std::size_t deviceIndex);
+/// Appends every stage's Arguments as launch operands, root first.
+void appendStageArgs(const FusionPlan& plan, std::vector<Operand>& args);
 
 /// Appends the events the stages' Arguments must wait for on
 /// `deviceIndex`.
-void collectStageDeps(const FusionPlan& plan, std::vector<ocl::Event>& deps,
+void collectStageDeps(const FusionPlan& plan, std::vector<Dep>& deps,
                       std::size_t deviceIndex);
-
-/// Records `event` as the last writer of the stages' vector arguments on
-/// `deviceIndex`.
-void recordStageEvents(const FusionPlan& plan, const ocl::Event& event,
-                       std::size_t deviceIndex);
 
 /// Replaces every %IDX% in `expr` with `idx`.
 std::string substituteIndex(const std::string& expr, const std::string& idx);

@@ -1,36 +1,22 @@
-// Placement and evaluators for the irregular skeleton roots. Both
-// evaluators follow the plan scaffolding of expr.cpp's dense evaluators
-// (argument binding, chunk visit order, per-device event chains, failure
-// atomicity via the caller's poison-on-throw) but own their launch
-// geometry, and each call runs in the layout its placement forecast to
-// finish first: spread over the devices, or on one device.
+// Placement and evaluators for the irregular skeleton roots. Each
+// evaluator builds its call's command list (appendStencil, appendSparse)
+// and executes it; each call runs in the layout its placement forecast
+// to finish first, spread over the devices or on one device, and the
+// forecast replays the same builder's list for each candidate layout,
+// after the staging that layout needs (appendStaging), with per-item
+// costs probed from the call's kernels (DESIGN.md §6i).
 //
 // Stencil — spread, block-distributes the input on *row-aligned* chunk
-// boundaries and gives each chunk a halo-padded buffer, in two passes.
-// Pass 1 packs every chunk's padded buffer from its own data in one
-// launch: its rows with their column padding, plus the policy-resolved
-// rows beyond a grid edge it owns. Pass 2 copies each halo — R packed
-// rows of the neighbor's padded buffer — pad-to-pad with one
-// cross-device buffer copy (D2H+H2D engines) dependent on the
-// neighbor's pack, and computes in two launches: the interior rows
-// depend only on the chunk's own pack, so they overlap the halo copies;
-// one border launch covers both R-row borders once the halos land.
-// A chunk without a halo — the whole grid on one device — computes in
-// one launch. Row-aligned blocks cannot run a grid with fewer rows than
-// the radius on some device, so such a grid, like an empty one, always
-// runs on one device.
+// boundaries; each chunk packs a halo-padded buffer, receives its halo
+// rows from its neighbors' packs and computes (appendStencil). A grid
+// with fewer rows than the radius on some device, like an empty one,
+// always runs on one device.
 //
 // SparseGather — spread, the matrix rows are block-partitioned (CsrState
 // placed its three arrays in that partition) and the dense operand is
 // copy-distributed; on one device all four live there. One work-item
 // folds one row's gathered values with the combine function. No
 // inter-device traffic: the gather indexes the whole operand.
-//
-// The forecasts (placeStencilInput, placeSparseOperands) replay the
-// commands each layout enqueues — a stencil's from the one list
-// runStencil enqueues from — on scratch timelines, from the timing
-// model's own terms and per-item costs probed from the call's kernels;
-// DESIGN.md §6i lists them.
 #include "skelcl/detail/irregular.h"
 
 #include <algorithm>
@@ -38,7 +24,9 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <numeric>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -59,13 +47,6 @@ enum Boundary { kClamp = 0, kWrap = 1, kConstant = 2 };
 
 /// Name Arguments::declSuffix("cv_") gives the constant fill value.
 constexpr const char* kConstValue = "skelcl_cv_arg0";
-
-void noteHaloBytes(std::uint64_t bytes) {
-  if (trace::Recorder::enabled()) {
-    trace::Recorder::instance().bumpCounter("halo_bytes", trace::kNoDevice,
-                                            trace::now(), bytes);
-  }
-}
 
 // --- stencil codegen -----------------------------------------------------
 
@@ -225,6 +206,13 @@ std::size_t chunkContainingRow(const std::vector<Chunk>& chunks,
   return i;
 }
 
+/// The chunk of `layout` on `device` (a layout has at most one).
+const Chunk& chunkOn(const std::vector<Chunk>& layout, std::size_t device) {
+  return *std::find_if(layout.begin(), layout.end(), [&](const Chunk& c) {
+    return c.deviceIndex == device;
+  });
+}
+
 // An irregular root is opaque to fusion, so its plan is the root alone
 // with its user names untouched: the program follows from the node, and
 // placement builds the same program the evaluation runs.
@@ -288,53 +276,82 @@ Geometry geometryOf(const Chunk& c, const StencilParams& P, bool multi,
                   multi && (rowBase + rows < totalRows || wrap)};
 }
 
-/// One command of a stencil call. Pack fills padded elements [begin,
-/// begin + count) of the chunk's halo-padded buffer; Halo copies R
-/// padded rows from pad row `begin` of chunk `source`'s buffer into pad
-/// row `to` of this chunk's; Interior and Border compute `count` rows
-/// from local row `begin`, jumping `skip` rows at row R.
-struct StencilCommand {
-  enum class Kind { Pack, Halo, Interior, Border };
-  Kind kind;
-  std::size_t chunk;
-  std::size_t begin = 0, count = 0, skip = 0, source = 0, to = 0;
-};
-
-/// The commands of a stencil over `chunks`, in the order runStencil
-/// enqueues them — and the layout forecast replays them. Pass 1: each
+/// Appends the commands of a stencil over `in` in the layout `chunks`,
+/// in the order runStencil issues them — and the layout forecast replays
+/// them; `ready` says when a chunk's data is on its device. Pass 1: each
 /// chunk packs every padded row its own data determines (its rows, and
-/// the policy-resolved rows beyond a grid edge it owns); rows that come
-/// from a neighbor are left to pass 2. Pass 2, per chunk: the halo
-/// copies, the interior rows [R, rows - R), which need only the chunk's
-/// own pack and so overlap the copies, and one border launch covering
-/// rows [0, R) and [rows - R, rows) once the halos land. A chunk of at
-/// most 2R rows is all border, and one without a halo computes all its
-/// rows in the single launch. Chunks are visited in `order`.
-std::vector<StencilCommand> stencilCommands(
-    const std::vector<Chunk>& chunks, const StencilParams& P, bool multi,
-    std::size_t totalRows, const std::vector<std::size_t>& order) {
-  using Kind = StencilCommand::Kind;
+/// the policy-resolved rows beyond a grid edge it owns) into a scratch
+/// halo-padded buffer; rows that come from a neighbor are left to pass 2.
+/// Pass 2, per chunk: the halo copies, each R packed rows of the
+/// neighbor's padded buffer pad-to-pad and dependent on the neighbor's
+/// pack; the interior rows [R, rows - R), which need only the chunk's own
+/// pack and so overlap the copies; and one border launch covering rows
+/// [0, R) and [rows - R, rows) once the halos land. A chunk of at most 2R
+/// rows is all border, and one without a halo computes all its rows in
+/// the single launch. Chunks are visited in `order`.
+void appendStencil(CommandList& list, const ExprNode& node,
+                   const VectorState& in, const std::vector<Chunk>& chunks,
+                   bool multi, const std::vector<std::size_t>& order,
+                   const ReadyOf& ready) {
+  const StencilParams& P = *node.stencil;
   const std::size_t R = P.radius;
   const std::size_t W = P.width > 0 ? P.width : 1;
   const std::size_t pw = P.width > 0 ? W + 2 * R : 1; // padded row length
-  std::vector<StencilCommand> commands;
+  const std::size_t elem = node.outElemSize;
+  const std::size_t totalRows = in.size() / W;
+  const auto& devices = Runtime::instance().devices();
+  auto launch = [&](std::size_t d, const char* kernel, std::size_t items,
+                    std::vector<Operand> args, std::vector<Dep> deps) {
+    return Command::launch(
+        d, kernel, items,
+        effectiveWorkGroupSize(node.workGroupSize, items, devices[d]),
+        std::move(args), std::move(deps));
+  };
+  std::vector<std::size_t> pads(chunks.size());
+  std::vector<std::size_t> packed(chunks.size());
   for (std::size_t idx : order) {
-    if (chunks[idx].count > 0) {
-      const Geometry g = geometryOf(chunks[idx], P, multi, totalRows);
-      const std::size_t p0 = g.hasTop ? R * pw : 0;
-      commands.push_back({Kind::Pack, idx, p0,
-                          (g.rows + 2 * R) * pw - p0 - (g.hasBot ? R * pw : 0)});
-    }
-  }
-  for (std::size_t idx : order) {
-    if (chunks[idx].count == 0) {
+    const Chunk& chunk = chunks[idx];
+    if (chunk.count == 0) {
       continue;
     }
-    const Geometry g = geometryOf(chunks[idx], P, multi, totalRows);
+    const std::size_t d = chunk.deviceIndex;
+    const Geometry g = geometryOf(chunk, P, multi, totalRows);
+    const std::size_t p0 = g.hasTop ? R * pw : 0;
+    const std::size_t count =
+        (g.rows + 2 * R) * pw - p0 - (g.hasBot ? R * pw : 0);
+    pads[idx] = list.scratch(d, (g.rows + 2 * R) * pw * elem);
+    packed[idx] = list.push(launch(
+        d, "skelcl_stencil_pack", count,
+        {Operand::chunk(in, d), Operand::scratch(pads[idx]),
+         Operand::uint(p0), Operand::uint(count), Operand::uint(g.rowBase),
+         Operand::uint(totalRows), Operand::arguments(P.constArg)},
+        {ready(in, d)}));
+  }
+  for (std::size_t idx : order) {
+    const Chunk& chunk = chunks[idx];
+    if (chunk.count == 0) {
+      continue;
+    }
+    const std::size_t d = chunk.deviceIndex;
+    const Geometry g = geometryOf(chunk, P, multi, totalRows);
+    // What the border launch waits for besides the chunk's own pack: the
+    // halo copies and the interior launch.
+    std::vector<Dep> borderDeps{Dep::on(packed[idx])};
+    // Issued on the *destination* queue, a halo copy occupies the
+    // source's D2H and this device's H2D engine and leaves the compute
+    // engine to the interior launch.
     auto halo = [&](std::size_t srcRow, std::size_t dstPadRow) {
       const std::size_t s = chunkContainingRow(chunks, srcRow, W);
-      commands.push_back({Kind::Halo, idx, srcRow - chunks[s].offset / W + R,
-                          0, 0, s, dstPadRow});
+      borderDeps.push_back(Dep::on(list.push(
+          {.kind = Command::Kind::Copy,
+           .device = d,
+           .deps = {Dep::on(packed[s])},
+           .src = Operand::scratch(pads[s]),
+           .dst = Operand::scratch(pads[idx]),
+           .srcOffset = (srcRow - chunks[s].offset / W + R) * pw * elem,
+           .dstOffset = dstPadRow * pw * elem,
+           .bytes = R * pw * elem,
+           .counter = "halo_bytes"})));
     };
     if (g.hasTop) {
       halo(g.rowBase > 0 ? g.rowBase - R : totalRows - R, 0);
@@ -343,23 +360,29 @@ std::vector<StencilCommand> stencilCommands(
       const std::size_t next = g.rowBase + g.rows;
       halo(next < totalRows ? next : 0, g.rows + R);
     }
+    // Each compute launch is sized by its own item count.
+    auto compute = [&](std::size_t begin, std::size_t rows, std::size_t skip,
+                       std::vector<Dep> deps) {
+      node.args.collectDeps(deps, d);
+      return launch(d, "skelcl_stencil", rows * W,
+                    {Operand::scratch(pads[idx]), Operand::output(),
+                     Operand::uint(begin), Operand::uint(rows * W),
+                     Operand::uint(skip), Operand::arguments(node.args)},
+                    std::move(deps));
+    };
     const std::size_t border =
         g.hasTop || g.hasBot ? std::min(g.rows, 2 * R) : g.rows;
     if (g.rows > border) {
-      commands.push_back({Kind::Interior, idx, R, g.rows - border});
+      borderDeps.push_back(Dep::on(list.push(
+          compute(R, g.rows - border, 0, {Dep::on(packed[idx])}))));
     }
-    commands.push_back({Kind::Border, idx, 0, border, g.rows - border});
+    Command last = compute(0, border, g.rows - border, std::move(borderDeps));
+    last.records = true;
+    list.push(std::move(last));
   }
-  return commands;
 }
 
 // --- layout by predicted finish -------------------------------------------
-
-/// What one work-item of a kernel is billed: VM cycles and global bytes.
-struct ItemCost {
-  double cycles = 0;
-  double bytes = 0;
-};
 
 /// The cost of work-item 0 of a one-item launch of kernel `name`, run on
 /// the host over scratch memory, outside any queue: it touches no device
@@ -409,115 +432,44 @@ std::vector<std::uint8_t> zeros(std::size_t elems, std::size_t elem) {
   return std::vector<std::uint8_t>(elems * elem);
 }
 
-/// A call's commands replayed on scratch timelines that start idle, with
-/// CommandQueue::submit's rule minus the schedule jitter: the host pays
-/// one enqueue overhead per command in issue order, and a command starts
-/// once issued, once its engines are free and once `afterNs` passed.
-/// Starting idle, a forecast is the same under every schedule and mode.
-class Forecast {
-public:
-  explicit Forecast(Runtime& runtime)
-      : devices_(runtime.devices()), ready_(runtime.deviceCount()) {
-    for (std::size_t d = 0; d < runtime.deviceCount(); ++d) {
-      backends_.push_back(runtime.queue(d).backend());
-      models_.emplace_back(devices_[d].spec(), backends_[d]);
-    }
-  }
-
-  const ocl::TimingModel& model(std::size_t d) const { return models_[d]; }
-  std::uint64_t ready(std::size_t d, ocl::Engine engine) const {
-    return ready_[d][std::size_t(engine)];
-  }
-  std::uint64_t finish() const { return finish_; }
-
-  /// End of a command of `durationNs` on device d's `engine`.
-  std::uint64_t run(std::size_t d, ocl::Engine engine,
-                    std::uint64_t durationNs, std::uint64_t afterNs = 0) {
-    return issue(d, engine, d, engine, durationNs, afterNs,
-                 models_[d].enqueueOverheadNs());
-  }
-
-  /// End of a launch of `items` work-items of cost `item` on device d,
-  /// in the work-groups the evaluator will use (`groupSize` 0: the
-  /// default).
-  std::uint64_t launch(std::size_t d, std::size_t groupSize,
-                       std::size_t items, const ItemCost& item,
-                       std::uint64_t afterNs) {
-    const std::size_t wg = effectiveWorkGroupSize(groupSize, items,
-                                                  devices_[d]);
-    return run(d, ocl::Engine::Compute,
-               models_[d].predictKernelNs(items, wg, item.cycles, item.bytes),
-               afterNs);
-  }
-
-  /// End of a cross-device copy of `bytes` enqueued on `dst`'s queue.
-  std::uint64_t copy(std::size_t src, std::size_t dst, std::uint64_t bytes,
-                     std::uint64_t afterNs) {
-    return issue(src, ocl::Engine::DeviceToHost, dst,
-                 ocl::Engine::HostToDevice,
-                 ocl::peerCopyDurationNs(devices_[src].state(),
-                                         devices_[dst].state(),
-                                         backends_[dst], bytes),
-                 afterNs, models_[dst].enqueueOverheadNs());
-  }
-
-  /// The host blocks until `ns` (a blocking download).
-  void wait(std::uint64_t ns) { host_ = std::max(host_, ns); }
-
-private:
-  std::uint64_t issue(std::size_t d1, ocl::Engine e1, std::size_t d2,
-                      ocl::Engine e2, std::uint64_t durationNs,
-                      std::uint64_t afterNs, std::uint64_t overheadNs) {
-    std::uint64_t& a = ready_[d1][std::size_t(e1)];
-    std::uint64_t& b = ready_[d2][std::size_t(e2)];
-    const std::uint64_t end =
-        std::max({host_, afterNs, a, b}) + durationNs;
-    a = b = end;
-    host_ += overheadNs;
-    finish_ = std::max(finish_, end);
-    return end;
-  }
-
-  const std::vector<ocl::Device>& devices_;
-  std::vector<ocl::Backend> backends_;
-  std::vector<ocl::TimingModel> models_;
-  std::vector<std::array<std::uint64_t, ocl::kEngineCount>> ready_;
-  std::uint64_t host_ = 0;
-  std::uint64_t finish_ = 0;
-};
-
-/// Forecasts place(..., layout) of `v`: what it moves because the data
-/// sits in another layout — a download of newer device data, which the
-/// host waits for, then one upload per chunk. A newer host copy crosses
-/// PCIe once whichever layout takes it, so that upload is left out: a
-/// layout is judged by what a call in it costs (an iterated stencil pays
-/// the upload once and the layout every step), plus what leaving the
-/// data's current layout costs.
-void forecastStaging(Forecast& f, const VectorState& v,
-                     const std::vector<Chunk>& layout) {
+/// Appends what place(..., layout) of `v` moves because the data sits in
+/// another layout — a download of newer device data, which the host
+/// waits for, then one upload per chunk — and returns, per device, the
+/// upload its chunk waits for. A newer host copy crosses PCIe once
+/// whichever layout takes it, so that upload is left out: a layout is
+/// judged by what a call in it costs (an iterated stencil pays the upload
+/// once and the layout every step), plus what leaving the data's current
+/// layout costs.
+std::vector<Dep> appendStaging(CommandList& list, const VectorState& v,
+                               const std::vector<Chunk>& layout) {
+  std::vector<Dep> ready(Runtime::instance().deviceCount());
   if (v.hostDirty() || v.holds(layout)) {
-    return;
+    return ready;
   }
-  const std::size_t elem = v.elementSize();
+  auto transfer = [&](Command::Kind kind, const Chunk& c) {
+    const Operand chunk = Operand::chunk(v, c.deviceIndex);
+    return list.push({.kind = kind,
+                      .device = c.deviceIndex,
+                      .src = chunk,
+                      .dst = chunk,
+                      .bytes = c.count * v.elementSize()});
+  };
   if (v.devicesDirty()) {
-    std::uint64_t downloaded = 0;
+    std::vector<std::size_t> downloads;
     for (const Chunk& c : v.chunks()) {
-      const std::size_t d = c.deviceIndex;
-      downloaded = std::max(
-          downloaded, f.run(d, ocl::Engine::DeviceToHost,
-                            f.model(d).transferDurationNs(c.count * elem)));
+      downloads.push_back(transfer(Command::Kind::Read, c));
       if (v.distribution() == Distribution::Copy) {
         break; // every copy is equal: the first is read
       }
     }
-    f.wait(downloaded);
+    list.waits = std::move(downloads);
   }
   for (const Chunk& c : layout) {
     if (c.count > 0) {
-      f.run(c.deviceIndex, ocl::Engine::HostToDevice,
-            f.model(c.deviceIndex).transferDurationNs(c.count * elem));
+      ready[c.deviceIndex] = Dep::on(transfer(Command::Kind::Write, c));
     }
   }
+  return ready;
 }
 
 /// The forecast never finishes: the layout cannot run the call.
@@ -549,88 +501,67 @@ std::pair<ItemCost, ItemCost> stencilItemCosts(const ExprNode& node) {
 std::uint64_t forecastStencil(const VectorState& in, const ExprNode& node,
                               const std::vector<Chunk>& layout, bool multi,
                               const std::pair<ItemCost, ItemCost>& costs) {
-  using Kind = StencilCommand::Kind;
-  Forecast f(Runtime::instance());
-  forecastStaging(f, in, layout);
-  const StencilParams& P = *node.stencil;
-  const std::size_t W = P.width > 0 ? P.width : 1;
-  const std::size_t pw = P.width > 0 ? W + 2 * P.radius : 1;
-  const std::uint64_t haloBytes = P.radius * pw * in.elementSize();
+  CommandList list;
+  const std::vector<Dep> staged = appendStaging(list, in, layout);
   std::vector<std::size_t> order(layout.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::vector<std::uint64_t> packed(layout.size());
-  std::vector<std::uint64_t> borderAfter(layout.size());
-  for (const StencilCommand& c : stencilCommands(
-           layout, P, multi, in.size() / W, order)) {
-    const std::size_t d = layout[c.chunk].deviceIndex;
-    switch (c.kind) {
-      case Kind::Pack:
-        packed[c.chunk] = borderAfter[c.chunk] =
-            f.launch(d, node.workGroupSize, c.count, costs.first,
-                     f.ready(d, ocl::Engine::HostToDevice));
-        break;
-      case Kind::Halo:
-        borderAfter[c.chunk] = std::max(
-            borderAfter[c.chunk],
-            f.copy(layout[c.source].deviceIndex, d, haloBytes,
-                   packed[c.source]));
-        break;
-      case Kind::Interior:
-        borderAfter[c.chunk] = std::max(
-            borderAfter[c.chunk],
-            f.launch(d, node.workGroupSize, c.count * W, costs.second,
-                     packed[c.chunk]));
-        break;
-      case Kind::Border:
-        f.launch(d, node.workGroupSize, c.count * W, costs.second,
-                 borderAfter[c.chunk]);
-        break;
-    }
-  }
-  return f.finish();
+  appendStencil(list, node, in, layout, multi, order,
+                [&](const VectorState&, std::size_t d) { return staged[d]; });
+  return replay(list, [&](const Command& c) {
+    return std::string_view(c.kernel) == "skelcl_stencil_pack"
+               ? costs.first
+               : costs.second;
+  });
 }
 
-/// The single-device candidate: the device that holds `v` — a Single
-/// vector with current device data, where it was placed or where its
-/// pending producer ran — else the device on which the call, started
-/// once that device's compute engine frees, would finish first
-/// (`singleOn(d)`: the call's forecast on device d alone; the lowest
-/// index on a tie). On identical devices that is the device whose
-/// compute engine frees first; a slower one must be that much sooner
-/// free.
-template <typename SingleOn>
-std::size_t homeDevice(const VectorState& v, const SingleOn& singleOn) {
-  if (v.distribution() == Distribution::Single && !v.hostDirty()) {
-    return v.singleDeviceIndex();
-  }
+/// The layout forecast to finish a call over `v` first: spread over the
+/// devices when `feasible` and its multi-device forecast finishes first,
+/// else on the returned home device (one device wins a tie). The home is
+/// the device that holds `v` — a Single vector with current device data,
+/// where it was placed or where its pending producer ran — else the
+/// device on which the call, started once that device's compute engine
+/// frees, would finish first (the lowest index on a tie): on identical
+/// devices the one whose compute engine frees first, while a slower one
+/// must be that much sooner free. `forecasts()` makes the call's
+/// forecast function, (spread, device) -> ns; forecasts are made wherever
+/// they are read — to choose, or with `record` to file the choice, named
+/// `spread` or `single` and carrying both forecasts.
+template <typename MakeForecast>
+std::pair<bool, std::size_t> chooseLayout(const VectorState& v, bool feasible,
+                                          bool record, const char* spread,
+                                          const char* single,
+                                          const MakeForecast& forecasts) {
   auto& runtime = Runtime::instance();
-  auto finishOn = [&](std::size_t d) {
-    return runtime.devices()[d].state().readyTimeNs(ocl::Engine::Compute) +
-           singleOn(d);
-  };
-  std::size_t best = 0;
-  std::uint64_t bestNs = finishOn(0);
-  for (std::size_t d = 1; d < runtime.deviceCount(); ++d) {
-    const std::uint64_t ns = finishOn(d);
-    if (ns < bestNs) {
-      best = d;
-      bestNs = ns;
+  std::size_t home = 0;
+  std::uint64_t multiNs = kNever;
+  std::uint64_t singleNs = 0;
+  if (runtime.deviceCount() > 1 || (record && trace::Recorder::enabled())) {
+    const auto forecast = forecasts();
+    if (v.distribution() == Distribution::Single && !v.hostDirty()) {
+      home = v.singleDeviceIndex();
+    } else {
+      std::uint64_t bestNs = kNever;
+      for (std::size_t d = 0; d < runtime.deviceCount(); ++d) {
+        const std::uint64_t ns =
+            runtime.devices()[d].state().readyTimeNs(ocl::Engine::Compute) +
+            forecast(false, d);
+        if (d == 0 || ns < bestNs) {
+          home = d;
+          bestNs = ns;
+        }
+      }
+    }
+    singleNs = forecast(false, home);
+    if (feasible) {
+      multiNs = forecast(true, 0);
     }
   }
-  return best;
-}
-
-/// Whether the call spreads: its multi-device forecast finishes first
-/// (one device wins a tie). With `record`, files the choice — `spread`
-/// or `single` — carrying both forecasts.
-bool spreads(std::uint64_t multiNs, std::uint64_t singleNs, bool record,
-             const char* spread, const char* single) {
   const bool multi = multiNs < singleNs;
   if (record) {
     trace::recordDecision(multi ? spread : single,
                           trace::packForecasts(multiNs, singleNs));
   }
-  return multi;
+  return {multi, home};
 }
 
 } // namespace
@@ -652,27 +583,18 @@ void placeStencilInput(VectorState& in, const ExprNode& node, bool record) {
       std::all_of(blocks.begin(), blocks.end(), [&](const Chunk& c) {
         return c.count >= P.radius * W;
       });
-  // Forecasts are made wherever they are read: to choose the device and
-  // the layout, or to file the decision.
-  std::size_t home = 0;
-  std::uint64_t multiNs = kNever;
-  std::uint64_t singleNs = 0;
-  if (runtime.deviceCount() > 1 || (record && trace::Recorder::enabled())) {
-    const std::pair<ItemCost, ItemCost> costs = stencilItemCosts(node);
-    auto singleOn = [&](std::size_t d) {
-      return forecastStencil(in, node, layoutOf(Distribution::Single, d, n),
-                             false, costs);
-    };
-    home = homeDevice(in, singleOn);
-    singleNs = singleOn(home);
-    if (feasible) {
-      multiNs = forecastStencil(in, node, blocks, true, costs);
-    }
-  }
+  const auto [spread, home] = chooseLayout(
+      in, feasible, record, "stencil.layout: row-aligned",
+      "stencil.layout: single-device", [&] {
+        return [&, costs = stencilItemCosts(node)](bool multi, std::size_t d) {
+          return forecastStencil(
+              in, node, multi ? blocks : layoutOf(Distribution::Single, d, n),
+              multi, costs);
+        };
+      });
   // An iterated stencil keeps its chunks after the first step (place's
   // same-layout case) and stays resident.
-  if (spreads(multiNs, singleNs, record, "stencil.layout: row-aligned",
-              "stencil.layout: single-device")) {
+  if (spread) {
     in.place(Distribution::Block, 0, blocks);
   } else {
     in.place(Distribution::Single, home,
@@ -683,108 +605,17 @@ void placeStencilInput(VectorState& in, const ExprNode& node, bool record) {
 void runStencil(const std::shared_ptr<ExprNode>& node,
                 const std::shared_ptr<VectorState>& out,
                 const FusionPlan& plan, Runtime& runtime) {
-  using Kind = StencilCommand::Kind;
-  const StencilParams& P = *node->stencil;
-  const std::size_t R = P.radius;
-  const bool is2D = P.width > 0;
-  const std::size_t W = is2D ? P.width : 1;
-  const std::size_t elem = node->outElemSize;
   VectorState& in = *plan.leaves.front();
-
   // Placement chose the layout: row-aligned blocks or one device.
   const bool multi = in.distribution() == Distribution::Block;
-  const std::size_t totalRows = in.size() / W;
   prepareStageArguments(plan);
   out->allocateOutput(in.distribution(), in.singleDeviceIndex(), in.chunks());
 
   ocl::Program program = runtime.programFor(stencilProgramSource(*node));
-  const auto& chunks = in.chunks();
-  const std::size_t pw = is2D ? W + 2 * R : 1; // padded row length
-  std::vector<ocl::Buffer> pads(chunks.size());
-  std::vector<ocl::Event> packed(chunks.size());
-  // Per chunk: what its border launch waits for besides its own pack —
-  // the halo copies and the interior launch.
-  std::vector<std::vector<ocl::Event>> borderDeps(chunks.size());
-
-  std::size_t d = 0; // device of the command being enqueued, for errors
-  try {
-    for (const StencilCommand& c :
-         stencilCommands(chunks, P, multi, totalRows,
-                         runtime.chunkVisitOrder(chunks.size()))) {
-      const Chunk& chunk = chunks[c.chunk];
-      d = chunk.deviceIndex;
-      const auto& device = runtime.devices()[d];
-      auto& queue = runtime.queue(d);
-      switch (c.kind) {
-        case Kind::Pack: {
-          pads[c.chunk] = runtime.context().createBuffer(
-              device, (chunk.count / W + 2 * R) * pw * elem);
-          ocl::Kernel kernel = program.createKernel("skelcl_stencil_pack");
-          std::size_t arg = 0;
-          kernel.setArg(arg++, chunk.buffer);
-          kernel.setArg(arg++, pads[c.chunk]);
-          kernel.setArg(arg++, std::uint32_t(c.begin));
-          kernel.setArg(arg++, std::uint32_t(c.count));
-          kernel.setArg(arg++, std::uint32_t(chunk.offset / W));
-          kernel.setArg(arg++, std::uint32_t(totalRows));
-          if (!P.constArg.empty()) {
-            P.constArg.apply(kernel, arg, d);
-          }
-          std::vector<ocl::Event> deps;
-          appendEvent(deps, chunk.ready);
-          const std::size_t wg =
-              effectiveWorkGroupSize(node->workGroupSize, c.count, device);
-          packed[c.chunk] = queue.enqueueNDRange(
-              kernel, ocl::NDRange1D{roundUp(c.count, wg), wg}, deps);
-          break;
-        }
-        case Kind::Halo: {
-          // Enqueued on the *destination* queue, it occupies the source's
-          // D2H and this device's H2D engine and leaves the compute
-          // engine to the interior launch.
-          const std::size_t bytes = R * pw * elem;
-          borderDeps[c.chunk].push_back(queue.enqueueCopyBuffer(
-              pads[c.source], c.begin * pw * elem, pads[c.chunk],
-              c.to * pw * elem, bytes, {packed[c.source]}));
-          noteHaloBytes(bytes);
-          break;
-        }
-        case Kind::Interior:
-        case Kind::Border: {
-          // Each launch is sized by its own item count.
-          const std::size_t items = c.count * W;
-          const std::size_t wg =
-              effectiveWorkGroupSize(node->workGroupSize, items, device);
-          ocl::Kernel kernel = program.createKernel("skelcl_stencil");
-          std::size_t arg = 0;
-          kernel.setArg(arg++, pads[c.chunk]);
-          kernel.setArg(arg++, out->chunkForDevice(d).buffer);
-          kernel.setArg(arg++, std::uint32_t(c.begin));
-          kernel.setArg(arg++, std::uint32_t(items));
-          kernel.setArg(arg++, std::uint32_t(c.skip));
-          bindStageArguments(plan, kernel, arg, d);
-          std::vector<ocl::Event> deps{packed[c.chunk]};
-          if (c.kind == Kind::Border) {
-            deps.insert(deps.end(), borderDeps[c.chunk].begin(),
-                        borderDeps[c.chunk].end());
-          }
-          collectStageDeps(plan, deps, d);
-          const ocl::Event done = queue.enqueueNDRange(
-              kernel, ocl::NDRange1D{roundUp(items, wg), wg}, deps);
-          if (c.kind == Kind::Interior) {
-            borderDeps[c.chunk].push_back(done);
-          } else {
-            out->recordEventOn(d, done);
-            recordStageEvents(plan, done, d);
-          }
-          break;
-        }
-      }
-    }
-  } catch (ocl::ClError& e) {
-    e.prependContext(plan.label + " skeleton on device " + std::to_string(d));
-    throw;
-  }
+  CommandList list(plan.label + " skeleton", out.get());
+  appendStencil(list, *node, in, in.chunks(), multi,
+                runtime.chunkVisitOrder(in.chunks().size()), chunkReady);
+  execute(list, program);
   out->markDevicesModified();
 }
 
@@ -837,6 +668,40 @@ RowCost sparseRowCost(const ExprNode& node, std::size_t elem) {
                   std::max(0.0, one.bytes - empty.bytes)}};
 }
 
+/// Appends the gather launches over the row layout `ptrLayout` (its
+/// nonzeros in `nnzLayout`, one chunk per device), chunks visited in
+/// `order`; `ready` says when an operand's chunk is on its device.
+void appendSparse(CommandList& list, const ExprNode& node,
+                  const VectorState& x, const std::vector<Chunk>& ptrLayout,
+                  const std::vector<Chunk>& nnzLayout,
+                  const std::vector<std::size_t>& order,
+                  const ReadyOf& ready) {
+  const CsrState& csr = *node.sparse->csr;
+  const auto& devices = Runtime::instance().devices();
+  for (std::size_t idx : order) {
+    const std::size_t d = ptrLayout[idx].deviceIndex;
+    const std::size_t rows = ptrLayout[idx].count - 1;
+    if (rows == 0) {
+      continue; // zero-row share (more devices than rows): no launch
+    }
+    // The nonzero slice starts at absolute nonzero `offset`.
+    const std::size_t offset = chunkOn(nnzLayout, d).offset;
+    std::vector<Dep> deps{ready(csr.rowPtr(), d), ready(csr.colIdx(), d),
+                          ready(csr.values(), d), ready(x, d)};
+    node.args.collectDeps(deps, d);
+    Command gather = Command::launch(
+        d, "skelcl_spgather", rows,
+        effectiveWorkGroupSize(node.workGroupSize, rows, devices[d]),
+        {Operand::chunk(csr.rowPtr(), d), Operand::chunk(csr.colIdx(), d),
+         Operand::chunk(csr.values(), d), Operand::chunk(x, d),
+         Operand::output(), Operand::uint(rows), Operand::uint(offset),
+         Operand::arguments(node.args)},
+        std::move(deps));
+    gather.records = true;
+    list.push(std::move(gather));
+  }
+}
+
 /// When the matrix and `x` placed for rows in `dist` (x replicated with
 /// Block rows, on `device` with Single) and the gather launches would
 /// finish, each row billed as `cost` at its chunk's mean nonzeros.
@@ -844,28 +709,28 @@ std::uint64_t forecastSparse(const VectorState& x, const ExprNode& node,
                              Distribution dist, std::size_t device,
                              const RowCost& cost) {
   const CsrState& csr = *node.sparse->csr;
-  Forecast f(Runtime::instance());
+  CommandList list;
   const auto [ptrLayout, nnzLayout] = csr.layouts(dist, device);
-  forecastStaging(f, csr.rowPtr(), ptrLayout);
-  forecastStaging(f, csr.colIdx(), nnzLayout);
-  forecastStaging(f, csr.values(), nnzLayout);
-  forecastStaging(f, x,
-                  dist == Distribution::Block
-                      ? layoutOf(Distribution::Copy, 0, x.size())
-                      : layoutOf(Distribution::Single, device, x.size()));
-  for (std::size_t i = 0; i < ptrLayout.size(); ++i) {
-    const std::size_t rows = ptrLayout[i].count - 1;
-    if (rows == 0) {
-      continue;
-    }
-    const std::size_t d = ptrLayout[i].deviceIndex;
-    const double perRow = double(nnzLayout[i].count) / double(rows);
-    f.launch(d, node.workGroupSize, rows,
-             {cost.base.cycles + perRow * cost.perNonzero.cycles,
-              cost.base.bytes + perRow * cost.perNonzero.bytes},
-             f.ready(d, ocl::Engine::HostToDevice));
-  }
-  return f.finish();
+  std::map<const VectorState*, std::vector<Dep>> staged;
+  staged[&csr.rowPtr()] = appendStaging(list, csr.rowPtr(), ptrLayout);
+  staged[&csr.colIdx()] = appendStaging(list, csr.colIdx(), nnzLayout);
+  staged[&csr.values()] = appendStaging(list, csr.values(), nnzLayout);
+  staged[&x] = appendStaging(
+      list, x,
+      dist == Distribution::Block
+          ? layoutOf(Distribution::Copy, 0, x.size())
+          : layoutOf(Distribution::Single, device, x.size()));
+  std::vector<std::size_t> order(ptrLayout.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  appendSparse(
+      list, node, x, ptrLayout, nnzLayout, order,
+      [&](const VectorState& v, std::size_t d) { return staged[&v][d]; });
+  return replay(list, [&](const Command& c) {
+    const double perRow =
+        double(chunkOn(nnzLayout, c.device).count) / double(c.items);
+    return ItemCost{cost.base.cycles + perRow * cost.perNonzero.cycles,
+                    cost.base.bytes + perRow * cost.perNonzero.bytes};
+  });
 }
 
 } // namespace
@@ -873,25 +738,19 @@ std::uint64_t forecastSparse(const VectorState& x, const ExprNode& node,
 void placeSparseOperands(VectorState& x, const ExprNode& node, bool record) {
   auto& runtime = Runtime::instance();
   CsrState& csr = *node.sparse->csr;
-  // As for a stencil, forecasts are made wherever they are read.
-  std::size_t home = 0;
-  std::uint64_t multiNs = kNever;
-  std::uint64_t singleNs = 0;
-  if (runtime.deviceCount() > 1 || (record && trace::Recorder::enabled())) {
-    const RowCost cost = sparseRowCost(node, x.elementSize());
-    auto singleOn = [&](std::size_t d) {
-      return forecastSparse(x, node, Distribution::Single, d, cost);
-    };
-    home = homeDevice(x, singleOn);
-    singleNs = singleOn(home);
-    if (runtime.deviceCount() > 1) {
-      multiNs = forecastSparse(x, node, Distribution::Block, 0, cost);
-    }
-  }
+  const auto [spread, home] = chooseLayout(
+      x, runtime.deviceCount() > 1, record, "sparse.layout: replicated",
+      "sparse.layout: single-device", [&] {
+        return [&, cost = sparseRowCost(node, x.elementSize())](
+                   bool multi, std::size_t d) {
+          return forecastSparse(
+              x, node, multi ? Distribution::Block : Distribution::Single, d,
+              cost);
+        };
+      });
   // Replicated, the gather may touch any column on any device; the rows
   // are block-partitioned (block weights are fixed for an init() cycle).
-  if (spreads(multiNs, singleNs, record, "sparse.layout: replicated",
-              "sparse.layout: single-device")) {
+  if (spread) {
     csr.place(Distribution::Block, 0);
     x.place(Distribution::Copy, 0, layoutOf(Distribution::Copy, 0, x.size()));
   } else {
@@ -909,7 +768,6 @@ void runSparseGather(const std::shared_ptr<ExprNode>& node,
   // the matrix's row layout.
   const CsrState& csr = *node->sparse->csr;
   const VectorState& rowPtr = csr.rowPtr();
-  VectorState& x = *plan.leaves.front();
   prepareStageArguments(plan);
 
   out->allocateOutput(
@@ -918,46 +776,11 @@ void runSparseGather(const std::shared_ptr<ExprNode>& node,
                csr.rows()));
 
   ocl::Program program = runtime.programFor(sparseProgramSource(*node));
-  const std::vector<Chunk>& ptrChunks = rowPtr.chunks();
-  for (std::size_t idx : runtime.chunkVisitOrder(ptrChunks.size())) {
-    const std::size_t d = ptrChunks[idx].deviceIndex;
-    const std::size_t rows = ptrChunks[idx].count - 1;
-    if (rows == 0) {
-      continue; // zero-row share (more devices than rows): no launch
-    }
-    try {
-      const auto& device = runtime.devices()[d];
-      // The nonzero slices start at absolute nonzero `nnz.offset`.
-      const Chunk& nnz = csr.colIdx().chunkForDevice(d);
-      ocl::Kernel kernel = program.createKernel("skelcl_spgather");
-      std::size_t arg = 0;
-      kernel.setArg(arg++, ptrChunks[idx].buffer);
-      kernel.setArg(arg++, nnz.buffer);
-      kernel.setArg(arg++, csr.values().chunkForDevice(d).buffer);
-      kernel.setArg(arg++, x.chunkForDevice(d).buffer);
-      kernel.setArg(arg++, out->chunkForDevice(d).buffer);
-      kernel.setArg(arg++, std::uint32_t(rows));
-      kernel.setArg(arg++, std::uint32_t(nnz.offset));
-      bindStageArguments(plan, kernel, arg, d);
-
-      std::vector<ocl::Event> deps;
-      appendEvent(deps, rowPtr.readyEventOn(d));
-      appendEvent(deps, csr.colIdx().readyEventOn(d));
-      appendEvent(deps, csr.values().readyEventOn(d));
-      appendEvent(deps, x.readyEventOn(d));
-      collectStageDeps(plan, deps, d);
-      const std::size_t wg =
-          effectiveWorkGroupSize(node->workGroupSize, rows, device);
-      ocl::Event done = runtime.queue(d).enqueueNDRange(
-          kernel, ocl::NDRange1D{roundUp(rows, wg), wg}, deps);
-      out->recordEventOn(d, done);
-      recordStageEvents(plan, done, d);
-    } catch (ocl::ClError& e) {
-      e.prependContext(plan.label + " skeleton on device " +
-                       std::to_string(d));
-      throw;
-    }
-  }
+  CommandList list(plan.label + " skeleton", out.get());
+  appendSparse(list, *node, *plan.leaves.front(), rowPtr.chunks(),
+               csr.colIdx().chunks(),
+               runtime.chunkVisitOrder(rowPtr.chunks().size()), chunkReady);
+  execute(list, program);
   out->markDevicesModified();
 }
 

@@ -1,14 +1,15 @@
-// Shared machinery for the DAG evaluators (detail/expr.cpp,
-// detail/irregular.cpp) and the copy -> block combine (vector_state.cpp):
-// launch geometry and the event plumbing that lets skeleton launches
-// pipeline against split uploads instead of serializing behind a
-// finish(). Generated programs come from Runtime::programFor.
+// Shared machinery for the command-list builders of the DAG evaluators
+// (detail/expr.cpp, detail/irregular.cpp) and the copy -> block combine
+// (vector_state.cpp): launch geometry, and the pipelined launch that
+// lets a skeleton's slices start on split upload pieces instead of
+// waiting for the whole upload.
 #pragma once
 
 #include <algorithm>
 #include <utility>
 #include <vector>
 
+#include "skelcl/detail/commands.h"
 #include "skelcl/detail/runtime.h"
 #include "skelcl/vector.h"
 
@@ -43,13 +44,6 @@ inline std::size_t effectiveWorkGroupSize(std::size_t userChoice,
   return std::min<std::size_t>(wanted, device.maxWorkGroupSize());
 }
 
-inline void appendEvent(std::vector<ocl::Event>& deps,
-                        const ocl::Event& event) {
-  if (event.valid()) {
-    deps.push_back(event);
-  }
-}
-
 /// Event of the upload piece that covers host elements [0, elemEnd).
 /// Pieces run FIFO on the H2D engine, so the first piece whose end
 /// reaches elemEnd completes after every earlier piece.
@@ -63,19 +57,20 @@ inline ocl::Event pieceCovering(const UploadPieces& pieces,
   return pieces.empty() ? ocl::Event() : pieces.back().second;
 }
 
-/// Enqueues one logical launch of `groups` work-groups of size `wg`, in
-/// which group g reads elements [g*span, (g+1)*span) of `count`, split
-/// into group-range sub-launches pipelined against split upload pieces:
-/// slice i starts as soon as the pieces covering its elements have
-/// landed, while later pieces still stream over PCIe (double buffering).
-/// Slice boundaries are the groups a piece end fully covers (the last
-/// slice absorbs the rest), so the slices partition the unsplit ND-range
-/// exactly — every work item runs once with the same global id, keeping
-/// total kernel cycles invariant; no slice reads elements its dependency
-/// pieces have not delivered. A kernel that derives its group index from
-/// the global id (the fused reduce's first pass) computes bit-identical
-/// per-group results either way. With no multi-piece list this
-/// degenerates to the plain single launch.
+/// Appends one logical launch to `list`: `launch` over `groups` work-groups
+/// of size `wg`, in which group g reads elements [g*span, (g+1)*span) of
+/// `count`, split into group-range sub-launches pipelined against split
+/// upload pieces: slice i starts as soon as the pieces covering its
+/// elements have landed, while later pieces still stream over PCIe
+/// (double buffering). Slice boundaries are the groups a piece end fully
+/// covers (the last slice absorbs the rest), so the slices partition the
+/// unsplit ND-range exactly — every work item runs once with the same
+/// global id, keeping total kernel cycles invariant; no slice reads
+/// elements its dependency pieces have not delivered. A kernel that
+/// derives its group index from the global id (the fused reduce's first
+/// pass) computes bit-identical per-group results either way. With no
+/// multi-piece list this degenerates to the plain single launch. Only the
+/// last slice records (Command::records); returns its index.
 ///
 /// `baseDeps` must NOT contain the ready events of chunks whose piece
 /// lists are passed here (that event is the *last* piece — depending on
@@ -91,31 +86,29 @@ inline ocl::Event pieceCovering(const UploadPieces& pieces,
 /// by bytes moved, which splits exactly linearly. A tree reduction's
 /// first pass, whose few groups each stream a long span, asks only that
 /// each piece unlock whole groups.
-inline ocl::Event launchPipelined(ocl::CommandQueue& queue,
-                                  ocl::Kernel& kernel, std::size_t groups,
-                                  std::size_t wg, std::size_t span,
-                                  std::size_t count,
-                                  std::size_t minGroupsPerSlice,
-                                  const std::vector<ocl::Event>& baseDeps,
-                                  const std::vector<UploadPieces>& pieces) {
+inline std::size_t launchPipelined(CommandList& list, Command launch,
+                                   std::size_t groups, std::size_t wg,
+                                   std::size_t span, std::size_t count,
+                                   std::size_t minGroupsPerSlice,
+                                   const std::vector<Dep>& baseDeps,
+                                   const std::vector<UploadPieces>& pieces) {
   const UploadPieces* driver = nullptr;
-  for (const UploadPieces& list : pieces) {
-    if (list.size() > 1 &&
-        (driver == nullptr || list.size() > driver->size())) {
-      driver = &list;
+  for (const UploadPieces& p : pieces) {
+    if (p.size() > 1 && (driver == nullptr || p.size() > driver->size())) {
+      driver = &p;
     }
   }
+  launch.records = true;
   if (driver == nullptr || groups < driver->size() * minGroupsPerSlice) {
-    std::vector<ocl::Event> deps = baseDeps;
-    for (const UploadPieces& list : pieces) {
-      if (!list.empty()) {
-        appendEvent(deps, list.back().second);
+    launch.deps = baseDeps;
+    for (const UploadPieces& p : pieces) {
+      if (!p.empty()) {
+        launch.deps.push_back(p.back().second);
       }
     }
-    return queue.enqueueNDRange(kernel, ocl::NDRange1D{groups * wg, wg},
-                                deps);
+    return list.push(std::move(launch));
   }
-  ocl::Event last;
+  const std::size_t items = launch.items;
   std::size_t begin = 0;
   for (std::size_t i = 0; i < driver->size(); ++i) {
     const std::size_t end = i + 1 == driver->size()
@@ -124,15 +117,18 @@ inline ocl::Event launchPipelined(ocl::CommandQueue& queue,
     if (end <= begin) {
       continue; // piece smaller than a group: the next slice absorbs it
     }
-    std::vector<ocl::Event> deps = baseDeps;
-    for (const UploadPieces& list : pieces) {
-      appendEvent(deps, pieceCovering(list, std::min(end * span, count)));
+    Command slice = launch;
+    slice.records = end == groups;
+    slice.range = ocl::NDRange1D{(end - begin) * wg, wg, begin * wg};
+    slice.items = std::min(end * wg, items) - std::min(begin * wg, items);
+    slice.deps = baseDeps;
+    for (const UploadPieces& p : pieces) {
+      slice.deps.push_back(pieceCovering(p, std::min(end * span, count)));
     }
-    last = queue.enqueueNDRange(
-        kernel, ocl::NDRange1D{(end - begin) * wg, wg, begin * wg}, deps);
+    list.push(std::move(slice));
     begin = end;
   }
-  return last;
+  return list.commands.size() - 1;
 }
 
 } // namespace skelcl::detail

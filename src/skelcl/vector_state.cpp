@@ -28,16 +28,6 @@ constexpr std::size_t kSplitMinBytes = 1024 * 1024;
 /// on early pieces while later ones stream in (double buffering).
 constexpr std::size_t kUploadPieces = 4;
 
-/// Dependency list for commands reading `chunk`: its ready event when it
-/// has one, nothing otherwise.
-std::vector<ocl::Event> depsOf(const Chunk& chunk) {
-  std::vector<ocl::Event> deps;
-  if (chunk.ready.valid()) {
-    deps.push_back(chunk.ready);
-  }
-  return deps;
-}
-
 } // namespace
 
 std::vector<Chunk> layoutOf(Distribution dist, std::size_t singleDevice,
@@ -109,7 +99,7 @@ void VectorState::ensureOnHost() {
             runtime.queue(chunk.deviceIndex)
                 .enqueueReadBuffer(chunk.buffer, 0, chunk.count * elemSize_,
                                    staging + chunk.offset * elemSize_,
-                                   /*blocking=*/false, depsOf(chunk)));
+                                   /*blocking=*/false, {chunk.ready}));
       }
     } catch (ocl::ClError& e) {
       e.prependContext("vector download of " + std::to_string(hostCount()) +
@@ -182,61 +172,63 @@ void VectorState::setDistributionCombine(const std::string& combineSource) {
   // copy-distributed with its old chunks and host data untouched, so
   // the caller can retry the redistribution after handling the error.
   std::vector<Chunk> blocks = layoutOf(Distribution::Block, 0, hostCount());
+  CommandList list("combine redistribution");
+  std::vector<std::size_t> blockSlots;
+  std::vector<std::size_t> folds(blocks.size());
   for (Chunk& block : blocks) {
     const std::size_t d = block.deviceIndex;
     const std::size_t offset = block.offset * elemSize_;
     const std::size_t bytes = block.count * elemSize_;
-    try {
-      auto& queue = runtime.queue(d);
-      const auto& device = runtime.devices()[d];
-      block.buffer = runtime.context().createBuffer(
-          device, std::max<std::size_t>(1, bytes));
-      if (block.count == 0) {
-        // This device's share rounded to zero elements; seeding or
-        // folding it would enqueue zero-size device commands.
+    blockSlots.push_back(list.scratch(d, std::max<std::size_t>(1, bytes)));
+    if (block.count == 0) {
+      // This device's share rounded to zero elements; seeding or
+      // folding it would enqueue zero-size device commands.
+      continue;
+    }
+    auto copy = [&](std::size_t from, std::size_t to, std::vector<Dep> deps) {
+      return list.push({.kind = Command::Kind::Copy,
+                        .device = d,
+                        .deps = std::move(deps),
+                        .src = Operand::chunk(*this, from),
+                        .dst = Operand::scratch(to),
+                        .srcOffset = offset,
+                        .bytes = bytes});
+    };
+    // Own portion seeds the block (depends on the chunk being valid).
+    std::size_t folded = copy(d, blockSlots.back(), {chunks_[d].ready});
+    // Fold in every other device's copy of the same region. Two temp
+    // buffers double-buffer the pipeline: the cross-device copy of
+    // portion j+1 streams over PCIe into one temp while the combine
+    // kernel folds the other temp into the block.
+    const std::size_t temps[2] = {list.scratch(d, bytes),
+                                  list.scratch(d, bytes)};
+    std::vector<Dep> tempFree[2]; // last kernel that *read* each temp
+    std::size_t slot = 0;
+    const std::size_t wg =
+        effectiveWorkGroupSize(0, block.count, runtime.devices()[d]);
+    for (std::size_t j = 0; j < devices; ++j) {
+      if (j == d) {
         continue;
       }
-      // Own portion seeds the block (depends on the chunk being valid).
-      ocl::Event seeded =
-          queue.enqueueCopyBuffer(chunks_[d].buffer, offset, block.buffer,
-                                  0, bytes, depsOf(chunks_[d]));
-      // Fold in every other device's copy of the same region. Two temp
-      // buffers double-buffer the pipeline: the cross-device copy of
-      // portion j+1 streams over PCIe into one temp while the combine
-      // kernel folds the other temp into the block.
-      ocl::Buffer temps[2];
-      ocl::Event tempFree[2]; // last kernel that *read* each temp
-      temps[0] = runtime.context().createBuffer(device, bytes);
-      temps[1] = runtime.context().createBuffer(device, bytes);
-      ocl::Event folded = seeded;
-      std::size_t slot = 0;
-      for (std::size_t j = 0; j < devices; ++j) {
-        if (j == d) {
-          continue;
-        }
-        std::vector<ocl::Event> copyDeps = depsOf(chunks_[j]);
-        if (tempFree[slot].valid()) {
-          copyDeps.push_back(tempFree[slot]);
-        }
-        ocl::Event copied = queue.enqueueCopyBuffer(
-            chunks_[j].buffer, offset, temps[slot], 0, bytes, copyDeps);
-        ocl::Kernel kernel = program.createKernel("skelcl_combine");
-        kernel.setArg(0, block.buffer);
-        kernel.setArg(1, temps[slot]);
-        kernel.setArg(2, std::uint32_t(block.count));
-        const std::size_t wg =
-            effectiveWorkGroupSize(0, block.count, device);
-        folded = queue.enqueueNDRange(
-            kernel, ocl::NDRange1D{roundUp(block.count, wg), wg},
-            {copied, folded});
-        tempFree[slot] = folded;
-        slot ^= 1;
-      }
-      block.ready = folded;
-    } catch (ocl::ClError& e) {
-      e.prependContext("combine redistribution on device " +
-                       std::to_string(d));
-      throw;
+      std::vector<Dep> copyDeps{chunks_[j].ready};
+      copyDeps.insert(copyDeps.end(), tempFree[slot].begin(),
+                      tempFree[slot].end());
+      const std::size_t copied = copy(j, temps[slot], std::move(copyDeps));
+      folded = list.push(Command::launch(
+          d, "skelcl_combine", block.count, wg,
+          {Operand::scratch(blockSlots.back()), Operand::scratch(temps[slot]),
+           Operand::uint(block.count)},
+          {Dep::on(copied), Dep::on(folded)}));
+      tempFree[slot] = {Dep::on(folded)};
+      slot ^= 1;
+    }
+    folds[&block - blocks.data()] = folded;
+  }
+  const Executed done = execute(list, program);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    blocks[i].buffer = done.scratch[blockSlots[i]];
+    if (blocks[i].count > 0) {
+      blocks[i].ready = done.events[folds[i]];
     }
   }
   chunks_ = std::move(blocks);
