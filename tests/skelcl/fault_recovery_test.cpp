@@ -6,9 +6,11 @@
 // offending source line, and a fixed SKELCL_FAULT_PLAN/SEED replays the
 // same failure sequence across independent init() cycles.
 #include <filesystem>
+#include <functional>
 #include <numeric>
 
 #include "common/byte_stream.h"
+#include "skelcl/detail/runtime.h"
 #include "skelcl_test_util.h"
 
 namespace {
@@ -148,28 +150,138 @@ TEST_F(FaultRecovery, EagerCallThatThrowsBeforeItRunsLeavesNoReader) {
   EXPECT_EQ(skelcl_test::totalKernelLaunches() - before, 1u);
 }
 
+// Every command of a skeleton call carries the call's fault context,
+// whichever evaluator built it: one row per kind of command. The fault
+// surfaces typed, names its device and the call, leaves the inputs' host
+// data as it was, and a retry matches the host oracle. The Reduce and
+// Scan rows read a Map chain, so with fusion on they run a fused first
+// pass and with fusion off the plain tree (fault_recovery_fusion_off).
 TEST_F(FaultRecovery, LaunchFaultReportsSkeletonAndDevice) {
-  Map<int> inc("int inc_lf(int x) { return x + 1; }");
+  const bool fused = skelcl::detail::Runtime::instance().fusionEnabled();
+  auto label = [&](const std::string& plain, const std::string& chain) {
+    return fused ? "Fused(" + chain + ")" : plain;
+  };
   std::vector<int> data(1000);
   std::iota(data.begin(), data.end(), 0);
-  Vector<int> input(data);
-  input.setDistribution(Distribution::Block);
-
-  // The second launch is device 1's chunk (Fifo visits chunks in order).
-  FaultInjector::instance().configure("kernel~skelcl_map@2");
-  try {
-    Vector<int> out = inc(input);
-    (void)out[0]; // force: launches happen at the first read
-    FAIL() << "expected LaunchFailure";
-  } catch (const ocl::LaunchFailure& e) {
-    EXPECT_EQ(e.deviceIndex(), 1u);
-    EXPECT_NE(std::string(e.what()).find("Map skeleton on device 1"),
-              std::string::npos);
+  Vector<int> a(data);
+  Vector<int> b(data);
+  Vector<int> onDevice1(data);
+  a.setDistribution(Distribution::Block);
+  b.setDistribution(Distribution::Block);
+  onDevice1.setDistribution(Distribution::Single, 1);
+  std::vector<int> grid(1 << 16);
+  std::iota(grid.begin(), grid.end(), -5000);
+  Vector<int> gridIn(grid);
+  // The gather's operand is a Map result on device 1, so the gather
+  // runs there whatever the earlier rows left on the devices.
+  const std::vector<int> x{2, -2, 3, 0, -6};
+  Vector<int> xBase(x);
+  xBase.setDistribution(Distribution::Single, 1);
+  // The combine's input: device-modified copies, each adding its block's
+  // indices, so the combined block holds i at index i.
+  Vector<int> copies(32, 0);
+  copies.setDistribution(Distribution::Copy);
+  {
+    Map<int, void> bump(
+        "void bump_lf(int idx, __global int* data) { data[idx] += idx; }");
+    Vector<int> indices = skelcl::indexVector(32);
+    indices.setDistribution(Distribution::Block);
+    Arguments args;
+    args.push(copies);
+    bump(indices, args);
+    copies.dataOnDevicesModified();
   }
-  FaultInjector::instance().reset();
-  Vector<int> out = inc(input);
+  const std::vector<int> copiesHost = copies.state().rawHost();
+
+  Map<int> inc("int inc_lf(int x) { return x + 1; }");
+  Vector<int> xs = inc(xBase);
+  skelcl::Zip<int> add("int add_lf(int p, int q) { return p + q; }");
+  skelcl::Reduce<int> sum("int sum_lf(int p, int q) { return p + q; }");
+  skelcl::Scan<int> scan("int scan_lf(int p, int q) { return p + q; }", "0");
+  skelcl::Stencil<int> stencil(
+      "int st_lf(__global const int* w) { return w[0] - 2 * w[1] + w[2]; }",
+      skelcl::StencilShape{1, skelcl::Boundary::Clamp, 0});
+  skelcl::CsrMatrix<int> matrix(3, 5, {0, 2, 2, 5}, {0, 4, 1, 2, 3},
+                                {2, -3, 5, 7, 1});
+  skelcl::SparseGather<int> spmv("int sg_lf(int v, int xj) { return v * xj; }",
+                                 "int sc_lf(int p, int q) { return p + q; }",
+                                 "0");
+
+  // Host oracles.
+  std::vector<int> sums(data.size());
+  std::vector<int> prefix(data.size());
+  int total = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
-    ASSERT_EQ(out[i], int(i) + 1) << i;
+    sums[i] = 2 * data[i];
+    prefix[i] = total; // exclusive scan of inc(data)
+    total += data[i] + 1;
+  }
+  std::vector<int> laplace(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    laplace[i] = grid[i == 0 ? 0 : i - 1] - 2 * grid[i] +
+                 grid[i + 1 == grid.size() ? i : i + 1];
+  }
+  std::vector<int> indices(32);
+  std::iota(indices.begin(), indices.end(), 0);
+
+  struct Row {
+    const char* name;
+    const char* plan;
+    std::uint32_t device;
+    std::string context;
+    bool transfer; // TransferFailure, else LaunchFailure
+    std::function<std::vector<int>()> run;
+    std::vector<int> want;
+  };
+  const std::vector<Row> rows = {
+      {"zip launch", "kernel~skelcl_zip@2", 1, "Zip skeleton on device 1",
+       false, [&] { return add(a, b).hostData(); }, sums},
+      {"reduce tree launch", "kernel~skelcl_reduce@1", 0,
+       label("Reduce", "sum_lf∘inc_lf") + " skeleton on device 0", false,
+       [&] { return std::vector<int>{sum(inc(a)).getValue()}; }, {total}},
+      {"reduce partial read", "read@2", 1,
+       label("Reduce", "sum_lf∘inc_lf") + " skeleton on device 1", true,
+       [&] { return std::vector<int>{sum(inc(a)).getValue()}; }, {total}},
+      {"scan add launch", "kernel~skelcl_scan_add@1", 1,
+       label("Scan", "scan_lf∘inc_lf") + " skeleton on device 1", false,
+       [&] { return scan(inc(onDevice1)).hostData(); }, prefix},
+      {"stencil halo copy", "copy@2", 1, "Stencil skeleton on device 1",
+       true, [&] { return stencil(gridIn).hostData(); }, laplace},
+      {"sparse gather launch", "kernel~skelcl_spgather@1", 1,
+       "SparseGather skeleton on device 1", false,
+       [&] { return spmv(matrix, xs).hostData(); }, {21, 0, 24}},
+      {"combine fold", "kernel~skelcl_combine@2", 1,
+       "combine redistribution on device 1", false,
+       [&] {
+         copies.setDistribution(Distribution::Block,
+                                "int cb_lf(int p, int q) { return p + q; }");
+         return copies.hostData();
+       },
+       indices},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    FaultInjector::instance().configure(row.plan);
+    try {
+      (void)row.run();
+      ADD_FAILURE() << "expected a fault";
+    } catch (const ocl::ClError& e) {
+      EXPECT_EQ(row.transfer,
+                dynamic_cast<const ocl::TransferFailure*>(&e) != nullptr);
+      EXPECT_EQ(!row.transfer,
+                dynamic_cast<const ocl::LaunchFailure*>(&e) != nullptr);
+      EXPECT_EQ(e.deviceIndex(), row.device);
+      EXPECT_NE(std::string(e.what()).find(row.context), std::string::npos)
+          << e.what();
+    }
+    FaultInjector::instance().reset();
+    EXPECT_EQ(a.state().rawHost(), data);
+    EXPECT_EQ(b.state().rawHost(), data);
+    EXPECT_EQ(onDevice1.state().rawHost(), data);
+    EXPECT_EQ(gridIn.state().rawHost(), grid);
+    EXPECT_EQ(xBase.state().rawHost(), x);
+    EXPECT_EQ(copies.state().rawHost(), copiesHost);
+    EXPECT_EQ(row.run(), row.want);
   }
 }
 
