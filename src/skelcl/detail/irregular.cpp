@@ -558,8 +558,7 @@ std::pair<bool, std::size_t> chooseLayout(const VectorState& v, bool feasible,
   }
   const bool multi = multiNs < singleNs;
   if (record) {
-    trace::recordDecision(multi ? spread : single,
-                          trace::packForecasts(multiNs, singleNs));
+    trace::recordDecision(multi ? spread : single, multiNs, singleNs);
   }
   return {multi, home};
 }

@@ -22,9 +22,10 @@ class Runtime;
 /// which the call, started once its compute engine frees, would finish
 /// first — and places the operands in the layout forecast to finish
 /// first (one device on a tie). A no-op when they already have that
-/// layout. With `record`, files the choice as a Decision whose value
-/// packs both forecasts (trace::packForecasts; a layout that cannot run
-/// the call reads "never").
+/// layout. With `record`, files the choice as a Decision carrying both
+/// forecasts (trace::HostSpanRecord: `value` the multi-device one, which
+/// reads "never" when that layout cannot run the call, `value2` the
+/// single-device one).
 ///
 /// Stencil: row-aligned blocks, a layout that cannot run a call with a
 /// device's row share below the radius; the evaluator reads the choice

@@ -140,7 +140,8 @@ std::string chromeJson(const Trace& trace) {
            hostKindLabel(h.kind) + "\",\"args\":{\"device\":" +
            (h.device == kNoDevice ? std::string("-1")
                                   : std::to_string(h.device)) +
-           ",\"value\":" + std::to_string(h.value) + "}},\n";
+           ",\"value\":" + std::to_string(h.value) +
+           ",\"value2\":" + std::to_string(h.value2) + "}},\n";
   }
 
   for (const CounterRecord& c : trace.counters) {

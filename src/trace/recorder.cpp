@@ -130,7 +130,7 @@ void Recorder::recordCommand(const CommandInit& init) {
 void Recorder::recordHostSpan(HostKind kind, std::string_view name,
                               std::uint32_t device, std::uint64_t startNs,
                               std::uint64_t endNs, std::uint64_t value,
-                              std::uint32_t lane) {
+                              std::uint32_t lane, std::uint64_t value2) {
   std::lock_guard lock(mutex_);
   if (!enabled_.load(std::memory_order_relaxed)) {
     return;
@@ -143,6 +143,7 @@ void Recorder::recordHostSpan(HostKind kind, std::string_view name,
   record.startNs = startNs;
   record.endNs = endNs;
   record.value = value;
+  record.value2 = value2;
   trace_.hostSpans.push_back(record);
 }
 

@@ -15,7 +15,6 @@
 // deterministic workload byte-identical across runs.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -76,7 +75,7 @@ public:
   void recordHostSpan(HostKind kind, std::string_view name,
                       std::uint32_t device, std::uint64_t startNs,
                       std::uint64_t endNs, std::uint64_t value = 0,
-                      std::uint32_t lane = 0);
+                      std::uint32_t lane = 0, std::uint64_t value2 = 0);
 
   /// Advances a counter by `delta` and files the new per-trace total.
   /// Totals reset at start(), so traces never leak process-lifetime
@@ -100,24 +99,16 @@ private:
 };
 
 /// Files a Decision (HostKind::Decision) at virtual now, carrying
-/// `value` (0 when the decision has no datum); one atomic load when
-/// recording is off. A caller that builds `name` checks enabled() first.
-inline void recordDecision(std::string_view name, std::uint64_t value = 0) {
+/// `value` and `value2` (0 when the decision has no datum); one atomic
+/// load when recording is off. A caller that builds `name` checks
+/// enabled() first.
+inline void recordDecision(std::string_view name, std::uint64_t value = 0,
+                           std::uint64_t value2 = 0) {
   if (Recorder::enabled()) {
     const std::uint64_t nowNs = now();
-    Recorder::instance().recordHostSpan(HostKind::Decision, name,
-                                        kNoDevice, nowNs, nowNs, value);
+    Recorder::instance().recordHostSpan(HostKind::Decision, name, kNoDevice,
+                                        nowNs, nowNs, value, 0, value2);
   }
-}
-
-/// A layout Decision's value: the forecast finish of the multi-device
-/// layout in the high 32 bits and of one device in the low 32, in ns
-/// from the decision, each saturated at 2^32 - 1 (which reads "never":
-/// the layout cannot run the call).
-constexpr std::uint64_t packForecasts(std::uint64_t multiNs,
-                                      std::uint64_t singleNs) {
-  constexpr std::uint64_t kMax = 0xFFFFFFFFull;
-  return (std::min(multiNs, kMax) << 32) | std::min(singleNs, kMax);
 }
 
 /// RAII host span: captures virtual start/end around a runtime phase.

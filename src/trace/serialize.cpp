@@ -15,7 +15,7 @@ constexpr char kMagic[4] = {'S', 'K', 'T', 'R'};
 constexpr std::size_t kStringBytes = 8;
 constexpr std::size_t kDeviceBytes = 4 + 8 + 4 + 3 * 8;
 constexpr std::size_t kCommandBytes = 8 + 4 + 1 + 1 + 4 + 6 * 8 + 8;
-constexpr std::size_t kHostSpanBytes = 4 + 1 + 4 + 4 + 3 * 8;
+constexpr std::size_t kHostSpanBytes = 4 + 1 + 4 + 4 + 4 * 8;
 constexpr std::size_t kCounterBytes = 4 + 4 + 8 + 8;
 
 /// Reads an engine index or a record kind, which must be below `count`.
@@ -86,6 +86,7 @@ std::vector<std::uint8_t> serialize(const Trace& trace) {
     w.write<std::uint64_t>(h.startNs);
     w.write<std::uint64_t>(h.endNs);
     w.write<std::uint64_t>(h.value);
+    w.write<std::uint64_t>(h.value2);
   }
   w.write<std::uint64_t>(trace.counters.size());
   for (const CounterRecord& c : trace.counters) {
@@ -157,6 +158,7 @@ Trace deserialize(const std::vector<std::uint8_t>& bytes) {
     h.startNs = r.read<std::uint64_t>();
     h.endNs = r.read<std::uint64_t>();
     h.value = r.read<std::uint64_t>();
+    h.value2 = r.read<std::uint64_t>();
     checkRecord(trace, h.name, h.startNs, h.endNs);
     trace.hostSpans.push_back(h);
   }

@@ -21,7 +21,9 @@ namespace trace {
 /// v4: counters hold only halo and intermediate bytes and tenant
 ///     accounting; byte and cycle totals come from the commands, cache
 ///     hits and misses from the CacheHit and Build host spans.
-inline constexpr std::uint32_t kBinaryVersion = 4;
+/// v5: HostSpanRecord gained `value2`, so a layout Decision carries both
+///     forecasts at full width.
+inline constexpr std::uint32_t kBinaryVersion = 5;
 
 std::vector<std::uint8_t> serialize(const Trace& trace);
 

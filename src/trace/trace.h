@@ -83,10 +83,12 @@ struct CommandRecord {
 /// element count for Skeleton (nonzeros for SparseGather), bytes for
 /// Transfer and Combine, source length for Build and CacheHit,
 /// queue-wait nanoseconds for Scheduler and TenantJob (whose name is the
-/// tenant), both layout forecasts for a `stencil.layout` or
-/// `sparse.layout` Decision (packForecasts, recorder.h), otherwise 0. A
-/// Decision is zero-length, at the virtual time of the choice, and named
-/// "<decision>: <reason>".
+/// tenant), the multi-device layout's forecast finish for a
+/// `stencil.layout` or `sparse.layout` Decision (in ns from the decision;
+/// UINT64_MAX, "never", when that layout cannot run the call), otherwise
+/// 0. `value2` is such a Decision's single-device forecast, otherwise 0.
+/// A Decision is zero-length, at the virtual time of the choice, and
+/// named "<decision>: <reason>".
 /// `lane` is the host row the span renders on:
 /// 0 is the runtime thread; Scheduler spans use one lane per
 /// concurrently outstanding job and TenantJob spans their job-service
@@ -99,6 +101,7 @@ struct HostSpanRecord {
   std::uint64_t startNs = 0;
   std::uint64_t endNs = 0;
   std::uint64_t value = 0;
+  std::uint64_t value2 = 0;
 };
 
 /// A cumulative counter sample ("halo_bytes" on device 2 reached V at

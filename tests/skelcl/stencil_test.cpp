@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <random>
 #include <string>
@@ -376,7 +377,7 @@ TEST_F(StencilFourDevices, ChunkSmallerThanHaloFallsBackToSingleDevice) {
 }
 
 /// The layout decisions one call records: name, and the multi-device
-/// and single-device forecasts its value packs (trace::packForecasts).
+/// and single-device forecasts it carries (`value`, `value2`).
 struct Layout {
   std::string name;
   std::uint64_t multiNs, singleNs;
@@ -389,7 +390,7 @@ std::vector<Layout> layoutsOf(const std::function<void()>& call) {
   std::vector<Layout> layouts;
   for (const trace::HostSpanRecord& h : t.hostSpans) {
     if (h.kind == trace::HostKind::Decision) {
-      layouts.push_back({t.str(h.name), h.value >> 32, h.value & 0xFFFFFFFFu});
+      layouts.push_back({t.str(h.name), h.value, h.value2});
     }
   }
   EXPECT_EQ(trace::analyze(t).decisions.size(), 1u); // one name per call
@@ -454,7 +455,7 @@ Layout sparseLayout(std::size_t rows) {
 // (their forecast reads "never"). An SpMV replicates its operand beside
 // a large matrix and keeps a small one on one device.
 TEST_F(StencilFourDevices, LayoutChoiceIsARecordedDecision) {
-  constexpr std::uint64_t kNever = 0xFFFFFFFFu;
+  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
   const Layout wide = stencilLayout(32, 2048, 1);
   EXPECT_EQ(wide.name, "stencil.layout: row-aligned");
   EXPECT_LT(wide.multiNs, wide.singleNs);
@@ -491,7 +492,7 @@ std::pair<Layout, std::uint64_t> decidedAndBilled(
   std::uint64_t decidedNs = 0;
   for (const trace::HostSpanRecord& h : t.hostSpans) {
     if (h.kind == trace::HostKind::Decision) {
-      layout = {t.str(h.name), h.value >> 32, h.value & 0xFFFFFFFFu};
+      layout = {t.str(h.name), h.value, h.value2};
       decidedNs = h.startNs;
     }
   }

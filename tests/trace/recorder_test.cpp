@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -266,6 +267,21 @@ Trace wellFormedTrace() {
 void expectRejected(const Trace& t) {
   EXPECT_THROW(trace::deserialize(trace::serialize(t)),
                common::DeserializeError);
+}
+
+// A layout Decision carries both forecasts at full width: "never" and a
+// forecast past 2^32 ns (~4.3 s) survive the binary round trip.
+TEST(TraceDeserialize, LayoutForecastsRoundTripAtFullWidth) {
+  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kLong = 5'000'000'000ULL;
+  trace::Recorder::instance().start();
+  trace::recordDecision("stencil.layout: single-device", kNever, kLong);
+  const Trace back = trace::deserialize(
+      trace::serialize(trace::Recorder::instance().stop()));
+  ASSERT_EQ(back.hostSpans.size(), 1u);
+  EXPECT_EQ(back.hostSpans[0].kind, HostKind::Decision);
+  EXPECT_EQ(back.hostSpans[0].value, kNever);
+  EXPECT_EQ(back.hostSpans[0].value2, kLong);
 }
 
 TEST(TraceDeserialize, WellFormedTraceRoundTrips) {
