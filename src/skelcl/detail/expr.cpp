@@ -371,17 +371,19 @@ std::string reduceProgramSource(const ExprNode& node, const FusionPlan& plan,
                                   "skelcl_in[%IDX%]", /*pipelined=*/false);
 }
 
-/// A buffer a Reduce call's list reads, and when its contents are ready.
-struct Reduced {
+/// Where a Reduce call's list leaves a partial result, when, and on
+/// which device.
+struct Partial {
   Operand buffer;
   Dep ready;
+  std::size_t device;
 };
 
 /// Appends the tree reduction of `count` elements of `in` (element size
 /// `elem`) down to one with skelcl_reduce; the first pass waits on
 /// `deps`. Mirrors the eager Reduce::reduceOnDevice, including the
 /// count==1 passthrough.
-Reduced reduceTree(CommandList& list, Operand in, std::size_t count,
+Partial reduceTree(CommandList& list, Operand in, std::size_t count,
                    std::size_t elem, std::size_t deviceIndex,
                    std::vector<Dep> deps) {
   Dep last = deps.empty() ? Dep() : deps.front();
@@ -396,7 +398,7 @@ Reduced reduceTree(CommandList& list, Operand in, std::size_t count,
     in = Operand::scratch(out);
     count = groups;
   }
-  return {in, std::move(last)};
+  return {in, std::move(last), deviceIndex};
 }
 
 void runReduce(const std::shared_ptr<ExprNode>& node,
@@ -416,7 +418,7 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
   // suffices. Partials stay in canonical chunk order (device order =
   // element order), so the combine below needs associativity only.
   CommandList list(plan.label + " skeleton");
-  std::vector<std::pair<Reduced, std::size_t>> partials; // and device
+  std::vector<Partial> partials;
   const auto& chunks = leaf0.chunks();
   const bool copyDist = leaf0.distribution() == Distribution::Copy;
   for (const Chunk& chunk : chunks) {
@@ -457,8 +459,7 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
       // Unfused: one leaf and no stage arguments (Reduce takes none).
       deps.push_back(chunk.ready);
     }
-    partials.emplace_back(reduceTree(list, in, count, elem, d, std::move(deps)),
-                          d);
+    partials.push_back(reduceTree(list, in, count, elem, d, std::move(deps)));
     if (copyDist) {
       break;
     }
@@ -468,15 +469,14 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
   // Several partials combine on device 0 (see reduce.h): every read is
   // non-blocking, the staging upload waits on them through events, and
   // the final value is consumed at the Scalar's getValue().
-  Reduced result = partials.front().first;
-  std::size_t resultDevice = partials.front().second;
+  Partial result = partials.front();
   if (partials.size() > 1) {
     const std::size_t bytes = partials.size() * elem;
     list.hostBytes = bytes;
     std::vector<Dep> reads;
-    for (const auto& [partial, d] : partials) {
+    for (const Partial& partial : partials) {
       reads.push_back(Dep::on(list.push({.kind = Command::Kind::Read,
-                                         .device = d,
+                                         .device = partial.device,
                                          .deps = {partial.ready},
                                          .src = partial.buffer,
                                          .dstOffset = reads.size() * elem,
@@ -489,10 +489,9 @@ void runReduce(const std::shared_ptr<ExprNode>& node,
                                           .bytes = bytes});
     result = reduceTree(list, staging, partials.size(), elem, 0,
                         {Dep::on(staged)});
-    resultDevice = 0;
   }
   const Executed done = execute(list, program);
-  out->adoptDeviceBuffer(done.buffer(result.buffer), 1, resultDevice,
+  out->adoptDeviceBuffer(done.buffer(result.buffer), 1, result.device,
                          done.event(result.ready));
 }
 
@@ -618,7 +617,7 @@ std::size_t scanInto(CommandList& list, const char* blockKernel,
   }
   Command block = Command::launch(deviceIndex, blockKernel, n, kTreeWg,
                                   std::move(args), std::move(deps));
-  block.records = true;
+  block.records = plan != nullptr;
   const std::size_t blocked = list.push(std::move(block));
   if (groups <= 1) {
     return blocked;

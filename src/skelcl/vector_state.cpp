@@ -173,14 +173,15 @@ void VectorState::setDistributionCombine(const std::string& combineSource) {
   // the caller can retry the redistribution after handling the error.
   std::vector<Chunk> blocks = layoutOf(Distribution::Block, 0, hostCount());
   CommandList list("combine redistribution");
-  std::vector<std::size_t> blockSlots;
-  std::vector<std::size_t> folds(blocks.size());
-  for (Chunk& block : blocks) {
-    const std::size_t d = block.deviceIndex;
-    const std::size_t offset = block.offset * elemSize_;
-    const std::size_t bytes = block.count * elemSize_;
-    blockSlots.push_back(list.scratch(d, std::max<std::size_t>(1, bytes)));
-    if (block.count == 0) {
+  std::vector<std::size_t> slots(blocks.size()); // each block's buffer
+  std::vector<std::size_t> folded(blocks.size()); // its last command
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const std::size_t d = blocks[i].deviceIndex;
+    const std::size_t count = blocks[i].count;
+    const std::size_t offset = blocks[i].offset * elemSize_;
+    const std::size_t bytes = count * elemSize_;
+    slots[i] = list.scratch(d, std::max<std::size_t>(1, bytes));
+    if (count == 0) {
       // This device's share rounded to zero elements; seeding or
       // folding it would enqueue zero-size device commands.
       continue;
@@ -195,40 +196,37 @@ void VectorState::setDistributionCombine(const std::string& combineSource) {
                         .bytes = bytes});
     };
     // Own portion seeds the block (depends on the chunk being valid).
-    std::size_t folded = copy(d, blockSlots.back(), {chunks_[d].ready});
+    folded[i] = copy(d, slots[i], {chunks_[d].ready});
     // Fold in every other device's copy of the same region. Two temp
     // buffers double-buffer the pipeline: the cross-device copy of
     // portion j+1 streams over PCIe into one temp while the combine
     // kernel folds the other temp into the block.
     const std::size_t temps[2] = {list.scratch(d, bytes),
                                   list.scratch(d, bytes)};
-    std::vector<Dep> tempFree[2]; // last kernel that *read* each temp
+    Dep tempFree[2]; // last kernel that *read* each temp
     std::size_t slot = 0;
     const std::size_t wg =
-        effectiveWorkGroupSize(0, block.count, runtime.devices()[d]);
+        effectiveWorkGroupSize(0, count, runtime.devices()[d]);
     for (std::size_t j = 0; j < devices; ++j) {
       if (j == d) {
         continue;
       }
-      std::vector<Dep> copyDeps{chunks_[j].ready};
-      copyDeps.insert(copyDeps.end(), tempFree[slot].begin(),
-                      tempFree[slot].end());
-      const std::size_t copied = copy(j, temps[slot], std::move(copyDeps));
-      folded = list.push(Command::launch(
-          d, "skelcl_combine", block.count, wg,
-          {Operand::scratch(blockSlots.back()), Operand::scratch(temps[slot]),
-           Operand::uint(block.count)},
-          {Dep::on(copied), Dep::on(folded)}));
-      tempFree[slot] = {Dep::on(folded)};
+      const std::size_t copied =
+          copy(j, temps[slot], {chunks_[j].ready, tempFree[slot]});
+      folded[i] = list.push(Command::launch(
+          d, "skelcl_combine", count, wg,
+          {Operand::scratch(slots[i]), Operand::scratch(temps[slot]),
+           Operand::uint(count)},
+          {Dep::on(copied), Dep::on(folded[i])}));
+      tempFree[slot] = Dep::on(folded[i]);
       slot ^= 1;
     }
-    folds[&block - blocks.data()] = folded;
   }
   const Executed done = execute(list, program);
   for (std::size_t i = 0; i < blocks.size(); ++i) {
-    blocks[i].buffer = done.scratch[blockSlots[i]];
+    blocks[i].buffer = done.scratch[slots[i]];
     if (blocks[i].count > 0) {
-      blocks[i].ready = done.events[folds[i]];
+      blocks[i].ready = done.events[folded[i]];
     }
   }
   chunks_ = std::move(blocks);
