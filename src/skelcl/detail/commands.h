@@ -28,7 +28,7 @@ struct Dep {
   static constexpr std::size_t kExternal =
       std::numeric_limits<std::size_t>::max();
   Dep() = default;
-  Dep(ocl::Event e) : event(std::move(e)) {} // NOLINT: implicit on purpose
+  Dep(ocl::Event e) : event(std::move(e)) {} // NOLINT(google-explicit-*)
   static Dep on(std::size_t index) {
     Dep dep;
     dep.command = index;

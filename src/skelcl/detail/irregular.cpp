@@ -20,7 +20,6 @@
 #include "skelcl/detail/irregular.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <limits>
